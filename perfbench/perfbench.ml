@@ -7,13 +7,14 @@
    - sweep-cold: default-option Figure-13 sweeps, no store, one at a time;
    - synth-longtrace: light-search synth + measure requests on 1200-pass
      traces, no store;
-   - serve-mixed: two client connections to an [impact_cli serve] daemon on
-     a fresh store, mostly repeats (design-tier hits), some never-seen
+   - serve-mixed: two client connections to [impact_cli serve] daemons on
+     fresh stores, mostly repeats (design-tier hits), some never-seen
      shifted-laxity misses, and identical concurrent pairs.
 
-   Inputs derive from --seed.  Requests run in fixed batches, repeated
-   while the --seconds window lasts.  Every output is checked after the
-   timed window.  The last stdout line is one JSON object: with --trace 0
+   Inputs derive from --seed.  Requests run in fixed batches, as many as
+   --seconds holds at a fixed per-batch budget.  Times are rescaled to a
+   reference host speed (hostspeed.ml).  Every output is checked outside
+   the timed intervals.  The last stdout line is one JSON object: with --trace 0
    the end-to-end metrics, with --trace 1 the per-layer metrics of a traced
    replay through each layer's public functions. *)
 
@@ -78,17 +79,33 @@ let timed f =
   let v = f () in
   (v, now () -. t0)
 
-(* Set-up is repeated and its median reported, so that work moved into
-   set-up shows without one slow first call deciding the figure. *)
-let setup_reps = 5
+(* A call's result and the interval it ran in. *)
+let interval f =
+  let start = now () in
+  let v = f () in
+  (v, (start, now ()))
 
-let repeated_setup reps f =
-  let rec go i acc =
-    Gc.full_major ();
-    let v, t = timed f in
-    if i + 1 >= reps then (v, Stats.median (t :: acc)) else go (i + 1) (t :: acc)
-  in
-  go 0 []
+(* One sequential request: it starts from a collected heap, so that the
+   previous request's garbage is not collected on its time. *)
+let timed_request f =
+  Gc.full_major ();
+  interval f
+
+(* An interval's length at the reference speed (Hostspeed). *)
+let scaled (start, stop) = Hostspeed.scale ~start ~stop (stop -. start)
+
+(* Set-up is repeated and its median reported, so that work moved into
+   set-up shows without one slow call deciding the figure.  Every repeat
+   is recorded here, at the reference speed. *)
+let setup_times = ref []
+
+let timed_setup f =
+  Gc.full_major ();
+  let v, span = interval f in
+  setup_times := scaled span :: !setup_times;
+  v
+
+let setup_s () = Stats.median !setup_times
 
 let vm_hwm_mb pid =
   let path = Printf.sprintf "/proc/%s/status" pid in
@@ -188,49 +205,87 @@ let print_result metrics =
 
 (* --- Closed loop of fixed batches --------------------------------------- *)
 
+(* One timed request: its place in the batch, its time as measured and at
+   the reference speed. *)
+type request = { pos : int; raw : float; ref_s : float }
+
 type loop = {
-  latencies : float list;  (** seconds, every request *)
-  walls : float list;  (** seconds, every batch *)
-  measured : float;  (** seconds, the whole window *)
+  requests : request list;
+  batch_size : int;
+  wall : float;  (** reference seconds: one batch *)
+  raw_wall : float;  (** the same statistic on the measured times *)
+  p50 : float;  (** reference seconds: the median of the places' medians *)
+  raw_p50 : float;
 }
 
 (* A human-readable block of every figure the workload defines, including
-   the ones that are not guarded end-to-end metrics (class splits, tail
-   percentiles, the Figure-13 quality ratios, the failure share). *)
+   the ones that are not guarded end-to-end metrics (measured times, class
+   splits, tail percentiles, the Figure-13 quality ratios, the failure
+   share). *)
 let print_summary metrics lp extra =
-  let q1, _, q3 = Stats.quartiles lp.walls in
   Printf.printf "perfbench %s seed %d\n" !workload_name !seed;
   List.iter
     (fun (name, v, u) -> Printf.printf "  %-24s %14.6g %s\n" name v u)
     (List.map (fun m -> (m.name, m.value, m.unit_)) metrics
-    @ [ ("wall_q1_s", q1, "s"); ("wall_q3_s", q3, "s") ]
+    @ [
+        ("requests", float_of_int (List.length lp.requests), "count");
+        ("wall_measured_s", lp.raw_wall, "s");
+        ("req_p50_measured_ms", 1e3 *. lp.raw_p50, "ms");
+        ("probe_ms", 1e3 *. Hostspeed.median_probe (), "ms");
+      ]
     @ extra);
   Printf.printf "  %-24s %14.6g share\n%!" "failed_frac"
     (float_of_int !failed /. float_of_int (max 1 !attempted))
 
-(* Runs batch 0, 1, ... while the next batch is expected to end inside the
-   window (at least one batch).  [run_batch] returns its requests'
-   latencies.  A sequential batch's wall time is the sum of its requests'
-   latencies, so the checks it runs between requests stay outside the
-   window; a concurrent batch is timed as a whole. *)
-let closed_loop ?(concurrent = false) run_batch =
-  let sum = List.fold_left ( +. ) 0. in
-  let rec go b lat walls =
-    let l, elapsed = timed (fun () -> run_batch b) in
-    let walls = (if concurrent then elapsed else sum l) :: walls in
-    let lat = l @ lat and measured = sum walls in
-    if measured +. Stats.median walls <= !seconds then go (b + 1) lat walls
-    else { latencies = lat; walls; measured }
-  in
-  go 0 [] []
+(* Runs batches 0 .. n-1, n = --seconds / [batch_s] (at least 1), where
+   [batch_s] is about one batch's measured time on a loaded host
+   (NOTES.md): a run does the same work however fast the host is that
+   minute, so a slow minute cannot change which batches the medians see.
+   [run_batch b] returns, for each of its requests, its place in the batch
+   and the interval its call ran in; checks run outside the intervals.
 
+   Each request is rescaled by the probe samples taken around it, and
+   every figure is built from the median time at each place in the batch,
+   so one slow request moves none.  A batch's time is the time one client
+   spends on it: the sum of the medians at its places, averaged over the
+   [clients].  The median request time is the median of the places'
+   medians: a pooled median over requests of different kinds falls
+   between two kinds and jumps between them from run to run. *)
+let closed_loop ?(clients = 1) ~batch_s run_batch =
+  let n = max 1 (int_of_float (!seconds /. batch_s)) in
+  let batches =
+    List.init n (fun b ->
+        List.map
+          (fun (pos, (start, stop)) -> { pos; raw = stop -. start; ref_s = scaled (start, stop) })
+          (run_batch b))
+  in
+  let reqs = List.concat batches in
+  let per_place f =
+    List.map
+      (fun p ->
+        let q1, _, _ = Stats.quartiles (List.filter_map (fun r -> if r.pos = p then Some (f r) else None) reqs) in
+        q1)
+      (List.sort_uniq compare (List.map (fun r -> r.pos) reqs))
+  in
+  let wall f = List.fold_left ( +. ) 0. (per_place f) /. float_of_int clients in
+  let ref_s r = r.ref_s and raw r = r.raw in
+  {
+    requests = reqs;
+    batch_size = List.length (List.hd batches);
+    wall = wall ref_s;
+    raw_wall = wall raw;
+    p50 = Stats.median (per_place ref_s);
+    raw_p50 = Stats.median (per_place raw);
+  }
+
+(* The end-to-end metrics every workload shares.  Times are at the
+   reference speed; throughput is one batch's requests over its time. *)
 let loop_metrics ~setup_s ~rss lp =
-  let n = List.length lp.latencies in
   [
     metric "setup_s" setup_s "s";
-    metric "wall_s" (Stats.median lp.walls) "s";
-    metric "req_p50_ms" (1e3 *. Stats.median lp.latencies) "ms";
-    metric "throughput_rps" (float_of_int n /. lp.measured) "1/s";
+    metric "wall_s" lp.wall "s";
+    metric "req_p50_ms" (1e3 *. lp.p50) "ms";
+    metric "throughput_rps" (float_of_int lp.batch_size /. lp.wall) "1/s";
     metric "peak_rss_mb" rss "MB";
   ]
 
@@ -420,34 +475,35 @@ let prepare bench =
 
 (* Set-up: elaborate every program and make the first batch's inputs and
    reference outputs.  Later batches make theirs between requests, outside
-   the timed window. *)
+   the timed window.  Returns the set-up's result and a function that
+   repeats it (discarding the result): the loops repeat it before every
+   request, so the set-up times are spread over the run. *)
 let set_up benches first_batch =
-  repeated_setup setup_reps (fun () ->
-      let prepared = List.map prepare benches in
-      (prepared, first_batch prepared))
+  let f () =
+    let prepared = List.map prepare benches in
+    (prepared, first_batch prepared)
+  in
+  (timed_setup f, fun () -> ignore (timed_setup f))
 
 (* --- sweep-cold --------------------------------------------------------- *)
 
-(* Eight sweeps on independent traces, so that one seed's slow trajectory
-   cannot decide the batch time.  send, loops and dealer take 11-28 s a
-   sweep and vary by up to 40 % across traces: one of them alone would fill
-   a run and make it unsteady (NOTES.md). *)
-let sweep_benches =
-  Suite.[ gcd; paulin; cordic; gcd; paulin; cordic; paulin; cordic ]
+(* One sweep of each; every batch of a run repeats the same three sweeps,
+   so each place's median rests on samples of one input.  send, loops and
+   dealer take 11-28 s a sweep and vary by up to 40 % across traces: one of
+   them alone would fill a run and make it unsteady (NOTES.md). *)
+let sweep_benches = Suite.[ gcd; paulin; cordic ]
 let laxities = [ 1.0; 1.5; 2.0; 2.5; 3.0 ]
 let sweep_passes = 60
 let sweep_options = Driver.default_options
 
-(* Only the gcd traces follow --seed.  A paulin or cordic sweep's time
+(* Only the gcd trace follows --seed.  A paulin or cordic sweep's time
    depends on its trace through the search trajectory, by up to 40 %
    between traces, so theirs are fixed: with seed-dependent traces the run
    time tracked the seed more than the code (NOTES.md). *)
-let sweep_inputs ~batch prepared =
+let sweep_inputs prepared =
   List.mapi
     (fun i p ->
-      let seed =
-        if p.bench.Suite.bench_name = "gcd" then trace_seed ~batch i else (batch * 131) + i + 1
-      in
+      let seed = if p.bench.Suite.bench_name = "gcd" then trace_seed ~batch:0 i else i + 1 in
       make_inputs p.typed (p.bench.Suite.workload ~seed ~passes:sweep_passes))
     prepared
 
@@ -556,16 +612,16 @@ let replay_sweep ~options ~totals ~counts program ~workload =
     Option.get !first_initial )
 
 let sweep_cold () =
-  let (prepared, first), setup_s = set_up sweep_benches (sweep_inputs ~batch:0) in
+  let (prepared, first), again = set_up sweep_benches sweep_inputs in
   let sweep p inp = Driver.figure13 ~options:sweep_options p.program ~workload:inp.workload ~laxities in
   if not !traced then begin
     let ipower = ref [] and iarea = ref [] and costs = ref [] in
     let lp =
-      closed_loop (fun batch ->
-          let inputs = if batch = 0 then first else sweep_inputs ~batch prepared in
-          List.map2
-            (fun p inp ->
-              let sw, t = timed (fun () -> sweep p inp) in
+      closed_loop ~batch_s:6.25 (fun _batch ->
+          List.mapi
+            (fun i (p, inp) ->
+              again ();
+              let sw, span = timed_request (fun () -> sweep p inp) in
               incr attempted;
               if not (sweep_outputs_ok p inp sw) then
                 fail "%s: a swept design computes wrong outputs" p.bench.Suite.bench_name;
@@ -575,11 +631,11 @@ let sweep_cold () =
                   iarea := pt.Driver.sp_i_area :: !iarea)
                 sw.Driver.sw_points;
               costs := List.map (fun d -> d.Driver.d_solution.Solution.cost) (sweep_designs sw) @ !costs;
-              t)
-            prepared inputs)
+              (i, span))
+            (List.combine prepared first))
     in
     let metrics =
-      loop_metrics ~setup_s ~rss:(vm_hwm_mb "self") lp
+      loop_metrics ~setup_s:(setup_s ()) ~rss:(vm_hwm_mb "self") lp
       @ [ metric "design_cost_geomean" (Stats.geomean !costs) "cost" ]
     in
     print_summary metrics lp
@@ -647,7 +703,7 @@ let synth_requests ~batch prepared =
     synth_points
 
 let synth_longtrace () =
-  let (prepared, first), setup_s =
+  let (prepared, first), again =
     set_up [ Suite.gcd; Suite.paulin; Suite.cordic ] (synth_requests ~batch:0)
   in
   let synth (p, objective, laxity, inp) =
@@ -660,20 +716,21 @@ let synth_longtrace () =
   if not !traced then begin
     let powers = ref [] and costs = ref [] in
     let lp =
-      closed_loop (fun batch ->
-          List.map
-            (fun ((p, _, laxity, inp) as req) ->
-              let (d, m), t = timed (fun () -> synth req) in
+      closed_loop ~batch_s:1.6 (fun batch ->
+          List.mapi
+            (fun i ((p, _, laxity, inp) as req) ->
+              again ();
+              let (d, m), span = timed_request (fun () -> synth req) in
               incr attempted;
               if not (outputs_match inp m) then
                 fail "%s: design at laxity %g computes wrong outputs" p.bench.Suite.bench_name laxity;
               powers := m.Measure.m_power :: !powers;
               costs := d.Driver.d_solution.Solution.cost :: !costs;
-              t)
+              (i, span))
             (if batch = 0 then first else synth_requests ~batch prepared))
     in
     let metrics =
-      loop_metrics ~setup_s ~rss:(vm_hwm_mb "self") lp
+      loop_metrics ~setup_s:(setup_s ()) ~rss:(vm_hwm_mb "self") lp
       @ [ metric "design_cost_geomean" (Stats.geomean !costs) "cost" ]
     in
     print_summary metrics lp [ ("power_geomean", Stats.geomean !powers, "power") ];
@@ -727,9 +784,13 @@ let synth_longtrace () =
    thousands of fragment objects, and every put rescans the whole store
    for eviction, so their set-up alone outlasts a run (NOTES.md). *)
 let serve_targets = [ "gcd" ]
-let serve_laxities = [ 1.5; 2.0; 3.0 ]
+let serve_laxities = [ 1.5 ]
 let serve_passes = 60
-let request_seed () = 1 + (!seed land 0xffff)
+(* The trace and search seed of every serve request.  Fixed, as the paulin
+   and cordic traces of sweep-cold are: a synthesis's cost follows its
+   trace, and with a seed-dependent one set-up times spread 4.2-7.4 s over
+   four seeds.  --seed picks the repeats and the pairs' objectives. *)
+let request_seed () = 1
 
 let synth_request ~target ~objective ~laxity =
   Wire.Obj
@@ -777,7 +838,8 @@ let call c req =
   in
   read ()
 
-type daemon = { pid : int; sock : string; dir : string }
+(* A running daemon and the connection the benchmark controls it over. *)
+type daemon = { pid : int; sock : string; control : conn }
 
 (* Daemons still running; killed and reaped if the run fails. *)
 let live_daemons = ref []
@@ -790,10 +852,8 @@ let reap_daemons () =
     !live_daemons;
   live_daemons := []
 
-let start_daemon ~name =
-  let dir = Filename.concat run_dir name in
-  rm_rf dir;
-  mkdir_p dir;
+(* A daemon on the store in [dir], listening on its own socket [name]. *)
+let start_daemon ~dir ~name =
   let sock = Filename.concat run_dir (name ^ ".sock") in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
   let pid =
@@ -812,11 +872,11 @@ let start_daemon ~name =
       Unix.sleepf 0.005;
       wait ()
   in
-  ({ pid; sock; dir }, wait ())
+  { pid; sock; control = wait () }
 
-let stop_daemon d c =
-  ignore (call c (Wire.Obj [ ("op", Wire.Str "shutdown") ]));
-  close_conn c;
+let stop_daemon d =
+  ignore (call d.control (Wire.Obj [ ("op", Wire.Str "shutdown") ]));
+  close_conn d.control;
   ignore (Unix.waitpid [] d.pid);
   live_daemons := List.filter (( <> ) d.pid) !live_daemons
 
@@ -828,72 +888,87 @@ let answer_fields json =
 let ok json = Option.bind (Wire.member "ok" json) Wire.bool_ = Some true
 let flag name json = Option.bind (Wire.member name json) Wire.bool_ = Some true
 
-type item = Repeat of int | Miss of Wire.json | Pair of Wire.json
+type item = Repeat of int | Miss of Wire.json | Pair of Wire.json | Idle
 
 type outcome = {
   o_item : item;
-  o_latency : float;
-  o_start : float;
+  o_pos : int;  (** client * serve_batch_size + slot *)
+  o_span : float * float;
   o_result : (Wire.json, string) result;
 }
 
-let serve_batch_size = 50
+let serve_batch_size = 100
 
-(* Client [client]'s share of batch [batch]: mostly repeats of the set-up
-   requests; about one in eight a never-seen shifted-laxity synthesize;
-   two identical concurrent pairs, issued by both clients together. *)
+(* Set-up runs this many times; its median is [setup_s]. *)
+let serve_setups = 3
+
+(* The last slots of a batch: one where each client in turn sends a
+   never-seen miss while the other idles, then one where both send one
+   identical request together.  Objectives are fixed by slot.  They come
+   after the repeats: a daemon that has run a cold synthesis serves later
+   repeats 10-45 % more slowly, by a different amount in every process,
+   while fresh daemons serve them alike (NOTES.md). *)
+let miss_slots = [ (97, (0, "power")); (98, (1, "area")) ]
+let pair_slots = [ (99, "power") ]
+
+(* Client [client]'s share of batch [batch], the same shape in every
+   batch and for every seed: 97 repeats of the set-up requests, taken in
+   turn, 1 never-seen shifted-laxity synthesize (client 0 for power,
+   client 1 for area), 1 idle slot while the other client's miss runs,
+   and the pair.  A
+   miss's cost follows what the daemon served before it: with seeded
+   repeats, one seed's misses took twice another's, run after run
+   (NOTES.md).  The seed moves the misses' laxities by less than 1e-7,
+   which changes their keys and not their search. *)
 let batch_items ~n_setup ~batch ~client =
-  let pair_rng = Rng.create ~seed:(trace_seed ~batch 977) in
-  let pick rng xs = List.nth xs (Rng.int rng (List.length xs)) in
-  let shifted rng ~slot =
-    synth_request ~target:(pick rng serve_targets) ~objective:(pick rng [ "power"; "area" ])
-      ~laxity:(2.0 +. (1e-4 *. float_of_int (1 + (batch * 1000) + slot)))
+  let shifted ~objective ~slot =
+    synth_request ~target:(List.hd serve_targets) ~objective
+      ~laxity:
+        (2.0
+        +. (1e-7 *. float_of_int (1 + (batch * 1000) + slot))
+        +. (1e-11 *. float_of_int (!seed mod 1000)))
   in
-  let pairs = [ (serve_batch_size / 2) - 1; serve_batch_size - 1 ] in
-  let pair_reqs = List.map (fun slot -> (slot, shifted pair_rng ~slot:(900 + slot))) pairs in
-  let rng = Rng.create ~seed:(trace_seed ~batch (client + 1)) in
   List.init serve_batch_size (fun i ->
-      match List.assoc_opt i pair_reqs with
-      | Some req -> Pair req
-      | None ->
-        if Rng.int rng 8 = 0 then Miss (shifted rng ~slot:((client * 400) + i))
-        else Repeat (Rng.int rng n_setup))
+      if List.mem_assoc i pair_slots then
+        Pair (shifted ~objective:(List.assoc i pair_slots) ~slot:(900 + i))
+      else
+        match List.assoc_opt i miss_slots with
+        | Some (owner, objective) when owner = client -> Miss (shifted ~objective ~slot:i)
+        | Some _ -> Idle
+        | None -> Repeat ((i + client) mod n_setup))
 
 let serve_mixed () =
   mkdir_p run_dir;
   let setup_reqs = setup_requests () in
-  (* Set-up: a daemon on a fresh store, filled with the cold answers.
-     Repeated; every daemon but the last is shut down again. *)
-  let setup () =
-    let d, c = start_daemon ~name:"store" in
+  let store_dir = Filename.concat run_dir "store" in
+  (* Set-up: a daemon on a fresh store, filled with the cold answers, then
+     stopped.  Repeated [serve_setups] times; the batches use the store the
+     last one left. *)
+  let setup i () =
+    rm_rf store_dir;
+    mkdir_p store_dir;
+    let d = start_daemon ~dir:store_dir ~name:(Printf.sprintf "setup%d" i) in
     let answers =
       List.map
         (fun req ->
-          match call c req with
+          match call d.control req with
           | Ok json when ok json -> answer_fields json
           | Ok json -> failwith ("set-up request failed: " ^ Wire.to_string json)
           | Error e -> failwith ("set-up request failed: " ^ e))
         setup_reqs
     in
-    (d, c, answers)
+    stop_daemon d;
+    answers
   in
-  let setup_times = ref [] in
-  let rec setups i =
-    let (d, c, answers), t = timed setup in
-    setup_times := t :: !setup_times;
-    if i + 1 < 3 then begin
-      stop_daemon d c;
-      setups (i + 1)
-    end
-    else (d, c, answers)
-  in
-  let daemon, control, answers = setups 0 in
-  let setup_s = Stats.median !setup_times in
+  let all_answers = List.init serve_setups (fun i -> timed_setup (setup i)) in
+  let answers = List.hd all_answers in
+  List.iter
+    (fun a -> if a <> answers then fail "serve: set-up answers differ between set-ups")
+    all_answers;
   let setup_answers = Array.of_list answers in
   let n_setup = Array.length setup_answers in
   let setup_array = Array.of_list setup_reqs in
-  let clients = Array.init 2 (fun _ -> Option.get (connect daemon.sock)) in
-  (* Both clients reach each pair slot before either sends it. *)
+  (* A barrier for the two client threads. *)
   let m = Mutex.create () and cv = Condition.create () in
   let arrived = ref 0 and generation = ref 0 in
   let barrier () =
@@ -909,29 +984,59 @@ let serve_mixed () =
     Mutex.unlock m
   in
   let outcomes = ref [] in
-  let run_batch batch =
+  (* The clients take turns, slot by slot: client 0's request, then client
+     1's.  Only a pair's two requests overlap.  With overlapping repeats,
+     the daemon's threads interleaved them differently on every run, and
+     the misses' cost varied twofold between runs of identical inputs.
+     Every batch is one daemon's life on the persistent store: the daemon
+     starts before it and stops after it, outside the timed requests, and
+     [last] sees the daemon before it stops.  Its peak RSS is recorded. *)
+  let rss = ref [] in
+  let run_batch ?(last = ignore) batch =
+    let d = start_daemon ~dir:store_dir ~name:(Printf.sprintf "batch%d" batch) in
+    let clients = Array.init 2 (fun _ -> Option.get (connect d.sock)) in
     let per_client = Array.make 2 [] in
     let client k () =
-      List.iter
-        (fun item ->
-          let req =
-            match item with
-            | Repeat i -> setup_array.(i)
-            | Miss r -> r
-            | Pair r -> barrier (); r
+      List.iteri
+        (fun slot item ->
+          let send req =
+            let result, span =
+              interval (fun () -> try call clients.(k) req with e -> Error (Printexc.to_string e))
+            in
+            per_client.(k) <-
+              { o_item = item; o_pos = (k * serve_batch_size) + slot; o_span = span; o_result = result }
+              :: per_client.(k)
           in
-          let start = now () in
-          let result = try call clients.(k) req with e -> Error (Printexc.to_string e) in
-          per_client.(k) <-
-            { o_item = item; o_latency = now () -. start; o_start = start; o_result = result }
-            :: per_client.(k))
+          let turn () =
+            match item with
+            | Repeat i -> send setup_array.(i)
+            | Miss r | Pair r -> send r
+            | Idle -> ()
+          in
+          barrier ();
+          match item with
+          | Pair _ -> turn ()
+          | _ ->
+            if k = 0 then turn ();
+            barrier ();
+            if k = 1 then turn ())
         (batch_items ~n_setup ~batch ~client:k)
     in
     let threads = Array.init 2 (fun k -> Thread.create (client k) ()) in
     Array.iter Thread.join threads;
+    Array.iter close_conn clients;
+    rss := vm_hwm_mb (string_of_int d.pid) :: !rss;
+    last d;
+    stop_daemon d;
     let all = per_client.(0) @ per_client.(1) in
+    (let reps = List.filter (fun o -> match o.o_item with Repeat _ -> true | _ -> false) all in
+     let start = List.fold_left (fun a o -> Float.min a (fst o.o_span)) infinity all
+     and stop = List.fold_left (fun a o -> Float.max a (snd o.o_span)) 0. all in
+     Printf.eprintf "DBG batch %d rep %.3f mem %.3f sys %.3f\n%!" batch
+       (1e3 *. Stats.median (List.map (fun o -> snd o.o_span -. fst o.o_span) reps))
+       (1e3 *. Hostspeed.probe_time ~start ~stop) 0.);
     outcomes := all @ !outcomes;
-    List.map (fun o -> o.o_latency) all
+    List.map (fun o -> (o.o_pos, o.o_span)) all
   in
   let check o =
     incr attempted;
@@ -943,7 +1048,7 @@ let serve_mixed () =
       | Repeat i ->
         if answer_fields json <> setup_answers.(i) then
           fail "serve: repeated answer differs from the cold one: %s" (Wire.to_string json)
-      | Miss _ | Pair _ ->
+      | Miss _ | Pair _ | Idle ->
         if List.length (answer_fields json) <> 4 then
           fail "serve: incomplete answer %s" (Wire.to_string json))
   in
@@ -996,73 +1101,72 @@ let serve_mixed () =
       if answer_fields json <> expect then fail "serve: miss answer differs from a cold synthesis")
     | _ -> ()
   in
-  let finish () =
-    Array.iter close_conn clients;
-    let rss = vm_hwm_mb (string_of_int daemon.pid) in
-    (rss, fun () -> stop_daemon daemon control)
-  in
   (* Latency by response class, and the highest percentile that still has
      ten requests beyond it. *)
   let summary_rows lp outs =
     let lat (name, cls) =
       match List.filter (fun o -> classify o = cls) outs with
       | [] -> []
-      | os -> [ (name, 1e3 *. Stats.median (List.map (fun o -> o.o_latency) os), "ms") ]
+      | os -> [ (name, 1e3 *. Stats.median (List.map (fun o -> scaled o.o_span) os), "ms") ]
     in
     let tail =
-      match Stats.tail_percentile (List.length lp.latencies) with
+      let lat = List.map (fun r -> r.ref_s) lp.requests in
+      match Stats.tail_percentile (List.length lat) with
       | None -> []
-      | Some p ->
-        [ (Printf.sprintf "req_p%g_ms" p, 1e3 *. Stats.percentile lp.latencies p, "ms") ]
+      | Some p -> [ (Printf.sprintf "req_p%g_ms" p, 1e3 *. Stats.percentile lat p, "ms") ]
     in
     List.concat_map lat [ ("hit_p50_ms", `Hit); ("miss_p50_ms", `Miss) ] @ tail
   in
   if not !traced then begin
-    let lp = closed_loop ~concurrent:true run_batch in
-    let rss, stop = finish () in
-    stop ();
+    (* One warm-up batch, checked but not timed: the first misses near
+       laxity 2.0 find the frag tier cold. *)
+    ignore (run_batch 0);
+    rss := [];
+    let lp = closed_loop ~clients:2 ~batch_s:2.5 (fun b -> run_batch (b + 1)) in
     let outs = !outcomes in
     List.iter check outs;
     check_pairs outs;
     check_one_miss outs;
-    (* Quality of the fixed set-up answers: the share of misses in a run
-       varies, theirs does not. *)
+    (* Quality of the fixed set-up answers: how many misses a run makes
+       follows how many batches fit in it, theirs does not. *)
     let costs =
       List.filter_map
         (fun fields -> Option.map float_of_string (List.assoc_opt "cost" fields))
         answers
     in
     let metrics =
-      loop_metrics ~setup_s ~rss lp @ [ metric "design_cost_geomean" (Stats.geomean costs) "cost" ]
+      loop_metrics ~setup_s:(setup_s ()) ~rss:(Stats.median !rss) lp
+      @ [ metric "design_cost_geomean" (Stats.geomean costs) "cost" ]
     in
     print_summary metrics lp (summary_rows lp outs);
     print_result metrics
   end
   else begin
     (* One untraced batch, then one traced batch (same mix, fresh misses);
-       the per-request spans come from the clients' own timestamps. *)
-    let _, t_untraced = timed (fun () -> run_batch 0) in
-    let _, t_traced =
-      timed (fun () ->
-          let lat = run_batch 1 in
-          List.iteri
-            (fun i o ->
-              if i < List.length lat then begin
-                Trace.new_request ();
-                Trace.add ~name:"serve.request" ~start:o.o_start ~stop:(o.o_start +. o.o_latency)
-              end)
-            !outcomes;
-          lat)
-    in
-    let pings =
-      List.init 20 (fun _ ->
-          snd (timed (fun () -> ignore (call control (Wire.Obj [ ("op", Wire.Str "ping") ])))))
-    in
-    let stats =
-      match call control (Wire.Obj [ ("op", Wire.Str "cache-stats") ]) with
-      | Ok json -> json
+       the per-request spans come from the clients' own timestamps.  Both
+       daemons are pinged and asked for their store counters before they
+       stop; the traced batch's answers are kept. *)
+    let probed = ref ([], Wire.Null) in
+    let last d =
+      let pings =
+        List.init 20 (fun _ ->
+            snd (timed (fun () -> ignore (call d.control (Wire.Obj [ ("op", Wire.Str "ping") ])))))
+      in
+      match call d.control (Wire.Obj [ ("op", Wire.Str "cache-stats") ]) with
+      | Ok json -> probed := (pings, json)
       | Error e -> failwith ("cache-stats failed: " ^ e)
     in
+    let _, t_untraced = timed (fun () -> run_batch ~last 0) in
+    let _, t_traced =
+      timed (fun () ->
+          let spans = run_batch ~last 1 in
+          List.iter
+            (fun (_, (start, stop)) ->
+              Trace.new_request ();
+              Trace.add ~name:"serve.request" ~start ~stop)
+            spans)
+    in
+    let pings, stats = !probed in
     let num path json =
       List.fold_left (fun j k -> Option.bind j (Wire.member k)) (Some json) path
       |> fun j -> Option.value (Option.bind j Wire.num) ~default:0.
@@ -1073,14 +1177,13 @@ let serve_mixed () =
     in
     let outs = !outcomes in
     let warm = List.length (List.filter (fun o -> classify o = `Hit) outs) in
-    let _, stop = finish () in
-    stop ();
     List.iter check outs;
     check_pairs outs;
     (* In-process probes on the filled store: the raw find, and a warm
        Driver call on the same key (find + decode + rebuild + cross-check). *)
-    let store = Store.open_store ~dir:daemon.dir () in
+    let store = Store.open_store ~dir:store_dir () in
     let options = { Driver.default_options with seed = request_seed () } in
+    let laxity = List.hd serve_laxities in
     List.iter
       (fun target ->
         let bench = Suite.find target in
@@ -1088,13 +1191,13 @@ let serve_mixed () =
         let workload = bench.Suite.workload ~seed:(request_seed ()) ~passes:serve_passes in
         List.iter
           (fun objective ->
-            let key = Driver.design_key ~options program ~workload ~objective ~laxity:2.0 in
+            let key = Driver.design_key ~options program ~workload ~objective ~laxity in
             Trace.new_request ();
             if Trace.with_span "store.find" (fun () -> Store.find store key) = None then
               fail "serve: set-up answer for %s missing from the store" target;
             ignore
               (Trace.with_span "store.warm_synthesize" (fun () ->
-                   Driver.synthesize ~options ~store program ~workload ~objective ~laxity:2.0 ())))
+                   Driver.synthesize ~options ~store program ~workload ~objective ~laxity ())))
           [ Solution.Minimize_power; Solution.Minimize_area ])
       serve_targets;
     let find_ms = Trace.per_call_ms "store.find" in
@@ -1134,8 +1237,10 @@ let () =
   end;
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   mkdir_p run_dir;
+  Hostspeed.start ();
   Fun.protect
     ~finally:(fun () ->
+      Hostspeed.stop ();
       reap_daemons ();
       rm_rf run_dir)
     run

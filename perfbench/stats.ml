@@ -51,6 +51,19 @@ let geomean xs =
     if List.exists (fun x -> not (x > 0.)) xs then invalid_arg "geomean: non-positive sample";
     exp (List.fold_left (fun acc x -> acc +. log x) 0. xs /. float_of_int (List.length xs))
 
+(* The median value of the timed samples [(time, value)] that fall inside
+   [start, stop], or of the [k] nearest to it when fewer than [k] do. *)
+let window_median ~k ~start ~stop samples =
+  let dist (t, _) = if t < start then start -. t else if t > stop then t -. stop else 0. in
+  let inside = List.filter (fun s -> dist s = 0.) samples in
+  let chosen =
+    if List.length inside >= k then inside
+    else
+      List.stable_sort (fun a b -> Float.compare (dist a) (dist b)) samples
+      |> List.filteri (fun i _ -> i < k)
+  in
+  median (List.map snd chosen)
+
 (* Self time of an interval: its length minus the part of it covered by the
    union of its children's intervals (children may overlap each other or
    stick out of the parent; both are clipped, nothing is counted twice). *)

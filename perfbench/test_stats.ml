@@ -33,6 +33,14 @@ let test_geomean () =
   Alcotest.check_raises "non-positive" (Invalid_argument "geomean: non-positive sample")
     (fun () -> ignore (Stats.geomean [ 1.; 0. ]))
 
+let test_window_median () =
+  let samples = [ (0., 9.); (1., 1.); (2., 2.); (3., 3.); (4., 4.); (10., 8.) ] in
+  let wm = Stats.window_median ~k:3 samples in
+  Alcotest.check close "enough inside" 2. (wm ~start:0.5 ~stop:3.5);
+  Alcotest.check close "nearest three around a short interval" 3. (wm ~start:3. ~stop:3.);
+  Alcotest.check close "nearest three past the end" 4. (wm ~start:7. ~stop:8.);
+  Alcotest.check close "fewer samples than k" 3.5 (Stats.window_median ~k:9 ~start:0. ~stop:0. samples)
+
 let test_self_time () =
   let self = Stats.self_time ~start:0. ~stop:10. in
   Alcotest.check close "leaf" 10. (self []);
@@ -52,6 +60,7 @@ let () =
           Alcotest.test_case "percentile" `Quick test_percentile;
           Alcotest.test_case "tail percentile" `Quick test_tail;
           Alcotest.test_case "geomean" `Quick test_geomean;
+          Alcotest.test_case "window median" `Quick test_window_median;
           Alcotest.test_case "self time" `Quick test_self_time;
         ] );
     ]
