@@ -134,6 +134,10 @@ val lib_key : unit -> string
 (** The ["lib"]-namespace key of the module-library characterisation
     (keyed by the library digest itself). *)
 
+val frag_context : Impact_cdfg.Graph.program -> string
+(** The context string the ["frag"]-tier fragment keys of [program] start
+    with. *)
+
 val synthesize :
   ?options:options ->
   ?pool:Impact_util.Parallel.pool ->

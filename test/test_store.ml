@@ -431,6 +431,46 @@ let test_warm_miss_reuses_front_tiers () =
       check_bool "warm miss bit-identical to storeless cold" true
         (design_fingerprint warm_miss = design_fingerprint cold))
 
+(* --- golden keys and payload bytes ------------------------------------------
+
+   A drifted key or payload encoding does not fail a lookup, it just reads
+   as a miss, so no warm/cold identity test would notice it.  These literals
+   pin the content keys of every tier and the bytes of the two payloads that
+   are pure functions of their inputs (the simulation run and the library
+   characterisation), for bench:gcd under default options. *)
+
+let read_payload path =
+  let ic = open_in_bin path in
+  let raw = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  (* Envelope header: 12-byte magic, clock, cost, 16-byte digest. *)
+  String.sub raw 44 (String.length raw - 44)
+
+let test_golden_keys () =
+  let prog = Suite.program Suite.gcd in
+  let workload = Suite.gcd.Suite.workload ~seed:7 ~passes:10 in
+  let options = Driver.default_options in
+  let pin name expected actual = check_string name expected actual in
+  pin "sim_key" "ec911fa95550f4f12c322d6c98ffff1b" (Driver.sim_key prog ~workload);
+  pin "traces_key" "3f40b0ddeb3fd818043b3780b1889082" (Driver.traces_key prog ~workload);
+  pin "lib_key" "dac19a6d14e3aba03e492d44f9f6497b" (Driver.lib_key ());
+  pin "design_key" "35e06016b35465b068bc9187e0f8e9a8"
+    (Driver.design_key ~options prog ~workload ~objective:Solution.Minimize_power
+       ~laxity:2.0);
+  pin "sweep_key" "1a7973ec7d6e41f3fa6c5dd9eb97f9b0" (Driver.sweep_key ~options prog ~workload ~laxities:[ 1.0; 2.0 ]);
+  pin "frag context" "impact-store|3|frag|a3b02b52b1e93c18ecc61171fbdeaec5" (Driver.frag_context prog);
+  with_dir (fun d ->
+      let store = Store.open_store ~dir:d () in
+      (* The search options do not reach the sim or lib payloads; a light
+         search keeps the test quick. *)
+      let light = { options with depth = 1; max_candidates = 3; max_iterations = 1; probes = 1 } in
+      ignore
+        (Driver.synthesize ~options:light ~store prog ~workload
+           ~objective:Solution.Minimize_power ~laxity:2.0 ());
+      let md5 ns key = Digest.to_hex (Digest.string (read_payload (object_path_of_key ~ns d key))) in
+      pin "sim payload md5" "6e4851020394649d2feaa7166e5e2b2a" (md5 "sim" (Driver.sim_key prog ~workload));
+      pin "lib payload md5" "e25d509c75df98c61ed165831a5436bd" (md5 "lib" (Driver.lib_key ())))
+
 (* --- single-flight scheduler ---------------------------------------------- *)
 
 module Flight = Impact_store.Flight
@@ -616,6 +656,7 @@ let () =
           Alcotest.test_case "six benchmarks bit-identical" `Slow test_warm_identity;
           Alcotest.test_case "figure13 sweep bit-identical" `Slow
             test_warm_sweep_identity;
+          Alcotest.test_case "golden keys and payload bytes" `Quick test_golden_keys;
           Alcotest.test_case "corrupt entry falls back cold" `Quick
             test_warm_corruption_falls_back;
           Alcotest.test_case "warm miss reuses front tiers" `Slow
