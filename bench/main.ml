@@ -1513,9 +1513,7 @@ let eval_engine buf =
         let sw = Driver.figure13 ~options:opts prog ~workload ~laxities:(laxities ()) in
         (Unix.gettimeofday () -. t0, sw)
       in
-      let base =
-        { (options ()) with Driver.eval_cache = true; delta_reprice = true }
-      in
+      let base = { (options ()) with Driver.delta_reprice = true } in
       (* flat1: the PR-3-era engine (single trajectory, cache + delta) on
          one domain — the continuity baseline against earlier BENCH
          artifacts.  ws4: the same flat engine on 4 domains, candidate

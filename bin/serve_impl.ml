@@ -72,11 +72,6 @@ let with_target ~op oc req f =
     | Error msg -> send oc (error_result ~op msg)
     | Ok target -> f target)
 
-let design_tier_hits sv =
-  match List.assoc_opt "design" (Store.stats sv.sv_store).Store.st_tiers with
-  | Some t -> t.Store.ts_hits
-  | None -> 0
-
 (* Progress bracket: [queued] on arrival, [running] (on the leader's
    connection) once the scheduler admits the flight, then the terminal
    frame.  [key] is the request's store content key: identical in-flight
@@ -93,9 +88,10 @@ let heavy sv oc ~op ~key f =
     match
       Flight.run sv.sv_flight key (fun () ->
           send oc (Wire.Obj [ ("event", Wire.Str "running"); ("id", Wire.Num id) ]);
-          let hits_before = design_tier_hits sv in
+          let design_hits () = Store.hits ~ns:Store.default_ns sv.sv_store in
+          let hits_before = design_hits () in
           let fields = f () in
-          (fields, design_tier_hits sv > hits_before))
+          (fields, design_hits () > hits_before))
     with
     | exception e -> error_result ~op (Printexc.to_string e)
     | (fields, warm), coalesced ->

@@ -241,14 +241,14 @@ let refresh_clock t path =
 
 let mem_key ns k = ns ^ ":" ^ k
 
+(* A known key keeps its FIFO slot but takes the new payload: an overwrite
+   must never leave the replaced payload serving hits. *)
 let remember t mk payload =
-  if not (Hashtbl.mem t.mem mk) then begin
-    Hashtbl.replace t.mem mk payload;
-    Queue.push mk t.mem_order;
-    while Hashtbl.length t.mem > t.mem_capacity do
-      Hashtbl.remove t.mem (Queue.pop t.mem_order)
-    done
-  end
+  if not (Hashtbl.mem t.mem mk) then Queue.push mk t.mem_order;
+  Hashtbl.replace t.mem mk payload;
+  while Hashtbl.length t.mem > t.mem_capacity do
+    Hashtbl.remove t.mem (Queue.pop t.mem_order)
+  done
 
 let check_args fname ns k =
   if not (valid_key k) then invalid_arg (Printf.sprintf "Store.%s: not a content key" fname);
@@ -444,6 +444,12 @@ let stats t =
         st_evicted = t.evicted;
         st_tiers = tiers;
       })
+
+let hits ?ns t =
+  Mutex.protect t.lock (fun () ->
+      match ns with
+      | None -> t.hits
+      | Some ns -> Option.fold ~none:0 ~some:(fun c -> c.c_hits) (Hashtbl.find_opt t.tiers ns))
 
 (* "65.4 KiB", not "65389": the human-facing rendering used by [cache
    stats] and the bench's store report. *)

@@ -108,6 +108,11 @@ type stats = {
 }
 
 val stats : t -> stats
+(** Scans every object on disk for the entry and byte counts. *)
+
+val hits : ?ns:string -> t -> int
+(** This handle's lookup hits in namespace [ns] (in all namespaces when
+    omitted): a counter read, with no disk scan. *)
 
 val human_bytes : int -> string
 (** ["65.4 KiB"], not ["65389"] — binary units, one decimal (bare ["B"]

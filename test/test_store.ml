@@ -14,6 +14,7 @@ module Solution = Impact_core.Solution
 module Moves = Impact_core.Moves
 module Search = Impact_core.Search
 module Driver = Impact_core.Driver
+module Tier = Impact_core.Tier
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -167,6 +168,37 @@ let test_tiers () =
         (match Store.put s ~ns:"../evil" (k "x") "p" with
         | exception Invalid_argument _ -> true
         | () -> false))
+
+let test_hits_per_ns () =
+  with_dir (fun d ->
+      let s = Store.open_store ~dir:d () in
+      Store.put s ~ns:"sim" (k "x") "sim payload";
+      Store.put s (k "x") "design payload";
+      ignore (Store.find s ~ns:"sim" (k "x"));
+      ignore (Store.find s ~ns:"sim" (k "x"));
+      ignore (Store.find s (k "x"));
+      ignore (Store.find s (k "missing"));
+      check_int "sim hits" 2 (Store.hits ~ns:"sim" s);
+      check_int "design hits" 1 (Store.hits ~ns:Store.default_ns s);
+      check_int "unread namespace" 0 (Store.hits ~ns:"traces" s);
+      check_int "all namespaces" 3 (Store.hits s);
+      let st = Store.stats s in
+      check_int "agrees with stats" (tier "sim" st).Store.ts_hits (Store.hits ~ns:"sim" s);
+      check_int "agrees with stats total" st.Store.st_hits (Store.hits s);
+      check_bool "reading a counter lists no namespace" true
+        (List.assoc_opt "traces" st.Store.st_tiers = None))
+
+(* An overwrite must replace the memory layer's copy too, or the handle
+   keeps serving the payload it replaced. *)
+let test_put_overwrites_memory () =
+  with_dir (fun d ->
+      let s = Store.open_store ~dir:d () in
+      Store.put s (k "x") "old";
+      check_bool "old hits" true (Store.find s (k "x") = Some "old");
+      Store.put s (k "x") "new";
+      check_bool "same handle sees the overwrite" true (Store.find s (k "x") = Some "new");
+      check_bool "disk holds the overwrite" true
+        (Store.find (Store.open_store ~dir:d ()) (k "x") = Some "new"))
 
 let test_human_bytes () =
   check_string "bytes" "512 B" (Store.human_bytes 512);
@@ -396,6 +428,68 @@ let test_warm_corruption_falls_back () =
       check_bool "repaired warm identical" true
         (design_fingerprint warm = design_fingerprint cold))
 
+(* The combinator's two miss paths on a hit-shaped entry: an envelope that
+   validates but carries another tier's tag, and an entry that restore
+   rejects.  Either way the cold path runs once, its answer overwrites the
+   entry, and the next call hits. *)
+let test_find_or_compute_miss_paths () =
+  let toy : int Tier.t = Tier.make ~ns:"toy" ~tag:"toy" in
+  let call store colds =
+    Tier.find_or_compute ~store toy
+      ~key:(fun () -> k "entry")
+      ~restore:(fun v -> if v >= 0 then Some v else None)
+      ~persist:Fun.id ~fingerprint:string_of_int
+      (fun () ->
+        incr colds;
+        42)
+  in
+  List.iter
+    (fun (name, payload) ->
+      with_dir (fun d ->
+          let store = Store.open_store ~dir:d () in
+          Store.put ~ns:"toy" store (k "entry") payload;
+          let colds = ref 0 in
+          check_int (name ^ ": cold answer") 42 (call store colds);
+          check_int (name ^ ": cold ran once") 1 !colds;
+          check_bool (name ^ ": entry overwritten") true
+            (Option.bind (Store.find ~ns:"toy" store (k "entry")) (Tier.decode toy) = Some 42);
+          check_int (name ^ ": next call hits") 42 (call store colds);
+          check_int (name ^ ": no second cold run") 1 !colds))
+    [
+      ("foreign tag", Tier.encode (Tier.make ~ns:"toy" ~tag:"other" : int Tier.t) 7);
+      ("rejected by restore", Tier.encode toy (-1));
+    ]
+
+(* The same on the real design tier: a sweep-tagged payload under a design
+   key reads as a miss, the cold search overwrites it, and the repaired
+   entry serves warm. *)
+let test_foreign_tag_design_entry () =
+  with_dir (fun d ->
+      let prog = Suite.program Suite.gcd in
+      let workload = Suite.gcd.Suite.workload ~seed:7 ~passes:10 in
+      let synth ?store () =
+        Driver.synthesize ~options:small_options ?store prog ~workload
+          ~objective:Solution.Minimize_power ~laxity:2.0 ()
+      in
+      let key =
+        Driver.design_key ~options:small_options prog ~workload
+          ~objective:Solution.Minimize_power ~laxity:2.0
+      in
+      Store.put (Store.open_store ~dir:d ()) key
+        (Tier.encode (Tier.make ~ns:Store.default_ns ~tag:"sweep" : unit Tier.t) ());
+      let store = Store.open_store ~dir:d () in
+      let cold = synth ~store () in
+      let st = Store.stats store in
+      check_int "foreign entry overwritten" 1 (tier "design" st).Store.ts_writes;
+      check_bool "cold answer" true (design_fingerprint cold = design_fingerprint (synth ()));
+      (* The store counts the foreign envelope as a hit; the tier did not. *)
+      let hits_before = (tier "design" st).Store.ts_hits in
+      let warm = synth ~store () in
+      let st = Store.stats store in
+      check_int "repaired entry hits" (hits_before + 1) (tier "design" st).Store.ts_hits;
+      check_int "no second write" 1 (tier "design" st).Store.ts_writes;
+      check_bool "warm identical" true (design_fingerprint warm = design_fingerprint cold))
+
 (* The tiered warm miss: same program and workload at a different laxity
    misses the design tier (a genuinely new search) but reuses the front-end
    tiers — the simulation run and the switching-statistics memos — and the
@@ -458,7 +552,7 @@ let test_golden_keys () =
     (Driver.design_key ~options prog ~workload ~objective:Solution.Minimize_power
        ~laxity:2.0);
   pin "sweep_key" "1a7973ec7d6e41f3fa6c5dd9eb97f9b0" (Driver.sweep_key ~options prog ~workload ~laxities:[ 1.0; 2.0 ]);
-  pin "frag context" "impact-store|3|frag|a3b02b52b1e93c18ecc61171fbdeaec5" (Driver.frag_context prog);
+  pin "frag context" "impact-store|3|frag|a3b02b52b1e93c18ecc61171fbdeaec5" (Tier.frag_context prog);
   with_dir (fun d ->
       let store = Store.open_store ~dir:d () in
       (* The search options do not reach the sim or lib payloads; a light
@@ -640,6 +734,9 @@ let () =
           Alcotest.test_case "hit refreshes clock" `Quick test_hit_refreshes_clock;
           Alcotest.test_case "cost-aware eviction" `Quick test_cost_aware_eviction;
           Alcotest.test_case "tier namespaces" `Quick test_tiers;
+          Alcotest.test_case "per-namespace hits" `Quick test_hits_per_ns;
+          Alcotest.test_case "put overwrites the memory layer" `Quick
+            test_put_overwrites_memory;
           Alcotest.test_case "human-readable sizes" `Quick test_human_bytes;
           Alcotest.test_case "corruption reads as miss" `Quick test_corruption;
         ] );
@@ -657,6 +754,9 @@ let () =
           Alcotest.test_case "figure13 sweep bit-identical" `Slow
             test_warm_sweep_identity;
           Alcotest.test_case "golden keys and payload bytes" `Quick test_golden_keys;
+          Alcotest.test_case "find-or-compute miss paths" `Quick
+            test_find_or_compute_miss_paths;
+          Alcotest.test_case "foreign-tag design entry" `Quick test_foreign_tag_design_entry;
           Alcotest.test_case "corrupt entry falls back cold" `Quick
             test_warm_corruption_falls_back;
           Alcotest.test_case "warm miss reuses front tiers" `Slow
