@@ -80,11 +80,15 @@ let decode ~key payload : entry option =
    candidate move.  Only the backing layer (Driver) hashes, on misses. *)
 let full_key t key = t.fc_context ^ "\x00" ^ key
 
-let store_put t e =
-  match t.fc_backing with
-  | Some bk when not e.e_from_store -> (
-    try bk.bk_put e.e_key ~cost_ns:e.e_cost_ns (encode e) with _ -> ())
-  | Some _ | None -> ()
+(* File [e] in the shared table and persist it — only when it won the
+   insert: a key another probe (or the backing) already filed is on disk or
+   on its way there, and a second write would only cost a store put. *)
+let publish t fk e =
+  if Shardtbl.add_if_absent t.fc_shared fk e == e then
+    match t.fc_backing with
+    | Some bk when not e.e_from_store -> (
+      try bk.bk_put e.e_key ~cost_ns:e.e_cost_ns (encode e) with _ -> ())
+    | Some _ | None -> ()
 
 let find t key =
   let fk = full_key t key in
@@ -132,9 +136,7 @@ let add t key ~cost_ns frag =
   in
   match t.fc_overlay with
   | Some o -> Hashtbl.replace o fk e
-  | None ->
-    ignore (Shardtbl.add_if_absent t.fc_shared fk e);
-    store_put t e
+  | None -> publish t fk e
 
 let find_stg t key =
   let fk = full_key t key in
@@ -159,11 +161,7 @@ let commit t =
   (match t.fc_overlay with
   | None -> ()
   | Some o ->
-    Hashtbl.iter
-      (fun fk e ->
-        ignore (Shardtbl.add_if_absent t.fc_shared fk e);
-        store_put t e)
-      o;
+    Hashtbl.iter (publish t) o;
     Hashtbl.reset o);
   match t.fc_stg_overlay with
   | None -> ()

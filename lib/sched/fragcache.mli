@@ -52,8 +52,11 @@ val fork : t -> t
 val commit : t -> unit
 (** Publishes a forked view's overlay into the shared table and the
     backing, then empties the overlay.  Entries are pure functions of
-    their keys, so publication order never changes a value.  No-op on an
-    unforked cache. *)
+    their keys, so publication order never changes a value.  Only entries
+    that win their shared-table insert are written to the backing: a key
+    another probe already published is persisted once, and entries that
+    came from the backing are never written back.  No-op on an unforked
+    cache. *)
 
 val find : t -> string -> Stg.frag option
 (** A fresh mutable materialisation of the fragment cached under
@@ -62,7 +65,9 @@ val find : t -> string -> Stg.frag option
 
 val add : t -> string -> cost_ns:int -> Stg.frag -> unit
 (** Snapshots [frag] (safe against later in-place composition) and files it
-    under (context, key) with its measured recompute cost. *)
+    under (context, key) with its measured recompute cost.  On an unforked
+    cache it writes through to the backing unless the key was already
+    filed. *)
 
 val find_stg : t -> string -> Stg.t option
 (** The whole-schedule memo: the instantiated STG cached under

@@ -11,7 +11,10 @@
    counter persisted in a [clock] file at the root, so recency ordering
    survives process restarts at full resolution — unlike the 1-second
    mtime granularity it replaces, under which hits within the same second
-   tied arbitrarily. *)
+   tied arbitrarily.  The file holds a leased upper bound, not the last
+   tick: a handle persists [clock_lease] ticks ahead at once, so only one
+   tick in [clock_lease] writes the file, and a handle opened later starts
+   above every tick any earlier handle issued from its lease. *)
 
 let magic = "IMPACTSTORE\002"
 let clock_off = String.length magic
@@ -20,6 +23,7 @@ let digest_off = cost_off + 8
 let header_len = digest_off + 16
 let default_max_bytes = 256 * 1024 * 1024
 let default_ns = "design"
+let clock_lease = 1024
 
 type tier_stats = {
   ts_entries : int;
@@ -59,6 +63,12 @@ type t = {
   lock : Mutex.t;
   tiers : (string, counters) Hashtbl.t;
   mutable clock : int;
+  mutable clock_bound : int;  (* the lease persisted in the clock file *)
+  (* The on-disk bytes this handle knows of: seeded by its first full scan,
+     then moved by its own writes, evictions and corrupt-object removals.
+     Other processes' writes show up at the next scan, which runs only once
+     the tally passes the cap.  [None] until a scan has run. *)
+  mutable known_bytes : int option;
   mutable hits : int;
   mutable misses : int;
   mutable writes : int;
@@ -124,6 +134,8 @@ let open_store ?dir ?max_bytes ?(mem_capacity = 128) () =
       lock = Mutex.create ();
       tiers = Hashtbl.create 8;
       clock = 0;
+      clock_bound = 0;
+      known_bytes = None;
       hits = 0;
       misses = 0;
       writes = 0;
@@ -134,6 +146,7 @@ let open_store ?dir ?max_bytes ?(mem_capacity = 128) () =
   mkdir_p (objects_dir t);
   mkdir_p (tmp_dir t);
   t.clock <- load_clock t;
+  t.clock_bound <- t.clock;
   t
 
 let dir t = t.root
@@ -164,23 +177,27 @@ let counters_for t ns =
     Hashtbl.replace t.tiers ns c;
     c
 
-(* Allocate the next logical-clock tick and persist the counter (atomic
-   rename, so a torn write can never leave garbage).  Persistence is
-   best-effort: losing the file only costs eviction-order fidelity. *)
+(* Allocate the next logical-clock tick.  A tick past the lease first
+   persists a new bound [clock_lease] ticks ahead (atomic rename, so a torn
+   write can never leave garbage).  Persistence is best-effort: losing the
+   file only costs eviction-order fidelity. *)
 let bump_clock t =
   t.clock <- t.clock + 1;
-  t.tmp_counter <- t.tmp_counter + 1;
-  let tmp =
-    Filename.concat (tmp_dir t)
-      (Printf.sprintf "clock.%d.%d" (Unix.getpid ()) t.tmp_counter)
-  in
-  (try
-     let oc = open_out_bin tmp in
-     Fun.protect
-       ~finally:(fun () -> close_out_noerr oc)
-       (fun () -> output_string oc (string_of_int t.clock));
-     Sys.rename tmp (clock_path t)
-   with Sys_error _ | Unix.Unix_error _ -> ( try Sys.remove tmp with Sys_error _ -> ()));
+  if t.clock > t.clock_bound then begin
+    t.clock_bound <- t.clock + clock_lease - 1;
+    t.tmp_counter <- t.tmp_counter + 1;
+    let tmp =
+      Filename.concat (tmp_dir t)
+        (Printf.sprintf "clock.%d.%d" (Unix.getpid ()) t.tmp_counter)
+    in
+    try
+      let oc = open_out_bin tmp in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () -> output_string oc (string_of_int t.clock_bound));
+      Sys.rename tmp (clock_path t)
+    with Sys_error _ | Unix.Unix_error _ -> ( try Sys.remove tmp with Sys_error _ -> ())
+  end;
   t.clock
 
 let put_int64_be b off v =
@@ -282,7 +299,11 @@ let find ?(ns = default_ns) t k =
           | None ->
             (* Truncated, corrupted or written by a different format
                version: discard so it never costs another read. *)
-            (try Sys.remove path with Sys_error _ -> ());
+            (match Sys.remove path with
+            | () ->
+              t.known_bytes <-
+                Option.map (fun b -> max 0 (b - String.length data)) t.known_bytes
+            | exception Sys_error _ -> ());
             t.misses <- t.misses + 1;
             c.c_misses <- c.c_misses + 1;
             None)))
@@ -326,23 +347,34 @@ let disk_usage t =
    the cheapest-to-recompute byte goes first, so an expensive sweep outlives
    a cheap synth of the same size — with the logical clock as tiebreak
    (least recently touched first; objects whose header cannot be read rank
-   cheapest of all). *)
+   cheapest of all).  The scan re-reads the true total (every process's
+   objects) and resets the handle's tally to what is left; headers are
+   read only when the total is over the cap. *)
 let evict_locked t cap =
-  let objs = ref [] in
+  let objs = ref [] and total = ref 0 in
   iter_objects t (fun path ns name ->
       match Unix.stat path with
       | exception Unix.Unix_error _ -> ()
       | st ->
-        let size = st.Unix.st_size in
-        let clock, cost_ns =
-          match read_header path with Some (c, n) -> (c, n) | None -> (0, 0)
-        in
-        let cost_per_byte = float_of_int cost_ns /. float_of_int (max 1 size) in
-        objs := (cost_per_byte, clock, size, path, ns, mem_key ns name) :: !objs);
-  let total = List.fold_left (fun acc (_, _, size, _, _, _) -> acc + size) 0 !objs in
-  if total <= cap then (0, [])
+        total := !total + st.Unix.st_size;
+        objs := (st.Unix.st_size, path, ns, name) :: !objs);
+  let total = !total in
+  if total <= cap then begin
+    t.known_bytes <- Some total;
+    (0, [])
+  end
   else begin
-    let by_worth = List.sort compare !objs in
+    let by_worth =
+      List.rev_map
+        (fun (size, path, ns, name) ->
+          let clock, cost_ns =
+            match read_header path with Some (c, n) -> (c, n) | None -> (0, 0)
+          in
+          let cost_per_byte = float_of_int cost_ns /. float_of_int (max 1 size) in
+          (cost_per_byte, clock, size, path, ns, mem_key ns name))
+        !objs
+      |> List.sort compare
+    in
     let removed = ref 0 and remaining = ref total in
     let per_ns : (string, int * int) Hashtbl.t = Hashtbl.create 8 in
     List.iter
@@ -356,6 +388,7 @@ let evict_locked t cap =
           Hashtbl.replace per_ns ns (e + 1, b + size)
         end)
       by_worth;
+    t.known_bytes <- Some !remaining;
     t.evicted <- t.evicted + !removed;
     let tiers =
       Hashtbl.fold
@@ -378,6 +411,8 @@ let put ?(ns = default_ns) ?(cost_ns = 0) t k payload =
           (Printf.sprintf "%s.%d.%d" k (Unix.getpid ()) t.tmp_counter)
       in
       let clock = bump_clock t in
+      (* An overwrite counts net of the object it replaces. *)
+      let replaced = try (Unix.stat final).Unix.st_size with Unix.Unix_error _ -> 0 in
       match
         let oc = open_out_bin tmp in
         Fun.protect
@@ -387,10 +422,14 @@ let put ?(ns = default_ns) ?(cost_ns = 0) t k payload =
             output_string oc payload);
         Sys.rename tmp final
       with
-      | () ->
+      | () -> (
         t.writes <- t.writes + 1;
         (counters_for t ns).c_writes <- (counters_for t ns).c_writes + 1;
-        ignore (evict_locked t t.cap)
+        (* Only an unseeded or over-cap tally pays for a scan. *)
+        let grown = header_len + String.length payload - replaced in
+        match t.known_bytes with
+        | Some b when b + grown <= t.cap -> t.known_bytes <- Some (b + grown)
+        | Some _ | None -> ignore (evict_locked t t.cap))
       | exception (Sys_error _ | Unix.Unix_error _) ->
         (* A cache write that fails only costs a future recompute. *)
         (try Sys.remove tmp with Sys_error _ -> ()))
@@ -405,6 +444,7 @@ let clear t =
           with Sys_error _ -> ());
       Hashtbl.reset t.mem;
       Queue.clear t.mem_order;
+      t.known_bytes <- None;
       !removed)
 
 let gc_report ?max_bytes t =

@@ -20,14 +20,20 @@
     - {b bounded size}: once the store exceeds its byte cap, writes evict
       the objects cheapest to recompute per byte first (by the recorded
       [cost_ns] / size ratio), breaking ties by a monotonic logical clock
-      (least recently touched first) that hits refresh in place.  The
-      clock counter persists in a [clock] file at the store root, so
-      recency ordering survives restarts at full resolution — no 1-second
-      mtime ties.
+      (least recently touched first) that hits refresh in place.  A
+      handle tracks the on-disk bytes it knows of in a running tally and
+      scans the store only when the tally passes the cap (see {!put}).
+      The clock persists in a [clock] file at the store root as a leased
+      upper bound, rewritten once per 1024 ticks; a handle opened later
+      starts at that bound, so recency ordering survives restarts at full
+      resolution — no 1-second mtime ties.
 
     Concurrent processes may share a directory: rename is atomic and every
-    object is self-validating.  Within a process a handle is thread-safe
-    (one mutex; the payloads move in and out as immutable strings). *)
+    object is self-validating.  A handle sees other processes' writes in
+    its byte tally at its next over-cap scan, so until then the directory
+    may hold up to their bytes beyond the cap.  Within a process a handle
+    is thread-safe (one mutex; the payloads move in and out as immutable
+    strings). *)
 
 type t
 
@@ -65,16 +71,24 @@ val put : ?ns:string -> ?cost_ns:int -> t -> string -> string -> unit
     while the store exceeds its cap.  [cost_ns] records what the payload
     cost to compute — the eviction policy keeps expensive-per-byte objects
     longest.  Write errors (permissions, full disk) are swallowed: the
-    store is a cache, losing a write only costs the next run a recompute. *)
+    store is a cache, losing a write only costs the next run a recompute.
+
+    The cap is checked against the handle's byte tally, not a scan: the
+    handle's first write seeds the tally with one scan, and its writes
+    (an overwrite net of the object it replaces), evictions and the
+    corrupt-object removals of {!find} keep it current.  Only a write that
+    takes the tally past the cap scans the store, re-reading the true
+    total (other processes' objects included) before ranking; so a write
+    costs the same whatever the store holds. *)
 
 val clear : t -> int
 (** Removes every object in every namespace (and the memory layer);
-    returns the count. *)
+    returns the count.  The next write re-seeds the byte tally. *)
 
 val gc : ?max_bytes:int -> t -> int
 (** Evicts objects (cheapest recompute-per-byte first, clock tiebreak)
     until the store fits the cap (default: the handle's); returns the
-    eviction count. *)
+    eviction count.  A full scan, whatever the byte tally says. *)
 
 type gc_tier = {
   gt_ns : string;  (** namespace *)

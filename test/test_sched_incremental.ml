@@ -306,6 +306,39 @@ let test_fragcache_backing () =
   let fc4 = Fragcache.create ~context:"c" ~backing () in
   check_bool "corrupt backing payload is a miss" true (Fragcache.find fc4 "k" = None)
 
+(* Two probes that schedule the same region both file it in their overlays;
+   only the entry that wins the shared-table insert at commit reaches the
+   backing, and fragments read from the backing are never written back. *)
+let test_fragcache_write_once () =
+  let disk = Hashtbl.create 8 and puts = ref 0 in
+  let backing =
+    {
+      Fragcache.bk_find = Hashtbl.find_opt disk;
+      bk_put =
+        (fun k ~cost_ns:_ v ->
+          incr puts;
+          Hashtbl.replace disk k v);
+    }
+  in
+  let frag () = Stg.frag_of_chain [ mk_state; mk_state ] in
+  let fc = Fragcache.create ~context:"c" ~backing () in
+  let p1 = Fragcache.fork fc and p2 = Fragcache.fork fc in
+  Fragcache.add p1 "k" ~cost_ns:3 (frag ());
+  Fragcache.add p2 "k" ~cost_ns:4 (frag ());
+  check_int "overlays write nothing" 0 !puts;
+  Fragcache.commit p1;
+  Fragcache.commit p2;
+  check_int "one backing write for a key both probes filed" 1 !puts;
+  Fragcache.add fc "k" ~cost_ns:5 (frag ());
+  check_int "an unforked re-add of a filed key writes nothing" 1 !puts;
+  let warm = Fragcache.create ~context:"c" ~backing () in
+  let probe = Fragcache.fork warm in
+  check_bool "probe hits the backing" true (Fragcache.find probe "k" <> None);
+  Fragcache.commit probe;
+  let warm2 = Fragcache.create ~context:"c" ~backing () in
+  check_bool "unforked cache hits the backing" true (Fragcache.find warm2 "k" <> None);
+  check_int "backing hits are never written back" 1 !puts
+
 (* --- The persistent frag tier through the driver --------------------------- *)
 
 let rec rm_rf path =
@@ -382,6 +415,8 @@ let () =
             test_fragcache_roundtrip;
           Alcotest.test_case "fork/commit" `Quick test_fragcache_fork_commit;
           Alcotest.test_case "persistent backing" `Quick test_fragcache_backing;
+          Alcotest.test_case "each fragment persisted once" `Quick
+            test_fragcache_write_once;
         ] );
       ( "store",
         [ Alcotest.test_case "frag tier via driver" `Quick test_frag_store_tier ] );

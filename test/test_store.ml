@@ -270,6 +270,116 @@ let test_corruption () =
             (Store.find s2 (k "victim") = Some "precious payload")))
     damage
 
+(* --- the byte tally and the clock lease ---------------------------------- *)
+
+(* A handle scans the store only when its running byte tally passes the
+   cap.  An over-count costs one extra scan; an under-count would leave the
+   store over its cap, so these cases pin every path that moves the tally.
+   Objects here are 44-byte envelopes around the payload. *)
+
+let exists d name = Sys.file_exists (object_path d name)
+
+let test_tally_overwrite_grows () =
+  with_dir (fun d ->
+      let s = Store.open_store ~dir:d ~max_bytes:2500 () in
+      Store.put s (k "a") (String.make 1000 'a');
+      Store.put s (k "b") (String.make 1000 'b');
+      Store.put s (k "b") (String.make 1000 'B');
+      check_int "a same-size overwrite stays under the cap" 0
+        (Store.stats s).Store.st_evicted;
+      Store.put s (k "b") (String.make 1500 'b');
+      let st = Store.stats s in
+      check_int "growing overwrite evicts" 1 st.Store.st_evicted;
+      check_bool "fits cap" true (st.Store.st_bytes <= 2500);
+      check_bool "older object evicted" false (exists d "a");
+      check_bool "overwrite kept" true
+        (Store.find s (k "b") = Some (String.make 1500 'b')))
+
+let test_tally_corrupt_removal () =
+  with_dir (fun d ->
+      (* No memory layer, so [find] reads the damaged object from disk. *)
+      let s = Store.open_store ~dir:d ~max_bytes:3132 ~mem_capacity:0 () in
+      List.iter (fun n -> Store.put s (k n) (String.make 1000 'x')) [ "a"; "b"; "c" ];
+      corrupt (object_path d "b") (fun b ->
+          let i = Bytes.length b - 1 in
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+          b);
+      check_bool "corrupt object misses" true (Store.find s (k "b") = None);
+      Store.put s (k "d") (String.make 1000 'x');
+      check_int "the removed object's bytes are free again" 0
+        (Store.stats s).Store.st_evicted;
+      check_bool "a c d kept" true (exists d "a" && exists d "c" && exists d "d");
+      Store.put s (k "e") (String.make 1000 'x');
+      let st = Store.stats s in
+      check_int "the next object over the cap evicts one" 1 st.Store.st_evicted;
+      check_bool "oldest evicted" false (exists d "a");
+      check_bool "fits cap" true (st.Store.st_bytes <= 3132))
+
+let test_tally_cross_process () =
+  with_dir (fun d ->
+      (* [b] seeds its tally before [a] writes, so only the over-cap rescan
+         can learn of [a]'s objects.  [a]'s objects are free to recompute,
+         [b]'s are not, so the rescan evicts [a]'s first. *)
+      let b = Store.open_store ~dir:d ~max_bytes:1000 () in
+      let put_b n = Store.put b ~cost_ns:1_000_000 (k n) (String.make 100 'b') in
+      put_b "b0";
+      let a = Store.open_store ~dir:d ~max_bytes:1000 () in
+      List.iter
+        (fun n -> Store.put a (k n) (String.make 100 'a'))
+        [ "a1"; "a2"; "a3"; "a4"; "a5" ];
+      check_int "a stays under the cap" 0 (Store.stats a).Store.st_evicted;
+      List.iter put_b [ "b1"; "b2"; "b3"; "b4"; "b5"; "b6" ];
+      let st = Store.stats b in
+      check_int "b's rescan evicts a's objects too" 6 st.Store.st_evicted;
+      check_bool "fits cap" true (st.Store.st_bytes <= 1000);
+      check_bool "a's objects evicted" true
+        (List.for_all (fun n -> not (exists d n)) [ "a1"; "a2"; "a3"; "a4"; "a5" ]);
+      check_bool "b's oldest evicted" false (exists d "b0");
+      check_bool "b's newer objects kept" true
+        (List.for_all (exists d) [ "b1"; "b2"; "b3"; "b4"; "b5"; "b6" ]);
+      (* The rescan left the tally at the true total, so the very next
+         object over the cap evicts again. *)
+      put_b "b7";
+      let st = Store.stats b in
+      check_int "the tally holds the rescanned total" 7 st.Store.st_evicted;
+      check_bool "still fits cap" true (st.Store.st_bytes <= 1000))
+
+let test_tally_after_clear () =
+  with_dir (fun d ->
+      let s = Store.open_store ~dir:d ~max_bytes:2500 () in
+      Store.put s (k "a") (String.make 1000 'a');
+      Store.put s (k "b") (String.make 1000 'b');
+      check_int "clear" 2 (Store.clear s);
+      Store.put s (k "c") (String.make 1000 'c');
+      Store.put s (k "d") (String.make 1000 'd');
+      check_int "two objects fit after clear" 0 (Store.stats s).Store.st_evicted;
+      Store.put s (k "e") (String.make 1000 'e');
+      let st = Store.stats s in
+      check_int "the third evicts" 1 st.Store.st_evicted;
+      check_bool "fits cap" true (st.Store.st_bytes <= 2500);
+      check_bool "oldest evicted" false (exists d "c");
+      check_bool "newer kept" true (exists d "d" && exists d "e"))
+
+let test_clock_lease () =
+  with_dir (fun d ->
+      let s = Store.open_store ~dir:d () in
+      let clock_file () =
+        In_channel.with_open_bin (Filename.concat d "clock") In_channel.input_all
+      in
+      let after_second = ref "" in
+      for i = 1 to 10 do
+        Store.put s (k (Printf.sprintf "k%d" i)) (String.make 100 'x');
+        if i = 2 then after_second := clock_file ()
+      done;
+      check_string "one clock-file write per lease" !after_second (clock_file ());
+      (* A reopened handle starts above the old lease, so its hit on the
+         oldest object outranks everything the old handle wrote: a gc down
+         to one object keeps it. *)
+      let s2 = Store.open_store ~dir:d () in
+      check_bool "reopened handle hits" true (Store.find s2 (k "k1") <> None);
+      check_int "gc to one object" 9 (Store.gc ~max_bytes:144 s2);
+      check_bool "the hit object outranks the old handle's writes" true (exists d "k1"))
+
 (* --- wire JSON ------------------------------------------------------------ *)
 
 let test_wire_json () =
@@ -738,6 +848,14 @@ let () =
           Alcotest.test_case "put overwrites the memory layer" `Quick
             test_put_overwrites_memory;
           Alcotest.test_case "human-readable sizes" `Quick test_human_bytes;
+          Alcotest.test_case "tally: growing overwrite evicts" `Quick
+            test_tally_overwrite_grows;
+          Alcotest.test_case "tally: corrupt removal frees bytes" `Quick
+            test_tally_corrupt_removal;
+          Alcotest.test_case "tally: rescan sees other handles" `Quick
+            test_tally_cross_process;
+          Alcotest.test_case "tally: eviction after clear" `Quick test_tally_after_clear;
+          Alcotest.test_case "leased clock" `Quick test_clock_lease;
           Alcotest.test_case "corruption reads as miss" `Quick test_corruption;
         ] );
       ("wire", [ Alcotest.test_case "json + frames" `Quick test_wire_json ]);
