@@ -80,7 +80,7 @@ let substitute_candidates env (sol : Solution.t) =
 
 let share_reg_candidates env (sol : Solution.t) =
   let b = sol.Solution.binding in
-  let lt = Lifetime.analyse env.Solution.program sol.Solution.stg in
+  let lt = Estimate.lifetime env.Solution.est_ctx sol.Solution.stg in
   let regs = Binding.reg_ids b in
   List.concat_map
     (fun r1 ->

@@ -455,13 +455,21 @@ let net_term ctx st dp idx =
 
 (* --- The ledger -------------------------------------------------------------- *)
 
+(* Per-resource terms are float arrays aligned with the one canonical order
+   [price_ledger] sums in — ascending unit ids, ascending register ids,
+   network index order — beside the ids (and ports) that name them, so a
+   ledger costs a word per term and totals add the same floats in the same
+   order whichever path filled them. *)
 type ledger = {
   lg_stg : Stg.t;  (* the schedule [lg_terms] belongs to, physically *)
   lg_terms : stg_terms;
-  lg_fu : (int, float) Hashtbl.t;
-  lg_reg_write : (int, float) Hashtbl.t;
-  lg_reg_clock : (int, float) Hashtbl.t;
-  lg_net : (Datapath.port, float) Hashtbl.t;
+  lg_fu_ids : int array;
+  lg_fu : float array;
+  lg_reg_ids : int array;
+  lg_reg_write : float array;
+  lg_reg_clock : float array;
+  lg_net_ports : Datapath.port array;
+  lg_net : float array;
 }
 
 type footprint = { fp_fus : int list; fp_regs : int list }
@@ -473,8 +481,8 @@ let port_label = function
   | Datapath.P_reg_write reg -> Printf.sprintf "net reg %d" reg
 
 let ledger_terms lg =
-  let tbl label tbl =
-    Hashtbl.fold (fun k v acc -> (label k, v) :: acc) tbl []
+  let terms label ids terms =
+    Array.to_list (Array.mapi (fun i id -> (label id, terms.(i))) ids)
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   let st = lg.lg_terms in
@@ -485,10 +493,10 @@ let ledger_terms lg =
   (("enc", st.st_enc) :: ("sel", st.st_sel) :: ("wire", st.st_wire)
   :: ("ctrl", st.st_ctrl)
   :: ("critical-ns", st.st_critical)
-  :: tbl (Printf.sprintf "fu %d") lg.lg_fu)
-  @ tbl (Printf.sprintf "reg-write %d") lg.lg_reg_write
-  @ tbl (Printf.sprintf "reg-clock %d") lg.lg_reg_clock
-  @ tbl port_label lg.lg_net
+  :: terms (Printf.sprintf "fu %d") lg.lg_fu_ids lg.lg_fu)
+  @ terms (Printf.sprintf "reg-write %d") lg.lg_reg_ids lg.lg_reg_write
+  @ terms (Printf.sprintf "reg-clock %d") lg.lg_reg_ids lg.lg_reg_clock
+  @ terms port_label lg.lg_net_ports lg.lg_net
   @ acts
 
 type t = {
@@ -505,23 +513,19 @@ type t = {
    the bit-identical figure a from-scratch estimate would produce: carried
    terms are the very floats the full path would recompute, and the
    summation order is shared. *)
-let price_ledger ~dp ~vdd lg =
-  let b = Datapath.binding dp in
+let price_ledger ~vdd lg =
   let st = lg.lg_terms in
   let enc = st.st_enc in
-  let e_fu =
-    List.fold_left (fun acc fu -> acc +. Hashtbl.find lg.lg_fu fu) 0. (Binding.fu_ids b)
-  in
-  let e_reg, clock_cap =
-    List.fold_left
-      (fun (e, c) reg ->
-        (e +. Hashtbl.find lg.lg_reg_write reg, c +. Hashtbl.find lg.lg_reg_clock reg))
-      (0., 0.) (Binding.reg_ids b)
-  in
-  let e_net = ref 0. in
-  Array.iter
-    (fun net -> e_net := !e_net +. Hashtbl.find lg.lg_net net.Datapath.net_port)
-    (Datapath.networks dp);
+  let sum = Array.fold_left ( +. ) 0. in
+  let e_fu = sum lg.lg_fu in
+  let e_reg = ref 0. and clock_cap = ref 0. in
+  Array.iteri
+    (fun i w ->
+      e_reg := !e_reg +. w;
+      clock_cap := !clock_cap +. lg.lg_reg_clock.(i))
+    lg.lg_reg_write;
+  let e_reg = !e_reg and clock_cap = !clock_cap in
+  let e_net = sum lg.lg_net in
   let e_clock = enc *. clock_cap in
   (* Per-cycle energy at nominal supply. *)
   let per_cycle e = if enc <= 0. then 0. else e /. enc in
@@ -529,7 +533,7 @@ let price_ledger ~dp ~vdd lg =
     {
       Breakdown.p_fu = per_cycle e_fu;
       p_reg = per_cycle e_reg;
-      p_mux = per_cycle (st.st_sel +. !e_net);
+      p_mux = per_cycle (st.st_sel +. e_net);
       p_ctrl = per_cycle st.st_ctrl;
       p_clock = per_cycle e_clock;
       p_wire = per_cycle st.st_wire;
@@ -546,30 +550,24 @@ let price_ledger ~dp ~vdd lg =
 let build_ledger ctx ~stg ~dp =
   let b = Datapath.binding dp in
   let st = stg_terms ctx stg in
-  let lg =
-    {
-      lg_stg = stg;
-      lg_terms = st;
-      lg_fu = Hashtbl.create 16;
-      lg_reg_write = Hashtbl.create 32;
-      lg_reg_clock = Hashtbl.create 32;
-      lg_net = Hashtbl.create 16;
-    }
-  in
-  List.iter (fun fu -> Hashtbl.replace lg.lg_fu fu (fu_term ctx st b fu)) (Binding.fu_ids b);
-  List.iter
-    (fun reg ->
-      Hashtbl.replace lg.lg_reg_write reg (reg_write_term ctx st b reg);
-      Hashtbl.replace lg.lg_reg_clock reg (reg_clock_term b reg))
-    (Binding.reg_ids b);
-  Array.iteri
-    (fun idx net -> Hashtbl.replace lg.lg_net net.Datapath.net_port (net_term ctx st dp idx))
-    (Datapath.networks dp);
-  lg
+  let fu_ids = Array.of_list (Binding.fu_ids b) in
+  let reg_ids = Array.of_list (Binding.reg_ids b) in
+  let nets = Datapath.networks dp in
+  {
+    lg_stg = stg;
+    lg_terms = st;
+    lg_fu_ids = fu_ids;
+    lg_fu = Array.map (fu_term ctx st b) fu_ids;
+    lg_reg_ids = reg_ids;
+    lg_reg_write = Array.map (reg_write_term ctx st b) reg_ids;
+    lg_reg_clock = Array.map (reg_clock_term b) reg_ids;
+    lg_net_ports = Array.map (fun net -> net.Datapath.net_port) nets;
+    lg_net = Array.init (Array.length nets) (net_term ctx st dp);
+  }
 
 let estimate_ledger ctx ~stg ~dp ?(vdd = Vdd.nominal) () =
   let lg = build_ledger ctx ~stg ~dp in
-  (price_ledger ~dp ~vdd lg, lg)
+  (price_ledger ~vdd lg, lg)
 
 let estimate ctx ~stg ~dp ?vdd () = fst (estimate_ledger ctx ~stg ~dp ?vdd ())
 
@@ -604,53 +602,75 @@ let reprice ctx ~prev ~footprint ~stg ~dp ?(vdd = Vdd.nominal) () =
     let st = prev.lg_terms in
     let touched_fu fu = List.mem fu footprint.fp_fus in
     let touched_reg reg = List.mem reg footprint.fp_regs in
-    let lg_fu = Hashtbl.create 16 in
-    List.iter
-      (fun fu ->
-        let term =
-          if touched_fu fu then fu_term ctx st b fu
-          else
-            match Hashtbl.find_opt prev.lg_fu fu with
-            | Some t -> t
-            | None -> fu_term ctx st b fu
-        in
-        Hashtbl.replace lg_fu fu term)
-      (Binding.fu_ids b);
-    let lg_reg_write = Hashtbl.create 32 and lg_reg_clock = Hashtbl.create 32 in
-    List.iter
-      (fun reg ->
-        let write, clock =
-          if touched_reg reg then (reg_write_term ctx st b reg, reg_clock_term b reg)
-          else
-            match
-              (Hashtbl.find_opt prev.lg_reg_write reg, Hashtbl.find_opt prev.lg_reg_clock reg)
-            with
-            | Some w, Some c -> (w, c)
-            | _ -> (reg_write_term ctx st b reg, reg_clock_term b reg)
-        in
-        Hashtbl.replace lg_reg_write reg write;
-        Hashtbl.replace lg_reg_clock reg clock)
-      (Binding.reg_ids b);
-    let lg_net = Hashtbl.create 16 in
-    Array.iteri
-      (fun idx net ->
-        let port = net.Datapath.net_port in
-        let touched =
-          match port with
-          | Datapath.P_fu_input (fu, _) -> touched_fu fu
-          | Datapath.P_reg_write reg -> touched_reg reg
-        in
-        let term =
-          if touched then net_term ctx st dp idx
-          else
-            match Hashtbl.find_opt prev.lg_net port with
-            | Some t -> t
-            | None -> net_term ctx st dp idx
-        in
-        Hashtbl.replace lg_net port term)
-      (Datapath.networks dp);
-    let lg = { prev with lg_fu; lg_reg_write; lg_reg_clock; lg_net } in
-    let est = price_ledger ~dp ~vdd lg in
+    (* The carried term of [id] in [prev]: a binary search of its sorted
+       [ids] (networks are built in ascending port order). *)
+    let carried ids id =
+      let rec go lo hi =
+        if lo >= hi then None
+        else
+          let mid = (lo + hi) / 2 in
+          let c = compare ids.(mid) id in
+          if c = 0 then Some mid else if c < 0 then go (mid + 1) hi else go lo mid
+      in
+      go 0 (Array.length ids)
+    in
+    let fu_ids = Array.of_list (Binding.fu_ids b) in
+    let lg_fu =
+      Array.map
+        (fun fu ->
+          match if touched_fu fu then None else carried prev.lg_fu_ids fu with
+          | Some i -> prev.lg_fu.(i)
+          | None -> fu_term ctx st b fu)
+        fu_ids
+    in
+    let reg_ids = Array.of_list (Binding.reg_ids b) in
+    let reg_slots =
+      Array.map (fun reg -> if touched_reg reg then None else carried prev.lg_reg_ids reg) reg_ids
+    in
+    let lg_reg_write =
+      Array.mapi
+        (fun i reg ->
+          match reg_slots.(i) with
+          | Some j -> prev.lg_reg_write.(j)
+          | None -> reg_write_term ctx st b reg)
+        reg_ids
+    in
+    let lg_reg_clock =
+      Array.mapi
+        (fun i reg ->
+          match reg_slots.(i) with
+          | Some j -> prev.lg_reg_clock.(j)
+          | None -> reg_clock_term b reg)
+        reg_ids
+    in
+    let nets = Datapath.networks dp in
+    let net_ports = Array.map (fun net -> net.Datapath.net_port) nets in
+    let lg_net =
+      Array.mapi
+        (fun idx port ->
+          let touched =
+            match port with
+            | Datapath.P_fu_input (fu, _) -> touched_fu fu
+            | Datapath.P_reg_write reg -> touched_reg reg
+          in
+          match if touched then None else carried prev.lg_net_ports port with
+          | Some i -> prev.lg_net.(i)
+          | None -> net_term ctx st dp idx)
+        net_ports
+    in
+    let lg =
+      {
+        prev with
+        lg_fu_ids = fu_ids;
+        lg_fu;
+        lg_reg_ids = reg_ids;
+        lg_reg_write;
+        lg_reg_clock;
+        lg_net_ports = net_ports;
+        lg_net;
+      }
+    in
+    let est = price_ledger ~vdd lg in
     if ctx.check_ledger then check_against_full ctx ~stg ~dp ~vdd est;
     (est, lg)
   end

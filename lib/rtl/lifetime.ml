@@ -4,14 +4,26 @@ module Guard = Impact_cdfg.Guard
 module Stg = Impact_sched.Stg
 module Iset = Set.Make (Int)
 
-(* Values are node outputs (ids 0..nn-1) and primary inputs (ids nn..). *)
+(* Values are node outputs (ids 0..nn-1) and primary inputs (ids nn..nv-1).
+   Interference is one bit per unordered pair of distinct values: pair
+   (lo, hi) with lo < hi sits at bit hi*(hi-1)/2 + lo.  A schedule's memo
+   entry is therefore a few dozen bytes, not a pair hash table. *)
 type t = {
   nn : int;
-  input_ids : (string, int) Hashtbl.t;
-  defs : Iset.t array;  (* per state *)
-  live_out : Iset.t array;
-  interferes : (int * int, unit) Hashtbl.t;
+  nv : int;
+  inputs : (string * int) list;  (* the program's own list, shared *)
+  interferes : Bytes.t;
 }
+
+let bit lo hi = (hi * (hi - 1) / 2) + lo
+
+let input_id t name =
+  let rec find i = function
+    | [] -> None
+    | (n, _) :: _ when n = name -> Some (t.nn + i)
+    | _ :: rest -> find (i + 1) rest
+  in
+  find 0 t.inputs
 
 let ports_of_phase (n : Ir.node) phase =
   match phase with
@@ -22,14 +34,13 @@ let ports_of_phase (n : Ir.node) phase =
 let analyse (program : Graph.program) (stg : Stg.t) =
   let g = program.Graph.graph in
   let nn = Graph.node_count g in
-  let input_ids = Hashtbl.create 8 in
-  List.iteri
-    (fun i (name, _) -> Hashtbl.replace input_ids name (nn + i))
-    program.Graph.prog_inputs;
+  let inputs = program.Graph.prog_inputs in
+  let nv = nn + List.length inputs in
+  let t = { nn; nv; inputs; interferes = Bytes.make (((nv * (nv - 1) / 2) + 7) / 8) '\000' } in
   let value_of_edge eid =
     match (Graph.edge g eid).Ir.source with
     | Ir.From_node nid -> Some nid
-    | Ir.Primary_input name -> Hashtbl.find_opt input_ids name
+    | Ir.Primary_input name -> input_id t name
     | Ir.Const _ -> None
   in
   let n_states = Array.length stg.Stg.states in
@@ -71,7 +82,7 @@ let analyse (program : Graph.program) (stg : Stg.t) =
     (fun (_, nid) ->
       uses.(stg.Stg.exit_id) <- Iset.add nid uses.(stg.Stg.exit_id))
     program.Graph.prog_outputs;
-  Hashtbl.iter (fun _ vid -> defs.(stg.Stg.entry) <- Iset.add vid defs.(stg.Stg.entry)) input_ids;
+  List.iteri (fun i _ -> defs.(stg.Stg.entry) <- Iset.add (nn + i) defs.(stg.Stg.entry)) inputs;
   (* Backward liveness fixpoint. *)
   let live_in = Array.make n_states Iset.empty in
   let live_out = Array.make n_states Iset.empty in
@@ -92,10 +103,11 @@ let analyse (program : Graph.program) (stg : Stg.t) =
       end
     done
   done;
-  let interferes = Hashtbl.create 256 in
   let mark a b =
     if a <> b then begin
-      Hashtbl.replace interferes ((min a b, max a b)) ()
+      let i = bit (min a b) (max a b) in
+      Bytes.set_uint8 t.interferes (i lsr 3)
+        (Bytes.get_uint8 t.interferes (i lsr 3) lor (1 lsl (i land 7)))
     end
   in
   for s = 0 to n_states - 1 do
@@ -108,28 +120,26 @@ let analyse (program : Graph.program) (stg : Stg.t) =
         Iset.iter (fun u -> mark d u) uses.(s))
       defs.(s)
   done;
-  { nn; input_ids; defs; live_out; interferes }
+  t
 
-let compatible t a b = a = b || not (Hashtbl.mem t.interferes (min a b, max a b))
+(* Ids outside the analysis never interfere. *)
+let compatible t a b =
+  a = b || a < 0 || b < 0 || a >= t.nv || b >= t.nv
+  ||
+  let i = bit (min a b) (max a b) in
+  Bytes.get_uint8 t.interferes (i lsr 3) land (1 lsl (i land 7)) = 0
 
 let values_can_share t v w = compatible t v w
 
 let input_can_share t name v =
-  match Hashtbl.find_opt t.input_ids name with
+  match input_id t name with
   | Some vid -> compatible t vid v
   | None -> false
 
 let regs_can_share t b r1 r2 =
   let members reg =
     Binding.reg_values b reg
-    @ List.filter_map
-        (fun name -> Hashtbl.find_opt t.input_ids name)
-        (Binding.reg_input_names b reg)
+    @ List.filter_map (input_id t) (Binding.reg_input_names b reg)
   in
   let m1 = members r1 and m2 = members r2 in
   List.for_all (fun a -> List.for_all (fun b -> compatible t a b) m2) m1
-
-let live_states t v =
-  let acc = ref [] in
-  Array.iteri (fun s live -> if Iset.mem v live then acc := s :: !acc) t.live_out;
-  List.rev !acc

@@ -5,7 +5,11 @@
     over the (cyclic) STG; reads satisfied by same-state chaining still
     count as register reads (conservative).  Primary inputs are modelled as
     values defined at pass entry; primary outputs stay live through the
-    exit state (they are read externally). *)
+    exit state (they are read externally).
+
+    The result keeps only the interference relation, one bit per unordered
+    pair of values, so a schedule's analysis is cheap to memoise.  Ids
+    outside the analysed program are compatible with everything. *)
 
 module Ir := Impact_cdfg.Ir
 
@@ -24,6 +28,3 @@ val regs_can_share : t -> Binding.t -> int -> int -> bool
 (** Lifts the pairwise tests to whole registers under a binding: every
     value/input of one register must be compatible with every value/input
     of the other. *)
-
-val live_states : t -> Ir.node_id -> int list
-(** States in which the value is live (diagnostics). *)

@@ -20,13 +20,6 @@ type t = {
   fc_context : string;
   fc_shared : (string, entry) Shardtbl.t;
   fc_overlay : (string, entry) Hashtbl.t option;
-  (* Whole-schedule memo: instantiated STGs keyed by the digest of the full
-     region tree.  STGs are immutable once instantiated, so a hit returns
-     the shared value itself — no snapshot, no materialisation.  Memory
-     only: fragments are the persisted granularity, and a cross-process
-     warm start re-instantiates from them in one spliced pass. *)
-  fc_stg_shared : (string, Stg.t) Shardtbl.t;
-  fc_stg_overlay : (string, Stg.t) Hashtbl.t option;
   fc_backing : backing option;
   (* Shared across forks (like the estimator's memo-cost counter): the
      search reports whole-run deltas, not per-overlay views. *)
@@ -39,8 +32,6 @@ let create ?(context = "") ?backing () =
     fc_context = context;
     fc_shared = Shardtbl.create 256;
     fc_overlay = None;
-    fc_stg_shared = Shardtbl.create 64;
-    fc_stg_overlay = None;
     fc_backing = backing;
     fc_reused = Atomic.make 0;
     fc_scheduled = Atomic.make 0;
@@ -48,12 +39,7 @@ let create ?(context = "") ?backing () =
 
 let context t = t.fc_context
 
-let fork t =
-  {
-    t with
-    fc_overlay = Some (Hashtbl.create 64);
-    fc_stg_overlay = Some (Hashtbl.create 16);
-  }
+let fork t = { t with fc_overlay = Some (Hashtbl.create 64) }
 
 let entries t =
   Shardtbl.length t.fc_shared
@@ -138,33 +124,9 @@ let add t key ~cost_ns frag =
   | Some o -> Hashtbl.replace o fk e
   | None -> publish t fk e
 
-let find_stg t key =
-  let fk = full_key t key in
-  let hit =
-    match t.fc_stg_overlay with
-    | Some o -> (
-      match Hashtbl.find_opt o fk with
-      | Some _ as h -> h
-      | None -> Shardtbl.find_opt t.fc_stg_shared fk)
-    | None -> Shardtbl.find_opt t.fc_stg_shared fk
-  in
-  (match hit with Some _ -> Atomic.incr t.fc_reused | None -> ());
-  hit
-
-let add_stg t key stg =
-  let fk = full_key t key in
-  match t.fc_stg_overlay with
-  | Some o -> Hashtbl.replace o fk stg
-  | None -> ignore (Shardtbl.add_if_absent t.fc_stg_shared fk stg)
-
 let commit t =
-  (match t.fc_overlay with
+  match t.fc_overlay with
   | None -> ()
   | Some o ->
     Hashtbl.iter (publish t) o;
-    Hashtbl.reset o);
-  match t.fc_stg_overlay with
-  | None -> ()
-  | Some o ->
-    Hashtbl.iter (fun fk stg -> ignore (Shardtbl.add_if_absent t.fc_stg_shared fk stg)) o;
     Hashtbl.reset o

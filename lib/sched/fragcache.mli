@@ -69,18 +69,6 @@ val add : t -> string -> cost_ns:int -> Stg.frag -> unit
     cache it writes through to the backing unless the key was already
     filed. *)
 
-val find_stg : t -> string -> Stg.t option
-(** The whole-schedule memo: the instantiated STG cached under
-    (context, key) — the scheduler keys it by the digest of the complete
-    region tree, so a hit means {e nothing} changed and the entire
-    schedule is reused.  STGs are immutable once instantiated, so the
-    shared value itself is returned (no copy).  Hits count as reused in
-    {!counters}.  Memory-only: fragments are the persisted granularity. *)
-
-val add_stg : t -> string -> Stg.t -> unit
-(** Files an instantiated STG under (context, key); in a fork it lands in
-    the overlay until {!commit}. *)
-
 val counters : t -> int * int
 (** [(reused, scheduled)]: fragments served from the cache vs computed and
     filed, cumulative over the cache's lifetime and shared across forks.

@@ -169,9 +169,8 @@ let frag_fus ctx frag =
    on the units/registers they touch, so untouched regions keep their
    digests and splice their previous fragments verbatim. *)
 
-(* Digesting reads only the raw graph and the models — never the guard
-   analysis — so the whole-schedule memo below can answer "did anything
-   change?" without paying {!Analysis.create}. *)
+(* Digesting reads only the raw graph and the models, never the guard
+   analysis. *)
 let digest_region ~g ~cfg_fp ~delay ~res ~tag region =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf cfg_fp;
@@ -427,23 +426,7 @@ let schedule ?frags cfg (program : Graph.program) ~delay ~res =
     let ctx = { cfg; analysis; delay; res; frags; cfg_fp } in
     Stg.instantiate (region_frag ctx top) ~clock_ns:cfg.clock_ns
   in
-  let stg =
-    match frags with
-    | Some fc when cacheable top -> (
-      (* Whole-schedule memo: one digest of the complete region tree
-         answers "did anything change since an identical earlier
-         schedule?".  A hit skips guard analysis, splicing and
-         instantiation alike and returns the shared immutable STG; a miss
-         splices from the per-region fragments below. *)
-      let key = digest_region ~g ~cfg_fp ~delay ~res ~tag:'T' top in
-      match Fragcache.find_stg fc key with
-      | Some stg -> stg
-      | None ->
-        let stg = build frags in
-        Fragcache.add_stg fc key stg;
-        stg)
-    | _ -> build frags
-  in
+  let stg = build frags in
   (match frags with
   | Some _ when check_enabled () ->
     (* Cold reference: the same schedule with fragment reuse disabled must

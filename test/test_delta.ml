@@ -65,9 +65,15 @@ let check_est_close name (a : Estimate.t) (b : Estimate.t) =
         Alcotest.failf "%s: %s diverged: delta %.17g vs full %.17g" name field x y)
     pairs
 
+(* Every term of a ledger, bit for bit: a carried term read from the wrong
+   slot can total within 1e-9 but cannot match here. *)
+let check_terms_identical name lg full =
+  let bits l = List.map (fun (label, v) -> (label, Int64.bits_of_float v)) (Estimate.ledger_terms l) in
+  if bits lg <> bits full then Alcotest.failf "%s: ledger terms differ from the full estimate" name
+
 (* Random move walk: apply moves with delta re-pricing enabled and compare
-   every feasible solution's estimate against a from-scratch estimate of the
-   same (schedule, datapath, supply). *)
+   every feasible solution's estimate, and its ledger's terms, against a
+   from-scratch estimate of the same (schedule, datapath, supply). *)
 let walk_and_check env ~seed ~steps =
   let rng = Rng.create ~seed in
   let metrics = Solution.create_metrics () in
@@ -83,11 +89,15 @@ let walk_and_check env ~seed ~steps =
        | None -> raise Exit
        | Some s ->
          if s.Solution.cost < infinity then begin
-           let full =
-             Estimate.estimate env.Solution.est_ctx ~stg:s.Solution.stg
+           let full, full_lg =
+             Estimate.estimate_ledger env.Solution.est_ctx ~stg:s.Solution.stg
                ~dp:s.Solution.dp ~vdd:s.Solution.vdd ()
            in
-           check_est_close (Printf.sprintf "step %d" step) s.Solution.est full;
+           let name = Printf.sprintf "step %d" step in
+           check_est_close name s.Solution.est full;
+           (match s.Solution.ledger with
+           | Some lg -> check_terms_identical name lg full_lg
+           | None -> Alcotest.failf "%s: feasible solution without a ledger" name);
            incr checked
          end;
          sol := s

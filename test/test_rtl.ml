@@ -21,6 +21,7 @@ module Module_library = Impact_modlib.Module_library
 module Bitvec = Impact_util.Bitvec
 module Rng = Impact_util.Rng
 module Fixtures = Impact_benchmarks.Fixtures
+module Suite = Impact_benchmarks.Suite
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -571,6 +572,158 @@ let test_lifetime_reg_share_correctness () =
           expected)
       wl
 
+
+(* The pair-set definition of interference, kept here as a reference for
+   the compact representation: every pair of distinct values marked when
+   one is defined in a state where the other is live out, defined too, or
+   read. *)
+module Ref_lifetime = struct
+  module Guard = Impact_cdfg.Guard
+  module Stg = Impact_sched.Stg
+  module Iset = Set.Make (Int)
+
+  type t = { input_ids : (string, int) Hashtbl.t; pairs : (int * int, unit) Hashtbl.t }
+
+  let analyse (program : Graph.program) (stg : Stg.t) =
+    let g = program.Graph.graph in
+    let nn = Graph.node_count g in
+    let input_ids = Hashtbl.create 8 in
+    List.iteri (fun i (name, _) -> Hashtbl.replace input_ids name (nn + i)) program.Graph.prog_inputs;
+    let value_of_edge eid =
+      match (Graph.edge g eid).Ir.source with
+      | Ir.From_node nid -> Some nid
+      | Ir.Primary_input name -> Hashtbl.find_opt input_ids name
+      | Ir.Const _ -> None
+    in
+    let n = Array.length stg.Stg.states in
+    let defs = Array.make n Iset.empty and uses = Array.make n Iset.empty in
+    let use s eid = Option.iter (fun v -> uses.(s) <- Iset.add v uses.(s)) (value_of_edge eid) in
+    let use_guard s gd = List.iter (fun a -> use s a.Guard.cond_edge) (Guard.atoms gd) in
+    for s = 0 to n - 1 do
+      List.iter
+        (fun fr ->
+          let node = Graph.node g fr.Stg.f_node in
+          defs.(s) <- Iset.add fr.Stg.f_node defs.(s);
+          (match fr.Stg.f_phase with
+          | Stg.Normal -> Array.iter (use s) node.Ir.inputs
+          | Stg.Merge_init -> use s node.Ir.inputs.(0)
+          | Stg.Merge_back -> use s node.Ir.inputs.(1));
+          use_guard s fr.Stg.f_guard)
+        (Stg.firings_of stg s);
+      List.iter (fun tr -> use_guard s tr.Stg.t_guard) stg.Stg.succs.(s)
+    done;
+    let exit = stg.Stg.exit_id and entry = stg.Stg.entry in
+    List.iter (fun (_, nid) -> uses.(exit) <- Iset.add nid uses.(exit)) program.Graph.prog_outputs;
+    Hashtbl.iter (fun _ vid -> defs.(entry) <- Iset.add vid defs.(entry)) input_ids;
+    let live_in = Array.make n Iset.empty and live_out = Array.make n Iset.empty in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for s = n - 1 downto 0 do
+        let out =
+          List.fold_left
+            (fun acc tr -> Iset.union acc live_in.(tr.Stg.t_dst))
+            Iset.empty stg.Stg.succs.(s)
+        in
+        let inp = Iset.union uses.(s) (Iset.diff out defs.(s)) in
+        if not (Iset.equal out live_out.(s) && Iset.equal inp live_in.(s)) then begin
+          live_out.(s) <- out;
+          live_in.(s) <- inp;
+          changed := true
+        end
+      done
+    done;
+    let pairs = Hashtbl.create 256 in
+    let mark a b = if a <> b then Hashtbl.replace pairs (min a b, max a b) () in
+    for s = 0 to n - 1 do
+      Iset.iter
+        (fun d -> Iset.iter (mark d) (Iset.union live_out.(s) (Iset.union defs.(s) uses.(s))))
+        defs.(s)
+    done;
+    { input_ids; pairs }
+
+  let compatible t a b = a = b || not (Hashtbl.mem t.pairs (min a b, max a b))
+
+  let input_can_share t name v =
+    match Hashtbl.find_opt t.input_ids name with Some i -> compatible t i v | None -> false
+
+  let regs_can_share t b r1 r2 =
+    let members reg =
+      Binding.reg_values b reg
+      @ List.filter_map (Hashtbl.find_opt t.input_ids) (Binding.reg_input_names b reg)
+    in
+    List.for_all (fun a -> List.for_all (compatible t a) (members r2)) (members r1)
+end
+
+(* The bit-matrix lifetimes answer every query exactly as the pair set does,
+   on each benchmark's initial (parallel, designer-clock) and min-ENC
+   schedules: all value pairs (one id past the inputs included, which is
+   outside the analysis), every input against every value, and every
+   register pair of the parallel binding and of a greedily shared one. *)
+let test_lifetime_matches_pair_set () =
+  List.iter
+    (fun bench ->
+      let prog = Suite.program bench in
+      let clock_ns = bench.Suite.clock_ns in
+      let lib = Module_library.default in
+      let b0 = Binding.parallel prog.Graph.graph lib in
+      let dp0 = Datapath.build b0 in
+      let initial =
+        Scheduler.schedule
+          (Scheduler.config_of_style Scheduler.Wavesched ~clock_ns)
+          prog ~delay:(Datapath.delay_model dp0) ~res:(Datapath.resource_model dp0)
+      in
+      let min_enc = Scheduler.min_enc_schedule Scheduler.Wavesched ~clock_ns prog lib in
+      List.iter
+        (fun (label, stg) ->
+          let name = Printf.sprintf "%s %s" bench.Suite.bench_name label in
+          let lt = Lifetime.analyse prog stg and r = Ref_lifetime.analyse prog stg in
+          let nv = Graph.node_count prog.Graph.graph + List.length prog.Graph.prog_inputs in
+          for v = 0 to nv do
+            for w = 0 to nv do
+              if Lifetime.values_can_share lt v w <> Ref_lifetime.compatible r v w then
+                Alcotest.failf "%s: values_can_share %d %d" name v w
+            done;
+            List.iter
+              (fun input ->
+                if Lifetime.input_can_share lt input v <> Ref_lifetime.input_can_share r input v
+                then Alcotest.failf "%s: input_can_share %s %d" name input v)
+              ("no-such-input" :: List.map fst prog.Graph.prog_inputs)
+          done;
+          let check_regs b =
+            let regs = Binding.reg_ids b in
+            List.iter
+              (fun r1 ->
+                List.iter
+                  (fun r2 ->
+                    if Lifetime.regs_can_share lt b r1 r2 <> Ref_lifetime.regs_can_share r b r1 r2
+                    then Alcotest.failf "%s: regs_can_share %d %d" name r1 r2)
+                  regs)
+              regs
+          in
+          check_regs b0;
+          let shared =
+            List.fold_left
+              (fun b r1 ->
+                List.fold_left
+                  (fun b r2 ->
+                    if
+                      r1 < r2
+                      && List.mem r1 (Binding.reg_ids b)
+                      && List.mem r2 (Binding.reg_ids b)
+                      && Binding.reg_width b r1 = Binding.reg_width b r2
+                      && Ref_lifetime.regs_can_share r b r1 r2
+                    then Result.value (Binding.share_reg b r1 r2) ~default:b
+                    else b)
+                  b (Binding.reg_ids b0))
+              b0 (Binding.reg_ids b0)
+          in
+          check_bool (name ^ ": greedy sharing merged registers") true
+            (Binding.reg_count shared < Binding.reg_count b0);
+          check_regs shared)
+        [ ("initial", initial); ("min-enc", min_enc) ])
+    Suite.all_extended
+
 let () =
   Alcotest.run "impact_rtl"
     [
@@ -622,5 +775,6 @@ let () =
         [
           Alcotest.test_case "loop merges interfere" `Quick test_lifetime_loop_carried_interferes;
           Alcotest.test_case "reg share correctness" `Quick test_lifetime_reg_share_correctness;
+          Alcotest.test_case "bit matrix = pair set" `Quick test_lifetime_matches_pair_set;
         ] );
     ]
