@@ -507,9 +507,9 @@ type t = {
   est_critical_ns : float;
 }
 
-(* Totals are always produced from a ledger by this one function, iterating
-   resources in one canonical order (ascending unit ids, ascending register
-   ids, network index order).  A delta-repriced ledger therefore totals to
+(* Totals are always produced from a ledger by this one function, summing
+   each term array in its canonical order (ascending unit ids, ascending
+   register ids, network index order).  A delta-repriced ledger therefore totals to
    the bit-identical figure a from-scratch estimate would produce: carried
    terms are the very floats the full path would recompute, and the
    summation order is shared. *)
@@ -602,72 +602,48 @@ let reprice ctx ~prev ~footprint ~stg ~dp ?(vdd = Vdd.nominal) () =
     let st = prev.lg_terms in
     let touched_fu fu = List.mem fu footprint.fp_fus in
     let touched_reg reg = List.mem reg footprint.fp_regs in
-    (* The carried term of [id] in [prev]: a binary search of its sorted
-       [ids] (networks are built in ascending port order). *)
-    let carried ids id =
-      let rec go lo hi =
+    let touched_port = function
+      | Datapath.P_fu_input (fu, _) -> touched_fu fu
+      | Datapath.P_reg_write reg -> touched_reg reg
+    in
+    (* Each untouched resource carries [prev]'s term, found by binary search
+       of [prev]'s sorted ids (networks are built in ascending port order);
+       touched or new ones are priced afresh. *)
+    let carry ids ~touched prev_ids prev_terms fresh =
+      let rec find id lo hi =
         if lo >= hi then None
         else
           let mid = (lo + hi) / 2 in
-          let c = compare ids.(mid) id in
-          if c = 0 then Some mid else if c < 0 then go (mid + 1) hi else go lo mid
+          let c = compare prev_ids.(mid) id in
+          if c = 0 then Some mid else if c < 0 then find id (mid + 1) hi else find id lo mid
       in
-      go 0 (Array.length ids)
+      Array.mapi
+        (fun i id ->
+          match if touched id then None else find id 0 (Array.length prev_ids) with
+          | Some j -> prev_terms.(j)
+          | None -> fresh i id)
+        ids
     in
     let fu_ids = Array.of_list (Binding.fu_ids b) in
-    let lg_fu =
-      Array.map
-        (fun fu ->
-          match if touched_fu fu then None else carried prev.lg_fu_ids fu with
-          | Some i -> prev.lg_fu.(i)
-          | None -> fu_term ctx st b fu)
-        fu_ids
-    in
     let reg_ids = Array.of_list (Binding.reg_ids b) in
-    let reg_slots =
-      Array.map (fun reg -> if touched_reg reg then None else carried prev.lg_reg_ids reg) reg_ids
-    in
-    let lg_reg_write =
-      Array.mapi
-        (fun i reg ->
-          match reg_slots.(i) with
-          | Some j -> prev.lg_reg_write.(j)
-          | None -> reg_write_term ctx st b reg)
-        reg_ids
-    in
-    let lg_reg_clock =
-      Array.mapi
-        (fun i reg ->
-          match reg_slots.(i) with
-          | Some j -> prev.lg_reg_clock.(j)
-          | None -> reg_clock_term b reg)
-        reg_ids
-    in
-    let nets = Datapath.networks dp in
-    let net_ports = Array.map (fun net -> net.Datapath.net_port) nets in
-    let lg_net =
-      Array.mapi
-        (fun idx port ->
-          let touched =
-            match port with
-            | Datapath.P_fu_input (fu, _) -> touched_fu fu
-            | Datapath.P_reg_write reg -> touched_reg reg
-          in
-          match if touched then None else carried prev.lg_net_ports port with
-          | Some i -> prev.lg_net.(i)
-          | None -> net_term ctx st dp idx)
-        net_ports
+    let net_ports = Array.map (fun net -> net.Datapath.net_port) (Datapath.networks dp) in
+    let carry_reg prev_terms fresh =
+      carry reg_ids ~touched:touched_reg prev.lg_reg_ids prev_terms (fun _ reg -> fresh reg)
     in
     let lg =
       {
         prev with
         lg_fu_ids = fu_ids;
-        lg_fu;
+        lg_fu =
+          carry fu_ids ~touched:touched_fu prev.lg_fu_ids prev.lg_fu (fun _ fu ->
+              fu_term ctx st b fu);
         lg_reg_ids = reg_ids;
-        lg_reg_write;
-        lg_reg_clock;
+        lg_reg_write = carry_reg prev.lg_reg_write (reg_write_term ctx st b);
+        lg_reg_clock = carry_reg prev.lg_reg_clock (reg_clock_term b);
         lg_net_ports = net_ports;
-        lg_net;
+        lg_net =
+          carry net_ports ~touched:touched_port prev.lg_net_ports prev.lg_net (fun idx _ ->
+              net_term ctx st dp idx);
       }
     in
     let est = price_ledger ~vdd lg in
