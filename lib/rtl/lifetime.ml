@@ -6,8 +6,8 @@ module Iset = Set.Make (Int)
 
 (* Values are node outputs (ids 0..nn-1) and primary inputs (ids nn..nv-1).
    Interference is one bit per unordered pair of distinct values: pair
-   (lo, hi) with lo < hi sits at bit hi*(hi-1)/2 + lo.  A schedule's memo
-   entry is therefore a few dozen bytes, not a pair hash table. *)
+   (lo, hi) with lo < hi sits at bit hi*(hi-1)/2 + lo, so the estimator's
+   per-schedule memo entry is a few dozen bytes. *)
 type t = {
   nn : int;
   nv : int;
@@ -36,7 +36,9 @@ let analyse (program : Graph.program) (stg : Stg.t) =
   let nn = Graph.node_count g in
   let inputs = program.Graph.prog_inputs in
   let nv = nn + List.length inputs in
-  let t = { nn; nv; inputs; interferes = Bytes.make (((nv * (nv - 1) / 2) + 7) / 8) '\000' } in
+  let t =
+    { nn; nv; inputs; interferes = Bytes.make (((nv * (nv - 1) / 2) + 7) / 8) '\000' }
+  in
   let value_of_edge eid =
     match (Graph.edge g eid).Ir.source with
     | Ir.From_node nid -> Some nid

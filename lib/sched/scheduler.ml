@@ -169,8 +169,6 @@ let frag_fus ctx frag =
    on the units/registers they touch, so untouched regions keep their
    digests and splice their previous fragments verbatim. *)
 
-(* Digesting reads only the raw graph and the models, never the guard
-   analysis. *)
 let digest_region ~g ~cfg_fp ~delay ~res ~tag region =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf cfg_fp;
