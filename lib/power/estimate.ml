@@ -481,8 +481,8 @@ let port_label = function
   | Datapath.P_reg_write reg -> Printf.sprintf "net reg %d" reg
 
 let ledger_terms lg =
-  let terms label ids terms =
-    Array.to_list (Array.mapi (fun i id -> (label id, terms.(i))) ids)
+  let terms label ids values =
+    Array.to_list (Array.mapi (fun i id -> (label id, values.(i))) ids)
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   let st = lg.lg_terms in
