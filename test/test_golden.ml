@@ -13,6 +13,10 @@ module Solution = Impact_core.Solution
 module Moves = Impact_core.Moves
 module Search = Impact_core.Search
 module Driver = Impact_core.Driver
+module Measure = Impact_power.Measure
+module Breakdown = Impact_power.Breakdown
+module Controller = Impact_rtl.Controller
+module Bitvec = Impact_util.Bitvec
 
 let quick_options =
   { Driver.default_options with depth = 3; max_candidates = 20; max_iterations = 10 }
@@ -38,15 +42,83 @@ let render (sw : Driver.sweep) =
     sw.Driver.sw_points;
   Buffer.contents buf
 
+(* Each benchmark's sweep is computed once and shared by both goldens. *)
+let sweeps = Hashtbl.create 8
+
+let sweep_of name =
+  match Hashtbl.find_opt sweeps name with
+  | Some sw -> sw
+  | None ->
+    let bench = Suite.find name in
+    let workload = bench.Suite.workload ~seed:1 ~passes:10 in
+    let sw =
+      Driver.figure13 ~options:quick_options (Suite.program bench) ~workload
+        ~laxities:[ 1.0; 2.0 ]
+    in
+    Hashtbl.replace sweeps name sw;
+    sw
+
 let golden name expected () =
+  Alcotest.(check string) (name ^ " sweep digest") expected
+    (Digest.to_hex (Digest.string (render (sweep_of name))))
+
+(* Measurement golden: the detailed power model pinned bit for bit.
+
+   Per benchmark, the laxity-2.0 area and power designs of the sweep above
+   (quick options, 10-pass seed-1 workload) and the power design with
+   every steering network Huffman-restructured (so non-balanced mux shapes
+   are covered), each measured on a 200-pass seed-1 workload at the Binary
+   encoding; gcd's power design is measured at Gray and One_hot too.  One
+   MD5 per benchmark over the %h-rendered power, breakdown and measured
+   ENC of every measurement, plus every pass's outputs. *)
+let render_measurement buf label (m : Measure.t) =
+  let b = m.Measure.m_breakdown in
+  Printf.bprintf buf "%s power=%h fu=%h reg=%h mux=%h ctrl=%h clock=%h wire=%h enc=%h\n"
+    label m.Measure.m_power b.Breakdown.p_fu b.Breakdown.p_reg b.Breakdown.p_mux
+    b.Breakdown.p_ctrl b.Breakdown.p_clock b.Breakdown.p_wire m.Measure.m_mean_cycles;
+  Array.iter
+    (fun outs ->
+      List.iter
+        (fun (name, v) -> Printf.bprintf buf " %s=%s" name (Bitvec.to_string v))
+        outs;
+      Buffer.add_char buf '\n')
+    m.Measure.m_outputs
+
+let measure_golden name expected () =
   let bench = Suite.find name in
   let prog = Suite.program bench in
-  let workload = bench.Suite.workload ~seed:1 ~passes:10 in
-  let sweep =
-    Driver.figure13 ~options:quick_options prog ~workload ~laxities:[ 1.0; 2.0 ]
+  let workload = bench.Suite.workload ~seed:1 ~passes:200 in
+  let point =
+    List.find (fun p -> p.Driver.sp_laxity = 2.0) (sweep_of name).Driver.sw_points
   in
-  Alcotest.(check string) (name ^ " sweep digest") expected
-    (Digest.to_hex (Digest.string (render sweep)))
+  let area = point.Driver.sp_area_design and power = point.Driver.sp_power_design in
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun (label, d) -> render_measurement buf label (Driver.measure d prog ~workload ()))
+    [ ("area", area); ("power", power); ("restructured", Driver.restructure_all power) ];
+  if name = "gcd" then begin
+    let s = power.Driver.d_solution in
+    List.iter
+      (fun encoding ->
+        render_measurement buf (Controller.encoding_name encoding)
+          (Measure.measure prog s.Solution.stg s.Solution.dp ~workload ~vdd:s.Solution.vdd
+             ~encoding ()))
+      [ Controller.Gray; Controller.One_hot ]
+  end;
+  Alcotest.(check string) (name ^ " measurement digest") expected
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let measure_cases =
+  [
+    ("loops", "8de223a51077293255b98945eacb5e9e");
+    ("gcd", "e878991d89475c3ec15cbef15bdf1085");
+    ("send", "cb7322423597e1d519c5d3d204874158");
+    ("dealer", "e73aa096c723b594fae4cb86cc6d20e2");
+    ("cordic", "e3ab129a47053a7f6b08c1563febe84f");
+    ("paulin", "8a7903227ddbf5d2e5b2eab5e1e3f555");
+    ("atm", "f38cc04df0ba1df1e78f3ef9a103a075");
+    ("bresenham", "afcd88a46c405a0f349528c96380fa98");
+  ]
 
 let cases =
   [
@@ -67,4 +139,9 @@ let () =
         List.map
           (fun (name, expected) -> Alcotest.test_case name `Quick (golden name expected))
           cases );
+      ( "measure",
+        List.map
+          (fun (name, expected) ->
+            Alcotest.test_case name `Quick (measure_golden name expected))
+          measure_cases );
     ]
