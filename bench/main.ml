@@ -1657,7 +1657,7 @@ let bechamel_timings buf =
   in
   let traced =
     (* Every node with recorded events: the widest k-way merge the program
-       offers, the guard for the heap-based [Traces.unit_trace]. *)
+       offers, the guard for the heap-based [Traces.unit_switching_stats]. *)
     Graph.fold_nodes prog.Graph.graph ~init:[] ~f:(fun acc n ->
         if Array.length (Sim.node_events run n.Ir.n_id) > 0 then n.Ir.n_id :: acc
         else acc)
@@ -1699,9 +1699,9 @@ let bechamel_timings buf =
                (Scheduler.schedule cfg_sched prog ~delay:(Datapath.delay_model dp)
                   ~res:(Datapath.resource_model dp))));
       Test.make ~name:"trace-merge"
-        (Staged.stage (fun () -> ignore (Traces.unit_trace run subs)));
+        (Staged.stage (fun () -> ignore (Traces.unit_switching_stats run subs)));
       Test.make ~name:"trace-manip-kway"
-        (Staged.stage (fun () -> ignore (Traces.unit_trace run traced)));
+        (Staged.stage (fun () -> ignore (Traces.unit_switching_stats run traced)));
       Test.make ~name:"optimize-sequential" (Staged.stage (fun () -> opt_once ()));
       Test.make ~name:"optimize-cached"
         (Staged.stage (fun () -> opt_once ~cache:shared_cache ()));

@@ -147,6 +147,18 @@ let ctrl_consumers t eid =
   done;
   !acc
 
+let data_fanout t =
+  let fanout = Array.make t.n_nodes 0 in
+  for i = 0 to t.n_nodes - 1 do
+    Array.iter
+      (fun eid ->
+        match t.edge_store.(eid).Ir.source with
+        | Ir.From_node src -> fanout.(src) <- fanout.(src) + 1
+        | Ir.Const _ | Ir.Primary_input _ -> ())
+      t.node_store.(i).Ir.inputs
+  done;
+  fanout
+
 let data_preds t id =
   let n = node t id in
   let preds =

@@ -56,6 +56,9 @@ val consumers : t -> Ir.edge_id -> Ir.node_id list
 val ctrl_consumers : t -> Ir.edge_id -> Ir.node_id list
 (** Nodes whose control port reads the edge. *)
 
+val data_fanout : t -> int array
+(** Per node, the number of data input ports that read its value. *)
+
 val data_preds : t -> Ir.node_id -> Ir.node_id list
 (** Distinct source nodes of the node's data inputs (constants and primary
     inputs contribute nothing). *)

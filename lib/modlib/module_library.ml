@@ -88,4 +88,5 @@ let chain_overhead = 0.10
 let controller_state_cap = 0.012
 let controller_transition_cap = 0.004
 let wire_cap_per_fanout = 0.03
+let glitch_factor chain_pos = 1. +. (0.15 *. float_of_int chain_pos)
 let controller_ff_cap = 0.05

@@ -76,5 +76,9 @@ val controller_transition_cap : float
 val wire_cap_per_fanout : float
 (** First-order interconnect loading per sink. *)
 
+val glitch_factor : int -> float
+(** Spurious-transition multiplier of a unit firing at the given chaining
+    depth (0 = operands read from registers): [1 + 0.15 * depth]. *)
+
 val controller_ff_cap : float
 (** Switched capacitance per state-register bit toggle. *)

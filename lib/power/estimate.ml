@@ -81,14 +81,6 @@ let create_ctx ?eff run =
   | Some a when Array.length a <> Graph.node_count g ->
     invalid_arg "Estimate.create_ctx: effective widths do not match the program"
   | _ -> ());
-  let consumer_count = Array.make (Graph.node_count g) 0 in
-  Graph.iter_nodes g ~f:(fun n ->
-      Array.iter
-        (fun eid ->
-          match (Graph.edge g eid).Ir.source with
-          | Ir.From_node src -> consumer_count.(src) <- consumer_count.(src) + 1
-          | Ir.Const _ | Ir.Primary_input _ -> ())
-        n.Ir.inputs);
   {
     c_run = run;
     unit_sw = Shardtbl.create 64;
@@ -100,7 +92,7 @@ let create_ctx ?eff run =
     last_enc = Atomic.make None;
     last_terms = Atomic.make None;
     last_lifetime = Atomic.make None;
-    consumer_count;
+    consumer_count = Graph.data_fanout g;
     memo_cost = Atomic.make 0;
     check_ledger =
       (match Sys.getenv_opt "IMPACT_CHECK_LEDGER" with
@@ -318,8 +310,6 @@ let cached_by_stg ctx slot get (stg : Stg.t) compute =
 (* Switching floors: even a stable unit draws some internal/clock charge. *)
 let floor_sw sw = Float.max 0.02 sw
 
-let glitch_factor chain_pos = 1. +. (0.15 *. float_of_int chain_pos)
-
 (* --- Schedule-level term computation ---------------------------------------- *)
 
 let stg_enc ctx stg =
@@ -341,7 +331,8 @@ let compute_stg_terms ctx stg =
       let a = visits.(s) *. p in
       act.(fr.Stg.f_node) <- act.(fr.Stg.f_node) +. a;
       glitch_acc.(fr.Stg.f_node) <-
-        glitch_acc.(fr.Stg.f_node) +. (a *. glitch_factor fr.Stg.f_chain_pos));
+        glitch_acc.(fr.Stg.f_node)
+        +. (a *. Module_library.glitch_factor fr.Stg.f_chain_pos));
   (* Sel muxes (2-to-1 each). *)
   let e_sel = ref 0. in
   Graph.iter_nodes g ~f:(fun n ->

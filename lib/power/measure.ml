@@ -32,31 +32,97 @@ let value_switch prev cur =
   if Bitvec.width prev <> Bitvec.width cur then 0.
   else float_of_int (Bitvec.hamming prev cur) /. float_of_int (Bitvec.width prev)
 
-(* Internal muxes of a network shape, identified by preorder index; for each
-   leaf, the list of internal muxes on its path to the root. *)
-let leaf_paths shape =
-  let paths = Hashtbl.create 8 in
+(* Internal muxes of a network, identified by preorder index; for each
+   leaf, the muxes on its path to the root, innermost first. *)
+let leaf_paths net =
+  let paths = Array.make (Muxnet.n_leaves net) [||] in
   let counter = ref 0 in
   let rec walk node on_path =
     match node with
-    | Muxnet.L leaf -> Hashtbl.replace paths leaf on_path
+    | Muxnet.L leaf -> paths.(leaf) <- Array.of_list on_path
     | Muxnet.N (l, r) ->
       let my_id = !counter in
       incr counter;
       walk l (my_id :: on_path);
       walk r (my_id :: on_path)
   in
-  walk shape [];
+  walk (Muxnet.shape net) [];
   (paths, !counter)
 
 type net_state = {
-  ns_paths : (int, int list) Hashtbl.t;
+  ns_paths : int array array;  (* by leaf *)
   ns_mux_values : Bitvec.t option array;
   ns_cap : float;
   mutable ns_energy : float;
 }
 
-let glitch_factor chain_pos = 1. +. (0.15 *. float_of_int chain_pos)
+(* A network access a node's firing makes: the network and the muxes on the
+   selected leaf's root path ([net = -1] charges nothing). *)
+type access = { net : int; path : int array }
+
+let no_access = { net = -1; path = [||] }
+
+(* Everything a node's firing charges, resolved once per design so the
+   per-event loop only indexes arrays. *)
+type plan = {
+  fu : int;  (* -1 for structural nodes *)
+  fu_cap : float;
+  ports : access array;  (* FU input steering, per input port *)
+  sel_cap : float option;  (* Sel mux capacitance *)
+  reg : int;
+  write_cap : float;
+  write_init : access;  (* register write network, on [Merge_init] *)
+  write : access;  (* ... in every other phase *)
+  wire : float;  (* fanout wiring charge per firing *)
+}
+
+let plan_of dp ~nets ~fanout (n : Ir.node) =
+  let b = Datapath.binding dp in
+  let nid = n.Ir.n_id in
+  let access net key =
+    match net with
+    | None -> no_access
+    | Some idx -> (
+      match Datapath.leaf_of_key (Datapath.network dp idx) key with
+      | None -> no_access
+      | Some leaf -> { net = idx; path = nets.(idx).ns_paths.(leaf) })
+  in
+  let reg = Binding.reg_of b nid in
+  let write_net = Datapath.reg_write_network dp ~reg in
+  let write_keys = Array.of_list (Datapath.write_keys b nid) in
+  let fu, fu_cap, ports =
+    match Binding.fu_of b nid with
+    | None -> (-1, 0., [||])
+    | Some fu ->
+      ( fu,
+        Module_library.scaled_cap (Binding.fu_module b fu)
+          ~width:(Binding.fu_width b fu),
+        Array.mapi
+          (fun port _ ->
+            access
+              (Datapath.fu_input_network dp ~fu ~port)
+              (Datapath.operand_key b nid ~port))
+          n.Ir.inputs )
+  in
+  {
+    fu;
+    fu_cap;
+    ports;
+    sel_cap =
+      (match n.Ir.kind with
+      | Ir.Op_select -> Some (Module_library.mux2_cap ~width:n.Ir.n_width)
+      | _ -> None);
+    reg;
+    write_cap = Module_library.register_write_cap ~width:(Binding.reg_width b reg);
+    write_init = access write_net write_keys.(0);
+    write =
+      access write_net
+        (if n.Ir.kind = Ir.Op_loop_merge then write_keys.(1) else write_keys.(0));
+    wire =
+      float_of_int fanout.(nid)
+      *. Module_library.wire_cap_per_fanout
+      *. (float_of_int n.Ir.n_width /. 16.);
+  }
 
 let measure (program : Graph.program) stg dp ~workload ?(vdd = Vdd.nominal)
     ?(encoding = Impact_rtl.Controller.Binary) () =
@@ -64,13 +130,14 @@ let measure (program : Graph.program) stg dp ~workload ?(vdd = Vdd.nominal)
   let g = Binding.graph b in
   let e_fu = ref 0. and e_reg = ref 0. and e_sel = ref 0. in
   let e_ctrl = ref 0. and e_clock = ref 0. and e_wire = ref 0. in
-  let fu_last : (int, Bitvec.t array) Hashtbl.t = Hashtbl.create 16 in
-  let reg_last : (int, Bitvec.t) Hashtbl.t = Hashtbl.create 32 in
-  let sel_last : (Ir.node_id, Bitvec.t) Hashtbl.t = Hashtbl.create 16 in
+  let slots ids = Array.make (1 + List.fold_left max (-1) ids) None in
+  let fu_last = slots (Binding.fu_ids b) in
+  let reg_last = slots (Binding.reg_ids b) in
+  let sel_last = Array.make (Graph.node_count g) None in
   let nets =
     Array.map
       (fun net ->
-        let paths, n_muxes = leaf_paths (Muxnet.shape net.Datapath.net) in
+        let paths, n_muxes = leaf_paths net.Datapath.net in
         {
           ns_paths = paths;
           ns_mux_values = Array.make (max n_muxes 1) None;
@@ -79,14 +146,11 @@ let measure (program : Graph.program) stg dp ~workload ?(vdd = Vdd.nominal)
         })
       (Datapath.networks dp)
   in
-  let consumer_count = Array.make (Graph.node_count g) 0 in
-  Graph.iter_nodes g ~f:(fun n ->
-      Array.iter
-        (fun eid ->
-          match (Graph.edge g eid).Ir.source with
-          | Ir.From_node src -> consumer_count.(src) <- consumer_count.(src) + 1
-          | Ir.Const _ | Ir.Primary_input _ -> ())
-        n.Ir.inputs);
+  let plans =
+    let fanout = Graph.data_fanout g in
+    Array.init (Graph.node_count g) (fun nid ->
+        plan_of dp ~nets ~fanout (Graph.node g nid))
+  in
   let controller = Impact_rtl.Controller.synthesize stg encoding in
   let decode_per_cycle = Impact_rtl.Controller.decode_cap_per_cycle controller in
   let prev_state = ref None in
@@ -98,86 +162,50 @@ let measure (program : Graph.program) stg dp ~workload ?(vdd = Vdd.nominal)
   in
   (* Charge a network access: the selected leaf's value propagates along its
      path to the root; every mux on the path may switch. *)
-  let charge_network net_idx key value =
-    let net = Datapath.network dp net_idx in
-    match Datapath.leaf_of_key net key with
-    | None -> ()
-    | Some leaf ->
-      let st = nets.(net_idx) in
-      (match Hashtbl.find_opt st.ns_paths leaf with
-      | None -> ()
-      | Some path ->
-        List.iter
-          (fun mux ->
-            let sw =
-              match st.ns_mux_values.(mux) with
-              | Some prev -> value_switch prev value
-              | None -> 0.
-            in
-            st.ns_mux_values.(mux) <- Some value;
-            st.ns_energy <- st.ns_energy +. (sw *. st.ns_cap))
-          path)
+  let charge_network { net; path } value =
+    if net >= 0 then begin
+      let st = nets.(net) in
+      Array.iter
+        (fun mux ->
+          let sw =
+            match st.ns_mux_values.(mux) with
+            | Some prev -> value_switch prev value
+            | None -> 0.
+          in
+          st.ns_mux_values.(mux) <- Some value;
+          st.ns_energy <- st.ns_energy +. (sw *. st.ns_cap))
+        path
+    end
+  in
+  (* A first activation charges half the bits on average. *)
+  let switch_from last value sw =
+    match last with Some prev -> sw prev value | None -> 0.5
   in
   let on_firing ~pass:_ ~state:_ ~firing ~inputs ~output =
     let nid = firing.Stg.f_node in
-    let n = Graph.node g nid in
-    (match Binding.fu_of b nid with
-    | Some fu ->
-      let cap =
-        Module_library.scaled_cap (Binding.fu_module b fu)
-          ~width:(Binding.fu_width b fu)
-      in
-      let sw =
-        match Hashtbl.find_opt fu_last fu with
-        | Some prev -> input_switch prev inputs
-        | None -> 0.5 (* first activation charges half the bits on average *)
-      in
-      Hashtbl.replace fu_last fu inputs;
-      e_fu := !e_fu +. (cap *. sw *. glitch_factor firing.Stg.f_chain_pos);
-      (* FU input steering networks. *)
-      Array.iteri
-        (fun port _ ->
-          match Datapath.fu_input_network dp ~fu ~port with
-          | Some idx -> charge_network idx (Datapath.operand_key b nid ~port) inputs.(port)
-          | None -> ())
-        n.Ir.inputs
+    let p = plans.(nid) in
+    if p.fu >= 0 then begin
+      let sw = switch_from fu_last.(p.fu) inputs input_switch in
+      fu_last.(p.fu) <- Some inputs;
+      e_fu :=
+        !e_fu +. (p.fu_cap *. sw *. Module_library.glitch_factor firing.Stg.f_chain_pos);
+      Array.iteri (fun port acc -> charge_network acc inputs.(port)) p.ports
+    end;
+    (match p.sel_cap with
+    | Some cap ->
+      let sw = switch_from sel_last.(nid) output value_switch in
+      sel_last.(nid) <- Some output;
+      e_sel := !e_sel +. (cap *. sw)
     | None -> ());
-    (match n.Ir.kind with
-    | Ir.Op_select ->
-      let sw =
-        match Hashtbl.find_opt sel_last nid with
-        | Some prev -> value_switch prev output
-        | None -> 0.5
-      in
-      Hashtbl.replace sel_last nid output;
-      e_sel := !e_sel +. (Module_library.mux2_cap ~width:n.Ir.n_width *. sw)
-    | _ -> ());
     (* Register write (and its steering network). *)
-    let reg = Binding.reg_of b nid in
-    let width = Binding.reg_width b reg in
-    let sw =
-      match Hashtbl.find_opt reg_last reg with
-      | Some prev -> value_switch prev output
-      | None -> 0.5
-    in
-    Hashtbl.replace reg_last reg output;
-    e_reg := !e_reg +. (Module_library.register_write_cap ~width *. sw);
-    (match Datapath.reg_write_network dp ~reg with
-    | Some idx ->
-      let key =
-        match (n.Ir.kind, firing.Stg.f_phase) with
-        | Ir.Op_loop_merge, Stg.Merge_init -> List.nth (Datapath.write_keys b nid) 0
-        | Ir.Op_loop_merge, _ -> List.nth (Datapath.write_keys b nid) 1
-        | _ -> List.hd (Datapath.write_keys b nid)
-      in
-      charge_network idx key output
-    | None -> ());
+    let sw = switch_from reg_last.(p.reg) output value_switch in
+    reg_last.(p.reg) <- Some output;
+    e_reg := !e_reg +. (p.write_cap *. sw);
+    charge_network
+      (if firing.Stg.f_phase = Stg.Merge_init then p.write_init else p.write)
+      output;
     (* Wiring: fanout of the produced value. *)
-    e_wire :=
-      !e_wire
-      +. float_of_int consumer_count.(nid)
-         *. Module_library.wire_cap_per_fanout
-         *. (float_of_int n.Ir.n_width /. 16.)
+    e_wire := !e_wire +. p.wire
   in
   let on_cycle ~pass:_ ~state =
     let code_toggles =

@@ -20,7 +20,9 @@ type entry = {
 
 val unit_trace : Impact_sim.Sim.run -> Ir.node_id list -> entry array
 (** Merge the traces of the given operations in (pass, seq) execution
-    order — the paper's merge of [TR(op_i)] matrices along the STG path. *)
+    order — the paper's merge of [TR(op_i)] matrices along the STG path.
+    {!unit_switching_stats} streams the same merge without materialising
+    it; this form is the reference the tests and the bench compare. *)
 
 val switching_per_access : width:int -> Bitvec.t array -> float
 (** Mean per-bit Hamming distance between consecutive vectors of a signal
@@ -34,8 +36,9 @@ type unit_stats = { us_input_sw : float; us_output_sw : float }
 
 val unit_switching_stats : Impact_sim.Sim.run -> Ir.node_id list -> unit_stats
 (** Input and output per-access, per-bit switching of a shared unit from a
-    single merge of its operations' traces — one k-way merge instead of two,
-    with float operation order identical to the separate computations. *)
+    single streamed merge of its operations' traces — one k-way merge
+    instead of two, with float operation order identical to the separate
+    computations. *)
 
 val unit_input_switching : Impact_sim.Sim.run -> Ir.node_id list -> float
 (** Per-access, per-bit switching of a shared unit's concatenated operand

@@ -29,15 +29,22 @@ let compare a b =
   let c = Int.compare a.width b.width in
   if c <> 0 then c else Int.compare a.bits b.bits
 
-let popcount t =
-  let rec loop acc n = if n = 0 then acc else loop (acc + (n land 1)) (n lsr 1) in
-  loop 0 t.bits
+(* SWAR popcount: [bits] is non-negative and below 2^62, so the 64-bit
+   masks lose nothing to the 63-bit int, and the byte sums (at most 62)
+   never carry into the top bit of the final multiply. *)
+let popcount_bits x =
+  let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (x * 0x0101_0101_0101_0101) lsr 56
+
+let popcount t = popcount_bits t.bits
 
 let hamming a b =
   if a.width <> b.width then
     invalid_arg
       (Printf.sprintf "Bitvec.hamming: width mismatch %d vs %d" a.width b.width);
-  popcount { a with bits = a.bits lxor b.bits }
+  popcount_bits (a.bits lxor b.bits)
 
 let lift2 f a b =
   if a.width <> b.width then

@@ -121,6 +121,90 @@ let test_value_switching_const_zero () =
   check_float "constants do not switch" 0.
     (Traces.value_switching run ~key:(Datapath.K_const (Bitvec.make ~width:16 1)))
 
+(* The streamed statistics must equal the ones folded from the
+   materialised merge, bit for bit. *)
+let folded_stats trace =
+  let n = Array.length trace in
+  if n < 2 then (0., 0.)
+  else begin
+    let in_acc = ref 0. and out_acc = ref 0 and out_bits = ref 0 in
+    for i = 1 to n - 1 do
+      let prev = trace.(i - 1) and cur = trace.(i) in
+      let pa = prev.Traces.tr_inputs and pb = cur.Traces.tr_inputs in
+      let bits = ref 0 and diff = ref 0 in
+      for p = 0 to min (Array.length pa) (Array.length pb) - 1 do
+        let a = pa.(p) and b = pb.(p) in
+        if Bitvec.width a = Bitvec.width b then begin
+          bits := !bits + Bitvec.width a;
+          diff := !diff + Bitvec.hamming a b
+        end
+      done;
+      in_acc :=
+        !in_acc +. if !bits = 0 then 0. else float_of_int !diff /. float_of_int !bits;
+      let a = prev.Traces.tr_output and b = cur.Traces.tr_output in
+      if Bitvec.width a = Bitvec.width b then begin
+        out_acc := !out_acc + Bitvec.hamming a b;
+        out_bits := !out_bits + Bitvec.width a
+      end
+    done;
+    ( !in_acc /. float_of_int (n - 1),
+      if !out_bits = 0 then 0. else float_of_int !out_acc /. float_of_int !out_bits )
+  end
+
+let benchmark_runs =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun bench ->
+            Sim.simulate (Suite.program bench)
+              ~workload:(bench.Suite.workload ~seed:1 ~passes:100))
+          Suite.all_extended))
+
+let streamed_equals_folded run nodes =
+  let st = Traces.unit_switching_stats run nodes in
+  let fin, fout = folded_stats (Traces.unit_trace run nodes) in
+  Int64.bits_of_float st.Traces.us_input_sw = Int64.bits_of_float fin
+  && Int64.bits_of_float st.Traces.us_output_sw = Int64.bits_of_float fout
+
+let test_streamed_stats_empty_and_single () =
+  Array.iter
+    (fun run ->
+      check_bool "empty" true (streamed_equals_folded run []);
+      for nid = 0 to Graph.node_count run.Sim.program.Graph.graph - 1 do
+        check_bool (Printf.sprintf "node %d" nid) true (streamed_equals_folded run [ nid ])
+      done)
+    (Lazy.force benchmark_runs)
+
+let prop_streamed_stats =
+  QCheck.Test.make ~name:"streamed stats = folded unit_trace" ~count:200
+    QCheck.(pair (int_range 0 7) (list_of_size Gen.(int_range 2 4) small_nat))
+    (fun (b, picks) ->
+      let run = (Lazy.force benchmark_runs).(b) in
+      let nn = Graph.node_count run.Sim.program.Graph.graph in
+      streamed_equals_folded run
+        (List.sort_uniq Int.compare (List.map (fun i -> i mod nn) picks)))
+
+let naive_popcount x =
+  let c = ref 0 in
+  for i = 0 to 62 do
+    if (x lsr i) land 1 = 1 then incr c
+  done;
+  !c
+
+let prop_popcount =
+  QCheck.Test.make ~name:"popcount and hamming = naive bit loop, widths 1..62" ~count:200
+    QCheck.(pair int int)
+    (fun (u, v) ->
+      List.for_all
+        (fun w ->
+          let a = Bitvec.make ~width:w u and b = Bitvec.make ~width:w v in
+          let ones = Bitvec.make ~width:w (-1) in
+          Bitvec.popcount a = naive_popcount (Bitvec.bits a)
+          && Bitvec.popcount ones = w
+          && Bitvec.hamming a b = naive_popcount (Bitvec.bits a lxor Bitvec.bits b)
+          && Bitvec.hamming ones (Bitvec.zero ~width:w) = w)
+        (List.init 62 (fun i -> i + 1)))
+
 (* --- Netstats --------------------------------------------------------------- *)
 
 let test_netstats_probabilities () =
@@ -358,6 +442,10 @@ let () =
           Alcotest.test_case "merge sorted, order-blind" `Quick
             test_merged_trace_sorted_and_order_blind;
           Alcotest.test_case "memo canonical keys" `Quick test_memo_canonical_keys;
+          Alcotest.test_case "streamed stats, empty and single nodes" `Quick
+            test_streamed_stats_empty_and_single;
+          QCheck_alcotest.to_alcotest prop_streamed_stats;
+          QCheck_alcotest.to_alcotest prop_popcount;
         ] );
       ( "netstats",
         [
