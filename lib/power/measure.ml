@@ -57,10 +57,8 @@ type net_state = {
 }
 
 (* A network access a node's firing makes: the network and the muxes on the
-   selected leaf's root path ([net = -1] charges nothing). *)
-type access = { net : int; path : int array }
-
-let no_access = { net = -1; path = [||] }
+   selected leaf's root path. *)
+type access = (net_state * int array) option
 
 (* Everything a node's firing charges, resolved once per design so the
    per-event loop only indexes arrays. *)
@@ -80,12 +78,9 @@ let plan_of dp ~nets ~fanout (n : Ir.node) =
   let b = Datapath.binding dp in
   let nid = n.Ir.n_id in
   let access net key =
-    match net with
-    | None -> no_access
-    | Some idx -> (
-      match Datapath.leaf_of_key (Datapath.network dp idx) key with
-      | None -> no_access
-      | Some leaf -> { net = idx; path = nets.(idx).ns_paths.(leaf) })
+    Option.bind net (fun idx ->
+        Datapath.leaf_of_key (Datapath.network dp idx) key
+        |> Option.map (fun leaf -> (nets.(idx), nets.(idx).ns_paths.(leaf))))
   in
   let reg = Binding.reg_of b nid in
   let write_net = Datapath.reg_write_network dp ~reg in
@@ -162,9 +157,10 @@ let measure (program : Graph.program) stg dp ~workload ?(vdd = Vdd.nominal)
   in
   (* Charge a network access: the selected leaf's value propagates along its
      path to the root; every mux on the path may switch. *)
-  let charge_network { net; path } value =
-    if net >= 0 then begin
-      let st = nets.(net) in
+  let charge_network (access : access) value =
+    match access with
+    | None -> ()
+    | Some (st, path) ->
       Array.iter
         (fun mux ->
           let sw =
@@ -175,7 +171,6 @@ let measure (program : Graph.program) stg dp ~workload ?(vdd = Vdd.nominal)
           st.ns_mux_values.(mux) <- Some value;
           st.ns_energy <- st.ns_energy +. (sw *. st.ns_cap))
         path
-    end
   in
   (* A first activation charges half the bits on average. *)
   let switch_from last value sw =
