@@ -39,6 +39,11 @@ let mean_iterations t loop =
   | Some s -> Stats.mean s
   | None -> 0.
 
+let loop_exits t loop =
+  match Hashtbl.find_opt t.loop_iters loop with
+  | Some s -> Stats.count s
+  | None -> 0
+
 let merge a b =
   let t = create () in
   let add_counts src =

@@ -17,6 +17,10 @@ module Measure = Impact_power.Measure
 module Breakdown = Impact_power.Breakdown
 module Controller = Impact_rtl.Controller
 module Bitvec = Impact_util.Bitvec
+module Sim = Impact_sim.Sim
+module Profile = Impact_sim.Profile
+module Graph = Impact_cdfg.Graph
+module Ir = Impact_cdfg.Ir
 
 let quick_options =
   { Driver.default_options with depth = 3; max_candidates = 20; max_iterations = 10 }
@@ -120,6 +124,73 @@ let measure_cases =
     ("bresenham", "afcd88a46c405a0f349528c96380fa98");
   ]
 
+(* Simulation golden: the behavioural run's content pinned bit for bit.
+
+   Per benchmark, a 200-pass seed-1 simulation.  One MD5 over every event
+   (pass, seq, tag, then width and bits of the output and of each input),
+   every edge's value trace, every pass's outputs, the firing total, and
+   the profile (condition counts per edge, loop exit counts and mean
+   iterations).  The store test pins the persisted bytes; this pins the
+   values, whatever the log's representation. *)
+let sim_golden name expected () =
+  let bench = Suite.find name in
+  let prog = Suite.program bench in
+  let g = prog.Graph.graph in
+  let run = Sim.simulate prog ~workload:(bench.Suite.workload ~seed:1 ~passes:200) in
+  let buf = Buffer.create 65536 in
+  let vec v = Printf.bprintf buf " %d:%d" (Bitvec.width v) (Bitvec.bits v) in
+  Graph.iter_nodes g ~f:(fun n ->
+      Printf.bprintf buf "node %d\n" n.Ir.n_id;
+      Array.iter
+        (fun ev ->
+          Printf.bprintf buf "%d %d %s" ev.Sim.ev_pass ev.Sim.ev_seq
+            (match ev.Sim.ev_tag with
+            | Sim.Tag_normal -> "n"
+            | Sim.Tag_merge_init -> "i"
+            | Sim.Tag_merge_back -> "b");
+          vec ev.Sim.ev_output;
+          Array.iter vec ev.Sim.ev_inputs;
+          Buffer.add_char buf '\n')
+        (Sim.node_events run n.Ir.n_id));
+  Graph.iter_edges g ~f:(fun e ->
+      Printf.bprintf buf "edge %d" e.Ir.e_id;
+      Array.iter vec (Sim.edge_values run e.Ir.e_id);
+      Printf.bprintf buf " cond %d %h\n"
+        (Profile.cond_evaluations run.Sim.profile e.Ir.e_id)
+        (Profile.prob_true run.Sim.profile e.Ir.e_id));
+  Array.iter
+    (fun outs ->
+      List.iter (fun (out, v) -> Printf.bprintf buf " %s" out; vec v) outs;
+      Buffer.add_char buf '\n')
+    run.Sim.pass_outputs;
+  Printf.bprintf buf "firings %d\n" run.Sim.firings_total;
+  let rec loops = function
+    | Ir.R_ops _ -> ()
+    | Ir.R_seq rs -> List.iter loops rs
+    | Ir.R_if { then_r; else_r; _ } -> loops then_r; loops else_r
+    | Ir.R_loop { loop; cond_r; body; _ } ->
+      Printf.bprintf buf "loop %d %d %h\n" loop
+        (Profile.loop_exits run.Sim.profile loop)
+        (Profile.mean_iterations run.Sim.profile loop);
+      loops cond_r;
+      loops body
+  in
+  loops prog.Graph.top;
+  Alcotest.(check string) (name ^ " sim digest") expected
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let sim_cases =
+  [
+    ("loops", "23da2a8197c0b172d89dafddbdb92014");
+    ("gcd", "5063ce8af6c9f805da31201cf7bc9192");
+    ("send", "a8dbd0871ed142047b6ddd034165645c");
+    ("dealer", "18e9a4c1ac5eabf11f093b3455e330be");
+    ("cordic", "7178ebeb29e4d86b77ab1fc1d7aab234");
+    ("paulin", "90067021d5be5288532476c07b1fffed");
+    ("atm", "e10ef62d3c6ea35d63eb05bb273b6317");
+    ("bresenham", "93ee612b0a47bed4359d51332010e77d");
+  ]
+
 let cases =
   [
     ("loops", "9b7e6ec945b1cc66262f55483556f16d");
@@ -144,4 +215,8 @@ let () =
           (fun (name, expected) ->
             Alcotest.test_case name `Quick (measure_golden name expected))
           measure_cases );
+      ( "sim",
+        List.map
+          (fun (name, expected) -> Alcotest.test_case name `Quick (sim_golden name expected))
+          sim_cases );
     ]
