@@ -1659,7 +1659,7 @@ let bechamel_timings buf =
     (* Every node with recorded events: the widest k-way merge the program
        offers, the guard for the heap-based [Traces.unit_switching_stats]. *)
     Graph.fold_nodes prog.Graph.graph ~init:[] ~f:(fun acc n ->
-        if Array.length (Sim.node_events run n.Ir.n_id) > 0 then n.Ir.n_id :: acc
+        if Sim.count run n.Ir.n_id > 0 then n.Ir.n_id :: acc
         else acc)
     |> List.rev
   in

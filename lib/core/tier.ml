@@ -157,7 +157,9 @@ let find_or_compute ?store tier ~key ~restore ~persist ~fingerprint cold =
 
 (* --- sim: find-or-compute ------------------------------------------------- *)
 
-let sim_tier : Sim.portable_run t = make ~ns:"sim" ~tag:"sim"
+(* The tag names the payload's layout: runs persisted before the columnar
+   log carry "sim" and read as misses instead of mistyped values. *)
+let sim_tier : Sim.portable_run t = make ~ns:"sim" ~tag:"sim-columnar"
 
 let restore_sim program ~workload portable =
   let run = Sim.of_portable program portable in

@@ -151,6 +151,9 @@ val find_or_compute :
     ensured before each design or sweep request; [frag] backs the
     scheduler's fragment cache. *)
 
+val sim_tier : Impact_sim.Sim.portable_run t
+(** The ["sim"] namespace, tagged with the columnar log's layout. *)
+
 val find_or_simulate :
   ?store:Impact_store.Store.t ->
   Impact_cdfg.Graph.program ->

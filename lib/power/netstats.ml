@@ -6,17 +6,6 @@ module Datapath = Impact_rtl.Datapath
 
 type leaf_stats = { a : float array; p : float array }
 
-let event_count run nid = Array.length (Sim.node_events run nid)
-
-let merge_phase_counts run nid =
-  Array.fold_left
-    (fun (init, back) ev ->
-      match ev.Sim.ev_tag with
-      | Sim.Tag_merge_init -> (init + 1, back)
-      | Sim.Tag_merge_back -> (init, back + 1)
-      | Sim.Tag_normal -> (init, back))
-    (0, 0) (Sim.node_events run nid)
-
 (* Raw access counts per leaf over the whole workload. *)
 let leaf_counts run dp idx =
   let net = Datapath.network dp idx in
@@ -34,7 +23,7 @@ let leaf_counts run dp idx =
       (fun nid ->
         let n = Graph.node g nid in
         if port < Array.length n.Ir.inputs then
-          bump (Datapath.operand_key b nid ~port) (event_count run nid))
+          bump (Datapath.operand_key b nid ~port) (Sim.count run nid))
       (Binding.fu_ops b fu)
   | Datapath.P_reg_write reg ->
     List.iter
@@ -42,14 +31,13 @@ let leaf_counts run dp idx =
         let n = Graph.node g nid in
         match n.Ir.kind with
         | Ir.Op_loop_merge ->
-          let init, back = merge_phase_counts run nid in
           (match Datapath.write_keys b nid with
           | [ k_init; k_back ] ->
-            bump k_init init;
-            bump k_back back
+            bump k_init (Sim.tag_count run nid Sim.Tag_merge_init);
+            bump k_back (Sim.tag_count run nid Sim.Tag_merge_back)
           | _ -> ())
         | _ ->
-          List.iter (fun k -> bump k (event_count run nid)) (Datapath.write_keys b nid))
+          List.iter (fun k -> bump k (Sim.count run nid)) (Datapath.write_keys b nid))
       (Binding.reg_values b reg);
     List.iter
       (fun name -> bump (Datapath.K_input name) run.Sim.passes)
@@ -73,15 +61,6 @@ let network_stats ?value_sw run dp idx =
   let a = Array.map switching net.Datapath.net_keys in
   { a; p }
 
-let all_stats ?value_sw run dp =
-  Array.init (Datapath.network_count dp) (fun idx ->
-      network_stats ?value_sw run dp idx)
-
-let accesses_per_pass run dp idx =
-  let counts = leaf_counts run dp idx in
-  let total = Array.fold_left ( +. ) 0. counts in
-  if run.Sim.passes = 0 then 0. else total /. float_of_int run.Sim.passes
-
 (* --- Signal statistics ([19]) --------------------------------------------- *)
 
 module Stats = Impact_util.Stats
@@ -94,21 +73,19 @@ type signal_report = {
   sr_temporal_correlation : float;
 }
 
+(* Per-bit switching between firings [i - 1] and [i] of a node's output. *)
+let output_switching run nid i =
+  float_of_int (Bitvec.popcount_bits (Sim.output run nid (i - 1) lxor Sim.output run nid i))
+  /. float_of_int (Sim.output_width run nid)
+
 let switching_series run nid =
-  let events = Sim.node_events run nid in
-  let n = Array.length events in
-  if n < 2 then [||]
-  else
-    Array.init (n - 1) (fun i ->
-        let a = events.(i).Sim.ev_output and b = events.(i + 1).Sim.ev_output in
-        if Bitvec.width a <> Bitvec.width b then 0.
-        else float_of_int (Bitvec.hamming a b) /. float_of_int (Bitvec.width a))
+  Array.init (max 0 (Sim.count run nid - 1)) (fun i -> output_switching run nid (i + 1))
 
 let signal_report run nid =
   let series = switching_series run nid in
   let acc = Stats.of_array series in
   {
-    sr_accesses = Array.length (Sim.node_events run nid);
+    sr_accesses = Sim.count run nid;
     sr_mean_switching = Stats.mean acc;
     sr_std_switching = Stats.stddev acc;
     sr_temporal_correlation = Stats.autocorrelation series;
@@ -118,21 +95,13 @@ let signal_report run nid =
    previous pass's last value belongs to the later pass, so a unit firing
    once per pass still has a meaningful series. *)
 let per_pass_switching run nid =
-  let events = Sim.node_events run nid in
   let sums = Array.make (max run.Sim.passes 1) 0. in
   let counts = Array.make (max run.Sim.passes 1) 0 in
-  Array.iteri
-    (fun i ev ->
-      if i > 0 then begin
-        let a = events.(i - 1).Sim.ev_output and b = ev.Sim.ev_output in
-        if Bitvec.width a = Bitvec.width b then begin
-          sums.(ev.Sim.ev_pass) <-
-            sums.(ev.Sim.ev_pass)
-            +. (float_of_int (Bitvec.hamming a b) /. float_of_int (Bitvec.width a));
-          counts.(ev.Sim.ev_pass) <- counts.(ev.Sim.ev_pass) + 1
-        end
-      end)
-    events;
+  for i = 1 to Sim.count run nid - 1 do
+    let pass = Sim.pass run nid i in
+    sums.(pass) <- sums.(pass) +. output_switching run nid i;
+    counts.(pass) <- counts.(pass) + 1
+  done;
   Array.mapi
     (fun i total -> if counts.(i) = 0 then 0. else total /. float_of_int counts.(i))
     sums

@@ -15,16 +15,6 @@ val network_stats :
     (typically memoised) per-key transition-activity lookup for the raw
     trace scan — see {!Estimate.value_switching}. *)
 
-val all_stats :
-  ?value_sw:(Impact_rtl.Datapath.key -> float) ->
-  Impact_sim.Sim.run ->
-  Impact_rtl.Datapath.t ->
-  leaf_stats array
-
-val accesses_per_pass :
-  Impact_sim.Sim.run -> Impact_rtl.Datapath.t -> int -> float
-(** How many times per workload pass the network steers a value. *)
-
 (** {1 Signal statistics ([19])}
 
     The RT-level power estimator of [19] is driven by the mean and standard

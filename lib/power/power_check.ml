@@ -45,7 +45,7 @@ let check_run (run : Sim.run) =
       match (Graph.edge g eid).Ir.source with
       | Ir.From_node src ->
         let profiled = Profile.cond_evaluations run.Sim.profile eid in
-        let traced = Array.length (Sim.node_events run src) in
+        let traced = Sim.count run src in
         if profiled <> traced then
           Diagnostic.error ~rule:"power/trace-profile-mismatch"
             ~path:(Printf.sprintf "edge e%d" eid)

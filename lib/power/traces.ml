@@ -12,37 +12,30 @@ type entry = {
   tr_seq : int;
 }
 
-let entry_of_event nid ev =
-  {
-    tr_node = nid;
-    tr_inputs = ev.Sim.ev_inputs;
-    tr_output = ev.Sim.ev_output;
-    tr_pass = ev.Sim.ev_pass;
-    tr_seq = ev.Sim.ev_seq;
-  }
-
-(* K-way merge of the per-node event streams: [f nid ev] sees every event
-   of [nodes] in (pass, seq) execution order.  Each stream is already
-   sorted by (pass, seq) — the simulator appends events in firing order —
-   so a binary min-heap over the stream heads merges [total] events in
-   O(total log k).  (pass, seq) pairs are globally unique, so no tie-break
-   is needed. *)
+(* K-way merge of the per-node firing logs: [f nid i] sees every firing of
+   [nodes] in (pass, seq) execution order, as a (node, index) pair.  Each
+   log is already sorted by (pass, seq) — the simulator appends firings in
+   order — so a binary min-heap over the log heads merges [total] firings
+   in O(total log k).  (pass, seq) pairs are globally unique, so no
+   tie-break is needed. *)
 let iter_merged (run : Sim.run) nodes f =
   match nodes with
   | [] -> ()
-  | [ nid ] -> Array.iter (f nid) (Sim.node_events run nid)
+  | [ nid ] ->
+    for i = 0 to Sim.count run nid - 1 do
+      f nid i
+    done
   | _ ->
     let nids = Array.of_list nodes in
-    let streams = Array.map (Sim.node_events run) nids in
-    let pos = Array.make (Array.length streams) 0 in
-    let has_next s = pos.(s) < Array.length streams.(s) in
+    let pos = Array.make (Array.length nids) 0 in
+    let has_next s = pos.(s) < Sim.count run nids.(s) in
     let precedes s t =
-      let a = streams.(s).(pos.(s)) and b = streams.(t).(pos.(t)) in
-      a.Sim.ev_pass < b.Sim.ev_pass
-      || (a.Sim.ev_pass = b.Sim.ev_pass && a.Sim.ev_seq < b.Sim.ev_seq)
+      let a = nids.(s) and b = nids.(t) in
+      let pa = Sim.pass run a pos.(s) and pb = Sim.pass run b pos.(t) in
+      pa < pb || (pa = pb && Sim.seq run a pos.(s) < Sim.seq run b pos.(t))
     in
-    (* Min-heap of stream indices keyed by the head event's (pass, seq). *)
-    let heap = Array.make (Array.length streams) 0 in
+    (* Min-heap of log indices keyed by the head firing's (pass, seq). *)
+    let heap = Array.make (Array.length nids) 0 in
     let hsize = ref 0 in
     let swap i j =
       let t = heap.(i) in
@@ -75,10 +68,10 @@ let iter_merged (run : Sim.run) nodes f =
           incr hsize;
           sift_up (!hsize - 1)
         end)
-      streams;
+      nids;
     while !hsize > 0 do
       let s = heap.(0) in
-      f nids.(s) streams.(s).(pos.(s));
+      f nids.(s) pos.(s);
       pos.(s) <- pos.(s) + 1;
       if has_next s then sift_down 0
       else begin
@@ -90,11 +83,21 @@ let iter_merged (run : Sim.run) nodes f =
 
 let unit_trace run nodes =
   let acc = ref [] in
-  iter_merged run nodes (fun nid ev -> acc := entry_of_event nid ev :: !acc);
+  iter_merged run nodes (fun nid i ->
+      let ev = Sim.event run nid i in
+      acc :=
+        {
+          tr_node = nid;
+          tr_inputs = ev.Sim.ev_inputs;
+          tr_output = ev.Sim.ev_output;
+          tr_pass = ev.Sim.ev_pass;
+          tr_seq = ev.Sim.ev_seq;
+        }
+        :: !acc);
   Array.of_list (List.rev !acc)
 
-(* Hamming distance per access over any indexed value sequence, without
-   materialising it: [get i] is called for 0 <= i < n. *)
+(* Hamming distance per access over any indexed sequence of raw payloads,
+   without materialising it: [get i] is called for 0 <= i < n. *)
 let switching_over ~width ~n get =
   if n < 2 || width <= 0 then 0.
   else begin
@@ -102,26 +105,14 @@ let switching_over ~width ~n get =
     let prev = ref (get 0) in
     for i = 1 to n - 1 do
       let v = get i in
-      sum := !sum + Bitvec.hamming !prev v;
+      sum := !sum + Bitvec.popcount_bits (!prev lxor v);
       prev := v
     done;
     float_of_int !sum /. float_of_int ((n - 1) * width)
   end
 
 let switching_per_access ~width values =
-  switching_over ~width ~n:(Array.length values) (Array.get values)
-
-let pairwise_input_switching a b =
-  let ports = min (Array.length a) (Array.length b) in
-  let bits = ref 0 and diff = ref 0 in
-  for p = 0 to ports - 1 do
-    let va = a.(p) and vb = b.(p) in
-    if Bitvec.width va = Bitvec.width vb then begin
-      bits := !bits + Bitvec.width va;
-      diff := !diff + Bitvec.hamming va vb
-    end
-  done;
-  if !bits = 0 then 0. else float_of_int !diff /. float_of_int !bits
+  switching_over ~width ~n:(Array.length values) (fun i -> Bitvec.bits values.(i))
 
 (* Input and output switching of one shared unit, folded while streaming
    one k-way merge of the member streams (the merged trace is never
@@ -133,21 +124,31 @@ let pairwise_input_switching a b =
 type unit_stats = { us_input_sw : float; us_output_sw : float }
 
 let unit_switching_stats run nodes =
-  let n = ref 0 and prev = ref None in
+  let n = ref 0 and prev_nid = ref 0 and prev_i = ref 0 in
   let in_acc = ref 0. in
   let out_acc = ref 0 and out_bits = ref 0 in
-  iter_merged run nodes (fun _ (cur : Sim.event) ->
-      (match !prev with
-      | Some (prev : Sim.event) ->
-        in_acc :=
-          !in_acc +. pairwise_input_switching prev.Sim.ev_inputs cur.Sim.ev_inputs;
-        let a = prev.Sim.ev_output and b = cur.Sim.ev_output in
-        if Bitvec.width a = Bitvec.width b then begin
-          out_acc := !out_acc + Bitvec.hamming a b;
-          out_bits := !out_bits + Bitvec.width a
+  iter_merged run nodes (fun nid i ->
+      if !n > 0 then begin
+        (* Per-bit switching of the operand vector, over the ports both
+           firings have, where their widths agree. *)
+        let pn = !prev_nid and pi = !prev_i in
+        let bits = ref 0 and diff = ref 0 in
+        for p = 0 to min (Sim.ports run pn) (Sim.ports run nid) - 1 do
+          let w = Sim.input_width run pn p in
+          if w = Sim.input_width run nid p then begin
+            bits := !bits + w;
+            diff := !diff + Bitvec.popcount_bits (Sim.input run pn pi p lxor Sim.input run nid i p)
+          end
+        done;
+        in_acc := !in_acc +. if !bits = 0 then 0. else float_of_int !diff /. float_of_int !bits;
+        let w = Sim.output_width run pn in
+        if w = Sim.output_width run nid then begin
+          out_acc := !out_acc + Bitvec.popcount_bits (Sim.output run pn pi lxor Sim.output run nid i);
+          out_bits := !out_bits + w
         end
-      | None -> ());
-      prev := Some cur;
+      end;
+      prev_nid := nid;
+      prev_i := i;
       incr n);
   if !n < 2 then { us_input_sw = 0.; us_output_sw = 0. }
   else
@@ -157,32 +158,22 @@ let unit_switching_stats run nodes =
         (if !out_bits = 0 then 0. else float_of_int !out_acc /. float_of_int !out_bits);
     }
 
-let unit_input_switching run nodes = (unit_switching_stats run nodes).us_input_sw
-let unit_output_switching run nodes = (unit_switching_stats run nodes).us_output_sw
-
 let value_switching run ~key =
   match key with
   | Datapath.K_const _ -> 0.
   | Datapath.K_node nid ->
-    let events = Sim.node_events run nid in
-    let width =
-      (Graph.node run.Sim.program.Graph.graph nid).Ir.n_width
-    in
-    switching_over ~width ~n:(Array.length events) (fun i ->
-        events.(i).Sim.ev_output)
-  | Datapath.K_input name ->
-    (* Find the input's edge and use its consumer-recorded values. *)
+    switching_over ~width:(Sim.output_width run nid) ~n:(Sim.count run nid) (Sim.output run nid)
+  | Datapath.K_input name -> (
+    (* The input's first edge, replayed from its consumer's recorded
+       operand as [Sim.edge_values] does. *)
     let g = run.Sim.program.Graph.graph in
-    let edge =
-      let found = ref None in
-      Graph.iter_edges g ~f:(fun e ->
-          match e.Ir.source with
-          | Ir.Primary_input n when n = name && !found = None -> found := Some e
-          | _ -> ());
-      !found
-    in
-    (match edge with
+    let edge = ref None in
+    Graph.iter_edges g ~f:(fun e ->
+        match e.Ir.source with
+        | Ir.Primary_input n when n = name && !edge = None -> edge := Some e.Ir.e_id
+        | _ -> ());
+    match Option.bind !edge (Array.get run.Sim.edge_consumer) with
     | None -> 0.
-    | Some e ->
-      let values = Sim.edge_values run e.Ir.e_id in
-      switching_per_access ~width:e.Ir.e_width values)
+    | Some (nid, port) ->
+      switching_over ~width:(Sim.input_width run nid port) ~n:(Sim.count run nid) (fun i ->
+          Sim.input run nid i port))

@@ -2,8 +2,8 @@
 
     One behavioral simulation records per-operation traces.  The trace of a
     shared RT-level unit is the merge of the traces of the operations mapped
-    to it, in execution order — computed here by merging the recorded event
-    streams, never by re-simulating.  The test suite and the [trace-manip]
+    to it, in execution order — computed here by merging the simulator's
+    columnar firing logs by (node, index), never by re-simulating.  The test suite and the [trace-manip]
     bench verify that the merged trace equals the one a fresh simulation
     would produce, and time both paths. *)
 
@@ -21,16 +21,13 @@ type entry = {
 val unit_trace : Impact_sim.Sim.run -> Ir.node_id list -> entry array
 (** Merge the traces of the given operations in (pass, seq) execution
     order — the paper's merge of [TR(op_i)] matrices along the STG path.
-    {!unit_switching_stats} streams the same merge without materialising
-    it; this form is the reference the tests and the bench compare. *)
+    {!unit_switching_stats} streams the same merge over raw ints without
+    materialising it; this form is the reference the tests and the bench
+    compare. *)
 
 val switching_per_access : width:int -> Bitvec.t array -> float
 (** Mean per-bit Hamming distance between consecutive vectors of a signal
     trace (0 for traces shorter than 2). *)
-
-val switching_over : width:int -> n:int -> (int -> Bitvec.t) -> float
-(** {!switching_per_access} over any indexed sequence — lets callers fold
-    event logs directly without materialising a value array. *)
 
 type unit_stats = { us_input_sw : float; us_output_sw : float }
 
@@ -39,12 +36,6 @@ val unit_switching_stats : Impact_sim.Sim.run -> Ir.node_id list -> unit_stats
     single streamed merge of its operations' traces — one k-way merge
     instead of two, with float operation order identical to the separate
     computations. *)
-
-val unit_input_switching : Impact_sim.Sim.run -> Ir.node_id list -> float
-(** Per-access, per-bit switching of a shared unit's concatenated operand
-    vector, from the merged trace. *)
-
-val unit_output_switching : Impact_sim.Sim.run -> Ir.node_id list -> float
 
 val value_switching : Impact_sim.Sim.run -> key:Impact_rtl.Datapath.key -> float
 (** The [a_i] of a network leaf: switching of the signal identified by the

@@ -43,28 +43,3 @@ let loop_exits t loop =
   match Hashtbl.find_opt t.loop_iters loop with
   | Some s -> Stats.count s
   | None -> 0
-
-let merge a b =
-  let t = create () in
-  let add_counts src =
-    Hashtbl.iter
-      (fun edge (tc, fc) ->
-        let tc0, fc0 = Option.value (Hashtbl.find_opt t.cond_counts edge) ~default:(0, 0) in
-        Hashtbl.replace t.cond_counts edge (tc0 + tc, fc0 + fc))
-      src.cond_counts
-  in
-  add_counts a;
-  add_counts b;
-  let add_loops src =
-    Hashtbl.iter
-      (fun loop stats ->
-        (* Stats accumulators cannot be merged exactly; replay the mean the
-           appropriate number of times, which preserves mean and count. *)
-        for _ = 1 to Stats.count stats do
-          record_loop_exit t loop ~iterations:(int_of_float (Stats.mean stats))
-        done)
-      src.loop_iters
-  in
-  add_loops a;
-  add_loops b;
-  t

@@ -24,6 +24,3 @@ val mean_iterations : t -> Impact_cdfg.Ir.loop_id -> float
 
 val loop_exits : t -> Impact_cdfg.Ir.loop_id -> int
 (** Number of recorded loop exits (0 when the loop never ran). *)
-
-val merge : t -> t -> t
-(** Pointwise sum of two profiles. *)

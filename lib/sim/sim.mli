@@ -6,10 +6,16 @@
     log instead of re-simulating (trace manipulation); re-simulation is only
     needed if the CDFG itself changed.
 
+    The log is columnar: each firing is a fixed number of plain ints (the
+    output's bits, each input's bits, pass, seq and tag), read back through
+    the index accessors below.  Widths are static per node and port, so no
+    {!Impact_util.Bitvec.t} is kept; {!node_events} materialises records for
+    the paths that want them.
+
     Loop-merge nodes fire once with their init value when the loop is
     entered and once per completed iteration with the loop-back value; both
     firings appear in the event log (they are the write activity of the
-    merge's register). *)
+    merge's register), each recording both inputs. *)
 
 module Ir := Impact_cdfg.Ir
 
@@ -23,9 +29,18 @@ type event = {
   ev_tag : firing_tag;
 }
 
-type run = {
+type log = { stride : int; mutable count : int; mutable chunks : int array array }
+(** One node's firing log: [count] firings of [stride] ints (the node's
+    port count plus 4), row by row in chunks of [chunk_events] firings;
+    only the last chunk is shorter. *)
+
+val chunk_events : int
+
+type run = private {
   program : Impact_cdfg.Graph.program;
-  events : event array array;  (** indexed by node id, in firing order *)
+  logs : log array;  (** indexed by node id *)
+  widths : int array array;
+  tag_counts : int array;
   passes : int;
   profile : Profile.t;
   pass_outputs : (string * Impact_util.Bitvec.t) list array;  (** per pass *)
@@ -46,7 +61,8 @@ val simulate :
   run
 (** [workload] is one input binding list per pass.
     @raise Stuck when a loop exceeds [max_loop_iters] (default 100_000).
-    @raise Invalid_argument when a pass misses an input. *)
+    @raise Invalid_argument when a pass misses an input, or a value's width
+    differs from its node's or edge's graph width. *)
 
 val compute : Ir.op_kind -> Impact_util.Bitvec.t array -> Impact_util.Bitvec.t
 (** Evaluate one operation on its input vector; the single source of truth
@@ -55,22 +71,54 @@ val compute : Ir.op_kind -> Impact_util.Bitvec.t array -> Impact_util.Bitvec.t
 
 (** {2 Portable runs}
 
-    A {!run} minus its program: plain data (event logs, profile, pass
-    outputs) safe to [Marshal] into a persistent store.  Reconstruction
-    re-attaches the caller's program and rebuilds the derived
-    edge-consumer index, so a warm-loaded run is structurally identical to
-    a fresh simulation of the same (program, workload). *)
+    A {!run} minus its program: plain data (the columnar logs, profile,
+    pass outputs) safe to [Marshal] into a persistent store.  Reconstruction
+    re-attaches the caller's program and rebuilds the derived widths, tag
+    counts and edge-consumer index, so a warm-loaded run is structurally
+    identical to a fresh simulation of the same (program, workload). *)
 
-type portable_run
+type portable_run = {
+  p_logs : log array;
+  p_passes : int;
+  p_profile : Profile.t;
+  p_pass_outputs : (string * Impact_util.Bitvec.t) list array;
+  p_firings_total : int;
+}
 
 val to_portable : run -> portable_run
 
 val of_portable : Impact_cdfg.Graph.program -> portable_run -> run
-(** @raise Invalid_argument when the event log shape does not match the
-    program (wrong node count — the store key should make this
-    impossible). *)
+(** @raise Invalid_argument when the log's shape does not match the
+    program: node count, a stride other than the node's port count plus 4,
+    chunk sizes inconsistent with the count, a tag outside 0..2, a pass
+    outside the run, or a firing total other than the logs' sum (the store
+    key should make all of these impossible). *)
+
+(** {2 Index accessors}
+
+    [i] ranges over [0 .. count run nid - 1] in firing order; [output] and
+    [input run nid i port] are raw bits. *)
+
+val count : run -> Ir.node_id -> int
+val ports : run -> Ir.node_id -> int
+val output : run -> Ir.node_id -> int -> int
+val input : run -> Ir.node_id -> int -> int -> int
+val pass : run -> Ir.node_id -> int -> int
+val seq : run -> Ir.node_id -> int -> int
+val tag : run -> Ir.node_id -> int -> firing_tag
+
+val tag_count : run -> Ir.node_id -> firing_tag -> int
+(** Firings of the node with the tag, counted once per run. *)
+
+val output_width : run -> Ir.node_id -> int
+val input_width : run -> Ir.node_id -> int -> int
+
+val event : run -> Ir.node_id -> int -> event
+(** The [i]th firing as a record. *)
 
 val node_events : run -> Ir.node_id -> event array
+(** Every firing of the node as records: a materialised view for tests,
+    the bench and check-only paths. *)
 
 val edge_values : run -> Ir.edge_id -> Impact_util.Bitvec.t array
 (** The chronological trace of values carried by an edge across all passes

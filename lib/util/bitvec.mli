@@ -43,6 +43,9 @@ val hamming : t -> t -> int
 
 val popcount : t -> int
 
+val popcount_bits : int -> int
+(** [popcount] of a raw payload (a non-negative int below [2^62]). *)
+
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t

@@ -20,6 +20,9 @@ module Bitvec = Impact_util.Bitvec
 module Rng = Impact_util.Rng
 module Fixtures = Impact_benchmarks.Fixtures
 module Suite = Impact_benchmarks.Suite
+module Parser = Impact_lang.Parser
+module Typecheck = Impact_lang.Typecheck
+module Interp = Impact_lang.Interp
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -183,6 +186,76 @@ let prop_streamed_stats =
       let nn = Graph.node_count run.Sim.program.Graph.graph in
       streamed_equals_folded run
         (List.sort_uniq Int.compare (List.map (fun i -> i mod nn) picks)))
+
+(* The columnar log across its chunk boundaries: a loop run so that its
+   merges, condition and body nodes fire just under, exactly at and just
+   over one and two full chunks.  Every node's count, materialised events
+   and tag counts agree, its chunks carry no padding, both passes' outputs
+   equal the reference interpreter's, and the streamed statistics (single
+   nodes and the whole-program k-way merge) equal the folded ones. *)
+let chunk_source =
+  {|process chunked(n : int16, k : int16) -> (s : int16, c : int16) {
+  var i : int16 = 0;
+  var acc : int16 = 0;
+  while (i < n) {
+    if (i < k) { acc = acc + i; } else { acc = acc - k; }
+    i = i + 1;
+  }
+  s = acc;
+  c = i;
+}|}
+
+let test_chunk_boundaries () =
+  let prog = Elaborate.from_source chunk_source in
+  let typed = Typecheck.check (Parser.parse chunk_source) in
+  let nodes = List.init (Graph.node_count prog.Graph.graph) Fun.id in
+  List.iter
+    (fun iters ->
+      let workload = [ [ ("n", iters); ("k", 5) ]; [ ("n", iters); ("k", 700) ] ] in
+      let run = Sim.simulate prog ~workload in
+      let what fmt = Printf.ksprintf (fun m -> Printf.sprintf "%d iterations: %s" iters m) fmt in
+      List.iter
+        (fun nid ->
+          let count = Sim.count run nid and l = run.Sim.logs.(nid) in
+          check_int (what "node %d events" nid) count (Array.length (Sim.node_events run nid));
+          check_int (what "node %d tags" nid) count
+            (List.fold_left (fun acc t -> acc + Sim.tag_count run nid t) 0
+               [ Sim.Tag_normal; Sim.Tag_merge_init; Sim.Tag_merge_back ]);
+          check_int (what "node %d unpadded" nid) (count * l.Sim.stride)
+            (Array.fold_left (fun acc c -> acc + Array.length c) 0 l.Sim.chunks);
+          check_bool (what "node %d streamed" nid) true (streamed_equals_folded run [ nid ]))
+        nodes;
+      check_bool (what "some node crosses a chunk") true
+        (List.exists (fun nid -> Sim.count run nid > Sim.chunk_events) nodes);
+      (* Rows read back in firing order: (pass, seq) strictly increasing, and
+         the counter's merge carries 0..iters in every pass. *)
+      List.iter
+        (fun nid ->
+          for i = 1 to Sim.count run nid - 1 do
+            let p0 = Sim.pass run nid (i - 1) and p1 = Sim.pass run nid i in
+            if not (p0 < p1 || (p0 = p1 && Sim.seq run nid (i - 1) < Sim.seq run nid i)) then
+              Alcotest.failf "%s" (what "node %d rows %d and %d out of order" nid (i - 1) i)
+          done)
+        nodes;
+      check_bool (what "counter merge values") true
+        (List.exists
+           (fun nid ->
+             (Graph.node prog.Graph.graph nid).Ir.kind = Ir.Op_loop_merge
+             && Sim.count run nid = 2 * (iters + 1)
+             && List.for_all
+                  (fun i -> Sim.output run nid i = i mod (iters + 1))
+                  (List.init (Sim.count run nid) Fun.id))
+           nodes);
+      check_bool (what "k-way streamed") true (streamed_equals_folded run nodes);
+      List.iteri
+        (fun pass inputs ->
+          List.iter
+            (fun (name, v) ->
+              check_int (what "%s pass %d" name pass) (Bitvec.to_signed v)
+                (Bitvec.to_signed (List.assoc name run.Sim.pass_outputs.(pass))))
+            (Interp.run typed ~inputs).Interp.results)
+        workload)
+    [ 1023; 1024; 1025; 2049 ]
 
 let naive_popcount x =
   let c = ref 0 in
@@ -418,7 +491,7 @@ let test_memo_canonical_keys () =
   check_int "output: permuted group, same memo entry" entries_after_out
     (Estimate.memo_entries ctx);
   (* The memoised values agree with the direct trace computation. *)
-  check_float "memo = direct" (Traces.unit_input_switching run adds) v1
+  check_float "memo = direct" (Traces.unit_switching_stats run adds).Traces.us_input_sw v1
 
 let test_breakdown_algebra () =
   let a =
@@ -445,6 +518,8 @@ let () =
           Alcotest.test_case "streamed stats, empty and single nodes" `Quick
             test_streamed_stats_empty_and_single;
           QCheck_alcotest.to_alcotest prop_streamed_stats;
+          Alcotest.test_case "columnar log across chunk boundaries" `Quick
+            test_chunk_boundaries;
           QCheck_alcotest.to_alcotest prop_popcount;
         ] );
       ( "netstats",

@@ -15,6 +15,7 @@ module Moves = Impact_core.Moves
 module Search = Impact_core.Search
 module Driver = Impact_core.Driver
 module Tier = Impact_core.Tier
+module Sim = Impact_sim.Sim
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -600,6 +601,52 @@ let test_foreign_tag_design_entry () =
       check_int "no second write" 1 (tier "design" st).Store.ts_writes;
       check_bool "warm identical" true (design_fingerprint warm = design_fingerprint cold))
 
+(* Sim payloads whose columnar log does not fit the program — cut short,
+   a wrong stride, a tag outside 0..2 — read as misses through the tier:
+   the run is simulated cold, the entry is rewritten and decodes, and the
+   answer equals a storeless simulation.  Never a crash. *)
+let test_bad_sim_payloads () =
+  let prog = Suite.program Suite.gcd in
+  let workload = Suite.gcd.Suite.workload ~seed:7 ~passes:10 in
+  let key = Driver.sim_key prog ~workload in
+  let p = Sim.to_portable (Sim.simulate prog ~workload) in
+  let bytes run = Marshal.to_string (Sim.to_portable run) [] in
+  let with_logs f = { p with Sim.p_logs = Array.mapi f p.Sim.p_logs } in
+  let restrided = with_logs (fun i l -> if i = 0 then { l with Sim.stride = l.Sim.stride + 1 } else l) in
+  let retagged =
+    with_logs (fun i l ->
+        if i > 0 then l
+        else begin
+          let chunks = Array.map Array.copy l.Sim.chunks in
+          chunks.(0).(l.Sim.stride - 1) <- 7;
+          { l with Sim.chunks }
+        end)
+  in
+  let good = Tier.encode Tier.sim_tier p in
+  List.iter
+    (fun (name, payload) ->
+      with_dir (fun d ->
+          Store.put ~ns:"sim" (Store.open_store ~dir:d ()) key payload;
+          let store = Store.open_store ~dir:d () in
+          let run = Tier.find_or_simulate ~store prog ~workload in
+          check_bool (name ^ ": cold answer") true (bytes run = Marshal.to_string p []);
+          check_int (name ^ ": entry rewritten") 1 (tier "sim" (Store.stats store)).Store.ts_writes;
+          check_bool (name ^ ": rewritten entry decodes") true
+            (Option.is_some
+               (Option.bind (Store.find ~ns:"sim" store key) (Tier.decode Tier.sim_tier)))))
+    [
+      ("truncated", String.sub good 0 (String.length good / 2));
+      ("wrong stride", Tier.encode Tier.sim_tier restrided);
+      ("tag out of range", Tier.encode Tier.sim_tier retagged);
+    ];
+  List.iter
+    (fun (name, bad) ->
+      check_bool (name ^ " refused by of_portable") true
+        (match Sim.of_portable prog bad with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ ("wrong stride", restrided); ("tag out of range", retagged) ]
+
 (* The tiered warm miss: same program and workload at a different laxity
    misses the design tier (a genuinely new search) but reuses the front-end
    tiers — the simulation run and the switching-statistics memos — and the
@@ -672,7 +719,7 @@ let test_golden_keys () =
         (Driver.synthesize ~options:light ~store prog ~workload
            ~objective:Solution.Minimize_power ~laxity:2.0 ());
       let md5 ns key = Digest.to_hex (Digest.string (read_payload (object_path_of_key ~ns d key))) in
-      pin "sim payload md5" "6e4851020394649d2feaa7166e5e2b2a" (md5 "sim" (Driver.sim_key prog ~workload));
+      pin "sim payload md5" "9d8be717c3e6402db52b4cfbdf31bc23" (md5 "sim" (Driver.sim_key prog ~workload));
       pin "lib payload md5" "e25d509c75df98c61ed165831a5436bd" (md5 "lib" (Driver.lib_key ())))
 
 (* --- single-flight scheduler ---------------------------------------------- *)
@@ -875,6 +922,8 @@ let () =
           Alcotest.test_case "find-or-compute miss paths" `Quick
             test_find_or_compute_miss_paths;
           Alcotest.test_case "foreign-tag design entry" `Quick test_foreign_tag_design_entry;
+          Alcotest.test_case "malformed sim payloads read as misses" `Quick
+            test_bad_sim_payloads;
           Alcotest.test_case "corrupt entry falls back cold" `Quick
             test_warm_corruption_falls_back;
           Alcotest.test_case "warm miss reuses front tiers" `Slow
