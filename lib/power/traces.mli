@@ -3,9 +3,9 @@
     One behavioral simulation records per-operation traces.  The trace of a
     shared RT-level unit is the merge of the traces of the operations mapped
     to it, in execution order — computed here by merging the simulator's
-    columnar firing logs by (node, index), never by re-simulating.  The test suite and the [trace-manip]
-    bench verify that the merged trace equals the one a fresh simulation
-    would produce, and time both paths. *)
+    columnar firing logs by (node, index), never by re-simulating.  The
+    test suite and the [trace-manip] bench verify that the merged trace
+    equals the one a fresh simulation would produce, and time both paths. *)
 
 module Ir := Impact_cdfg.Ir
 module Bitvec := Impact_util.Bitvec

@@ -231,8 +231,8 @@ let to_portable (run : run) =
 (* Structural sanity only — cross-run value identity is the store layer's
    checksum plus IMPACT_STORE_CHECK's recompute-and-compare.  The check
    covers everything an index accessor or a per-pass table relies on, and
-   its scan of the tag column counts the tags.  A fresh simulation is
-   built here too. *)
+   its scan of the tag column counts the tags.  [simulate] builds its run
+   here too, so fresh and warm-loaded runs are made the same way. *)
 let of_portable (program : Graph.program) p =
   let g = program.Graph.graph in
   let nn = Graph.node_count g in
@@ -355,10 +355,7 @@ let edge_values (run : run) eid =
   | Ir.Const v -> Array.make run.passes v
   | Ir.Primary_input _ -> (
     (* Primary input values are not retained per pass in the event log;
-       replay a consumer's recorded operand instead.  The consumer index is
-       precomputed at run construction — this path is hit per candidate from
-       every worker domain, and the old per-call graph scan was O(nodes x
-       ports) each time. *)
+       replay a consumer's recorded operand instead. *)
     match run.edge_consumer.(eid) with
     | Some (nid, port) -> Array.map (fun ev -> ev.ev_inputs.(port)) (node_events run nid)
     | None -> [||])
