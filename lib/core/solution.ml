@@ -12,6 +12,7 @@ module Vdd = Impact_power.Vdd
 module Sim = Impact_sim.Sim
 module Fragcache = Impact_sched.Fragcache
 module Shardtbl = Impact_util.Shardtbl
+module Keybuf = Impact_util.Keybuf
 
 type objective = Minimize_area | Minimize_power
 
@@ -285,49 +286,33 @@ let commit_cache c =
     Hashtbl.reset o);
   Option.iter Fragcache.commit c.cs_frags
 
-(* A canonical text form of (binding, restructured).  Unit and register ids
-   are history-dependent (they depend on the move order that produced the
-   binding), so groups are rendered by their sorted contents and the group
-   list itself is sorted; restructured ports are anchored by the smallest
-   operation / value id of the unit or register they feed. *)
+(* The canonical key of (binding, restructured): the binding's own key
+   ({!Binding.add_key}) followed by the restructured ports, each anchored by
+   the smallest operation / value id (or input name) of the unit or register
+   it feeds, since those ids are history-dependent too. *)
 let signature ~binding ~restructured =
   let b = binding in
-  let ints xs = String.concat "," (List.map string_of_int (List.sort compare xs)) in
-  let fu_sigs =
-    List.sort compare
-      (List.map
-         (fun fu ->
-           Printf.sprintf "F%s:%s"
-             (Binding.fu_module b fu).Impact_modlib.Module_library.spec_name
-             (ints (Binding.fu_ops b fu)))
-         (Binding.fu_ids b))
-  in
-  let reg_sigs =
-    List.sort compare
-      (List.map
-         (fun reg ->
-           Printf.sprintf "R%s|%s"
-             (ints (Binding.reg_values b reg))
-             (String.concat "," (List.sort compare (Binding.reg_input_names b reg))))
-         (Binding.reg_ids b))
-  in
-  let port_sig port =
-    match port with
+  (* (tag, ids, name); the tags are disjoint from {!Binding.add_key}'s. *)
+  let anchor = function
     | Datapath.P_fu_input (fu, port) -> (
       match Binding.fu_ops b fu with
-      | exception _ -> Printf.sprintf "pf?%d.%d" fu port
-      | [] -> Printf.sprintf "pf?%d.%d" fu port
-      | ops -> Printf.sprintf "pf%d.%d" (List.fold_left min max_int ops) port)
+      | op :: _ -> ('f', [ op; port ], "")
+      | [] | (exception Invalid_argument _) -> ('u', [ fu; port ], ""))
     | Datapath.P_reg_write reg -> (
       match (Binding.reg_values b reg, Binding.reg_input_names b reg) with
-      | exception _ -> Printf.sprintf "pr?%d" reg
-      | [], [] -> Printf.sprintf "pr?%d" reg
-      | [], names -> "pri" ^ List.hd (List.sort compare names)
-      | vals, _ -> Printf.sprintf "pr%d" (List.fold_left min max_int vals))
+      | v :: _, _ -> ('r', [ v ], "")
+      | [], (_ :: _ as names) -> ('i', [], List.hd (List.sort String.compare names))
+      | [], [] | (exception Invalid_argument _) -> ('v', [ reg ], ""))
   in
-  let ports = List.sort_uniq compare (List.map port_sig restructured) in
-  String.concat "#"
-    [ String.concat ";" fu_sigs; String.concat ";" reg_sigs; String.concat ";" ports ]
+  let kb = Keybuf.create 512 in
+  Binding.add_key kb b;
+  List.iter
+    (fun (tag, ids, name) ->
+      Keybuf.tag kb tag;
+      Keybuf.ints kb ids;
+      Keybuf.string kb name)
+    (List.sort_uniq compare (List.map anchor restructured));
+  Keybuf.contents kb
 
 (* --- Rebuild --------------------------------------------------------------- *)
 

@@ -92,9 +92,10 @@ val commit_cache : cache -> unit
 
 val signature :
   binding:Impact_rtl.Binding.t -> restructured:Impact_rtl.Datapath.port list -> string
-(** The canonical cache key: unit/register groups rendered by sorted
-    contents (ids are history-dependent), restructured ports anchored by the
-    smallest operation/value id they feed. *)
+(** The canonical cache key, compact binary bytes: unit/register groups by
+    their contents ({!Impact_rtl.Binding.add_key}; ids are
+    history-dependent), restructured ports anchored by the smallest
+    operation/value id they feed. *)
 
 val initial : ?cache:cache -> ?metrics:metrics -> env -> t
 (** The parallel architecture scheduled with fastest modules. *)

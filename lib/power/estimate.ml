@@ -15,7 +15,7 @@ module Shardtbl = Impact_util.Shardtbl
 
    Everything the estimator derives from (schedule, workload profile,
    graph) alone — independent of the binding and the datapath.  One record
-   per distinct schedule, memoised by {!Stg.signature}: candidates that
+   per distinct schedule, memoised by {!Stg.key}: candidates that
    reuse or re-derive an already-seen schedule skip the Markov-chain
    solves, the activation scan, the controller synthesis and the Sel/wire
    sweeps entirely. *)
@@ -48,10 +48,10 @@ type ctx = {
   stg_tbl : (string, stg_terms) Shardtbl.t;
   lifetime_tbl : (string, Lifetime.t) Shardtbl.t;
   (* One-slot caches keyed by physical identity: the search prices many
-     candidates against one reused schedule — and renders each candidate's
-     signature several times (ENC, legality, estimate) — so the common case
-     skips both the rendering and the table. *)
-  last_sig : (Stg.t * string) option Atomic.t;
+     candidates against one reused schedule — and looks each candidate's
+     schedule up several times (ENC, legality, estimate) — so the common
+     case skips both building the key and the table. *)
+  last_key : (Stg.t * string) option Atomic.t;
   last_enc : (Stg.t * float) option Atomic.t;
   last_terms : (Stg.t * stg_terms) option Atomic.t;
   last_lifetime : (Stg.t * Lifetime.t) option Atomic.t;
@@ -88,7 +88,7 @@ let create_ctx ?eff run =
     enc_tbl = Shardtbl.create 64;
     stg_tbl = Shardtbl.create 64;
     lifetime_tbl = Shardtbl.create 64;
-    last_sig = Atomic.make None;
+    last_key = Atomic.make None;
     last_enc = Atomic.make None;
     last_terms = Atomic.make None;
     last_lifetime = Atomic.make None;
@@ -177,7 +177,7 @@ let fork parent =
     enc_tbl = Shardtbl.create ~shards:1 32;
     stg_tbl = Shardtbl.create ~shards:1 32;
     lifetime_tbl = Shardtbl.create ~shards:1 32;
-    last_sig = Atomic.make None;
+    last_key = Atomic.make None;
     last_enc = Atomic.make None;
     last_terms = Atomic.make None;
     last_lifetime = Atomic.make None;
@@ -289,19 +289,19 @@ let seed_memos ?(check = false) ctx snapshot =
 
 (* One-slot physical-identity caches.  Publishing is racy by design: both
    domains compute equal values and either pair may stick. *)
-let signature_of ctx (stg : Stg.t) =
-  match Atomic.get ctx.last_sig with
-  | Some (s, sg) when s == stg -> sg
+let key_of ctx (stg : Stg.t) =
+  match Atomic.get ctx.last_key with
+  | Some (s, k) when s == stg -> k
   | _ ->
-    let sg = Stg.signature stg in
-    Atomic.set ctx.last_sig (Some (stg, sg));
-    sg
+    let k = Stg.key stg in
+    Atomic.set ctx.last_key (Some (stg, k));
+    k
 
 let cached_by_stg ctx slot get (stg : Stg.t) compute =
   match Atomic.get slot with
   | Some (s, v) when s == stg -> v
   | _ ->
-    let v = shard_memo get ctx (signature_of ctx stg) compute in
+    let v = shard_memo get ctx (key_of ctx stg) compute in
     Atomic.set slot (Some (stg, v));
     v
 

@@ -103,8 +103,8 @@ val seed_memos : ?check:bool -> ctx -> memo_snapshot -> unit
 
     Everything derived from (schedule, profile) alone — ENC, expected
     activations, controller statistics, Sel/wire energy, lifetimes — is
-    memoised per distinct schedule, keyed by {!Impact_sched.Stg.signature}
-    (with a one-slot physical-identity fast path in front). *)
+    memoised per distinct schedule, keyed by {!Impact_sched.Stg.key} (with a
+    one-slot physical-identity fast path in front). *)
 
 val stg_enc : ctx -> Impact_sched.Stg.t -> float
 (** Memoised {!Impact_sched.Enc.analytic}. *)

@@ -1,6 +1,7 @@
 module Ir = Impact_cdfg.Ir
 module Graph = Impact_cdfg.Graph
 module Module_library = Impact_modlib.Module_library
+module Keybuf = Impact_util.Keybuf
 
 type fu_info = {
   fi_module : Module_library.spec;
@@ -244,6 +245,40 @@ let reg_area t =
   Hashtbl.fold
     (fun _ info acc -> acc +. Module_library.register_area ~width:info.ri_width)
     t.reg_tbl 0.
+
+(* --- Canonical key ---------------------------------------------------------- *)
+
+(* Unit and register ids depend on the move order that produced a binding,
+   so groups are named by their contents.  Groups are disjoint and
+   non-empty, so emitting each at its smallest member during one ascending
+   walk over node ids is canonical without sorting anything (member lists
+   are kept ascending).  Input-only registers have no node to anchor at and
+   go last, sorted by their input names. *)
+let add_key kb t =
+  Array.iteri
+    (fun nid fu ->
+      (if fu >= 0 then
+         match Hashtbl.find t.fu_tbl fu with
+         | { fi_module; fi_ops = op :: _ as ops; _ } when op = nid ->
+           Keybuf.tag kb 'F';
+           Keybuf.string kb fi_module.Module_library.spec_name;
+           Keybuf.ints kb ops
+         | _ -> ());
+      match Hashtbl.find t.reg_tbl t.reg_assign.(nid) with
+      | { ri_values = v :: _ as values; ri_inputs; _ } when v = nid ->
+        Keybuf.tag kb 'R';
+        Keybuf.ints kb values;
+        Keybuf.list kb Keybuf.string (List.sort String.compare ri_inputs)
+      | _ -> ())
+    t.fu_assign;
+  Hashtbl.fold
+    (fun _ ri acc ->
+      if ri.ri_values = [] then List.sort String.compare ri.ri_inputs :: acc else acc)
+    t.reg_tbl []
+  |> List.sort (List.compare String.compare)
+  |> List.iter (fun names ->
+         Keybuf.tag kb 'I';
+         Keybuf.list kb Keybuf.string names)
 
 (* --- Portable form --------------------------------------------------------- *)
 

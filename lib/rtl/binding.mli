@@ -69,6 +69,13 @@ val split_reg : t -> int -> Ir.node_id list -> (t, string) result
 val fu_area : t -> float
 val reg_area : t -> float
 
+val add_key : Impact_util.Keybuf.t -> t -> unit
+(** Appends the binding's canonical key: every unit's module name and
+    operations, every register's values and input names.  Two bindings
+    write equal bytes iff they group operations into the same units with
+    the same module names and values and inputs into the same registers,
+    whatever their (history-dependent) unit and register ids. *)
+
 (** {1 Portable form}
 
     A self-contained snapshot of the binding decision — unit/register

@@ -5,16 +5,9 @@ type backing = {
   bk_put : string -> cost_ns:int -> string -> unit;
 }
 
-(* One cached fragment.  [e_key] is the full canonical key string (context
-   prepended), kept so a commit can replay the overlay's entries into the
-   persistent backing; [e_from_store] marks entries that came *from* the
+(* One cached fragment.  [e_from_store] marks entries that came *from* the
    backing so they are never written back. *)
-type entry = {
-  e_frag : Stg.portable_frag;
-  e_cost_ns : int;
-  e_key : string;
-  e_from_store : bool;
-}
+type entry = { e_frag : Stg.portable_frag; e_cost_ns : int; e_from_store : bool }
 
 type t = {
   fc_context : string;
@@ -49,48 +42,47 @@ let counters t = (Atomic.get t.fc_reused, Atomic.get t.fc_scheduled)
 
 let encode e = Marshal.to_string ("frag", e.e_frag, e.e_cost_ns) []
 
-let decode ~key payload : entry option =
+let decode payload : entry option =
   match (Marshal.from_string payload 0 : string * Stg.portable_frag * int) with
   | "frag", pf, cost_ns ->
     if Stg.portable_frag_wf pf then
-      Some { e_frag = pf; e_cost_ns = cost_ns; e_key = key; e_from_store = true }
+      Some { e_frag = pf; e_cost_ns = cost_ns; e_from_store = true }
     else None
   | _ -> None
   | exception _ -> None
 
-(* The in-memory tables are keyed by the full canonical string itself.
-   Region keys embed per-node model values and can run to kilobytes, but a
-   Hashtbl hash + memcmp over that is still far cheaper than the
-   cryptographic digest the persistent tier uses for content addressing —
-   and this lookup sits on the splice hot path, once per region per
-   candidate move.  Only the backing layer (Driver) hashes, on misses. *)
+(* One cache serves one context, so the in-memory tables are keyed by the
+   region key alone: a Hashtbl hash + memcmp over it is far cheaper than
+   the cryptographic digest the persistent tier uses for content
+   addressing, and this lookup sits on the splice hot path, once per region
+   per candidate move.  The context is prepended only at the backing
+   boundary, where the backing layer (Driver) hashes, on misses. *)
 let full_key t key = t.fc_context ^ "\x00" ^ key
 
 (* File [e] in the shared table and persist it — only when it won the
    insert: a key another probe (or the backing) already filed is on disk or
    on its way there, and a second write would only cost a store put. *)
-let publish t fk e =
-  if Shardtbl.add_if_absent t.fc_shared fk e == e then
+let publish t key e =
+  if Shardtbl.add_if_absent t.fc_shared key e == e then
     match t.fc_backing with
     | Some bk when not e.e_from_store -> (
-      try bk.bk_put e.e_key ~cost_ns:e.e_cost_ns (encode e) with _ -> ())
+      try bk.bk_put (full_key t key) ~cost_ns:e.e_cost_ns (encode e) with _ -> ())
     | Some _ | None -> ()
 
 let find t key =
-  let fk = full_key t key in
   let mem_hit =
     match t.fc_overlay with
     | Some o -> (
-      match Hashtbl.find_opt o fk with
+      match Hashtbl.find_opt o key with
       | Some _ as h -> h
-      | None -> Shardtbl.find_opt t.fc_shared fk)
-    | None -> Shardtbl.find_opt t.fc_shared fk
+      | None -> Shardtbl.find_opt t.fc_shared key)
+    | None -> Shardtbl.find_opt t.fc_shared key
   in
   let hit =
     match (mem_hit, t.fc_backing) with
     | (Some _ as h), _ | h, None -> h
     | None, Some bk -> (
-      match Option.bind (try bk.bk_find fk with _ -> None) (decode ~key:fk) with
+      match Option.bind (try bk.bk_find (full_key t key) with _ -> None) decode with
       | None -> None
       | Some e -> (
         (* Promote the disk hit into the memory layer.  From a fork it lands
@@ -99,9 +91,9 @@ let find t key =
            table. *)
         match t.fc_overlay with
         | Some o ->
-          Hashtbl.replace o fk e;
+          Hashtbl.replace o key e;
           Some e
-        | None -> Some (Shardtbl.add_if_absent t.fc_shared fk e)))
+        | None -> Some (Shardtbl.add_if_absent t.fc_shared key e)))
   in
   match hit with
   | None -> None
@@ -111,18 +103,12 @@ let find t key =
 
 let add t key ~cost_ns frag =
   Atomic.incr t.fc_scheduled;
-  let fk = full_key t key in
   let e =
-    {
-      e_frag = Stg.frag_to_portable frag;
-      e_cost_ns = max 0 cost_ns;
-      e_key = fk;
-      e_from_store = false;
-    }
+    { e_frag = Stg.frag_to_portable frag; e_cost_ns = max 0 cost_ns; e_from_store = false }
   in
   match t.fc_overlay with
-  | Some o -> Hashtbl.replace o fk e
-  | None -> publish t fk e
+  | Some o -> Hashtbl.replace o key e
+  | None -> publish t key e
 
 let commit t =
   match t.fc_overlay with

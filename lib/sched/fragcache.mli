@@ -32,10 +32,11 @@ type backing = {
   bk_put : string -> cost_ns:int -> string -> unit;
 }
 (** Persistence callbacks (the driver wires these to the store's ["frag"]
-    namespace; the scheduler layer has no store dependency).  Keys are the
-    full canonical strings (context plus region digest material); payloads
-    are opaque.  [cost_ns] is the measured recompute cost of the fragment,
-    for the store's cost-per-byte eviction. *)
+    namespace; the scheduler layer has no store dependency).  Keys are
+    [context ^ "\000" ^ key], built only at this boundary (the in-memory
+    tables hold the key alone); payloads are opaque.  [cost_ns] is the
+    measured recompute cost of the fragment, for the store's cost-per-byte
+    eviction. *)
 
 val create : ?context:string -> ?backing:backing -> unit -> t
 (** [context] is prepended to every key — bind the program digest (and any

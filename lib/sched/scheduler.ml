@@ -2,6 +2,7 @@ module Ir = Impact_cdfg.Ir
 module Graph = Impact_cdfg.Graph
 module Guard = Impact_cdfg.Guard
 module Analysis = Impact_cdfg.Analysis
+module Keybuf = Impact_util.Keybuf
 
 type style = Wavesched | Baseline
 
@@ -42,6 +43,7 @@ type ctx = {
   res : Models.resource_model;
   frags : Fragcache.t option;
   cfg_fp : string;  (* config fingerprint, folded into every fragment key *)
+  check : bool;  (* IMPACT_SCHED_CHECK, read once per [schedule] call *)
 }
 
 (* [IMPACT_SCHED_CHECK=1]: every spliced schedule is recomputed cold (no
@@ -169,60 +171,83 @@ let frag_fus ctx frag =
    on the units/registers they touch, so untouched regions keep their
    digests and splice their previous fragments verbatim. *)
 
+(* Every per-node model value the scheduler reads, looked up once per
+   cached [schedule] call into arrays: the digests of nested regions and
+   the leaf scheduler then index those instead of re-running the caller's
+   model closures (hashtable lookups in the datapath) per enclosing
+   region.  A schedule without a fragment cache digests nothing and reads
+   the closures directly. *)
+let tabulate g ~delay ~res top =
+  let nn = Graph.node_count g in
+  let latency = Array.make nn 0. and input_extra = Array.make nn [||] in
+  let output_extra = Array.make nn 0. and unit = Array.make nn None in
+  let pipelined = Array.make nn false in
+  List.iter
+    (fun nid ->
+      latency.(nid) <- delay.Models.op_latency_ns nid;
+      input_extra.(nid) <-
+        Array.mapi
+          (fun port _ -> delay.Models.input_extra_ns nid ~port)
+          (Graph.node g nid).Ir.inputs;
+      output_extra.(nid) <- delay.Models.output_extra_ns nid;
+      unit.(nid) <- res.Models.fu_of nid;
+      pipelined.(nid) <- res.Models.pipelined nid)
+    (Ir.region_nodes top);
+  ( {
+      Models.op_latency_ns = Array.get latency;
+      input_extra_ns = (fun nid ~port -> input_extra.(nid).(port));
+      output_extra_ns = Array.get output_extra;
+    },
+    { Models.fu_of = Array.get unit; pipelined = Array.get pipelined } )
+
+(* The first byte of every region key.  A store may hold fragments filed
+   by a build with another key format; a distinct leading byte makes those
+   read as misses instead of aliasing a key of this format. *)
+let key_format = '\002'
+
 let digest_region ~g ~cfg_fp ~delay ~res ~tag region =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf cfg_fp;
-  Buffer.add_char buf tag;
-  (* Ids and model floats go in as raw little-endian 64-bit words — this
-     runs per candidate move per region, and printf-formatting thousands
-     of floats was a measurable slice of the splice path.  Fixed-width
-     fields need no separators; variable-length lists carry an explicit
-     length prefix so adjacent lists cannot alias. *)
-  let bint n = Buffer.add_int64_le buf (Int64.of_int n) in
-  let bfloat x = Buffer.add_int64_le buf (Int64.bits_of_float x) in
-  let bints ids =
-    bint (List.length ids);
-    List.iter bint ids
-  in
+  (* Compact self-delimiting fields ({!Impact_util.Keybuf}) read from the
+     tabulated models: this runs per candidate move per region. *)
+  let kb = Keybuf.create 512 in
+  Keybuf.tag kb key_format;
+  Keybuf.string kb cfg_fp;
+  Keybuf.tag kb tag;
   let rec structure r =
     match r with
     | Ir.R_ops ids ->
-      Buffer.add_char buf 'O';
-      bints ids
+      Keybuf.tag kb 'O';
+      Keybuf.ints kb ids
     | Ir.R_seq rs ->
-      Buffer.add_char buf 'S';
-      bint (List.length rs);
-      List.iter structure rs
+      Keybuf.tag kb 'S';
+      Keybuf.list kb (fun _ r -> structure r) rs
     | Ir.R_if { cond_edge; then_r; else_r; sels } ->
-      Buffer.add_char buf 'I';
-      bint cond_edge;
+      Keybuf.tag kb 'I';
+      Keybuf.int kb cond_edge;
       structure then_r;
       structure else_r;
-      bints sels
+      Keybuf.ints kb sels
     | Ir.R_loop { loop; merges; cond_r; cond_edge; body; elps } ->
-      Buffer.add_char buf 'L';
-      bint loop;
-      bints merges;
+      Keybuf.tag kb 'L';
+      Keybuf.int kb loop;
+      Keybuf.ints kb merges;
       structure cond_r;
-      bint cond_edge;
+      Keybuf.int kb cond_edge;
       structure body;
-      bints elps
+      Keybuf.ints kb elps
   in
   structure region;
-  Buffer.add_char buf '#';
   List.iter
     (fun nid ->
-      let n = Graph.node g nid in
-      bint nid;
-      bfloat (delay.Models.op_latency_ns nid);
+      Keybuf.int kb nid;
+      Keybuf.float kb (delay.Models.op_latency_ns nid);
       Array.iteri
-        (fun port _ -> bfloat (delay.Models.input_extra_ns nid ~port))
-        n.Ir.inputs;
-      bfloat (delay.Models.output_extra_ns nid);
-      (match res.Models.fu_of nid with Some fu -> bint fu | None -> bint (-1));
-      Buffer.add_char buf (if res.Models.pipelined nid then 'P' else 'p'))
+        (fun port _ -> Keybuf.float kb (delay.Models.input_extra_ns nid ~port))
+        (Graph.node g nid).Ir.inputs;
+      Keybuf.float kb (delay.Models.output_extra_ns nid);
+      Keybuf.int kb (match res.Models.fu_of nid with Some fu -> fu | None -> -1);
+      Keybuf.tag kb (if res.Models.pipelined nid then 'P' else 'p'))
     (Ir.region_nodes region);
-  Buffer.contents buf
+  Keybuf.contents kb
 
 let config_fingerprint cfg =
   Printf.sprintf "%h|%b|%b|%b|%d|%b|" cfg.clock_ns cfg.flatten_ifs
@@ -239,7 +264,7 @@ let cached_frag ctx fc ~tag region compute =
   in
   match Fragcache.find fc key with
   | Some frag ->
-    if check_enabled () then begin
+    if ctx.check then begin
       match Impact_util.Diagnostic.errors (Check.splice_frag_issues frag) with
       | [] -> ()
       | issues ->
@@ -418,19 +443,24 @@ and loop_frag ctx ~merges ~cond_r ~cond_edge ~body ~elps =
 let schedule ?frags cfg (program : Graph.program) ~delay ~res =
   let g = program.Graph.graph in
   let cfg_fp = config_fingerprint cfg in
+  let check = check_enabled () in
   let top = if cfg.flatten_ifs then flatten_cached program.Graph.top else program.Graph.top in
-  let build frags =
+  let build frags (delay, res) =
     let analysis = Analysis.create g in
-    let ctx = { cfg; analysis; delay; res; frags; cfg_fp } in
+    let ctx = { cfg; analysis; delay; res; frags; cfg_fp; check } in
     Stg.instantiate (region_frag ctx top) ~clock_ns:cfg.clock_ns
   in
-  let stg = build frags in
+  let stg =
+    build frags
+      (match frags with Some _ -> tabulate g ~delay ~res top | None -> (delay, res))
+  in
   (match frags with
-  | Some _ when check_enabled () ->
-    (* Cold reference: the same schedule with fragment reuse disabled must
-       be bit-identical — splicing is an implementation detail, never a
-       semantic one. *)
-    let cold = build None in
+  | Some _ when check ->
+    (* Cold reference: the same schedule with fragment reuse disabled, read
+       through the caller's own model closures, must be bit-identical —
+       splicing and tabulation are implementation details, never semantic
+       ones. *)
+    let cold = build None (delay, res) in
     if Stg.signature cold <> Stg.signature stg then
       failwith
         "IMPACT_SCHED_CHECK: spliced schedule diverges from a cold reschedule";

@@ -2,6 +2,7 @@ module Ir = Impact_cdfg.Ir
 module Guard = Impact_cdfg.Guard
 module Vec = Impact_util.Vec
 module Dot = Impact_util.Dot
+module Keybuf = Impact_util.Keybuf
 
 type phase = Normal | Merge_init | Merge_back
 
@@ -81,6 +82,42 @@ let signature t =
         t.succs.(s))
     t.states;
   Buffer.contents buf
+
+(* The same fields as [signature], as compact bytes ({!Keybuf}): the memo
+   key of the estimator's per-schedule tables, where rendering text per
+   candidate schedule cost as much as a leaf schedule. *)
+let key t =
+  let kb = Keybuf.create 1024 in
+  let guard kb g =
+    Keybuf.list kb
+      (fun kb (a : Guard.atom) ->
+        Keybuf.tag kb (if a.Guard.value then '+' else '-');
+        Keybuf.int kb a.Guard.cond_edge)
+      (Guard.atoms g)
+  in
+  Keybuf.float kb t.clock_ns;
+  Keybuf.int kb t.entry;
+  Keybuf.int kb t.exit_id;
+  Keybuf.int kb (Array.length t.states);
+  Array.iteri
+    (fun s state ->
+      Keybuf.list kb
+        (fun kb fr ->
+          Keybuf.int kb fr.f_node;
+          Keybuf.tag kb
+            (match fr.f_phase with Normal -> 'n' | Merge_init -> 'i' | Merge_back -> 'b');
+          guard kb fr.f_guard;
+          Keybuf.float kb fr.f_start_ns;
+          Keybuf.float kb fr.f_finish_ns;
+          Keybuf.int kb fr.f_chain_pos)
+        state.firings;
+      Keybuf.list kb
+        (fun kb tr ->
+          Keybuf.int kb tr.t_dst;
+          guard kb tr.t_guard)
+        t.succs.(s))
+    t.states;
+  Keybuf.contents kb
 
 let pp ppf t =
   Format.fprintf ppf "STG: %d states (entry %d, exit %d, clock %.1f ns)@."

@@ -62,8 +62,14 @@ val signature : t -> string
 (** A canonical rendering of the complete STG structure (states, firings
     with guards/phases/times, transitions, clock, entry/exit).  Two STGs
     with equal signatures are interchangeable for scheduling-derived
-    analyses (ENC, activations, controller statistics, lifetimes), which is
-    what keys the per-schedule memo tables of the power estimator. *)
+    analyses (ENC, activations, controller statistics, lifetimes).  Golden
+    tests and the scheduler's cold-reschedule cross-check compare it. *)
+
+val key : t -> string
+(** The same fields as {!signature} as compact binary bytes
+    ({!Impact_util.Keybuf}): two STGs have equal keys iff they have equal
+    signatures.  Much cheaper to build and hash than the text, it keys the
+    per-schedule memo tables of the power estimator. *)
 
 val pp : Format.formatter -> t -> unit
 val to_dot : t -> string

@@ -2,9 +2,10 @@
    the fragment-spliced evaluation must reproduce the full-reschedule
    evaluation bit for bit (STG signature, ENC, cost fingerprints); a move's
    schedule perturbation must stay inside its declared resource footprint;
-   spliced fragments must pass the structural splice checks; and the
+   spliced fragments must pass the structural splice checks; the
    fragment cache must honour its snapshot, fork/commit and persistence
-   contracts. *)
+   contracts; and the binary memo keys must partition solutions and
+   schedules exactly as the text they replaced. *)
 
 module Graph = Impact_cdfg.Graph
 module Guard = Impact_cdfg.Guard
@@ -339,6 +340,233 @@ let test_fragcache_write_once () =
   check_bool "unforked cache hits the backing" true (Fragcache.find warm2 "k" <> None);
   check_int "backing hits are never written back" 1 !puts
 
+(* The backing sees [context ^ "\000" ^ region key] and nothing else: a
+   real schedule's fragments are put under exactly that, a second cache with
+   the same context hits them by region key, and fragments a forked probe
+   read from the backing are not put again when it commits. *)
+let test_fragcache_backing_keys () =
+  let disk = Hashtbl.create 64 and puts = ref [] in
+  let backing =
+    {
+      Fragcache.bk_find = Hashtbl.find_opt disk;
+      bk_put =
+        (fun k ~cost_ns:_ v ->
+          puts := k :: !puts;
+          Hashtbl.replace disk k v);
+    }
+  in
+  let env = make_env Suite.gcd 2.5 in
+  let cfg = env.Solution.sched_config and prog = env.Solution.program in
+  let sol = Solution.initial env in
+  let delay = Datapath.delay_model sol.Solution.dp
+  and res = Datapath.resource_model sol.Solution.dp in
+  let context = "gcd" in
+  let fc = Fragcache.create ~context ~backing () in
+  ignore (Scheduler.schedule ~frags:fc cfg prog ~delay ~res);
+  let prefix = context ^ "\000" in
+  let region_keys =
+    List.map
+      (fun k ->
+        check_bool "put key starts with context ^ NUL" true
+          (String.starts_with ~prefix k);
+        String.sub k (String.length prefix) (String.length k - String.length prefix))
+      !puts
+  in
+  check_int "one put per filed fragment" (Fragcache.entries fc) (List.length region_keys);
+  List.iter
+    (fun k -> check_bool "the rest is the in-memory key" true (Fragcache.find fc k <> None))
+    region_keys;
+  (match Scheduler.region_report cfg prog ~delay ~res with
+  | (_, top) :: _ ->
+    check_bool "the outermost region's digest was put" true (List.mem top region_keys)
+  | [] -> Alcotest.fail "gcd has no cacheable region");
+  let n = List.length !puts in
+  let fc2 = Fragcache.create ~context ~backing () in
+  List.iter
+    (fun k -> check_bool "same context hits the backing" true (Fragcache.find fc2 k <> None))
+    region_keys;
+  let probe = Fragcache.fork (Fragcache.create ~context ~backing ()) in
+  List.iter (fun k -> ignore (Fragcache.find probe k)) region_keys;
+  Fragcache.commit probe;
+  check_int "store-sourced entries are never put again" n (List.length !puts)
+
+(* --- Binary memo keys partition exactly like the text they replaced ------- *)
+
+(* The text form the solution-cache key used to be, kept as the reference
+   partition: the binary key must put two (binding, restructured) pairs in
+   one class iff this text does.  [~modules:false] / [~inputs:false] give
+   mutants that forget module names / register input names. *)
+let reference_signature ?(modules = true) ?(inputs = true) ~binding:b ~restructured () =
+  let ints xs = String.concat "," (List.map string_of_int (List.sort compare xs)) in
+  let fu_sigs =
+    List.sort compare
+      (List.map
+         (fun fu ->
+           Printf.sprintf "F%s:%s"
+             (if modules then (Binding.fu_module b fu).Module_library.spec_name else "")
+             (ints (Binding.fu_ops b fu)))
+         (Binding.fu_ids b))
+  in
+  let reg_sigs =
+    List.sort compare
+      (List.map
+         (fun reg ->
+           Printf.sprintf "R%s|%s"
+             (ints (Binding.reg_values b reg))
+             (if inputs then
+                String.concat "," (List.sort compare (Binding.reg_input_names b reg))
+              else ""))
+         (Binding.reg_ids b))
+  in
+  let port_sig port =
+    match port with
+    | Datapath.P_fu_input (fu, port) -> (
+      match Binding.fu_ops b fu with
+      | exception _ -> Printf.sprintf "pf?%d.%d" fu port
+      | [] -> Printf.sprintf "pf?%d.%d" fu port
+      | ops -> Printf.sprintf "pf%d.%d" (List.fold_left min max_int ops) port)
+    | Datapath.P_reg_write reg -> (
+      match (Binding.reg_values b reg, Binding.reg_input_names b reg) with
+      | exception _ -> Printf.sprintf "pr?%d" reg
+      | [], [] -> Printf.sprintf "pr?%d" reg
+      | [], names -> "pri" ^ List.hd (List.sort compare names)
+      | vals, _ -> Printf.sprintf "pr%d" (List.fold_left min max_int vals))
+  in
+  let ports = List.sort_uniq compare (List.map port_sig restructured) in
+  String.concat "#"
+    [ String.concat ";" fu_sigs; String.concat ";" reg_sigs; String.concat ";" ports ]
+
+(* Every solution a short random walk builds: at each step every candidate
+   (and, for a share, its mirror image, which groups the same resources
+   under other ids) is applied, then the walk moves to a random one. *)
+let walk_solutions bench ~seed ~steps =
+  let env = make_env bench 2.5 in
+  let rng = Rng.create ~seed in
+  let mirror = function
+    | Moves.Share_fu (a, b) -> [ Moves.Share_fu (b, a) ]
+    | Moves.Share_reg (a, b) -> [ Moves.Share_reg (b, a) ]
+    | _ -> []
+  in
+  let rec go sol step acc =
+    if step = steps then acc
+    else
+      let succs =
+        Moves.candidates env sol ~rng ~max:40
+        |> List.concat_map (fun mv -> mv :: mirror mv)
+        |> List.filter_map (Moves.apply env sol)
+      in
+      match succs with
+      | [] -> acc
+      | _ -> go (List.nth succs (Rng.int rng (List.length succs))) (step + 1) (succs @ acc)
+  in
+  go (Solution.initial env) 0 []
+
+(* [key] and [reference] induce the same partition of [xs]: each is a
+   function of the other over the sample. *)
+let same_partition key reference xs =
+  let by_key = Hashtbl.create 64 and by_ref = Hashtbl.create 64 in
+  let consistent tbl a b =
+    match Hashtbl.find_opt tbl a with
+    | Some b' -> b' = b
+    | None ->
+      Hashtbl.add tbl a b;
+      true
+  in
+  List.for_all
+    (fun x ->
+      let k = key x and r = reference x in
+      consistent by_key k r && consistent by_ref r k)
+    xs
+
+let binding_key (s : Solution.t) =
+  Solution.signature ~binding:s.Solution.binding ~restructured:s.Solution.restructured
+
+let binding_reference ?modules ?inputs () (s : Solution.t) =
+  reference_signature ?modules ?inputs ~binding:s.Solution.binding
+    ~restructured:s.Solution.restructured ()
+
+let stg_key (s : Solution.t) = Stg.key s.Solution.stg
+let stg_reference (s : Solution.t) = Stg.signature s.Solution.stg
+
+let test_key_partition =
+  QCheck.Test.make ~count:2 ~name:"binary keys partition like the text (8 benchmarks)"
+    QCheck.(int_range 1 1000)
+    (fun seed ->
+      List.for_all
+        (fun bench ->
+          let sols = walk_solutions bench ~seed ~steps:2 in
+          same_partition binding_key (binding_reference ()) sols
+          && same_partition stg_key stg_reference sols)
+        Suite.all_extended)
+
+(* Walk schedules never differ in a field their firings already determine
+   (chain positions, transitions), so every field is also perturbed by
+   hand: each variant must get its own key, as it gets its own signature. *)
+let test_stg_key_fields () =
+  let fr ?(node = 1) ?(phase = Stg.Normal) ?(guard = Guard.always) ?(start = 0.)
+      ?(finish = 2.5) ?(pos = 0) () =
+    {
+      Stg.f_node = node;
+      f_phase = phase;
+      f_guard = guard;
+      f_start_ns = start;
+      f_finish_ns = finish;
+      f_chain_pos = pos;
+    }
+  in
+  let stg ?(clock = 10.) ?(entry = 0) ?(firings = [ [ fr (); fr ~node:2 () ]; [] ])
+      ?(succs = [ [ { Stg.t_guard = Guard.always; t_dst = 1 } ]; [] ]) () =
+    {
+      Stg.states = Array.of_list (List.map (fun firings -> { Stg.firings }) firings);
+      succs = Array.of_list succs;
+      entry;
+      exit_id = List.length firings - 1;
+      clock_ns = clock;
+    }
+  in
+  let variants =
+    [
+      stg ();
+      stg ~clock:12. ();
+      stg ~entry:1 ();
+      stg ~firings:[ [ fr (); fr ~node:3 () ]; [] ] ();
+      stg ~firings:[ [ fr ~phase:Stg.Merge_init (); fr ~node:2 () ]; [] ] ();
+      stg ~firings:[ [ fr ~guard:(Guard.atom 4 true) (); fr ~node:2 () ]; [] ] ();
+      stg ~firings:[ [ fr ~guard:(Guard.atom 4 false) (); fr ~node:2 () ]; [] ] ();
+      stg ~firings:[ [ fr ~start:(-0.) (); fr ~node:2 () ]; [] ] ();
+      stg ~firings:[ [ fr ~finish:3. (); fr ~node:2 () ]; [] ] ();
+      stg ~firings:[ [ fr ~pos:1 (); fr ~node:2 () ]; [] ] ();
+      stg ~firings:[ [ fr () ]; [ fr ~node:2 () ] ] ();
+      stg ~firings:[ [ fr (); fr ~node:2 () ]; []; [] ] ~succs:[ []; []; [] ] ();
+      stg ~succs:[ [ { Stg.t_guard = Guard.always; t_dst = 0 } ]; [] ] ();
+      stg ~succs:[ [ { Stg.t_guard = Guard.atom 4 true; t_dst = 1 } ]; [] ] ();
+      stg ~succs:[ []; [] ] ();
+    ]
+  in
+  check_int "every variant has its own signature" (List.length variants)
+    (List.length (List.sort_uniq compare (List.map Stg.signature variants)));
+  check_int "every variant has its own key" (List.length variants)
+    (List.length (List.sort_uniq compare (List.map Stg.key variants)));
+  check_bool "equal schedules have equal keys" true
+    (Stg.key (stg ()) = Stg.key (stg ()))
+
+(* The walks are strong enough to catch a key that forgets a field: one
+   that drops module names (Substitute renames only a unit's module) or
+   register input names (a value register shared with either of two input
+   registers) merges classes the reference keeps apart. *)
+let test_key_mutants () =
+  let sols =
+    List.concat_map (fun b -> walk_solutions b ~seed:5 ~steps:2) Suite.all_extended
+  in
+  check_bool "binding key agrees with the text" true
+    (same_partition binding_key (binding_reference ()) sols);
+  check_bool "schedule key agrees with the signature" true
+    (same_partition stg_key stg_reference sols);
+  check_bool "a key without module names is caught" false
+    (same_partition (binding_reference ~modules:false ()) (binding_reference ()) sols);
+  check_bool "a key without register input names is caught" false
+    (same_partition (binding_reference ~inputs:false ()) (binding_reference ()) sols)
+
 (* --- The persistent frag tier through the driver --------------------------- *)
 
 let rec rm_rf path =
@@ -417,6 +645,15 @@ let () =
           Alcotest.test_case "persistent backing" `Quick test_fragcache_backing;
           Alcotest.test_case "each fragment persisted once" `Quick
             test_fragcache_write_once;
+          Alcotest.test_case "backing key is context ^ NUL ^ region key" `Quick
+            test_fragcache_backing_keys;
+        ] );
+      ( "keys",
+        [
+          QCheck_alcotest.to_alcotest test_key_partition;
+          Alcotest.test_case "walks catch key mutants" `Quick test_key_mutants;
+          Alcotest.test_case "every schedule field reaches the key" `Quick
+            test_stg_key_fields;
         ] );
       ( "store",
         [ Alcotest.test_case "frag tier via driver" `Quick test_frag_store_tier ] );

@@ -6,6 +6,7 @@ module Stats = Impact_util.Stats
 module Linsolve = Impact_util.Linsolve
 module Pqueue = Impact_util.Pqueue
 module Table = Impact_util.Table
+module Keybuf = Impact_util.Keybuf
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -198,6 +199,53 @@ let test_table_arity () =
   Alcotest.check_raises "arity" (Invalid_argument "Table.add_row: expected 2 cells, got 1")
     (fun () -> Table.add_row t [ "only" ])
 
+(* --- Keybuf ------------------------------------------------------------ *)
+
+let key fields =
+  let kb = Keybuf.create 16 in
+  fields kb;
+  Keybuf.contents kb
+
+let test_keybuf_lists () =
+  let two_lists a b kb =
+    Keybuf.ints kb a;
+    Keybuf.ints kb b
+  in
+  check_bool "adjacent int lists cannot alias" true
+    (key (two_lists [ 1; 2 ] [ 3 ]) <> key (two_lists [ 1 ] [ 2; 3 ]));
+  check_bool "an empty list is not elided" true
+    (key (two_lists [] [ 0 ]) <> key (two_lists [ 0 ] []));
+  let two_strings a b kb =
+    Keybuf.string kb a;
+    Keybuf.string kb b
+  in
+  check_bool "adjacent strings cannot alias" true
+    (key (two_strings "ab" "c") <> key (two_strings "a" "bc"))
+
+let test_keybuf_ints () =
+  check_bool "-1 and 1 differ" true (key (fun kb -> Keybuf.int kb (-1)) <> key (fun kb -> Keybuf.int kb 1));
+  check_int "small negatives take one byte" 1 (String.length (key (fun kb -> Keybuf.int kb (-64))));
+  check_int "ids below 64 take one byte" 1 (String.length (key (fun kb -> Keybuf.int kb 63)));
+  check_int "64 takes two" 2 (String.length (key (fun kb -> Keybuf.int kb 64)));
+  List.iter
+    (fun n ->
+      check_bool (Printf.sprintf "%d encodes in at most 9 bytes" n) true
+        (String.length (key (fun kb -> Keybuf.int kb n)) <= 9))
+    [ min_int; max_int; -1; 0 ]
+
+let test_keybuf_floats () =
+  check_bool "0.0 and -0.0 differ" true
+    (key (fun kb -> Keybuf.float kb 0.0) <> key (fun kb -> Keybuf.float kb (-0.0)));
+  check_int "floats are raw 64-bit words" 8 (String.length (key (fun kb -> Keybuf.float kb 1.5)))
+
+let keybuf_int_prop =
+  let extreme = QCheck.Gen.oneofl [ min_int; max_int; min_int + 1; max_int - 1; 0; -1 ] in
+  let gen = QCheck.Gen.(frequency [ (3, int); (1, extreme); (2, int_range (-300) 300) ]) in
+  QCheck.Test.make ~name:"keybuf int injective" ~count:500
+    (QCheck.make ~print:QCheck.Print.(pair int int) (QCheck.Gen.pair gen gen))
+    (fun (a, b) ->
+      key (fun kb -> Keybuf.int kb a) = key (fun kb -> Keybuf.int kb b) = (a = b))
+
 let () =
   let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests in
   Alcotest.run "impact_util"
@@ -233,6 +281,13 @@ let () =
           Alcotest.test_case "hitting chain" `Quick test_hitting_times_chain;
           Alcotest.test_case "hitting geometric" `Quick test_hitting_times_geometric;
         ] );
+      ( "keybuf",
+        [
+          Alcotest.test_case "lists and strings" `Quick test_keybuf_lists;
+          Alcotest.test_case "ints" `Quick test_keybuf_ints;
+          Alcotest.test_case "floats" `Quick test_keybuf_floats;
+        ]
+        @ qsuite [ keybuf_int_prop ] );
       ( "pqueue",
         Alcotest.test_case "order" `Quick test_pqueue_order
         :: qsuite [ pqueue_prop ] );
