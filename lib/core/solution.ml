@@ -255,7 +255,7 @@ let price ?metrics env bt =
    overlay at the coordinator's chosen merge point. *)
 type cache = {
   cs_shared : (string, built) Shardtbl.t;
-  cs_overlay : (string, built) Hashtbl.t option;
+  cs_overlay : (string, built) Shardtbl.t option;  (* one shard *)
   cs_frags : Fragcache.t option;
       (* region-fragment memo threaded into every cached-path schedule; a
          signature-cache miss on a Heavy move then only re-schedules the
@@ -263,18 +263,18 @@ type cache = {
 }
 
 let create_cache ?frags () =
-  { cs_shared = Shardtbl.create 256; cs_overlay = None; cs_frags = frags }
+  { cs_shared = Shardtbl.create ~equal:String.equal 256; cs_overlay = None; cs_frags = frags }
 
 let frag_cache c = c.cs_frags
 
 let cache_entries c =
   Shardtbl.length c.cs_shared
-  + (match c.cs_overlay with None -> 0 | Some o -> Hashtbl.length o)
+  + (match c.cs_overlay with None -> 0 | Some o -> Shardtbl.length o)
 
 let fork_cache c =
   {
     cs_shared = c.cs_shared;
-    cs_overlay = Some (Hashtbl.create 64);
+    cs_overlay = Some (Shardtbl.create ~shards:1 ~equal:String.equal 64);
     cs_frags = Option.map Fragcache.fork c.cs_frags;
   }
 
@@ -282,8 +282,8 @@ let commit_cache c =
   (match c.cs_overlay with
   | None -> ()
   | Some o ->
-    Hashtbl.iter (fun k v -> ignore (Shardtbl.add_if_absent c.cs_shared k v)) o;
-    Hashtbl.reset o);
+    Shardtbl.iter (fun k v -> ignore (Shardtbl.add_if_absent c.cs_shared k v)) o;
+    Shardtbl.clear o);
   Option.iter Fragcache.commit c.cs_frags
 
 (* The canonical key of (binding, restructured): the binding's own key
@@ -330,31 +330,23 @@ let rebuild ?cache ?metrics ?delta env ~binding ~restructured ~reuse_stg =
       fresh ()
     | Some c, None -> (
       let key = signature ~binding ~restructured in
+      let hash = Shardtbl.hash key in
       let hit =
-        match c.cs_overlay with
-        | Some o -> (
-          match Hashtbl.find_opt o key with
-          | Some _ as h -> h
-          | None -> Shardtbl.find_opt c.cs_shared key)
-        | None -> Shardtbl.find_opt c.cs_shared key
+        match Option.bind c.cs_overlay (fun o -> Shardtbl.find_opt ~hash o key) with
+        | Some _ as h -> h
+        | None -> Shardtbl.find_opt ~hash c.cs_shared key
       in
       match hit with
       | Some bt ->
         bump metrics (fun m -> m.m_cache_hits);
         bt
-      | None -> (
-        match c.cs_overlay with
-        | Some o ->
-          (* Probe-private: publish only to the overlay so sibling probes
-             never observe this build before the merge point. *)
-          let bt = fresh () in
-          Hashtbl.replace o key bt;
-          bt
-        | None ->
-          (* Insert-or-get: when two domains built the same signature
-             concurrently, everyone settles on the entry that won the race
-             so later pricing is shared. *)
-          Shardtbl.add_if_absent c.cs_shared key (fresh ())))
+      | None ->
+        (* A probe publishes only to its overlay, so sibling probes never
+           observe this build before the merge point.  Otherwise
+           insert-or-get: when two domains built the same signature
+           concurrently, everyone settles on the entry that won the race
+           so later pricing is shared. *)
+        Shardtbl.add_if_absent ~hash (Option.value c.cs_overlay ~default:c.cs_shared) key (fresh ()))
   in
   price ?metrics env bt
 

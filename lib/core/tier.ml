@@ -271,8 +271,10 @@ type sweep_entry = {
       (* laxity, a_power, i_power, i_area, a_vdd, i_vdd *)
 }
 
-let design_tier : design_entry t = make ~ns:Store.default_ns ~tag:"design"
-let sweep_tier : sweep_entry t = make ~ns:Store.default_ns ~tag:"sweep"
+(* Both entries hold portable bindings; the tags name their array layout,
+   so entries written with the earlier hash-table layout read as misses. *)
+let design_tier : design_entry t = make ~ns:Store.default_ns ~tag:"design-dense"
+let sweep_tier : sweep_entry t = make ~ns:Store.default_ns ~tag:"sweep-dense"
 
 (* The ledger's term listing is table-fold-ordered; sorting makes it a
    canonical value that survives the round-trip comparison. *)

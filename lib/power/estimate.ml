@@ -83,11 +83,11 @@ let create_ctx ?eff run =
   | _ -> ());
   {
     c_run = run;
-    unit_sw = Shardtbl.create 64;
-    value_sw = Shardtbl.create 128;
-    enc_tbl = Shardtbl.create 64;
-    stg_tbl = Shardtbl.create 64;
-    lifetime_tbl = Shardtbl.create 64;
+    unit_sw = Shardtbl.create ~equal:(List.equal Int.equal) 64;
+    value_sw = Shardtbl.create ~equal:Datapath.key_equal 128;
+    enc_tbl = Shardtbl.create ~equal:String.equal 64;
+    stg_tbl = Shardtbl.create ~equal:String.equal 64;
+    lifetime_tbl = Shardtbl.create ~equal:String.equal 64;
     last_key = Atomic.make None;
     last_enc = Atomic.make None;
     last_terms = Atomic.make None;
@@ -172,11 +172,11 @@ let eff_fu_port ctx ~decl ops ~port =
 let fork parent =
   {
     parent with
-    unit_sw = Shardtbl.create ~shards:1 32;
-    value_sw = Shardtbl.create ~shards:1 32;
-    enc_tbl = Shardtbl.create ~shards:1 32;
-    stg_tbl = Shardtbl.create ~shards:1 32;
-    lifetime_tbl = Shardtbl.create ~shards:1 32;
+    unit_sw = Shardtbl.create ~shards:1 ~equal:(List.equal Int.equal) 32;
+    value_sw = Shardtbl.create ~shards:1 ~equal:Datapath.key_equal 32;
+    enc_tbl = Shardtbl.create ~shards:1 ~equal:String.equal 32;
+    stg_tbl = Shardtbl.create ~shards:1 ~equal:String.equal 32;
+    lifetime_tbl = Shardtbl.create ~shards:1 ~equal:String.equal 32;
     last_key = Atomic.make None;
     last_enc = Atomic.make None;
     last_terms = Atomic.make None;
@@ -200,22 +200,24 @@ let run ctx = ctx.c_run
 
 (* Unit memo keys are canonicalised (sorted) so permuted-but-equal operation
    groups hit the same entry; the merged trace only depends on the set. *)
-let canonical_ops ops = List.sort compare ops
+let canonical_ops ops = List.sort Int.compare ops
 
 (* Memo lookups read through the replica chain (own table first, then
-   ancestors) and publish to the local table only. *)
-let rec find_through get ctx key =
-  match Shardtbl.find_opt (get ctx) key with
+   ancestors) and publish to the local table only; the key is hashed once
+   for the whole chain. *)
+let rec find_through get ctx ~hash key =
+  match Shardtbl.find_opt ~hash (get ctx) key with
   | Some v -> Some v
   | None -> (
     match ctx.c_parent with
     | None -> None
-    | Some p -> find_through get p key)
+    | Some p -> find_through get p ~hash key)
 
 let shard_memo get ctx key compute =
-  match find_through get ctx key with
+  let hash = Shardtbl.hash key in
+  match find_through get ctx ~hash key with
   | Some v -> v
-  | None -> Shardtbl.add_if_absent (get ctx) key (compute ())
+  | None -> Shardtbl.add_if_absent ~hash (get ctx) key (compute ())
 
 (* Miss-path computations are timed into [memo_cost]; the timer only runs
    when a k-way trace merge is about to, so the hot (hit) path is
@@ -583,6 +585,16 @@ let check_against_full ctx ~stg ~dp ~vdd est =
          "Estimate.reprice diverged from full estimate: delta %.17g vs full %.17g"
          est.est_power full.est_power)
 
+(* Ports in build order: every unit port, by unit then port, before every
+   register write. *)
+let port_compare a b =
+  match (a, b) with
+  | Datapath.P_fu_input (f, p), Datapath.P_fu_input (g, q) ->
+    if f <> g then Int.compare f g else Int.compare p q
+  | P_reg_write r, P_reg_write s -> Int.compare r s
+  | P_fu_input _, P_reg_write _ -> -1
+  | P_reg_write _, P_fu_input _ -> 1
+
 let reprice ctx ~prev ~footprint ~stg ~dp ?(vdd = Vdd.nominal) () =
   if not (can_reprice prev ~stg) then
     (* The move rescheduled: every activation-weighted term changed, so a
@@ -591,8 +603,8 @@ let reprice ctx ~prev ~footprint ~stg ~dp ?(vdd = Vdd.nominal) () =
   else begin
     let b = Datapath.binding dp in
     let st = prev.lg_terms in
-    let touched_fu fu = List.mem fu footprint.fp_fus in
-    let touched_reg reg = List.mem reg footprint.fp_regs in
+    let touched_fu fu = List.exists (Int.equal fu) footprint.fp_fus in
+    let touched_reg reg = List.exists (Int.equal reg) footprint.fp_regs in
     let touched_port = function
       | Datapath.P_fu_input (fu, _) -> touched_fu fu
       | Datapath.P_reg_write reg -> touched_reg reg
@@ -600,7 +612,7 @@ let reprice ctx ~prev ~footprint ~stg ~dp ?(vdd = Vdd.nominal) () =
     (* Each untouched resource carries [prev]'s term, found by binary search
        of [prev]'s sorted ids (networks are built in ascending port order);
        touched or new ones are priced afresh. *)
-    let carry ids ~touched prev_ids prev_terms fresh =
+    let carry ~compare ids ~touched prev_ids prev_terms fresh =
       let rec find id lo hi =
         if lo >= hi then None
         else
@@ -619,21 +631,21 @@ let reprice ctx ~prev ~footprint ~stg ~dp ?(vdd = Vdd.nominal) () =
     let reg_ids = Array.of_list (Binding.reg_ids b) in
     let net_ports = Array.map (fun net -> net.Datapath.net_port) (Datapath.networks dp) in
     let carry_reg prev_terms fresh =
-      carry reg_ids ~touched:touched_reg prev.lg_reg_ids prev_terms (fun _ reg -> fresh reg)
+      carry ~compare:Int.compare reg_ids ~touched:touched_reg prev.lg_reg_ids prev_terms (fun _ reg -> fresh reg)
     in
     let lg =
       {
         prev with
         lg_fu_ids = fu_ids;
         lg_fu =
-          carry fu_ids ~touched:touched_fu prev.lg_fu_ids prev.lg_fu (fun _ fu ->
+          carry ~compare:Int.compare fu_ids ~touched:touched_fu prev.lg_fu_ids prev.lg_fu (fun _ fu ->
               fu_term ctx st b fu);
         lg_reg_ids = reg_ids;
         lg_reg_write = carry_reg prev.lg_reg_write (reg_write_term ctx st b);
         lg_reg_clock = carry_reg prev.lg_reg_clock (reg_clock_term b);
         lg_net_ports = net_ports;
         lg_net =
-          carry net_ports ~touched:touched_port prev.lg_net_ports prev.lg_net (fun idx _ ->
+          carry ~compare:port_compare net_ports ~touched:touched_port prev.lg_net_ports prev.lg_net (fun idx _ ->
               net_term ctx st dp idx);
       }
     in

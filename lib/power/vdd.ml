@@ -4,9 +4,11 @@ let alpha = 1.6
 
 let raw_delay v = v /. ((v -. threshold) ** alpha)
 
+let raw_nominal = raw_delay nominal
+
 let delay_ratio v =
   if v <= threshold then invalid_arg "Vdd.delay_ratio: supply below threshold";
-  raw_delay v /. raw_delay nominal
+  raw_delay v /. raw_nominal
 
 let scale_for_stretch s =
   if s <= 1. then nominal

@@ -81,9 +81,8 @@ val add_key : Impact_util.Keybuf.t -> t -> unit
     A self-contained snapshot of the binding decision — unit/register
     groupings, module names with their characterisation, id counters —
     without the graph or the library object.  It is pure data (safe to
-    [Marshal]), and round-trips {e exactly}: the snapshot preserves the
-    internal table layout, so every enumeration order (and therefore every
-    float summation such as {!fu_area}) is bit-identical after
+    [Marshal]), and round-trips {e exactly}: unit and register ids, and
+    therefore every ascending-id enumeration, are the same after
     [of_portable].  This is what the persistent store writes to disk. *)
 
 type portable

@@ -20,9 +20,16 @@ type network = {
 type t = {
   b : Binding.t;
   nets : network array;
-  fu_index : (int * int, int) Hashtbl.t;
-  reg_index : (int, int) Hashtbl.t;
+  fu_index : int array array;  (* unit id -> port -> network, -1 for none *)
+  reg_index : int array;  (* register id -> network, -1 for none *)
 }
+
+let key_equal a b =
+  match (a, b) with
+  | K_node x, K_node y -> Int.equal x y
+  | K_const x, K_const y -> Impact_util.Bitvec.equal x y
+  | K_input x, K_input y -> String.equal x y
+  | (K_node _ | K_const _ | K_input _), _ -> false
 
 let key_of_edge g eid =
   match (Graph.edge g eid).Ir.source with
@@ -46,21 +53,18 @@ let write_keys b nid =
   | _ -> [ K_node nid ]
 
 let dedup_keys keys =
-  let seen = Hashtbl.create 8 in
-  List.filter
-    (fun k ->
-      if Hashtbl.mem seen k then false
-      else begin
-        Hashtbl.add seen k ();
-        true
-      end)
-    keys
+  List.rev
+    (List.fold_left
+       (fun seen k -> if List.exists (key_equal k) seen then seen else k :: seen)
+       [] keys)
 
 let build b =
   let g = Binding.graph b in
   let nets = ref [] in
-  let fu_index = Hashtbl.create 16 in
-  let reg_index = Hashtbl.create 32 in
+  let fu_ids = Binding.fu_ids b and reg_ids = Binding.reg_ids b in
+  let id_bound ids = List.fold_left (fun m id -> max m (id + 1)) 0 ids in
+  let fu_index = Array.make (id_bound fu_ids) [||] in
+  let reg_index = Array.make (id_bound reg_ids) (-1) in
   let count = ref 0 in
   let add_net port width keys =
     match keys with
@@ -87,6 +91,7 @@ let build b =
           (fun acc nid -> max acc (Array.length (Graph.node g nid).Ir.inputs))
           0 ops
       in
+      fu_index.(fu) <- Array.make max_arity (-1);
       for port = 0 to max_arity - 1 do
         let keys =
           ops
@@ -98,10 +103,10 @@ let build b =
           |> dedup_keys
         in
         match add_net (P_fu_input (fu, port)) (Binding.fu_width b fu) keys with
-        | Some id -> Hashtbl.replace fu_index (fu, port) id
+        | Some id -> fu_index.(fu).(port) <- id
         | None -> ()
       done)
-    (Binding.fu_ids b);
+    fu_ids;
   (* Register write networks. *)
   List.iter
     (fun reg ->
@@ -113,22 +118,26 @@ let build b =
       in
       let keys = dedup_keys (value_keys @ input_keys) in
       match add_net (P_reg_write reg) (Binding.reg_width b reg) keys with
-      | Some id -> Hashtbl.replace reg_index reg id
+      | Some id -> reg_index.(reg) <- id
       | None -> ())
-    (Binding.reg_ids b);
+    reg_ids;
   { b; nets = Array.of_list (List.rev !nets); fu_index; reg_index }
 
 let binding t = t.b
 let networks t = t.nets
 let network t i = t.nets.(i)
 let network_count t = Array.length t.nets
-let fu_input_network t ~fu ~port = Hashtbl.find_opt t.fu_index (fu, port)
-let reg_write_network t ~reg = Hashtbl.find_opt t.reg_index reg
+let index_opt a i = if i >= 0 && i < Array.length a && a.(i) >= 0 then Some a.(i) else None
+
+let fu_input_network t ~fu ~port =
+  index_opt (if fu >= 0 && fu < Array.length t.fu_index then t.fu_index.(fu) else [||]) port
+
+let reg_write_network t ~reg = index_opt t.reg_index reg
 
 let leaf_of_key net key =
   let rec scan i =
     if i >= Array.length net.net_keys then None
-    else if net.net_keys.(i) = key then Some i
+    else if key_equal net.net_keys.(i) key then Some i
     else scan (i + 1)
   in
   scan 0
@@ -156,7 +165,7 @@ let delay_model t =
     match Binding.fu_of t.b nid with
     | None -> 0.
     | Some fu -> (
-      match Hashtbl.find_opt t.fu_index (fu, port) with
+      match fu_input_network t ~fu ~port with
       | None -> 0.
       | Some id ->
         let net = t.nets.(id) in
@@ -167,7 +176,7 @@ let delay_model t =
   in
   let output_extra_ns nid =
     let reg = Binding.reg_of t.b nid in
-    match Hashtbl.find_opt t.reg_index reg with
+    match reg_write_network t ~reg with
     | None -> 0.
     | Some id ->
       let net = t.nets.(id) in
@@ -276,7 +285,7 @@ let to_dot t =
           let n = Graph.node g nid in
           Array.iteri
             (fun port _ ->
-              if Hashtbl.find_opt t.fu_index (fu, port) = None then
+              if Option.is_none (fu_input_network t ~fu ~port) then
                 match key_source (operand_key t.b nid ~port) with
                 | Some src -> Dot.edge dot ~style:"dashed" src (fu_id fu)
                 | None -> ())

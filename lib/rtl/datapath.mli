@@ -22,6 +22,8 @@ type key =
   | K_const of Impact_util.Bitvec.t
   | K_input of string
 
+val key_equal : key -> key -> bool
+
 type port = P_fu_input of int * int  (** unit, port *) | P_reg_write of int
 
 type network = {

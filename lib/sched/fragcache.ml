@@ -12,7 +12,7 @@ type entry = { e_frag : Stg.portable_frag; e_cost_ns : int; e_from_store : bool 
 type t = {
   fc_context : string;
   fc_shared : (string, entry) Shardtbl.t;
-  fc_overlay : (string, entry) Hashtbl.t option;
+  fc_overlay : (string, entry) Shardtbl.t option;  (* one shard, probe-private *)
   fc_backing : backing option;
   (* Shared across forks (like the estimator's memo-cost counter): the
      search reports whole-run deltas, not per-overlay views. *)
@@ -23,7 +23,7 @@ type t = {
 let create ?(context = "") ?backing () =
   {
     fc_context = context;
-    fc_shared = Shardtbl.create 256;
+    fc_shared = Shardtbl.create ~equal:String.equal 256;
     fc_overlay = None;
     fc_backing = backing;
     fc_reused = Atomic.make 0;
@@ -32,11 +32,11 @@ let create ?(context = "") ?backing () =
 
 let context t = t.fc_context
 
-let fork t = { t with fc_overlay = Some (Hashtbl.create 64) }
+let fork t = { t with fc_overlay = Some (Shardtbl.create ~shards:1 ~equal:String.equal 64) }
 
 let entries t =
   Shardtbl.length t.fc_shared
-  + (match t.fc_overlay with None -> 0 | Some o -> Hashtbl.length o)
+  + (match t.fc_overlay with None -> 0 | Some o -> Shardtbl.length o)
 
 let counters t = (Atomic.get t.fc_reused, Atomic.get t.fc_scheduled)
 
@@ -52,7 +52,7 @@ let decode payload : entry option =
   | exception _ -> None
 
 (* One cache serves one context, so the in-memory tables are keyed by the
-   region key alone: a Hashtbl hash + memcmp over it is far cheaper than
+   region key alone: one hash + memcmp over it is far cheaper than
    the cryptographic digest the persistent tier uses for content
    addressing, and this lookup sits on the splice hot path, once per region
    per candidate move.  The context is prepended only at the backing
@@ -70,13 +70,11 @@ let publish t key e =
     | Some _ | None -> ()
 
 let find t key =
+  let hash = Shardtbl.hash key in
   let mem_hit =
-    match t.fc_overlay with
-    | Some o -> (
-      match Hashtbl.find_opt o key with
-      | Some _ as h -> h
-      | None -> Shardtbl.find_opt t.fc_shared key)
-    | None -> Shardtbl.find_opt t.fc_shared key
+    match Option.bind t.fc_overlay (fun o -> Shardtbl.find_opt ~hash o key) with
+    | Some _ as h -> h
+    | None -> Shardtbl.find_opt ~hash t.fc_shared key
   in
   let hit =
     match (mem_hit, t.fc_backing) with
@@ -89,11 +87,7 @@ let find t key =
            in the overlay only (the contract: probes publish nothing shared
            before their merge point), otherwise straight into the shared
            table. *)
-        match t.fc_overlay with
-        | Some o ->
-          Hashtbl.replace o key e;
-          Some e
-        | None -> Some (Shardtbl.add_if_absent t.fc_shared key e)))
+        Some (Shardtbl.add_if_absent ~hash (Option.value t.fc_overlay ~default:t.fc_shared) key e)))
   in
   match hit with
   | None -> None
@@ -107,12 +101,12 @@ let add t key ~cost_ns frag =
     { e_frag = Stg.frag_to_portable frag; e_cost_ns = max 0 cost_ns; e_from_store = false }
   in
   match t.fc_overlay with
-  | Some o -> Hashtbl.replace o key e
+  | Some o -> ignore (Shardtbl.add_if_absent o key e)
   | None -> publish t key e
 
 let commit t =
   match t.fc_overlay with
   | None -> ()
   | Some o ->
-    Hashtbl.iter (publish t) o;
-    Hashtbl.reset o
+    Shardtbl.iter (publish t) o;
+    Shardtbl.clear o

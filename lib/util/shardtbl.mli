@@ -11,25 +11,34 @@
 
 type ('a, 'b) t
 
-val create : ?shards:int -> int -> ('a, 'b) t
-(** [create ?shards size_hint]: [shards] is rounded up to a power of two
-    (default 16); [size_hint] sizes each shard's table. *)
+val create : ?shards:int -> equal:('a -> 'a -> bool) -> int -> ('a, 'b) t
+(** [create ?shards ~equal size_hint]: [shards] is rounded up to a power of
+    two (default 16); [size_hint] sizes each shard's table.  Keys are
+    hashed with {!hash} and compared with [equal] only on a hash match;
+    [equal] must imply equal hashes. *)
 
-val find_opt : ('a, 'b) t -> 'a -> 'b option
+val hash : 'a -> int
+(** [Hashtbl.hash].  One hash picks both the shard and the bucket; a
+    caller probing several tables with one key computes it once and passes
+    it as [?hash] (it must be [hash key]). *)
+
+val find_opt : ?hash:int -> ('a, 'b) t -> 'a -> 'b option
 
 val find_or_add : ('a, 'b) t -> 'a -> (unit -> 'b) -> 'b
 (** Check under the shard lock, compute outside it, publish under the
     lock.  When another domain published the key first, its value wins and
     is returned (so every caller agrees on one representative). *)
 
-val add_if_absent : ('a, 'b) t -> 'a -> 'b -> 'b
+val add_if_absent : ?hash:int -> ('a, 'b) t -> 'a -> 'b -> 'b
 (** Publish a precomputed value; returns the winning value. *)
+
+val clear : ('a, 'b) t -> unit
+(** Empties every shard back to its initial size. *)
 
 val length : ('a, 'b) t -> int
 (** Total entries across all shards. *)
 
-val shard_count : ('a, 'b) t -> int
-
 val iter : ('a -> 'b -> unit) -> ('a, 'b) t -> unit
 (** Iteration locks one shard at a time; concurrent additions to
-    not-yet-visited shards may or may not be seen (test/debug use). *)
+    not-yet-visited shards may or may not be seen.  A one-shard table
+    enumerates in [Hashtbl.iter]'s order for the same insertions. *)

@@ -724,6 +724,239 @@ let test_lifetime_matches_pair_set () =
         [ ("initial", initial); ("min-enc", min_enc) ])
     Suite.all_extended
 
+(* --- Binding against a hash-table reference model ------------------------
+
+   The model keeps units and registers in Hashtbls keyed by id and applies
+   each move the plain way; its canonical key and its areas enumerate the
+   tables in fold order.  After every step of a random move walk the
+   binding must agree with it on every observable, the areas bit for bit. *)
+module Model = struct
+  type t = {
+    fus : (int, Module_library.spec * int * int list) Hashtbl.t;  (* module, width, ops *)
+    regs : (int, int * int list * string list) Hashtbl.t;  (* width, values, inputs *)
+    fu_of : int array;
+    reg_of : int array;
+    inputs : (string, int) Hashtbl.t;
+    mutable next_fu : int;
+    mutable next_reg : int;
+  }
+
+  let fresh_fu m = m.next_fu <- m.next_fu + 1; m.next_fu - 1
+  let fresh_reg m = m.next_reg <- m.next_reg + 1; m.next_reg - 1
+
+  let parallel g lib =
+    let nn = Graph.node_count g in
+    let m =
+      { fus = Hashtbl.create 8; regs = Hashtbl.create 8; fu_of = Array.make nn (-1);
+        reg_of = Array.make nn (-1); inputs = Hashtbl.create 8; next_fu = 0; next_reg = 0 }
+    in
+    Graph.iter_nodes g ~f:(fun n ->
+        let nid = n.Ir.n_id in
+        Option.iter
+          (fun cls ->
+            let width =
+              Array.fold_left (fun w e -> max w (Graph.edge g e).Ir.e_width) n.Ir.n_width n.Ir.inputs
+            in
+            m.fu_of.(nid) <- fresh_fu m;
+            Hashtbl.replace m.fus m.fu_of.(nid) (Module_library.fastest lib cls, width, [ nid ]))
+          (Module_library.class_of_op n.Ir.kind);
+        m.reg_of.(nid) <- fresh_reg m;
+        Hashtbl.replace m.regs m.reg_of.(nid) (n.Ir.n_width, [ nid ], []));
+    Graph.iter_edges g ~f:(fun e ->
+        match e.Ir.source with
+        | Ir.Primary_input name when not (Hashtbl.mem m.inputs name) ->
+          let r = fresh_reg m in
+          Hashtbl.replace m.inputs name r;
+          Hashtbl.replace m.regs r (e.Ir.e_width, [], [ name ])
+        | _ -> ());
+    m
+
+  let copy m =
+    { m with fus = Hashtbl.copy m.fus; regs = Hashtbl.copy m.regs; fu_of = Array.copy m.fu_of;
+      reg_of = Array.copy m.reg_of; inputs = Hashtbl.copy m.inputs }
+
+  let serves g spec ops =
+    List.for_all
+      (fun nid ->
+        match Module_library.class_of_op (Graph.node g nid).Ir.kind with
+        | Some cls -> Module_library.spec_serves spec cls
+        | None -> false)
+      ops
+
+  let strict_subset sub set extra =
+    sub <> [] && List.for_all (fun x -> List.mem x set) sub
+    && List.length sub < List.length set + extra
+
+  (* [None] exactly when the binding must refuse the move. *)
+  let share_fu g m keep absorb =
+    match (Hashtbl.find_opt m.fus keep, Hashtbl.find_opt m.fus absorb) with
+    | Some (spec, w, ops), Some (_, w', ops') when keep <> absorb && w = w' && serves g spec ops' ->
+      let m = copy m in
+      List.iter (fun nid -> m.fu_of.(nid) <- keep) ops';
+      Hashtbl.replace m.fus keep (spec, w, List.sort_uniq compare (ops @ ops'));
+      Hashtbl.remove m.fus absorb;
+      Some m
+    | _ -> None
+
+  let split_fu m id sub =
+    match Hashtbl.find_opt m.fus id with
+    | Some (spec, w, ops) when strict_subset sub ops 0 ->
+      let m = copy m in
+      let fresh = fresh_fu m in
+      List.iter (fun nid -> m.fu_of.(nid) <- fresh) sub;
+      Hashtbl.replace m.fus fresh (spec, w, List.sort compare sub);
+      Hashtbl.replace m.fus id (spec, w, List.filter (fun nid -> not (List.mem nid sub)) ops);
+      Some m
+    | _ -> None
+
+  let substitute g m id (spec' : Module_library.spec) =
+    match Hashtbl.find_opt m.fus id with
+    | Some (spec, w, ops) when spec.spec_name <> spec'.spec_name && serves g spec' ops ->
+      let m = copy m in
+      Hashtbl.replace m.fus id (spec', w, ops);
+      Some m
+    | _ -> None
+
+  let share_reg m keep absorb =
+    match (Hashtbl.find_opt m.regs keep, Hashtbl.find_opt m.regs absorb) with
+    | Some (w, vs, ins), Some (w', vs', ins') when keep <> absorb && w = w' ->
+      let m = copy m in
+      List.iter (fun nid -> m.reg_of.(nid) <- keep) vs';
+      List.iter (fun name -> Hashtbl.replace m.inputs name keep) ins';
+      Hashtbl.replace m.regs keep (w, List.sort_uniq compare (vs @ vs'), ins @ ins');
+      Hashtbl.remove m.regs absorb;
+      Some m
+    | _ -> None
+
+  let split_reg m id sub =
+    match Hashtbl.find_opt m.regs id with
+    | Some (w, vs, ins) when strict_subset sub vs (List.length ins) ->
+      let m = copy m in
+      let fresh = fresh_reg m in
+      List.iter (fun nid -> m.reg_of.(nid) <- fresh) sub;
+      Hashtbl.replace m.regs fresh (w, List.sort compare sub, []);
+      Hashtbl.replace m.regs id (w, List.filter (fun nid -> not (List.mem nid sub)) vs, ins);
+      Some m
+    | _ -> None
+
+  let ids tbl = List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) tbl [])
+
+  let fu_area m =
+    Hashtbl.fold (fun _ (spec, w, _) acc -> acc +. Module_library.scaled_area spec ~width:w) m.fus 0.
+
+  let reg_area m =
+    Hashtbl.fold (fun _ (w, _, _) acc -> acc +. Module_library.register_area ~width:w) m.regs 0.
+
+  let key m =
+    let kb = Impact_util.Keybuf.create 256 in
+    let module K = Impact_util.Keybuf in
+    Array.iteri
+      (fun nid fu ->
+        (if fu >= 0 then
+           match Hashtbl.find m.fus fu with
+           | spec, _, (op :: _ as ops) when op = nid ->
+             K.tag kb 'F';
+             K.string kb spec.Module_library.spec_name;
+             K.ints kb ops
+           | _ -> ());
+        match Hashtbl.find m.regs m.reg_of.(nid) with
+        | _, (v :: _ as vs), ins when v = nid ->
+          K.tag kb 'R';
+          K.ints kb vs;
+          K.list kb K.string (List.sort String.compare ins)
+        | _ -> ())
+      m.fu_of;
+    Hashtbl.fold
+      (fun _ (_, vs, ins) acc -> if vs = [] then List.sort String.compare ins :: acc else acc)
+      m.regs []
+    |> List.sort (List.compare String.compare)
+    |> List.iter (fun names ->
+           K.tag kb 'I';
+           K.list kb K.string names);
+    K.contents kb
+end
+
+let binding_agrees_with_model name b (m : Model.t) =
+  let fail what = QCheck.Test.fail_reportf "%s: %s differs from the model" name what in
+  let expect what ok = if not ok then fail what in
+  expect "fu_ids" (Binding.fu_ids b = Model.ids m.Model.fus);
+  expect "reg_ids" (Binding.reg_ids b = Model.ids m.Model.regs);
+  expect "fu_count" (Binding.fu_count b = Hashtbl.length m.Model.fus);
+  expect "reg_count" (Binding.reg_count b = Hashtbl.length m.Model.regs);
+  Hashtbl.iter
+    (fun id ((spec : Module_library.spec), w, ops) ->
+      expect "unit contents"
+        (Binding.fu_ops b id = ops && Binding.fu_width b id = w
+        && (Binding.fu_module b id).spec_name = spec.spec_name))
+    m.Model.fus;
+  Hashtbl.iter
+    (fun id (w, vs, ins) ->
+      expect "register contents"
+        (Binding.reg_values b id = vs && Binding.reg_width b id = w
+        && Binding.reg_input_names b id = ins))
+    m.Model.regs;
+  Array.iteri
+    (fun nid fu ->
+      expect "fu_of" (Binding.fu_of b nid = if fu < 0 then None else Some fu);
+      expect "reg_of" (Binding.reg_of b nid = m.Model.reg_of.(nid)))
+    m.Model.fu_of;
+  Hashtbl.iter (fun n r -> expect "reg_of_input" (Binding.reg_of_input b n = r)) m.Model.inputs;
+  let kb = Impact_util.Keybuf.create 256 in
+  Binding.add_key kb b;
+  expect "add_key" (Impact_util.Keybuf.contents kb = Model.key m);
+  let bits = Int64.bits_of_float in
+  expect "fu_area bits" (bits (Binding.fu_area b) = bits (Model.fu_area m));
+  expect "reg_area bits" (bits (Binding.reg_area b) = bits (Model.reg_area m))
+
+let binding_model_walk_prop =
+  QCheck.Test.make ~name:"binding move walks match a hash-table model on all benchmarks"
+    ~count:6 QCheck.int
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let lib = Module_library.default in
+      let specs = Array.of_list (Module_library.all_specs lib) in
+      let pick l = List.nth l (Random.State.int rng (List.length l)) in
+      let subset l = List.filter (fun _ -> Random.State.bool rng) l in
+      List.iter
+        (fun bench ->
+          let g = (Suite.program bench).Graph.graph in
+          let name = bench.Suite.bench_name in
+          let b = ref (Binding.parallel g lib) and m = ref (Model.parallel g lib) in
+          binding_agrees_with_model name !b !m;
+          for _ = 1 to 40 do
+            let fus = Model.ids !m.Model.fus and regs = Model.ids !m.Model.regs in
+            let got, want =
+              match Random.State.int rng 5 with
+              | 0 ->
+                let keep = pick fus and absorb = pick fus in
+                (Binding.share_fu !b keep absorb, Model.share_fu g !m keep absorb)
+              | 1 ->
+                let id = pick fus in
+                let sub = subset (Binding.fu_ops !b id) in
+                (Binding.split_fu !b id sub, Model.split_fu !m id sub)
+              | 2 ->
+                let id = pick fus and spec = specs.(Random.State.int rng (Array.length specs)) in
+                (Binding.substitute_module !b id spec, Model.substitute g !m id spec)
+              | 3 ->
+                let keep = pick regs and absorb = pick regs in
+                (Binding.share_reg !b keep absorb, Model.share_reg !m keep absorb)
+              | _ ->
+                let id = pick regs in
+                let sub = subset (Binding.reg_values !b id) in
+                (Binding.split_reg !b id sub, Model.split_reg !m id sub)
+            in
+            match (got, want) with
+            | Ok b', Some m' ->
+              b := b';
+              m := m';
+              binding_agrees_with_model name !b !m
+            | Error _, None -> ()
+            | Ok _, None -> QCheck.Test.fail_reportf "%s: binding accepted a move the model refuses" name
+            | Error e, Some _ -> QCheck.Test.fail_reportf "%s: binding refused a legal move: %s" name e
+          done)
+        Suite.all_extended;
+      true)
+
 let () =
   Alcotest.run "impact_rtl"
     [
@@ -746,6 +979,7 @@ let () =
           Alcotest.test_case "incompatible share" `Quick test_binding_share_incompatible;
           Alcotest.test_case "substitute" `Quick test_binding_substitute;
           Alcotest.test_case "alu hosts mixed" `Quick test_binding_alu_hosts_mixed;
+          QCheck_alcotest.to_alcotest binding_model_walk_prop;
         ] );
       ( "datapath",
         [

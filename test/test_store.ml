@@ -601,6 +601,53 @@ let test_foreign_tag_design_entry () =
       check_int "no second write" 1 (tier "design" st).Store.ts_writes;
       check_bool "warm identical" true (design_fingerprint warm = design_fingerprint cold))
 
+(* Entries written before bindings became arrays carry the tags "design"
+   and "sweep".  Such an entry must read as a miss, never be decoded as
+   the array layout: here a genuine entry of each tier, re-tagged with the
+   old tag, is overwritten by a cold run whose answer equals a storeless
+   one. *)
+let test_old_layout_tags () =
+  let prog = Suite.program Suite.gcd in
+  let workload = Suite.gcd.Suite.workload ~seed:7 ~passes:10 in
+  let laxities = [ 1.0; 2.0 ] in
+  let synth store =
+    Driver.synthesize ~options:small_options ?store prog ~workload
+      ~objective:Solution.Minimize_power ~laxity:2.0 ()
+  in
+  let sweep store = Driver.figure13 ~options:small_options ?store prog ~workload ~laxities in
+  let sweep_fingerprint sw =
+    ( sw.Driver.sw_base_power,
+      sw.Driver.sw_base_area,
+      List.map
+        (fun p -> (p.Driver.sp_a_power, p.Driver.sp_i_power, p.Driver.sp_i_area))
+        sw.Driver.sw_points )
+  in
+  let retag store key tag =
+    match Store.find store key with
+    | None -> Alcotest.failf "no %s entry to re-tag" tag
+    | Some payload ->
+      let _, entry = (Marshal.from_string payload 0 : string * Obj.t) in
+      Store.put store key (Tier.encode (Tier.make ~ns:Store.default_ns ~tag : Obj.t Tier.t) entry)
+  in
+  let check_miss name key tag run fingerprint =
+    with_dir (fun d ->
+        let store = Store.open_store ~dir:d () in
+        ignore (run (Some store));
+        retag store key tag;
+        let store = Store.open_store ~dir:d () in
+        let cold = run (Some store) in
+        check_int (name ^ ": old-tag entry overwritten") 1
+          (tier "design" (Store.stats store)).Store.ts_writes;
+        check_bool (name ^ ": cold answer") true (fingerprint cold = fingerprint (run None)))
+  in
+  check_miss "design"
+    (Driver.design_key ~options:small_options prog ~workload
+       ~objective:Solution.Minimize_power ~laxity:2.0)
+    "design" synth design_fingerprint;
+  check_miss "sweep"
+    (Driver.sweep_key ~options:small_options prog ~workload ~laxities)
+    "sweep" sweep sweep_fingerprint
+
 (* Sim payloads whose columnar log does not fit the program — cut short,
    a wrong stride, a tag outside 0..2 — read as misses through the tier:
    the run is simulated cold, the entry is rewritten and decodes, and the
@@ -922,6 +969,7 @@ let () =
           Alcotest.test_case "find-or-compute miss paths" `Quick
             test_find_or_compute_miss_paths;
           Alcotest.test_case "foreign-tag design entry" `Quick test_foreign_tag_design_entry;
+          Alcotest.test_case "old-layout tags read as misses" `Quick test_old_layout_tags;
           Alcotest.test_case "malformed sim payloads read as misses" `Quick
             test_bad_sim_payloads;
           Alcotest.test_case "corrupt entry falls back cold" `Quick
