@@ -147,10 +147,11 @@ let reprices env (sol : Solution.t) move =
   | Share_fu _ | Share_reg _ | Restructure _ -> false
 
 (* The two cost classes the search's measured-cost granularity gate samples
-   separately: a [Heavy] candidate reschedules and re-estimates from
-   scratch, a [Cheap] one re-prices its footprint against the predecessor's
-   ledger.  The classes differ by an order of magnitude, so one pooled
-   latency average would mis-size every mixed batch. *)
+   separately: a [Heavy] candidate reschedules (and re-estimates from
+   scratch unless the new schedule keeps the predecessor's shape), a
+   [Cheap] one re-prices its footprint against the predecessor's ledger.
+   The classes differ by an order of magnitude, so one pooled latency
+   average would mis-size every mixed batch. *)
 type eval_class = Heavy | Cheap
 
 let eval_class env sol move = if reprices env sol move then Cheap else Heavy
@@ -163,7 +164,9 @@ let eval_class env sol move = if reprices env sol move then Cheap else Heavy
    move rewires — can see different delay/resource model values, so only
    regions containing such operations can change fragment digest under the
    incremental scheduler.  The classification tests pin that bound against
-   {!Impact_sched.Scheduler.region_report}. *)
+   {!Impact_sched.Scheduler.region_report}.  It is also every move's pricing
+   footprint: the ledger terms of units and registers outside it read
+   nothing the move changed but the schedule's shape. *)
 let sched_footprint (_sol : Solution.t) move =
   match move with
   | Share_fu (keep, absorb) -> { Estimate.fp_fus = [ keep; absorb ]; fp_regs = [] }
@@ -179,21 +182,21 @@ let sched_footprint (_sol : Solution.t) move =
 let apply ?cache ?metrics ?(delta = true) env (sol : Solution.t) move =
   let b = sol.Solution.binding in
   let restructured = sol.Solution.restructured in
-  let rebuild ?reuse ?footprint binding restructured =
-    (* Delta re-pricing needs all three: a kept schedule, the move's resource
-       footprint, and the predecessor's priced ledger. *)
+  let rebuild ?reuse binding restructured =
+    (* Delta re-pricing needs the predecessor's priced ledger and the move's
+       footprint; [Estimate.reprice] takes the delta path whenever the new
+       schedule has the predecessor's shape, kept or rescheduled.  A split's
+       fresh ids are absent from the predecessor's ledger, so they are
+       priced afresh without being named. *)
     let delta_arg =
-      match (reuse, footprint, sol.Solution.ledger) with
-      | Some _, Some fp, Some lg when delta -> Some (lg, fp)
+      match sol.Solution.ledger with
+      | Some lg when delta -> Some (lg, sched_footprint sol move)
       | _ -> None
     in
     Some
       (Solution.rebuild ?cache ?metrics ?delta:delta_arg env ~binding ~restructured
          ~reuse_stg:reuse)
   in
-  (* Ids a new binding has that the current one lacks (fresh units/registers
-     allocated by a split). *)
-  let fresh_ids old_ids ids = List.filter (fun i -> not (List.mem i old_ids)) ids in
   match move with
   | Share_fu (keep, absorb) -> (
     match Binding.share_fu b keep absorb with
@@ -201,14 +204,7 @@ let apply ?cache ?metrics ?(delta = true) env (sol : Solution.t) move =
     | Error _ -> None)
   | Split_fu (fu, ops) -> (
     match Binding.split_fu b fu ops with
-    | Ok binding ->
-      let footprint =
-        {
-          Estimate.fp_fus = fu :: fresh_ids (Binding.fu_ids b) (Binding.fu_ids binding);
-          fp_regs = [];
-        }
-      in
-      rebuild ~reuse:sol.Solution.stg ~footprint binding restructured
+    | Ok binding -> rebuild ~reuse:sol.Solution.stg binding restructured
     | Error _ -> None)
   | Substitute (fu, name) -> (
     match Module_library.find env.Solution.library name with
@@ -220,10 +216,7 @@ let apply ?cache ?metrics ?(delta = true) env (sol : Solution.t) move =
       in
       match Binding.substitute_module b fu spec with
       | Ok binding ->
-        if faster then
-          rebuild ~reuse:sol.Solution.stg
-            ~footprint:{ Estimate.fp_fus = [ fu ]; fp_regs = [] }
-            binding restructured
+        if faster then rebuild ~reuse:sol.Solution.stg binding restructured
         else rebuild binding restructured
       | Error _ -> None))
   | Share_reg (keep, absorb) -> (
@@ -232,14 +225,7 @@ let apply ?cache ?metrics ?(delta = true) env (sol : Solution.t) move =
     | Error _ -> None)
   | Split_reg (reg, values) -> (
     match Binding.split_reg b reg values with
-    | Ok binding ->
-      let footprint =
-        {
-          Estimate.fp_fus = [];
-          fp_regs = reg :: fresh_ids (Binding.reg_ids b) (Binding.reg_ids binding);
-        }
-      in
-      rebuild ~reuse:sol.Solution.stg ~footprint binding restructured
+    | Ok binding -> rebuild ~reuse:sol.Solution.stg binding restructured
     | Error _ -> None)
   | Restructure port ->
     if List.mem port restructured then None

@@ -30,7 +30,8 @@ type eval_class = Heavy | Cheap
 
 val eval_class : Solution.env -> Solution.t -> move -> eval_class
 (** {!reprices} as a class: [Cheap] moves delta-reprice, [Heavy] moves
-    reschedule and re-estimate.  The search samples per-class evaluation
+    reschedule, and re-estimate unless the new schedule keeps the
+    predecessor's shape.  The search samples per-class evaluation
     latency online and uses the measured costs to size work-stealing
     batches. *)
 
@@ -42,7 +43,8 @@ val sched_footprint : Solution.t -> move -> Impact_power.Estimate.footprint
     leaves behind: only operations bound to the listed units, or fed by
     multiplexer networks of the listed registers, can change delay or
     resource model values, so only regions containing such operations can
-    change fragment digest across the move. *)
+    change fragment digest across the move.  It is also the move's pricing
+    footprint in {!apply}. *)
 
 val apply :
   ?cache:Solution.cache ->
@@ -56,7 +58,9 @@ val apply :
     paper's rules: sharing re-schedules; splitting and substitution by a
     faster module keep the schedule; substitution by a slower module and
     restructuring re-schedule.  [cache] and [metrics] are passed through to
-    {!Solution.rebuild}.  Schedule-keeping moves also pass the predecessor's
-    energy ledger and their resource footprint so the estimate is delta
-    re-priced; [delta:false] (default [true]) disables this and forces full
-    re-estimation (the benches use it as a baseline). *)
+    {!Solution.rebuild}.  Every move also passes the predecessor's energy
+    ledger and {!sched_footprint} as its pricing footprint, so the estimate
+    is delta re-priced whenever the schedule keeps the predecessor's shape
+    (always, for a kept schedule); [delta:false] (default [true]) disables
+    this and forces full re-estimation (the benches use it as a
+    baseline). *)

@@ -120,15 +120,12 @@ type built = {
   bt_critical : float;
   bt_legal : bool;
   bt_area : float;
-  bt_delta : (Estimate.ledger * Estimate.footprint) option;
-      (* predecessor ledger + move footprint, present when the move kept the
-         schedule: the nominal estimate below re-prices only the footprint *)
   bt_nominal : (Estimate.t * Estimate.ledger) option Atomic.t;
       (* the full estimate at nominal supply, computed lazily on the first
          feasible pricing so infeasible candidates never pay for it *)
 }
 
-let build ?delta ?frags env ~binding ~restructured ~reuse_stg =
+let build ?frags env ~binding ~restructured ~reuse_stg =
   let dp = Datapath.build binding in
   let restructured = apply_restructuring env dp restructured in
   let stg =
@@ -156,13 +153,15 @@ let build ?delta ?frags env ~binding ~restructured ~reuse_stg =
     bt_critical = critical;
     bt_legal = legal;
     bt_area = area;
-    bt_delta = delta;
     bt_nominal = Atomic.make None;
   }
 
 (* --- Per-environment pricing ----------------------------------------------- *)
 
-let price ?metrics env bt =
+(* [delta] is the pricing caller's predecessor ledger and move footprint,
+   never part of a cache entry: when the schedule keeps the predecessor's
+   shape, the nominal estimate re-prices only the footprint. *)
+let price ?metrics ?delta env bt =
   let clock = env.sched_config.Scheduler.clock_ns in
   let feasible =
     bt.bt_enc <= env.enc_budget +. 1e-6
@@ -198,8 +197,9 @@ let price ?metrics env bt =
         | Some pair -> pair
         | None ->
           let pair =
-            match bt.bt_delta with
-            | Some (prev, footprint) when Estimate.can_reprice prev ~stg:bt.bt_stg ->
+            match delta with
+            | Some (prev, footprint)
+              when Estimate.can_reprice env.est_ctx prev ~stg:bt.bt_stg ->
               bump metrics (fun m -> m.m_delta);
               Estimate.reprice env.est_ctx ~prev ~footprint ~stg:bt.bt_stg
                 ~dp:bt.bt_dp ()
@@ -286,6 +286,12 @@ let commit_cache c =
     Shardtbl.clear o);
   Option.iter Fragcache.commit c.cs_frags
 
+let compare_anchor (t1, ids1, n1) (t2, ids2, n2) =
+  match Char.compare t1 t2 with
+  | 0 -> (
+    match List.compare Int.compare ids1 ids2 with 0 -> String.compare n1 n2 | c -> c)
+  | c -> c
+
 (* The canonical key of (binding, restructured): the binding's own key
    ({!Binding.add_key}) followed by the restructured ports, each anchored by
    the smallest operation / value id (or input name) of the unit or register
@@ -311,7 +317,7 @@ let signature ~binding ~restructured =
       Keybuf.tag kb tag;
       Keybuf.ints kb ids;
       Keybuf.string kb name)
-    (List.sort_uniq compare (List.map anchor restructured));
+    (List.sort_uniq compare_anchor (List.map anchor restructured));
   Keybuf.contents kb
 
 (* --- Rebuild --------------------------------------------------------------- *)
@@ -320,7 +326,7 @@ let rebuild ?cache ?metrics ?delta env ~binding ~restructured ~reuse_stg =
   let frags = Option.bind cache (fun c -> c.cs_frags) in
   let fresh () =
     bump metrics (fun m -> m.m_rebuilt);
-    build ?delta ?frags env ~binding ~restructured ~reuse_stg
+    build ?frags env ~binding ~restructured ~reuse_stg
   in
   let bt =
     match (cache, reuse_stg) with
@@ -348,7 +354,7 @@ let rebuild ?cache ?metrics ?delta env ~binding ~restructured ~reuse_stg =
            so later pricing is shared. *)
         Shardtbl.add_if_absent ~hash (Option.value c.cs_overlay ~default:c.cs_shared) key (fresh ()))
   in
-  price ?metrics env bt
+  price ?metrics ?delta env bt
 
 let initial ?cache ?metrics env =
   let binding = Binding.parallel env.program.Graph.graph env.library in

@@ -34,7 +34,8 @@ type t = {
   cost : float;  (** objective value; [infinity] when infeasible *)
   ledger : Impact_power.Estimate.ledger option;
       (** the nominal estimate's energy ledger (absent while infeasible);
-          successor moves that keep the schedule re-price against it *)
+          successor moves whose schedule keeps its shape re-price against
+          it *)
 }
 
 (** {1 Evaluation metrics}
@@ -115,7 +116,7 @@ val rebuild :
     a supplied [reuse_stg] always bypasses the cache.  With [delta] — the
     predecessor solution's ledger and the move's resource footprint — the
     nominal power estimate re-prices only the footprint when the schedule
-    was kept ({!Impact_power.Estimate.reprice}). *)
+    kept the predecessor's shape ({!Impact_power.Estimate.can_reprice}). *)
 
 val reg_sharing_legal :
   Impact_cdfg.Graph.program -> Impact_sched.Stg.t -> Impact_rtl.Binding.t -> bool

@@ -13,12 +13,14 @@ module Shardtbl = Impact_util.Shardtbl
 
 (* --- Schedule-level terms --------------------------------------------------
 
-   Everything the estimator derives from (schedule, workload profile,
-   graph) alone — independent of the binding and the datapath.  One record
-   per distinct schedule, memoised by {!Stg.key}: candidates that
-   reuse or re-derive an already-seen schedule skip the Markov-chain
-   solves, the activation scan, the controller synthesis and the Sel/wire
-   sweeps entirely. *)
+   Everything the estimator derives from (schedule shape, workload profile,
+   graph) alone — independent of the binding, the datapath and the
+   firings' start and finish times.  One record per distinct shape,
+   memoised by {!Stg.key}: candidates that reuse, re-derive or re-time an
+   already-seen schedule skip the Markov-chain solves, the activation scan,
+   the controller synthesis and the Sel/wire sweeps entirely.  The critical
+   path reads the times, so it is not here: a ledger takes it from the
+   schedule it prices. *)
 type stg_terms = {
   st_enc : float;
   st_act : float array;  (* expected activations per pass, per node *)
@@ -26,7 +28,6 @@ type stg_terms = {
   st_sel : float;  (* Sel-mux energy per pass *)
   st_wire : float;  (* wire energy per pass *)
   st_ctrl : float;  (* controller energy per pass, binary encoding *)
-  st_critical : float;
 }
 
 type ctx = {
@@ -378,7 +379,6 @@ let compute_stg_terms ctx stg =
     st_sel = !e_sel;
     st_wire = !e_wire;
     st_ctrl = e_ctrl;
-    st_critical = Stg.critical_path_ns stg;
   }
 
 let stg_terms ctx stg =
@@ -454,7 +454,9 @@ let net_term ctx st dp idx =
    ledger costs a word per term and totals add the same floats in the same
    order whichever path filled them. *)
 type ledger = {
-  lg_stg : Stg.t;  (* the schedule [lg_terms] belongs to, physically *)
+  lg_stg : Stg.t;  (* the schedule this ledger priced, physically *)
+  lg_key : string;  (* its shape, {!Stg.key}: the key of [lg_terms] *)
+  lg_critical : float;  (* [Stg.critical_path_ns lg_stg] *)
   lg_terms : stg_terms;
   lg_fu_ids : int array;
   lg_fu : float array;
@@ -467,7 +469,10 @@ type ledger = {
 
 type footprint = { fp_fus : int list; fp_regs : int list }
 
-let can_reprice prev ~stg = prev.lg_stg == stg
+(* Every ledger term reads the schedule only through its shape, so a
+   predecessor of the same shape carries every term the move left alone. *)
+let can_reprice ctx prev ~stg =
+  prev.lg_stg == stg || String.equal prev.lg_key (key_of ctx stg)
 
 let port_label = function
   | Datapath.P_fu_input (fu, port) -> Printf.sprintf "net fu%d port %d" fu port
@@ -485,7 +490,7 @@ let ledger_terms lg =
   in
   (("enc", st.st_enc) :: ("sel", st.st_sel) :: ("wire", st.st_wire)
   :: ("ctrl", st.st_ctrl)
-  :: ("critical-ns", st.st_critical)
+  :: ("critical-ns", lg.lg_critical)
   :: terms (Printf.sprintf "fu %d") lg.lg_fu_ids lg.lg_fu)
   @ terms (Printf.sprintf "reg-write %d") lg.lg_reg_ids lg.lg_reg_write
   @ terms (Printf.sprintf "reg-clock %d") lg.lg_reg_ids lg.lg_reg_clock
@@ -537,7 +542,7 @@ let price_ledger ~vdd lg =
     est_breakdown = breakdown;
     est_power = Breakdown.total breakdown *. Vdd.power_factor vdd;
     est_vdd = vdd;
-    est_critical_ns = st.st_critical;
+    est_critical_ns = lg.lg_critical;
   }
 
 let build_ledger ctx ~stg ~dp =
@@ -548,6 +553,8 @@ let build_ledger ctx ~stg ~dp =
   let nets = Datapath.networks dp in
   {
     lg_stg = stg;
+    lg_key = key_of ctx stg;
+    lg_critical = Stg.critical_path_ns stg;
     lg_terms = st;
     lg_fu_ids = fu_ids;
     lg_fu = Array.map (fu_term ctx st b) fu_ids;
@@ -596,9 +603,9 @@ let port_compare a b =
   | P_reg_write _, P_fu_input _ -> 1
 
 let reprice ctx ~prev ~footprint ~stg ~dp ?(vdd = Vdd.nominal) () =
-  if not (can_reprice prev ~stg) then
-    (* The move rescheduled: every activation-weighted term changed, so a
-       full (memoised) estimate is the delta. *)
+  if not (can_reprice ctx prev ~stg) then
+    (* The move changed the schedule's shape: every activation-weighted
+       term may have changed, so a full (memoised) estimate is the delta. *)
     estimate_ledger ctx ~stg ~dp ~vdd ()
   else begin
     let b = Datapath.binding dp in
@@ -636,6 +643,9 @@ let reprice ctx ~prev ~footprint ~stg ~dp ?(vdd = Vdd.nominal) () =
     let lg =
       {
         prev with
+        lg_stg = stg;
+        lg_critical =
+          (if prev.lg_stg == stg then prev.lg_critical else Stg.critical_path_ns stg);
         lg_fu_ids = fu_ids;
         lg_fu =
           carry ~compare:Int.compare fu_ids ~touched:touched_fu prev.lg_fu_ids prev.lg_fu (fun _ fu ->

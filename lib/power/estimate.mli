@@ -102,9 +102,12 @@ val seed_memos : ?check:bool -> ctx -> memo_snapshot -> unit
 (** {2 Schedule-level memoisation}
 
     Everything derived from (schedule, profile) alone — ENC, expected
-    activations, controller statistics, Sel/wire energy, lifetimes — is
-    memoised per distinct schedule, keyed by {!Impact_sched.Stg.key} (with a
-    one-slot physical-identity fast path in front). *)
+    activations, controller statistics, Sel/wire energy, lifetimes — reads
+    only the schedule's shape, not its firings' start and finish times.  It
+    is memoised per shape, keyed by {!Impact_sched.Stg.key} (with a one-slot
+    physical-identity fast path in front).  The critical path reads the
+    times, so it is never served from these tables: every estimate takes it
+    from the schedule being priced. *)
 
 val stg_enc : ctx -> Impact_sched.Stg.t -> float
 (** Memoised {!Impact_sched.Enc.analytic}. *)
@@ -152,9 +155,11 @@ val ledger_terms : ledger -> (string * float) list
     expected activations) — the raw material of the power verification
     pass, which requires them all nonnegative and finite. *)
 
-val can_reprice : ledger -> stg:Impact_sched.Stg.t -> bool
-(** True when the ledger's schedule is physically the given one, i.e. the
-    move kept the schedule and {!reprice} will take the delta path. *)
+val can_reprice : ctx -> ledger -> stg:Impact_sched.Stg.t -> bool
+(** True when {!reprice} will take the delta path: the ledger's schedule is
+    physically the given one (the move kept the schedule), or it has the
+    same shape ({!Impact_sched.Stg.key}; the move rescheduled, but only the
+    firings' times moved). *)
 
 val reprice :
   ctx ->
@@ -165,6 +170,9 @@ val reprice :
   ?vdd:float ->
   unit ->
   t * ledger
-(** Recompute only the footprint's terms, carrying every other term from
-    [prev]; falls back to {!estimate_ledger} when the schedule changed
-    (every activation-weighted term depends on it). *)
+(** When {!can_reprice} holds, recompute only the footprint's terms and
+    carry every other term from [prev]; the critical path is [stg]'s own.
+    Otherwise fall back to {!estimate_ledger}: a new shape may change every
+    activation-weighted term.  Either way the result is bit-identical to
+    {!estimate_ledger} on [stg] and [dp], provided [footprint] names every
+    unit and register whose term the move changed. *)

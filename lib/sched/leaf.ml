@@ -3,6 +3,7 @@ module Graph = Impact_cdfg.Graph
 module Guard = Impact_cdfg.Guard
 module Analysis = Impact_cdfg.Analysis
 module Module_library = Impact_modlib.Module_library
+module Itbl = Hashtbl.Make (Int)
 
 type spec = { spec_node : Ir.node_id; spec_phase : Stg.phase }
 
@@ -33,14 +34,15 @@ let schedule analysis ~delay ~res ~clock_ns specs =
     let g = Analysis.graph analysis in
     let arr = Array.of_list specs in
     let n = Array.length arr in
-    let idx_of_node = Hashtbl.create n in
+    (* Spec index per node id, -1 outside the leaf. *)
+    let idx_of_node = Array.make (Graph.node_count g) (-1) in
     Array.iteri
       (fun i s ->
-        if Hashtbl.mem idx_of_node s.spec_node then
+        if idx_of_node.(s.spec_node) >= 0 then
           invalid_arg
             (Printf.sprintf "Leaf.schedule: node %d appears twice in one leaf"
                s.spec_node);
-        Hashtbl.replace idx_of_node s.spec_node i)
+        idx_of_node.(s.spec_node) <- i)
       arr;
     let node i = Graph.node g arr.(i).spec_node in
     (* Per-spec data predecessors inside the leaf, as (spec index, port). *)
@@ -51,7 +53,8 @@ let schedule analysis ~delay ~res ~clock_ns specs =
           |> List.filter_map (fun port ->
                  match (Graph.edge g nd.Ir.inputs.(port)).Ir.source with
                  | Ir.From_node src ->
-                   Hashtbl.find_opt idx_of_node src |> Option.map (fun j -> (j, port))
+                   let j = idx_of_node.(src) in
+                   if j >= 0 then Some (j, port) else None
                  | Ir.Const _ | Ir.Primary_input _ -> None))
     in
     let succs = Array.make n [] in
@@ -85,8 +88,27 @@ let schedule analysis ~delay ~res ~clock_ns specs =
             s_forced_guard = false;
           })
     in
-    let busy : (int * int, int list) Hashtbl.t = Hashtbl.create 16 in
-    let occupants fu k = Option.value (Hashtbl.find_opt busy (fu, k)) ~default:[] in
+    (* Per unit, the spec indices occupying it at each step so far. *)
+    let busy : int list array ref Itbl.t = Itbl.create 16 in
+    let occupants fu k =
+      match Itbl.find_opt busy fu with
+      | Some steps when k < Array.length !steps -> !steps.(k)
+      | _ -> []
+    in
+    let occupy fu k i =
+      let steps =
+        match Itbl.find_opt busy fu with
+        | Some steps -> steps
+        | None ->
+          let steps = ref [||] in
+          Itbl.add busy fu steps;
+          steps
+      in
+      let len = Array.length !steps in
+      if k >= len then
+        steps := Array.append !steps (Array.make (max (k + 1 - len) (len + 4)) []);
+      !steps.(k) <- i :: !steps.(k)
+    in
     (* A guard is steerable in hardware only if its condition bits are
        stored in registers when the state executes, i.e. their producers are
        outside this leaf. *)
@@ -94,7 +116,7 @@ let schedule analysis ~delay ~res ~clock_ns specs =
       Guard.atoms (Analysis.effective_guard analysis arr.(i).spec_node)
       |> List.for_all (fun { Guard.cond_edge; _ } ->
              match (Graph.edge g cond_edge).Ir.source with
-             | Ir.From_node src -> not (Hashtbl.mem idx_of_node src)
+             | Ir.From_node src -> idx_of_node.(src) < 0
              | Ir.Const _ | Ir.Primary_input _ -> true)
     in
     let remaining = ref n in
@@ -188,8 +210,7 @@ let schedule analysis ~delay ~res ~clock_ns specs =
               slot.s_chain_pos <- !chain_pos;
               max_end := max !max_end slot.s_end_state;
               (match fu with
-              | Some fu ->
-                List.iter (fun s -> Hashtbl.replace busy (fu, s) (i :: occupants fu s)) span
+              | Some fu -> List.iter (fun s -> occupy fu s i) span
               | None -> ());
               if shared <> [] then begin
                 slot.s_forced_guard <- true;
@@ -274,7 +295,10 @@ let schedule analysis ~delay ~res ~clock_ns specs =
     (* (start time, chain position) is a topological key inside a state:
        a chained consumer never starts earlier than its producer and always
        has a strictly larger chain position on ties. *)
-    let key f = (f.Stg.f_start_ns, f.Stg.f_chain_pos) in
+    let by_time a b =
+      match Float.compare a.Stg.f_start_ns b.Stg.f_start_ns with
+      | 0 -> Int.compare a.Stg.f_chain_pos b.Stg.f_chain_pos
+      | c -> c
+    in
     Array.to_list firing_lists
-    |> List.map (fun firings ->
-           { Stg.firings = List.sort (fun a b -> compare (key a) (key b)) firings })
+    |> List.map (fun firings -> { Stg.firings = List.sort by_time firings })

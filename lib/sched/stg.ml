@@ -83,9 +83,10 @@ let signature t =
     t.states;
   Buffer.contents buf
 
-(* The same fields as [signature], as compact bytes ({!Keybuf}): the memo
-   key of the estimator's per-schedule tables, where rendering text per
-   candidate schedule cost as much as a leaf schedule. *)
+(* The schedule's shape as compact bytes ({!Keybuf}): every field of
+   [signature] except the firings' start and finish times.  It keys the
+   estimator's per-schedule tables, none of which reads those times, so a
+   reschedule that only moves firings inside their states hits them. *)
 let key t =
   let kb = Keybuf.create 1024 in
   let guard kb g =
@@ -107,8 +108,6 @@ let key t =
           Keybuf.tag kb
             (match fr.f_phase with Normal -> 'n' | Merge_init -> 'i' | Merge_back -> 'b');
           guard kb fr.f_guard;
-          Keybuf.float kb fr.f_start_ns;
-          Keybuf.float kb fr.f_finish_ns;
           Keybuf.int kb fr.f_chain_pos)
         state.firings;
       Keybuf.list kb

@@ -66,10 +66,15 @@ val signature : t -> string
     tests and the scheduler's cold-reschedule cross-check compare it. *)
 
 val key : t -> string
-(** The same fields as {!signature} as compact binary bytes
-    ({!Impact_util.Keybuf}): two STGs have equal keys iff they have equal
-    signatures.  Much cheaper to build and hash than the text, it keys the
-    per-schedule memo tables of the power estimator. *)
+(** The schedule's {e shape} as compact binary bytes ({!Impact_util.Keybuf}):
+    the clock, entry and exit, every state's firings in order (node, phase,
+    guard, chain position) and every transition (destination, guard).  It
+    covers every field of {!signature} except the firings' [f_start_ns] and
+    [f_finish_ns], so two STGs have equal keys iff their signatures are
+    equal once those times are erased.  It keys the power estimator's
+    per-schedule memo tables, whose contents (ENC, activations, controller
+    statistics, lifetimes) do not read the times; the critical path, which
+    does, is never taken from them. *)
 
 val pp : Format.formatter -> t -> unit
 val to_dot : t -> string

@@ -1,11 +1,13 @@
 (* Delta re-pricing: footprint-repriced estimates must match full
    re-estimation to floating-point noise on random move walks, a
-   delta-priced search must reproduce the full-estimation search
-   bit-for-bit, and the sharded memo tables must neither lose nor
-   duplicate entries under domain contention. *)
+   rescheduling move that keeps the schedule's shape must be delta-priced
+   to the full ledger bit for bit, a delta-priced search must reproduce the
+   full-estimation search bit-for-bit, and the sharded memo tables must
+   neither lose nor duplicate entries under domain contention. *)
 
 module Sim = Impact_sim.Sim
 module Scheduler = Impact_sched.Scheduler
+module Stg = Impact_sched.Stg
 module Enc = Impact_sched.Enc
 module Binding = Impact_rtl.Binding
 module Estimate = Impact_power.Estimate
@@ -131,6 +133,57 @@ let test_reprice_property =
       let env = make_env Suite.gcd Solution.Minimize_power 2.0 in
       let checked, _ = walk_and_check env ~seed ~steps:8 in
       checked > 0)
+
+(* A Heavy move whose reschedule moves firing times but keeps the shape
+   ({!Stg.key}) is delta-priced against its predecessor's ledger: every
+   term equals the full estimate's bit for bit, and the critical path is
+   the new schedule's own, not one carried or served from a memo entry. *)
+let test_same_shape_reschedule () =
+  let found =
+    List.find_map
+      (fun (bench, seed) ->
+        let env = make_env bench Solution.Minimize_power 2.5 in
+        let rng = Rng.create ~seed in
+        let rec walk sol steps =
+          if steps = 0 then None
+          else
+            let cands = Moves.candidates env sol ~rng ~max:40 in
+            let retimed mv =
+              if Moves.eval_class env sol mv <> Moves.Heavy then None
+              else
+                let metrics = Solution.create_metrics () in
+                match Moves.apply ~metrics env sol mv with
+                | Some s
+                  when s.Solution.cost < infinity
+                       && Stg.key s.Solution.stg = Stg.key sol.Solution.stg
+                       && Stg.critical_path_ns s.Solution.stg
+                          <> Stg.critical_path_ns sol.Solution.stg ->
+                  Some (env, metrics, s)
+                | _ -> None
+            in
+            match List.find_map retimed cands with
+            | Some _ as hit -> hit
+            | None -> (
+              match List.filter_map (Moves.apply env sol) cands with
+              | [] -> None
+              | succs -> walk (List.nth succs (Rng.int rng (List.length succs))) (steps - 1))
+        in
+        walk (Solution.initial env) 4)
+      [ (Suite.paulin, 3); (Suite.cordic, 5); (Suite.gcd, 7); (Suite.dealer, 11) ]
+  in
+  match found with
+  | None -> Alcotest.fail "no same-shape reschedule with a new critical path found"
+  | Some (env, metrics, s) ->
+    let _, _, _, delta = Solution.metrics_counts metrics in
+    check_int "delta-repriced" 1 delta;
+    let _, full_lg =
+      Estimate.estimate_ledger env.Solution.est_ctx ~stg:s.Solution.stg ~dp:s.Solution.dp ()
+    in
+    let lg = Option.get s.Solution.ledger in
+    check_terms_identical "same-shape reschedule" lg full_lg;
+    check_bool "critical path is the new schedule's" true
+      (List.assoc "critical-ns" (Estimate.ledger_terms lg)
+      = Stg.critical_path_ns s.Solution.stg)
 
 (* A delta-priced search must be indistinguishable from the full-estimation
    search: same winner, same move trajectory, same counters. *)
@@ -267,6 +320,8 @@ let () =
           QCheck_alcotest.to_alcotest test_reprice_property;
           Alcotest.test_case "delta search = full search" `Quick
             test_delta_search_identical;
+          Alcotest.test_case "same-shape reschedule is delta-priced" `Quick
+            test_same_shape_reschedule;
         ] );
       ( "shardtbl",
         [

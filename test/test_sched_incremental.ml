@@ -4,8 +4,9 @@
    schedule perturbation must stay inside its declared resource footprint;
    spliced fragments must pass the structural splice checks; the
    fragment cache must honour its snapshot, fork/commit and persistence
-   contracts; and the binary memo keys must partition solutions and
-   schedules exactly as the text they replaced. *)
+   contracts; the binary binding key must partition solutions exactly as
+   the text it replaced, and the schedule key exactly as the signature of
+   the schedule with its firing times erased. *)
 
 module Graph = Impact_cdfg.Graph
 module Guard = Impact_cdfg.Guard
@@ -485,8 +486,18 @@ let binding_reference ?modules ?inputs () (s : Solution.t) =
   reference_signature ?modules ?inputs ~binding:s.Solution.binding
     ~restructured:s.Solution.restructured ()
 
+(* The schedule with every firing's start and finish time zeroed: its
+   shape, all that {!Stg.key} covers. *)
+let erase_times (stg : Stg.t) =
+  let erase fr = { fr with Stg.f_start_ns = 0.; f_finish_ns = 0. } in
+  {
+    stg with
+    Stg.states =
+      Array.map (fun st -> { Stg.firings = List.map erase st.Stg.firings }) stg.Stg.states;
+  }
+
 let stg_key (s : Solution.t) = Stg.key s.Solution.stg
-let stg_reference (s : Solution.t) = Stg.signature s.Solution.stg
+let stg_reference (s : Solution.t) = Stg.signature (erase_times s.Solution.stg)
 
 let test_key_partition =
   QCheck.Test.make ~count:2 ~name:"binary keys partition like the text (8 benchmarks)"
@@ -501,7 +512,9 @@ let test_key_partition =
 
 (* Walk schedules never differ in a field their firings already determine
    (chain positions, transitions), so every field is also perturbed by
-   hand: each variant must get its own key, as it gets its own signature. *)
+   hand: each shape variant must get its own key, as it gets its own
+   signature, while a variant that moves only start or finish times keeps
+   the key (and still gets its own signature). *)
 let test_stg_key_fields () =
   let fr ?(node = 1) ?(phase = Stg.Normal) ?(guard = Guard.always) ?(start = 0.)
       ?(finish = 2.5) ?(pos = 0) () =
@@ -533,8 +546,6 @@ let test_stg_key_fields () =
       stg ~firings:[ [ fr ~phase:Stg.Merge_init (); fr ~node:2 () ]; [] ] ();
       stg ~firings:[ [ fr ~guard:(Guard.atom 4 true) (); fr ~node:2 () ]; [] ] ();
       stg ~firings:[ [ fr ~guard:(Guard.atom 4 false) (); fr ~node:2 () ]; [] ] ();
-      stg ~firings:[ [ fr ~start:(-0.) (); fr ~node:2 () ]; [] ] ();
-      stg ~firings:[ [ fr ~finish:3. (); fr ~node:2 () ]; [] ] ();
       stg ~firings:[ [ fr ~pos:1 (); fr ~node:2 () ]; [] ] ();
       stg ~firings:[ [ fr () ]; [ fr ~node:2 () ] ] ();
       stg ~firings:[ [ fr (); fr ~node:2 () ]; []; [] ] ~succs:[ []; []; [] ] ();
@@ -543,10 +554,21 @@ let test_stg_key_fields () =
       stg ~succs:[ []; [] ] ();
     ]
   in
-  check_int "every variant has its own signature" (List.length variants)
-    (List.length (List.sort_uniq compare (List.map Stg.signature variants)));
-  check_int "every variant has its own key" (List.length variants)
-    (List.length (List.sort_uniq compare (List.map Stg.key variants)));
+  let retimed =
+    [
+      stg ~firings:[ [ fr ~start:(-0.) (); fr ~node:2 () ]; [] ] ();
+      stg ~firings:[ [ fr ~start:1. (); fr ~node:2 () ]; [] ] ();
+      stg ~firings:[ [ fr ~finish:3. (); fr ~node:2 () ]; [] ] ();
+      stg ~firings:[ [ fr (); fr ~node:2 ~start:0.5 ~finish:4. () ]; [] ] ();
+    ]
+  in
+  let distinct f xs = List.length (List.sort_uniq String.compare (List.map f xs)) in
+  check_int "every variant has its own signature"
+    (List.length variants + List.length retimed)
+    (distinct Stg.signature (variants @ retimed));
+  check_int "every shape variant has its own key" (List.length variants)
+    (distinct Stg.key variants);
+  check_int "times do not reach the key" 1 (distinct Stg.key (stg () :: retimed));
   check_bool "equal schedules have equal keys" true
     (Stg.key (stg ()) = Stg.key (stg ()))
 
@@ -560,12 +582,34 @@ let test_key_mutants () =
   in
   check_bool "binding key agrees with the text" true
     (same_partition binding_key (binding_reference ()) sols);
-  check_bool "schedule key agrees with the signature" true
+  check_bool "schedule key agrees with the signature without times" true
     (same_partition stg_key stg_reference sols);
+  check_bool "the walks re-time shapes: a key with times is caught" false
+    (same_partition (fun s -> Stg.signature s.Solution.stg) stg_reference sols);
   check_bool "a key without module names is caught" false
     (same_partition (binding_reference ~modules:false ()) (binding_reference ()) sols);
   check_bool "a key without register input names is caught" false
     (same_partition (binding_reference ~inputs:false ()) (binding_reference ()) sols)
+
+(* The signature sorts restructured-port anchors with a typed comparator:
+   one set of ports gives one key, however it was inserted, duplicates
+   included, and a different set gives another. *)
+let test_signature_port_order () =
+  let sol =
+    List.find
+      (fun (s : Solution.t) -> Datapath.network_count s.Solution.dp >= 3)
+      (walk_solutions Suite.paulin ~seed:5 ~steps:2)
+  in
+  let ports =
+    Array.to_list (Array.map (fun n -> n.Datapath.net_port) (Datapath.networks sol.Solution.dp))
+  in
+  let key restructured = Solution.signature ~binding:sol.Solution.binding ~restructured in
+  let orders =
+    [ ports; List.rev ports; List.tl ports @ [ List.hd ports ]; ports @ List.rev ports ]
+  in
+  check_int "one signature for every order" 1
+    (List.length (List.sort_uniq String.compare (List.map key orders)));
+  check_bool "a different port set differs" true (key (List.tl ports) <> key ports)
 
 (* --- The persistent frag tier through the driver --------------------------- *)
 
@@ -654,6 +698,8 @@ let () =
           Alcotest.test_case "walks catch key mutants" `Quick test_key_mutants;
           Alcotest.test_case "every schedule field reaches the key" `Quick
             test_stg_key_fields;
+          Alcotest.test_case "restructured ports in any order, one signature" `Quick
+            test_signature_port_order;
         ] );
       ( "store",
         [ Alcotest.test_case "frag tier via driver" `Quick test_frag_store_tier ] );
