@@ -1147,7 +1147,7 @@ let store_warm_cold buf =
 
 (* --min-warmmiss-speedup: fail the bench when the warm-miss run — same
    program and workload, shifted laxity, so the design tier misses but the
-   simulation/traces/library tiers hit — is not at least this factor faster
+   simulation and traces tiers hit — is not at least this factor faster
    than the equivalent storeless cold run.  This is the tiered store's
    raison d'être: a new design question should never pay for the front end
    again.  Serial timing comparison, no core-count dependence, so the gate
@@ -1180,7 +1180,7 @@ let store_warm_miss buf =
     Table.create
       ~title:
         "Tiered store, warm miss: shifted laxity re-searches the design but \
-         reuses the simulation/traces/library tiers"
+         reuses the simulation and traces tiers"
       [
         ("benchmark", Table.Left);
         ("cold s", Table.Right);
@@ -1287,9 +1287,8 @@ let store_warm_miss buf =
   pf buf
     "aggregate: cold %.2fs, warm-miss %.3fs, speedup %.2fx (floor %.2fx)\n\
      (the design tier misses — a genuinely new search runs — while the \
-     simulation run,\n\
-     the switching-statistics memos and the library characterisation are \
-     served from the store;\n\
+     simulation run\n\
+     and the switching-statistics memos are served from the store;\n\
      bit-identity against the storeless cold run is asserted per benchmark)\n\n"
     !total_cold !total_warm aggregate !min_warmmiss_speedup
 

@@ -36,7 +36,6 @@ let design_key = Tier.design_key
 let sweep_key = Tier.sweep_key
 let sim_key = Tier.sim_key
 let traces_key = Tier.traces_key
-let lib_key = Tier.lib_key
 
 (* Step 1: behavioral simulation, the parallel reference architecture and
    the minimum-ENC schedule that the laxity scales into a budget.  With a

@@ -55,8 +55,7 @@ val restructure_all : design -> design
 
     The content keys the store-backed calls consult, re-exported from
     {!Tier}.  The sim and traces keys digest only the (program, workload)
-    pair and the lib key only the library characterisation, so any
-    objective, laxity or options reuse them. *)
+    pair, so any objective, laxity or options reuse them. *)
 
 val design_key :
   options:options ->
@@ -75,7 +74,6 @@ val sweep_key :
 
 val sim_key : Impact_cdfg.Graph.program -> workload:(string * int) list list -> string
 val traces_key : Impact_cdfg.Graph.program -> workload:(string * int) list list -> string
-val lib_key : unit -> string
 
 val synthesize :
   ?options:options ->

@@ -128,13 +128,13 @@ let candidates env sol ~rng ~max =
   Rng.shuffle rng arr;
   Array.to_list (Array.sub arr 0 (min max (Array.length arr)))
 
-(* Whether [apply] would price this move by delta-repricing the predecessor
-   ledger against an unchanged schedule (O(footprint) work) rather than
-   rescheduling and re-estimating from scratch.  Mirrors the reuse decisions
+(* Whether [apply] would keep a feasible predecessor's schedule, so a power
+   pricing delta-reprices its ledger (O(footprint) work), rather than
+   reschedule and re-estimate from scratch.  Mirrors the reuse decisions
    in [apply] below; the search's granularity gate uses this to keep batches
    of cheap candidates inline instead of fanning them out over the pool. *)
 let reprices env (sol : Solution.t) move =
-  sol.Solution.ledger <> None
+  sol.Solution.cost < infinity
   &&
   match move with
   | Split_fu _ | Split_reg _ -> true
@@ -189,7 +189,7 @@ let apply ?cache ?metrics ?(delta = true) env (sol : Solution.t) move =
        fresh ids are absent from the predecessor's ledger, so they are
        priced afresh without being named. *)
     let delta_arg =
-      match sol.Solution.ledger with
+      match Solution.priced_ledger sol with
       | Some lg when delta -> Some (lg, sched_footprint sol move)
       | _ -> None
     in

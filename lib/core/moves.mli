@@ -21,9 +21,9 @@ val candidates :
     schedule (they are re-checked after any later re-schedule). *)
 
 val reprices : Solution.env -> Solution.t -> move -> bool
-(** Whether {!apply} would price this move by delta-repricing the
-    predecessor's ledger against a kept schedule (O(footprint) work) rather
-    than rescheduling and re-estimating; the search's granularity gate uses
+(** Whether {!apply} would keep a feasible predecessor's schedule, so a
+    power pricing is a delta re-price of its ledger (O(footprint) work),
+    rather than reschedule and re-estimate; the search's granularity gate uses
     this to classify candidates as light or heavy. *)
 
 type eval_class = Heavy | Cheap
@@ -59,7 +59,8 @@ val apply :
     faster module keep the schedule; substitution by a slower module and
     restructuring re-schedule.  [cache] and [metrics] are passed through to
     {!Solution.rebuild}.  Every move also passes the predecessor's energy
-    ledger and {!sched_footprint} as its pricing footprint, so the estimate
+    ledger, when it is already priced ({!Solution.priced_ledger}), and
+    {!sched_footprint} as its pricing footprint, so the estimate
     is delta re-priced whenever the schedule keeps the predecessor's shape
     (always, for a kept schedule); [delta:false] (default [true]) disables
     this and forces full re-estimation (the benches use it as a

@@ -29,7 +29,7 @@ let render (design : Driver.design) (program : Graph.program) ~workload =
   add "performance: enc_min %.2f, budget %.2f, achieved %.2f, vdd %.2f V"
     design.Driver.d_enc_min design.Driver.d_enc_budget sol.Solution.enc sol.Solution.vdd;
   add "area: %.0f   estimated power: %.4f" sol.Solution.area
-    sol.Solution.est.Estimate.est_power;
+    (Solution.est sol).Estimate.est_power;
   add "";
   (* Moves. *)
   add "moves applied (%d candidate evaluations, %d improvement sequences):"

@@ -26,6 +26,15 @@ type env = {
   area_ref : float;
 }
 
+(* A feasible solution's nominal estimate lives in its build entry's slot,
+   filled by the first pricing that needs it or by the first read. *)
+type pricing =
+  | Pruned of float  (* infeasible: never estimated; the critical path *)
+  | Nominal of {
+      slot : (Estimate.t * Estimate.ledger) option Atomic.t;
+      ctx : Estimate.ctx;
+    }
+
 type t = {
   binding : Binding.t;
   dp : Datapath.t;
@@ -33,10 +42,9 @@ type t = {
   restructured : Datapath.port list;
   enc : float;
   vdd : float;
-  est : Estimate.t;
   area : float;
   cost : float;
-  ledger : Estimate.ledger option;
+  pricing : pricing;
 }
 
 (* --- Evaluation metrics ---------------------------------------------------- *)
@@ -49,6 +57,7 @@ type metrics = {
   m_pruned : int Atomic.t;
   m_rebuilt : int Atomic.t;
   m_delta : int Atomic.t;
+  m_estimated : int Atomic.t;
 }
 
 let create_metrics () =
@@ -57,6 +66,7 @@ let create_metrics () =
     m_pruned = Atomic.make 0;
     m_rebuilt = Atomic.make 0;
     m_delta = Atomic.make 0;
+    m_estimated = Atomic.make 0;
   }
 
 let bump metrics counter =
@@ -67,6 +77,8 @@ let metrics_counts m =
     Atomic.get m.m_pruned,
     Atomic.get m.m_rebuilt,
     Atomic.get m.m_delta )
+
+let metrics_estimated m = Atomic.get m.m_estimated
 
 (* --- Legality -------------------------------------------------------------- *)
 
@@ -121,8 +133,10 @@ type built = {
   bt_legal : bool;
   bt_area : float;
   bt_nominal : (Estimate.t * Estimate.ledger) option Atomic.t;
-      (* the full estimate at nominal supply, computed lazily on the first
-         feasible pricing so infeasible candidates never pay for it *)
+      (* the full estimate at nominal supply, computed on the first
+         power-objective pricing or the first read of a feasible solution's
+         estimate, so infeasible candidates and area searches never pay for
+         it *)
 }
 
 let build ?frags env ~binding ~restructured ~reuse_stg =
@@ -158,9 +172,60 @@ let build ?frags env ~binding ~restructured ~reuse_stg =
 
 (* --- Per-environment pricing ----------------------------------------------- *)
 
-(* [delta] is the pricing caller's predecessor ledger and move footprint,
-   never part of a cache entry: when the schedule keeps the predecessor's
-   shape, the nominal estimate re-prices only the footprint. *)
+(* The nominal estimate, from the slot or computed into it.  [delta] is the
+   pricing caller's predecessor ledger and move footprint, never part of a
+   cache entry: when the schedule keeps the predecessor's shape, the nominal
+   estimate re-prices only the footprint.  Two domains may race on the
+   slot; they compute the same value. *)
+let nominal ?metrics ?delta ctx slot ~stg ~dp =
+  match Atomic.get slot with
+  | Some pair -> pair
+  | None ->
+    bump metrics (fun m -> m.m_estimated);
+    let pair =
+      match delta with
+      | Some (prev, footprint) when Estimate.can_reprice ctx prev ~stg ->
+        bump metrics (fun m -> m.m_delta);
+        Estimate.reprice ctx ~prev ~footprint ~stg ~dp ()
+      | _ -> Estimate.estimate_ledger ctx ~stg ~dp ()
+    in
+    Atomic.set slot (Some pair);
+    pair
+
+(* The breakdown is at nominal supply; only the total scales with Vdd —
+   exactly what [Estimate.estimate ~vdd] would have produced. *)
+let at_vdd (nominal : Estimate.t) vdd =
+  {
+    nominal with
+    Estimate.est_power =
+      Breakdown.total nominal.Estimate.est_breakdown *. Vdd.power_factor vdd;
+    est_vdd = vdd;
+  }
+
+(* A forced read prices from scratch: capturing the predecessor ledger for
+   a later delta would keep every predecessor's ledger alive. *)
+let est t =
+  match t.pricing with
+  | Pruned critical ->
+    {
+      Estimate.est_enc = t.enc;
+      est_breakdown = Breakdown.zero;
+      est_power = infinity;
+      est_vdd = t.vdd;
+      est_critical_ns = critical;
+    }
+  | Nominal { slot; ctx } -> at_vdd (fst (nominal ctx slot ~stg:t.stg ~dp:t.dp)) t.vdd
+
+let ledger t =
+  match t.pricing with
+  | Pruned _ -> None
+  | Nominal { slot; ctx } -> Some (snd (nominal ctx slot ~stg:t.stg ~dp:t.dp))
+
+let priced_ledger t =
+  match t.pricing with
+  | Pruned _ -> None
+  | Nominal { slot; _ } -> Option.map snd (Atomic.get slot)
+
 let price ?metrics ?delta env bt =
   let clock = env.sched_config.Scheduler.clock_ns in
   let feasible =
@@ -178,60 +243,29 @@ let price ?metrics ?delta env bt =
     if bt.bt_enc <= 0. then 1. else Float.max 1. (env.enc_budget /. bt.bt_enc)
   in
   let vdd = Vdd.scale_for_stretch stretch in
-  let est, ledger =
+  let pricing, cost =
     if not feasible then begin
       (* Feasibility pre-check failed: skip the full estimate entirely. *)
       bump metrics (fun m -> m.m_pruned);
-      ( {
-          Estimate.est_enc = bt.bt_enc;
-          est_breakdown = Breakdown.zero;
-          est_power = infinity;
-          est_vdd = vdd;
-          est_critical_ns = bt.bt_critical;
-        },
-        None )
+      (Pruned bt.bt_critical, infinity)
     end
-    else begin
-      let nominal, lg =
-        match Atomic.get bt.bt_nominal with
-        | Some pair -> pair
-        | None ->
-          let pair =
-            match delta with
-            | Some (prev, footprint)
-              when Estimate.can_reprice env.est_ctx prev ~stg:bt.bt_stg ->
-              bump metrics (fun m -> m.m_delta);
-              Estimate.reprice env.est_ctx ~prev ~footprint ~stg:bt.bt_stg
-                ~dp:bt.bt_dp ()
-            | _ -> Estimate.estimate_ledger env.est_ctx ~stg:bt.bt_stg ~dp:bt.bt_dp ()
-          in
-          (* Two domains may race here; they compute the same value. *)
-          Atomic.set bt.bt_nominal (Some pair);
-          pair
-      in
-      (* The breakdown is at nominal supply; only the total scales with Vdd —
-         exactly what [Estimate.estimate ~vdd] would have produced. *)
-      ( {
-          nominal with
-          Estimate.est_power =
-            Breakdown.total nominal.Estimate.est_breakdown *. Vdd.power_factor vdd;
-          est_vdd = vdd;
-        },
-        Some lg )
-    end
-  in
-  let cost =
-    if not feasible then infinity
     else
+      let pricing = Nominal { slot = bt.bt_nominal; ctx = env.est_ctx } in
       match env.objective with
-      | Minimize_area -> bt.bt_area
+      | Minimize_area ->
+        (* The cost never reads power: the estimate waits for a reader. *)
+        (pricing, bt.bt_area)
       | Minimize_power ->
+        let nominal, _ =
+          nominal ?metrics ?delta env.est_ctx bt.bt_nominal ~stg:bt.bt_stg ~dp:bt.bt_dp
+        in
         (* Power first, with a small area tie-break (a tenth of the relative
            area) so equal-power alternatives prefer the smaller datapath —
            this is what keeps the paper's power-optimized designs within
            ~30% area of the area-optimized ones. *)
-        est.Estimate.est_power
-        *. (1. +. (0.1 *. bt.bt_area /. Float.max 1. env.area_ref))
+        ( pricing,
+          (at_vdd nominal vdd).Estimate.est_power
+          *. (1. +. (0.1 *. bt.bt_area /. Float.max 1. env.area_ref)) )
   in
   {
     binding = Datapath.binding bt.bt_dp;
@@ -240,10 +274,9 @@ let price ?metrics ?delta env bt =
     restructured = bt.bt_restructured;
     enc = bt.bt_enc;
     vdd;
-    est;
     area = bt.bt_area;
     cost;
-    ledger;
+    pricing;
   }
 
 (* --- Signature cache ------------------------------------------------------- *)
@@ -365,7 +398,7 @@ let describe t =
     "fus=%d regs=%d nets=%d states=%d enc=%.2f vdd=%.2f area=%.0f power=%.4f cost=%s"
     (Binding.fu_count t.binding) (Binding.reg_count t.binding)
     (Datapath.network_count t.dp) (Stg.state_count t.stg) t.enc t.vdd t.area
-    t.est.Estimate.est_power
+    (est t).Estimate.est_power
     (if t.cost = infinity then "inf" else Printf.sprintf "%.4f" t.cost)
 
 let ops_on_same_fu t a b =
@@ -377,4 +410,4 @@ let diagnostics env t =
   Impact_verify.Verify.run_all
     (Impact_verify.Verify.input ~name:env.program.Graph.prog_name
        ~program:env.program ~stg:t.stg ~dp:t.dp
-       ~run:(Estimate.run env.est_ctx) ?ledger:t.ledger ())
+       ~run:(Estimate.run env.est_ctx) ?ledger:(ledger t) ())

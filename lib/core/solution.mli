@@ -22,6 +22,10 @@ type env = {
           area tie-break inside the power objective *)
 }
 
+type pricing
+(** Where a solution's power estimate comes from: nothing for an infeasible
+    solution, otherwise its build entry's nominal-estimate slot. *)
+
 type t = {
   binding : Impact_rtl.Binding.t;
   dp : Impact_rtl.Datapath.t;
@@ -29,14 +33,32 @@ type t = {
   restructured : Impact_rtl.Datapath.port list;
   enc : float;
   vdd : float;  (** supply after using the solution's slack *)
-  est : Impact_power.Estimate.t;  (** at [vdd] *)
   area : float;
   cost : float;  (** objective value; [infinity] when infeasible *)
-  ledger : Impact_power.Estimate.ledger option;
-      (** the nominal estimate's energy ledger (absent while infeasible);
-          successor moves whose schedule keeps its shape re-price against
-          it *)
+  pricing : pricing;
 }
+
+(** {1 The power estimate}
+
+    A power-objective pricing computes the nominal estimate, because the
+    cost reads it.  An area-objective pricing does not: a feasible
+    solution's estimate is computed on the first read of {!est} or
+    {!ledger} and kept in the signature-cache entry's slot, where every
+    later reader of the same entry (a power search included) finds it.  A
+    forced estimate is {!Impact_power.Estimate.estimate_ledger} from
+    scratch, bit-identical to the delta-repriced one a power search would
+    have made, and holds no reference to a predecessor ledger. *)
+
+val est : t -> Impact_power.Estimate.t
+(** At [vdd].  An infeasible solution's estimate is never computed: its
+    [est_power] is [infinity] and its breakdown zero. *)
+
+val ledger : t -> Impact_power.Estimate.ledger option
+(** The nominal estimate's energy ledger; [None] while infeasible. *)
+
+val priced_ledger : t -> Impact_power.Estimate.ledger option
+(** The ledger if it has already been computed, without computing it.
+    Successor moves whose schedule keeps the shape re-price against it. *)
 
 (** {1 Evaluation metrics}
 
@@ -49,6 +71,11 @@ val create_metrics : unit -> metrics
 
 val metrics_counts : metrics -> int * int * int * int
 (** [(cache_hits, pruned_infeasible, rebuilt, delta_repriced)]. *)
+
+val metrics_estimated : metrics -> int
+(** Nominal estimates computed by pricing, by delta or from scratch (an
+    estimate forced by a read of {!est} or {!ledger} is not counted).  Zero
+    across an area-objective search, whose cost never reads power. *)
 
 (** {1 Signature cache}
 
@@ -108,10 +135,11 @@ val rebuild :
   reuse_stg:Impact_sched.Stg.t option -> t
 (** Builds the datapath (re-applying restructurings), schedules (unless a
     still-valid schedule is supplied), rescales Vdd from the remaining
-    slack, estimates power, prices the objective.  Solutions violating the
-    ENC budget, the clock period, or register-lifetime legality get
-    infinite cost, and the feasibility pre-check skips their power estimate
-    entirely (their [est] carries [est_power = infinity]).  With [cache],
+    slack, estimates power if the objective reads it, prices the objective.
+    Solutions violating the ENC budget, the clock period, or
+    register-lifetime legality get infinite cost, and the feasibility
+    pre-check skips their power estimate entirely (their {!est} carries
+    [est_power = infinity]).  With [cache],
     the environment-independent build step is looked up by {!signature};
     a supplied [reuse_stg] always bypasses the cache.  With [delta] — the
     predecessor solution's ledger and the move's resource footprint — the

@@ -74,8 +74,6 @@ let sim_key program ~workload = Store.key (canonical [ "sim"; program_digest pro
 let traces_key program ~workload =
   Store.key (canonical [ "traces"; program_digest program; digest workload ])
 
-let lib_key () = Store.key (canonical [ "lib"; library_digest () ])
-
 (* The per-region digest covers the config fingerprint and every per-node
    model value, so fragments need only the program identity as context. *)
 let frag_context program = canonical [ "frag"; program_digest program ]
@@ -218,20 +216,6 @@ let sync_traces st program ~workload est_ctx =
       put traces_tier ~cost_ns:(Estimate.memo_cost_ns est_ctx) st k merged
   with _ -> ()
 
-(* --- lib: ensure ------------------------------------------------------------
-
-   The key is the library digest, so a valid entry that disagrees with the
-   live library is corruption, not skew: overwrite it. *)
-
-let lib_tier : Module_library.spec list t = make ~ns:"lib" ~tag:"lib"
-
-let ensure_lib st =
-  try
-    let k = lib_key () in
-    let specs, cost_ns = timed (fun () -> Module_library.all_specs Module_library.default) in
-    if find lib_tier st k <> Some specs then put lib_tier ~cost_ns st k specs
-  with _ -> ()
-
 (* --- frag: the fragment cache's backing ------------------------------------ *)
 
 let frags ?store program =
@@ -279,7 +263,7 @@ let sweep_tier : sweep_entry t = make ~ns:Store.default_ns ~tag:"sweep-dense"
 (* The ledger's term listing is table-fold-ordered; sorting makes it a
    canonical value that survives the round-trip comparison. *)
 let ledger_terms_of sol =
-  match sol.Solution.ledger with
+  match Solution.ledger sol with
   | None -> []
   | Some ledger -> List.sort compare (Estimate.ledger_terms ledger)
 
@@ -420,11 +404,9 @@ let sweep_fingerprint (sw, _) =
               (design_fingerprint p.sp_power_design))
           sw.sw_points))
 
-(* A request against the design tier also ensures the lib tier first and
-   publishes the run's switching memos to the traces tier after, hit or
-   miss. *)
+(* A request against the design tier also publishes the run's switching
+   memos to the traces tier after, hit or miss. *)
 let around_request ?store program ~workload env compute =
-  Option.iter ensure_lib store;
   let v = compute () in
   Option.iter (fun st -> sync_traces st program ~workload env.Solution.est_ctx) store;
   v

@@ -3,7 +3,7 @@
     restores it and the policy that fills it.  {!Driver} calls in here and
     never touches {!Impact_store.Store} itself.
 
-    Six tiers share one contract — a content {b key} digesting exactly the
+    Five tiers share one contract — a content {b key} digesting exactly the
     artifact's inputs, a {b tag codec} ([Marshal (tag, value)], a foreign
     tag reads as a miss), a {b restore/validate} step that turns a decoded
     entry back into a live value or rejects it as a miss, a {b fingerprint}
@@ -93,7 +93,6 @@ val options_fingerprint : options -> string
 
 val sim_key : Impact_cdfg.Graph.program -> workload:(string * int) list list -> string
 val traces_key : Impact_cdfg.Graph.program -> workload:(string * int) list list -> string
-val lib_key : unit -> string
 
 val frag_context : Impact_cdfg.Graph.program -> string
 (** The prefix of every ["frag"]-tier fragment key of the program. *)
@@ -144,11 +143,10 @@ val find_or_compute :
     [IMPACT_STORE_CHECK=1] a hit also runs [cold] and fails unless both
     fingerprints agree.  Without a store it is [cold ()]. *)
 
-(** {1 The six tiers}
+(** {1 The five tiers}
 
     [sim], [design] and [sweep] are find-or-compute; [traces] seeds a fresh
-    estimation context and accumulates after each request; [lib] is
-    ensured before each design or sweep request; [frag] backs the
+    estimation context and accumulates after each request; [frag] backs the
     scheduler's fragment cache. *)
 
 val sim_tier : Impact_sim.Sim.portable_run t

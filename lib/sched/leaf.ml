@@ -27,40 +27,64 @@ let ports_of_phase node phase =
   | Stg.Merge_init -> [ 0 ]
   | Stg.Merge_back -> [ 1 ]
 
-let schedule analysis ~delay ~res ~clock_ns specs =
-  match specs with
-  | [] -> [ { Stg.firings = [] } ]
-  | _ ->
-    let g = Analysis.graph analysis in
-    let arr = Array.of_list specs in
-    let n = Array.length arr in
-    (* Spec index per node id, -1 outside the leaf. *)
-    let idx_of_node = Array.make (Graph.node_count g) (-1) in
-    Array.iteri
-      (fun i s ->
-        if idx_of_node.(s.spec_node) >= 0 then
-          invalid_arg
-            (Printf.sprintf "Leaf.schedule: node %d appears twice in one leaf"
-               s.spec_node);
-        idx_of_node.(s.spec_node) <- i)
-      arr;
+(* Everything about a leaf that depends on the program alone.  Immutable
+   once built, so one plan serves every reschedule on any domain. *)
+type plan = {
+  g : Graph.t;
+  arr : spec array;
+  preds : (int * int) list array;  (* in-leaf data predecessors: (spec index, port) *)
+  succs : int list array;
+  guards : Guard.t array;  (* effective guard per spec *)
+  extern : bool array;
+      (* the guard is steerable in hardware: its condition bits are stored
+         in registers when the state executes, i.e. their producers are
+         outside this leaf *)
+}
+
+let prepare analysis specs =
+  let g = Analysis.graph analysis in
+  let arr = Array.of_list specs in
+  let n = Array.length arr in
+  (* Spec index per node id, -1 outside the leaf. *)
+  let idx_of_node = Array.make (Graph.node_count g) (-1) in
+  Array.iteri
+    (fun i s ->
+      if idx_of_node.(s.spec_node) >= 0 then
+        invalid_arg
+          (Printf.sprintf "Leaf.schedule: node %d appears twice in one leaf" s.spec_node);
+      idx_of_node.(s.spec_node) <- i)
+    arr;
+  let preds =
+    Array.init n (fun i ->
+        let nd = Graph.node g arr.(i).spec_node in
+        ports_of_phase nd arr.(i).spec_phase
+        |> List.filter_map (fun port ->
+               match (Graph.edge g nd.Ir.inputs.(port)).Ir.source with
+               | Ir.From_node src ->
+                 let j = idx_of_node.(src) in
+                 if j >= 0 then Some (j, port) else None
+               | Ir.Const _ | Ir.Primary_input _ -> None))
+  in
+  let succs = Array.make n [] in
+  Array.iteri (fun i ps -> List.iter (fun (j, _) -> succs.(j) <- i :: succs.(j)) ps) preds;
+  let guards = Array.map (fun s -> Analysis.effective_guard analysis s.spec_node) arr in
+  let extern =
+    Array.map
+      (fun guard ->
+        Guard.atoms guard
+        |> List.for_all (fun { Guard.cond_edge; _ } ->
+               match (Graph.edge g cond_edge).Ir.source with
+               | Ir.From_node src -> idx_of_node.(src) < 0
+               | Ir.Const _ | Ir.Primary_input _ -> true))
+      guards
+  in
+  { g; arr; preds; succs; guards; extern }
+
+let run { g; arr; preds; succs; guards; extern } ~delay ~res ~clock_ns =
+  match Array.length arr with
+  | 0 -> [ { Stg.firings = [] } ]
+  | n ->
     let node i = Graph.node g arr.(i).spec_node in
-    (* Per-spec data predecessors inside the leaf, as (spec index, port). *)
-    let preds =
-      Array.init n (fun i ->
-          let nd = node i in
-          ports_of_phase nd arr.(i).spec_phase
-          |> List.filter_map (fun port ->
-                 match (Graph.edge g nd.Ir.inputs.(port)).Ir.source with
-                 | Ir.From_node src ->
-                   let j = idx_of_node.(src) in
-                   if j >= 0 then Some (j, port) else None
-                 | Ir.Const _ | Ir.Primary_input _ -> None))
-    in
-    let succs = Array.make n [] in
-    Array.iteri
-      (fun i ps -> List.iter (fun (j, _) -> succs.(j) <- i :: succs.(j)) ps)
-      preds;
     let latency i = delay.Models.op_latency_ns arr.(i).spec_node in
     (* Priority: longest latency path to any leaf output (critical path). *)
     let prio = Array.make n nan in
@@ -108,16 +132,6 @@ let schedule analysis ~delay ~res ~clock_ns specs =
       if k >= len then
         steps := Array.append !steps (Array.make (max (k + 1 - len) (len + 4)) []);
       !steps.(k) <- i :: !steps.(k)
-    in
-    (* A guard is steerable in hardware only if its condition bits are
-       stored in registers when the state executes, i.e. their producers are
-       outside this leaf. *)
-    let guard_is_extern i =
-      Guard.atoms (Analysis.effective_guard analysis arr.(i).spec_node)
-      |> List.for_all (fun { Guard.cond_edge; _ } ->
-             match (Graph.edge g cond_edge).Ir.source with
-             | Ir.From_node src -> idx_of_node.(src) < 0
-             | Ir.Const _ | Ir.Primary_input _ -> true)
     in
     let remaining = ref n in
     let k = ref 0 in
@@ -187,13 +201,12 @@ let schedule analysis ~delay ~res ~clock_ns specs =
                 if occ = [] then (true, [])
                 else if
                   cycles = 1
-                  && guard_is_extern i
+                  && extern.(i)
                   && List.for_all
                        (fun j ->
                          slots.(j).s_start_state = slots.(j).s_end_state
-                         && guard_is_extern j
-                         && Analysis.mutually_exclusive analysis arr.(i).spec_node
-                              arr.(j).spec_node)
+                         && extern.(j)
+                         && Guard.conflicts guards.(i) guards.(j))
                        occ
                 then (true, occ)
                 else (false, [])
@@ -277,8 +290,7 @@ let schedule analysis ~delay ~res ~clock_ns specs =
     Array.iteri
       (fun i slot ->
         let guard =
-          if slot.s_forced_guard then Analysis.effective_guard analysis arr.(i).spec_node
-          else Guard.always
+          if slot.s_forced_guard then guards.(i) else Guard.always
         in
         let firing =
           {
@@ -302,3 +314,6 @@ let schedule analysis ~delay ~res ~clock_ns specs =
     in
     Array.to_list firing_lists
     |> List.map (fun firings -> { Stg.firings = List.sort by_time firings })
+
+let schedule analysis ~delay ~res ~clock_ns specs =
+  run (prepare analysis specs) ~delay ~res ~clock_ns

@@ -21,6 +21,23 @@ val normal : Ir.node_id -> spec
 val merge_init : Ir.node_id -> spec
 val merge_back : Ir.node_id -> spec
 
+type plan
+(** A leaf's program-static facts: its specifications, their in-leaf data
+    predecessors and successors, effective guards and whether each guard is
+    steerable from registers.  Immutable, so one plan may be run by any
+    number of domains. *)
+
+val prepare : Impact_cdfg.Analysis.t -> spec list -> plan
+(** @raise Invalid_argument if a node appears twice. *)
+
+val run :
+  plan ->
+  delay:Models.delay_model ->
+  res:Models.resource_model ->
+  clock_ns:float ->
+  Stg.state list
+(** List-schedules a prepared leaf under the given models. *)
+
 val schedule :
   Impact_cdfg.Analysis.t ->
   delay:Models.delay_model ->
@@ -28,6 +45,7 @@ val schedule :
   clock_ns:float ->
   spec list ->
   Stg.state list
-(** Always returns at least one state (an empty one for an empty leaf).
+(** [run (prepare analysis specs)].  Always returns at least one state (an
+    empty one for an empty leaf).
     @raise Failure if some specification cannot be scheduled (which would
     indicate an inconsistent delay model, e.g. negative latency). *)

@@ -36,16 +36,6 @@ let config_of_style style ~clock_ns =
       fds_leaves = false;
     }
 
-type ctx = {
-  cfg : config;
-  analysis : Analysis.t;
-  delay : Models.delay_model;
-  res : Models.resource_model;
-  frags : Fragcache.t option;
-  cfg_fp : string;  (* config fingerprint, folded into every fragment key *)
-  check : bool;  (* IMPACT_SCHED_CHECK, read once per [schedule] call *)
-}
-
 (* [IMPACT_SCHED_CHECK=1]: every spliced schedule is recomputed cold (no
    fragment cache) and the two STGs must agree on {!Stg.signature}; every
    cache-served fragment is structurally validated ({!Check}).  Mirrors the
@@ -84,28 +74,13 @@ let rec flatten region =
   | Ir.R_if i -> Ir.R_if { i with then_r = flatten i.then_r; else_r = flatten i.else_r }
   | Ir.R_loop l -> Ir.R_loop { l with cond_r = flatten l.cond_r; body = flatten l.body }
 
-(* Flattening is pure on an immutable region tree and [schedule] runs
-   thousands of times per search on the same program, so the last result is
-   memoised by physical identity.  The race on the slot is benign: a losing
-   domain recomputes an identical value. *)
-let flatten_memo : (Ir.region * Ir.region) option Atomic.t = Atomic.make None
-
-let flatten_cached top =
-  match Atomic.get flatten_memo with
-  | Some (k, v) when k == top -> v
-  | _ ->
-    let v = flatten top in
-    Atomic.set flatten_memo (Some (top, v));
-    v
-
 (* --- Dependences between sibling regions -------------------------------- *)
 
 module Iset = Set.Make (Int)
 
 let region_writes region = Iset.of_list (Ir.region_nodes region)
 
-let region_reads ctx region =
-  let g = Analysis.graph ctx.analysis in
+let region_reads g region =
   let add_sources acc nid =
     let n = Graph.node g nid in
     let acc =
@@ -125,38 +100,28 @@ let region_reads ctx region =
   in
   List.fold_left add_sources Iset.empty (Ir.region_nodes region)
 
-(* --- Leaf helpers -------------------------------------------------------- *)
+(* Sibling groups of a sequence, as child indices: with parallel regions,
+   children at the same dependence level form one group, in level order;
+   otherwise each child is its own group. *)
+let seq_groups cfg g children =
+  let n = Array.length children in
+  if not cfg.parallel_regions then List.init n (fun j -> [ j ])
+  else begin
+    let writes = Array.map region_writes children in
+    let reads = Array.map (region_reads g) children in
+    let level = Array.make n 1 in
+    for j = 0 to n - 1 do
+      for i = 0 to j - 1 do
+        if not (Iset.is_empty (Iset.inter reads.(j) writes.(i))) then
+          level.(j) <- max level.(j) (level.(i) + 1)
+      done
+    done;
+    let max_level = Array.fold_left max 1 level in
+    List.init max_level (fun l -> List.filter (fun j -> level.(j) = l + 1) (List.init n Fun.id))
+    |> List.filter (fun g -> g <> [])
+  end
 
-let leaf_frag ctx specs =
-  Stg.frag_of_chain
-    (Leaf.schedule ctx.analysis ~delay:ctx.delay ~res:ctx.res
-       ~clock_ns:ctx.cfg.clock_ns specs)
-
-(* Pure dataflow leaves can alternatively be scheduled by the
-   force-directed balancer (no chaining, resource-levelled). *)
-let ops_frag ctx ids =
-  if ctx.cfg.fds_leaves && ids <> [] then
-    Stg.frag_of_chain
-      (Force_directed.to_states ~delay:ctx.delay ~clock_ns:ctx.cfg.clock_ns
-         (Force_directed.schedule ctx.analysis ~delay:ctx.delay
-            ~clock_ns:ctx.cfg.clock_ns ids))
-  else leaf_frag ctx (List.map Leaf.normal ids)
-
-(* Functional units used by a fragment (for parallel-composition conflict
-   detection). *)
-let frag_fus ctx frag =
-  let acc = ref Iset.empty in
-  for s = 0 to Stg.frag_state_count frag - 1 do
-    List.iter
-      (fun fr ->
-        match ctx.res.Models.fu_of fr.Stg.f_node with
-        | Some fu -> acc := Iset.add fu !acc
-        | None -> ())
-      (Stg.frag_state frag s).Stg.firings
-  done;
-  !acc
-
-(* --- Fragment digests ----------------------------------------------------
+(* --- Fragment keys -------------------------------------------------------
 
    A region's fragment is a pure function of: the region's structure, the
    clock and scheduling config, and — per contained operation — its latency,
@@ -165,50 +130,30 @@ let frag_fus ctx frag =
    (Graph-wide inputs — edges, guards, mutual exclusion — are constant for
    one program and bound into the cache's context by the caller.)  Those are
    exactly the inputs {!Leaf.schedule}/{!Force_directed.schedule} and the
-   composition rules read, so two regions with equal digests schedule to
+   composition rules read, so two regions with equal keys schedule to
    bit-identical fragments: fragment reuse is sound by construction, not by
    invalidation bookkeeping.  Moves perturb the models only for operations
-   on the units/registers they touch, so untouched regions keep their
-   digests and splice their previous fragments verbatim. *)
+   on the units/registers they touch, so untouched regions keep their keys
+   and splice their previous fragments verbatim.
 
-(* Every per-node model value the scheduler reads, looked up once per
-   cached [schedule] call into arrays: the digests of nested regions and
-   the leaf scheduler then index those instead of re-running the caller's
-   model closures (hashtable lookups in the datapath) per enclosing
-   region.  A schedule without a fragment cache digests nothing and reads
-   the closures directly. *)
-let tabulate g ~delay ~res top =
-  let nn = Graph.node_count g in
-  let latency = Array.make nn 0. and input_extra = Array.make nn [||] in
-  let output_extra = Array.make nn 0. and unit = Array.make nn None in
-  let pipelined = Array.make nn false in
-  List.iter
-    (fun nid ->
-      latency.(nid) <- delay.Models.op_latency_ns nid;
-      input_extra.(nid) <-
-        Array.mapi
-          (fun port _ -> delay.Models.input_extra_ns nid ~port)
-          (Graph.node g nid).Ir.inputs;
-      output_extra.(nid) <- delay.Models.output_extra_ns nid;
-      unit.(nid) <- res.Models.fu_of nid;
-      pipelined.(nid) <- res.Models.pipelined nid)
-    (Ir.region_nodes top);
-  ( {
-      Models.op_latency_ns = Array.get latency;
-      input_extra_ns = (fun nid ~port -> input_extra.(nid).(port));
-      output_extra_ns = Array.get output_extra;
-    },
-    { Models.fu_of = Array.get unit; pipelined = Array.get pipelined } )
+   A key is a prefix fixed by the program and config (format byte, config
+   fingerprint, tag, structure), built once in the plan, followed by each
+   contained node's model bytes in {!Ir.region_nodes} order.  A region's
+   nodes are a contiguous run of the top region's node order, so one
+   reschedule encodes every node's model bytes once and each key is its
+   prefix plus one slice of that encoding. *)
 
 (* The first byte of every region key.  A store may hold fragments filed
    by a build with another key format; a distinct leading byte makes those
    read as misses instead of aliasing a key of this format. *)
 let key_format = '\002'
 
-let digest_region ~g ~cfg_fp ~delay ~res ~tag region =
-  (* Compact self-delimiting fields ({!Impact_util.Keybuf}) read from the
-     tabulated models: this runs per candidate move per region. *)
-  let kb = Keybuf.create 512 in
+let config_fingerprint cfg =
+  Printf.sprintf "%h|%b|%b|%b|%d|%b|" cfg.clock_ns cfg.flatten_ifs
+    cfg.fold_loop_cond cfg.parallel_regions cfg.max_product_states cfg.fds_leaves
+
+let key_prefix ~cfg_fp ~tag region =
+  let kb = Keybuf.create 256 in
   Keybuf.tag kb key_format;
   Keybuf.string kb cfg_fp;
   Keybuf.tag kb tag;
@@ -236,134 +181,340 @@ let digest_region ~g ~cfg_fp ~delay ~res ~tag region =
       Keybuf.ints kb elps
   in
   structure region;
-  List.iter
-    (fun nid ->
-      Keybuf.int kb nid;
-      Keybuf.float kb (delay.Models.op_latency_ns nid);
-      Array.iteri
-        (fun port _ -> Keybuf.float kb (delay.Models.input_extra_ns nid ~port))
-        (Graph.node g nid).Ir.inputs;
-      Keybuf.float kb (delay.Models.output_extra_ns nid);
-      Keybuf.int kb (match res.Models.fu_of nid with Some fu -> fu | None -> -1);
-      Keybuf.tag kb (if res.Models.pipelined nid then 'P' else 'p'))
-    (Ir.region_nodes region);
   Keybuf.contents kb
 
-let config_fingerprint cfg =
-  Printf.sprintf "%h|%b|%b|%b|%d|%b|" cfg.clock_ns cfg.flatten_ifs
-    cfg.fold_loop_cond cfg.parallel_regions cfg.max_product_states cfg.fds_leaves
+(* One node's model bytes: every per-node value the scheduler reads. *)
+let add_models kb g ~delay ~res nid =
+  Keybuf.int kb nid;
+  Keybuf.float kb (delay.Models.op_latency_ns nid);
+  Array.iteri
+    (fun port _ -> Keybuf.float kb (delay.Models.input_extra_ns nid ~port))
+    (Graph.node g nid).Ir.inputs;
+  Keybuf.float kb (delay.Models.output_extra_ns nid);
+  Keybuf.int kb (match res.Models.fu_of nid with Some fu -> fu | None -> -1);
+  Keybuf.tag kb (if res.Models.pipelined nid then 'P' else 'p')
 
-(* Regions below two operations schedule in less time than they digest. *)
+(* --- The schedule plan ---------------------------------------------------
+
+   Everything the scheduler reads that depends only on (program, config):
+   the flattened region tree, each cacheable region's key prefix, each
+   sequence's sibling groups, each leaf's prepared arrays, and — inside
+   those — every node's effective guard.  A plan is immutable once built,
+   so one plan serves every reschedule of a search on any domain. *)
+
+(* A leaf of plain operations, with the ids the force-directed balancer
+   reads. *)
+type ops = { o_ids : Ir.node_id list; o_leaf : Leaf.plan }
+
+type pnode = {
+  p_first : int;
+  p_count : int;  (* the region's nodes: a run of the top region's node order *)
+  p_key_r : string option;  (* key prefix under 'R'; [None] when not cacheable *)
+  p_kind : kind;
+}
+
+and kind =
+  | K_empty
+  | K_ops of ops
+  | K_seq of { children : pnode list; groups : group list }
+      (* [children] in sequence order, for {!region_report} *)
+  | K_if of branch
+  | K_loop of {
+      cond_edge : Ir.edge_id;
+      cond_p : pnode;  (* for {!region_report}; scheduling reads [steps] *)
+      body : pnode;
+      steps : loop_steps;
+      elps : ops option;
+    }
+
+and group = G_fork of branch | G_one of pnode | G_par of pnode list
+
+and branch = {
+  b_cond_edge : Ir.edge_id;
+  b_then : pnode;
+  b_else : pnode;
+  b_sels : ops option;
+  b_key_p : string option;  (* key prefix under 'P', for parallel products *)
+}
+
+and loop_steps =
+  | Folded of { header : Leaf.plan; latch : Leaf.plan }
+  | Headed of { pre : Leaf.plan; cond : Leaf.plan; latch : Leaf.plan }
+
+type plan = {
+  pl_graph : Graph.t;
+  pl_top_region : Ir.region;  (* unflattened: the plan's identity *)
+  pl_cfg : config;
+  pl_analysis : Analysis.t;  (* every guard computed: read-only from here on *)
+  pl_nodes : Ir.node_id array;  (* the flattened top region's node order *)
+  pl_top : pnode;
+}
+
+(* Regions below two operations schedule in less time than they key. *)
 let cacheable region =
   match Ir.region_nodes region with [] | [ _ ] -> false | _ -> true
 
-let cached_frag ctx fc ~tag region compute =
-  let key =
-    digest_region ~g:(Analysis.graph ctx.analysis) ~cfg_fp:ctx.cfg_fp
-      ~delay:ctx.delay ~res:ctx.res ~tag region
+let make_plan cfg g top_region =
+  let analysis = Analysis.create g in
+  for nid = 0 to Graph.node_count g - 1 do
+    ignore (Analysis.effective_guard analysis nid)
+  done;
+  let top = if cfg.flatten_ifs then flatten top_region else top_region in
+  let cfg_fp = config_fingerprint cfg in
+  let ops ids = { o_ids = ids; o_leaf = Leaf.prepare analysis (List.map Leaf.normal ids) } in
+  let ops_opt ids = if ids = [] then None else Some (ops ids) in
+  (* [first] is the region's position in the top region's node order;
+     children are planned in {!Ir.region_nodes} order so each one's first
+     position follows its predecessors'. *)
+  let rec plan_region first region =
+    let count = List.length (Ir.region_nodes region) in
+    let key tag = if cacheable region then Some (key_prefix ~cfg_fp ~tag region) else None in
+    let kind =
+      match region with
+      | Ir.R_ops [] -> K_empty
+      | Ir.R_ops ids -> K_ops (ops ids)
+      | Ir.R_seq rs ->
+        let children = plan_children first rs in
+        let planned = Array.of_list children in
+        let group = function
+          | [ j ] -> (
+            match planned.(j).p_kind with K_if b -> G_fork b | _ -> G_one planned.(j))
+          | members -> G_par (List.map (Array.get planned) members)
+        in
+        K_seq
+          { children; groups = List.map group (seq_groups cfg g (Array.of_list rs)) }
+      | Ir.R_if { cond_edge; then_r; else_r; sels } ->
+        let b_then = plan_region first then_r in
+        let b_else = plan_region (first + b_then.p_count) else_r in
+        K_if
+          { b_cond_edge = cond_edge; b_then; b_else; b_sels = ops_opt sels; b_key_p = key 'P' }
+      | Ir.R_loop { merges; cond_r; cond_edge; body; elps; _ } ->
+        let cond_p = plan_region (first + List.length merges) cond_r in
+        let body = plan_region (cond_p.p_first + cond_p.p_count) body in
+        let cond_specs = List.map Leaf.normal (Ir.region_nodes cond_r) in
+        let leaf specs = Leaf.prepare analysis specs in
+        let steps =
+          if cfg.fold_loop_cond then
+            Folded
+              {
+                header = leaf (List.map Leaf.merge_init merges @ cond_specs);
+                latch = leaf (List.map Leaf.merge_back merges @ cond_specs);
+              }
+          else
+            Headed
+              {
+                pre = leaf (List.map Leaf.merge_init merges);
+                cond = leaf cond_specs;
+                latch = leaf (List.map Leaf.merge_back merges);
+              }
+        in
+        K_loop { cond_edge; cond_p; body; steps; elps = ops_opt elps }
+    in
+    { p_first = first; p_count = count; p_key_r = key 'R'; p_kind = kind }
+  and plan_children first = function
+    | [] -> []
+    | r :: rest ->
+      let p = plan_region first r in
+      p :: plan_children (first + p.p_count) rest
   in
-  match Fragcache.find fc key with
-  | Some frag ->
-    if ctx.check then begin
-      match Impact_util.Diagnostic.errors (Check.splice_frag_issues frag) with
-      | [] -> ()
-      | issues ->
-        failwith
-          (Impact_util.Diagnostic.report
-             ~header:"IMPACT_SCHED_CHECK: cached fragment fails splice validation:"
-             issues)
-    end;
-    frag
+  {
+    pl_graph = g;
+    pl_top_region = top_region;
+    pl_cfg = cfg;
+    pl_analysis = analysis;
+    pl_nodes = Array.of_list (Ir.region_nodes top);
+    pl_top = plan_region 0 top;
+  }
+
+let config_equal a b =
+  a == b
+  || Float.equal a.clock_ns b.clock_ns
+     && Bool.equal a.flatten_ifs b.flatten_ifs
+     && Bool.equal a.fold_loop_cond b.fold_loop_cond
+     && Bool.equal a.parallel_regions b.parallel_regions
+     && Int.equal a.max_product_states b.max_product_states
+     && Bool.equal a.fds_leaves b.fds_leaves
+
+(* [schedule] runs thousands of times per search on the same program, so
+   recent plans are published in a bounded most-recent-first list, found by
+   the physical identity of the program's graph and region tree.  The race
+   on the slot is benign: a losing domain's plan is an identical value. *)
+let max_plans = 4
+let plans : plan list Atomic.t = Atomic.make []
+
+let plan_for cfg (program : Graph.program) =
+  let g = program.Graph.graph and top = program.Graph.top in
+  let mine p = p.pl_graph == g && p.pl_top_region == top && config_equal p.pl_cfg cfg in
+  let published = Atomic.get plans in
+  match List.find_opt mine published with
+  | Some p -> p
   | None ->
-    let t0 = Impact_util.Parallel.now_s () in
-    let frag = compute () in
-    let cost_ns = int_of_float ((Impact_util.Parallel.now_s () -. t0) *. 1e9) in
-    Fragcache.add fc key ~cost_ns frag;
-    frag
+    let p = make_plan cfg g top in
+    Atomic.set plans (p :: List.filteri (fun i _ -> i < max_plans - 1) published);
+    p
+
+(* --- One reschedule -------------------------------------------------------- *)
+
+type ctx = {
+  plan : plan;
+  delay : Models.delay_model;
+  res : Models.resource_model;
+  frags : (Fragcache.t * keys) option;
+  check : bool;  (* IMPACT_SCHED_CHECK, read once per [schedule] call *)
+}
+
+(* Every node's model bytes, encoded once per reschedule in the top
+   region's node order; [k_off.(i)] is where position [i]'s bytes start. *)
+and keys = { k_models : string; k_off : int array }
+
+(* Every per-node model value the scheduler reads, looked up once per
+   cached [schedule] call into arrays (and encoded for the keys): nested
+   regions' keys and the leaf scheduler then index those instead of
+   re-running the caller's model closures (hashtable lookups in the
+   datapath) per enclosing region.  A schedule without a fragment cache
+   keys nothing and reads the closures directly. *)
+let tabulate plan ~delay ~res =
+  let g = plan.pl_graph in
+  let nn = Graph.node_count g in
+  let latency = Array.make nn 0. and input_extra = Array.make nn [||] in
+  let output_extra = Array.make nn 0. and unit = Array.make nn None in
+  let pipelined = Array.make nn false in
+  Array.iter
+    (fun nid ->
+      latency.(nid) <- delay.Models.op_latency_ns nid;
+      input_extra.(nid) <-
+        Array.mapi
+          (fun port _ -> delay.Models.input_extra_ns nid ~port)
+          (Graph.node g nid).Ir.inputs;
+      output_extra.(nid) <- delay.Models.output_extra_ns nid;
+      unit.(nid) <- res.Models.fu_of nid;
+      pipelined.(nid) <- res.Models.pipelined nid)
+    plan.pl_nodes;
+  let delay =
+    {
+      Models.op_latency_ns = Array.get latency;
+      input_extra_ns = (fun nid ~port -> input_extra.(nid).(port));
+      output_extra_ns = Array.get output_extra;
+    }
+  and res = { Models.fu_of = Array.get unit; pipelined = Array.get pipelined } in
+  let n = Array.length plan.pl_nodes in
+  let kb = Keybuf.create (32 * (n + 1)) in
+  let off = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun i nid ->
+      add_models kb g ~delay ~res nid;
+      off.(i + 1) <- Keybuf.length kb)
+    plan.pl_nodes;
+  (delay, res, { k_models = Keybuf.contents kb; k_off = off })
+
+let region_key keys prefix p =
+  let a = keys.k_off.(p.p_first) and b = keys.k_off.(p.p_first + p.p_count) in
+  let plen = String.length prefix in
+  let key = Bytes.create (plen + b - a) in
+  Bytes.blit_string prefix 0 key 0 plen;
+  Bytes.blit_string keys.k_models a key plen (b - a);
+  Bytes.unsafe_to_string key
+
+let cached_frag ctx prefix p compute =
+  match (ctx.frags, prefix) with
+  | None, _ | _, None -> compute ()
+  | Some (fc, keys), Some prefix -> (
+    let key = region_key keys prefix p in
+    match Fragcache.find fc key with
+    | Some frag ->
+      if ctx.check then begin
+        match Impact_util.Diagnostic.errors (Check.splice_frag_issues frag) with
+        | [] -> ()
+        | issues ->
+          failwith
+            (Impact_util.Diagnostic.report
+               ~header:"IMPACT_SCHED_CHECK: cached fragment fails splice validation:"
+               issues)
+      end;
+      frag
+    | None ->
+      let t0 = Impact_util.Parallel.now_s () in
+      let frag = compute () in
+      let cost_ns = int_of_float ((Impact_util.Parallel.now_s () -. t0) *. 1e9) in
+      Fragcache.add fc key ~cost_ns frag;
+      frag)
 
 (* --- Fragment construction ---------------------------------------------- *)
 
-let rec region_frag ctx region =
-  match ctx.frags with
-  | Some fc when cacheable region ->
-    cached_frag ctx fc ~tag:'R' region (fun () -> region_frag_raw ctx region)
-  | _ -> region_frag_raw ctx region
+let leaf_frag ctx leaf =
+  Stg.frag_of_chain
+    (Leaf.run leaf ~delay:ctx.delay ~res:ctx.res ~clock_ns:ctx.plan.pl_cfg.clock_ns)
 
-and region_frag_raw ctx region =
-  match region with
-  | Ir.R_ops [] -> Stg.frag_empty ()
-  | Ir.R_ops ids -> ops_frag ctx ids
-  | Ir.R_seq rs -> seq_frag ctx rs
-  | Ir.R_if _ -> seq_frag ctx [ region ]
-  | Ir.R_loop { merges; cond_r; cond_edge; body; elps; _ } ->
-    loop_frag ctx ~merges ~cond_r ~cond_edge ~body ~elps
+(* Pure dataflow leaves can alternatively be scheduled by the
+   force-directed balancer (no chaining, resource-levelled). *)
+let ops_frag ctx { o_ids; o_leaf } =
+  let clock_ns = ctx.plan.pl_cfg.clock_ns in
+  if ctx.plan.pl_cfg.fds_leaves && o_ids <> [] then
+    Stg.frag_of_chain
+      (Force_directed.to_states ~delay:ctx.delay ~clock_ns
+         (Force_directed.schedule ctx.plan.pl_analysis ~delay:ctx.delay ~clock_ns o_ids))
+  else leaf_frag ctx o_leaf
+
+(* Functional units used by a fragment (for parallel-composition conflict
+   detection). *)
+let frag_fus ctx frag =
+  let acc = ref Iset.empty in
+  for s = 0 to Stg.frag_state_count frag - 1 do
+    List.iter
+      (fun fr ->
+        match ctx.res.Models.fu_of fr.Stg.f_node with
+        | Some fu -> acc := Iset.add fu !acc
+        | None -> ())
+      (Stg.frag_state frag s).Stg.firings
+  done;
+  !acc
+
+let rec region_frag ctx p = cached_frag ctx p.p_key_r p (fun () -> region_frag_raw ctx p)
+
+and region_frag_raw ctx p =
+  match p.p_kind with
+  | K_empty -> Stg.frag_empty ()
+  | K_ops ops -> ops_frag ctx ops
+  | K_seq { groups; _ } -> seq_frag ctx groups
+  | K_if b -> branch_frag ctx (Stg.frag_empty ()) b
+  | K_loop { cond_edge; body; steps; elps; _ } -> loop_frag ctx ~cond_edge ~body ~steps ~elps
+
+(* A conditional forked directly off [prefix] (no dispatch state), then its
+   Sel muxes. *)
+and branch_frag ctx prefix b =
+  let then_f = region_frag ctx b.b_then in
+  let else_f = region_frag ctx b.b_else in
+  let forked = Stg.fork prefix ~cond_edge:b.b_cond_edge ~then_f ~else_f in
+  match b.b_sels with None -> forked | Some sels -> Stg.seq forked (ops_frag ctx sels)
 
 (* Sequential children, with parallel grouping of independent siblings and
    conditional forks folded onto the running fragment. *)
-and seq_frag ctx children =
-  let n = List.length children in
-  let children = Array.of_list children in
-  let writes = Array.map region_writes children in
-  let reads = Array.map (region_reads ctx) children in
-  let level = Array.make n 1 in
-  for j = 0 to n - 1 do
-    for i = 0 to j - 1 do
-      if not (Iset.is_empty (Iset.inter reads.(j) writes.(i))) then
-        level.(j) <- max level.(j) (level.(i) + 1)
-    done
-  done;
-  let groups =
-    if ctx.cfg.parallel_regions then begin
-      let max_level = Array.fold_left max 1 level in
-      List.init max_level (fun l ->
-          List.filteri (fun j _ -> level.(j) = l + 1) (Array.to_list children))
-      |> List.filter (fun g -> g <> [])
-    end
-    else List.map (fun c -> [ c ]) (Array.to_list children)
-  in
+and seq_frag ctx groups =
   let cur = ref None in
-  let append frag =
-    cur := Some (match !cur with None -> frag | Some c -> Stg.seq c frag)
-  in
   List.iter
     (fun group ->
-      match group with
-      | [] -> ()
-      | [ Ir.R_if { cond_edge; then_r; else_r; sels } ] ->
-        (* Fork directly off the running fragment: no dispatch state. *)
-        let prefix = match !cur with Some c -> c | None -> Stg.frag_empty () in
-        let then_f = region_frag ctx then_r in
-        let else_f = region_frag ctx else_r in
-        let forked = Stg.fork prefix ~cond_edge ~then_f ~else_f in
-        cur := Some forked;
-        if sels <> [] then append (ops_frag ctx sels)
-      | [ single ] -> append (region_frag ctx single)
-      | members ->
-        let frags = List.map (standalone_frag ctx) members in
-        append (par_fold ctx frags))
+      let frag =
+        match group with
+        | G_fork b ->
+          branch_frag ctx (match !cur with Some c -> c | None -> Stg.frag_empty ()) b
+        | G_one p -> (
+          let f = region_frag ctx p in
+          match !cur with None -> f | Some c -> Stg.seq c f)
+        | G_par members -> (
+          let f = par_fold ctx (List.map (standalone_frag ctx) members) in
+          match !cur with None -> f | Some c -> Stg.seq c f)
+      in
+      cur := Some frag)
     groups;
   match !cur with Some f -> f | None -> Stg.frag_empty ()
 
 (* A fragment usable as one side of a parallel product: conditionals get
    their own dispatch state.  Cached under a tag distinct from [region_frag]
    so the two call sites can never serve each other's entries. *)
-and standalone_frag ctx region =
-  match region with
-  | Ir.R_if _ -> (
-    match ctx.frags with
-    | Some fc when cacheable region ->
-      cached_frag ctx fc ~tag:'P' region (fun () -> standalone_frag_raw ctx region)
-    | _ -> standalone_frag_raw ctx region)
-  | _ -> region_frag ctx region
-
-and standalone_frag_raw ctx region =
-  match region with
-  | Ir.R_if { cond_edge; then_r; else_r; sels } ->
-    let then_f = region_frag ctx then_r in
-    let else_f = region_frag ctx else_r in
-    let forked = Stg.fork (Stg.frag_empty ()) ~cond_edge ~then_f ~else_f in
-    if sels = [] then forked else Stg.seq forked (ops_frag ctx sels)
-  | _ -> region_frag ctx region
+and standalone_frag ctx p =
+  match p.p_kind with
+  | K_if b -> cached_frag ctx b.b_key_p p (fun () -> branch_frag ctx (Stg.frag_empty ()) b)
+  | _ -> region_frag ctx p
 
 and par_fold ctx frags =
   match frags with
@@ -376,21 +527,21 @@ and par_fold ctx frags =
         in
         if conflict then Stg.seq acc frag
         else
-          match Stg.par ~max_states:ctx.cfg.max_product_states acc frag with
+          match Stg.par ~max_states:ctx.plan.pl_cfg.max_product_states acc frag with
           | product -> product
           | exception Stg.Product_too_large -> Stg.seq acc frag)
       first rest
 
-and loop_frag ctx ~merges ~cond_r ~cond_edge ~body ~elps =
-  let cond_specs = List.map Leaf.normal (Ir.region_nodes cond_r) in
+and loop_frag ctx ~cond_edge ~body ~steps ~elps =
   let body_f = region_frag ctx body in
   let f, loop_exits =
-    if ctx.cfg.fold_loop_cond then begin
+    match steps with
+    | Folded { header; latch } ->
       (* Header: merge inits chained with the first condition evaluation.
          Latch: merge register writes chained with the next iteration's
          condition.  The back edge re-enters the body directly. *)
-      let header = leaf_frag ctx (List.map Leaf.merge_init merges @ cond_specs) in
-      let latch = leaf_frag ctx (List.map Leaf.merge_back merges @ cond_specs) in
+      let header = leaf_frag ctx header in
+      let latch = leaf_frag ctx latch in
       let inner = Stg.seq body_f latch in
       let inner = Stg.back_edges inner ~cond_edge ~target:(Stg.frag_entry inner) in
       let f = header in
@@ -407,13 +558,12 @@ and loop_frag ctx ~merges ~cond_r ~cond_edge ~body ~elps =
       List.iter (fun (s, g) -> exits := (s + off, g) :: !exits) (Stg.frag_exits inner);
       Stg.frag_set_exits f [];
       (f, List.rev !exits)
-    end
-    else begin
+    | Headed { pre; cond; latch } ->
       (* Baseline: pre-header, separate condition header re-entered every
          iteration, body, latch. *)
-      let pre = leaf_frag ctx (List.map Leaf.merge_init merges) in
-      let condf = leaf_frag ctx cond_specs in
-      let latch = leaf_frag ctx (List.map Leaf.merge_back merges) in
+      let pre = leaf_frag ctx pre in
+      let condf = leaf_frag ctx cond in
+      let latch = leaf_frag ctx latch in
       let bodylatch = Stg.seq body_f latch in
       let f = pre in
       let off_c = Stg.graft f condf in
@@ -435,32 +585,34 @@ and loop_frag ctx ~merges ~cond_r ~cond_edge ~body ~elps =
         (Stg.frag_exits bodylatch);
       Stg.frag_set_exits f [];
       (f, List.rev !exits)
-    end
   in
   List.iter (fun (s, g) -> Stg.frag_add_exit f ~src:s g) loop_exits;
-  if elps = [] then f else Stg.seq f (ops_frag ctx elps)
+  match elps with None -> f | Some elps -> Stg.seq f (ops_frag ctx elps)
+
+let run_plan ?frags plan ~check ~delay ~res =
+  let delay, res, frags =
+    match frags with
+    | None -> (delay, res, None)
+    | Some fc ->
+      let delay, res, keys = tabulate plan ~delay ~res in
+      (delay, res, Some (fc, keys))
+  in
+  let ctx = { plan; delay; res; frags; check } in
+  Stg.instantiate (region_frag ctx plan.pl_top) ~clock_ns:plan.pl_cfg.clock_ns
+
+let schedule_reference cfg (program : Graph.program) ~delay ~res =
+  run_plan (make_plan cfg program.Graph.graph program.Graph.top) ~check:false ~delay ~res
 
 let schedule ?frags cfg (program : Graph.program) ~delay ~res =
-  let g = program.Graph.graph in
-  let cfg_fp = config_fingerprint cfg in
   let check = check_enabled () in
-  let top = if cfg.flatten_ifs then flatten_cached program.Graph.top else program.Graph.top in
-  let build frags (delay, res) =
-    let analysis = Analysis.create g in
-    let ctx = { cfg; analysis; delay; res; frags; cfg_fp; check } in
-    Stg.instantiate (region_frag ctx top) ~clock_ns:cfg.clock_ns
-  in
-  let stg =
-    build frags
-      (match frags with Some _ -> tabulate g ~delay ~res top | None -> (delay, res))
-  in
+  let stg = run_plan ?frags (plan_for cfg program) ~check ~delay ~res in
   (match frags with
   | Some _ when check ->
     (* Cold reference: the same schedule with fragment reuse disabled, read
-       through the caller's own model closures, must be bit-identical —
-       splicing and tabulation are implementation details, never semantic
-       ones. *)
-    let cold = build None (delay, res) in
+       through the caller's own model closures, from a plan built for this
+       call alone, must be bit-identical — splicing, tabulation and the
+       published plan are implementation details, never semantic ones. *)
+    let cold = schedule_reference cfg program ~delay ~res in
     if Stg.signature cold <> Stg.signature stg then
       failwith
         "IMPACT_SCHED_CHECK: spliced schedule diverges from a cold reschedule";
@@ -475,28 +627,27 @@ let schedule ?frags cfg (program : Graph.program) ~delay ~res =
   stg
 
 (* The cacheable regions of a program's (flattened) region tree with their
-   current digests, outermost first.  A reschedule after a move can only
-   change the fragments of regions whose digest changed; the
+   current keys, outermost first.  A reschedule after a move can only
+   change the fragments of regions whose key changed; the
    footprint-classification tests assert that those regions all intersect
    the move's resource footprint. *)
 let region_report cfg (program : Graph.program) ~delay ~res =
-  let g = program.Graph.graph in
-  let cfg_fp = config_fingerprint cfg in
-  let top = if cfg.flatten_ifs then flatten_cached program.Graph.top else program.Graph.top in
-  let rec walk acc region =
+  let plan = plan_for cfg program in
+  let _, _, keys = tabulate plan ~delay ~res in
+  let nodes p = Array.to_list (Array.sub plan.pl_nodes p.p_first p.p_count) in
+  let rec walk acc p =
     let acc =
-      if cacheable region then
-        (Ir.region_nodes region, digest_region ~g ~cfg_fp ~delay ~res ~tag:'R' region)
-        :: acc
-      else acc
+      match p.p_key_r with
+      | Some prefix -> (nodes p, region_key keys prefix p) :: acc
+      | None -> acc
     in
-    match region with
-    | Ir.R_ops _ -> acc
-    | Ir.R_seq rs -> List.fold_left walk acc rs
-    | Ir.R_if { then_r; else_r; _ } -> walk (walk acc then_r) else_r
-    | Ir.R_loop { cond_r; body; _ } -> walk (walk acc body) cond_r
+    match p.p_kind with
+    | K_empty | K_ops _ -> acc
+    | K_seq { children; _ } -> List.fold_left walk acc children
+    | K_if b -> walk (walk acc b.b_then) b.b_else
+    | K_loop { cond_p; body; _ } -> walk (walk acc body) cond_p
   in
-  List.rev (walk [] top)
+  List.rev (walk [] plan.pl_top)
 
 let min_enc_schedule style ~clock_ns (program : Graph.program) library =
   let delay, res = Models.parallel_models program.Graph.graph library in

@@ -50,22 +50,47 @@ val schedule :
   delay:Models.delay_model ->
   res:Models.resource_model ->
   Stg.t
-(** With [frags], per-region fragments are memoised by content digest
+(** Reads the {e schedule plan} of [(program, config)]: everything the
+    scheduler needs that depends on the program alone — the flattened
+    region tree and its node order, each cacheable region's key prefix
+    (format byte, config fingerprint, tag and structure bytes), each
+    sequence's sibling dependence groups, each leaf's specification array
+    with its in-leaf predecessor/successor arrays and extern-guard flags,
+    and every node's effective guard.  The plan is built on first use,
+    never changes, and is published in a small most-recently-used list
+    found by the physical identity of the program's graph and region tree
+    (at most four plans are kept).  A reschedule then only tabulates the
+    models, appends each region's model bytes to its key prefix, and runs
+    list scheduling.
+
+    With [frags], per-region fragments are memoised by content key
     ({!Fragcache}): a region whose structure and per-operation model values
     are unchanged since an earlier schedule splices its prior fragment
     verbatim instead of re-running leaf scheduling, so rescheduling after a
     move costs work proportional to the regions the move perturbs.  The
     composition (sequencing, forks, loop wiring, parallel products) is
-    recomputed every call, and the digest covers every input leaf
+    recomputed every call, and the key covers every input leaf
     scheduling reads, so the result is bit-identical to a cache-less
     schedule.  The cache must only be reused across calls that agree on the
     program (bind its identity into the cache's context).
 
     With the [IMPACT_SCHED_CHECK] environment variable set (to anything but
-    [0] or the empty string), every spliced schedule is recomputed cold and
-    compared by {!Stg.signature}, every cache-served fragment is
+    [0] or the empty string), every spliced schedule is recomputed cold by
+    {!schedule_reference} and compared by {!Stg.signature}, every
+    cache-served fragment is
     structurally validated, and the spliced STG passes the
     [stg/splice-*] checks of {!Check} — a divergence raises [Failure]. *)
+
+val schedule_reference :
+  config ->
+  Impact_cdfg.Graph.program ->
+  delay:Models.delay_model ->
+  res:Models.resource_model ->
+  Stg.t
+(** The cold reference: {!schedule} without a fragment cache and without
+    the published plan — it builds a plan for this call alone (a fresh
+    {!Impact_cdfg.Analysis.t} and fresh leaf arrays) and reads the models
+    through the caller's closures. *)
 
 val region_report :
   config ->
@@ -74,7 +99,7 @@ val region_report :
   res:Models.resource_model ->
   (Impact_cdfg.Ir.node_id list * string) list
 (** The cacheable regions of the (flattened) region tree with their current
-    content digests, outermost first.  Two reports over the same program
+    fragment keys, outermost first.  Two reports over the same program
     differ exactly at the regions whose fragments a reschedule would
     recompute; the footprint-classification tests assert those regions all
     intersect the operations served by the move's resource footprint. *)

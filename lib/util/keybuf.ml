@@ -2,6 +2,7 @@ type t = Buffer.t
 
 let create n = Buffer.create n
 let contents = Buffer.contents
+let length = Buffer.length
 let tag = Buffer.add_char
 
 (* Zigzag folds the sign into bit 0 so small negatives stay short; LEB128

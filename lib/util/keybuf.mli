@@ -15,6 +15,9 @@ val create : int -> t
 
 val contents : t -> string
 
+val length : t -> int
+(** Bytes written so far. *)
+
 val tag : t -> char -> unit
 (** One raw byte: a variant tag or a format marker. *)
 

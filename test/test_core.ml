@@ -156,7 +156,7 @@ let test_search_improves_power () =
     Search.optimize env initial ~rng:(Rng.create ~seed:6) ~depth:3 ~max_candidates:20 ()
   in
   check_bool "power improved" true
-    (final.Solution.est.Estimate.est_power < initial.Solution.est.Estimate.est_power)
+    ((Solution.est final).Estimate.est_power < (Solution.est initial).Estimate.est_power)
 
 let test_search_respects_filter () =
   let env, _ = gcd_env Solution.Minimize_power 2.0 in

@@ -97,8 +97,8 @@ let walk_and_check env ~seed ~steps =
                ~dp:s.Solution.dp ~vdd:s.Solution.vdd ()
            in
            let name = Printf.sprintf "step %d" step in
-           check_est_close name s.Solution.est full;
-           (match s.Solution.ledger with
+           check_est_close name (Solution.est s) full;
+           (match Solution.ledger s with
            | Some lg -> check_terms_identical name lg full_lg
            | None -> Alcotest.failf "%s: feasible solution without a ledger" name);
            incr checked
@@ -179,7 +179,7 @@ let test_same_shape_reschedule () =
     let _, full_lg =
       Estimate.estimate_ledger env.Solution.est_ctx ~stg:s.Solution.stg ~dp:s.Solution.dp ()
     in
-    let lg = Option.get s.Solution.ledger in
+    let lg = Option.get (Solution.ledger s) in
     check_terms_identical "same-shape reschedule" lg full_lg;
     check_bool "critical path is the new schedule's" true
       (List.assoc "critical-ns" (Estimate.ledger_terms lg)
@@ -190,24 +190,26 @@ let test_same_shape_reschedule () =
 let search_fingerprint env ~delta =
   let rng = Rng.create ~seed:5 in
   let initial = Solution.initial env in
+  let metrics = Solution.create_metrics () in
   let sol, stats =
     Search.optimize env initial ~rng ~depth:3 ~max_candidates:16 ~max_iterations:8
-      ~delta ()
+      ~delta ~metrics ()
   in
-  ( sol.Solution.cost,
-    sol.Solution.area,
-    sol.Solution.vdd,
-    List.map Moves.describe stats.Search.moves_applied,
-    stats.Search.candidates_evaluated,
-    stats.Search.delta_repriced )
+  ( (sol.Solution.cost,
+     sol.Solution.area,
+     sol.Solution.vdd,
+     List.map Moves.describe stats.Search.moves_applied,
+     stats.Search.candidates_evaluated),
+    stats.Search.delta_repriced,
+    Solution.metrics_estimated metrics )
 
 let test_delta_search_identical () =
   List.iter
     (fun objective ->
-      let c1, a1, v1, m1, e1, d1 =
+      let (c1, a1, v1, m1, e1), d1, n1 =
         search_fingerprint (make_env Suite.gcd objective 2.0) ~delta:true
       in
-      let c2, a2, v2, m2, e2, d2 =
+      let (c2, a2, v2, m2, e2), d2, n2 =
         search_fingerprint (make_env Suite.gcd objective 2.0) ~delta:false
       in
       check_bool "cost identical" true (c1 = c2);
@@ -215,9 +217,90 @@ let test_delta_search_identical () =
       check_bool "vdd identical" true (v1 = v2);
       Alcotest.(check (list string)) "moves identical" m2 m1;
       check_int "candidates identical" e2 e1;
-      check_bool "delta path exercised" true (d1 > 0);
+      (match objective with
+      | Solution.Minimize_power -> check_bool "delta path exercised" true (d1 > 0)
+      | Solution.Minimize_area ->
+        (* The area cost never reads power, so nothing is priced. *)
+        check_int "area search prices no estimate" 0 n1;
+        check_int "area search prices no estimate (full)" 0 n2);
       check_int "full path never delta-prices" 0 d2)
     [ Solution.Minimize_power; Solution.Minimize_area ]
+
+(* --- Deferred pricing ----------------------------------------------------------
+
+   An area search never computes a power estimate; the final design's
+   estimate is computed on first read, and equals a from-scratch estimate
+   at its supply bit for bit. *)
+
+let ledger_bits lg =
+  List.map (fun (label, v) -> (label, Int64.bits_of_float v)) (Estimate.ledger_terms lg)
+
+let area_search ?cache env =
+  let metrics = Solution.create_metrics () in
+  let initial = Solution.initial ?cache ~metrics env in
+  let sol, _ =
+    Search.optimize env initial ~rng:(Rng.create ~seed:9) ~depth:3 ~max_candidates:16
+      ~max_iterations:6 ?cache ~metrics ()
+  in
+  (sol, Solution.metrics_estimated metrics)
+
+let test_area_search_defers () =
+  List.iter
+    (fun bench ->
+      let env = make_env bench Solution.Minimize_area 2.0 in
+      let sol, estimated = area_search env in
+      let name = bench.Suite.bench_name in
+      check_int (name ^ ": nominal estimates in an area search") 0 estimated;
+      check_bool (name ^ ": final design feasible") true (sol.Solution.cost < infinity);
+      check_bool (name ^ ": no ledger priced before a read") true
+        (Solution.priced_ledger sol = None);
+      let full, full_lg =
+        Estimate.estimate_ledger env.Solution.est_ctx ~stg:sol.Solution.stg
+          ~dp:sol.Solution.dp ~vdd:sol.Solution.vdd ()
+      in
+      let forced = Solution.est sol in
+      check_bool (name ^ ": forced est_power bits") true
+        (Int64.bits_of_float forced.Estimate.est_power
+        = Int64.bits_of_float full.Estimate.est_power);
+      check_bool (name ^ ": forced estimate equals the full one") true (forced = full);
+      (match Solution.ledger sol with
+      | Some lg ->
+        check_bool (name ^ ": forced ledger terms") true (ledger_bits lg = ledger_bits full_lg)
+      | None -> Alcotest.failf "%s: feasible design without a ledger" name);
+      check_bool (name ^ ": the forced ledger is kept") true
+        (Solution.priced_ledger sol <> None))
+    [ Suite.gcd; Suite.paulin; Suite.cordic ]
+
+(* A power search that hits signature-cache entries an area search filled
+   (their estimate slots empty or forced) finds the design a fresh cache
+   finds. *)
+let test_power_after_area_cache () =
+  let power_design ?cache env =
+    let initial = Solution.initial ?cache env in
+    let sol, stats =
+      Search.optimize env initial ~rng:(Rng.create ~seed:4) ~depth:3 ~max_candidates:16
+        ~max_iterations:6 ?cache ()
+    in
+    ( Printf.sprintf "%h|%h|%h|%h" sol.Solution.cost sol.Solution.area sol.Solution.enc
+        sol.Solution.vdd,
+      Stg.signature sol.Solution.stg,
+      List.map Moves.describe stats.Search.moves_applied,
+      Option.map ledger_bits (Solution.ledger sol) )
+  in
+  List.iter
+    (fun bench ->
+      let area_env = make_env bench Solution.Minimize_area 2.0 in
+      let power_env = { area_env with Solution.objective = Solution.Minimize_power } in
+      let shared = Solution.create_cache () in
+      let area_sol, _ = area_search ~cache:shared area_env in
+      (* Force one entry's estimate, as a report of the area design would. *)
+      ignore (Solution.est area_sol);
+      check_bool (bench.Suite.bench_name ^ ": the area search filled the cache") true
+        (Solution.cache_entries shared > 0);
+      let reused = power_design ~cache:shared power_env in
+      let fresh = power_design ~cache:(Solution.create_cache ()) power_env in
+      check_bool (bench.Suite.bench_name ^ ": same power design") true (reused = fresh))
+    [ Suite.gcd; Suite.paulin ]
 
 (* --- Sharded memo tables under contention ---------------------------------- *)
 
@@ -322,6 +405,12 @@ let () =
             test_delta_search_identical;
           Alcotest.test_case "same-shape reschedule is delta-priced" `Quick
             test_same_shape_reschedule;
+        ] );
+      ( "deferred pricing",
+        [
+          Alcotest.test_case "area search prices no estimate" `Quick test_area_search_defers;
+          Alcotest.test_case "power search on an area-filled cache" `Quick
+            test_power_after_area_cache;
         ] );
       ( "shardtbl",
         [

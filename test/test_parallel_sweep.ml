@@ -152,7 +152,7 @@ let test_granularity_gate () =
 let test_reprices () =
   let env = make_env Suite.gcd in
   let sol = Solution.initial env in
-  check_bool "feasible initial carries a ledger" true (sol.Solution.ledger <> None);
+  check_bool "feasible initial carries a ledger" true (Solution.ledger sol <> None);
   check_bool "split_fu keeps the schedule" true
     (Moves.reprices env sol (Moves.Split_fu (0, [])));
   check_bool "split_reg keeps the schedule" true
@@ -181,7 +181,7 @@ let test_reprices () =
   let tight = { env with Solution.enc_budget = 0. } in
   let infeasible = Solution.initial tight in
   check_bool "infeasible initial has no ledger" true
-    (infeasible.Solution.ledger = None);
+    (Solution.ledger infeasible = None);
   check_bool "no ledger, no reprice" false
     (Moves.reprices tight infeasible (Moves.Split_fu (0, [])))
 

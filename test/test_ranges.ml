@@ -420,7 +420,7 @@ let test_range_power_prices_lower () =
           { Driver.default_options with clock_ns = bench.Suite.clock_ns; range_power }
         program ~workload ~objective:Solution.Minimize_power ~laxity:2.0
     in
-    (Solution.initial env).Solution.est.Estimate.est_power
+    (Solution.est (Solution.initial env)).Estimate.est_power
   in
   let off = build false and on = build true in
   check_bool "range pricing is a discount" true (on <= off);

@@ -510,6 +510,147 @@ let test_key_partition =
           && same_partition stg_key stg_reference sols)
         Suite.all_extended)
 
+(* --- The schedule plan -------------------------------------------------------
+
+   The reference below is the region-key encoder the scheduler used before
+   it built a per-program plan: each key written in one pass from the
+   region tree and the model closures.  Keys filed in stores by that
+   encoder must keep hitting, so plan-built keys must equal its bytes. *)
+
+module Ir = Impact_cdfg.Ir
+module Keybuf = Impact_util.Keybuf
+
+let rec has_loop = function
+  | Ir.R_ops _ -> false
+  | Ir.R_seq rs -> List.exists has_loop rs
+  | Ir.R_if { then_r; else_r; _ } -> has_loop then_r || has_loop else_r
+  | Ir.R_loop _ -> true
+
+let rec merge_ops_children acc = function
+  | [] -> List.rev acc
+  | Ir.R_ops [] :: rest -> merge_ops_children acc rest
+  | Ir.R_ops a :: Ir.R_ops b :: rest -> merge_ops_children acc (Ir.R_ops (a @ b) :: rest)
+  | r :: rest -> merge_ops_children (r :: acc) rest
+
+let rec flatten region =
+  match region with
+  | Ir.R_ops _ -> region
+  | Ir.R_seq rs -> (
+    match merge_ops_children [] (List.map flatten rs) with
+    | [] -> Ir.R_ops []
+    | [ r ] -> r
+    | rs -> Ir.R_seq rs)
+  | Ir.R_if _ when not (has_loop region) -> Ir.R_ops (Ir.region_nodes region)
+  | Ir.R_if i -> Ir.R_if { i with then_r = flatten i.then_r; else_r = flatten i.else_r }
+  | Ir.R_loop l -> Ir.R_loop { l with cond_r = flatten l.cond_r; body = flatten l.body }
+
+let reference_config_fp (cfg : Scheduler.config) =
+  Printf.sprintf "%h|%b|%b|%b|%d|%b|" cfg.Scheduler.clock_ns cfg.Scheduler.flatten_ifs
+    cfg.Scheduler.fold_loop_cond cfg.Scheduler.parallel_regions
+    cfg.Scheduler.max_product_states cfg.Scheduler.fds_leaves
+
+let reference_digest ~g ~cfg_fp ~(delay : Impact_sched.Models.delay_model)
+    ~(res : Impact_sched.Models.resource_model) ~tag region =
+  let kb = Keybuf.create 512 in
+  Keybuf.tag kb '\002';
+  Keybuf.string kb cfg_fp;
+  Keybuf.tag kb tag;
+  let rec structure r =
+    match r with
+    | Ir.R_ops ids ->
+      Keybuf.tag kb 'O';
+      Keybuf.ints kb ids
+    | Ir.R_seq rs ->
+      Keybuf.tag kb 'S';
+      Keybuf.list kb (fun _ r -> structure r) rs
+    | Ir.R_if { cond_edge; then_r; else_r; sels } ->
+      Keybuf.tag kb 'I';
+      Keybuf.int kb cond_edge;
+      structure then_r;
+      structure else_r;
+      Keybuf.ints kb sels
+    | Ir.R_loop { loop; merges; cond_r; cond_edge; body; elps } ->
+      Keybuf.tag kb 'L';
+      Keybuf.int kb loop;
+      Keybuf.ints kb merges;
+      structure cond_r;
+      Keybuf.int kb cond_edge;
+      structure body;
+      Keybuf.ints kb elps
+  in
+  structure region;
+  List.iter
+    (fun nid ->
+      Keybuf.int kb nid;
+      Keybuf.float kb (delay.op_latency_ns nid);
+      Array.iteri
+        (fun port _ -> Keybuf.float kb (delay.input_extra_ns nid ~port))
+        (Graph.node g nid).Ir.inputs;
+      Keybuf.float kb (delay.output_extra_ns nid);
+      Keybuf.int kb (match res.fu_of nid with Some fu -> fu | None -> -1);
+      Keybuf.tag kb (if res.pipelined nid then 'P' else 'p'))
+    (Ir.region_nodes region);
+  Keybuf.contents kb
+
+(* Every cacheable region in the pre-plan report order, with its 'R' key,
+   and the 'P' keys of its cacheable conditionals. *)
+let reference_keys cfg (prog : Graph.program) ~delay ~res =
+  let g = prog.Graph.graph and cfg_fp = reference_config_fp cfg in
+  let top = if cfg.Scheduler.flatten_ifs then flatten prog.Graph.top else prog.Graph.top in
+  let cacheable r = List.length (Ir.region_nodes r) >= 2 in
+  let digest tag r = reference_digest ~g ~cfg_fp ~delay ~res ~tag r in
+  let rec walk (report, standalone) region =
+    let acc =
+      if cacheable region then
+        ( (Ir.region_nodes region, digest 'R' region) :: report,
+          match region with Ir.R_if _ -> digest 'P' region :: standalone | _ -> standalone )
+      else (report, standalone)
+    in
+    match region with
+    | Ir.R_ops _ -> acc
+    | Ir.R_seq rs -> List.fold_left walk acc rs
+    | Ir.R_if { then_r; else_r; _ } -> walk (walk acc then_r) else_r
+    | Ir.R_loop { cond_r; body; _ } -> walk (walk acc body) cond_r
+  in
+  let report, standalone = walk ([], []) top in
+  (List.rev report, standalone)
+
+(* Along random binding walks on all eight benchmarks: the plan-based
+   schedule, with and without a fragment cache, equals the plan-free
+   reference; the reported region keys equal the reference encoder's bytes;
+   and every key the scheduler files in a fragment cache is one of them. *)
+let test_plan_walks =
+  QCheck.Test.make ~count:2 ~name:"plan = plan-free reference, keys unchanged (8 benchmarks)"
+    QCheck.(int_range 1 1000)
+    (fun seed ->
+      List.for_all
+        (fun bench ->
+          let env = make_env bench 2.5 in
+          let cfg = env.Solution.sched_config and prog = env.Solution.program in
+          let sols = walk_solutions bench ~seed ~steps:2 in
+          List.for_all
+            (fun (s : Solution.t) ->
+              let delay = Datapath.delay_model s.Solution.dp
+              and res = Datapath.resource_model s.Solution.dp in
+              let filed = ref [] in
+              let backing =
+                {
+                  Fragcache.bk_find = (fun _ -> None);
+                  bk_put = (fun full ~cost_ns:_ _ -> filed := full :: !filed);
+                }
+              in
+              let fc = Fragcache.create ~context:"ctx" ~backing () in
+              let reference = Stg.signature (Scheduler.schedule_reference cfg prog ~delay ~res) in
+              let report, standalone = reference_keys cfg prog ~delay ~res in
+              let known = List.map (fun k -> "ctx\000" ^ k) (List.map snd report @ standalone) in
+              Stg.signature (Scheduler.schedule cfg prog ~delay ~res) = reference
+              && Stg.signature (Scheduler.schedule ~frags:fc cfg prog ~delay ~res) = reference
+              && Scheduler.region_report cfg prog ~delay ~res = report
+              && !filed <> []
+              && List.for_all (fun k -> List.mem k known) !filed)
+            sols)
+        Suite.all_extended)
+
 (* Walk schedules never differ in a field their firings already determine
    (chain positions, transitions), so every field is also perturbed by
    hand: each shape variant must get its own key, as it gets its own
@@ -695,6 +836,7 @@ let () =
       ( "keys",
         [
           QCheck_alcotest.to_alcotest test_key_partition;
+          QCheck_alcotest.to_alcotest test_plan_walks;
           Alcotest.test_case "walks catch key mutants" `Quick test_key_mutants;
           Alcotest.test_case "every schedule field reaches the key" `Quick
             test_stg_key_fields;

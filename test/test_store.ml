@@ -426,7 +426,7 @@ let small_options =
   }
 
 let ledger_terms d =
-  match d.Driver.d_solution.Solution.ledger with
+  match Solution.ledger d.Driver.d_solution with
   | None -> []
   | Some l -> List.sort compare (Estimate.ledger_terms l)
 
@@ -458,7 +458,6 @@ let test_warm_identity () =
           check_int (name ^ " cold design write") 1 (tier "design" st).Store.ts_writes;
           check_int (name ^ " cold sim write") 1 (tier "sim" st).Store.ts_writes;
           check_int (name ^ " cold traces write") 1 (tier "traces" st).Store.ts_writes;
-          check_int (name ^ " cold lib write") 1 (tier "lib" st).Store.ts_writes;
           let warm = synth () in
           let st' = Store.stats store in
           check_bool (name ^ " warm design hit") true
@@ -751,7 +750,6 @@ let test_golden_keys () =
   let pin name expected actual = check_string name expected actual in
   pin "sim_key" "ec911fa95550f4f12c322d6c98ffff1b" (Driver.sim_key prog ~workload);
   pin "traces_key" "3f40b0ddeb3fd818043b3780b1889082" (Driver.traces_key prog ~workload);
-  pin "lib_key" "dac19a6d14e3aba03e492d44f9f6497b" (Driver.lib_key ());
   pin "design_key" "35e06016b35465b068bc9187e0f8e9a8"
     (Driver.design_key ~options prog ~workload ~objective:Solution.Minimize_power
        ~laxity:2.0);
@@ -759,15 +757,14 @@ let test_golden_keys () =
   pin "frag context" "impact-store|3|frag|a3b02b52b1e93c18ecc61171fbdeaec5" (Tier.frag_context prog);
   with_dir (fun d ->
       let store = Store.open_store ~dir:d () in
-      (* The search options do not reach the sim or lib payloads; a light
-         search keeps the test quick. *)
+      (* The search options do not reach the sim payload; a light search
+         keeps the test quick. *)
       let light = { options with depth = 1; max_candidates = 3; max_iterations = 1; probes = 1 } in
       ignore
         (Driver.synthesize ~options:light ~store prog ~workload
            ~objective:Solution.Minimize_power ~laxity:2.0 ());
       let md5 ns key = Digest.to_hex (Digest.string (read_payload (object_path_of_key ~ns d key))) in
-      pin "sim payload md5" "9d8be717c3e6402db52b4cfbdf31bc23" (md5 "sim" (Driver.sim_key prog ~workload));
-      pin "lib payload md5" "e25d509c75df98c61ed165831a5436bd" (md5 "lib" (Driver.lib_key ())))
+      pin "sim payload md5" "9d8be717c3e6402db52b4cfbdf31bc23" (md5 "sim" (Driver.sim_key prog ~workload)))
 
 (* --- single-flight scheduler ---------------------------------------------- *)
 
