@@ -406,7 +406,7 @@ let () =
           Alcotest.test_case "same-shape reschedule is delta-priced" `Quick
             test_same_shape_reschedule;
         ] );
-      ( "deferred pricing",
+      ( "deferred",
         [
           Alcotest.test_case "area search prices no estimate" `Quick test_area_search_defers;
           Alcotest.test_case "power search on an area-filled cache" `Quick
