@@ -59,8 +59,8 @@ type probe_result = {
 
 let optimize env start ~rng ~depth ~max_candidates ?(max_iterations = 50)
     ?(filter = fun _ -> true) ?pool ?cache ?(delta = true)
-    ?(num_probes = 1) ?(fanout = `Auto) ?metrics () =
-  let metrics = match metrics with Some m -> m | None -> Solution.create_metrics () in
+    ?(num_probes = 1) ?(fanout = `Auto) () =
+  let metrics = Solution.create_metrics () in
   (* Fragment-cache counters are cumulative over the cache's lifetime (it
      outlives runs: a sweep shares one); the stats report this run's delta. *)
   let frag0 =

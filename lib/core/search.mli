@@ -79,7 +79,6 @@ val optimize :
   ?delta:bool ->
   ?num_probes:int ->
   ?fanout:[ `Auto | `Always | `Never ] ->
-  ?metrics:Solution.metrics ->
   unit ->
   Solution.t * stats
 (** [filter] restricts the move set (used by the ablation benches, e.g. to
@@ -117,8 +116,4 @@ val optimize :
     mode it is the merged accepted solution of each iteration — losing
     probes are speculative work the search never stands behind.
     Verification never changes the search trajectory, so results are
-    bit-identical with the mode on or off.
-
-    [metrics] receives the run's evaluation counts (a fresh set by
-    default); the counts in [stats] are read from it, so pass a fresh set
-    to keep them per-run. *)
+    bit-identical with the mode on or off. *)

@@ -304,6 +304,14 @@ let cache_entries c =
   Shardtbl.length c.cs_shared
   + (match c.cs_overlay with None -> 0 | Some o -> Shardtbl.length o)
 
+let cache_priced c =
+  let count tbl =
+    let n = ref 0 in
+    Shardtbl.iter (fun _ bt -> if Option.is_some (Atomic.get bt.bt_nominal) then incr n) tbl;
+    !n
+  in
+  count c.cs_shared + (match c.cs_overlay with None -> 0 | Some o -> count o)
+
 let fork_cache c =
   {
     cs_shared = c.cs_shared;

@@ -104,6 +104,11 @@ val frag_cache : cache -> Impact_sched.Fragcache.t option
 
 val cache_entries : cache -> int
 
+val cache_priced : cache -> int
+(** Entries whose nominal estimate has been computed, by pricing or by a
+    read of {!est} or {!ledger}.  Zero after an area-objective search
+    whose designs nothing has read. *)
+
 val fork_cache : cache -> cache
 (** A probe-private view: reads fall through its fresh overlay to the
     shared table, but new builds land in the overlay only, so sibling

@@ -223,7 +223,7 @@ and kind =
       cond_edge : Ir.edge_id;
       cond_p : pnode;  (* for {!region_report}; scheduling reads [steps] *)
       body : pnode;
-      steps : loop_steps;
+      steps : Leaf.plan loop_steps;
       elps : ops option;
     }
 
@@ -237,14 +237,17 @@ and branch = {
   b_key_p : string option;  (* key prefix under 'P', for parallel products *)
 }
 
-and loop_steps =
-  | Folded of { header : Leaf.plan; latch : Leaf.plan }
-  | Headed of { pre : Leaf.plan; cond : Leaf.plan; latch : Leaf.plan }
+(* A loop's leaves: prepared in the plan, scheduled into fragments when a
+   reschedule wires the loop. *)
+and 'leaf loop_steps =
+  | Folded of { header : 'leaf; latch : 'leaf }
+  | Headed of { pre : 'leaf; cond : 'leaf; latch : 'leaf }
 
 type plan = {
   pl_graph : Graph.t;
   pl_top_region : Ir.region;  (* unflattened: the plan's identity *)
   pl_cfg : config;
+  pl_cfg_fp : string;  (* {!config_fingerprint}: the plan's config identity *)
   pl_analysis : Analysis.t;  (* every guard computed: read-only from here on *)
   pl_nodes : Ir.node_id array;  (* the flattened top region's node order *)
   pl_top : pnode;
@@ -321,37 +324,47 @@ let make_plan cfg g top_region =
     pl_graph = g;
     pl_top_region = top_region;
     pl_cfg = cfg;
+    pl_cfg_fp = cfg_fp;
     pl_analysis = analysis;
     pl_nodes = Array.of_list (Ir.region_nodes top);
     pl_top = plan_region 0 top;
   }
 
-let config_equal a b =
-  a == b
-  || Float.equal a.clock_ns b.clock_ns
-     && Bool.equal a.flatten_ifs b.flatten_ifs
-     && Bool.equal a.fold_loop_cond b.fold_loop_cond
-     && Bool.equal a.parallel_regions b.parallel_regions
-     && Int.equal a.max_product_states b.max_product_states
-     && Bool.equal a.fds_leaves b.fds_leaves
+(* [schedule] runs thousands of times per search on the same program, so a
+   plan lives as long as its program: plans are kept in an ephemeron table
+   keyed by the physical identity of the program's graph, one per region
+   tree and config scheduled on it.  However many programs are scheduled
+   interleaved, none evicts another's plan, and a plan goes when its
+   program does.  Plans are built outside the lock; two domains racing on
+   one build identical values, and the first published is kept. *)
+module Plans = Ephemeron.K1.Make (struct
+  type t = Graph.t
 
-(* [schedule] runs thousands of times per search on the same program, so
-   recent plans are published in a bounded most-recent-first list, found by
-   the physical identity of the program's graph and region tree.  The race
-   on the slot is benign: a losing domain's plan is an identical value. *)
-let max_plans = 4
-let plans : plan list Atomic.t = Atomic.make []
+  let equal = ( == )
+  let hash = Graph.node_count
+end)
+
+let plans = Plans.create 16
+let plans_lock = Mutex.create ()
 
 let plan_for cfg (program : Graph.program) =
   let g = program.Graph.graph and top = program.Graph.top in
-  let mine p = p.pl_graph == g && p.pl_top_region == top && config_equal p.pl_cfg cfg in
-  let published = Atomic.get plans in
-  match List.find_opt mine published with
+  let mine p =
+    p.pl_top_region == top
+    && (p.pl_cfg == cfg || String.equal p.pl_cfg_fp (config_fingerprint cfg))
+  in
+  let known () = Option.value (Plans.find_opt plans g) ~default:[] in
+  match List.find_opt mine (Mutex.protect plans_lock known) with
   | Some p -> p
   | None ->
     let p = make_plan cfg g top in
-    Atomic.set plans (p :: List.filteri (fun i _ -> i < max_plans - 1) published);
-    p
+    Mutex.protect plans_lock (fun () ->
+        let ps = known () in
+        match List.find_opt mine ps with
+        | Some first -> first
+        | None ->
+          Plans.replace plans g (p :: ps);
+          p)
 
 (* --- One reschedule -------------------------------------------------------- *)
 
@@ -439,109 +452,48 @@ let cached_frag ctx prefix p compute =
       Fragcache.add fc key ~cost_ns frag;
       frag)
 
-(* --- Fragment construction ---------------------------------------------- *)
-
-let leaf_frag ctx leaf =
-  Stg.frag_of_chain
-    (Leaf.run leaf ~delay:ctx.delay ~res:ctx.res ~clock_ns:ctx.plan.pl_cfg.clock_ns)
-
-(* Pure dataflow leaves can alternatively be scheduled by the
-   force-directed balancer (no chaining, resource-levelled). *)
-let ops_frag ctx { o_ids; o_leaf } =
-  let clock_ns = ctx.plan.pl_cfg.clock_ns in
-  if ctx.plan.pl_cfg.fds_leaves && o_ids <> [] then
-    Stg.frag_of_chain
-      (Force_directed.to_states ~delay:ctx.delay ~clock_ns
-         (Force_directed.schedule ctx.plan.pl_analysis ~delay:ctx.delay ~clock_ns o_ids))
-  else leaf_frag ctx o_leaf
+(* --- Fragment composition ----------------------------------------------- *)
 
 (* Functional units used by a fragment (for parallel-composition conflict
    detection). *)
-let frag_fus ctx frag =
+let frag_fus (res : Models.resource_model) frag =
   let acc = ref Iset.empty in
   for s = 0 to Stg.frag_state_count frag - 1 do
     List.iter
       (fun fr ->
-        match ctx.res.Models.fu_of fr.Stg.f_node with
+        match res.Models.fu_of fr.Stg.f_node with
         | Some fu -> acc := Iset.add fu !acc
         | None -> ())
       (Stg.frag_state frag s).Stg.firings
   done;
   !acc
 
-let rec region_frag ctx p = cached_frag ctx p.p_key_r p (fun () -> region_frag_raw ctx p)
-
-and region_frag_raw ctx p =
-  match p.p_kind with
-  | K_empty -> Stg.frag_empty ()
-  | K_ops ops -> ops_frag ctx ops
-  | K_seq { groups; _ } -> seq_frag ctx groups
-  | K_if b -> branch_frag ctx (Stg.frag_empty ()) b
-  | K_loop { cond_edge; body; steps; elps; _ } -> loop_frag ctx ~cond_edge ~body ~steps ~elps
-
-(* A conditional forked directly off [prefix] (no dispatch state), then its
-   Sel muxes. *)
-and branch_frag ctx prefix b =
-  let then_f = region_frag ctx b.b_then in
-  let else_f = region_frag ctx b.b_else in
-  let forked = Stg.fork prefix ~cond_edge:b.b_cond_edge ~then_f ~else_f in
-  match b.b_sels with None -> forked | Some sels -> Stg.seq forked (ops_frag ctx sels)
-
-(* Sequential children, with parallel grouping of independent siblings and
-   conditional forks folded onto the running fragment. *)
-and seq_frag ctx groups =
-  let cur = ref None in
-  List.iter
-    (fun group ->
-      let frag =
-        match group with
-        | G_fork b ->
-          branch_frag ctx (match !cur with Some c -> c | None -> Stg.frag_empty ()) b
-        | G_one p -> (
-          let f = region_frag ctx p in
-          match !cur with None -> f | Some c -> Stg.seq c f)
-        | G_par members -> (
-          let f = par_fold ctx (List.map (standalone_frag ctx) members) in
-          match !cur with None -> f | Some c -> Stg.seq c f)
-      in
-      cur := Some frag)
-    groups;
-  match !cur with Some f -> f | None -> Stg.frag_empty ()
-
-(* A fragment usable as one side of a parallel product: conditionals get
-   their own dispatch state.  Cached under a tag distinct from [region_frag]
-   so the two call sites can never serve each other's entries. *)
-and standalone_frag ctx p =
-  match p.p_kind with
-  | K_if b -> cached_frag ctx b.b_key_p p (fun () -> branch_frag ctx (Stg.frag_empty ()) b)
-  | _ -> region_frag ctx p
-
-and par_fold ctx frags =
+(* Independent siblings as a synchronous product, serialised where they
+   share a unit or the product grows too large. *)
+let par_fold ~res ~max_states frags =
   match frags with
   | [] -> Stg.frag_empty ()
   | first :: rest ->
     List.fold_left
       (fun acc frag ->
         let conflict =
-          not (Iset.is_empty (Iset.inter (frag_fus ctx acc) (frag_fus ctx frag)))
+          not (Iset.is_empty (Iset.inter (frag_fus res acc) (frag_fus res frag)))
         in
         if conflict then Stg.seq acc frag
         else
-          match Stg.par ~max_states:ctx.plan.pl_cfg.max_product_states acc frag with
+          match Stg.par ~max_states acc frag with
           | product -> product
           | exception Stg.Product_too_large -> Stg.seq acc frag)
       first rest
 
-and loop_frag ctx ~cond_edge ~body ~steps ~elps =
-  let body_f = region_frag ctx body in
+(* A loop wired from its body's fragment and its leaves' fragments. *)
+let loop_wire ~cond_edge body_f steps =
   let f, loop_exits =
     match steps with
     | Folded { header; latch } ->
       (* Header: merge inits chained with the first condition evaluation.
          Latch: merge register writes chained with the next iteration's
          condition.  The back edge re-enters the body directly. *)
-      let header = leaf_frag ctx header in
-      let latch = leaf_frag ctx latch in
       let inner = Stg.seq body_f latch in
       let inner = Stg.back_edges inner ~cond_edge ~target:(Stg.frag_entry inner) in
       let f = header in
@@ -558,12 +510,9 @@ and loop_frag ctx ~cond_edge ~body ~steps ~elps =
       List.iter (fun (s, g) -> exits := (s + off, g) :: !exits) (Stg.frag_exits inner);
       Stg.frag_set_exits f [];
       (f, List.rev !exits)
-    | Headed { pre; cond; latch } ->
+    | Headed { pre; cond = condf; latch } ->
       (* Baseline: pre-header, separate condition header re-entered every
          iteration, body, latch. *)
-      let pre = leaf_frag ctx pre in
-      let condf = leaf_frag ctx cond in
-      let latch = leaf_frag ctx latch in
       let bodylatch = Stg.seq body_f latch in
       let f = pre in
       let off_c = Stg.graft f condf in
@@ -587,31 +536,210 @@ and loop_frag ctx ~cond_edge ~body ~steps ~elps =
       (f, List.rev !exits)
   in
   List.iter (fun (s, g) -> Stg.frag_add_exit f ~src:s g) loop_exits;
-  match elps with None -> f | Some elps -> Stg.seq f (ops_frag ctx elps)
+  f
 
-let run_plan ?frags plan ~check ~delay ~res =
-  let delay, res, frags =
-    match frags with
-    | None -> (delay, res, None)
-    | Some fc ->
-      let delay, res, keys = tabulate plan ~delay ~res in
-      (delay, res, Some (fc, keys))
+(* --- Fragment construction from the plan -------------------------------- *)
+
+let leaf_frag ctx leaf =
+  Stg.frag_of_chain
+    (Leaf.run leaf ~delay:ctx.delay ~res:ctx.res ~clock_ns:ctx.plan.pl_cfg.clock_ns)
+
+(* Pure dataflow leaves can alternatively be scheduled by the
+   force-directed balancer (no chaining, resource-levelled). *)
+let ops_frag ctx { o_ids; o_leaf } =
+  let clock_ns = ctx.plan.pl_cfg.clock_ns in
+  if ctx.plan.pl_cfg.fds_leaves && o_ids <> [] then
+    Stg.frag_of_chain
+      (Force_directed.to_states ~delay:ctx.delay ~clock_ns
+         (Force_directed.schedule ctx.plan.pl_analysis ~delay:ctx.delay ~clock_ns o_ids))
+  else leaf_frag ctx o_leaf
+
+let rec region_frag ctx p = cached_frag ctx p.p_key_r p (fun () -> region_frag_raw ctx p)
+
+and region_frag_raw ctx p =
+  match p.p_kind with
+  | K_empty -> Stg.frag_empty ()
+  | K_ops ops -> ops_frag ctx ops
+  | K_seq { groups; _ } -> seq_frag ctx groups
+  | K_if b -> branch_frag ctx (Stg.frag_empty ()) b
+  | K_loop { cond_edge; body; steps; elps; _ } ->
+    let body_f = region_frag ctx body in
+    let steps =
+      match steps with
+      | Folded { header; latch } ->
+        let header = leaf_frag ctx header in
+        Folded { header; latch = leaf_frag ctx latch }
+      | Headed { pre; cond; latch } ->
+        let pre = leaf_frag ctx pre in
+        let cond = leaf_frag ctx cond in
+        Headed { pre; cond; latch = leaf_frag ctx latch }
+    in
+    let f = loop_wire ~cond_edge body_f steps in
+    (match elps with None -> f | Some elps -> Stg.seq f (ops_frag ctx elps))
+
+(* A conditional forked directly off [prefix] (no dispatch state), then its
+   Sel muxes. *)
+and branch_frag ctx prefix b =
+  let then_f = region_frag ctx b.b_then in
+  let else_f = region_frag ctx b.b_else in
+  let forked = Stg.fork prefix ~cond_edge:b.b_cond_edge ~then_f ~else_f in
+  match b.b_sels with None -> forked | Some sels -> Stg.seq forked (ops_frag ctx sels)
+
+(* Sequential children, with parallel grouping of independent siblings and
+   conditional forks folded onto the running fragment. *)
+and seq_frag ctx groups =
+  let cur = ref None in
+  List.iter
+    (fun group ->
+      let frag =
+        match group with
+        | G_fork b ->
+          branch_frag ctx (match !cur with Some c -> c | None -> Stg.frag_empty ()) b
+        | G_one p -> (
+          let f = region_frag ctx p in
+          match !cur with None -> f | Some c -> Stg.seq c f)
+        | G_par members -> (
+          let f =
+            par_fold ~res:ctx.res ~max_states:ctx.plan.pl_cfg.max_product_states
+              (List.map (standalone_frag ctx) members)
+          in
+          match !cur with None -> f | Some c -> Stg.seq c f)
+      in
+      cur := Some frag)
+    groups;
+  match !cur with Some f -> f | None -> Stg.frag_empty ()
+
+(* A fragment usable as one side of a parallel product: conditionals get
+   their own dispatch state.  Cached under a tag distinct from [region_frag]
+   so the two call sites can never serve each other's entries. *)
+and standalone_frag ctx p =
+  match p.p_kind with
+  | K_if b -> cached_frag ctx b.b_key_p p (fun () -> branch_frag ctx (Stg.frag_empty ()) b)
+  | _ -> region_frag ctx p
+
+(* --- The plan-free reference --------------------------------------------
+
+   The same schedule computed straight from the region tree, carrying
+   nothing over from an earlier call: a fresh {!Analysis.t}, each
+   sequence's dependence levels and each leaf's arrays recomputed on the
+   way down ({!Leaf.schedule}), the caller's model closures read directly,
+   no fragment cache.  [IMPACT_SCHED_CHECK] compares every spliced
+   schedule with it, so a fault in what the plan precomputes shows as a
+   divergence.  Only the composition of finished fragments
+   ({!par_fold}, {!loop_wire}) is shared with the planned path. *)
+
+type ref_ctx = {
+  r_cfg : config;
+  r_analysis : Analysis.t;
+  r_delay : Models.delay_model;
+  r_res : Models.resource_model;
+}
+
+let ref_leaf rc specs =
+  Stg.frag_of_chain
+    (Leaf.schedule rc.r_analysis ~delay:rc.r_delay ~res:rc.r_res
+       ~clock_ns:rc.r_cfg.clock_ns specs)
+
+let ref_ops rc ids =
+  if rc.r_cfg.fds_leaves && ids <> [] then
+    Stg.frag_of_chain
+      (Force_directed.to_states ~delay:rc.r_delay ~clock_ns:rc.r_cfg.clock_ns
+         (Force_directed.schedule rc.r_analysis ~delay:rc.r_delay
+            ~clock_ns:rc.r_cfg.clock_ns ids))
+  else ref_leaf rc (List.map Leaf.normal ids)
+
+let rec ref_region rc region =
+  match region with
+  | Ir.R_ops [] -> Stg.frag_empty ()
+  | Ir.R_ops ids -> ref_ops rc ids
+  | Ir.R_seq rs -> ref_seq rc rs
+  | Ir.R_if _ -> ref_seq rc [ region ]
+  | Ir.R_loop { merges; cond_r; cond_edge; body; elps; _ } ->
+    let cond_specs = List.map Leaf.normal (Ir.region_nodes cond_r) in
+    let body_f = ref_region rc body in
+    let steps =
+      if rc.r_cfg.fold_loop_cond then
+        let header = ref_leaf rc (List.map Leaf.merge_init merges @ cond_specs) in
+        Folded { header; latch = ref_leaf rc (List.map Leaf.merge_back merges @ cond_specs) }
+      else
+        let pre = ref_leaf rc (List.map Leaf.merge_init merges) in
+        let cond = ref_leaf rc cond_specs in
+        Headed { pre; cond; latch = ref_leaf rc (List.map Leaf.merge_back merges) }
+    in
+    let f = loop_wire ~cond_edge body_f steps in
+    if elps = [] then f else Stg.seq f (ref_ops rc elps)
+
+and ref_seq rc children =
+  let g = Analysis.graph rc.r_analysis in
+  let n = List.length children in
+  let children = Array.of_list children in
+  let writes = Array.map region_writes children in
+  let reads = Array.map (region_reads g) children in
+  let level = Array.make n 1 in
+  for j = 0 to n - 1 do
+    for i = 0 to j - 1 do
+      if not (Iset.is_empty (Iset.inter reads.(j) writes.(i))) then
+        level.(j) <- max level.(j) (level.(i) + 1)
+    done
+  done;
+  let groups =
+    if rc.r_cfg.parallel_regions then
+      List.init (Array.fold_left max 1 level) (fun l ->
+          List.filteri (fun j _ -> level.(j) = l + 1) (Array.to_list children))
+      |> List.filter (fun g -> g <> [])
+    else List.map (fun c -> [ c ]) (Array.to_list children)
   in
-  let ctx = { plan; delay; res; frags; check } in
-  Stg.instantiate (region_frag ctx plan.pl_top) ~clock_ns:plan.pl_cfg.clock_ns
+  let cur = ref None in
+  let append frag = cur := Some (match !cur with None -> frag | Some c -> Stg.seq c frag) in
+  List.iter
+    (function
+      | [ Ir.R_if { cond_edge; then_r; else_r; sels } ] ->
+        let prefix = match !cur with Some c -> c | None -> Stg.frag_empty () in
+        let then_f = ref_region rc then_r in
+        let else_f = ref_region rc else_r in
+        cur := Some (Stg.fork prefix ~cond_edge ~then_f ~else_f);
+        if sels <> [] then append (ref_ops rc sels)
+      | [ single ] -> append (ref_region rc single)
+      | members ->
+        append
+          (par_fold ~res:rc.r_res ~max_states:rc.r_cfg.max_product_states
+             (List.map (ref_standalone rc) members)))
+    groups;
+  match !cur with Some f -> f | None -> Stg.frag_empty ()
+
+and ref_standalone rc region =
+  match region with
+  | Ir.R_if { cond_edge; then_r; else_r; sels } ->
+    let then_f = ref_region rc then_r in
+    let else_f = ref_region rc else_r in
+    let forked = Stg.fork (Stg.frag_empty ()) ~cond_edge ~then_f ~else_f in
+    if sels = [] then forked else Stg.seq forked (ref_ops rc sels)
+  | _ -> ref_region rc region
 
 let schedule_reference cfg (program : Graph.program) ~delay ~res =
-  run_plan (make_plan cfg program.Graph.graph program.Graph.top) ~check:false ~delay ~res
+  let rc =
+    { r_cfg = cfg; r_analysis = Analysis.create program.Graph.graph; r_delay = delay; r_res = res }
+  in
+  let top = if cfg.flatten_ifs then flatten program.Graph.top else program.Graph.top in
+  Stg.instantiate (ref_region rc top) ~clock_ns:cfg.clock_ns
 
 let schedule ?frags cfg (program : Graph.program) ~delay ~res =
   let check = check_enabled () in
-  let stg = run_plan ?frags (plan_for cfg program) ~check ~delay ~res in
+  let plan = plan_for cfg program in
+  let ctx =
+    match frags with
+    | None -> { plan; delay; res; frags = None; check }
+    | Some fc ->
+      let delay, res, keys = tabulate plan ~delay ~res in
+      { plan; delay; res; frags = Some (fc, keys); check }
+  in
+  let stg = Stg.instantiate (region_frag ctx plan.pl_top) ~clock_ns:cfg.clock_ns in
   (match frags with
   | Some _ when check ->
-    (* Cold reference: the same schedule with fragment reuse disabled, read
-       through the caller's own model closures, from a plan built for this
-       call alone, must be bit-identical — splicing, tabulation and the
-       published plan are implementation details, never semantic ones. *)
+    (* Cold reference: the same schedule computed without the plan and
+       without fragment reuse, read through the caller's own model
+       closures, must be bit-identical — splicing, tabulation and the plan
+       are implementation details, never semantic ones. *)
     let cold = schedule_reference cfg program ~delay ~res in
     if Stg.signature cold <> Stg.signature stg then
       failwith

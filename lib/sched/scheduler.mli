@@ -57,9 +57,10 @@ val schedule :
     sequence's sibling dependence groups, each leaf's specification array
     with its in-leaf predecessor/successor arrays and extern-guard flags,
     and every node's effective guard.  The plan is built on first use,
-    never changes, and is published in a small most-recently-used list
-    found by the physical identity of the program's graph and region tree
-    (at most four plans are kept).  A reschedule then only tabulates the
+    never changes, and lives as long as the program: it is kept in an
+    ephemeron table keyed by the physical identity of the program's graph,
+    so no number of interleaved programs evicts it and it is collected
+    with its program.  A reschedule then only tabulates the
     models, appends each region's model bytes to its key prefix, and runs
     list scheduling.
 
@@ -87,10 +88,12 @@ val schedule_reference :
   delay:Models.delay_model ->
   res:Models.resource_model ->
   Stg.t
-(** The cold reference: {!schedule} without a fragment cache and without
-    the published plan — it builds a plan for this call alone (a fresh
-    {!Impact_cdfg.Analysis.t} and fresh leaf arrays) and reads the models
-    through the caller's closures. *)
+(** The cold reference: the schedule computed straight from the region
+    tree, without the plan and without a fragment cache — a fresh
+    {!Impact_cdfg.Analysis.t}, sibling dependence levels and leaf arrays
+    recomputed per call, the models read through the caller's closures.
+    Only the composition of finished fragments is shared with {!schedule},
+    so comparing the two checks everything the plan precomputes. *)
 
 val region_report :
   config ->

@@ -187,13 +187,22 @@ let test_same_shape_reschedule () =
 
 (* A delta-priced search must be indistinguishable from the full-estimation
    search: same winner, same move trajectory, same counters. *)
+(* The nominal estimates pricing computes along a search's trajectory,
+   replayed move by move from the initial design with the search's pricing. *)
+let replay_estimates ?cache env ~delta initial moves =
+  let metrics = Solution.create_metrics () in
+  ignore
+    (List.fold_left
+       (fun cur mv -> Option.value (Moves.apply ?cache ~metrics ~delta env cur mv) ~default:cur)
+       initial moves);
+  Solution.metrics_estimated metrics
+
 let search_fingerprint env ~delta =
   let rng = Rng.create ~seed:5 in
   let initial = Solution.initial env in
-  let metrics = Solution.create_metrics () in
   let sol, stats =
     Search.optimize env initial ~rng ~depth:3 ~max_candidates:16 ~max_iterations:8
-      ~delta ~metrics ()
+      ~delta ()
   in
   ( (sol.Solution.cost,
      sol.Solution.area,
@@ -201,7 +210,7 @@ let search_fingerprint env ~delta =
      List.map Moves.describe stats.Search.moves_applied,
      stats.Search.candidates_evaluated),
     stats.Search.delta_repriced,
-    Solution.metrics_estimated metrics )
+    replay_estimates env ~delta initial stats.Search.moves_applied )
 
 let test_delta_search_identical () =
   List.iter
@@ -235,22 +244,28 @@ let test_delta_search_identical () =
 let ledger_bits lg =
   List.map (fun (label, v) -> (label, Int64.bits_of_float v)) (Estimate.ledger_terms lg)
 
-let area_search ?cache env =
+(* An area search on a signature cache (a fresh one by default), with the
+   nominal estimates its pricing computed: counted by [Solution.metrics]
+   along its trajectory, and by the cache entries priced across the whole
+   search (every candidate it evaluated has one). *)
+let area_search ?(cache = Solution.create_cache ()) env =
   let metrics = Solution.create_metrics () in
-  let initial = Solution.initial ?cache ~metrics env in
-  let sol, _ =
+  let initial = Solution.initial ~cache ~metrics env in
+  let sol, stats =
     Search.optimize env initial ~rng:(Rng.create ~seed:9) ~depth:3 ~max_candidates:16
-      ~max_iterations:6 ?cache ~metrics ()
+      ~max_iterations:6 ~cache ()
   in
-  (sol, Solution.metrics_estimated metrics)
+  let along = replay_estimates ~cache env ~delta:true initial stats.Search.moves_applied in
+  (sol, Solution.metrics_estimated metrics + along, Solution.cache_priced cache)
 
 let test_area_search_defers () =
   List.iter
     (fun bench ->
       let env = make_env bench Solution.Minimize_area 2.0 in
-      let sol, estimated = area_search env in
+      let sol, estimated, priced = area_search env in
       let name = bench.Suite.bench_name in
-      check_int (name ^ ": nominal estimates in an area search") 0 estimated;
+      check_int (name ^ ": nominal estimates along an area search") 0 estimated;
+      check_int (name ^ ": cache entries priced by an area search") 0 priced;
       check_bool (name ^ ": final design feasible") true (sol.Solution.cost < infinity);
       check_bool (name ^ ": no ledger priced before a read") true
         (Solution.priced_ledger sol = None);
@@ -292,9 +307,11 @@ let test_power_after_area_cache () =
       let area_env = make_env bench Solution.Minimize_area 2.0 in
       let power_env = { area_env with Solution.objective = Solution.Minimize_power } in
       let shared = Solution.create_cache () in
-      let area_sol, _ = area_search ~cache:shared area_env in
+      let area_sol, _, _ = area_search ~cache:shared area_env in
       (* Force one entry's estimate, as a report of the area design would. *)
       ignore (Solution.est area_sol);
+      check_int (bench.Suite.bench_name ^ ": one cache entry priced by the read") 1
+        (Solution.cache_priced shared);
       check_bool (bench.Suite.bench_name ^ ": the area search filled the cache") true
         (Solution.cache_entries shared > 0);
       let reused = power_design ~cache:shared power_env in
