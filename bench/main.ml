@@ -1208,9 +1208,14 @@ let store_warm_miss buf =
           in
           (* Populate every tier at one laxity (untimed) ... *)
           ignore (synth ~store 2.0);
-          let st0 = Store.stats store in
           (* ... then time the same question at a shifted laxity, warm-miss
-             (design tier misses, front-end tiers hit) vs storeless cold. *)
+             (design tier misses, front-end tiers hit) vs storeless cold.  The
+             warm miss runs on a reopened handle, as a new process would, so
+             the front-end tiers are read from disk rather than taken from
+             the first handle's workload environment. *)
+          let store =
+            Store.open_store ~dir:(Filename.concat root bench.Suite.bench_name) ()
+          in
           let t0 = Unix.gettimeofday () in
           let d_warm = synth ~store 3.0 in
           let t_warm = Unix.gettimeofday () -. t0 in
@@ -1223,15 +1228,13 @@ let store_warm_miss buf =
             | Some t -> t
             | None -> failwith ("warm-miss: no " ^ name ^ " tier")
           in
-          let sim_hit = (tier "sim" st).Store.ts_hits > (tier "sim" st0).Store.ts_hits in
-          let traces_hit =
-            (tier "traces" st).Store.ts_hits > (tier "traces" st0).Store.ts_hits
-          in
-          (* The design tier genuinely missed (two searches, two writes),
+          let sim_hit = (tier "sim" st).Store.ts_hits > 0 in
+          let traces_hit = (tier "traces" st).Store.ts_hits > 0 in
+          (* The design tier genuinely missed (a new search, one write),
              the simulation tier was reused, and the warm-miss answer is
              bit-identical to the storeless cold one. *)
-          assert ((tier "design" st).Store.ts_writes = 2);
-          assert ((tier "sim" st).Store.ts_writes = 1);
+          assert ((tier "design" st).Store.ts_writes = 1);
+          assert ((tier "sim" st).Store.ts_writes = 0);
           assert (sim_hit && traces_hit);
           let identical =
             design_equal d_warm d_cold

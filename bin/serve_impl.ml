@@ -14,7 +14,15 @@
    in-flight requests coalesce onto one computation (one search, one store
    write) and every waiter receives the leader's result — followers' ones
    marked ["coalesced"].  The store handle's own lock makes the cache safe
-   for the light operations that bypass the scheduler. *)
+   for the light operations that bypass the scheduler.
+
+   The daemon's one store handle also keeps each program's workload
+   environment ({!Impact_core.Tier.workload_env}): the first request for a
+   program simulates it (or reads the run from the sim tier) and seeds the
+   estimator; every later request for that program and workload copies it
+   with its own budget and objective, so a design-tier hit only replays
+   the stored decision.  Concurrent requests share its estimation context,
+   whose memo tables are sharded and whose values are pure. *)
 
 module Wire = Impact_store.Wire
 module Store = Impact_store.Store

@@ -122,14 +122,25 @@ let with_engine ~options ?pool ?cache ~frags f =
     if jobs <= 1 then f ?pool:None ?cache ()
     else Parallel.with_pool ~jobs (fun pool -> f ?pool:(Some pool) ?cache ())
 
+(* With a store, the environment comes from the handle's memo
+   ({!Tier.workload_env}), built once per program and workload; without
+   one, each call builds its own. *)
+let workload_env ~options ?store program ~workload =
+  let build store =
+    build_env ~options ?store program ~workload ~objective:Solution.Minimize_area ~laxity:1.0
+  in
+  match store with
+  | None -> Tier.unshared_env (build None)
+  | Some st -> Tier.workload_env st ~options program ~workload build
+
 let synthesize ?(options = default_options) ?pool ?cache ?store program ~workload
     ~objective ~laxity () =
-  let env, enc_min = build_env ~options ?store program ~workload ~objective ~laxity in
-  Tier.find_or_synthesize ?store ~options program ~workload ~objective ~laxity env ~enc_min
-    (fun () ->
+  let we = workload_env ~options ?store program ~workload in
+  Tier.find_or_synthesize ?store ~options program ~workload ~objective ~laxity we (fun env ->
       with_engine ~options ?pool ?cache ~frags:(Tier.frags ?store program)
         (fun ?pool ?cache () ->
-          synthesize_env ~options ?pool ?cache env ~enc_min ~objective ~laxity))
+          synthesize_env ~options ?pool ?cache env ~enc_min:(Tier.enc_min we) ~objective
+            ~laxity))
 
 let restructure_all design =
   let sol = design.d_solution in
@@ -167,16 +178,13 @@ let measure design program ~workload ?vdd () =
    eval-engine section). *)
 let figure13 ?(options = default_options) ?pool ?cache ?store program ~workload
     ~laxities =
-  let env0, enc_min =
-    build_env ~options ?store program ~workload ~objective:Solution.Minimize_area
-      ~laxity:1.0
-  in
+  let we = workload_env ~options ?store program ~workload in
   let cold () =
     let frags = Tier.frags ?store program in
     with_engine ~options ?pool ?cache ~frags (fun ?pool ?cache () ->
         let synth ~objective ~laxity =
-          let env = { env0 with Solution.enc_budget = laxity *. enc_min; objective } in
-          synthesize_env ~options ?pool ?cache env ~enc_min ~objective ~laxity
+          synthesize_env ~options ?pool ?cache (Tier.env_at we ~objective ~laxity)
+            ~enc_min:(Tier.enc_min we) ~objective ~laxity
         in
         let point_map : 'a 'b. ('a -> 'b) -> 'a list -> 'b list =
           fun f xs ->
@@ -237,4 +245,4 @@ let figure13 ?(options = default_options) ?pool ?cache ?store program ~workload
         ( { sw_base_power = base_power; sw_base_area = base_area; sw_points = points },
           designs ))
   in
-  Tier.find_or_sweep ?store ~options program ~workload ~laxities env0 ~enc_min cold
+  Tier.find_or_sweep ?store ~options program ~workload ~laxities we cold

@@ -14,7 +14,10 @@
     With a [store], the simulation, the design and the sweep are each
     find-or-compute against a {!Tier}: warm answers are bit-identical to
     cold ones, and [IMPACT_STORE_CHECK=1] recomputes each one cold and
-    asserts it. *)
+    asserts it.  [synthesize] and [figure13] then take the workload
+    environment (run, minimum ENC, reference area, estimation context)
+    from the store handle's memo ({!Tier.workload_env}), so requests after
+    the first on one handle neither simulate nor read the run back. *)
 
 include module type of struct
   include Tier.Types
@@ -44,7 +47,8 @@ val build_env :
     is [build_env] plus the search — exposing the environment alone lets
     tools (the CLI's [lint]) evaluate and verify solutions without
     searching.  With a [store], the run comes from the ["sim"] tier and the
-    estimation context is seeded from the ["traces"] tier. *)
+    estimation context is seeded from the ["traces"] tier; it always builds
+    afresh, never from the handle's memo. *)
 
 val restructure_all : design -> design
 (** Applies the Huffman restructuring move to every restructurable network
@@ -90,8 +94,9 @@ val synthesize :
     one [options.jobs] would create and the signature cache (with its
     fragment cache) that is otherwise always created; sharing them across
     calls is only sound when the program, workload, clock and style agree.
-    With a [store], a ["design"]-tier hit replays the persisted decision
-    instead of searching. *)
+    With a [store], the environment comes from the handle's memo, and a
+    ["design"]-tier hit replays the persisted decision instead of
+    searching. *)
 
 val measure :
   design ->

@@ -81,10 +81,11 @@ let frag_context program = canonical [ "frag"; program_digest program ]
 (* Only trajectory-defining knobs participate: [jobs], [delta_reprice] and
    [sweep_parallel] are bit-identity-neutral by construction, so results
    computed at any engine configuration serve every other one. *)
+let style_tag = function Scheduler.Wavesched -> "wavesched" | Scheduler.Baseline -> "baseline"
+
 let options_fingerprint o =
   Printf.sprintf "clock=%h,style=%s,depth=%d,cand=%d,seed=%d,restructure=%b,iter=%d,probes=%d%s"
-    o.clock_ns
-    (match o.style with Scheduler.Wavesched -> "wavesched" | Scheduler.Baseline -> "baseline")
+    o.clock_ns (style_tag o.style)
     o.depth o.max_candidates o.seed o.enable_restructure o.max_iterations o.probes
     (* Appended only when on so every pre-existing key stays byte-identical
        with range pricing off. *)
@@ -404,24 +405,139 @@ let sweep_fingerprint (sw, _) =
               (design_fingerprint p.sp_power_design))
           sw.sw_points))
 
-(* A request against the design tier also publishes the run's switching
-   memos to the traces tier after, hit or miss. *)
-let around_request ?store program ~workload env compute =
+(* --- The per-handle workload environment -----------------------------------
+
+   Everything a request derives from (program, workload) alone — the
+   behavioural run, the minimum ENC, the parallel reference area and the
+   seeded estimation context — serves every objective and laxity, so a
+   store handle keeps it and each request copies it with its own budget and
+   objective: one simulation serves every binding the synthesis tries, across
+   requests as within one.  The memo hangs off the handle through an
+   ephemeron, so it lives and dies with that handle.  Each program digest
+   has one slot, holding the environment of the last workload and
+   environment options (style, clock, range pricing) requested for it; a
+   request with others replaces it, so the entries are bounded by the
+   programs served.  The slot's mutex makes concurrent requests for one
+   program build it once. *)
+
+type workload_env = {
+  we_env : Solution.env;
+  we_enc_min : float;
+  we_published : int Atomic.t;
+      (* the context's memo entries when it was seeded or last published *)
+}
+
+let env_at we ~objective ~laxity =
+  { we.we_env with Solution.enc_budget = laxity *. we.we_enc_min; objective }
+
+let enc_min we = we.we_enc_min
+
+let unshared_env (env, enc_min) =
+  {
+    we_env = env;
+    we_enc_min = enc_min;
+    we_published = Atomic.make (Estimate.memo_entries env.Solution.est_ctx);
+  }
+
+module Handles = Ephemeron.K1.Make (struct
+  type t = Store.t
+
+  let equal = ( == )
+  let hash st = Hashtbl.hash (Store.dir st)
+end)
+
+type env_slot = {
+  es_lock : Mutex.t;
+  mutable es_inputs : string;  (* the workload digest and options [es_env] was built for *)
+  mutable es_env : workload_env option;
+}
+
+let env_slots : (string, env_slot) Hashtbl.t Handles.t = Handles.create 8
+let env_slots_lock = Mutex.create ()
+
+type env_memo_stats = { em_builds : int; em_hits : int }
+
+let env_builds = Atomic.make 0
+let env_hits = Atomic.make 0
+let env_memo_stats () = { em_builds = Atomic.get env_builds; em_hits = Atomic.get env_hits }
+
+let env_slot st program =
+  let pd = program_digest program in
+  Mutex.protect env_slots_lock (fun () ->
+      let slots =
+        match Handles.find_opt env_slots st with
+        | Some slots -> slots
+        | None ->
+          let slots = Hashtbl.create 4 in
+          Handles.replace env_slots st slots;
+          slots
+      in
+      match Hashtbl.find_opt slots pd with
+      | Some slot -> slot
+      | None ->
+        let slot = { es_lock = Mutex.create (); es_inputs = ""; es_env = None } in
+        Hashtbl.replace slots pd slot;
+        slot)
+
+let env_inputs ~options ~workload =
+  Printf.sprintf "%s|%s|%h|%b" (digest workload) (style_tag options.style) options.clock_ns
+    options.range_power
+
+(* Under IMPACT_STORE_CHECK a memo hit is rebuilt cold, with no store, and
+   must agree on the run and on the bits of both reference figures. *)
+let check_env we (env, enc_min) =
+  let run_digest e = digest (Sim.to_portable (Estimate.run e.Solution.est_ctx)) in
+  let bits = Int64.bits_of_float in
+  if
+    run_digest we.we_env <> run_digest env
+    || bits we.we_enc_min <> bits enc_min
+    || bits we.we_env.Solution.area_ref <> bits env.Solution.area_ref
+  then failwith "impact store: memoised workload environment diverges from a cold rebuild"
+
+let workload_env st ~options program ~workload build =
+  let inputs = env_inputs ~options ~workload in
+  let slot = env_slot st program in
+  Mutex.protect slot.es_lock (fun () ->
+      match slot.es_env with
+      | Some we when String.equal slot.es_inputs inputs ->
+        Atomic.incr env_hits;
+        if check_enabled () then check_env we (build None);
+        we
+      | Some _ | None ->
+        let we = unshared_env (build (Some st)) in
+        Atomic.incr env_builds;
+        slot.es_inputs <- inputs;
+        slot.es_env <- Some we;
+        we)
+
+(* A request against the design tier publishes the run's switching memos to
+   the traces tier after, hit or miss, when they grew since the context was
+   seeded or last published: a hit that prices nothing new reads nothing. *)
+let around_request ?store program ~workload we compute =
   let v = compute () in
-  Option.iter (fun st -> sync_traces st program ~workload env.Solution.est_ctx) store;
+  Option.iter
+    (fun st ->
+      let ctx = we.we_env.Solution.est_ctx in
+      let last = Atomic.get we.we_published and now = Estimate.memo_entries ctx in
+      if now > last && Atomic.compare_and_set we.we_published last now then
+        sync_traces st program ~workload ctx)
+    store;
   v
 
-let find_or_synthesize ?store ~options program ~workload ~objective ~laxity env ~enc_min cold =
-  around_request ?store program ~workload env (fun () ->
+let find_or_synthesize ?store ~options program ~workload ~objective ~laxity we cold =
+  let env = env_at we ~objective ~laxity in
+  around_request ?store program ~workload we (fun () ->
       find_or_compute ?store design_tier
         ~key:(fun () -> design_key ~options program ~workload ~objective ~laxity)
-        ~restore:(restore_design env ~enc_min ~objective ~laxity)
-        ~persist:persist_design ~fingerprint:design_fingerprint cold)
+        ~restore:(restore_design env ~enc_min:we.we_enc_min ~objective ~laxity)
+        ~persist:persist_design ~fingerprint:design_fingerprint
+        (fun () -> cold env))
 
-let find_or_sweep ?store ~options program ~workload ~laxities env0 ~enc_min cold =
-  around_request ?store program ~workload env0 (fun () ->
+let find_or_sweep ?store ~options program ~workload ~laxities we cold =
+  let env0 = env_at we ~objective:Solution.Minimize_area ~laxity:1.0 in
+  around_request ?store program ~workload we (fun () ->
       fst
         (find_or_compute ?store sweep_tier
            ~key:(fun () -> sweep_key ~options program ~workload ~laxities)
-           ~restore:(restore_sweep env0 ~enc_min ~laxities)
+           ~restore:(restore_sweep env0 ~enc_min:we.we_enc_min ~laxities)
            ~persist:persist_sweep ~fingerprint:sweep_fingerprint cold))

@@ -173,6 +173,49 @@ val frags : ?store:Impact_store.Store.t -> Impact_cdfg.Graph.program -> Impact_s
 (** A fragment cache for the program, backed by the ["frag"] tier when a
     store is given. *)
 
+(** {1 The per-handle workload environment}
+
+    What a request derives from (program, workload) alone: the behavioural
+    run, the minimum ENC, the parallel reference area and the estimation
+    context seeded from the ["traces"] tier.  A store handle keeps one per
+    program digest, for the last workload, style, clock and [range_power]
+    requested for that program (a request with others replaces it), and
+    drops them with the handle.  Requests share its estimation context,
+    whose memo values are pure functions of their keys. *)
+
+type workload_env
+
+val env_at : workload_env -> objective:Solution.objective -> laxity:float -> Solution.env
+(** The request's environment: the shared one with the budget
+    [laxity *. enc_min] and the objective. *)
+
+val enc_min : workload_env -> float
+
+val unshared_env : Solution.env * float -> workload_env
+(** A workload environment built for one call (no store). *)
+
+val workload_env :
+  Impact_store.Store.t ->
+  options:options ->
+  Impact_cdfg.Graph.program ->
+  workload:(string * int) list list ->
+  (Impact_store.Store.t option -> Solution.env * float) ->
+  workload_env
+(** [workload_env st ~options program ~workload build] serves the handle's
+    environment for the program when it was built for this workload and
+    these options, and otherwise runs [build (Some st)] and keeps the
+    result in the program's slot.  Under [IMPACT_STORE_CHECK=1] a hit also
+    runs [build None] and fails unless the run digest and the bits of the
+    minimum ENC and the reference area agree. *)
+
+type env_memo_stats = {
+  em_builds : int;  (** environments built for a handle's memo *)
+  em_hits : int;  (** requests served a memoised environment *)
+}
+
+val env_memo_stats : unit -> env_memo_stats
+(** Process-wide counts since start-up. *)
+
 val find_or_synthesize :
   ?store:Impact_store.Store.t ->
   options:options ->
@@ -180,13 +223,15 @@ val find_or_synthesize :
   workload:(string * int) list list ->
   objective:Solution.objective ->
   laxity:float ->
-  Solution.env ->
-  enc_min:float ->
-  (unit -> design) ->
+  workload_env ->
+  (Solution.env -> design) ->
   design
 (** A hit replays the persisted decision through {!Solution.rebuild} and is
     rejected unless cost, area, ENC, Vdd, schedule signature and sorted
-    ledger terms all match the recorded ones. *)
+    ledger terms all match the recorded ones.  The cold path gets the
+    request's environment ({!env_at}).  After either, with a store, the
+    context's switching memos are merged into the ["traces"] tier when
+    they grew since it was seeded or last published. *)
 
 val find_or_sweep :
   ?store:Impact_store.Store.t ->
@@ -194,8 +239,7 @@ val find_or_sweep :
   Impact_cdfg.Graph.program ->
   workload:(string * int) list list ->
   laxities:float list ->
-  Solution.env ->
-  enc_min:float ->
+  workload_env ->
   (unit -> sweep * ((Solution.objective * float) * design) list) ->
   sweep
 (** Every unit design is restored as in {!find_or_synthesize}; points whose

@@ -651,6 +651,49 @@ let test_plan_walks =
             sols)
         Suite.all_extended)
 
+(* A cacheable conditional inside a parallel product: the conditional
+   (kept whole by the speculative flattening, since it holds a loop) and
+   the loop after it both read only the first block's results, so they
+   share one dependence level and the conditional is scheduled standalone
+   and filed under its 'P' key.  No benchmark has this shape. *)
+let par_cond_source =
+  {|
+process parcond(a : int16, b : int16, c : int16) -> (r : int16, s : int16) {
+  var x : int16 = a;
+  var t : int16 = b + c;
+  var y : int16 = t;
+  if (t > 3) {
+    while (x > 10) { x = x - 3; }
+  } else {
+    x = x + b;
+  }
+  while (y > 20) { y = y - 7; }
+  r = x;
+  s = y;
+}
+|}
+
+let test_par_cond_frag () =
+  let prog = Impact_lang.Elaborate.from_source par_cond_source in
+  let cfg = Scheduler.config_of_style Scheduler.Wavesched ~clock_ns:15. in
+  let dp = Datapath.build (Binding.parallel prog.Graph.graph Module_library.default) in
+  let delay = Datapath.delay_model dp and res = Datapath.resource_model dp in
+  let filed = ref [] in
+  let backing =
+    { Fragcache.bk_find = (fun _ -> None); bk_put = (fun full ~cost_ns:_ _ -> filed := full :: !filed) }
+  in
+  let fc = Fragcache.create ~context:"ctx" ~backing () in
+  let reference = Stg.signature (Scheduler.schedule_reference cfg prog ~delay ~res) in
+  let _, standalone = reference_keys cfg prog ~delay ~res in
+  let sched () = Stg.signature (Scheduler.schedule ~frags:fc cfg prog ~delay ~res) in
+  check_bool "plan = reference" true
+    (Stg.signature (Scheduler.schedule cfg prog ~delay ~res) = reference);
+  check_bool "cold spliced = reference" true (sched () = reference);
+  check_bool "a 'P' key is filed" true
+    (standalone <> [] && List.exists (fun k -> List.mem ("ctx\000" ^ k) !filed) standalone);
+  with_sched_check "1" (fun () ->
+      check_bool "cache-served = reference" true (sched () = reference))
+
 (* Walk schedules never differ in a field their firings already determine
    (chain positions, transitions), so every field is also perturbed by
    hand: each shape variant must get its own key, as it gets its own
@@ -837,6 +880,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest test_key_partition;
           QCheck_alcotest.to_alcotest test_plan_walks;
+          Alcotest.test_case "conditional in a parallel product" `Quick test_par_cond_frag;
           Alcotest.test_case "walks catch key mutants" `Quick test_key_mutants;
           Alcotest.test_case "every schedule field reaches the key" `Quick
             test_stg_key_fields;

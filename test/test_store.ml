@@ -447,24 +447,27 @@ let test_warm_identity () =
           let store = Store.open_store ~dir:d () in
           let prog = Suite.program bench in
           let workload = bench.Suite.workload ~seed:7 ~passes:10 in
-          let synth () =
+          let synth store =
             Driver.synthesize ~options:small_options ~store prog ~workload
               ~objective:Solution.Minimize_power ~laxity:2.0 ()
           in
-          let cold = synth () in
+          let cold = synth store in
           let st = Store.stats store in
           let name = bench.Suite.bench_name in
           (* One cold search populates every tier exactly once. *)
           check_int (name ^ " cold design write") 1 (tier "design" st).Store.ts_writes;
           check_int (name ^ " cold sim write") 1 (tier "sim" st).Store.ts_writes;
           check_int (name ^ " cold traces write") 1 (tier "traces" st).Store.ts_writes;
-          let warm = synth () in
-          let st' = Store.stats store in
-          check_bool (name ^ " warm design hit") true
-            ((tier "design" st').Store.ts_hits > (tier "design" st).Store.ts_hits);
-          check_bool (name ^ " warm sim hit") true
-            ((tier "sim" st').Store.ts_hits > (tier "sim" st).Store.ts_hits);
-          check_int (name ^ " warm writes nothing new") 1
+          (* The warm call runs on a reopened handle, as a new process
+             would: its tiers are served from disk, not from the first
+             handle's workload environment. *)
+          let store' = Store.open_store ~dir:d () in
+          let warm = synth store' in
+          let st' = Store.stats store' in
+          check_bool (name ^ " warm design hit") true ((tier "design" st').Store.ts_hits > 0);
+          check_bool (name ^ " warm sim hit") true ((tier "sim" st').Store.ts_hits > 0);
+          check_bool (name ^ " warm traces hit") true ((tier "traces" st').Store.ts_hits > 0);
+          check_int (name ^ " warm writes nothing new") 0
             (tier "design" st').Store.ts_writes;
           check_bool
             (bench.Suite.bench_name ^ " warm bit-identical")
@@ -710,7 +713,9 @@ let test_warm_miss_reuses_front_tiers () =
           ~objective:Solution.Minimize_power ~laxity ()
       in
       ignore (synth ~store 2.0);
-      let st = Store.stats store in
+      (* A reopened handle, as a new process: the front-end tiers are read
+         from disk, not from the first handle's workload environment. *)
+      let store = Store.open_store ~dir:d () in
       Unix.putenv "IMPACT_STORE_CHECK" "1";
       let warm_miss =
         Fun.protect
@@ -718,15 +723,140 @@ let test_warm_miss_reuses_front_tiers () =
           (fun () -> synth ~store 3.0)
       in
       let st' = Store.stats store in
-      check_int "design tier misses again" 2 (tier "design" st').Store.ts_writes;
-      check_bool "sim tier hit" true
-        ((tier "sim" st').Store.ts_hits > (tier "sim" st).Store.ts_hits);
-      check_bool "traces tier hit" true
-        ((tier "traces" st').Store.ts_hits > (tier "traces" st).Store.ts_hits);
-      check_int "sim tier wrote only once" 1 (tier "sim" st').Store.ts_writes;
+      check_int "design tier misses again" 1 (tier "design" st').Store.ts_writes;
+      check_bool "sim tier hit" true ((tier "sim" st').Store.ts_hits > 0);
+      check_bool "traces tier hit" true ((tier "traces" st').Store.ts_hits > 0);
+      check_int "sim tier not rewritten" 0 (tier "sim" st').Store.ts_writes;
       let cold = synth 3.0 in
       check_bool "warm miss bit-identical to storeless cold" true
         (design_fingerprint warm_miss = design_fingerprint cold))
+
+(* --- the per-handle workload environment ------------------------------------ *)
+
+let tier_reads name st =
+  let t = tier name st in
+  t.Store.ts_hits + t.Store.ts_misses
+
+(* Repeated and shifted-laxity requests on one handle take the environment
+   from the handle's memo: neither reads the sim tier or, when the design
+   tier answers, the traces tier.  Both are bit-identical to storeless cold
+   runs. *)
+let test_env_memo_reuse () =
+  with_dir (fun d ->
+      let store = Store.open_store ~dir:d () in
+      let prog = Suite.program Suite.gcd in
+      let workload = Suite.gcd.Suite.workload ~seed:7 ~passes:10 in
+      let synth ?store laxity =
+        Driver.synthesize ~options:small_options ?store prog ~workload
+          ~objective:Solution.Minimize_power ~laxity ()
+      in
+      ignore (synth ~store 2.0);
+      let st = Store.stats store and m = Tier.env_memo_stats () in
+      let again = synth ~store 2.0 in
+      let st' = Store.stats store and m' = Tier.env_memo_stats () in
+      check_int "memo hit" (m.Tier.em_hits + 1) m'.Tier.em_hits;
+      check_int "no rebuild" m.Tier.em_builds m'.Tier.em_builds;
+      check_int "design hit" ((tier "design" st).Store.ts_hits + 1) (tier "design" st').Store.ts_hits;
+      check_int "sim tier not read" (tier_reads "sim" st) (tier_reads "sim" st');
+      check_int "traces tier not read" (tier_reads "traces" st) (tier_reads "traces" st');
+      check_bool "repeat bit-identical to storeless cold" true
+        (design_fingerprint again = design_fingerprint (synth 2.0));
+      let shifted = synth ~store 3.0 in
+      let st'' = Store.stats store in
+      check_int "shifted: sim tier not read" (tier_reads "sim" st) (tier_reads "sim" st'');
+      check_int "shifted: design write" 2 (tier "design" st'').Store.ts_writes;
+      check_bool "shifted bit-identical to storeless cold" true
+        (design_fingerprint shifted = design_fingerprint (synth 3.0)))
+
+(* Calls without a store build their own environment and leave the memo
+   alone. *)
+let test_env_memo_storeless () =
+  let prog = Suite.program Suite.gcd in
+  let workload = Suite.gcd.Suite.workload ~seed:7 ~passes:10 in
+  let m = Tier.env_memo_stats () in
+  ignore
+    (Driver.synthesize ~options:small_options prog ~workload ~objective:Solution.Minimize_power
+       ~laxity:2.0 ());
+  ignore (Driver.figure13 ~options:small_options prog ~workload ~laxities:[ 1.0; 2.0 ]);
+  let m' = Tier.env_memo_stats () in
+  check_int "no build" m.Tier.em_builds m'.Tier.em_builds;
+  check_int "no hit" m.Tier.em_hits m'.Tier.em_hits
+
+(* One slot per program: another workload for the same program replaces
+   the environment, returning to the first rebuilds it, and another
+   program gets a slot of its own. *)
+let test_env_memo_slot () =
+  with_dir (fun d ->
+      let store = Store.open_store ~dir:d () in
+      let synth bench ~seed ~passes =
+        ignore
+          (Driver.synthesize ~options:small_options ~store (Suite.program bench)
+             ~workload:(bench.Suite.workload ~seed ~passes)
+             ~objective:Solution.Minimize_power ~laxity:2.0 ())
+      in
+      let m = Tier.env_memo_stats () in
+      List.iter (fun seed -> synth Suite.gcd ~seed ~passes:10) [ 7; 8; 7 ];
+      let m' = Tier.env_memo_stats () in
+      check_int "each workload change rebuilds" (m.Tier.em_builds + 3) m'.Tier.em_builds;
+      check_int "no hit" m.Tier.em_hits m'.Tier.em_hits;
+      synth Suite.paulin ~seed:7 ~passes:4;
+      synth Suite.gcd ~seed:7 ~passes:10;
+      let m'' = Tier.env_memo_stats () in
+      check_int "another program builds its own" (m'.Tier.em_builds + 1) m''.Tier.em_builds;
+      check_int "and leaves the first one's" (m'.Tier.em_hits + 1) m''.Tier.em_hits)
+
+let with_store_check f =
+  Unix.putenv "IMPACT_STORE_CHECK" "1";
+  Fun.protect ~finally:(fun () -> Unix.putenv "IMPACT_STORE_CHECK" "0") f
+
+(* Under IMPACT_STORE_CHECK a memo hit is rebuilt cold and compared: real
+   requests pass, and a rebuild that disagrees on the run, the minimum ENC
+   or the reference area fails. *)
+let test_env_memo_check () =
+  with_dir (fun d ->
+      let store = Store.open_store ~dir:d () in
+      let prog = Suite.program Suite.gcd in
+      let workload = Suite.gcd.Suite.workload ~seed:7 ~passes:10 in
+      let synth laxity =
+        Driver.synthesize ~options:small_options ~store prog ~workload
+          ~objective:Solution.Minimize_power ~laxity ()
+      in
+      let cold = synth 2.0 in
+      let m = Tier.env_memo_stats () in
+      let warm, shifted = with_store_check (fun () -> (synth 2.0, synth 3.0)) in
+      check_int "checked hits" (m.Tier.em_hits + 2) (Tier.env_memo_stats ()).Tier.em_hits;
+      check_bool "checked hit identical" true (design_fingerprint warm = design_fingerprint cold);
+      check_bool "checked shifted identical" true
+        (design_fingerprint shifted
+        = design_fingerprint
+            (Driver.synthesize ~options:small_options prog ~workload
+               ~objective:Solution.Minimize_power ~laxity:3.0 ()));
+      let build store =
+        Driver.build_env ~options:small_options ?store prog ~workload
+          ~objective:Solution.Minimize_area ~laxity:1.0
+      in
+      let diverging perturb = function
+        | Some st -> build (Some st)
+        | None -> perturb (build None)
+      in
+      List.iter
+        (fun (name, perturb) ->
+          check_bool (name ^ ": divergence fails") true
+            (match
+               with_store_check (fun () ->
+                   Tier.workload_env store ~options:small_options prog ~workload (diverging perturb))
+             with
+            | _ -> false
+            | exception Failure _ -> true))
+        [
+          ("enc_min", fun (env, enc_min) -> (env, Float.succ enc_min));
+          ( "area_ref",
+            fun (env, enc_min) -> ({ env with Solution.area_ref = Float.succ env.Solution.area_ref }, enc_min) );
+          ( "run",
+            fun (env, enc_min) ->
+              let other = Sim.simulate prog ~workload:(Suite.gcd.Suite.workload ~seed:8 ~passes:10) in
+              ({ env with Solution.est_ctx = Estimate.create_ctx other }, enc_min) );
+        ])
 
 (* --- golden keys and payload bytes ------------------------------------------
 
@@ -974,5 +1104,12 @@ let () =
           Alcotest.test_case "warm miss reuses front tiers" `Slow
             test_warm_miss_reuses_front_tiers;
           QCheck_alcotest.to_alcotest prop_warm_identity_over_seeds;
+        ] );
+      ( "workload env",
+        [
+          Alcotest.test_case "repeat and shifted reuse it" `Quick test_env_memo_reuse;
+          Alcotest.test_case "storeless calls leave it alone" `Quick test_env_memo_storeless;
+          Alcotest.test_case "one slot per program" `Quick test_env_memo_slot;
+          Alcotest.test_case "store check rebuilds hits" `Quick test_env_memo_check;
         ] );
     ]
