@@ -1,15 +1,13 @@
-(* The experiment harness: one section per paper table/figure (see
-   DESIGN.md's per-experiment index), plus ablations and Bechamel timings
-   of the key kernels.
+(* The experiment report: one section per paper table/figure (see
+   DESIGN.md's per-experiment index), plus ablations and extension studies.
+   Wall-time measurement belongs to perfbench/; the engine's properties
+   (warm store answers, fragment reuse, pool independence) are counter
+   checks in test/.
 
    Usage:
      dune exec bench/main.exe                 -- run everything
      dune exec bench/main.exe -- --quick      -- smaller sweeps
      dune exec bench/main.exe -- --jobs 4     -- sections + sweeps on 4 domains
-     dune exec bench/main.exe -- --min-par-speedup 1.0  -- override the
-                                                 eval-engine speedup floor
-     dune exec bench/main.exe -- --min-warm-speedup 5.0 -- override the
-                                                 store warm-hit speedup floor
      dune exec bench/main.exe -- fig13-gcd mux-example ...   -- selection
 
    Every section renders into its own buffer, so with [--jobs N] whole
@@ -22,8 +20,6 @@ module Graph = Impact_cdfg.Graph
 module Elaborate = Impact_lang.Elaborate
 module Sim = Impact_sim.Sim
 module Scheduler = Impact_sched.Scheduler
-module Fragcache = Impact_sched.Fragcache
-module Stg = Impact_sched.Stg
 module Enc = Impact_sched.Enc
 module Binding = Impact_rtl.Binding
 module Datapath = Impact_rtl.Datapath
@@ -42,10 +38,7 @@ module Suite = Impact_benchmarks.Suite
 module Fixtures = Impact_benchmarks.Fixtures
 module Solution = Impact_core.Solution
 module Driver = Impact_core.Driver
-module Moves = Impact_core.Moves
-module Search = Impact_core.Search
 module Parallel = Impact_util.Parallel
-module Store = Impact_store.Store
 
 let quick = ref false
 
@@ -60,48 +53,6 @@ let bench_pool : Parallel.pool option ref = ref None
 let pf = Printf.bprintf
 let ps = Buffer.add_string
 let ptable buf t = Buffer.add_string buf (Table.render t)
-
-(* --json FILE support: machine-readable timings and counters, hand-rolled
-   (no JSON dependency).  Sections push pre-rendered JSON objects; the main
-   loop records per-section wall times. *)
-let json_out : string option ref = ref None
-let json_eval_engine : (string * string) list ref = ref []
-let json_store : (string * string) list ref = ref []
-let json_sched : (string * string) list ref = ref []
-let json_section_times : (string * float) list ref = ref []
-
-let json_obj fields =
-  "{" ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) fields)
-  ^ "}"
-
-let json_num f =
-  if Float.is_finite f then Printf.sprintf "%.6g" f else Printf.sprintf "%S" "inf"
-
-(* The artifact is written to a temp file and atomically renamed into
-   place, so an interrupted run can never leave a truncated BENCH_*.json
-   behind for CI (or a human) to misread. *)
-let write_json file ~jobs =
-  let tmp = Printf.sprintf "%s.tmp.%d" file (Unix.getpid ()) in
-  let oc = open_out tmp in
-  let assoc_block indent entries =
-    String.concat ",\n"
-      (List.map (fun (k, v) -> Printf.sprintf "%s%S: %s" indent k v) (List.rev entries))
-  in
-  (* [jobs_detected] is what the machine offers; [jobs_effective] is the
-     section/sweep concurrency this run actually used (the resolved
-     [--jobs], where 0 deferred to IMPACT_JOBS/detection). *)
-  Printf.fprintf oc
-    "{\n  \"quick\": %b,\n  \"jobs_detected\": %d,\n  \"jobs_effective\": %d,\n" !quick
-    (Parallel.detected_domains ()) jobs;
-  Printf.fprintf oc "  \"section_seconds\": {\n%s\n  },\n"
-    (assoc_block "    "
-       (List.map (fun (k, v) -> (k, json_num v)) !json_section_times));
-  Printf.fprintf oc "  \"store\": {\n%s\n  },\n" (assoc_block "    " !json_store);
-  Printf.fprintf oc "  \"sched\": {\n%s\n  },\n" (assoc_block "    " !json_sched);
-  Printf.fprintf oc "  \"eval_engine\": {\n%s\n  }\n}\n"
-    (assoc_block "    " !json_eval_engine);
-  close_out oc;
-  Sys.rename tmp file
 
 let sweep_passes () = if !quick then 25 else 60
 
@@ -945,818 +896,6 @@ let gate_glitch buf =
     (Netlist.gate_count nl) (Netlist.net_count nl)
 
 (* ------------------------------------------------------------------ *)
-(* Persistent store: warm vs cold full sweeps                           *)
-(* ------------------------------------------------------------------ *)
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | exception Unix.Unix_error _ -> ()
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter
-      (fun name -> rm_rf (Filename.concat path name))
-      (try Sys.readdir path with Sys_error _ -> [||]);
-    (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | _ -> ( try Sys.remove path with Sys_error _ -> ())
-
-(* --min-warm-speedup: fail the bench when the warm (store-hit) run of the
-   full Figure-13 suite is not at least this factor faster than the cold
-   run that populated the store.  Warm answers skip search and measurement
-   entirely, so the honest floor is high; CI may lower it for noisy
-   runners. *)
-let min_warm_speedup = ref 5.0
-
-let design_equal a b =
-  a.Driver.d_solution.Solution.cost = b.Driver.d_solution.Solution.cost
-  && a.Driver.d_solution.Solution.area = b.Driver.d_solution.Solution.area
-  && List.map Moves.describe a.Driver.d_search.Search.moves_applied
-     = List.map Moves.describe b.Driver.d_search.Search.moves_applied
-
-let sweep_equal a b =
-  List.length a.Driver.sw_points = List.length b.Driver.sw_points
-  && a.Driver.sw_base_power = b.Driver.sw_base_power
-  && a.Driver.sw_base_area = b.Driver.sw_base_area
-  && List.for_all2
-       (fun p q ->
-         p.Driver.sp_a_power = q.Driver.sp_a_power
-         && p.Driver.sp_i_power = q.Driver.sp_i_power
-         && p.Driver.sp_i_area = q.Driver.sp_i_area
-         && p.Driver.sp_a_vdd = q.Driver.sp_a_vdd
-         && p.Driver.sp_i_vdd = q.Driver.sp_i_vdd
-         && design_equal p.Driver.sp_area_design q.Driver.sp_area_design
-         && design_equal p.Driver.sp_power_design q.Driver.sp_power_design)
-       a.Driver.sw_points b.Driver.sw_points
-
-let sweep_counters sw =
-  List.fold_left
-    (fun acc p ->
-      let add (ev, hits, pruned, delta, bpar, binl) d =
-        ( ev + d.Driver.d_search.Search.candidates_evaluated,
-          hits + d.Driver.d_search.Search.cache_hits,
-          pruned + d.Driver.d_search.Search.pruned_infeasible,
-          delta + d.Driver.d_search.Search.delta_repriced,
-          bpar + d.Driver.d_search.Search.batches_parallel,
-          binl + d.Driver.d_search.Search.batches_inline )
-      in
-      add (add acc p.Driver.sp_area_design) p.Driver.sp_power_design)
-    (0, 0, 0, 0, 0, 0) sw.Driver.sw_points
-
-(* Speculative-engine counters: probes launched/won and steals summed over
-   the sweep's designs, busy fraction averaged (it is already a ratio). *)
-let sweep_probe_counters sw =
-  let pl, pw, st, busy, n =
-    List.fold_left
-      (fun acc p ->
-        let add (pl, pw, st, busy, n) d =
-          let s = d.Driver.d_search in
-          ( pl + s.Search.probes_launched,
-            pw + s.Search.probes_won,
-            st + s.Search.steals,
-            busy +. s.Search.domain_busy_fraction,
-            n + 1 )
-        in
-        add (add acc p.Driver.sp_area_design) p.Driver.sp_power_design)
-      (0, 0, 0, 0., 0) sw.Driver.sw_points
-  in
-  (pl, pw, st, (if n = 0 then 1. else busy /. float_of_int n))
-
-(* --min-par-speedup: fail the bench when any benchmark's jobs-4 speculative
-   sweep is slower than this factor over the jobs-1 run of the same engine.
-   Default policy: 1.5x on hardware with >= 4 cores (the paper target for
-   this configuration), 1.0x (no-regression) on 2-3 cores.  On a single
-   core the gate is recorded as skipped — 4 domains time-slicing one core
-   cannot speed anything up, and pretending otherwise would just make the
-   artifact unreproducible.  Gate failures are collected here and turn into
-   a non-zero exit at the end of the run. *)
-let min_par_speedup : float option ref = ref None
-let gate_failures : string list ref = ref []
-
-let speedup_floor () =
-  let cores = Parallel.detected_domains () in
-  if cores < 2 then None
-  else
-    match !min_par_speedup with
-    | Some x -> Some x
-    | None -> if cores >= 4 then Some 1.5 else Some 1.0
-
-(* Warm vs cold: run the full Figure-13 suite cold against an empty store,
-   then again warm against the populated one, assert bit-identity, and gate
-   the aggregate speedup.  Store directories live under the system temp dir
-   and are removed afterwards. *)
-let store_warm_cold buf =
-  let benches = if !quick then [ Suite.gcd; Suite.dealer ] else Suite.all in
-  let root =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "impact-bench-store.%d" (Unix.getpid ()))
-  in
-  rm_rf root;
-  let t =
-    Table.create
-      ~title:
-        "Persistent store: full Figure-13 sweep, cold (populating) vs warm \
-         (store hit)"
-      [
-        ("benchmark", Table.Left);
-        ("cold s", Table.Right);
-        ("warm s", Table.Right);
-        ("speedup", Table.Right);
-        ("bytes", Table.Right);
-        ("identical", Table.Right);
-      ]
-  in
-  let total_cold = ref 0. and total_warm = ref 0. and total_bytes = ref 0 in
-  Fun.protect
-    ~finally:(fun () -> rm_rf root)
-    (fun () ->
-      List.iter
-        (fun bench ->
-          let prog = Suite.program bench in
-          let workload = bench.Suite.workload ~seed:2026 ~passes:(sweep_passes ()) in
-          let store =
-            Store.open_store ~dir:(Filename.concat root bench.Suite.bench_name) ()
-          in
-          let timed () =
-            let t0 = Unix.gettimeofday () in
-            let sw =
-              Driver.figure13 ~options:(options ()) ?pool:!bench_pool ~store prog
-                ~workload ~laxities:(laxities ())
-            in
-            (Unix.gettimeofday () -. t0, sw)
-          in
-          let t_cold, sw_cold = timed () in
-          let t_warm, sw_warm = timed () in
-          (* The store's core contract: a warm answer is bit-identical to
-             the cold one — same designs, same stats, same sweep points. *)
-          let identical = sweep_equal sw_warm sw_cold in
-          assert identical;
-          let s = Store.stats store in
-          assert (s.Store.st_hits >= 1 && s.Store.st_writes >= 1);
-          total_cold := !total_cold +. t_cold;
-          total_warm := !total_warm +. t_warm;
-          total_bytes := !total_bytes + s.Store.st_bytes;
-          let speedup = t_cold /. Float.max 1e-9 t_warm in
-          Table.add_row t
-            [
-              bench.Suite.bench_name;
-              Printf.sprintf "%.2f" t_cold;
-              Printf.sprintf "%.3f" t_warm;
-              Printf.sprintf "%.0fx" speedup;
-              string_of_int s.Store.st_bytes;
-              string_of_bool identical;
-            ];
-          json_store :=
-            ( bench.Suite.bench_name,
-              json_obj
-                [
-                  ("cold_s", json_num t_cold);
-                  ("warm_s", json_num t_warm);
-                  ("speedup", json_num speedup);
-                  ("store_bytes", string_of_int s.Store.st_bytes);
-                  ("store_hits", string_of_int s.Store.st_hits);
-                  ("store_misses", string_of_int s.Store.st_misses);
-                  ("store_writes", string_of_int s.Store.st_writes);
-                  ("identical", string_of_bool identical);
-                ] )
-            :: !json_store)
-        benches);
-  let aggregate = !total_cold /. Float.max 1e-9 !total_warm in
-  if aggregate < !min_warm_speedup then
-    gate_failures :=
-      Printf.sprintf
-        "store-warm-cold: aggregate warm speedup %.1fx is below the %.1fx floor"
-        aggregate !min_warm_speedup
-      :: !gate_failures;
-  json_store :=
-    ( "aggregate",
-      json_obj
-        [
-          ("cold_s", json_num !total_cold);
-          ("warm_s", json_num !total_warm);
-          ("speedup", json_num aggregate);
-          ("store_bytes", string_of_int !total_bytes);
-          ("min_warm_speedup", json_num !min_warm_speedup);
-          ("gate_pass", string_of_bool (aggregate >= !min_warm_speedup));
-        ] )
-    :: !json_store;
-  ptable buf t;
-  pf buf
-    "aggregate: cold %.2fs, warm %.3fs, speedup %.0fx (floor %.1fx)\n\
-     (warm runs answer every synthesis and measurement from the \
-     content-addressed store\n\
-     after integrity cross-checks; bit-identity is asserted per benchmark)\n\n"
-    !total_cold !total_warm aggregate !min_warm_speedup
-
-(* --min-warmmiss-speedup: fail the bench when the warm-miss run — same
-   program and workload, shifted laxity, so the design tier misses but the
-   simulation and traces tiers hit — is not at least this factor faster
-   than the equivalent storeless cold run.  This is the tiered store's
-   raison d'être: a new design question should never pay for the front end
-   again.  Serial timing comparison, no core-count dependence, so the gate
-   is always enforced. *)
-let min_warmmiss_speedup = ref 2.0
-
-(* Front-end-dominated configuration: a heavy workload (simulation and
-   switching-statistics time scale with passes) against a deliberately
-   small search, so the reusable tiers carry most of the cold cost. *)
-let warmmiss_options () =
-  {
-    (options ()) with
-    Driver.depth = 1;
-    max_candidates = 3;
-    max_iterations = 1;
-    probes = 1;
-  }
-
-let warmmiss_passes () = if !quick then 600 else 1200
-
-let store_warm_miss buf =
-  let benches = if !quick then [ Suite.gcd; Suite.dealer ] else Suite.all in
-  let root =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "impact-bench-warmmiss.%d" (Unix.getpid ()))
-  in
-  rm_rf root;
-  let opts = warmmiss_options () in
-  let t =
-    Table.create
-      ~title:
-        "Tiered store, warm miss: shifted laxity re-searches the design but \
-         reuses the simulation and traces tiers"
-      [
-        ("benchmark", Table.Left);
-        ("cold s", Table.Right);
-        ("warmmiss s", Table.Right);
-        ("speedup", Table.Right);
-        ("sim hit", Table.Right);
-        ("traces hit", Table.Right);
-        ("identical", Table.Right);
-      ]
-  in
-  let total_cold = ref 0. and total_warm = ref 0. in
-  Fun.protect
-    ~finally:(fun () -> rm_rf root)
-    (fun () ->
-      List.iter
-        (fun bench ->
-          let prog = Suite.program bench in
-          let workload = bench.Suite.workload ~seed:2026 ~passes:(warmmiss_passes ()) in
-          let store =
-            Store.open_store ~dir:(Filename.concat root bench.Suite.bench_name) ()
-          in
-          let synth ?store laxity =
-            Driver.synthesize ~options:opts ?store prog ~workload
-              ~objective:Solution.Minimize_power ~laxity ()
-          in
-          (* Populate every tier at one laxity (untimed) ... *)
-          ignore (synth ~store 2.0);
-          (* ... then time the same question at a shifted laxity, warm-miss
-             (design tier misses, front-end tiers hit) vs storeless cold.  The
-             warm miss runs on a reopened handle, as a new process would, so
-             the front-end tiers are read from disk rather than taken from
-             the first handle's workload environment. *)
-          let store =
-            Store.open_store ~dir:(Filename.concat root bench.Suite.bench_name) ()
-          in
-          let t0 = Unix.gettimeofday () in
-          let d_warm = synth ~store 3.0 in
-          let t_warm = Unix.gettimeofday () -. t0 in
-          let t0 = Unix.gettimeofday () in
-          let d_cold = synth 3.0 in
-          let t_cold = Unix.gettimeofday () -. t0 in
-          let st = Store.stats store in
-          let tier name st =
-            match List.assoc_opt name st.Store.st_tiers with
-            | Some t -> t
-            | None -> failwith ("warm-miss: no " ^ name ^ " tier")
-          in
-          let sim_hit = (tier "sim" st).Store.ts_hits > 0 in
-          let traces_hit = (tier "traces" st).Store.ts_hits > 0 in
-          (* The design tier genuinely missed (a new search, one write),
-             the simulation tier was reused, and the warm-miss answer is
-             bit-identical to the storeless cold one. *)
-          assert ((tier "design" st).Store.ts_writes = 1);
-          assert ((tier "sim" st).Store.ts_writes = 0);
-          assert (sim_hit && traces_hit);
-          let identical =
-            design_equal d_warm d_cold
-            && d_warm.Driver.d_solution.Solution.enc = d_cold.Driver.d_solution.Solution.enc
-            && d_warm.Driver.d_solution.Solution.vdd = d_cold.Driver.d_solution.Solution.vdd
-          in
-          assert identical;
-          total_cold := !total_cold +. t_cold;
-          total_warm := !total_warm +. t_warm;
-          let speedup = t_cold /. Float.max 1e-9 t_warm in
-          Table.add_row t
-            [
-              bench.Suite.bench_name;
-              Printf.sprintf "%.2f" t_cold;
-              Printf.sprintf "%.3f" t_warm;
-              Printf.sprintf "%.1fx" speedup;
-              string_of_bool sim_hit;
-              string_of_bool traces_hit;
-              string_of_bool identical;
-            ];
-          json_store :=
-            ( "warmmiss_" ^ bench.Suite.bench_name,
-              json_obj
-                [
-                  ("cold_s", json_num t_cold);
-                  ("warmmiss_s", json_num t_warm);
-                  ("speedup", json_num speedup);
-                  ("sim_hit", string_of_bool sim_hit);
-                  ("traces_hit", string_of_bool traces_hit);
-                  ("identical", string_of_bool identical);
-                ] )
-            :: !json_store)
-        benches);
-  let aggregate = !total_cold /. Float.max 1e-9 !total_warm in
-  if aggregate < !min_warmmiss_speedup then
-    gate_failures :=
-      Printf.sprintf
-        "store-warm-miss: aggregate warm-miss speedup %.2fx is below the %.2fx floor"
-        aggregate !min_warmmiss_speedup
-      :: !gate_failures;
-  json_store :=
-    ( "warmmiss_aggregate",
-      json_obj
-        [
-          ("cold_s", json_num !total_cold);
-          ("warmmiss_s", json_num !total_warm);
-          ("speedup", json_num aggregate);
-          ("min_warmmiss_speedup", json_num !min_warmmiss_speedup);
-          ("gate_pass", string_of_bool (aggregate >= !min_warmmiss_speedup));
-        ] )
-    :: !json_store;
-  ptable buf t;
-  pf buf
-    "aggregate: cold %.2fs, warm-miss %.3fs, speedup %.2fx (floor %.2fx)\n\
-     (the design tier misses — a genuinely new search runs — while the \
-     simulation run\n\
-     and the switching-statistics memos are served from the store;\n\
-     bit-identity against the storeless cold run is asserted per benchmark)\n\n"
-    !total_cold !total_warm aggregate !min_warmmiss_speedup
-
-(* --min-resched-speedup: fail the bench when Heavy-move rescheduling with
-   the region-fragment cache is not at least this factor faster than full
-   rescheduling.  Serial timing comparison on one domain, no core-count
-   dependence, so the gate is always enforced. *)
-let min_resched_speedup = ref 1.5
-
-(* Run [f] with the IMPACT_SCHED_CHECK cold-recompute gate forced off: the
-   gate recomputes every spliced schedule from scratch, which is exactly
-   the cost this section exists to measure the absence of.  Identity is
-   asserted separately (and the validation pass below honours the ambient
-   variable, so a CI run with the gate on still exercises it). *)
-let without_sched_check f =
-  let saved = Sys.getenv_opt "IMPACT_SCHED_CHECK" in
-  Unix.putenv "IMPACT_SCHED_CHECK" "0";
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "IMPACT_SCHED_CHECK" (Option.value saved ~default:""))
-    f
-
-let sched_incremental buf =
-  let benches = if !quick then [ Suite.gcd; Suite.dealer ] else Suite.all in
-  let reps = if !quick then 5 else 7 in
-  let t =
-    Table.create
-      ~title:
-        "Incremental rescheduling: Heavy moves, full reschedule vs \
-         fragment-spliced (1 domain)"
-      [
-        ("benchmark", Table.Left);
-        ("heavy", Table.Right);
-        ("full s", Table.Right);
-        ("incr s", Table.Right);
-        ("speedup", Table.Right);
-        ("reused", Table.Right);
-        ("sched", Table.Right);
-        ("identical", Table.Right);
-      ]
-  in
-  let total_full = ref 0. and total_incr = ref 0. in
-  List.iter
-    (fun bench ->
-      let prog = Suite.program bench in
-      let workload = bench.Suite.workload ~seed:2026 ~passes:(sweep_passes ()) in
-      let run = Sim.simulate prog ~workload in
-      let cfg_sched =
-        Scheduler.config_of_style Scheduler.Wavesched ~clock_ns:bench.Suite.clock_ns
-      in
-      let b = Binding.parallel prog.Graph.graph Module_library.default in
-      let dp = Datapath.build b in
-      let stg0 =
-        Scheduler.schedule cfg_sched prog ~delay:(Datapath.delay_model dp)
-          ~res:(Datapath.resource_model dp)
-      in
-      let enc_min = Enc.analytic stg0 run.Sim.profile in
-      let area_ref = Binding.fu_area b +. Binding.reg_area b +. Datapath.mux_area dp in
-      let env =
-        {
-          Solution.program = prog;
-          library = Module_library.default;
-          sched_config = cfg_sched;
-          est_ctx = Estimate.create_ctx run;
-          enc_budget = 2.5 *. enc_min;
-          objective = Solution.Minimize_power;
-          area_ref;
-        }
-      in
-      let initial = Solution.initial env in
-      let rng = Rng.create ~seed:7 in
-      let heavy =
-        Moves.candidates env initial ~rng ~max:1000
-        |> List.filter (fun m -> Moves.eval_class env initial m = Moves.Heavy)
-      in
-      let frags = Fragcache.create ~context:bench.Suite.bench_name () in
-      let fingerprint sol =
-        Printf.sprintf "%h|%h|%h|%h|%s" sol.Solution.cost sol.Solution.area
-          sol.Solution.enc sol.Solution.vdd
-          (Stg.signature sol.Solution.stg)
-      in
-      let apply_all cache =
-        List.map (fun m -> Moves.apply ~cache env initial m) heavy
-      in
-      (* Validation pass — also warms [frags] for the timed runs below.  The
-         full trajectory (every Heavy move applied end to end: binding,
-         reschedule, ENC, power, cost) must be bit-identical with and
-         without the fragment cache.  It honours the ambient
-         IMPACT_SCHED_CHECK, so a CI run with the gate on recomputes every
-         spliced schedule cold, asserts signature identity and
-         splice-validates every served fragment here. *)
-      let sols_full = apply_all (Solution.create_cache ()) in
-      let sols_incr = apply_all (Solution.create_cache ~frags ()) in
-      let fps = List.map (Option.map fingerprint) in
-      let identical =
-        fps sols_full = fps sols_incr && List.exists Option.is_some sols_full
-      in
-      assert identical;
-      (* Timed passes measure the rescheduling step itself — the thing this
-         cache accelerates: each Heavy successor's perturbed delay/resource
-         models are rescheduled from scratch (full) vs spliced from the
-         warmed fragment cache (incremental).  The rest of a move
-         evaluation (power estimation, pricing) is identical between the
-         two configurations and already served by its own caches, so
-         folding it in would only dilute the measurement. *)
-      let models =
-        List.filter_map
-          (Option.map (fun s ->
-               ( Datapath.delay_model s.Solution.dp,
-                 Datapath.resource_model s.Solution.dp )))
-          sols_incr
-      in
-      (* Repetitions interleave the two configurations so a load spike on
-         the host hits both sides of the ratio alike. *)
-      let reused0, scheduled0 = Fragcache.counters frags in
-      let t_full = ref 0. and t_incr = ref 0. in
-      without_sched_check (fun () ->
-          for _ = 1 to reps do
-            let t0 = Unix.gettimeofday () in
-            List.iter
-              (fun (delay, res) ->
-                ignore (Scheduler.schedule cfg_sched prog ~delay ~res))
-              models;
-            let t1 = Unix.gettimeofday () in
-            List.iter
-              (fun (delay, res) ->
-                ignore (Scheduler.schedule ~frags cfg_sched prog ~delay ~res))
-              models;
-            t_full := !t_full +. (t1 -. t0);
-            t_incr := !t_incr +. (Unix.gettimeofday () -. t1)
-          done);
-      let t_full = !t_full and t_incr = !t_incr in
-      let reused1, scheduled1 = Fragcache.counters frags in
-      let reused = reused1 - reused0 and scheduled = scheduled1 - scheduled0 in
-      total_full := !total_full +. t_full;
-      total_incr := !total_incr +. t_incr;
-      let speedup = t_full /. Float.max 1e-9 t_incr in
-      Table.add_row t
-        [
-          bench.Suite.bench_name;
-          string_of_int (List.length heavy);
-          Printf.sprintf "%.2f" t_full;
-          Printf.sprintf "%.2f" t_incr;
-          Printf.sprintf "%.2fx" speedup;
-          string_of_int reused;
-          string_of_int scheduled;
-          string_of_bool identical;
-        ];
-      json_sched :=
-        ( bench.Suite.bench_name,
-          json_obj
-            [
-              ("heavy_moves", string_of_int (List.length heavy));
-              ("repetitions", string_of_int reps);
-              ("full_s", json_num t_full);
-              ("incremental_s", json_num t_incr);
-              ("speedup", json_num speedup);
-              ("frags_reused", string_of_int reused);
-              ("frags_scheduled", string_of_int scheduled);
-              ("identical", string_of_bool identical);
-            ] )
-        :: !json_sched)
-    benches;
-  let aggregate = !total_full /. Float.max 1e-9 !total_incr in
-  if aggregate < !min_resched_speedup then
-    gate_failures :=
-      Printf.sprintf
-        "sched-incremental: aggregate resched speedup %.2fx is below the %.2fx \
-         floor"
-        aggregate !min_resched_speedup
-      :: !gate_failures;
-  json_sched :=
-    ( "aggregate",
-      json_obj
-        [
-          ("full_s", json_num !total_full);
-          ("incremental_s", json_num !total_incr);
-          ("speedup", json_num aggregate);
-          ("min_resched_speedup", json_num !min_resched_speedup);
-          ("gate_pass", string_of_bool (aggregate >= !min_resched_speedup));
-        ] )
-    :: !json_sched;
-  ptable buf t;
-  pf buf
-    "aggregate: full %.2fs, incremental %.2fs, speedup %.2fx (floor %.2fx)\n\
-     (each Heavy move's perturbed datapath is rescheduled from scratch vs \
-     spliced from\n\
-     the memoised region fragments; the whole move trajectory — cost, area, \
-     ENC, Vdd,\n\
-     STG signature — is asserted bit-identical between the two \
-     configurations first)\n\n"
-    !total_full !total_incr aggregate !min_resched_speedup
-
-let eval_engine buf =
-  let benches = if !quick then [ Suite.gcd; Suite.dealer ] else Suite.all in
-  let par_jobs = 4 in
-  let floor = speedup_floor () in
-  let t =
-    Table.create
-      ~title:
-        "Evaluation engine: full Figure-13 sweep — flat vs speculative, 1 vs 4 \
-         domains"
-      [
-        ("benchmark", Table.Left);
-        ("flat1 s", Table.Right);
-        ("ws4 s", Table.Right);
-        ("spec1 s", Table.Right);
-        ("spec4 s", Table.Right);
-        ("x ws", Table.Right);
-        ("x par", Table.Right);
-        ("busy", Table.Right);
-        ("identical", Table.Right);
-      ]
-  in
-  List.iter
-    (fun bench ->
-      let prog = Suite.program bench in
-      let workload = bench.Suite.workload ~seed:2026 ~passes:(sweep_passes ()) in
-      let timed opts =
-        let t0 = Unix.gettimeofday () in
-        let sw = Driver.figure13 ~options:opts prog ~workload ~laxities:(laxities ()) in
-        (Unix.gettimeofday () -. t0, sw)
-      in
-      let base = { (options ()) with Driver.delta_reprice = true } in
-      (* flat1: the PR-3-era engine (single trajectory, cache + delta) on
-         one domain — the continuity baseline against earlier BENCH
-         artifacts.  ws4: the same flat engine on 4 domains, candidate
-         batches behind the measured-cost work-stealing gate.  spec1: the
-         speculative multi-pivot engine on one domain — the defined
-         sequential reference.  spec4: the full engine on 4 domains
-         (probes fan out, sweep points fan out coarsely). *)
-      let t_flat, sw_flat =
-        timed { base with Driver.jobs = 1; probes = 1; sweep_parallel = false }
-      in
-      let t_ws, sw_ws =
-        timed { base with Driver.jobs = par_jobs; probes = 1; sweep_parallel = false }
-      in
-      let t_spec1, sw_spec1 =
-        timed
-          {
-            base with
-            Driver.jobs = 1;
-            probes = Search.default_num_probes;
-            sweep_parallel = false;
-          }
-      in
-      let t_spec4, sw_spec4 =
-        timed
-          {
-            base with
-            Driver.jobs = par_jobs;
-            probes = Search.default_num_probes;
-            sweep_parallel = true;
-          }
-      in
-      let ev, hits, pruned, repriced, _, _ = sweep_counters sw_spec1 in
-      let _, _, _, _, bpar, binl = sweep_counters sw_ws in
-      let _, _, ws_steals, _ = sweep_probe_counters sw_ws in
-      let probes_launched, probes_won, spec_steals, busy =
-        sweep_probe_counters sw_spec4
-      in
-      (* The deterministic-merge identity asserts: placement (work-stealing
-         batches, probe fan-out, coarse sweep fan-out) must change nothing —
-         same winners, same stats, same Figure-13 numbers. *)
-      let ws_identical = sweep_equal sw_ws sw_flat in
-      let spec_identical = sweep_equal sw_spec4 sw_spec1 in
-      assert ws_identical;
-      assert spec_identical;
-      let speedup_ws = t_flat /. Float.max 1e-9 t_ws in
-      let speedup_par = t_spec1 /. Float.max 1e-9 t_spec4 in
-      let gate_status =
-        match floor with
-        | None -> Printf.sprintf "%S" "skipped (single core)"
-        | Some f ->
-          if speedup_par < f then
-            gate_failures :=
-              Printf.sprintf
-                "eval-engine: %s --jobs %d speculative speedup %.2fx is below the \
-                 %.2fx floor"
-                bench.Suite.bench_name par_jobs speedup_par f
-              :: !gate_failures;
-          Printf.sprintf "%S" (Printf.sprintf "enforced (min %.2fx)" f)
-      in
-      Table.add_row t
-        [
-          bench.Suite.bench_name;
-          Printf.sprintf "%.2f" t_flat;
-          Printf.sprintf "%.2f" t_ws;
-          Printf.sprintf "%.2f" t_spec1;
-          Printf.sprintf "%.2f" t_spec4;
-          Printf.sprintf "%.2fx" speedup_ws;
-          Printf.sprintf "%.2fx" speedup_par;
-          Printf.sprintf "%.2f" busy;
-          string_of_bool (ws_identical && spec_identical);
-        ];
-      json_eval_engine :=
-        ( bench.Suite.bench_name,
-          json_obj
-            [
-              ("flat_s", json_num t_flat);
-              ("ws_parallel_s", json_num t_ws);
-              ("sequential_s", json_num t_spec1);
-              ("parallel_s", json_num t_spec4);
-              ("speedup_ws", json_num speedup_ws);
-              ("speedup_parallel", json_num speedup_par);
-              ("parallel_jobs", string_of_int par_jobs);
-              ("probes", string_of_int Search.default_num_probes);
-              ("candidates_evaluated", string_of_int ev);
-              ("cache_hits", string_of_int hits);
-              ("pruned_infeasible", string_of_int pruned);
-              ("delta_repriced", string_of_int repriced);
-              ("batches_parallel", string_of_int bpar);
-              ("batches_inline", string_of_int binl);
-              ("steals_ws", string_of_int ws_steals);
-              ("probes_launched", string_of_int probes_launched);
-              ("probes_won", string_of_int probes_won);
-              ("steals", string_of_int spec_steals);
-              ("domain_busy_fraction", json_num busy);
-              ("ws_identical_to_flat", string_of_bool ws_identical);
-              ("parallel_identical_to_sequential", string_of_bool spec_identical);
-              ("speedup_gate", gate_status);
-              ( "speedup_gate_pass",
-                string_of_bool
-                  (match floor with None -> true | Some f -> speedup_par >= f) );
-              ("points", string_of_int (List.length sw_spec1.Driver.sw_points));
-            ] )
-        :: !json_eval_engine)
-    benches;
-  ptable buf t;
-  ps buf
-    "(flat1: single-trajectory search, signature cache + delta re-pricing, one\n\
-     domain.  ws4: the same flat engine on 4 domains — candidate batches\n\
-     behind the measured-cost work-stealing gate, which keeps batches inline\n\
-     when dispatch would cost more than the work.  spec1: speculative\n\
-     multi-pivot search (4 probes per iteration) on one domain — the defined\n\
-     sequential reference.  spec4: the same speculative engine on 4 domains,\n\
-     probes and sweep points fanned out.  The identical column asserts\n\
-     ws4==flat1 and spec4==spec1 designs, stats and sweep points\n\
-     (bit-identical merge); x ws = flat1/ws4, x par = spec1/spec4; busy is\n\
-     the mean fraction of parallel-phase domain-seconds spent evaluating.\n\
-     The x par column is gated by --min-par-speedup / the core-count\n\
-     default; a benchmark below the floor fails the run at exit)\n\n"
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the kernels                             *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_timings buf =
-  let open Bechamel in
-  let bench = Suite.gcd in
-  let prog = Suite.program bench in
-  let workload = bench.Suite.workload ~seed:8 ~passes:30 in
-  let run = Sim.simulate prog ~workload in
-  let b = Binding.parallel prog.Graph.graph Module_library.default in
-  let dp = Datapath.build b in
-  let cfg_sched = Scheduler.config_of_style Scheduler.Wavesched ~clock_ns:15. in
-  let stg =
-    Scheduler.schedule cfg_sched prog ~delay:(Datapath.delay_model dp)
-      ~res:(Datapath.resource_model dp)
-  in
-  let ctx = Estimate.create_ctx run in
-  let subs =
-    Graph.fold_nodes prog.Graph.graph ~init:[] ~f:(fun acc n ->
-        if n.Ir.kind = Ir.Op_sub then n.Ir.n_id :: acc else acc)
-  in
-  let traced =
-    (* Every node with recorded events: the widest k-way merge the program
-       offers, the guard for the heap-based [Traces.unit_switching_stats]. *)
-    Graph.fold_nodes prog.Graph.graph ~init:[] ~f:(fun acc n ->
-        if Sim.count run n.Ir.n_id > 0 then n.Ir.n_id :: acc
-        else acc)
-    |> List.rev
-  in
-  let enc_min = Enc.analytic stg run.Sim.profile in
-  let area_ref = Binding.fu_area b +. Binding.reg_area b +. Datapath.mux_area dp in
-  let env =
-    {
-      Solution.program = prog;
-      library = Module_library.default;
-      sched_config = cfg_sched;
-      est_ctx = ctx;
-      enc_budget = 2. *. enc_min;
-      objective = Solution.Minimize_power;
-      area_ref;
-    }
-  in
-  let opt_once ?pool ?cache () =
-    let initial = Solution.initial ?cache env in
-    let rng = Rng.create ~seed:1 in
-    ignore
-      (Search.optimize env initial ~rng ~depth:2 ~max_candidates:10
-         ~max_iterations:2 ?pool ?cache ())
-  in
-  let shared_cache = Solution.create_cache () in
-  let parallel_cache = Solution.create_cache () in
-  let pool = Parallel.create ~jobs:4 () in
-  let net = Muxnet.create ~n_leaves:16 in
-  let rng = Rng.create ~seed:4 in
-  let aps = Array.init 16 (fun _ -> (Rng.float rng, Rng.float rng)) in
-  let tests =
-    [
-      Test.make ~name:"behavioral-simulation"
-        (Staged.stage (fun () -> ignore (Sim.simulate prog ~workload)));
-      Test.make ~name:"wavesched-schedule"
-        (Staged.stage (fun () ->
-             ignore
-               (Scheduler.schedule cfg_sched prog ~delay:(Datapath.delay_model dp)
-                  ~res:(Datapath.resource_model dp))));
-      Test.make ~name:"trace-merge"
-        (Staged.stage (fun () -> ignore (Traces.unit_switching_stats run subs)));
-      Test.make ~name:"trace-manip-kway"
-        (Staged.stage (fun () -> ignore (Traces.unit_switching_stats run traced)));
-      Test.make ~name:"optimize-sequential" (Staged.stage (fun () -> opt_once ()));
-      Test.make ~name:"optimize-cached"
-        (Staged.stage (fun () -> opt_once ~cache:shared_cache ()));
-      Test.make ~name:"optimize-parallel"
-        (Staged.stage (fun () -> opt_once ~pool ~cache:parallel_cache ()));
-      Test.make ~name:"huffman-restructure"
-        (Staged.stage (fun () -> Muxnet.restructure net ~ap:(fun i -> aps.(i))));
-      Test.make ~name:"enc-analytic"
-        (Staged.stage (fun () -> ignore (Enc.analytic stg run.Sim.profile)));
-      Test.make ~name:"power-estimate"
-        (Staged.stage (fun () -> ignore (Estimate.estimate ctx ~stg ~dp ())));
-      Test.make ~name:"rtl-simulate"
-        (Staged.stage (fun () -> ignore (Rtl_sim.simulate prog stg b ~workload)));
-      Test.make ~name:"power-measure"
-        (Staged.stage (fun () ->
-             ignore (Impact_power.Measure.measure prog stg dp ~workload ())));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"impact" tests in
-  let benchmark_cfg =
-    Benchmark.cfg ~limit:2000
-      ~quota:(Time.second (if !quick then 0.2 else 0.5))
-      ~kde:None ()
-  in
-  let raw =
-    Fun.protect
-      ~finally:(fun () -> Parallel.shutdown pool)
-      (fun () -> Benchmark.all benchmark_cfg Toolkit.Instance.[ monotonic_clock ] grouped)
-  in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let t =
-    Table.create ~title:"Kernel timings (Bechamel, monotonic clock)"
-      [ ("kernel", Table.Left); ("time per run", Table.Right) ]
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ ns ] ->
-        let pretty =
-          if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-          else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-          else Printf.sprintf "%.0f ns" ns
-        in
-        rows := (name, pretty) :: !rows
-      | _ -> rows := (name, "n/a") :: !rows)
-    results;
-  List.iter (fun (name, v) -> Table.add_row t [ name; v ]) (List.sort compare !rows);
-  ptable buf t;
-  Buffer.add_char buf '\n'
-
-(* ------------------------------------------------------------------ *)
 
 let sections : (string * (Buffer.t -> unit)) list =
   List.map (fun b -> ("fig13-" ^ b.Suite.bench_name, fig13_section b)) Suite.all
@@ -1774,18 +913,7 @@ let sections : (string * (Buffer.t -> unit)) list =
       ("signal-stats", signal_stats);
       ("force-directed", force_directed);
       ("gate-glitch", gate_glitch);
-      ("store-warm-cold", store_warm_cold);
-      ("store-warm-miss", store_warm_miss);
-      ("sched-incremental", sched_incremental);
-      ("eval-engine", eval_engine);
-      ("timings", bechamel_timings);
     ]
-
-(* Sections whose point is a timing comparison run on an otherwise idle
-   machine, never concurrently with other sections (sched-incremental also
-   toggles the process-global IMPACT_SCHED_CHECK variable). *)
-let serial_sections =
-  [ "store-warm-cold"; "store-warm-miss"; "sched-incremental"; "eval-engine"; "timings" ]
 
 (* The benchmarks whose Figure-13 sweep a selection will need — prefetched
    through the pool before the sections run, so concurrent sections never
@@ -1812,12 +940,11 @@ let run_section (name, f) =
   f buf;
   let dt = Unix.gettimeofday () -. t0 in
   Printf.bprintf buf "### %s done in %.1fs\n\n" name dt;
-  (name, dt, Buffer.contents buf)
+  Buffer.contents buf
 
-let emit (name, dt, text) =
+let emit text =
   print_string text;
-  flush stdout;
-  json_section_times := (name, dt) :: !json_section_times
+  flush stdout
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -1826,12 +953,6 @@ let () =
     | "--quick" :: rest ->
       quick := true;
       parse acc rest
-    | "--json" :: file :: rest ->
-      json_out := Some file;
-      parse acc rest
-    | [ "--json" ] ->
-      prerr_endline "--json requires a file argument";
-      exit 1
     | ("--jobs" | "-j") :: n :: rest -> (
       match int_of_string_opt n with
       | Some n when n >= 0 ->
@@ -1842,50 +963,6 @@ let () =
         exit 1)
     | [ ("--jobs" | "-j") ] ->
       prerr_endline "--jobs requires a non-negative integer (0 = auto)";
-      exit 1
-    | "--min-par-speedup" :: x :: rest -> (
-      match float_of_string_opt x with
-      | Some x when x > 0. ->
-        min_par_speedup := Some x;
-        parse acc rest
-      | _ ->
-        prerr_endline "--min-par-speedup requires a positive number";
-        exit 1)
-    | [ "--min-par-speedup" ] ->
-      prerr_endline "--min-par-speedup requires a positive number";
-      exit 1
-    | "--min-warm-speedup" :: x :: rest -> (
-      match float_of_string_opt x with
-      | Some x when x > 0. ->
-        min_warm_speedup := x;
-        parse acc rest
-      | _ ->
-        prerr_endline "--min-warm-speedup requires a positive number";
-        exit 1)
-    | [ "--min-warm-speedup" ] ->
-      prerr_endline "--min-warm-speedup requires a positive number";
-      exit 1
-    | "--min-warmmiss-speedup" :: x :: rest -> (
-      match float_of_string_opt x with
-      | Some x when x > 0. ->
-        min_warmmiss_speedup := x;
-        parse acc rest
-      | _ ->
-        prerr_endline "--min-warmmiss-speedup requires a positive number";
-        exit 1)
-    | [ "--min-warmmiss-speedup" ] ->
-      prerr_endline "--min-warmmiss-speedup requires a positive number";
-      exit 1
-    | "--min-resched-speedup" :: x :: rest -> (
-      match float_of_string_opt x with
-      | Some x when x > 0. ->
-        min_resched_speedup := x;
-        parse acc rest
-      | _ ->
-        prerr_endline "--min-resched-speedup requires a positive number";
-        exit 1)
-    | [ "--min-resched-speedup" ] ->
-      prerr_endline "--min-resched-speedup requires a positive number";
       exit 1
     | a :: rest -> parse (a :: acc) rest
   in
@@ -1906,7 +983,7 @@ let () =
   let jobs = if !bench_jobs = 0 then Parallel.num_domains () else max 1 !bench_jobs in
   if jobs > 1 then
     Printf.eprintf "bench: fanning sections and sweep points over %d jobs\n%!" jobs;
-  (match jobs with
+  match jobs with
   | 1 -> List.iter (fun s -> emit (run_section s)) selected
   | _ ->
     Parallel.with_pool ~jobs (fun pool ->
@@ -1916,36 +993,7 @@ let () =
           (fun () ->
             ignore
               (Parallel.map pool (fun b -> ignore (sweep_of b)) (sweeps_needed selected));
-            (* Fan out maximal runs of parallel-safe sections; buffers are
-               printed in selection order, so stdout is byte-identical to
-               the jobs=1 run (modulo the timing numbers inside).  The
-               timing-comparison sections run serially at their place. *)
-            let rec go = function
-              | [] -> ()
-              | (name, _) :: _ as items when not (List.mem name serial_sections) ->
-                let rec split acc = function
-                  | ((n, _) as s) :: tl when not (List.mem n serial_sections) ->
-                    split (s :: acc) tl
-                  | tl -> (List.rev acc, tl)
-                in
-                let batch, rest = split [] items in
-                List.iter emit (Parallel.map pool run_section batch);
-                go rest
-              | s :: rest ->
-                emit (run_section s);
-                go rest
-            in
-            go selected)));
-  (match !json_out with
-  | None -> ()
-  | Some file ->
-    write_json file ~jobs;
-    Printf.printf "wrote %s\n%!" file);
-  (* The parallel-speedup gate: failures are reported after the JSON
-     artifact is written, so CI still gets the numbers it is failing on. *)
-  match List.rev !gate_failures with
-  | [] -> ()
-  | failures ->
-    List.iter (Printf.eprintf "bench: FAIL %s\n") failures;
-    Printf.eprintf "bench: parallel speedup below the required floor\n%!";
-    exit 1
+            (* Buffers are printed in selection order, so stdout is
+               byte-identical to the jobs=1 run (modulo the timing numbers
+               inside). *)
+            List.iter emit (Parallel.map pool run_section selected)))

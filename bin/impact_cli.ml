@@ -70,11 +70,10 @@ let jobs_arg =
     value & opt int 1
     & info [ "jobs"; "j" ]
         ~doc:
-          "Evaluation concurrency (OCaml domains): sweep points fan out \
-           coarsely, speculative probes per search iteration, and candidate \
-           batches behind a measured-cost work-stealing gate.  0 \
-           auto-detects (honouring IMPACT_JOBS); results are identical for \
-           any value.")
+          "Evaluation concurrency (OCaml domains): sweep points and \
+           speculative probes fan out when the machine has more than one \
+           core.  0 auto-detects (honouring IMPACT_JOBS); results are \
+           identical for any value.")
 
 let probes_arg =
   Arg.(

@@ -24,7 +24,6 @@ let default_options =
     jobs = 1;
     probes = Search.default_num_probes;
     delta_reprice = true;
-    sweep_parallel = true;
     range_power = false;
   }
 
@@ -174,8 +173,7 @@ let measure design program ~workload ?vdd () =
    from [options.seed] and only reads the shared run/memos, whose entries
    are deterministic functions of their keys — so the coarse fan-out below
    is bit-identical to the sequential sweep regardless of which domain
-   computes which point (asserted by test_parallel_sweep and the bench
-   eval-engine section). *)
+   computes which point (asserted by test_parallel_sweep). *)
 let figure13 ?(options = default_options) ?pool ?cache ?store program ~workload
     ~laxities =
   let we = workload_env ~options ?store program ~workload in
@@ -191,10 +189,7 @@ let figure13 ?(options = default_options) ?pool ?cache ?store program ~workload
            (* Coarse fan-out needs real cores: time-slicing sweep points over
               one core only adds dispatch and per-domain GC overhead. *)
            match pool with
-           | Some p
-             when options.sweep_parallel && Parallel.jobs p > 1
-                  && Parallel.physical_parallelism p > 1 ->
-             Parallel.map p f xs
+           | Some p when Parallel.physical_parallelism p > 1 -> Parallel.map p f xs
            | Some _ | None -> List.map f xs
         in
         (* Phase 1 — synthesis, one run per sweep unit. *)

@@ -131,8 +131,7 @@ let candidates env sol ~rng ~max =
 (* Whether [apply] would keep a feasible predecessor's schedule, so a power
    pricing delta-reprices its ledger (O(footprint) work), rather than
    reschedule and re-estimate from scratch.  Mirrors the reuse decisions
-   in [apply] below; the search's granularity gate uses this to keep batches
-   of cheap candidates inline instead of fanning them out over the pool. *)
+   in [apply] below. *)
 let reprices env (sol : Solution.t) move =
   sol.Solution.cost < infinity
   &&
@@ -145,16 +144,6 @@ let reprices env (sol : Solution.t) move =
       spec.Module_library.delay_ns
       <= (Binding.fu_module sol.Solution.binding fu).Module_library.delay_ns +. 1e-9)
   | Share_fu _ | Share_reg _ | Restructure _ -> false
-
-(* The two cost classes the search's measured-cost granularity gate samples
-   separately: a [Heavy] candidate reschedules (and re-estimates from
-   scratch unless the new schedule keeps the predecessor's shape), a
-   [Cheap] one re-prices its footprint against the predecessor's ledger.
-   The classes differ by an order of magnitude, so one pooled latency
-   average would mis-size every mixed batch. *)
-type eval_class = Heavy | Cheap
-
-let eval_class env sol move = if reprices env sol move then Cheap else Heavy
 
 (* The resources a move touches, named against the *pre-move* binding (a
    split's fresh ids do not exist yet; its source unit/register covers

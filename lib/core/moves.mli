@@ -22,18 +22,9 @@ val candidates :
 
 val reprices : Solution.env -> Solution.t -> move -> bool
 (** Whether {!apply} would keep a feasible predecessor's schedule, so a
-    power pricing is a delta re-price of its ledger (O(footprint) work),
-    rather than reschedule and re-estimate; the search's granularity gate uses
-    this to classify candidates as light or heavy. *)
-
-type eval_class = Heavy | Cheap
-
-val eval_class : Solution.env -> Solution.t -> move -> eval_class
-(** {!reprices} as a class: [Cheap] moves delta-reprice, [Heavy] moves
-    reschedule, and re-estimate unless the new schedule keeps the
-    predecessor's shape.  The search samples per-class evaluation
-    latency online and uses the measured costs to size work-stealing
-    batches. *)
+    power pricing is a delta re-price of its ledger (O(footprint) work).
+    A move that does not is Heavy: it reschedules, and re-estimates
+    unless the new schedule keeps the predecessor's shape. *)
 
 val sched_footprint : Solution.t -> move -> Impact_power.Estimate.footprint
 (** The functional units and registers a move touches, named against the

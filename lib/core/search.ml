@@ -13,8 +13,6 @@ type stats = {
   cache_hits : int;
   pruned_infeasible : int;
   delta_repriced : int;
-  batches_parallel : int;  (* candidate batches fanned out over the pool *)
-  batches_inline : int;  (* batches the granularity gate kept on the caller *)
   probes_launched : int;  (* speculative depth probes started *)
   probes_won : int;  (* merges that accepted a probe's best prefix *)
   steals : int;  (* work-stealing deque steals (scheduling diagnostic) *)
@@ -26,17 +24,6 @@ type stats = {
 }
 
 let default_num_probes = 4
-
-(* The gate fans a batch out only when the measured dispatch overhead stays
-   under this fraction of the batch's measured work. *)
-let overhead_fraction = 0.1
-
-(* Exponential moving average over an Atomic float slot.  Updates from
-   worker domains race benignly (a lost sample only slows convergence);
-   the gate's decision affects placement, never values. *)
-let ema_update slot x =
-  let old = Atomic.get slot in
-  Atomic.set slot (if Float.is_nan old then x else (0.7 *. old) +. (0.3 *. x))
 
 let atomic_addf slot x =
   let rec go () =
@@ -59,7 +46,7 @@ type probe_result = {
 
 let optimize env start ~rng ~depth ~max_candidates ?(max_iterations = 50)
     ?(filter = fun _ -> true) ?pool ?cache ?(delta = true)
-    ?(num_probes = 1) ?(fanout = `Auto) () =
+    ?(num_probes = 1) () =
   let metrics = Solution.create_metrics () in
   (* Fragment-cache counters are cumulative over the cache's lifetime (it
      outlives runs: a sweep shares one); the stats report this run's delta. *)
@@ -100,23 +87,16 @@ let optimize env start ~rng ~depth ~max_candidates ?(max_iterations = 50)
     match pool with Some p when Parallel.jobs p > 1 -> Some p | Some _ | None -> None
   in
   let num_probes = max 1 num_probes in
-  let batches_parallel = ref 0 and batches_inline = ref 0 in
   let probes_launched = ref 0 and probes_won = ref 0 in
   let steals = ref 0 in
-  (* Busy/capacity accounting for [domain_busy_fraction]: each parallel
-     phase contributes its wall time times its domain width to capacity and
-     the summed per-item evaluation time to busy.  With no parallel phase
-     at all the fraction is reported as 1.0 (a single domain, always
+  (* Busy/capacity accounting for [domain_busy_fraction]: each probe
+     fan-out contributes its wall time times its domain width to capacity
+     and the summed per-probe evaluation time to busy.  With no parallel
+     phase at all the fraction is reported as 1.0 (a single domain, always
      busy). *)
   let busy_s = Atomic.make 0. in
   let capacity_s = ref 0. in
   let evaluated = Atomic.make 0 in
-  (* Per-class evaluation-latency EMAs (ns), sampled online.  [nan] means
-     no sample yet: the gate keeps batches inline until both classes
-     present in a batch have been measured at least once. *)
-  let heavy_ema = Atomic.make Float.nan in
-  let cheap_ema = Atomic.make Float.nan in
-  let class_slot = function Moves.Heavy -> heavy_ema | Moves.Cheap -> cheap_ema in
 
   (* --- One SCALP depth probe ------------------------------------------------
      From [anchor], repeatedly apply the best candidate (even with negative
@@ -165,89 +145,8 @@ let optimize env start ~rng ~depth ~max_candidates ?(max_iterations = 50)
     (!best_prefix, !best_prefix_moves, !best_prefix_sols)
   in
 
-  (* --- The measured-cost granularity gate (flat path) ----------------------
-     Classify the batch, predict its work from the per-class EMAs, and fan
-     out only when measured dispatch overhead stays under
-     [overhead_fraction] of it — falling back to inline even for batches of
-     nominally heavy candidates when dispatch costs more than the work
-     (delta repricing made "heavy" cheap on small designs, which is exactly
-     the BENCH_3 regression).  Chunks are sized so per-chunk dispatch also
-     respects the fraction; the work-stealing deques absorb skew between
-     chunks.  Every evaluation is timed to keep the EMAs fresh; placement
-     decisions never change values, so the trajectory is gate-independent. *)
-  let eval_gated probe_env cursor cands =
-    let f move = Moves.apply ?cache ~metrics ~delta probe_env cursor move in
-    match pool with
-    | None -> List.map f cands
-    | Some p ->
-      let classed =
-        List.map
-          (fun m ->
-            (* With delta repricing disabled every candidate rebuilds from
-               scratch, so everything is heavy regardless of move shape. *)
-            ( m,
-              if delta then Moves.eval_class probe_env cursor m else Moves.Heavy ))
-          cands
-      in
-      let n = List.length classed in
-      let n_heavy =
-        List.fold_left
-          (fun acc (_, c) -> if c = Moves.Heavy then acc + 1 else acc)
-          0 classed
-      in
-      let n_cheap = n - n_heavy in
-      let timed track (m, cls) =
-        let t0 = Parallel.now_s () in
-        let r = f m in
-        let dt_ns = (Parallel.now_s () -. t0) *. 1e9 in
-        ema_update (class_slot cls) dt_ns;
-        if track then atomic_addf busy_s (dt_ns *. 1e-9);
-        r
-      in
-      let auto_decision () =
-        if Parallel.physical_parallelism p <= 1 then `Inline
-        else begin
-          let th = Atomic.get heavy_ema and tc = Atomic.get cheap_ema in
-          if
-            (n_heavy > 0 && Float.is_nan th) || (n_cheap > 0 && Float.is_nan tc)
-          then `Inline (* no samples yet: seed the EMAs inline first *)
-          else begin
-            let work =
-              (float_of_int n_heavy *. th) +. (float_of_int n_cheap *. tc)
-            in
-            let d = Parallel.dispatch_cost_ns p in
-            if d *. float_of_int n <= overhead_fraction *. work then begin
-              let avg = work /. float_of_int (max 1 n) in
-              let chunk =
-                max 1 (int_of_float (Float.ceil (d /. (overhead_fraction *. avg))))
-              in
-              `Fanout chunk
-            end
-            else `Inline
-          end
-        end
-      in
-      let decision =
-        match fanout with
-        | `Never -> `Inline
-        | `Always -> (
-          match auto_decision () with `Fanout c -> `Fanout c | `Inline -> `Fanout 1)
-        | `Auto -> auto_decision ()
-      in
-      (match decision with
-      | `Inline ->
-        incr batches_inline;
-        List.map (timed false) classed
-      | `Fanout chunk ->
-        incr batches_parallel;
-        let t0 = Parallel.now_s () in
-        let results, st = Parallel.map_stealing p ~chunk (timed true) classed in
-        steals := !steals + st;
-        capacity_s :=
-          !capacity_s
-          +. ((Parallel.now_s () -. t0)
-             *. float_of_int (Parallel.physical_parallelism p));
-        results)
+  let eval_inline ?cache probe_env cursor cands =
+    List.map (fun m -> Moves.apply ?cache ~metrics ~delta probe_env cursor m) cands
   in
 
   let applied = ref [] in
@@ -257,14 +156,15 @@ let optimize env start ~rng ~depth ~max_candidates ?(max_iterations = 50)
   let improved = ref true in
 
   if num_probes = 1 then
-    (* Flat path: one trajectory, candidate batches behind the gate.  This
-       is also the bit-identical reference the speculative path's jobs=1
-       runs are compared against by the determinism tests. *)
+    (* Flat path: one trajectory, each candidate batch evaluated in order on
+       the caller.  This is also the bit-identical reference the
+       speculative path's jobs=1 runs are compared against by the
+       determinism tests. *)
     while !improved && !iterations < max_iterations do
       incr iterations;
       improved := false;
       let best_prefix, best_prefix_moves, best_prefix_sols =
-        depth_probe env !current ~rng ~eval:eval_gated
+        depth_probe env !current ~rng ~eval:(eval_inline ?cache)
       in
       if best_prefix.Solution.cost < (!current).Solution.cost -. 1e-9 then begin
         current := best_prefix;
@@ -312,13 +212,9 @@ let optimize env start ~rng ~depth ~max_candidates ?(max_iterations = 50)
         let pr_cache = Option.map Solution.fork_cache cache in
         let pr_ctx = Estimate.fork env.Solution.est_ctx in
         let probe_env = { env with Solution.est_ctx = pr_ctx } in
-        let eval_inline probe_env cursor cands =
-          List.map
-            (fun m -> Moves.apply ?cache:pr_cache ~metrics ~delta probe_env cursor m)
-            cands
-        in
         let pr_best, pr_moves, pr_sols =
-          depth_probe probe_env anchor_sol ~rng:probe_rng ~eval:eval_inline
+          depth_probe probe_env anchor_sol ~rng:probe_rng
+            ~eval:(eval_inline ?cache:pr_cache)
         in
         {
           pr_anchor_sol = anchor_sol;
@@ -418,8 +314,6 @@ let optimize env start ~rng ~depth ~max_candidates ?(max_iterations = 50)
       cache_hits;
       pruned_infeasible = pruned;
       delta_repriced;
-      batches_parallel = !batches_parallel;
-      batches_inline = !batches_inline;
       probes_launched = !probes_launched;
       probes_won = !probes_won;
       steals = !steals;

@@ -30,24 +30,18 @@ type stats = {
   delta_repriced : int;
       (** candidate estimates produced by footprint re-pricing instead of a
           full datapath sweep *)
-  batches_parallel : int;
-      (** candidate batches the measured-cost gate fanned out over the pool
-          (flat path only; probes are the parallel grain otherwise) *)
-  batches_inline : int;
-      (** batches the gate kept on the caller — dispatch would have cost
-          more than the measured batch work, or the hardware has no
-          parallelism to offer *)
   probes_launched : int;
       (** speculative depth probes started ([num_probes] per iteration; 0
           on the flat path) *)
   probes_won : int;  (** merges that accepted a probe's best prefix *)
   steals : int;
-      (** work-stealing deque steals across all parallel phases.  A
-          scheduling diagnostic: unlike the counters above it depends on
-          runtime timing and is {e not} reproducible run-to-run *)
+      (** work-stealing deque steals across the probe fan-outs (0 on the
+          flat path).  A scheduling diagnostic: unlike the counters above
+          it depends on runtime timing and is {e not} reproducible
+          run-to-run *)
   domain_busy_fraction : float;
       (** evaluation time divided by domain-seconds of capacity across the
-          parallel phases (1.0 when nothing was fanned out).  Timing-
+          probe fan-outs (1.0 when nothing was fanned out).  Timing-
           dependent diagnostic, like [steals] *)
   verified_accepts : int;
       (** solutions re-verified by the cross-layer pass stack under
@@ -63,8 +57,7 @@ type stats = {
 }
 
 val default_num_probes : int
-(** The probe count {!Driver.default_options} uses (4 — matched to the
-    [--jobs 4] configuration the benches gate on). *)
+(** The probe count {!Driver.default_options} uses (4). *)
 
 val optimize :
   Solution.env ->
@@ -78,7 +71,6 @@ val optimize :
   ?cache:Solution.cache ->
   ?delta:bool ->
   ?num_probes:int ->
-  ?fanout:[ `Auto | `Always | `Never ] ->
   unit ->
   Solution.t * stats
 (** [filter] restricts the move set (used by the ablation benches, e.g. to
@@ -95,18 +87,12 @@ val optimize :
     per iteration) but never depends on [pool]: the same [num_probes] gives
     the same result at any job count.
 
-    [pool] supplies the domains.  In speculative mode the probes themselves
-    fan out (one work-stealing unit each).  On the flat path each
-    depth-step's candidate batch sits behind a measured-cost granularity
-    gate: per-class (heavy rebuild vs delta-repriceable) evaluation
-    latencies are sampled online, and a batch is dispatched — in
-    work-stealing chunks sized so dispatch overhead stays under a fixed
-    fraction of measured batch work — only when the hardware has
-    parallelism to offer and the work can amortise the dispatch.  [fanout]
-    overrides the gate for tests: [`Never] keeps every batch inline,
-    [`Always] dispatches every batch.  Placement never changes values:
-    results are bit-identical to the sequential path for a fixed seed
-    either way.
+    [pool] supplies the domains.  In speculative mode the probes fan out
+    (one work-stealing unit each) when the hardware has more than one
+    core to offer.  The flat path never uses the pool: it evaluates each
+    depth-step's candidate batch in order on the caller.  Placement never
+    changes values: results are bit-identical to the sequential path for a
+    fixed seed either way.
 
     With the [IMPACT_VERIFY_EACH] environment variable set (to anything but
     [0] or the empty string), the start solution and every solution the

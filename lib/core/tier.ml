@@ -20,7 +20,6 @@ module Types = struct
     jobs : int;
     probes : int;
     delta_reprice : bool;
-    sweep_parallel : bool;
     range_power : bool;
   }
 
@@ -78,9 +77,9 @@ let traces_key program ~workload =
    model value, so fragments need only the program identity as context. *)
 let frag_context program = canonical [ "frag"; program_digest program ]
 
-(* Only trajectory-defining knobs participate: [jobs], [delta_reprice] and
-   [sweep_parallel] are bit-identity-neutral by construction, so results
-   computed at any engine configuration serve every other one. *)
+(* Only trajectory-defining knobs participate: [jobs] and [delta_reprice]
+   are bit-identity-neutral by construction, so results computed at any
+   engine configuration serve every other one. *)
 let style_tag = function Scheduler.Wavesched -> "wavesched" | Scheduler.Baseline -> "baseline"
 
 let options_fingerprint o =
@@ -256,10 +255,12 @@ type sweep_entry = {
       (* laxity, a_power, i_power, i_area, a_vdd, i_vdd *)
 }
 
-(* Both entries hold portable bindings; the tags name their array layout,
-   so entries written with the earlier hash-table layout read as misses. *)
-let design_tier : design_entry t = make ~ns:Store.default_ns ~tag:"design-dense"
-let sweep_tier : sweep_entry t = make ~ns:Store.default_ns ~tag:"sweep-dense"
+(* Both entries hold portable bindings and search stats; the tags name
+   their layout, so entries written with the earlier hash-table bindings
+   ("design", "sweep") or with the two batch counters the stats have since
+   lost ("design-dense", "sweep-dense") read as misses. *)
+let design_tier : design_entry t = make ~ns:Store.default_ns ~tag:"design-dense2"
+let sweep_tier : sweep_entry t = make ~ns:Store.default_ns ~tag:"sweep-dense2"
 
 (* The ledger's term listing is table-fold-ordered; sorting makes it a
    canonical value that survives the round-trip comparison. *)

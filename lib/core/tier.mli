@@ -36,10 +36,6 @@ module Types : sig
         (** let schedule-keeping moves re-price only their resource footprint
             against the predecessor's energy ledger (bit-identical totals;
             [false] forces full re-estimation) *)
-    sweep_parallel : bool;
-        (** fan {!Driver.figure13}'s laxity points out over the worker pool (coarse
-            grain, bit-identical to the sequential sweep); candidate-level
-            fan-out inside each point stays subject to the granularity gate *)
     range_power : bool;
         (** price width-scaled switching terms at the
             {!Impact_cdfg.Ranges} effective widths instead of the declared
@@ -86,8 +82,8 @@ end
     version; bumping the version renames every object. *)
 
 val options_fingerprint : options -> string
-(** The trajectory-defining fields ([jobs], [delta_reprice] and
-    [sweep_parallel] are bit-identity-neutral and excluded).  Fields that
+(** The trajectory-defining fields ([jobs] and [delta_reprice] are
+    bit-identity-neutral and excluded).  Fields that
     are off by default add themselves only when enabled, so default keys
     stay byte-identical across versions. *)
 

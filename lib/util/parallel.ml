@@ -12,7 +12,6 @@ type pool = {
   nonempty : Condition.t;
   mutable workers : unit Domain.t list;
   mutable closed : bool;
-  mutable dispatch_ns : float; (* measured per-item dispatch cost; < 0 until sampled *)
 }
 
 let now_s () = Unix.gettimeofday ()
@@ -64,7 +63,6 @@ let create ?jobs () =
       nonempty = Condition.create ();
       workers = [];
       closed = false;
-      dispatch_ns = -1.;
     }
   in
   pool.workers <-
@@ -251,27 +249,6 @@ let map_stealing pool ?(chunk = 1) f xs =
       in
       (out, Atomic.get steals)
     end
-  end
-
-(* --- Dispatch-cost calibration --------------------------------------------- *)
-
-(* Per-item cost of routing work through the pool, measured on trivial
-   items.  The minimum of a few rounds filters scheduler noise; the result
-   is cached on the pool so the granularity gate pays for calibration
-   once. *)
-let dispatch_cost_ns pool =
-  if pool.dispatch_ns >= 0. then pool.dispatch_ns
-  else begin
-    let items = List.init 64 Fun.id in
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = now_s () in
-      ignore (map pool (fun x -> x) items);
-      let per_item = (now_s () -. t0) /. 64. in
-      if per_item < !best then best := per_item
-    done;
-    pool.dispatch_ns <- !best *. 1e9;
-    pool.dispatch_ns
   end
 
 let physical_parallelism pool = min pool.n_jobs (detected_domains ())

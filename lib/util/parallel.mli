@@ -1,9 +1,9 @@
 (** A small fixed-size [Domain]-based worker pool.
 
-    The pool exists so the variable-depth search can price a batch of
-    candidate solutions concurrently.  [map] preserves list order, so a
-    caller that picks the best element by an order-sensitive tie-break gets
-    results bit-identical to a sequential [List.map].
+    The pool exists so the speculative search can run its depth probes,
+    and a Figure-13 sweep its points, concurrently.  [map] preserves list
+    order, so a caller that picks the best element by an order-sensitive
+    tie-break gets results bit-identical to a sequential [List.map].
 
     A pool of [jobs] means a total concurrency of [jobs]: [jobs - 1] worker
     domains plus the calling domain, which participates in every [map].
@@ -49,13 +49,6 @@ val map_stealing : pool -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list * int
     {!map}.  Degrades to sequential (0 steals) on a closed or
     single-domain pool. *)
 
-val dispatch_cost_ns : pool -> float
-(** Measured per-item cost (in nanoseconds) of routing trivial work through
-    {!map} on this pool.  Sampled lazily on first use and cached, so the
-    first call costs a few trivial maps.  The granularity gate compares
-    this against measured candidate-evaluation cost to decide whether a
-    batch is worth dispatching at all. *)
-
 val physical_parallelism : pool -> int
 (** [min (jobs pool) (detected_domains ())] — how many of the pool's
     domains can actually run simultaneously on this machine.  A pool wider
@@ -63,9 +56,8 @@ val physical_parallelism : pool -> int
     only adds contention. *)
 
 val now_s : unit -> float
-(** Wall-clock seconds ([Unix.gettimeofday]) — the time base used for
-    dispatch-cost calibration, exported so callers sampling work-item cost
-    use the same clock. *)
+(** Wall-clock seconds ([Unix.gettimeofday]), the one clock callers time
+    work items with. *)
 
 val shutdown : pool -> unit
 (** Joins the worker domains.  Idempotent. *)

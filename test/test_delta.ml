@@ -149,7 +149,7 @@ let test_same_shape_reschedule () =
           else
             let cands = Moves.candidates env sol ~rng ~max:40 in
             let retimed mv =
-              if Moves.eval_class env sol mv <> Moves.Heavy then None
+              if Moves.reprices env sol mv then None
               else
                 let metrics = Solution.create_metrics () in
                 match Moves.apply ~metrics env sol mv with

@@ -65,7 +65,11 @@ let test_map_after_shutdown () =
 
 let test_jobs_clamp () =
   Parallel.with_pool ~jobs:0 (fun pool -> check_int "clamped to 1" 1 (Parallel.jobs pool));
-  Parallel.with_pool ~jobs:4 (fun pool -> check_int "as given" 4 (Parallel.jobs pool))
+  Parallel.with_pool ~jobs:4 (fun pool -> check_int "as given" 4 (Parallel.jobs pool));
+  Parallel.with_pool ~jobs:2 (fun pool ->
+      check_bool "physical parallelism is clamped" true
+        (Parallel.physical_parallelism pool >= 1
+        && Parallel.physical_parallelism pool <= 2))
 
 let test_env_override () =
   Unix.putenv "IMPACT_JOBS" "7";
@@ -146,16 +150,6 @@ let test_steal_qcheck =
       Parallel.with_pool ~jobs (fun pool ->
           fst (Parallel.map_stealing pool ~chunk (fun x -> (3 * x) + 1) xs)
           = List.map (fun x -> (3 * x) + 1) xs))
-
-let test_dispatch_cost () =
-  Parallel.with_pool ~jobs:2 (fun pool ->
-      let c1 = Parallel.dispatch_cost_ns pool in
-      let c2 = Parallel.dispatch_cost_ns pool in
-      check_bool "positive and finite" true (c1 > 0. && Float.is_finite c1);
-      check_bool "cached after first sample" true (c1 = c2);
-      check_bool "physical parallelism is clamped" true
-        (Parallel.physical_parallelism pool >= 1
-        && Parallel.physical_parallelism pool <= 2))
 
 (* --- Search determinism ---------------------------------------------------- *)
 
@@ -322,7 +316,6 @@ let () =
           Alcotest.test_case "skewed costs" `Quick test_steal_skewed;
           Alcotest.test_case "exception propagates" `Quick test_steal_exception;
           Alcotest.test_case "shutdown degrades" `Quick test_steal_degrades;
-          Alcotest.test_case "dispatch-cost calibration" `Quick test_dispatch_cost;
           QCheck_alcotest.to_alcotest test_steal_qcheck;
         ] );
       ( "determinism",

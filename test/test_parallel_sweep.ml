@@ -1,7 +1,7 @@
 (* Coarse-grained sweep orchestration: [Driver.figure13] over the worker
    pool must reproduce the sequential sweep bit-for-bit on every benchmark;
-   the search's adaptive granularity gate; [Moves.reprices]; and the
-   precomputed edge-consumer index behind [Sim.edge_values]. *)
+   the flat search ignores the pool; [Moves.reprices]; and the precomputed
+   edge-consumer index behind [Sim.edge_values]. *)
 
 module Parallel = Impact_util.Parallel
 module Rng = Impact_util.Rng
@@ -56,26 +56,12 @@ let sweep_fingerprint sw =
     List.map point_fingerprint sw.Driver.sw_points )
 
 let test_sweep_parallel_identical bench () =
-  let seq =
-    sweep bench { sweep_options with Driver.jobs = 1; sweep_parallel = false }
-  in
-  let coarse =
-    sweep bench { sweep_options with Driver.jobs = 4; sweep_parallel = true }
-  in
+  let seq = sweep bench { sweep_options with Driver.jobs = 1 } in
+  let coarse = sweep bench { sweep_options with Driver.jobs = 4 } in
   check_bool "pooled sweep = sequential sweep (power, area, Vdd, ENC, moves)" true
     (sweep_fingerprint seq = sweep_fingerprint coarse)
 
-let test_sweep_inner_parallel_identical () =
-  let seq =
-    sweep Suite.gcd { sweep_options with Driver.jobs = 1; sweep_parallel = false }
-  in
-  let inner =
-    sweep Suite.gcd { sweep_options with Driver.jobs = 4; sweep_parallel = false }
-  in
-  check_bool "candidate-level pool only, same sweep" true
-    (sweep_fingerprint seq = sweep_fingerprint inner)
-
-(* --- the adaptive granularity gate ----------------------------------------- *)
+(* --- the flat search ignores the pool --------------------------------------- *)
 
 let make_env bench =
   let prog = Suite.program bench in
@@ -102,50 +88,47 @@ let make_env bench =
     area_ref;
   }
 
-let run_search env ?pool ?fanout () =
-  let initial = Solution.initial env in
+let run_search ?pool bench =
+  let env = make_env bench in
+  let cache = Solution.create_cache () in
+  let initial = Solution.initial ~cache env in
   let rng = Rng.create ~seed:1 in
   Search.optimize env initial ~rng ~depth:2 ~max_candidates:12 ~max_iterations:4
-    ?pool ?fanout ()
+    ?pool ~cache ()
 
-(* The measured-cost gate: placement (inline vs work-stealing fan-out) must
-   never change the result; the [`Never]/[`Always] overrides pin both ends,
-   and [`Auto] — whose decisions depend on sampled latencies and detected
-   hardware, so they are not asserted individually — must account for every
-   batch it saw, one way or the other. *)
-let test_granularity_gate () =
-  let env = make_env Suite.gcd in
-  let seq_sol, seq_stats = run_search env () in
-  check_int "no pool, no parallel batches" 0 seq_stats.Search.batches_parallel;
-  check_int "no pool, no gated batches" 0 seq_stats.Search.batches_inline;
-  Parallel.with_pool ~jobs:4 (fun pool ->
-      let inline_sol, inline_stats = run_search env ~pool ~fanout:`Never () in
-      let fan_sol, fan_stats = run_search env ~pool ~fanout:`Always () in
-      let auto_sol, auto_stats = run_search env ~pool ~fanout:`Auto () in
-      check_int "`Never keeps every batch inline" 0
-        inline_stats.Search.batches_parallel;
-      check_bool "inline batches are counted" true
-        (inline_stats.Search.batches_inline > 0);
-      check_int "`Always fans every batch out" 0 fan_stats.Search.batches_inline;
-      check_bool "parallel batches are counted" true
-        (fan_stats.Search.batches_parallel > 0);
-      check_bool "the gate saw every batch" true
-        (auto_stats.Search.batches_parallel + auto_stats.Search.batches_inline
-        = fan_stats.Search.batches_parallel);
-      (* On hardware with a single core the gate must keep everything
-         inline no matter how the candidates classify — dispatching onto an
-         oversubscribed core is the BENCH_3 regression this gate fixes. *)
-      if Parallel.physical_parallelism pool <= 1 then
-        check_int "single core: auto gate never dispatches" 0
-          auto_stats.Search.batches_parallel;
-      check_bool "steals only happen when batches fan out" true
-        (inline_stats.Search.steals = 0);
-      check_bool "the gate never changes the result" true
-        (List.for_all
-           (fun s ->
-             s.Solution.cost = seq_sol.Solution.cost
-             && s.Solution.area = seq_sol.Solution.area)
-           [ inline_sol; fan_sol; auto_sol ]))
+(* The flat path (one probe) evaluates each candidate batch in order on the
+   caller, so a 4-job pool changes nothing: cost, area, moves and every
+   reproducible counter equal the search with no pool, and nothing is
+   dispatched. *)
+let test_flat_pool_identical () =
+  List.iter
+    (fun bench ->
+      let name = bench.Suite.bench_name in
+      let sol, st = run_search bench in
+      let psol, pst = Parallel.with_pool ~jobs:4 (fun pool -> run_search ~pool bench) in
+      check_bool (name ^ " cost") true (psol.Solution.cost = sol.Solution.cost);
+      check_bool (name ^ " area") true (psol.Solution.area = sol.Solution.area);
+      Alcotest.(check (list string))
+        (name ^ " moves")
+        (List.map Moves.describe st.Search.moves_applied)
+        (List.map Moves.describe pst.Search.moves_applied);
+      let counters s =
+        [
+          s.Search.iterations;
+          s.Search.sequences_applied;
+          s.Search.candidates_evaluated;
+          s.Search.cache_hits;
+          s.Search.pruned_infeasible;
+          s.Search.delta_repriced;
+          s.Search.probes_launched;
+          s.Search.probes_won;
+          s.Search.verified_accepts;
+        ]
+      in
+      Alcotest.(check (list int)) (name ^ " counters") (counters st) (counters pst);
+      check_bool (name ^ " some candidates evaluated") true (st.Search.candidates_evaluated > 0);
+      check_int (name ^ " nothing dispatched") 0 pst.Search.steals)
+    [ Suite.gcd; Suite.dealer ]
 
 (* --- Moves.reprices -------------------------------------------------------- *)
 
@@ -241,13 +224,9 @@ let () =
               (b.Suite.bench_name ^ " coarse sweep = sequential")
               `Quick
               (test_sweep_parallel_identical b))
-          Suite.all
-        @ [
-            Alcotest.test_case "inner-only pool = sequential" `Quick
-              test_sweep_inner_parallel_identical;
-          ] );
-      ( "gate",
-        [ Alcotest.test_case "granularity gate" `Quick test_granularity_gate ] );
+          Suite.all );
+      ( "flat",
+        [ Alcotest.test_case "4-job pool = no pool" `Quick test_flat_pool_identical ] );
       ("reprices", [ Alcotest.test_case "classification" `Quick test_reprices ]);
       ( "sim",
         [

@@ -167,7 +167,7 @@ let footprint_contains_changes env sol ~seen =
   let rng = Rng.create ~seed:17 in
   let heavy =
     Moves.candidates env sol ~rng ~max:1000
-    |> List.filter (fun m -> Moves.eval_class env sol m = Moves.Heavy)
+    |> List.filter (fun m -> not (Moves.reprices env sol m))
   in
   List.iter
     (fun mv ->
@@ -213,6 +213,53 @@ let test_footprint_classification () =
     (fun k -> check_bool (k ^ " constructor exercised") true (Hashtbl.mem seen k))
     [ "share_fu"; "substitute"; "share_reg" ];
   check_bool "several Heavy constructors exercised" true (Hashtbl.length seen >= 3)
+
+(* --- Heavy-move rescheduling against a warmed cache ------------------------ *)
+
+(* Apply every Heavy candidate of the start solution once with a fragment
+   cache, then reschedule each successor's delay and resource models
+   against the warmed cache: no fragment is scheduled again, and every
+   reschedule reuses the same number of fragments, so each is spliced
+   whole from the cache (on gcd and dealer the outermost region hits and
+   nothing below it is visited). *)
+let test_heavy_resched_splices () =
+  List.iter
+    (fun bench ->
+      let name = bench.Suite.bench_name in
+      let env = make_env bench 2.5 in
+      let sol = Solution.initial env in
+      let rng = Rng.create ~seed:7 in
+      let heavy =
+        Moves.candidates env sol ~rng ~max:1000
+        |> List.filter (fun m -> not (Moves.reprices env sol m))
+      in
+      let frags = Fragcache.create ~context:name () in
+      let cache = Solution.create_cache ~frags () in
+      let models =
+        List.filter_map (Moves.apply ~cache env sol) heavy
+        |> List.map (fun s ->
+               (Datapath.delay_model s.Solution.dp, Datapath.resource_model s.Solution.dp))
+      in
+      check_bool (name ^ " several Heavy successors") true (List.length models >= 2);
+      let counts =
+        List.map
+          (fun (delay, res) ->
+            let r0, s0 = Fragcache.counters frags in
+            ignore
+              (Scheduler.schedule ~frags env.Solution.sched_config env.Solution.program
+                 ~delay ~res);
+            let r1, s1 = Fragcache.counters frags in
+            (r1 - r0, s1 - s0))
+          models
+      in
+      let reused = fst (List.hd counts) in
+      check_bool (name ^ " fragments reused") true (reused > 0);
+      List.iter
+        (fun (r, s) ->
+          check_int (name ^ " nothing scheduled") 0 s;
+          check_int (name ^ " every region reused") reused r)
+        counts)
+    [ Suite.gcd; Suite.dealer ]
 
 (* --- Splice validation ----------------------------------------------------- *)
 
@@ -875,6 +922,8 @@ let () =
             test_fragcache_write_once;
           Alcotest.test_case "backing key is context ^ NUL ^ region key" `Quick
             test_fragcache_backing_keys;
+          Alcotest.test_case "Heavy reschedules splice every region" `Quick
+            test_heavy_resched_splices;
         ] );
       ( "keys",
         [

@@ -61,6 +61,10 @@ let tier name st =
   | Some t -> t
   | None -> Alcotest.failf "no %S tier in stats" name
 
+let tier_reads name st =
+  let t = tier name st in
+  t.Store.ts_hits + t.Store.ts_misses
+
 (* --- store primitives ----------------------------------------------------- *)
 
 (* [find]/[put] take content keys (hex digests); [k] is the canonical-key
@@ -475,20 +479,28 @@ let test_warm_identity () =
             (design_fingerprint warm = design_fingerprint cold)))
     Suite.all
 
+(* The warm sweep runs on a reopened handle, as a new process would.  Its
+   answer is the cold one point for point, the sweep entry hits, no
+   namespace is written, and the fragment tier is never read: no candidate
+   was scheduled, so no search ran. *)
 let test_warm_sweep_identity () =
   with_dir (fun d ->
-      let store = Store.open_store ~dir:d () in
       let bench = Suite.gcd in
       let prog = Suite.program bench in
       let workload = bench.Suite.workload ~seed:7 ~passes:10 in
       let laxities = [ 1.0; 2.0; 3.0 ] in
-      let sweep () =
+      let sweep store =
         Driver.figure13 ~options:small_options ~store prog ~workload ~laxities
       in
-      let cold = sweep () in
-      let before = (Store.stats store).Store.st_hits in
-      let warm = sweep () in
-      check_bool "sweep warm hit" true ((Store.stats store).Store.st_hits > before);
+      let cold = sweep (Store.open_store ~dir:d ()) in
+      let store = Store.open_store ~dir:d () in
+      let warm = sweep store in
+      let st = Store.stats store in
+      check_int "sweep entry hit" 1 (tier Store.default_ns st).Store.ts_hits;
+      List.iter
+        (fun (ns, t) -> check_int (ns ^ " not written") 0 t.Store.ts_writes)
+        st.Store.st_tiers;
+      check_int "frag tier not read" 0 (tier_reads "frag" st);
       check_bool "base identical" true
         (warm.Driver.sw_base_power = cold.Driver.sw_base_power
         && warm.Driver.sw_base_area = cold.Driver.sw_base_area);
@@ -604,10 +616,11 @@ let test_foreign_tag_design_entry () =
       check_bool "warm identical" true (design_fingerprint warm = design_fingerprint cold))
 
 (* Entries written before bindings became arrays carry the tags "design"
-   and "sweep".  Such an entry must read as a miss, never be decoded as
-   the array layout: here a genuine entry of each tier, re-tagged with the
-   old tag, is overwritten by a cold run whose answer equals a storeless
-   one. *)
+   and "sweep"; entries whose search stats still held the flat path's two
+   batch counters carry "design-dense" and "sweep-dense".  Such an entry
+   must read as a miss, never be decoded as the current layout: here a
+   genuine entry of each tier, re-tagged with an old tag, is overwritten by
+   a cold run whose answer equals a storeless one. *)
 let test_old_layout_tags () =
   let prog = Suite.program Suite.gcd in
   let workload = Suite.gcd.Suite.workload ~seed:7 ~passes:10 in
@@ -642,13 +655,19 @@ let test_old_layout_tags () =
           (tier "design" (Store.stats store)).Store.ts_writes;
         check_bool (name ^ ": cold answer") true (fingerprint cold = fingerprint (run None)))
   in
-  check_miss "design"
-    (Driver.design_key ~options:small_options prog ~workload
-       ~objective:Solution.Minimize_power ~laxity:2.0)
-    "design" synth design_fingerprint;
-  check_miss "sweep"
-    (Driver.sweep_key ~options:small_options prog ~workload ~laxities)
-    "sweep" sweep sweep_fingerprint
+  List.iter
+    (fun tag ->
+      check_miss tag
+        (Driver.design_key ~options:small_options prog ~workload
+           ~objective:Solution.Minimize_power ~laxity:2.0)
+        tag synth design_fingerprint)
+    [ "design"; "design-dense" ];
+  List.iter
+    (fun tag ->
+      check_miss tag
+        (Driver.sweep_key ~options:small_options prog ~workload ~laxities)
+        tag sweep sweep_fingerprint)
+    [ "sweep"; "sweep-dense" ]
 
 (* Sim payloads whose columnar log does not fit the program — cut short,
    a wrong stride, a tag outside 0..2 — read as misses through the tier:
@@ -703,39 +722,41 @@ let test_bad_sim_payloads () =
    IMPACT_STORE_CHECK=1 so every reused artifact is recomputed and
    asserted against its cold twin. *)
 let test_warm_miss_reuses_front_tiers () =
-  with_dir (fun d ->
-      let store = Store.open_store ~dir:d () in
-      let bench = Suite.gcd in
-      let prog = Suite.program bench in
-      let workload = bench.Suite.workload ~seed:7 ~passes:10 in
-      let synth ?store laxity =
-        Driver.synthesize ~options:small_options ?store prog ~workload
-          ~objective:Solution.Minimize_power ~laxity ()
-      in
-      ignore (synth ~store 2.0);
-      (* A reopened handle, as a new process: the front-end tiers are read
-         from disk, not from the first handle's workload environment. *)
-      let store = Store.open_store ~dir:d () in
-      Unix.putenv "IMPACT_STORE_CHECK" "1";
-      let warm_miss =
-        Fun.protect
-          ~finally:(fun () -> Unix.putenv "IMPACT_STORE_CHECK" "0")
-          (fun () -> synth ~store 3.0)
-      in
-      let st' = Store.stats store in
-      check_int "design tier misses again" 1 (tier "design" st').Store.ts_writes;
-      check_bool "sim tier hit" true ((tier "sim" st').Store.ts_hits > 0);
-      check_bool "traces tier hit" true ((tier "traces" st').Store.ts_hits > 0);
-      check_int "sim tier not rewritten" 0 (tier "sim" st').Store.ts_writes;
-      let cold = synth 3.0 in
-      check_bool "warm miss bit-identical to storeless cold" true
-        (design_fingerprint warm_miss = design_fingerprint cold))
+  List.iter
+    (fun bench ->
+      with_dir (fun d ->
+          let store = Store.open_store ~dir:d () in
+          let name = bench.Suite.bench_name in
+          let prog = Suite.program bench in
+          let workload = bench.Suite.workload ~seed:7 ~passes:10 in
+          let synth ?store laxity =
+            Driver.synthesize ~options:small_options ?store prog ~workload
+              ~objective:Solution.Minimize_power ~laxity ()
+          in
+          ignore (synth ~store 2.0);
+          (* A reopened handle, as a new process: the front-end tiers are
+             read from disk, not from the first handle's workload
+             environment. *)
+          let store = Store.open_store ~dir:d () in
+          Unix.putenv "IMPACT_STORE_CHECK" "1";
+          let warm_miss =
+            Fun.protect
+              ~finally:(fun () -> Unix.putenv "IMPACT_STORE_CHECK" "0")
+              (fun () -> synth ~store 3.0)
+          in
+          let st' = Store.stats store in
+          check_int (name ^ " design tier misses again") 1 (tier "design" st').Store.ts_writes;
+          check_bool (name ^ " sim tier hit") true ((tier "sim" st').Store.ts_hits > 0);
+          check_bool (name ^ " traces tier hit") true ((tier "traces" st').Store.ts_hits > 0);
+          check_int (name ^ " sim tier not rewritten") 0 (tier "sim" st').Store.ts_writes;
+          let cold = synth 3.0 in
+          check_bool
+            (name ^ " warm miss bit-identical to storeless cold")
+            true
+            (design_fingerprint warm_miss = design_fingerprint cold)))
+    [ Suite.gcd; Suite.dealer ]
 
 (* --- the per-handle workload environment ------------------------------------ *)
-
-let tier_reads name st =
-  let t = tier name st in
-  t.Store.ts_hits + t.Store.ts_misses
 
 (* Repeated and shifted-laxity requests on one handle take the environment
    from the handle's memo: neither reads the sim tier or, when the design
