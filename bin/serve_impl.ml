@@ -32,6 +32,7 @@ module Diagnostic = Impact_util.Diagnostic
 module Solution = Impact_core.Solution
 module Driver = Impact_core.Driver
 module Search = Impact_core.Search
+module Tier = Impact_core.Tier
 
 type server = {
   sv_store : Store.t;
@@ -131,6 +132,9 @@ let run_synthesize sv oc req =
       let options = options_of_request req in
       let seed = options.Driver.seed and passes = int_field "passes" ~default:60 req in
       let workload = target.Cli_common.tg_workload ~seed ~passes in
+      (* The flight key digests this workload list; the synthesis below
+         names the same list, so its environment slot and design key reuse
+         that one digest. *)
       let key =
         Driver.design_key ~options target.Cli_common.tg_program ~workload ~objective
           ~laxity
@@ -217,6 +221,7 @@ let run_lint oc req =
 let run_cache_stats sv oc =
   let s = Store.stats sv.sv_store in
   let fl = Flight.stats sv.sv_flight in
+  let dg = Tier.digest_stats () in
   let num n = Wire.Num (float_of_int n) in
   send oc
     (Wire.Obj
@@ -248,6 +253,11 @@ let run_cache_stats sv oc =
          ("flights", num fl.Flight.fl_led);
          ("coalesced", num fl.Flight.fl_coalesced);
          ("concurrency", num (Flight.limit sv.sv_flight));
+         (* Content digests computed by the daemon: one per program served,
+            one per heavy request's workload. *)
+         ( "digests",
+           Wire.Obj
+             [ ("programs", num dg.Tier.dg_programs); ("workloads", num dg.Tier.dg_workloads) ] );
        ])
 
 let dispatch sv oc req =

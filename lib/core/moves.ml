@@ -128,13 +128,10 @@ let candidates env sol ~rng ~max =
   Rng.shuffle rng arr;
   Array.to_list (Array.sub arr 0 (min max (Array.length arr)))
 
-(* Whether [apply] would keep a feasible predecessor's schedule, so a power
-   pricing delta-reprices its ledger (O(footprint) work), rather than
-   reschedule and re-estimate from scratch.  Mirrors the reuse decisions
-   in [apply] below. *)
-let reprices env (sol : Solution.t) move =
-  sol.Solution.cost < infinity
-  &&
+(* Whether [apply] keeps the predecessor's schedule: a split never
+   lengthens a path, and a substitution keeps it when the new module is no
+   slower than the unit's current one.  Every other move reschedules. *)
+let keeps_schedule env (sol : Solution.t) move =
   match move with
   | Split_fu _ | Split_reg _ -> true
   | Substitute (fu, name) -> (
@@ -144,6 +141,12 @@ let reprices env (sol : Solution.t) move =
       spec.Module_library.delay_ns
       <= (Binding.fu_module sol.Solution.binding fu).Module_library.delay_ns +. 1e-9)
   | Share_fu _ | Share_reg _ | Restructure _ -> false
+
+(* Whether a power pricing of [apply]'s result delta-reprices a feasible
+   predecessor's ledger (O(footprint) work) rather than reschedule and
+   re-estimate from scratch. *)
+let reprices env (sol : Solution.t) move =
+  sol.Solution.cost < infinity && keeps_schedule env sol move
 
 (* The resources a move touches, named against the *pre-move* binding (a
    split's fresh ids do not exist yet; its source unit/register covers
@@ -171,7 +174,8 @@ let sched_footprint (_sol : Solution.t) move =
 let apply ?cache ?metrics ?(delta = true) env (sol : Solution.t) move =
   let b = sol.Solution.binding in
   let restructured = sol.Solution.restructured in
-  let rebuild ?reuse binding restructured =
+  let reuse_stg = if keeps_schedule env sol move then Some sol.Solution.stg else None in
+  let rebuild binding restructured =
     (* Delta re-pricing needs the predecessor's priced ledger and the move's
        footprint; [Estimate.reprice] takes the delta path whenever the new
        schedule has the predecessor's shape, kept or rescheduled.  A split's
@@ -183,39 +187,18 @@ let apply ?cache ?metrics ?(delta = true) env (sol : Solution.t) move =
       | _ -> None
     in
     Some
-      (Solution.rebuild ?cache ?metrics ?delta:delta_arg env ~binding ~restructured
-         ~reuse_stg:reuse)
+      (Solution.rebuild ?cache ?metrics ?delta:delta_arg env ~binding ~restructured ~reuse_stg)
   in
+  let rebuild_with = function Ok binding -> rebuild binding restructured | Error _ -> None in
   match move with
-  | Share_fu (keep, absorb) -> (
-    match Binding.share_fu b keep absorb with
-    | Ok binding -> rebuild binding restructured
-    | Error _ -> None)
-  | Split_fu (fu, ops) -> (
-    match Binding.split_fu b fu ops with
-    | Ok binding -> rebuild ~reuse:sol.Solution.stg binding restructured
-    | Error _ -> None)
+  | Share_fu (keep, absorb) -> rebuild_with (Binding.share_fu b keep absorb)
+  | Split_fu (fu, ops) -> rebuild_with (Binding.split_fu b fu ops)
   | Substitute (fu, name) -> (
     match Module_library.find env.Solution.library name with
     | exception Not_found -> None
-    | spec -> (
-      let faster =
-        spec.Module_library.delay_ns
-        <= (Binding.fu_module b fu).Module_library.delay_ns +. 1e-9
-      in
-      match Binding.substitute_module b fu spec with
-      | Ok binding ->
-        if faster then rebuild ~reuse:sol.Solution.stg binding restructured
-        else rebuild binding restructured
-      | Error _ -> None))
-  | Share_reg (keep, absorb) -> (
-    match Binding.share_reg b keep absorb with
-    | Ok binding -> rebuild binding restructured
-    | Error _ -> None)
-  | Split_reg (reg, values) -> (
-    match Binding.split_reg b reg values with
-    | Ok binding -> rebuild ~reuse:sol.Solution.stg binding restructured
-    | Error _ -> None)
+    | spec -> rebuild_with (Binding.substitute_module b fu spec))
+  | Share_reg (keep, absorb) -> rebuild_with (Binding.share_reg b keep absorb)
+  | Split_reg (reg, values) -> rebuild_with (Binding.split_reg b reg values)
   | Restructure port ->
     if List.mem port restructured then None
     else rebuild (Binding.copy b) (restructured @ [ port ])

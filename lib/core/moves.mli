@@ -21,8 +21,9 @@ val candidates :
     schedule (they are re-checked after any later re-schedule). *)
 
 val reprices : Solution.env -> Solution.t -> move -> bool
-(** Whether {!apply} would keep a feasible predecessor's schedule, so a
-    power pricing is a delta re-price of its ledger (O(footprint) work).
+(** Whether the predecessor is feasible and {!apply} keeps its schedule
+    (the very decision {!apply} takes), so a power pricing is a delta
+    re-price of its ledger (O(footprint) work).
     A move that does not is Heavy: it reschedules, and re-estimates
     unless the new schedule keeps the predecessor's shape. *)
 

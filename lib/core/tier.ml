@@ -58,9 +58,81 @@ include Types
 let store_version = 3
 let digest v = Digest.to_hex (Digest.string (Marshal.to_string v []))
 
+(* A request names its program and workload by content, and every key,
+   the daemon's flight key and the workload environment's slot derive from
+   those two digests.  Each is computed once per value and memoised on the
+   value's physical identity.  A program (whose graph is never changed once
+   built, as [Scheduler.plan_for] also assumes) is digested once for its
+   life: its digest hangs off the graph in an ephemeron table, and goes
+   with it.  A workload is digested once per request: the last few
+   workload lists digested are kept with their digests, so every key that
+   names a request's list reuses one digest however many requests
+   interleave.  (An ephemeron table would not do for workloads: repeated
+   requests bring equal lists, which hash alike, so the dead entries of
+   past requests pile up in one bucket.) *)
+module Programs = Ephemeron.K1.Make (struct
+  type t = Graph.t
+
+  let equal = ( == )
+  let hash = Graph.node_count
+end)
+
+let programs : (Graph.program * string) list Programs.t = Programs.create 16
+let recent_workloads : ((string * int) list list * string) option array = Array.make 8 None
+let recent_next = ref 0
+let digests_lock = Mutex.create ()
+let program_digests = Atomic.make 0
+let workload_digests = Atomic.make 0
+
+type digest_stats = { dg_programs : int; dg_workloads : int }
+
+let digest_stats () =
+  { dg_programs = Atomic.get program_digests; dg_workloads = Atomic.get workload_digests }
+
+(* Digests are computed outside the lock; two threads racing on one value
+   compute the same string, and the first published is kept. *)
 let program_digest (p : Graph.program) =
   let g = p.Graph.graph in
-  digest (Graph.nodes g, Graph.edges g, p.Graph.top, p.Graph.prog_inputs, p.Graph.prog_outputs, p.Graph.prog_name)
+  let known () = Option.value (Programs.find_opt programs g) ~default:[] in
+  match List.assq_opt p (Mutex.protect digests_lock known) with
+  | Some d -> d
+  | None ->
+    Atomic.incr program_digests;
+    let d =
+      digest
+        ( Graph.nodes g,
+          Graph.edges g,
+          p.Graph.top,
+          p.Graph.prog_inputs,
+          p.Graph.prog_outputs,
+          p.Graph.prog_name )
+    in
+    Mutex.protect digests_lock (fun () ->
+        let ds = known () in
+        match List.assq_opt p ds with
+        | Some first -> first
+        | None ->
+          Programs.replace programs g ((p, d) :: ds);
+          d)
+
+let workload_digest workload =
+  let known () =
+    Array.find_map
+      (function Some (w, d) when w == workload -> Some d | Some _ | None -> None)
+      recent_workloads
+  in
+  match Mutex.protect digests_lock known with
+  | Some d -> d
+  | None ->
+    Atomic.incr workload_digests;
+    let d = digest workload in
+    Mutex.protect digests_lock (fun () ->
+        match known () with
+        | Some first -> first
+        | None ->
+          recent_workloads.(!recent_next) <- Some (workload, d);
+          recent_next := (!recent_next + 1) mod Array.length recent_workloads;
+          d)
 
 (* The characterisation is a static value: digest it once, not per key. *)
 let library_digest =
@@ -68,10 +140,11 @@ let library_digest =
   fun () -> Lazy.force d
 
 let canonical parts = String.concat "|" ("impact-store" :: string_of_int store_version :: parts)
-let sim_key program ~workload = Store.key (canonical [ "sim"; program_digest program; digest workload ])
+let sim_key program ~workload =
+  Store.key (canonical [ "sim"; program_digest program; workload_digest workload ])
 
 let traces_key program ~workload =
-  Store.key (canonical [ "traces"; program_digest program; digest workload ])
+  Store.key (canonical [ "traces"; program_digest program; workload_digest workload ])
 
 (* The per-region digest covers the config fingerprint and every per-node
    model value, so fragments need only the program identity as context. *)
@@ -93,7 +166,13 @@ let options_fingerprint o =
 let request_key ~options program ~workload request =
   Store.key
     (canonical
-       [ program_digest program; digest workload; library_digest (); options_fingerprint options; request ])
+       [
+         program_digest program;
+         workload_digest workload;
+         library_digest ();
+         options_fingerprint options;
+         request;
+       ])
 
 let objective_tag = function Solution.Minimize_area -> "area" | Solution.Minimize_power -> "power"
 
@@ -262,12 +341,10 @@ type sweep_entry = {
 let design_tier : design_entry t = make ~ns:Store.default_ns ~tag:"design-dense2"
 let sweep_tier : sweep_entry t = make ~ns:Store.default_ns ~tag:"sweep-dense2"
 
-(* The ledger's term listing is table-fold-ordered; sorting makes it a
-   canonical value that survives the round-trip comparison. *)
+(* The ledger's term listing comes sorted by label, a canonical value that
+   survives the round-trip comparison. *)
 let ledger_terms_of sol =
-  match Solution.ledger sol with
-  | None -> []
-  | Some ledger -> List.sort compare (Estimate.ledger_terms ledger)
+  match Solution.ledger sol with None -> [] | Some ledger -> Estimate.ledger_terms ledger
 
 let persist_design d =
   let sol = d.d_solution in
@@ -298,12 +375,16 @@ let restore_design env ~enc_min ~objective ~laxity entry =
         Solution.rebuild env ~binding ~restructured:entry.de_restructured
           ~reuse_stg:(Some entry.de_stg)
       in
+      (* The rebuild adopts the stored schedule as it is, so the schedule
+         needs no rendering to be compared: what guards it is that the
+         binding priced against it reproduces every recorded figure and
+         ledger term. *)
       if
-        feq sol.Solution.cost entry.de_cost
+        sol.Solution.stg == entry.de_stg
+        && feq sol.Solution.cost entry.de_cost
         && feq sol.Solution.area entry.de_area
         && feq sol.Solution.enc entry.de_enc
         && feq sol.Solution.vdd entry.de_vdd
-        && Stg.signature sol.Solution.stg = Stg.signature entry.de_stg
         && ledger_terms_of sol = entry.de_ledger
       then
         Some
@@ -481,7 +562,7 @@ let env_slot st program =
         slot)
 
 let env_inputs ~options ~workload =
-  Printf.sprintf "%s|%s|%h|%b" (digest workload) (style_tag options.style) options.clock_ns
+  Printf.sprintf "%s|%s|%h|%b" (workload_digest workload) (style_tag options.style) options.clock_ns
     options.range_power
 
 (* Under IMPACT_STORE_CHECK a memo hit is rebuilt cold, with no store, and

@@ -81,6 +81,17 @@ end
     Every key starts with one prefix naming the store format and its
     version; bumping the version renames every object. *)
 
+type digest_stats = {
+  dg_programs : int;  (** program digests computed *)
+  dg_workloads : int;  (** workload digests computed *)
+}
+
+val digest_stats : unit -> digest_stats
+(** Process-wide counts since start-up.  Every key names its program and
+    workload by content digest, memoised on the value's physical identity:
+    a program is digested once for its life, and a workload list once,
+    however many keys, flight keys and environment slots name it. *)
+
 val options_fingerprint : options -> string
 (** The trajectory-defining fields ([jobs] and [delta_reprice] are
     bit-identity-neutral and excluded).  Fields that
@@ -165,6 +176,24 @@ val seed_traces :
 (** Seeds a fresh estimation context from the ["traces"] tier.  Under
     [IMPACT_STORE_CHECK] every seeded entry is recomputed and asserted. *)
 
+type design_entry = {
+  de_binding : Impact_rtl.Binding.portable;
+  de_restructured : Impact_rtl.Datapath.port list;
+  de_stg : Impact_sched.Stg.t;
+  de_stats : Search.stats;
+  de_enc_min : float;
+  de_enc : float;
+  de_vdd : float;
+  de_area : float;
+  de_cost : float;
+  de_ledger : (string * float) list;  (** {!Impact_power.Estimate.ledger_terms} *)
+}
+(** A stored design: the decision (binding, restructured ports, schedule,
+    search stats) and the figures it priced to. *)
+
+val design_tier : design_entry t
+(** The tier of single stored designs, in the ["design"] namespace. *)
+
 val frags : ?store:Impact_store.Store.t -> Impact_cdfg.Graph.program -> Impact_sched.Fragcache.t
 (** A fragment cache for the program, backed by the ["frag"] tier when a
     store is given. *)
@@ -222,9 +251,10 @@ val find_or_synthesize :
   workload_env ->
   (Solution.env -> design) ->
   design
-(** A hit replays the persisted decision through {!Solution.rebuild} and is
-    rejected unless cost, area, ENC, Vdd, schedule signature and sorted
-    ledger terms all match the recorded ones.  The cold path gets the
+(** A hit replays the persisted decision through {!Solution.rebuild},
+    which adopts the stored schedule as it is, and is rejected unless cost,
+    area, ENC, Vdd and the sorted ledger terms priced against that schedule
+    all match the recorded ones.  The cold path gets the
     request's environment ({!env_at}).  After either, with a store, the
     context's switching memos are merged into the ["traces"] tier when
     they grew since it was seeded or last published. *)

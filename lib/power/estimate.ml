@@ -474,28 +474,81 @@ type footprint = { fp_fus : int list; fp_regs : int list }
 let can_reprice ctx prev ~stg =
   prev.lg_stg == stg || String.equal prev.lg_key (key_of ctx stg)
 
-let port_label = function
-  | Datapath.P_fu_input (fu, port) -> Printf.sprintf "net fu%d port %d" fu port
-  | Datapath.P_reg_write reg -> Printf.sprintf "net reg %d" reg
+type term =
+  | Scalar of string
+  | Fu of int
+  | Reg_write of int
+  | Reg_clock of int
+  | Net of Datapath.port
+  | Act of int
 
-let ledger_terms lg =
-  let terms label ids values =
-    Array.to_list (Array.mapi (fun i id -> (label id, values.(i))) ids)
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
+let ledger_entries lg =
   let st = lg.lg_terms in
-  let acts =
-    Array.to_list st.st_act
-    |> List.mapi (fun nid v -> (Printf.sprintf "act n%d" nid, v))
+  let group term ids values = List.init (Array.length ids) (fun i -> (term ids.(i), values.(i))) in
+  [
+    (Scalar "enc", st.st_enc);
+    (Scalar "sel", st.st_sel);
+    (Scalar "wire", st.st_wire);
+    (Scalar "ctrl", st.st_ctrl);
+    (Scalar "critical-ns", lg.lg_critical);
+  ]
+  @ group (fun id -> Fu id) lg.lg_fu_ids lg.lg_fu
+  @ group (fun id -> Reg_write id) lg.lg_reg_ids lg.lg_reg_write
+  @ group (fun id -> Reg_clock id) lg.lg_reg_ids lg.lg_reg_clock
+  @ group (fun port -> Net port) lg.lg_net_ports lg.lg_net
+  @ List.init (Array.length st.st_act) (fun nid -> (Act nid, st.st_act.(nid)))
+
+(* [prefix ^ string_of_int n] in one allocation, without a format
+   interpreter: a warm store hit labels every term of its design. *)
+let numbered prefix n =
+  if n < 0 then prefix ^ string_of_int n
+  else begin
+    let rec digits n = if n < 10 then 1 else 1 + digits (n / 10) in
+    let len = String.length prefix + digits n in
+    let b = Bytes.create len in
+    Bytes.blit_string prefix 0 b 0 (String.length prefix);
+    let rec fill i n =
+      Bytes.set b i (Char.chr (48 + (n mod 10)));
+      if n >= 10 then fill (i - 1) (n / 10)
+    in
+    fill (len - 1) n;
+    Bytes.unsafe_to_string b
+  end
+
+let port_label = function
+  | Datapath.P_fu_input (fu, port) -> numbered (numbered "net fu" fu ^ " port ") port
+  | Datapath.P_reg_write reg -> numbered "net reg " reg
+
+let term_label = function
+  | Scalar name -> name
+  | Fu id -> numbered "fu " id
+  | Reg_write id -> numbered "reg-write " id
+  | Reg_clock id -> numbered "reg-clock " id
+  | Net port -> port_label port
+  | Act nid -> numbered "act n" nid
+
+(* The listing is built in label order directly: the groups' label
+   prefixes ("act n", "critical-ns", "ctrl", "enc", "fu ", "net ",
+   "reg-clock ", "reg-write ", "sel", "wire") already sort in this order,
+   so only the terms inside a group, whose decimal ids do not sort as
+   numbers, need sorting — by label, from the tail forwards. *)
+let ledger_terms lg =
+  let st = lg.lg_terms in
+  let group labels values tail =
+    let order = Array.init (Array.length labels) Fun.id in
+    Array.sort (fun i j -> String.compare labels.(i) labels.(j)) order;
+    Array.fold_right (fun i acc -> (labels.(i), values.(i)) :: acc) order tail
   in
-  (("enc", st.st_enc) :: ("sel", st.st_sel) :: ("wire", st.st_wire)
-  :: ("ctrl", st.st_ctrl)
-  :: ("critical-ns", lg.lg_critical)
-  :: terms (Printf.sprintf "fu %d") lg.lg_fu_ids lg.lg_fu)
-  @ terms (Printf.sprintf "reg-write %d") lg.lg_reg_ids lg.lg_reg_write
-  @ terms (Printf.sprintf "reg-clock %d") lg.lg_reg_ids lg.lg_reg_clock
-  @ terms port_label lg.lg_net_ports lg.lg_net
-  @ acts
+  let numbered_ids prefix ids = Array.map (numbered prefix) ids in
+  [ ("sel", st.st_sel); ("wire", st.st_wire) ]
+  |> group (numbered_ids "reg-write " lg.lg_reg_ids) lg.lg_reg_write
+  |> group (numbered_ids "reg-clock " lg.lg_reg_ids) lg.lg_reg_clock
+  |> group (Array.map port_label lg.lg_net_ports) lg.lg_net
+  |> group (numbered_ids "fu " lg.lg_fu_ids) lg.lg_fu
+  |> List.cons ("enc", st.st_enc)
+  |> List.cons ("ctrl", st.st_ctrl)
+  |> List.cons ("critical-ns", lg.lg_critical)
+  |> group (Array.init (Array.length st.st_act) (numbered "act n")) st.st_act
 
 type t = {
   est_enc : float;

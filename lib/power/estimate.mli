@@ -149,11 +149,29 @@ val estimate_ledger :
   unit ->
   t * ledger
 
+type term =
+  | Scalar of string  (** ["enc"], ["sel"], ["wire"], ["ctrl"], ["critical-ns"] *)
+  | Fu of int
+  | Reg_write of int
+  | Reg_clock of int
+  | Net of Impact_rtl.Datapath.port
+  | Act of int  (** a node's expected activations *)
+
+val ledger_entries : ledger -> (term * float) list
+(** Every energy term in the ledger, named structurally, in the ledger's
+    own order: the schedule-level scalars, then units, register writes and
+    clocks by ascending id, networks in index order, node activations by
+    node id — the raw material of the power verification pass, which
+    requires every term nonnegative and finite. *)
+
+val term_label : term -> string
+(** ["fu 3"], ["reg-write 5"], ["reg-clock 5"], ["net fu2 port 0"],
+    ["net reg 4"], ["act n7"], or the scalar's name. *)
+
 val ledger_terms : ledger -> (string * float) list
-(** Every energy term in the ledger as labelled floats ("fu 3",
-    "reg-write 5", "net fu2 port 0", the schedule-level scalars, per-node
-    expected activations) — the raw material of the power verification
-    pass, which requires them all nonnegative and finite. *)
+(** Every energy term in the ledger as labelled floats
+    ({!term_label}), sorted by label: the persisted listing a stored
+    design is checked against. *)
 
 val can_reprice : ctx -> ledger -> stg:Impact_sched.Stg.t -> bool
 (** True when {!reprice} will take the delta path: the ledger's schedule is

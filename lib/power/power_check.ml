@@ -6,17 +6,16 @@ module Diagnostic = Impact_util.Diagnostic
 
 let check_ledger lg =
   List.filter_map
-    (fun (label, v) ->
+    (fun (term, v) ->
+      let path () = "ledger/" ^ Estimate.term_label term in
       if Float.is_nan v || not (Float.is_finite v) then
         Some
-          (Diagnostic.error ~rule:"power/negative-term" ~path:("ledger/" ^ label)
+          (Diagnostic.error ~rule:"power/negative-term" ~path:(path ())
              "term is not finite (%f)" v)
       else if v < 0. then
-        Some
-          (Diagnostic.error ~rule:"power/negative-term" ~path:("ledger/" ^ label)
-             "term is negative (%f)" v)
+        Some (Diagnostic.error ~rule:"power/negative-term" ~path:(path ()) "term is negative (%f)" v)
       else None)
-    (Estimate.ledger_terms lg)
+    (Estimate.ledger_entries lg)
 
 (* Every guard evaluation the simulator profiles corresponds to one firing
    of the condition edge's producer (the simulator records the outcome

@@ -352,6 +352,98 @@ let test_vdd_stretch_components () =
   check_float "floored at 1" 1.
     (Vdd.stretch ~enc_budget:10. ~enc_achieved:20. ~clock_ns:15. ~critical_ns:15.)
 
+(* The memo answers every stretch with the unmemoised value — nominal up
+   to 1.0, the bisection's above — bit for bit, on its first call (a table
+   miss) and on repeats (hits), including the stretches just above 1.0 and
+   a grid up to 10. *)
+let test_vdd_memo_bits () =
+  let reference s = if s <= 1. then Vdd.nominal else Vdd.bisect_for_stretch s in
+  let stretches =
+    1.0 :: (1. +. 1e-12) :: Float.succ 1.0
+    :: List.init 181 (fun i -> 1.0 +. (0.05 *. float_of_int i))
+  in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun round ->
+      List.iter
+        (fun s ->
+          Alcotest.(check int64)
+            (Printf.sprintf "%s call, stretch %h" round s)
+            (bits (reference s))
+            (bits (Vdd.scale_for_stretch s)))
+        stretches)
+    [ "first"; "repeat" ];
+  check_bool "10.0 on the grid" true (List.mem 10.0 stretches)
+
+(* --- Ledger listing ------------------------------------------------------------ *)
+
+module Solution = Impact_core.Solution
+module Moves = Impact_core.Moves
+
+(* The reference listing: labels written with [Printf], ordered by the
+   polymorphic sort, as every persisted [de_ledger] holds them.  The
+   library's listing must equal it term for term, or stored designs stop
+   hitting. *)
+let printf_listing lg =
+  let label = function
+    | Estimate.Scalar name -> name
+    | Estimate.Fu id -> Printf.sprintf "fu %d" id
+    | Estimate.Reg_write id -> Printf.sprintf "reg-write %d" id
+    | Estimate.Reg_clock id -> Printf.sprintf "reg-clock %d" id
+    | Estimate.Net (Datapath.P_fu_input (fu, port)) -> Printf.sprintf "net fu%d port %d" fu port
+    | Estimate.Net (Datapath.P_reg_write reg) -> Printf.sprintf "net reg %d" reg
+    | Estimate.Act nid -> Printf.sprintf "act n%d" nid
+  in
+  List.sort compare (List.map (fun (t, v) -> (label t, v)) (Estimate.ledger_entries lg))
+
+let ledger_env bench objective =
+  let prog = Suite.program bench in
+  let run = Sim.simulate prog ~workload:(bench.Suite.workload ~seed:5 ~passes:12) in
+  let min_stg =
+    Scheduler.min_enc_schedule Scheduler.Wavesched ~clock_ns:clock prog Module_library.default
+  in
+  {
+    Solution.program = prog;
+    library = Module_library.default;
+    sched_config = Scheduler.config_of_style Scheduler.Wavesched ~clock_ns:clock;
+    est_ctx = Estimate.create_ctx run;
+    enc_budget = 2.5 *. Impact_sched.Enc.analytic min_stg run.Sim.profile;
+    objective;
+    area_ref = 1.;
+  }
+
+let test_ledger_listing () =
+  let bits l = List.map (fun (label, v) -> (label, Int64.bits_of_float v)) l in
+  let compared = ref 0 in
+  List.iter
+    (fun (bench, objective, seed) ->
+      let env = ledger_env bench objective in
+      let rng = Rng.create ~seed in
+      let check sol =
+        match Solution.ledger sol with
+        | None -> ()
+        | Some lg ->
+          incr compared;
+          if bits (Estimate.ledger_terms lg) <> bits (printf_listing lg) then
+            Alcotest.failf "%s: listing differs from the Printf reference after %d listings"
+              bench.Suite.bench_name !compared
+      in
+      let rec walk sol steps =
+        check sol;
+        if steps > 0 then
+          match
+            List.find_map (Moves.apply env sol) (Moves.candidates env sol ~rng ~max:8)
+          with
+          | Some next -> walk next (steps - 1)
+          | None -> ()
+      in
+      walk (Solution.initial env) 12)
+    (List.concat_map
+       (fun bench ->
+         [ (bench, Solution.Minimize_power, 3); (bench, Solution.Minimize_area, 9) ])
+       [ Suite.gcd; Suite.paulin; Suite.cordic ]);
+  check_bool "listings compared" true (!compared >= 30)
+
 (* --- Estimator vs measurement ------------------------------------------------ *)
 
 let build_design src seed =
@@ -534,7 +626,10 @@ let () =
           Alcotest.test_case "nominal" `Quick test_vdd_nominal;
           Alcotest.test_case "monotonic" `Quick test_vdd_monotonic;
           Alcotest.test_case "stretch" `Quick test_vdd_stretch_components;
+          Alcotest.test_case "memo = bisection, bit for bit" `Quick test_vdd_memo_bits;
         ] );
+      ( "ledger",
+        [ Alcotest.test_case "listing = Printf reference" `Quick test_ledger_listing ] );
       ( "estimator",
         [
           Alcotest.test_case "components positive" `Quick test_estimator_positive_components;

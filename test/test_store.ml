@@ -9,6 +9,8 @@ module Store = Impact_store.Store
 module Wire = Impact_store.Wire
 module Suite = Impact_benchmarks.Suite
 module Stg = Impact_sched.Stg
+module Scheduler = Impact_sched.Scheduler
+module Module_library = Impact_modlib.Module_library
 module Estimate = Impact_power.Estimate
 module Solution = Impact_core.Solution
 module Moves = Impact_core.Moves
@@ -553,6 +555,39 @@ let test_warm_corruption_falls_back () =
       check_bool "repaired warm identical" true
         (design_fingerprint warm = design_fingerprint cold))
 
+(* A stored design whose schedule was replaced by another valid schedule
+   of the same program (the minimum-ENC one) is a miss: the recorded
+   figures and ledger terms no longer match what the binding prices to
+   against that schedule.  The cold design is returned and rewritten. *)
+let test_tampered_schedule () =
+  with_dir (fun d ->
+      let prog = Suite.program Suite.gcd in
+      let workload = Suite.gcd.Suite.workload ~seed:7 ~passes:10 in
+      let objective = Solution.Minimize_power and laxity = 2.0 in
+      let synth store =
+        Driver.synthesize ~options:small_options ~store prog ~workload ~objective ~laxity ()
+      in
+      let cold = synth (Store.open_store ~dir:d ()) in
+      let key = Driver.design_key ~options:small_options prog ~workload ~objective ~laxity in
+      let store = Store.open_store ~dir:d () in
+      let entry =
+        match Option.bind (Store.find store key) (Tier.decode Tier.design_tier) with
+        | Some entry -> entry
+        | None -> Alcotest.fail "no design entry to tamper with"
+      in
+      let min_stg =
+        Scheduler.min_enc_schedule small_options.Driver.style
+          ~clock_ns:small_options.Driver.clock_ns prog Module_library.default
+      in
+      check_bool "another schedule" true
+        (Stg.signature min_stg <> Stg.signature entry.Tier.de_stg);
+      Store.put store key (Tier.encode Tier.design_tier { entry with Tier.de_stg = min_stg });
+      let store = Store.open_store ~dir:d () in
+      let again = synth store in
+      let st = Store.stats store in
+      check_int "read as a miss and rewritten" 1 (tier "design" st).Store.ts_writes;
+      check_bool "cold design, bit for bit" true (design_fingerprint again = design_fingerprint cold))
+
 (* The combinator's two miss paths on a hit-shaped entry: an envelope that
    validates but carries another tier's tag, and an entry that restore
    rejects.  Either way the cold path runs once, its answer overwrites the
@@ -825,6 +860,42 @@ let test_env_memo_slot () =
       let m'' = Tier.env_memo_stats () in
       check_int "another program builds its own" (m'.Tier.em_builds + 1) m''.Tier.em_builds;
       check_int "and leaves the first one's" (m'.Tier.em_hits + 1) m''.Tier.em_hits)
+
+(* One content identity per request.  Each request builds its own workload
+   list and names it by a flight key before synthesizing, as the daemon
+   does; on one handle a cold request, two warm repeats and a
+   shifted-laxity request each digest their workload once, and the program
+   (freshly elaborated, so no earlier test digested it) is digested once
+   in all. *)
+let test_digest_counts () =
+  with_dir (fun d ->
+      let store = Store.open_store ~dir:d () in
+      let prog = Impact_lang.Elaborate.from_source Suite.gcd.Suite.source in
+      let objective = Solution.Minimize_power in
+      let request laxity =
+        let workload = Suite.gcd.Suite.workload ~seed:7 ~passes:10 in
+        ignore (Driver.design_key ~options:small_options prog ~workload ~objective ~laxity);
+        ignore
+          (Driver.synthesize ~options:small_options ~store prog ~workload ~objective ~laxity ())
+      in
+      let design_hits () =
+        match List.assoc_opt "design" (Store.stats store).Store.st_tiers with
+        | Some t -> t.Store.ts_hits
+        | None -> 0
+      in
+      let start = Tier.digest_stats () in
+      List.iter
+        (fun (name, laxity) ->
+          let before = Tier.digest_stats () and hits = design_hits () in
+          request laxity;
+          let after = Tier.digest_stats () in
+          check_int (name ^ ": one workload digest") 1
+            (after.Tier.dg_workloads - before.Tier.dg_workloads);
+          check_bool (name ^ ": design tier answers only the repeats") (name = "warm")
+            (design_hits () > hits))
+        [ ("cold", 2.0); ("warm", 2.0); ("warm", 2.0); ("shifted", 3.0) ];
+      check_int "one program digest" 1
+        ((Tier.digest_stats ()).Tier.dg_programs - start.Tier.dg_programs))
 
 let with_store_check f =
   Unix.putenv "IMPACT_STORE_CHECK" "1";
@@ -1117,6 +1188,7 @@ let () =
           Alcotest.test_case "find-or-compute miss paths" `Quick
             test_find_or_compute_miss_paths;
           Alcotest.test_case "foreign-tag design entry" `Quick test_foreign_tag_design_entry;
+          Alcotest.test_case "tampered schedule reads as a miss" `Quick test_tampered_schedule;
           Alcotest.test_case "old-layout tags read as misses" `Quick test_old_layout_tags;
           Alcotest.test_case "malformed sim payloads read as misses" `Quick
             test_bad_sim_payloads;
@@ -1132,5 +1204,6 @@ let () =
           Alcotest.test_case "storeless calls leave it alone" `Quick test_env_memo_storeless;
           Alcotest.test_case "one slot per program" `Quick test_env_memo_slot;
           Alcotest.test_case "store check rebuilds hits" `Quick test_env_memo_check;
+          Alcotest.test_case "one digest per request" `Quick test_digest_counts;
         ] );
     ]
