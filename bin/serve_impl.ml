@@ -132,16 +132,17 @@ let run_synthesize sv oc req =
       let options = options_of_request req in
       let seed = options.Driver.seed and passes = int_field "passes" ~default:60 req in
       let workload = target.Cli_common.tg_workload ~seed ~passes in
-      (* The flight key digests this workload list; the synthesis below
-         names the same list, so its environment slot and design key reuse
-         that one digest. *)
+      (* The flight key and the synthesis below name the workload by one
+         id, so its environment slot and design key reuse the flight key's
+         digest. *)
+      let workload_id = Tier.workload_id workload in
       let key =
-        Driver.design_key ~options target.Cli_common.tg_program ~workload ~objective
-          ~laxity
+        Driver.design_key ~workload_id ~options target.Cli_common.tg_program ~workload
+          ~objective ~laxity
       in
       heavy sv oc ~op:"synthesize" ~key (fun () ->
           let design =
-            Driver.synthesize ~options ?pool:sv.sv_pool ~store:sv.sv_store
+            Driver.synthesize ~options ?pool:sv.sv_pool ~store:sv.sv_store ~workload_id
               target.Cli_common.tg_program ~workload ~objective ~laxity ()
           in
           let sol = design.Driver.d_solution in
@@ -171,12 +172,13 @@ let run_sweep sv oc req =
       let options = options_of_request req in
       let seed = options.Driver.seed and passes = int_field "passes" ~default:60 req in
       let workload = target.Cli_common.tg_workload ~seed ~passes in
+      let workload_id = Tier.workload_id workload in
       let key =
-        Driver.sweep_key ~options target.Cli_common.tg_program ~workload ~laxities
+        Driver.sweep_key ~workload_id ~options target.Cli_common.tg_program ~workload ~laxities
       in
       heavy sv oc ~op:"sweep" ~key (fun () ->
           let sweep =
-            Driver.figure13 ~options ?pool:sv.sv_pool ~store:sv.sv_store
+            Driver.figure13 ~options ?pool:sv.sv_pool ~store:sv.sv_store ~workload_id
               target.Cli_common.tg_program ~workload ~laxities
           in
           [

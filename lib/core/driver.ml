@@ -31,17 +31,23 @@ let resolved_jobs options =
   if options.jobs = 0 then Parallel.num_domains () else max 1 options.jobs
 
 let options_fingerprint = Tier.options_fingerprint
-let design_key = Tier.design_key
-let sweep_key = Tier.sweep_key
-let sim_key = Tier.sim_key
-let traces_key = Tier.traces_key
+let design_key ?workload_id ~options program ~workload =
+  Tier.design_key ~options program ~workload:(Tier.workload_id ?id:workload_id workload)
+
+let sweep_key ?workload_id ~options program ~workload =
+  Tier.sweep_key ~options program ~workload:(Tier.workload_id ?id:workload_id workload)
+
+let sim_key program ~workload = Tier.sim_key program ~workload:(Tier.workload_id workload)
+let traces_key program ~workload = Tier.traces_key program ~workload:(Tier.workload_id workload)
 
 (* Step 1: behavioral simulation, the parallel reference architecture and
    the minimum-ENC schedule that the laxity scales into a budget.  With a
    store, the run comes from the sim tier and the estimator starts with the
    traces tier's switching memos. *)
-let build_env ?(options = default_options) ?store program ~workload ~objective ~laxity =
-  let run = Tier.find_or_simulate ?store program ~workload in
+let build_env ?(options = default_options) ?store ?workload_id program ~workload ~objective
+    ~laxity =
+  let workload_id = Tier.workload_id ?id:workload_id workload in
+  let run = Tier.find_or_simulate ?store program ~workload:workload_id in
   let min_stg =
     Scheduler.min_enc_schedule options.style ~clock_ns:options.clock_ns program
       Module_library.default
@@ -66,7 +72,7 @@ let build_env ?(options = default_options) ?store program ~workload ~objective ~
     end
     else Estimate.create_ctx run
   in
-  Tier.seed_traces ?store program ~workload est_ctx;
+  Tier.seed_traces ?store program ~workload:workload_id est_ctx;
   let env =
     {
       Solution.program;
@@ -124,18 +130,21 @@ let with_engine ~options ?pool ?cache ~frags f =
 (* With a store, the environment comes from the handle's memo
    ({!Tier.workload_env}), built once per program and workload; without
    one, each call builds its own. *)
-let workload_env ~options ?store program ~workload =
+let workload_env ~options ?store program ~workload_id ~workload =
   let build store =
-    build_env ~options ?store program ~workload ~objective:Solution.Minimize_area ~laxity:1.0
+    build_env ~options ?store ~workload_id program ~workload ~objective:Solution.Minimize_area
+      ~laxity:1.0
   in
   match store with
   | None -> Tier.unshared_env (build None)
-  | Some st -> Tier.workload_env st ~options program ~workload build
+  | Some st -> Tier.workload_env st ~options program ~workload:workload_id build
 
-let synthesize ?(options = default_options) ?pool ?cache ?store program ~workload
+let synthesize ?(options = default_options) ?pool ?cache ?store ?workload_id program ~workload
     ~objective ~laxity () =
-  let we = workload_env ~options ?store program ~workload in
-  Tier.find_or_synthesize ?store ~options program ~workload ~objective ~laxity we (fun env ->
+  let workload_id = Tier.workload_id ?id:workload_id workload in
+  let we = workload_env ~options ?store program ~workload_id ~workload in
+  Tier.find_or_synthesize ?store ~options program ~workload:workload_id ~objective ~laxity we
+    (fun env ->
       with_engine ~options ?pool ?cache ~frags:(Tier.frags ?store program)
         (fun ?pool ?cache () ->
           synthesize_env ~options ?pool ?cache env ~enc_min:(Tier.enc_min we) ~objective
@@ -174,9 +183,10 @@ let measure design program ~workload ?vdd () =
    are deterministic functions of their keys — so the coarse fan-out below
    is bit-identical to the sequential sweep regardless of which domain
    computes which point (asserted by test_parallel_sweep). *)
-let figure13 ?(options = default_options) ?pool ?cache ?store program ~workload
+let figure13 ?(options = default_options) ?pool ?cache ?store ?workload_id program ~workload
     ~laxities =
-  let we = workload_env ~options ?store program ~workload in
+  let workload_id = Tier.workload_id ?id:workload_id workload in
+  let we = workload_env ~options ?store program ~workload_id ~workload in
   let cold () =
     let frags = Tier.frags ?store program in
     with_engine ~options ?pool ?cache ~frags (fun ?pool ?cache () ->
@@ -240,4 +250,4 @@ let figure13 ?(options = default_options) ?pool ?cache ?store program ~workload
         ( { sw_base_power = base_power; sw_base_area = base_area; sw_points = points },
           designs ))
   in
-  Tier.find_or_sweep ?store ~options program ~workload ~laxities we cold
+  Tier.find_or_sweep ?store ~options program ~workload:workload_id ~laxities we cold

@@ -37,6 +37,7 @@ val resolved_jobs : options -> int
 val build_env :
   ?options:options ->
   ?store:Impact_store.Store.t ->
+  ?workload_id:Tier.workload_id ->
   Impact_cdfg.Graph.program ->
   workload:(string * int) list list ->
   objective:Solution.objective ->
@@ -59,9 +60,16 @@ val restructure_all : design -> design
 
     The content keys the store-backed calls consult, re-exported from
     {!Tier}.  The sim and traces keys digest only the (program, workload)
-    pair, so any objective, laxity or options reuse them. *)
+    pair, so any objective, laxity or options reuse them.
+
+    A [?workload_id] here and on {!build_env}, {!synthesize} and
+    {!figure13} names the workload by a {!Tier.workload_id} the caller
+    already holds for this very list, so a request that builds its own key
+    (serve's flight key) and then synthesizes digests its workload once.
+    An id naming another list is ignored. *)
 
 val design_key :
+  ?workload_id:Tier.workload_id ->
   options:options ->
   Impact_cdfg.Graph.program ->
   workload:(string * int) list list ->
@@ -70,6 +78,7 @@ val design_key :
   string
 
 val sweep_key :
+  ?workload_id:Tier.workload_id ->
   options:options ->
   Impact_cdfg.Graph.program ->
   workload:(string * int) list list ->
@@ -84,6 +93,7 @@ val synthesize :
   ?pool:Impact_util.Parallel.pool ->
   ?cache:Solution.cache ->
   ?store:Impact_store.Store.t ->
+  ?workload_id:Tier.workload_id ->
   Impact_cdfg.Graph.program ->
   workload:(string * int) list list ->
   objective:Solution.objective ->
@@ -113,6 +123,7 @@ val figure13 :
   ?pool:Impact_util.Parallel.pool ->
   ?cache:Solution.cache ->
   ?store:Impact_store.Store.t ->
+  ?workload_id:Tier.workload_id ->
   Impact_cdfg.Graph.program ->
   workload:(string * int) list list ->
   laxities:float list ->

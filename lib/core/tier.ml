@@ -60,16 +60,12 @@ let digest v = Digest.to_hex (Digest.string (Marshal.to_string v []))
 
 (* A request names its program and workload by content, and every key,
    the daemon's flight key and the workload environment's slot derive from
-   those two digests.  Each is computed once per value and memoised on the
-   value's physical identity.  A program (whose graph is never changed once
-   built, as [Scheduler.plan_for] also assumes) is digested once for its
-   life: its digest hangs off the graph in an ephemeron table, and goes
-   with it.  A workload is digested once per request: the last few
-   workload lists digested are kept with their digests, so every key that
-   names a request's list reuses one digest however many requests
-   interleave.  (An ephemeron table would not do for workloads: repeated
-   requests bring equal lists, which hash alike, so the dead entries of
-   past requests pile up in one bucket.) *)
+   those two digests.  A program (whose graph is never changed once built,
+   as [Scheduler.plan_for] also assumes) is digested once for its life: its
+   digest hangs off the graph in an ephemeron table, and goes with it.  A
+   workload is digested once per request: the request names its list by a
+   [workload_id] and hands that on to every key it builds, so nothing is
+   kept between requests. *)
 module Programs = Ephemeron.K1.Make (struct
   type t = Graph.t
 
@@ -78,9 +74,7 @@ module Programs = Ephemeron.K1.Make (struct
 end)
 
 let programs : (Graph.program * string) list Programs.t = Programs.create 16
-let recent_workloads : ((string * int) list list * string) option array = Array.make 8 None
-let recent_next = ref 0
-let digests_lock = Mutex.create ()
+let programs_lock = Mutex.create ()
 let program_digests = Atomic.make 0
 let workload_digests = Atomic.make 0
 
@@ -89,15 +83,15 @@ type digest_stats = { dg_programs : int; dg_workloads : int }
 let digest_stats () =
   { dg_programs = Atomic.get program_digests; dg_workloads = Atomic.get workload_digests }
 
-(* Digests are computed outside the lock; two threads racing on one value
-   compute the same string, and the first published is kept. *)
+(* The digest is computed outside the lock; two threads racing on one
+   program compute the same string, and only the first published is kept
+   and counted. *)
 let program_digest (p : Graph.program) =
   let g = p.Graph.graph in
   let known () = Option.value (Programs.find_opt programs g) ~default:[] in
-  match List.assq_opt p (Mutex.protect digests_lock known) with
+  match List.assq_opt p (Mutex.protect programs_lock known) with
   | Some d -> d
   | None ->
-    Atomic.incr program_digests;
     let d =
       digest
         ( Graph.nodes g,
@@ -107,32 +101,35 @@ let program_digest (p : Graph.program) =
           p.Graph.prog_outputs,
           p.Graph.prog_name )
     in
-    Mutex.protect digests_lock (fun () ->
+    Mutex.protect programs_lock (fun () ->
         let ds = known () in
         match List.assq_opt p ds with
         | Some first -> first
         | None ->
+          Atomic.incr program_digests;
           Programs.replace programs g ((p, d) :: ds);
           d)
 
-let workload_digest workload =
-  let known () =
-    Array.find_map
-      (function Some (w, d) when w == workload -> Some d | Some _ | None -> None)
-      recent_workloads
-  in
-  match Mutex.protect digests_lock known with
+type workload_id = { wi_passes : (string * int) list list; wi_digest : string option Atomic.t }
+
+let workload_id ?id workload =
+  match id with
+  | Some id when id.wi_passes == workload -> id
+  | Some _ | None -> { wi_passes = workload; wi_digest = Atomic.make None }
+
+(* Digested on first use, so a storeless request, which names no key,
+   digests nothing.  Domains racing on one id compute the same string, and
+   only the one published is counted. *)
+let workload_digest id =
+  match Atomic.get id.wi_digest with
   | Some d -> d
   | None ->
-    Atomic.incr workload_digests;
-    let d = digest workload in
-    Mutex.protect digests_lock (fun () ->
-        match known () with
-        | Some first -> first
-        | None ->
-          recent_workloads.(!recent_next) <- Some (workload, d);
-          recent_next := (!recent_next + 1) mod Array.length recent_workloads;
-          d)
+    let d = digest id.wi_passes in
+    if Atomic.compare_and_set id.wi_digest None (Some d) then begin
+      Atomic.incr workload_digests;
+      d
+    end
+    else Option.get (Atomic.get id.wi_digest)
 
 (* The characterisation is a static value: digest it once, not per key. *)
 let library_digest =
@@ -249,10 +246,10 @@ let restore_sim program ~workload portable =
 let find_or_simulate ?store program ~workload =
   find_or_compute ?store sim_tier
     ~key:(fun () -> sim_key program ~workload)
-    ~restore:(restore_sim program ~workload)
+    ~restore:(restore_sim program ~workload:workload.wi_passes)
     ~persist:Sim.to_portable
     ~fingerprint:(fun run -> digest (Sim.to_portable run))
-    (fun () -> Sim.simulate program ~workload)
+    (fun () -> Sim.simulate program ~workload:workload.wi_passes)
 
 (* --- traces: seed, then accumulate ---------------------------------------- *)
 
@@ -562,7 +559,8 @@ let env_slot st program =
         slot)
 
 let env_inputs ~options ~workload =
-  Printf.sprintf "%s|%s|%h|%b" (workload_digest workload) (style_tag options.style) options.clock_ns
+  Printf.sprintf "%s|%s|%h|%b" (workload_digest workload) (style_tag options.style)
+    options.clock_ns
     options.range_power
 
 (* Under IMPACT_STORE_CHECK a memo hit is rebuilt cold, with no store, and

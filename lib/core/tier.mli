@@ -81,16 +81,26 @@ end
     Every key starts with one prefix naming the store format and its
     version; bumping the version renames every object. *)
 
+type workload_id
+(** A workload list named by content.  A request builds one and hands it to
+    every key, flight key and environment slot it names, so the list is
+    digested at most once per request (on first use: a storeless request
+    names no key); nothing is kept between requests. *)
+
+val workload_id : ?id:workload_id -> (string * int) list list -> workload_id
+(** [workload_id ?id workload] is [id] when [id] names this very list
+    (physically), and otherwise a fresh name for [workload]. *)
+
 type digest_stats = {
   dg_programs : int;  (** program digests computed *)
   dg_workloads : int;  (** workload digests computed *)
 }
 
 val digest_stats : unit -> digest_stats
-(** Process-wide counts since start-up.  Every key names its program and
-    workload by content digest, memoised on the value's physical identity:
-    a program is digested once for its life, and a workload list once,
-    however many keys, flight keys and environment slots name it. *)
+(** Process-wide counts since start-up: one per {!workload_id} whose
+    digest is used, and one per program, whose digest is memoised on its
+    physical identity for its life.  Values raced on are counted once, for
+    the digest that is kept. *)
 
 val options_fingerprint : options -> string
 (** The trajectory-defining fields ([jobs] and [delta_reprice] are
@@ -98,8 +108,8 @@ val options_fingerprint : options -> string
     are off by default add themselves only when enabled, so default keys
     stay byte-identical across versions. *)
 
-val sim_key : Impact_cdfg.Graph.program -> workload:(string * int) list list -> string
-val traces_key : Impact_cdfg.Graph.program -> workload:(string * int) list list -> string
+val sim_key : Impact_cdfg.Graph.program -> workload:workload_id -> string
+val traces_key : Impact_cdfg.Graph.program -> workload:workload_id -> string
 
 val frag_context : Impact_cdfg.Graph.program -> string
 (** The prefix of every ["frag"]-tier fragment key of the program. *)
@@ -107,7 +117,7 @@ val frag_context : Impact_cdfg.Graph.program -> string
 val design_key :
   options:options ->
   Impact_cdfg.Graph.program ->
-  workload:(string * int) list list ->
+  workload:workload_id ->
   objective:Solution.objective ->
   laxity:float ->
   string
@@ -115,7 +125,7 @@ val design_key :
 val sweep_key :
   options:options ->
   Impact_cdfg.Graph.program ->
-  workload:(string * int) list list ->
+  workload:workload_id ->
   laxities:float list ->
   string
 
@@ -162,7 +172,7 @@ val sim_tier : Impact_sim.Sim.portable_run t
 val find_or_simulate :
   ?store:Impact_store.Store.t ->
   Impact_cdfg.Graph.program ->
-  workload:(string * int) list list ->
+  workload:workload_id ->
   Impact_sim.Sim.run
 (** The behavioral simulation run.  A persisted run is re-attached to the
     program and rejected when its shape does not match the workload. *)
@@ -170,7 +180,7 @@ val find_or_simulate :
 val seed_traces :
   ?store:Impact_store.Store.t ->
   Impact_cdfg.Graph.program ->
-  workload:(string * int) list list ->
+  workload:workload_id ->
   Impact_power.Estimate.ctx ->
   unit
 (** Seeds a fresh estimation context from the ["traces"] tier.  Under
@@ -223,7 +233,7 @@ val workload_env :
   Impact_store.Store.t ->
   options:options ->
   Impact_cdfg.Graph.program ->
-  workload:(string * int) list list ->
+  workload:workload_id ->
   (Impact_store.Store.t option -> Solution.env * float) ->
   workload_env
 (** [workload_env st ~options program ~workload build] serves the handle's
@@ -245,7 +255,7 @@ val find_or_synthesize :
   ?store:Impact_store.Store.t ->
   options:options ->
   Impact_cdfg.Graph.program ->
-  workload:(string * int) list list ->
+  workload:workload_id ->
   objective:Solution.objective ->
   laxity:float ->
   workload_env ->
@@ -263,7 +273,7 @@ val find_or_sweep :
   ?store:Impact_store.Store.t ->
   options:options ->
   Impact_cdfg.Graph.program ->
-  workload:(string * int) list list ->
+  workload:workload_id ->
   laxities:float list ->
   workload_env ->
   (unit -> sweep * ((Solution.objective * float) * design) list) ->

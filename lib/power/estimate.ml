@@ -498,57 +498,23 @@ let ledger_entries lg =
   @ group (fun port -> Net port) lg.lg_net_ports lg.lg_net
   @ List.init (Array.length st.st_act) (fun nid -> (Act nid, st.st_act.(nid)))
 
-(* [prefix ^ string_of_int n] in one allocation, without a format
-   interpreter: a warm store hit labels every term of its design. *)
-let numbered prefix n =
-  if n < 0 then prefix ^ string_of_int n
-  else begin
-    let rec digits n = if n < 10 then 1 else 1 + digits (n / 10) in
-    let len = String.length prefix + digits n in
-    let b = Bytes.create len in
-    Bytes.blit_string prefix 0 b 0 (String.length prefix);
-    let rec fill i n =
-      Bytes.set b i (Char.chr (48 + (n mod 10)));
-      if n >= 10 then fill (i - 1) (n / 10)
-    in
-    fill (len - 1) n;
-    Bytes.unsafe_to_string b
-  end
-
 let port_label = function
-  | Datapath.P_fu_input (fu, port) -> numbered (numbered "net fu" fu ^ " port ") port
-  | Datapath.P_reg_write reg -> numbered "net reg " reg
+  | Datapath.P_fu_input (fu, port) -> "net fu" ^ string_of_int fu ^ " port " ^ string_of_int port
+  | Datapath.P_reg_write reg -> "net reg " ^ string_of_int reg
 
 let term_label = function
   | Scalar name -> name
-  | Fu id -> numbered "fu " id
-  | Reg_write id -> numbered "reg-write " id
-  | Reg_clock id -> numbered "reg-clock " id
+  | Fu id -> "fu " ^ string_of_int id
+  | Reg_write id -> "reg-write " ^ string_of_int id
+  | Reg_clock id -> "reg-clock " ^ string_of_int id
   | Net port -> port_label port
-  | Act nid -> numbered "act n" nid
+  | Act nid -> "act n" ^ string_of_int nid
 
-(* The listing is built in label order directly: the groups' label
-   prefixes ("act n", "critical-ns", "ctrl", "enc", "fu ", "net ",
-   "reg-clock ", "reg-write ", "sel", "wire") already sort in this order,
-   so only the terms inside a group, whose decimal ids do not sort as
-   numbers, need sorting — by label, from the tail forwards. *)
+(* Labels are unique, so sorting on them alone gives a canonical listing. *)
 let ledger_terms lg =
-  let st = lg.lg_terms in
-  let group labels values tail =
-    let order = Array.init (Array.length labels) Fun.id in
-    Array.sort (fun i j -> String.compare labels.(i) labels.(j)) order;
-    Array.fold_right (fun i acc -> (labels.(i), values.(i)) :: acc) order tail
-  in
-  let numbered_ids prefix ids = Array.map (numbered prefix) ids in
-  [ ("sel", st.st_sel); ("wire", st.st_wire) ]
-  |> group (numbered_ids "reg-write " lg.lg_reg_ids) lg.lg_reg_write
-  |> group (numbered_ids "reg-clock " lg.lg_reg_ids) lg.lg_reg_clock
-  |> group (Array.map port_label lg.lg_net_ports) lg.lg_net
-  |> group (numbered_ids "fu " lg.lg_fu_ids) lg.lg_fu
-  |> List.cons ("enc", st.st_enc)
-  |> List.cons ("ctrl", st.st_ctrl)
-  |> List.cons ("critical-ns", lg.lg_critical)
-  |> group (Array.init (Array.length st.st_act) (numbered "act n")) st.st_act
+  ledger_entries lg
+  |> List.map (fun (term, v) -> (term_label term, v))
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 type t = {
   est_enc : float;

@@ -10,47 +10,19 @@ let delay_ratio v =
   if v <= threshold then invalid_arg "Vdd.delay_ratio: supply below threshold";
   raw_delay v /. raw_nominal
 
-let bisect_for_stretch s =
-  (* delay_ratio is monotonically decreasing in v on (vt, nominal];
-     bisect for delay_ratio v = s. *)
-  let lo = ref 1.0 and hi = ref nominal in
-  if delay_ratio !lo <= s then !lo
-  else begin
-    for _ = 1 to 60 do
-      let mid = 0.5 *. (!lo +. !hi) in
-      if delay_ratio mid > s then lo := mid else hi := mid
-    done;
-    !hi
-  end
-
-(* Every pricing asks for the supply of its stretch, yet a search sees few
-   distinct stretches (57 over a gcd, paulin and cordic sweep batch making
-   71,567 requests), so answers are memoised in a direct-mapped table
-   indexed by the stretch's bits.  A slot holds one immutable pair, so a
-   domain racing another on a slot reads either pair whole; a collision
-   only costs a bisection. *)
-type memo = { m_stretch : float; m_vdd : float }
-
-let memo_bits = 10
-
-(* The placeholder's stretch is 1.0, which never reaches the table. *)
-let memo = Array.make (1 lsl memo_bits) { m_stretch = 1.0; m_vdd = nominal }
-
-(* Multiplicative hashing: the product's top bits mix every bit of the
-   stretch. *)
-let slot bits = (Int64.to_int bits * 0x1E3779B97F4A7C15) lsr (Sys.int_size - memo_bits)
-
 let scale_for_stretch s =
   if s <= 1. then nominal
   else begin
-    let bits = Int64.bits_of_float s in
-    let i = slot bits in
-    let m = memo.(i) in
-    if Int64.equal (Int64.bits_of_float m.m_stretch) bits then m.m_vdd
+    (* delay_ratio is monotonically decreasing in v on (vt, nominal];
+       bisect for delay_ratio v = s. *)
+    let lo = ref 1.0 and hi = ref nominal in
+    if delay_ratio !lo <= s then !lo
     else begin
-      let v = bisect_for_stretch s in
-      memo.(i) <- { m_stretch = s; m_vdd = v };
-      v
+      for _ = 1 to 60 do
+        let mid = 0.5 *. (!lo +. !hi) in
+        if delay_ratio mid > s then lo := mid else hi := mid
+      done;
+      !hi
     end
   end
 

@@ -19,14 +19,9 @@ val delay_ratio : float -> float
 (** [delay_ratio v] = delay(v) / delay(nominal); 1.0 at nominal, grows as
     [v] drops.  @raise Invalid_argument for [v <= threshold]. *)
 
-val bisect_for_stretch : float -> float
-(** [bisect_for_stretch s] with [s > 1] returns the lowest supply whose
-    delay ratio does not exceed [s], by a 60-step bisection (never below
-    1.0 V). *)
-
 val scale_for_stretch : float -> float
-(** [scale_for_stretch s] is [nominal] for [s ≤ 1] and otherwise
-    [bisect_for_stretch s], bit for bit, memoised per stretch. *)
+(** [scale_for_stretch s] with [s ≥ 1] returns the lowest supply whose
+    delay ratio does not exceed [s] (bisection; never below 1.0 V). *)
 
 val power_factor : float -> float
 (** [power_factor v] = (v / nominal)² — the dynamic-power scaling. *)

@@ -352,29 +352,6 @@ let test_vdd_stretch_components () =
   check_float "floored at 1" 1.
     (Vdd.stretch ~enc_budget:10. ~enc_achieved:20. ~clock_ns:15. ~critical_ns:15.)
 
-(* The memo answers every stretch with the unmemoised value — nominal up
-   to 1.0, the bisection's above — bit for bit, on its first call (a table
-   miss) and on repeats (hits), including the stretches just above 1.0 and
-   a grid up to 10. *)
-let test_vdd_memo_bits () =
-  let reference s = if s <= 1. then Vdd.nominal else Vdd.bisect_for_stretch s in
-  let stretches =
-    1.0 :: (1. +. 1e-12) :: Float.succ 1.0
-    :: List.init 181 (fun i -> 1.0 +. (0.05 *. float_of_int i))
-  in
-  let bits = Int64.bits_of_float in
-  List.iter
-    (fun round ->
-      List.iter
-        (fun s ->
-          Alcotest.(check int64)
-            (Printf.sprintf "%s call, stretch %h" round s)
-            (bits (reference s))
-            (bits (Vdd.scale_for_stretch s)))
-        stretches)
-    [ "first"; "repeat" ];
-  check_bool "10.0 on the grid" true (List.mem 10.0 stretches)
-
 (* --- Ledger listing ------------------------------------------------------------ *)
 
 module Solution = Impact_core.Solution
@@ -626,7 +603,6 @@ let () =
           Alcotest.test_case "nominal" `Quick test_vdd_nominal;
           Alcotest.test_case "monotonic" `Quick test_vdd_monotonic;
           Alcotest.test_case "stretch" `Quick test_vdd_stretch_components;
-          Alcotest.test_case "memo = bisection, bit for bit" `Quick test_vdd_memo_bits;
         ] );
       ( "ledger",
         [ Alcotest.test_case "listing = Printf reference" `Quick test_ledger_listing ] );

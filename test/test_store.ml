@@ -731,7 +731,7 @@ let test_bad_sim_payloads () =
       with_dir (fun d ->
           Store.put ~ns:"sim" (Store.open_store ~dir:d ()) key payload;
           let store = Store.open_store ~dir:d () in
-          let run = Tier.find_or_simulate ~store prog ~workload in
+          let run = Tier.find_or_simulate ~store prog ~workload:(Tier.workload_id workload) in
           check_bool (name ^ ": cold answer") true (bytes run = Marshal.to_string p []);
           check_int (name ^ ": entry rewritten") 1 (tier "sim" (Store.stats store)).Store.ts_writes;
           check_bool (name ^ ": rewritten entry decodes") true
@@ -866,17 +866,35 @@ let test_env_memo_slot () =
    does; on one handle a cold request, two warm repeats and a
    shifted-laxity request each digest their workload once, and the program
    (freshly elaborated, so no earlier test digested it) is digested once
-   in all. *)
+   in all.  More requests than a few interleave before each synthesizes,
+   so no digest can be kept for them between requests; a request that
+   brings no id, or one naming another list, still digests once, and a
+   storeless one not at all. *)
 let test_digest_counts () =
   with_dir (fun d ->
       let store = Store.open_store ~dir:d () in
       let prog = Impact_lang.Elaborate.from_source Suite.gcd.Suite.source in
       let objective = Solution.Minimize_power in
-      let request laxity =
-        let workload = Suite.gcd.Suite.workload ~seed:7 ~passes:10 in
-        ignore (Driver.design_key ~options:small_options prog ~workload ~objective ~laxity);
+      let workload () = Suite.gcd.Suite.workload ~seed:7 ~passes:10 in
+      let flight_key laxity =
+        let workload = workload () in
+        let workload_id = Tier.workload_id workload in
         ignore
-          (Driver.synthesize ~options:small_options ~store prog ~workload ~objective ~laxity ())
+          (Driver.design_key ~workload_id ~options:small_options prog ~workload ~objective
+             ~laxity);
+        (workload, workload_id)
+      in
+      let synthesize ?workload_id ?store laxity workload =
+        ignore
+          (Driver.synthesize ~options:small_options ?store ?workload_id prog ~workload ~objective
+             ~laxity ())
+      in
+      let request laxity =
+        let workload, workload_id = flight_key laxity in
+        synthesize ~workload_id ~store laxity workload
+      in
+      let workloads_since before =
+        (Tier.digest_stats ()).Tier.dg_workloads - before.Tier.dg_workloads
       in
       let design_hits () =
         match List.assoc_opt "design" (Store.stats store).Store.st_tiers with
@@ -894,6 +912,19 @@ let test_digest_counts () =
           check_bool (name ^ ": design tier answers only the repeats") (name = "warm")
             (design_hits () > hits))
         [ ("cold", 2.0); ("warm", 2.0); ("warm", 2.0); ("shifted", 3.0) ];
+      let before = Tier.digest_stats () in
+      let queued = List.init 20 (fun _ -> flight_key 2.0) in
+      List.iter (fun (workload, workload_id) -> synthesize ~workload_id ~store 2.0 workload) queued;
+      check_int "twenty interleaved requests: twenty digests" 20 (workloads_since before);
+      let before = Tier.digest_stats () in
+      synthesize ~store 2.0 (workload ());
+      check_int "no id: one digest" 1 (workloads_since before);
+      let before = Tier.digest_stats () in
+      synthesize ~workload_id:(snd (flight_key 2.0)) ~store 2.0 (workload ());
+      check_int "another list's id: one digest each" 2 (workloads_since before);
+      let before = Tier.digest_stats () in
+      synthesize 2.0 (workload ());
+      check_int "storeless: no digest" 0 (workloads_since before);
       check_int "one program digest" 1
         ((Tier.digest_stats ()).Tier.dg_programs - start.Tier.dg_programs))
 
@@ -936,7 +967,8 @@ let test_env_memo_check () =
           check_bool (name ^ ": divergence fails") true
             (match
                with_store_check (fun () ->
-                   Tier.workload_env store ~options:small_options prog ~workload (diverging perturb))
+                   Tier.workload_env store ~options:small_options prog
+                     ~workload:(Tier.workload_id workload) (diverging perturb))
              with
             | _ -> false
             | exception Failure _ -> true))
