@@ -21,6 +21,7 @@ module Sim = Impact_sim.Sim
 module Profile = Impact_sim.Profile
 module Graph = Impact_cdfg.Graph
 module Ir = Impact_cdfg.Ir
+module Rng = Impact_util.Rng
 
 let quick_options =
   { Driver.default_options with depth = 3; max_candidates = 20; max_iterations = 10 }
@@ -124,6 +125,55 @@ let measure_cases =
     ("bresenham", "afcd88a46c405a0f349528c96380fa98");
   ]
 
+(* Random-walk measurement golden: the designs a search passes through,
+   not only the ones it ends on.  Per benchmark, a seeded walk of random
+   applicable moves from the initial power design (10-pass seed-1 workload,
+   laxity 2.0) that only takes moves leading to feasible designs; each
+   design on it is measured on a 200-pass seed-1
+   workload at the Binary, Gray and One_hot encodings.  One MD5 per
+   benchmark over the same rendering as the measurement golden. *)
+let walk_golden name expected () =
+  let bench = Suite.find name in
+  let prog = Suite.program bench in
+  let env, _ =
+    Driver.build_env prog ~workload:(bench.Suite.workload ~seed:1 ~passes:10)
+      ~objective:Solution.Minimize_power ~laxity:2.0
+  in
+  let workload = bench.Suite.workload ~seed:1 ~passes:200 in
+  let rng = Rng.create ~seed:17 in
+  let buf = Buffer.create 65536 in
+  let feasible mv =
+    Option.bind mv (fun s -> if s.Solution.cost < infinity then Some s else None)
+  in
+  let rec walk sol step =
+    if step < 10 then begin
+      List.iter
+        (fun encoding ->
+          render_measurement buf
+            (Printf.sprintf "step %d %s" step (Controller.encoding_name encoding))
+            (Measure.measure prog sol.Solution.stg sol.Solution.dp ~workload
+               ~vdd:sol.Solution.vdd ~encoding ()))
+        [ Controller.Binary; Controller.Gray; Controller.One_hot ];
+      match
+        List.filter_map
+          (fun mv -> feasible (Moves.apply env sol mv))
+          (Moves.candidates env sol ~rng ~max:8)
+      with
+      | [] -> ()
+      | succs -> walk (List.nth succs (Rng.int rng (List.length succs))) (step + 1)
+    end
+  in
+  walk (Solution.initial env) 0;
+  Alcotest.(check string) (name ^ " walk measurement digest") expected
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let walk_cases =
+  [
+    ("gcd", "185212ec77095dec9ab2653eb0cf2001");
+    ("paulin", "f5c9de37801926c9d330a2816acd5567");
+    ("dealer", "bad5fd182f27f07afe9b0a3f69ca0e7a");
+  ]
+
 (* Simulation golden: the behavioural run's content pinned bit for bit.
 
    Per benchmark, a 200-pass seed-1 simulation.  One MD5 over every event
@@ -215,6 +265,10 @@ let () =
           (fun (name, expected) ->
             Alcotest.test_case name `Quick (measure_golden name expected))
           measure_cases );
+      ( "measure-walk",
+        List.map
+          (fun (name, expected) -> Alcotest.test_case name `Quick (walk_golden name expected))
+          walk_cases );
       ( "sim",
         List.map
           (fun (name, expected) -> Alcotest.test_case name `Quick (sim_golden name expected))
