@@ -16,21 +16,21 @@ type t = {
   m_outputs : (string * Bitvec.t) list array;
 }
 
-(* Per-bit Hamming between two operand arrays, portwise. *)
-let input_switch prev cur =
-  let ports = min (Array.length prev) (Array.length cur) in
-  let bits = ref 0 and diff = ref 0 in
-  for p = 0 to ports - 1 do
-    if Bitvec.width prev.(p) = Bitvec.width cur.(p) then begin
-      bits := !bits + Bitvec.width prev.(p);
-      diff := !diff + Bitvec.hamming prev.(p) cur.(p)
-    end
-  done;
-  if !bits = 0 then 0. else float_of_int !diff /. float_of_int !bits
+(* Last-seen values, one per slot, as width and bits; width 0 means none
+   yet.  [switch] is the per-bit Hamming fraction of a slot's last value to
+   a new one, charged 0 across a width change and [first] when the slot has
+   seen nothing; it then keeps the new value. *)
+type last = { l_width : int array; l_bits : int array }
 
-let value_switch prev cur =
-  if Bitvec.width prev <> Bitvec.width cur then 0.
-  else float_of_int (Bitvec.hamming prev cur) /. float_of_int (Bitvec.width prev)
+let last n = { l_width = Array.make n 0; l_bits = Array.make n 0 }
+
+let[@inline] switch l i ~first width bits =
+  let pw = l.l_width.(i) and pb = l.l_bits.(i) in
+  l.l_width.(i) <- width;
+  l.l_bits.(i) <- bits;
+  if pw = 0 then first
+  else if pw <> width then 0.
+  else float_of_int (Bitvec.popcount_bits (pb lxor bits)) /. float_of_int width
 
 (* Internal muxes of a network, identified by preorder index; for each
    leaf, the muxes on its path to the root, innermost first. *)
@@ -50,10 +50,10 @@ let leaf_paths net =
   (paths, !counter)
 
 type net_state = {
+  ns_id : int;  (* index into the energy array *)
   ns_paths : int array array;  (* by leaf *)
-  ns_mux_values : Bitvec.t option array;
+  ns_mux_values : last;  (* by mux *)
   ns_cap : float;
-  mutable ns_energy : float;
 }
 
 (* A network access a node's firing makes: the network and the muxes on the
@@ -66,6 +66,8 @@ type plan = {
   fu : int;  (* -1 for structural nodes *)
   fu_cap : float;
   ports : access array;  (* FU input steering, per input port *)
+  in_widths : int array;  (* per input port *)
+  width : int;
   sel_cap : float option;  (* Sel mux capacitance *)
   reg : int;
   write_cap : float;
@@ -74,8 +76,19 @@ type plan = {
   wire : float;  (* fanout wiring charge per firing *)
 }
 
+(* Energy per component, summed in firing order. *)
+type energy = {
+  mutable e_fu : float;
+  mutable e_reg : float;
+  mutable e_sel : float;
+  mutable e_ctrl : float;
+  mutable e_clock : float;
+  mutable e_wire : float;
+}
+
 let plan_of dp ~nets ~fanout (n : Ir.node) =
   let b = Datapath.binding dp in
+  let g = Binding.graph b in
   let nid = n.Ir.n_id in
   let access net key =
     Option.bind net (fun idx ->
@@ -103,6 +116,8 @@ let plan_of dp ~nets ~fanout (n : Ir.node) =
     fu;
     fu_cap;
     ports;
+    in_widths = Array.map (fun eid -> (Graph.edge g eid).Ir.e_width) n.Ir.inputs;
+    width = n.Ir.n_width;
     sel_cap =
       (match n.Ir.kind with
       | Ir.Op_select -> Some (Module_library.mux2_cap ~width:n.Ir.n_width)
@@ -123,24 +138,27 @@ let measure (program : Graph.program) stg dp ~workload ?(vdd = Vdd.nominal)
     ?(encoding = Impact_rtl.Controller.Binary) () =
   let b = Datapath.binding dp in
   let g = Binding.graph b in
-  let e_fu = ref 0. and e_reg = ref 0. and e_sel = ref 0. in
-  let e_ctrl = ref 0. and e_clock = ref 0. and e_wire = ref 0. in
-  let slots ids = Array.make (1 + List.fold_left max (-1) ids) None in
-  let fu_last = slots (Binding.fu_ids b) in
-  let reg_last = slots (Binding.reg_ids b) in
-  let sel_last = Array.make (Graph.node_count g) None in
+  let e = { e_fu = 0.; e_reg = 0.; e_sel = 0.; e_ctrl = 0.; e_clock = 0.; e_wire = 0. } in
+  let slots ids = 1 + List.fold_left max (-1) ids in
+  let max_ports = Graph.fold_nodes g ~init:1 ~f:(fun acc n -> max acc (Array.length n.Ir.inputs)) in
+  (* An FU's last operands: [max_ports] slots per FU, and the port count. *)
+  let fu_last = last (slots (Binding.fu_ids b) * max_ports) in
+  let fu_ports = Array.make (slots (Binding.fu_ids b)) (-1) in
+  let reg_last = last (slots (Binding.reg_ids b)) in
+  let sel_last = last (Graph.node_count g) in
   let nets =
-    Array.map
-      (fun net ->
+    Array.mapi
+      (fun i net ->
         let paths, n_muxes = leaf_paths net.Datapath.net in
         {
+          ns_id = i;
           ns_paths = paths;
-          ns_mux_values = Array.make (max n_muxes 1) None;
+          ns_mux_values = last (max n_muxes 1);
           ns_cap = Module_library.mux2_cap ~width:net.Datapath.net_width;
-          ns_energy = 0.;
         })
       (Datapath.networks dp)
   in
+  let net_energy = Array.make (Array.length nets) 0. in
   let plans =
     let fanout = Graph.data_fanout g in
     Array.init (Graph.node_count g) (fun nid ->
@@ -148,7 +166,7 @@ let measure (program : Graph.program) stg dp ~workload ?(vdd = Vdd.nominal)
   in
   let controller = Impact_rtl.Controller.synthesize stg encoding in
   let decode_per_cycle = Impact_rtl.Controller.decode_cap_per_cycle controller in
-  let prev_state = ref None in
+  let prev_state = ref (-1) in
   let clock_per_cycle =
     List.fold_left
       (fun acc reg ->
@@ -157,75 +175,87 @@ let measure (program : Graph.program) stg dp ~workload ?(vdd = Vdd.nominal)
   in
   (* Charge a network access: the selected leaf's value propagates along its
      path to the root; every mux on the path may switch. *)
-  let charge_network (access : access) value =
+  let charge_network (access : access) width bits =
     match access with
     | None -> ()
     | Some (st, path) ->
-      Array.iter
-        (fun mux ->
-          let sw =
-            match st.ns_mux_values.(mux) with
-            | Some prev -> value_switch prev value
-            | None -> 0.
-          in
-          st.ns_mux_values.(mux) <- Some value;
-          st.ns_energy <- st.ns_energy +. (sw *. st.ns_cap))
-        path
+      for i = 0 to Array.length path - 1 do
+        let sw = switch st.ns_mux_values path.(i) ~first:0. width bits in
+        net_energy.(st.ns_id) <- net_energy.(st.ns_id) +. (sw *. st.ns_cap)
+      done
   in
-  (* A first activation charges half the bits on average. *)
-  let switch_from last value sw =
-    match last with Some prev -> sw prev value | None -> 0.5
+  (* A chain position's glitch factor, looked up rather than recomputed so
+     the per-firing path handles no boxed float. *)
+  let glitch =
+    let deepest = ref 0 in
+    Stg.iter_firings stg ~f:(fun _ fr -> deepest := max !deepest fr.Stg.f_chain_pos);
+    Array.init (!deepest + 1) Module_library.glitch_factor
   in
   let on_firing ~pass:_ ~state:_ ~firing ~inputs ~output =
     let nid = firing.Stg.f_node in
     let p = plans.(nid) in
     if p.fu >= 0 then begin
-      let sw = switch_from fu_last.(p.fu) inputs input_switch in
-      fu_last.(p.fu) <- Some inputs;
-      e_fu :=
-        !e_fu +. (p.fu_cap *. sw *. Module_library.glitch_factor firing.Stg.f_chain_pos);
-      Array.iteri (fun port acc -> charge_network acc inputs.(port)) p.ports
+      (* Per-bit Hamming of the operands to the FU's last ones, over the
+         ports both have at equal widths; a first activation charges half
+         the bits on average. *)
+      let base = p.fu * max_ports and ports = Array.length inputs in
+      let prev = fu_ports.(p.fu) in
+      let bits = ref 0 and diff = ref 0 in
+      for q = 0 to min prev ports - 1 do
+        if fu_last.l_width.(base + q) = p.in_widths.(q) then begin
+          bits := !bits + p.in_widths.(q);
+          diff := !diff + Bitvec.popcount_bits (fu_last.l_bits.(base + q) lxor inputs.(q))
+        end
+      done;
+      fu_ports.(p.fu) <- ports;
+      for q = 0 to ports - 1 do
+        fu_last.l_width.(base + q) <- p.in_widths.(q);
+        fu_last.l_bits.(base + q) <- inputs.(q)
+      done;
+      let sw =
+        if prev < 0 then 0.5
+        else if !bits = 0 then 0.
+        else float_of_int !diff /. float_of_int !bits
+      in
+      e.e_fu <- e.e_fu +. (p.fu_cap *. sw *. glitch.(firing.Stg.f_chain_pos));
+      for port = 0 to Array.length p.ports - 1 do
+        charge_network p.ports.(port) p.in_widths.(port) inputs.(port)
+      done
     end;
     (match p.sel_cap with
-    | Some cap ->
-      let sw = switch_from sel_last.(nid) output value_switch in
-      sel_last.(nid) <- Some output;
-      e_sel := !e_sel +. (cap *. sw)
+    | Some cap -> e.e_sel <- e.e_sel +. (cap *. switch sel_last nid ~first:0.5 p.width output)
     | None -> ());
     (* Register write (and its steering network). *)
-    let sw = switch_from reg_last.(p.reg) output value_switch in
-    reg_last.(p.reg) <- Some output;
-    e_reg := !e_reg +. (p.write_cap *. sw);
+    e.e_reg <- e.e_reg +. (p.write_cap *. switch reg_last p.reg ~first:0.5 p.width output);
     charge_network
       (if firing.Stg.f_phase = Stg.Merge_init then p.write_init else p.write)
-      output;
+      p.width output;
     (* Wiring: fanout of the produced value. *)
-    e_wire := !e_wire +. p.wire
+    e.e_wire <- e.e_wire +. p.wire
   in
   let on_cycle ~pass:_ ~state =
     let code_toggles =
-      match !prev_state with
-      | Some prev -> Impact_rtl.Controller.code_distance controller prev state
-      | None -> 0
+      if !prev_state >= 0 then Impact_rtl.Controller.code_distance controller !prev_state state
+      else 0
     in
-    prev_state := Some state;
-    e_ctrl :=
-      !e_ctrl +. decode_per_cycle
+    prev_state := state;
+    e.e_ctrl <-
+      e.e_ctrl +. decode_per_cycle
       +. (Module_library.controller_ff_cap *. float_of_int code_toggles);
-    e_clock := !e_clock +. clock_per_cycle
+    e.e_clock <- e.e_clock +. clock_per_cycle
   in
   let observer = { Rtl_sim.on_cycle; on_firing } in
   let result = Rtl_sim.simulate ~observer program stg b ~workload in
   let cycles = float_of_int (max result.Rtl_sim.total_cycles 1) in
-  let net_energy = Array.fold_left (fun acc st -> acc +. st.ns_energy) 0. nets in
+  let net_energy = Array.fold_left ( +. ) 0. net_energy in
   let breakdown =
     {
-      Breakdown.p_fu = !e_fu /. cycles;
-      p_reg = !e_reg /. cycles;
-      p_mux = (!e_sel +. net_energy) /. cycles;
-      p_ctrl = !e_ctrl /. cycles;
-      p_clock = !e_clock /. cycles;
-      p_wire = !e_wire /. cycles;
+      Breakdown.p_fu = e.e_fu /. cycles;
+      p_reg = e.e_reg /. cycles;
+      p_mux = (e.e_sel +. net_energy) /. cycles;
+      p_ctrl = e.e_ctrl /. cycles;
+      p_clock = e.e_clock /. cycles;
+      p_wire = e.e_wire /. cycles;
     }
   in
   {

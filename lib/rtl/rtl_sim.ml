@@ -8,12 +8,7 @@ module Bitvec = Impact_util.Bitvec
 type observer = {
   on_cycle : pass:int -> state:int -> unit;
   on_firing :
-    pass:int ->
-    state:int ->
-    firing:Stg.firing ->
-    inputs:Bitvec.t array ->
-    output:Bitvec.t ->
-    unit;
+    pass:int -> state:int -> firing:Stg.firing -> inputs:int array -> output:int -> unit;
 }
 
 let null_observer =
@@ -31,36 +26,55 @@ type result = {
 
 exception Deadlock of string
 
-(* Where an edge's value comes from, resolved once per design. *)
-type source =
-  | S_const of Bitvec.t
-  | S_input of int  (* input register *)
-  | S_node of Ir.node_id * int  (* producer and its register *)
+(* Where an edge's value comes from, resolved once per design: [src_arg]
+   holds a constant's bits, an input register or the producing node. *)
+let src_const = 0
+let src_input = 1
+let src_node = 2
 
 type machine = {
-  g : Graph.t;
-  b : Binding.t;
-  sources : source array;  (* by edge id *)
-  regs : Bitvec.t option array;  (* by register id *)
-  fresh : Bitvec.t array;  (* by node: the value produced in cycle [stamp] *)
+  nodes : Ir.node array;
+  in_width : int array;  (* per node: its first operand's width *)
+  node_reg : int array;  (* per node *)
+  operands : int array array;  (* per node: the operand bits of its last firing *)
+  src_tag : int array;  (* per edge *)
+  src_arg : int array;
+  regs : int array;  (* bits by register id; zero before any write *)
+  reg_width : int array;  (* width of the value last written; 0 before any write *)
+  fresh : int array;  (* by node: the value produced in cycle [stamp] *)
   stamp : int array;
   mutable cycle : int;
 }
 
 let create g b =
-  let resolve (e : Ir.edge) =
-    match e.Ir.source with
-    | Ir.Const v -> S_const v
-    | Ir.Primary_input name -> S_input (Binding.reg_of_input b name)
-    | Ir.From_node nid -> S_node (nid, Binding.reg_of b nid)
-  in
-  let nn = Graph.node_count g in
+  let nn = Graph.node_count g and ne = Graph.edge_count g in
+  let nodes = Array.init nn (Graph.node g) in
+  let src_tag = Array.make ne src_node and src_arg = Array.make ne 0 in
+  for eid = 0 to ne - 1 do
+    match (Graph.edge g eid).Ir.source with
+    | Ir.Const v ->
+      src_tag.(eid) <- src_const;
+      src_arg.(eid) <- Bitvec.bits v
+    | Ir.Primary_input name ->
+      src_tag.(eid) <- src_input;
+      src_arg.(eid) <- Binding.reg_of_input b name
+    | Ir.From_node nid -> src_arg.(eid) <- nid
+  done;
+  let n_regs = 1 + List.fold_left max (-1) (Binding.reg_ids b) in
   {
-    g;
-    b;
-    sources = Array.init (Graph.edge_count g) (fun eid -> resolve (Graph.edge g eid));
-    regs = Array.make (1 + List.fold_left max (-1) (Binding.reg_ids b)) None;
-    fresh = Array.make nn (Bitvec.zero ~width:1);
+    nodes;
+    in_width =
+      Array.map
+        (fun n ->
+          if Array.length n.Ir.inputs = 0 then 0 else (Graph.edge g n.Ir.inputs.(0)).Ir.e_width)
+        nodes;
+    node_reg = Array.init nn (Binding.reg_of b);
+    operands = Array.map (fun n -> Array.make (Array.length n.Ir.inputs) 0) nodes;
+    src_tag;
+    src_arg;
+    regs = Array.make n_regs 0;
+    reg_width = Array.make n_regs 0;
+    fresh = Array.make nn 0;
     stamp = Array.make nn (-1);
     cycle = 0;
   }
@@ -68,34 +82,40 @@ let create g b =
 (* Electrically a wire always carries something; before first write we model
    it as zero (same convention as the behavioral simulator). *)
 let read_edge m eid =
-  match m.sources.(eid) with
-  | S_const v -> v
-  | S_node (nid, _) when m.stamp.(nid) = m.cycle -> m.fresh.(nid)
-  | S_input reg | S_node (_, reg) -> (
-    match m.regs.(reg) with
-    | Some v -> v
-    | None -> Bitvec.zero ~width:(Graph.edge m.g eid).Ir.e_width)
+  let arg = m.src_arg.(eid) in
+  let tag = m.src_tag.(eid) in
+  if tag = src_const then arg
+  else if tag = src_input then m.regs.(arg)
+  else if m.stamp.(arg) = m.cycle then m.fresh.(arg)
+  else m.regs.(m.node_reg.(arg))
 
 let rec guard_holds m = function
   | [] -> true
-  | a :: rest ->
-    Bitvec.to_bool (read_edge m a.Guard.cond_edge) = a.Guard.value && guard_holds m rest
+  | a :: rest -> read_edge m a.Guard.cond_edge <> 0 = a.Guard.value && guard_holds m rest
 
 let exec_firing m (fr : Stg.firing) =
   let nid = fr.Stg.f_node in
-  let n = Graph.node m.g nid in
-  let inputs = Array.map (read_edge m) n.Ir.inputs in
+  let n = m.nodes.(nid) in
+  let ins = n.Ir.inputs and operands = m.operands.(nid) in
+  let ports = Array.length ins in
+  for p = 0 to ports - 1 do
+    operands.(p) <- read_edge m ins.(p)
+  done;
   let output =
-    match (fr.Stg.f_phase, n.Ir.kind) with
-    | Stg.Normal, Ir.Op_resize -> Bitvec.resize ~width:n.Ir.n_width inputs.(0)
-    | Stg.Normal, kind -> Sim.compute kind inputs
-    | Stg.Merge_init, _ -> inputs.(0)
-    | Stg.Merge_back, _ -> inputs.(1)
+    match fr.Stg.f_phase with
+    | Stg.Normal ->
+      Sim.eval n.Ir.kind ~width:n.Ir.n_width ~in_width:m.in_width.(nid) operands.(0)
+        (if ports > 1 then operands.(1) else 0)
+        (if ports > 2 then operands.(2) else 0)
+    | Stg.Merge_init -> operands.(0)
+    | Stg.Merge_back -> operands.(1)
   in
   m.fresh.(nid) <- output;
   m.stamp.(nid) <- m.cycle;
-  m.regs.(Binding.reg_of m.b nid) <- Some output;
-  (inputs, output)
+  let reg = m.node_reg.(nid) in
+  m.regs.(reg) <- output;
+  m.reg_width.(reg) <- n.Ir.n_width;
+  output
 
 (* The first transition of [ts] whose guard holds, with the rest of the
    list after it. *)
@@ -108,18 +128,38 @@ let simulate ?(observer = null_observer) ?(max_cycles_per_pass = 1_000_000)
     (program : Graph.program) (stg : Stg.t) binding ~workload =
   let g = program.Graph.graph in
   let m = create g binding in
+  let inputs =
+    List.map
+      (fun (name, width) ->
+        Bitvec.check_width width;
+        (name, width, Binding.reg_of_input binding name))
+      program.Graph.prog_inputs
+  in
+  let outputs =
+    List.map (fun (name, nid) -> (name, m.node_reg.(nid))) program.Graph.prog_outputs
+  in
   let passes = List.length workload in
   let pass_outputs = Array.make (max passes 1) [] in
   let pass_cycles = Array.make (max passes 1) 0 in
+  let rec fire_all pass state = function
+    | [] -> ()
+    | fr :: rest ->
+      if guard_holds m (Guard.atoms fr.Stg.f_guard) then begin
+        let output = exec_firing m fr in
+        observer.on_firing ~pass ~state ~firing:fr ~inputs:m.operands.(fr.Stg.f_node) ~output
+      end;
+      fire_all pass state rest
+  in
   List.iteri
-    (fun pass inputs ->
+    (fun pass bindings ->
       List.iter
-        (fun (name, width) ->
-          match List.assoc_opt name inputs with
+        (fun (name, width, reg) ->
+          match List.assoc_opt name bindings with
           | Some v ->
-            m.regs.(Binding.reg_of_input m.b name) <- Some (Bitvec.make ~width v)
+            m.regs.(reg) <- v land Bitvec.mask width;
+            m.reg_width.(reg) <- width
           | None -> raise (Deadlock (Printf.sprintf "pass %d misses input %s" pass name)))
-        program.Graph.prog_inputs;
+        inputs;
       let cycles = ref 0 in
       let state = ref stg.Stg.entry in
       while !state <> stg.Stg.exit_id do
@@ -128,13 +168,7 @@ let simulate ?(observer = null_observer) ?(max_cycles_per_pass = 1_000_000)
           raise (Deadlock (Printf.sprintf "pass %d exceeded %d cycles" pass max_cycles_per_pass));
         observer.on_cycle ~pass ~state:!state;
         m.cycle <- m.cycle + 1;
-        List.iter
-          (fun fr ->
-            if guard_holds m (Guard.atoms fr.Stg.f_guard) then begin
-              let inputs, output = exec_firing m fr in
-              observer.on_firing ~pass ~state:!state ~firing:fr ~inputs ~output
-            end)
-          (Stg.firings_of stg !state);
+        fire_all pass !state (Stg.firings_of stg !state);
         match first_match m stg.Stg.succs.(!state) with
         | [] -> raise (Deadlock (Printf.sprintf "state %d: no matching transition" !state))
         | t :: rest -> (
@@ -151,11 +185,11 @@ let simulate ?(observer = null_observer) ?(max_cycles_per_pass = 1_000_000)
       pass_cycles.(pass) <- !cycles;
       pass_outputs.(pass) <-
         List.map
-          (fun (name, nid) ->
-            match m.regs.(Binding.reg_of m.b nid) with
-            | Some v -> (name, v)
-            | None -> raise (Deadlock (Printf.sprintf "output %s never written" name)))
-          program.Graph.prog_outputs)
+          (fun (name, reg) ->
+            if m.reg_width.(reg) = 0 then
+              raise (Deadlock (Printf.sprintf "output %s never written" name));
+            (name, Bitvec.make ~width:m.reg_width.(reg) m.regs.(reg)))
+          outputs)
     workload;
   let total_cycles = Array.fold_left ( + ) 0 pass_cycles in
   {

@@ -21,10 +21,13 @@ type observer = {
     pass:int ->
     state:int ->
     firing:Impact_sched.Stg.firing ->
-    inputs:Bitvec.t array ->
-    output:Bitvec.t ->
+    inputs:int array ->
+    output:int ->
     unit;
 }
+(** Values are raw bits; their widths are the graph's (the firing node's
+    [n_width], and its input edges' [e_width]s).  [inputs] is the
+    simulator's own buffer for the node, valid only during the call. *)
 
 val null_observer : observer
 

@@ -1,7 +1,6 @@
 module Graph = Impact_cdfg.Graph
 module Ir = Impact_cdfg.Ir
 module Stg = Impact_sched.Stg
-module Bitvec = Impact_util.Bitvec
 module Vec = Impact_util.Vec
 
 type signal = { sig_id : string; sig_name : string; sig_width : int }
@@ -83,7 +82,7 @@ let capture (program : Graph.program) stg binding ~workload =
           let reg = Binding.reg_of binding firing.Stg.f_node in
           match Hashtbl.find_opt reg_sig reg with
           | Some sg ->
-            record sg (bits_string ~width:sg.sig_width (Bitvec.bits output))
+            record sg (bits_string ~width:sg.sig_width output)
           | None -> ());
     }
   in

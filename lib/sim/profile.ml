@@ -8,10 +8,9 @@ type t = {
 
 let create () = { cond_counts = Hashtbl.create 16; loop_iters = Hashtbl.create 8 }
 
-let record_cond t edge outcome =
+let record_conds t edge ~trues ~falses =
   let tc, fc = Option.value (Hashtbl.find_opt t.cond_counts edge) ~default:(0, 0) in
-  Hashtbl.replace t.cond_counts edge
-    (if outcome then (tc + 1, fc) else (tc, fc + 1))
+  Hashtbl.replace t.cond_counts edge (tc + trues, fc + falses)
 
 let record_loop_exit t loop ~iterations =
   let stats =

@@ -8,7 +8,11 @@ type t
 
 val create : unit -> t
 
-val record_cond : t -> Impact_cdfg.Ir.edge_id -> bool -> unit
+val record_conds : t -> Impact_cdfg.Ir.edge_id -> trues:int -> falses:int -> unit
+(** Adds [trues] true and [falses] false outcomes of the condition edge.
+    The table's layout depends only on the order in which edges are first
+    recorded. *)
+
 val record_loop_exit : t -> Impact_cdfg.Ir.loop_id -> iterations:int -> unit
 
 val cond_evaluations : t -> Impact_cdfg.Ir.edge_id -> int

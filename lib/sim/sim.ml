@@ -38,19 +38,96 @@ type run = {
 
 exception Stuck of string
 
-(* An edge's value source, resolved once per simulation. *)
-type source = Src_const of Bitvec.t | Src_input of string * int | Src_node of Ir.node_id
+(* --- The operator kernel ---------------------------------------------------- *)
+
+let width_mismatch a b = invalid_arg (Printf.sprintf "Bitvec: width mismatch %d vs %d" a b)
+
+(* The width [kind] produces from operands of widths [ws] (a [width]-bit
+   node's for [Op_resize]).
+   @raise Invalid_argument where the Bitvec operation refuses the operands. *)
+let result_width kind ~width ws =
+  let same i j = if ws.(i) <> ws.(j) then width_mismatch ws.(i) ws.(j) in
+  match kind with
+  | Ir.Op_add | Ir.Op_sub | Ir.Op_mul | Ir.Op_and | Ir.Op_or | Ir.Op_xor ->
+    same 0 1;
+    ws.(0)
+  | Ir.Op_lt | Ir.Op_le | Ir.Op_gt | Ir.Op_ge | Ir.Op_eq | Ir.Op_ne ->
+    same 0 1;
+    1
+  | Ir.Op_not | Ir.Op_shl | Ir.Op_shr | Ir.Op_copy | Ir.Op_end_loop | Ir.Op_output _ -> ws.(0)
+  | Ir.Op_resize -> width
+  | Ir.Op_select ->
+    same 1 2;
+    ws.(1)
+  | Ir.Op_loop_merge ->
+    same 0 1;
+    ws.(0)
+
+let shift_amount b = if b > Bitvec.max_width then Bitvec.max_width else b
+
+let eval kind ~width ~in_width a b c =
+  let m = Bitvec.mask width in
+  match kind with
+  | Ir.Op_add -> (a + b) land m
+  | Ir.Op_sub -> (a - b) land m
+  | Ir.Op_mul -> a * b land m
+  | Ir.Op_lt -> Bool.to_int (Bitvec.signed ~width:in_width a < Bitvec.signed ~width:in_width b)
+  | Ir.Op_le -> Bool.to_int (Bitvec.signed ~width:in_width a <= Bitvec.signed ~width:in_width b)
+  | Ir.Op_gt -> Bool.to_int (Bitvec.signed ~width:in_width a > Bitvec.signed ~width:in_width b)
+  | Ir.Op_ge -> Bool.to_int (Bitvec.signed ~width:in_width a >= Bitvec.signed ~width:in_width b)
+  | Ir.Op_eq -> Bool.to_int (a = b)
+  | Ir.Op_ne -> Bool.to_int (a <> b)
+  | Ir.Op_and -> a land b
+  | Ir.Op_or -> a lor b
+  | Ir.Op_xor -> a lxor b
+  | Ir.Op_not -> lnot a land m
+  | Ir.Op_shl ->
+    let n = shift_amount b in
+    if n >= width then 0 else (a lsl n) land m
+  | Ir.Op_shr -> (Bitvec.signed ~width:in_width a asr min (shift_amount b) (width - 1)) land m
+  | Ir.Op_copy | Ir.Op_end_loop | Ir.Op_output _ -> a
+  | Ir.Op_resize -> Bitvec.signed ~width:in_width a land m
+  | Ir.Op_select -> if a <> 0 then b else c
+  | Ir.Op_loop_merge -> invalid_arg "Sim.eval: a loop merge fires through its phase"
+
+let compute kind inputs =
+  match kind with
+  | Ir.Op_select -> if Bitvec.to_bool inputs.(0) then inputs.(1) else inputs.(2)
+  | _ ->
+    let ws = Array.map Bitvec.width inputs in
+    let width = result_width kind ~width:ws.(0) ws in
+    let bits i = if i < Array.length inputs then Bitvec.bits inputs.(i) else 0 in
+    Bitvec.make ~width (eval kind ~width ~in_width:ws.(0) (bits 0) (bits 1) (bits 2))
+
+(* --- The simulator ----------------------------------------------------------- *)
+
+(* An edge's value source, resolved once per simulation: [src_arg] holds a
+   constant's bits, an input's slot or the producing node. *)
+let src_const = 0
+let src_input = 1
+let src_node = 2
 
 type state = {
   g : Graph.t;
-  sources : source array;  (* per edge *)
-  widths : int array array;
-  node_out : Bitvec.t option array;
+  nodes : Ir.node array;
+  in_width : int array;  (* per node: its first operand's width *)
+  src_tag : int array;  (* per edge *)
+  src_arg : int array;  (* per edge *)
+  input_names : string array;  (* per input slot *)
+  input_widths : int array;
+  in_bits : int array;  (* per input slot, this pass *)
+  in_set : bool array;
+  value : int array;  (* per node: the last output's bits *)
+  fired : bool array;
+  origin : int array;  (* per node: the last output's identity, see [shared_value] *)
+  shared : (int, Bitvec.t) Hashtbl.t;
   logs : log array;
+  cond_true : int array;  (* per edge *)
+  cond_false : int array;
+  mutable cond_order : Ir.edge_id list;  (* first evaluation first, reversed *)
   profile : Profile.t;
   mutable pass : int;
   mutable seq : int;
-  mutable inputs : (string * int) list;
   mutable outputs : (string * Bitvec.t) list;
   mutable firings : int;
   max_loop_iters : int;
@@ -59,135 +136,165 @@ type state = {
 (* An edge's current value.  Before its producer first fires, a [stale]
    read is zero: a mux's unselected input is electrically present but
    semantically inert.  Any other such read is an error. *)
-let eval_edge st eid ~stale ~who =
-  match st.sources.(eid) with
-  | Src_const v -> v
-  | Src_input (name, width) -> (
-    match List.assoc_opt name st.inputs with
-    | Some v -> Bitvec.make ~width v
-    | None -> invalid_arg (Printf.sprintf "Sim: missing input %s" name))
-  | Src_node nid -> (
-    match st.node_out.(nid) with
+let read st eid ~stale ~who =
+  let arg = st.src_arg.(eid) in
+  let tag = st.src_tag.(eid) in
+  if tag = src_const then arg
+  else if tag = src_input then
+    if st.in_set.(arg) then st.in_bits.(arg)
+    else invalid_arg (Printf.sprintf "Sim: missing input %s" st.input_names.(arg))
+  else if st.fired.(arg) then st.value.(arg)
+  else if stale then 0
+  else
+    failwith (Printf.sprintf "Sim: node %s reads edge e%d before any producer fired" who eid)
+
+(* Pass outputs keep the object sharing of a Bitvec-valued run, so a
+   marshalled run keeps its bytes: a constant is its graph edge's vector, a
+   value forwarded through copies, Sels and merges is the vector made where
+   it was computed, and an input or stale read makes a new one.  An
+   identity is a constant edge's [-eid - 1] or the firing count at which
+   the vector was made. *)
+let origin st eid =
+  let arg = st.src_arg.(eid) in
+  let tag = st.src_tag.(eid) in
+  if tag = src_const then -eid - 1
+  else if tag = src_node && st.fired.(arg) then st.origin.(arg)
+  else st.firings
+
+let shared_value st id ~width bits =
+  if id < 0 then
+    match (Graph.edge st.g (-id - 1)).Ir.source with
+    | Ir.Const v -> v
+    | Ir.Primary_input _ | Ir.From_node _ -> assert false
+  else
+    match Hashtbl.find_opt st.shared id with
     | Some v -> v
-    | None when stale -> Bitvec.zero ~width:(Graph.edge st.g eid).Ir.e_width
     | None ->
-      failwith
-        (Printf.sprintf "Sim: node %s reads edge e%d before any producer fired" who eid))
-
-let shift_amount v = min (Bitvec.to_unsigned v) Bitvec.max_width
-
-(* [Op_resize] needs the node's target width, so it is special-cased in the
-   callers; [compute] handles every width-preserving kind. *)
-let compute kind inputs =
-  let a () = inputs.(0) and b () = inputs.(1) in
-  match kind with
-  | Ir.Op_add -> Bitvec.add (a ()) (b ())
-  | Ir.Op_sub -> Bitvec.sub (a ()) (b ())
-  | Ir.Op_mul -> Bitvec.mul (a ()) (b ())
-  | Ir.Op_lt -> Bitvec.of_bool (Bitvec.lt (a ()) (b ()))
-  | Ir.Op_le -> Bitvec.of_bool (Bitvec.le (a ()) (b ()))
-  | Ir.Op_gt -> Bitvec.of_bool (Bitvec.gt (a ()) (b ()))
-  | Ir.Op_ge -> Bitvec.of_bool (Bitvec.ge (a ()) (b ()))
-  | Ir.Op_eq -> Bitvec.of_bool (Bitvec.equal (a ()) (b ()))
-  | Ir.Op_ne -> Bitvec.of_bool (not (Bitvec.equal (a ()) (b ())))
-  | Ir.Op_and -> Bitvec.logand (a ()) (b ())
-  | Ir.Op_or -> Bitvec.logor (a ()) (b ())
-  | Ir.Op_xor -> Bitvec.logxor (a ()) (b ())
-  | Ir.Op_not -> Bitvec.lognot (a ())
-  | Ir.Op_shl -> Bitvec.shift_left (a ()) (shift_amount (b ()))
-  | Ir.Op_shr -> Bitvec.shift_right_arith (a ()) (shift_amount (b ()))
-  | Ir.Op_copy | Ir.Op_end_loop | Ir.Op_output _ -> a ()
-  | Ir.Op_resize -> a () (* callers resize to the node width *)
-  | Ir.Op_select -> if Bitvec.to_bool (a ()) then b () else inputs.(2)
-  | Ir.Op_loop_merge -> assert false (* fired through [fire_merge] *)
+      let v = Bitvec.make ~width bits in
+      Hashtbl.add st.shared id v;
+      v
 
 let tag_index = function Tag_normal -> 0 | Tag_merge_init -> 1 | Tag_merge_back -> 2
 
-(* Widths are static per node and port ([Validate.width_issues]), so the log
-   keeps bits only; a value that breaks this is refused, not re-widthed. *)
-let bits_at st nid col v =
-  if Bitvec.width v <> st.widths.(nid).(col) then
-    invalid_arg
-      (Printf.sprintf "Sim: node %s carries a %d-bit value where the graph says %d"
-         (Graph.node st.g nid).Ir.n_name (Bitvec.width v) st.widths.(nid).(col));
-  Bitvec.bits v
-
-let record ?(tag = Tag_normal) st nid inputs output =
-  st.node_out.(nid) <- Some output;
-  let l = st.logs.(nid) in
+(* The row of a node's next firing in its last chunk, allocating a chunk
+   every [chunk_events] firings. *)
+let next_row l =
   let j = l.count land (chunk_events - 1) in
   if j = 0 then l.chunks <- Array.append l.chunks [| Array.make (chunk_events * l.stride) 0 |];
-  let chunk = l.chunks.(l.count lsr chunk_bits) and base = j * l.stride in
-  let ports = Array.length inputs in
-  chunk.(base) <- bits_at st nid 0 output;
-  for p = 0 to ports - 1 do
-    chunk.(base + 1 + p) <- bits_at st nid (p + 1) inputs.(p)
-  done;
-  chunk.(base + ports + 1) <- st.pass;
-  chunk.(base + ports + 2) <- st.seq;
-  chunk.(base + ports + 3) <- tag_index tag;
+  j * l.stride
+
+(* Completes a firing whose operand bits are already in its row. *)
+let record st nid tag ~chunk ~row ~output ~id =
+  let l = st.logs.(nid) in
+  let ports = l.stride - 4 in
+  chunk.(row) <- output;
+  chunk.(row + ports + 1) <- st.pass;
+  chunk.(row + ports + 2) <- st.seq;
+  chunk.(row + ports + 3) <- tag;
   l.count <- l.count + 1;
+  st.value.(nid) <- output;
+  st.fired.(nid) <- true;
+  st.origin.(nid) <- id;
   st.seq <- st.seq + 1;
   st.firings <- st.firings + 1
 
 let fire_normal st nid =
-  let n = Graph.node st.g nid in
-  let ins = n.Ir.inputs and who = n.Ir.n_name in
-  let inputs = Array.make (Array.length ins) (eval_edge st ins.(0) ~stale:false ~who) in
-  for port = 1 to Array.length ins - 1 do
-    (* A Sel's unselected branch input may legitimately be stale. *)
-    inputs.(port) <- eval_edge st ins.(port) ~stale:(n.Ir.kind = Ir.Op_select) ~who
+  let n = st.nodes.(nid) in
+  let ins = n.Ir.inputs and who = n.Ir.n_name and kind = n.Ir.kind in
+  let l = st.logs.(nid) in
+  let row = next_row l in
+  let chunk = l.chunks.(l.count lsr chunk_bits) in
+  (* A Sel's unselected branch input may legitimately be stale. *)
+  let sel = match kind with Ir.Op_select -> true | _ -> false in
+  let ports = Array.length ins in
+  for p = 0 to ports - 1 do
+    chunk.(row + 1 + p) <- read st ins.(p) ~stale:(sel && p > 0) ~who
   done;
-  let output =
-    match n.Ir.kind with
-    | Ir.Op_resize -> Bitvec.resize ~width:n.Ir.n_width inputs.(0)
-    | kind -> compute kind inputs
+  let a = chunk.(row + 1) in
+  let b = if ports > 1 then chunk.(row + 2) else 0 in
+  let c = if ports > 2 then chunk.(row + 3) else 0 in
+  let output = eval kind ~width:n.Ir.n_width ~in_width:st.in_width.(nid) a b c in
+  let id =
+    match kind with
+    | Ir.Op_copy | Ir.Op_end_loop | Ir.Op_output _ -> origin st ins.(0)
+    | Ir.Op_select -> origin st ins.(if a <> 0 then 1 else 2)
+    | _ -> st.firings
   in
-  record st nid inputs output;
-  match n.Ir.kind with
-  | Ir.Op_output name -> st.outputs <- (name, output) :: List.remove_assoc name st.outputs
+  record st nid 0 ~chunk ~row ~output ~id;
+  match kind with
+  | Ir.Op_output name ->
+    let v = shared_value st id ~width:n.Ir.n_width output in
+    st.outputs <- (name, v) :: List.remove_assoc name st.outputs
   | _ -> ()
 
-type merge_phase = Merge_init | Merge_back
-
-let fire_merge st phase nid =
-  let n = Graph.node st.g nid in
+(* A merge fires with its init value on loop entry ([Tag_merge_init],
+   port 0) and its loop-back value after each iteration ([Tag_merge_back],
+   port 1); both inputs are recorded. *)
+let fire_merge st ~back nid =
+  let n = st.nodes.(nid) in
   let ins = n.Ir.inputs and who = n.Ir.n_name in
-  let inputs = [| eval_edge st ins.(0) ~stale:true ~who; eval_edge st ins.(1) ~stale:true ~who |] in
-  match phase with
-  | Merge_init -> record ~tag:Tag_merge_init st nid inputs (eval_edge st ins.(0) ~stale:false ~who)
-  | Merge_back -> record ~tag:Tag_merge_back st nid inputs (eval_edge st ins.(1) ~stale:false ~who)
+  let l = st.logs.(nid) in
+  let row = next_row l in
+  let chunk = l.chunks.(l.count lsr chunk_bits) in
+  chunk.(row + 1) <- read st ins.(0) ~stale:true ~who;
+  chunk.(row + 2) <- read st ins.(1) ~stale:true ~who;
+  let port = Bool.to_int back in
+  let output = read st ins.(port) ~stale:false ~who in
+  record st nid (1 + port) ~chunk ~row ~output ~id:(origin st ins.(port))
+
+let record_cond st eid c =
+  if st.cond_true.(eid) + st.cond_false.(eid) = 0 then st.cond_order <- eid :: st.cond_order;
+  if c then st.cond_true.(eid) <- st.cond_true.(eid) + 1
+  else st.cond_false.(eid) <- st.cond_false.(eid) + 1
+
+(* The region walk recurses over lists directly: no closure per region or
+   loop iteration. *)
+let rec fire_nodes st = function
+  | [] -> ()
+  | nid :: rest ->
+    fire_normal st nid;
+    fire_nodes st rest
+
+let rec fire_merges st ~back = function
+  | [] -> ()
+  | nid :: rest ->
+    fire_merge st ~back nid;
+    fire_merges st ~back rest
 
 let rec exec_region st region =
   match region with
-  | Ir.R_ops ids -> List.iter (fire_normal st) ids
-  | Ir.R_seq rs -> List.iter (exec_region st) rs
+  | Ir.R_ops ids -> fire_nodes st ids
+  | Ir.R_seq rs -> exec_regions st rs
   | Ir.R_if { cond_edge; then_r; else_r; sels } ->
-    let c = Bitvec.to_bool (eval_edge st cond_edge ~stale:false ~who:"if") in
-    Profile.record_cond st.profile cond_edge c;
+    let c = read st cond_edge ~stale:false ~who:"if" <> 0 in
+    record_cond st cond_edge c;
     exec_region st (if c then then_r else else_r);
-    List.iter (fire_normal st) sels
+    fire_nodes st sels
   | Ir.R_loop { loop; merges; cond_r; cond_edge; body; elps } ->
-    List.iter (fire_merge st Merge_init) merges;
-    let rec iterate count =
-      exec_region st cond_r;
-      let c = Bitvec.to_bool (eval_edge st cond_edge ~stale:false ~who:"while") in
-      Profile.record_cond st.profile cond_edge c;
-      if c then begin
-        if count >= st.max_loop_iters then
-          raise
-            (Stuck
-               (Printf.sprintf "loop %d exceeded %d iterations" loop st.max_loop_iters));
-        exec_region st body;
-        List.iter (fire_merge st Merge_back) merges;
-        iterate (count + 1)
-      end
-      else begin
-        Profile.record_loop_exit st.profile loop ~iterations:count;
-        List.iter (fire_normal st) elps
-      end
-    in
-    iterate 0
+    fire_merges st ~back:false merges;
+    iterate st ~loop ~merges ~cond_r ~cond_edge ~body ~elps 0
+
+and exec_regions st = function
+  | [] -> ()
+  | r :: rest ->
+    exec_region st r;
+    exec_regions st rest
+
+and iterate st ~loop ~merges ~cond_r ~cond_edge ~body ~elps count =
+  exec_region st cond_r;
+  let c = read st cond_edge ~stale:false ~who:"while" <> 0 in
+  record_cond st cond_edge c;
+  if c then begin
+    if count >= st.max_loop_iters then
+      raise (Stuck (Printf.sprintf "loop %d exceeded %d iterations" loop st.max_loop_iters));
+    exec_region st body;
+    fire_merges st ~back:true merges;
+    iterate st ~loop ~merges ~cond_r ~cond_edge ~body ~elps (count + 1)
+  end
+  else begin
+    Profile.record_loop_exit st.profile loop ~iterations:count;
+    fire_nodes st elps
+  end
 
 (* First consumer of every edge, in canonical order: nodes in graph order,
    input ports in ascending order within a node.  Built once per run. *)
@@ -269,28 +376,92 @@ let of_portable (program : Graph.program) p =
     edge_consumer = edge_consumers g;
   }
 
+(* Widths are static per node and port ([Validate.width_issues]), so the log
+   keeps bits only.  A program whose values would break this is refused
+   before the run, not re-widthed during it. *)
+let check_widths g nodes =
+  Array.iter
+    (fun (n : Ir.node) ->
+      let refuse got want =
+        invalid_arg
+          (Printf.sprintf "Sim: node %s carries a %d-bit value where the graph says %d"
+             n.Ir.n_name got want)
+      in
+      let operand eid =
+        let e = Graph.edge g eid in
+        Bitvec.check_width e.Ir.e_width;
+        let got =
+          match e.Ir.source with
+          | Ir.Const v -> Bitvec.width v
+          | Ir.Primary_input _ -> e.Ir.e_width
+          | Ir.From_node m -> nodes.(m).Ir.n_width
+        in
+        if got <> e.Ir.e_width then refuse got e.Ir.e_width;
+        got
+      in
+      let ws = Array.map operand n.Ir.inputs in
+      Bitvec.check_width n.Ir.n_width;
+      let w = result_width n.Ir.kind ~width:n.Ir.n_width ws in
+      if w <> n.Ir.n_width then refuse w n.Ir.n_width)
+    nodes
+
 let simulate ?(max_loop_iters = 100_000) (program : Graph.program) ~workload =
   let g = program.Graph.graph in
-  let nn = Graph.node_count g in
+  let nn = Graph.node_count g and ne = Graph.edge_count g in
+  let nodes = Array.init nn (Graph.node g) in
+  check_widths g nodes;
+  let input_slots = Hashtbl.create 8 and input_names = ref [] in
+  let src_tag = Array.make ne src_node and src_arg = Array.make ne 0 in
+  for eid = 0 to ne - 1 do
+    let e = Graph.edge g eid in
+    match e.Ir.source with
+    | Ir.Const v ->
+      src_tag.(eid) <- src_const;
+      src_arg.(eid) <- Bitvec.bits v
+    | Ir.Primary_input name ->
+      let key = (name, e.Ir.e_width) in
+      let slot =
+        match Hashtbl.find_opt input_slots key with
+        | Some slot -> slot
+        | None ->
+          let slot = Hashtbl.length input_slots in
+          Hashtbl.add input_slots key slot;
+          input_names := key :: !input_names;
+          slot
+      in
+      src_tag.(eid) <- src_input;
+      src_arg.(eid) <- slot
+    | Ir.From_node nid -> src_arg.(eid) <- nid
+  done;
+  let inputs = Array.of_list (List.rev !input_names) in
+  let slots = Array.length inputs in
   let st =
     {
       g;
-      sources =
-        Array.init (Graph.edge_count g) (fun eid ->
-            let e = Graph.edge g eid in
-            match e.Ir.source with
-            | Ir.Const v -> Src_const v
-            | Ir.Primary_input name -> Src_input (name, e.Ir.e_width)
-            | Ir.From_node nid -> Src_node nid);
-      widths = static_widths g;
-      node_out = Array.make nn None;
+      nodes;
+      in_width =
+        Array.map
+          (fun n -> if Array.length n.Ir.inputs = 0 then 0 else (Graph.edge g n.Ir.inputs.(0)).Ir.e_width)
+          nodes;
+      src_tag;
+      src_arg;
+      input_names = Array.map fst inputs;
+      input_widths = Array.map snd inputs;
+      in_bits = Array.make slots 0;
+      in_set = Array.make slots false;
+      value = Array.make nn 0;
+      fired = Array.make nn false;
+      origin = Array.make nn 0;
+      shared = Hashtbl.create 64;
       logs =
         Array.init nn (fun nid ->
-            { stride = Array.length (Graph.node g nid).Ir.inputs + 4; count = 0; chunks = [||] });
+            { stride = Array.length nodes.(nid).Ir.inputs + 4; count = 0; chunks = [||] });
+      cond_true = Array.make ne 0;
+      cond_false = Array.make ne 0;
+      cond_order = [];
       profile = Profile.create ();
       pass = 0;
       seq = 0;
-      inputs = [];
       outputs = [];
       firings = 0;
       max_loop_iters;
@@ -299,14 +470,25 @@ let simulate ?(max_loop_iters = 100_000) (program : Graph.program) ~workload =
   let passes = List.length workload in
   let pass_outputs = Array.make (max passes 1) [] in
   List.iteri
-    (fun pass inputs ->
+    (fun pass bindings ->
       st.pass <- pass;
       st.seq <- 0;
-      st.inputs <- inputs;
+      for slot = 0 to slots - 1 do
+        match List.assoc_opt st.input_names.(slot) bindings with
+        | Some v ->
+          st.in_bits.(slot) <- v land Bitvec.mask st.input_widths.(slot);
+          st.in_set.(slot) <- true
+        | None -> st.in_set.(slot) <- false
+      done;
       st.outputs <- [];
       exec_region st program.Graph.top;
       pass_outputs.(pass) <- List.rev st.outputs)
     workload;
+  List.iter
+    (fun eid ->
+      Profile.record_conds st.profile eid ~trues:st.cond_true.(eid)
+        ~falses:st.cond_false.(eid))
+    (List.rev st.cond_order);
   Array.iter
     (fun l ->
       let j = l.count land (chunk_events - 1) and last = Array.length l.chunks - 1 in

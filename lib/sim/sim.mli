@@ -61,13 +61,30 @@ val simulate :
   run
 (** [workload] is one input binding list per pass.
     @raise Stuck when a loop exceeds [max_loop_iters] (default 100_000).
-    @raise Invalid_argument when a pass misses an input, or a value's width
-    differs from its node's or edge's graph width. *)
+    @raise Invalid_argument when a pass misses an input a firing reads, or,
+    before the run, when a node's operands or result would have a width
+    other than the graph's. *)
+
+val eval : Ir.op_kind -> width:int -> in_width:int -> int -> int -> int -> int
+(** [eval kind ~width ~in_width a b c]: one operation on raw bits, the
+    single definition of operation semantics, shared with the RTL simulator.
+    [a], [b] and [c] are the operands' bits (0 past the kind's arity),
+    [width] the node's output width and [in_width] its first operand's,
+    which sets the sign of comparisons, [Op_shr] and [Op_resize].  The
+    operands' widths must be those {!result_width} accepts; the result is
+    [width] bits.  Shift amounts are unsigned and saturate at 62.
+    @raise Invalid_argument on [Op_loop_merge], whose firings carry a
+    phase. *)
+
+val result_width : Ir.op_kind -> width:int -> int array -> int
+(** The width an operation of a [width]-bit node yields from operands of
+    the given widths ([width] itself only matters for [Op_resize]).
+    @raise Invalid_argument where the operands' widths must agree and do
+    not. *)
 
 val compute : Ir.op_kind -> Impact_util.Bitvec.t array -> Impact_util.Bitvec.t
-(** Evaluate one operation on its input vector; the single source of truth
-    for operation semantics, shared with the RTL simulator.  [Op_loop_merge]
-    is not computable here (its firings carry a phase). *)
+(** {!eval} on vectors.  [Op_resize] keeps its operand (callers resize to
+    the node width); [Op_select] returns the chosen operand itself. *)
 
 (** {2 Portable runs}
 

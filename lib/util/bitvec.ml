@@ -19,9 +19,10 @@ let width t = t.width
 let bits t = t.bits
 let to_unsigned t = t.bits
 
-let to_signed t =
-  let sign_bit = 1 lsl (t.width - 1) in
-  if t.bits land sign_bit = 0 then t.bits else t.bits - (1 lsl t.width)
+let signed ~width bits =
+  if bits land (1 lsl (width - 1)) = 0 then bits else bits - (1 lsl width)
+
+let to_signed t = signed ~width:t.width t.bits
 
 let to_bool t = t.bits <> 0
 let equal a b = a.width = b.width && a.bits = b.bits

@@ -10,6 +10,15 @@ type t
 val max_width : int
 (** Largest supported width (62). *)
 
+val check_width : int -> unit
+(** @raise Invalid_argument if the width is outside 1..62. *)
+
+val mask : int -> int
+(** [mask width]: the low [width] bits set. *)
+
+val signed : width:int -> int -> int
+(** Two's-complement interpretation of a raw [width]-bit payload. *)
+
 val make : width:int -> int -> t
 (** [make ~width v] truncates [v] to [width] bits.  Negative [v] is encoded
     in two's complement.  @raise Invalid_argument if [width] is out of
