@@ -53,8 +53,3 @@ let condition_edges t =
     if t.ctrl_map.(eid) <> [] then acc := eid :: !acc
   done;
   !acc
-
-let same_loop_context t a b =
-  (Graph.node t.g a).Ir.loops = (Graph.node t.g b).Ir.loops
-
-let dominating_condition t nid = (Graph.node t.g nid).Ir.ctrl

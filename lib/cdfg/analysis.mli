@@ -27,8 +27,3 @@ val mutually_exclusive : t -> Ir.node_id -> Ir.node_id -> bool
 
 val condition_edges : t -> Ir.edge_id list
 (** Edges read by at least one control port, in id order. *)
-
-val same_loop_context : t -> Ir.node_id -> Ir.node_id -> bool
-
-val dominating_condition : t -> Ir.node_id -> Ir.control option
-(** The node's own control port, if any. *)

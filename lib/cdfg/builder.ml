@@ -61,7 +61,6 @@ let with_loop t loop f =
   t.loops <- loop :: saved;
   Fun.protect ~finally:(fun () -> t.loops <- saved) f
 
-let current_ctrl t = t.ctrl
 let fresh_loop t = Graph.fresh_loop_id t.g
 
 let default_width t kind inputs =

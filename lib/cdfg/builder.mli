@@ -28,7 +28,6 @@ val with_ctrl : t -> Ir.control option -> (unit -> 'a) -> 'a
 val with_loop : t -> Ir.loop_id -> (unit -> 'a) -> 'a
 (** Runs the thunk inside the loop (emitted nodes get tagged). *)
 
-val current_ctrl : t -> Ir.control option
 val fresh_loop : t -> Ir.loop_id
 
 val emit : t -> Ir.op_kind -> ?name:string -> ?width:int -> value list -> Ir.node_id * value

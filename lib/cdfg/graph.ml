@@ -95,10 +95,6 @@ let edge t id =
   check_edge_id t id "edge";
   t.edge_store.(id)
 
-let set_node_ctrl t id ctrl =
-  check_node_id t id "set_node_ctrl";
-  t.node_store.(id) <- { (t.node_store.(id)) with Ir.ctrl }
-
 let set_node_input t id port eid =
   check_node_id t id "set_node_input";
   check_edge_id t eid "set_node_input";
@@ -109,24 +105,10 @@ let set_node_input t id port eid =
   inputs.(port) <- eid;
   t.node_store.(id) <- { n with Ir.inputs }
 
-let set_node_loops t id loops =
-  check_node_id t id "set_node_loops";
-  t.node_store.(id) <- { (t.node_store.(id)) with Ir.loops }
-
 let node_count t = t.n_nodes
 let edge_count t = t.n_edges
 let nodes t = List.init t.n_nodes (fun i -> t.node_store.(i))
 let edges t = List.init t.n_edges (fun i -> t.edge_store.(i))
-
-let output_edges t id =
-  check_node_id t id "output_edges";
-  let acc = ref [] in
-  for i = t.n_edges - 1 downto 0 do
-    match t.edge_store.(i).Ir.source with
-    | Ir.From_node src when src = id -> acc := i :: !acc
-    | Ir.From_node _ | Ir.Const _ | Ir.Primary_input _ -> ()
-  done;
-  !acc
 
 let consumers t eid =
   check_edge_id t eid "consumers";
@@ -134,16 +116,6 @@ let consumers t eid =
   for i = t.n_nodes - 1 downto 0 do
     if Array.exists (fun e -> e = eid) t.node_store.(i).Ir.inputs then
       acc := i :: !acc
-  done;
-  !acc
-
-let ctrl_consumers t eid =
-  check_edge_id t eid "ctrl_consumers";
-  let acc = ref [] in
-  for i = t.n_nodes - 1 downto 0 do
-    match t.node_store.(i).Ir.ctrl with
-    | Some { Ir.ctrl_edge; _ } when ctrl_edge = eid -> acc := i :: !acc
-    | Some _ | None -> ()
   done;
   !acc
 
@@ -158,17 +130,6 @@ let data_fanout t =
       t.node_store.(i).Ir.inputs
   done;
   fanout
-
-let data_preds t id =
-  let n = node t id in
-  let preds =
-    Array.to_list n.Ir.inputs
-    |> List.filter_map (fun eid ->
-           match (edge t eid).Ir.source with
-           | Ir.From_node src -> Some src
-           | Ir.Const _ | Ir.Primary_input _ -> None)
-  in
-  List.sort_uniq Int.compare preds
 
 let fold_nodes t ~init ~f =
   let acc = ref init in

@@ -32,9 +32,6 @@ val add_node :
 (** @raise Invalid_argument if the input count differs from the kind's arity
     or an edge id is unknown. *)
 
-val set_node_ctrl : t -> Ir.node_id -> Ir.control option -> unit
-val set_node_loops : t -> Ir.node_id -> Ir.loop_id list -> unit
-
 val set_node_input : t -> Ir.node_id -> int -> Ir.edge_id -> unit
 (** Re-points one data input port; used to patch loop-back edges. *)
 
@@ -47,21 +44,11 @@ val nodes : t -> Ir.node list
 
 val edges : t -> Ir.edge list
 
-val output_edges : t -> Ir.node_id -> Ir.edge_id list
-(** Edges whose source is the given node. *)
-
 val consumers : t -> Ir.edge_id -> Ir.node_id list
 (** Nodes that read the edge through a data input port. *)
 
-val ctrl_consumers : t -> Ir.edge_id -> Ir.node_id list
-(** Nodes whose control port reads the edge. *)
-
 val data_fanout : t -> int array
 (** Per node, the number of data input ports that read its value. *)
-
-val data_preds : t -> Ir.node_id -> Ir.node_id list
-(** Distinct source nodes of the node's data inputs (constants and primary
-    inputs contribute nothing). *)
 
 val fold_nodes : t -> init:'a -> f:('a -> Ir.node -> 'a) -> 'a
 val iter_nodes : t -> f:(Ir.node -> unit) -> unit

@@ -27,8 +27,6 @@ let implies g h = List.for_all (fun b -> List.exists (fun a -> compare_atom a b 
 let equal g h = List.compare compare_atom g h = 0
 let compare g h = List.compare compare_atom g h
 
-let mem_edge e g = List.exists (fun a -> a.cond_edge = e) g
-
 let value_of e g =
   List.find_opt (fun a -> a.cond_edge = e) g |> Option.map (fun a -> a.value)
 

@@ -29,8 +29,6 @@ val implies : t -> t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
-val mem_edge : Ir.edge_id -> t -> bool
-
 val value_of : Ir.edge_id -> t -> bool option
 
 val remove_edge : Ir.edge_id -> t -> t

@@ -100,24 +100,12 @@ let op_name = function
   | Op_end_loop -> "Elp"
   | Op_output name -> "Out:" ^ name
 
-let is_commutative = function
-  | Op_add | Op_mul | Op_eq | Op_ne | Op_and | Op_or | Op_xor -> true
-  | Op_sub | Op_lt | Op_le | Op_gt | Op_ge | Op_not | Op_shl | Op_shr | Op_copy
-  | Op_resize | Op_select | Op_loop_merge | Op_end_loop | Op_output _ ->
-    false
-
 let is_condition_producer = function
   | Op_lt | Op_le | Op_gt | Op_ge | Op_eq | Op_ne | Op_and | Op_or | Op_xor
   | Op_not ->
     true
   | Op_add | Op_sub | Op_mul | Op_shl | Op_shr | Op_copy | Op_resize | Op_select
   | Op_loop_merge | Op_end_loop | Op_output _ ->
-    false
-
-let is_structural = function
-  | Op_copy | Op_resize | Op_select | Op_loop_merge | Op_end_loop | Op_output _ -> true
-  | Op_add | Op_sub | Op_mul | Op_lt | Op_le | Op_gt | Op_ge | Op_eq | Op_ne
-  | Op_and | Op_or | Op_xor | Op_not | Op_shl | Op_shr ->
     false
 
 let region_nodes region =
@@ -139,5 +127,3 @@ let region_nodes region =
 let pp_polarity ppf = function
   | Active_high -> Format.pp_print_string ppf "+"
   | Active_low -> Format.pp_print_string ppf "-"
-
-let pp_op_kind ppf kind = Format.pp_print_string ppf (op_name kind)

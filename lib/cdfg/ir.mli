@@ -94,18 +94,12 @@ val op_arity : op_kind -> int
 (** Expected number of data inputs; [Op_output] takes 1. *)
 
 val op_name : op_kind -> string
-val is_commutative : op_kind -> bool
 
 val is_condition_producer : op_kind -> bool
 (** True for comparison and boolean kinds, whose 1-bit results steer control
     ports and transitions. *)
 
-val is_structural : op_kind -> bool
-(** Sel, loop merge, end-loop, copy and output nodes: lowered to
-    muxes/registers/wiring rather than bound to functional units. *)
-
 val region_nodes : region -> node_id list
 (** All node ids mentioned in the region tree, in pre-order. *)
 
 val pp_polarity : Format.formatter -> polarity -> unit
-val pp_op_kind : Format.formatter -> op_kind -> unit

@@ -1,31 +1,6 @@
 module Bitvec = Impact_util.Bitvec
 module Dot = Impact_util.Dot
 
-let source_label g = function
-  | Ir.From_node nid -> (Graph.node g nid).Ir.n_name
-  | Ir.Const v -> string_of_int (Bitvec.to_signed v)
-  | Ir.Primary_input name -> name
-
-let pp_node g ppf (n : Ir.node) =
-  let input_names =
-    Array.to_list n.Ir.inputs
-    |> List.map (fun eid ->
-           let e = Graph.edge g eid in
-           Printf.sprintf "e%d<%s>" eid (source_label g e.Ir.source))
-    |> String.concat ", "
-  in
-  let ctrl =
-    match n.Ir.ctrl with
-    | None -> ""
-    | Some { Ir.ctrl_edge; polarity } ->
-      Format.asprintf " ctrl(%ae%d)" Ir.pp_polarity polarity ctrl_edge
-  in
-  Format.fprintf ppf "n%d %s [%s](%s)%s w%d" n.Ir.n_id n.Ir.n_name
-    (Ir.op_name n.Ir.kind) input_names ctrl n.Ir.n_width
-
-let pp_graph ppf g =
-  Graph.iter_nodes g ~f:(fun n -> Format.fprintf ppf "%a@." (pp_node g) n)
-
 let rec pp_region g ppf region =
   match region with
   | Ir.R_ops ids ->

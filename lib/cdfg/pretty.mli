@@ -1,7 +1,5 @@
 (** Text and Graphviz rendering of CDFGs. *)
 
-val pp_node : Graph.t -> Format.formatter -> Ir.node -> unit
-val pp_graph : Format.formatter -> Graph.t -> unit
 val pp_region : Graph.t -> Format.formatter -> Ir.region -> unit
 
 val to_dot : Graph.program -> string

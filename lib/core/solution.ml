@@ -90,8 +90,6 @@ let legal_against lt b =
       || Lifetime.regs_can_share lt b reg reg)
     (Binding.reg_ids b)
 
-let reg_sharing_legal program stg b = legal_against (Lifetime.analyse program stg) b
-
 let find_network dp port =
   let rec scan i =
     if i >= Datapath.network_count dp then None
@@ -408,11 +406,6 @@ let describe t =
     (Datapath.network_count t.dp) (Stg.state_count t.stg) t.enc t.vdd t.area
     (est t).Estimate.est_power
     (if t.cost = infinity then "inf" else Printf.sprintf "%.4f" t.cost)
-
-let ops_on_same_fu t a b =
-  match (Binding.fu_of t.binding a, Binding.fu_of t.binding b) with
-  | Some f1, Some f2 -> f1 = f2
-  | _ -> false
 
 let diagnostics env t =
   Impact_verify.Verify.run_all

@@ -151,14 +151,7 @@ val rebuild :
     nominal power estimate re-prices only the footprint when the schedule
     kept the predecessor's shape ({!Impact_power.Estimate.can_reprice}). *)
 
-val reg_sharing_legal :
-  Impact_cdfg.Graph.program -> Impact_sched.Stg.t -> Impact_rtl.Binding.t -> bool
-(** Every register holding several values must be interference-free under
-    the (possibly new) schedule. *)
-
 val describe : t -> string
-
-val ops_on_same_fu : t -> Ir.node_id -> Ir.node_id -> bool
 
 val diagnostics : env -> t -> Impact_util.Diagnostic.t list
 (** Runs every applicable {!Impact_verify.Verify} pass (cdfg, stg, binding,

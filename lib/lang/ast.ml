@@ -42,19 +42,4 @@ type program = {
   body : stmt list;
 }
 
-let binop_name = function
-  | B_add -> "+"
-  | B_sub -> "-"
-  | B_mul -> "*"
-  | B_lt -> "<"
-  | B_le -> "<="
-  | B_gt -> ">"
-  | B_ge -> ">="
-  | B_eq -> "=="
-  | B_ne -> "!="
-  | B_and -> "&&"
-  | B_or -> "||"
-  | B_shl -> "<<"
-  | B_shr -> ">>"
-
 let pp_pos ppf { line; col } = Format.fprintf ppf "line %d, column %d" line col

@@ -51,5 +51,4 @@ type program = {
   body : stmt list;
 }
 
-val binop_name : binop -> string
 val pp_pos : Format.formatter -> pos -> unit

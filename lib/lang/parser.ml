@@ -285,12 +285,3 @@ let parse src =
   let body = parse_block st in
   if current st <> Lexer.EOF then fail st "trailing input after process body";
   { Ast.p_name; params; results; body }
-
-let parse_file path =
-  let ic = open_in path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  parse content

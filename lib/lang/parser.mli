@@ -9,5 +9,3 @@ exception Error of string * Ast.pos
 val parse : string -> Ast.program
 (** @raise Error on syntax errors, with the offending position.
     @raise Lexer.Error on lexical errors. *)
-
-val parse_file : string -> Ast.program

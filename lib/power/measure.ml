@@ -141,9 +141,9 @@ let measure (program : Graph.program) stg dp ~workload ?(vdd = Vdd.nominal)
   let e = { e_fu = 0.; e_reg = 0.; e_sel = 0.; e_ctrl = 0.; e_clock = 0.; e_wire = 0. } in
   let slots ids = 1 + List.fold_left max (-1) ids in
   let max_ports = Graph.fold_nodes g ~init:1 ~f:(fun acc n -> max acc (Array.length n.Ir.inputs)) in
-  (* An FU's last operands: [max_ports] slots per FU, and the port count. *)
+  (* An FU's last operands, [max_ports] slots per FU; the slots past the
+     last firing's ports are empty. *)
   let fu_last = last (slots (Binding.fu_ids b) * max_ports) in
-  let fu_ports = Array.make (slots (Binding.fu_ids b)) (-1) in
   let reg_last = last (slots (Binding.reg_ids b)) in
   let sel_last = last (Graph.node_count g) in
   let nets =
@@ -199,23 +199,20 @@ let measure (program : Graph.program) stg dp ~workload ?(vdd = Vdd.nominal)
          ports both have at equal widths; a first activation charges half
          the bits on average. *)
       let base = p.fu * max_ports and ports = Array.length inputs in
-      let prev = fu_ports.(p.fu) in
+      let first = fu_last.l_width.(base) = 0 in
       let bits = ref 0 and diff = ref 0 in
-      for q = 0 to min prev ports - 1 do
-        if fu_last.l_width.(base + q) = p.in_widths.(q) then begin
-          bits := !bits + p.in_widths.(q);
-          diff := !diff + Bitvec.popcount_bits (fu_last.l_bits.(base + q) lxor inputs.(q))
-        end
-      done;
-      fu_ports.(p.fu) <- ports;
-      for q = 0 to ports - 1 do
-        fu_last.l_width.(base + q) <- p.in_widths.(q);
-        fu_last.l_bits.(base + q) <- inputs.(q)
+      for q = 0 to max_ports - 1 do
+        let width = if q < ports then p.in_widths.(q) else 0 in
+        let v = if q < ports then inputs.(q) else 0 in
+        if width > 0 && fu_last.l_width.(base + q) = width then begin
+          bits := !bits + width;
+          diff := !diff + Bitvec.popcount_bits (fu_last.l_bits.(base + q) lxor v)
+        end;
+        fu_last.l_width.(base + q) <- width;
+        fu_last.l_bits.(base + q) <- v
       done;
       let sw =
-        if prev < 0 then 0.5
-        else if !bits = 0 then 0.
-        else float_of_int !diff /. float_of_int !bits
+        if first then 0.5 else if !bits = 0 then 0. else float_of_int !diff /. float_of_int !bits
       in
       e.e_fu <- e.e_fu +. (p.fu_cap *. sw *. glitch.(firing.Stg.f_chain_pos));
       for port = 0 to Array.length p.ports - 1 do

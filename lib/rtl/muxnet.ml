@@ -59,15 +59,6 @@ let tree_activity t ~a ~p =
   let total, _, _ = eval t.tree in
   total
 
-let weighted_depth t ~ap =
-  let rec walk depth acc = function
-    | L i ->
-      let a, p = ap i in
-      acc +. (a *. p *. float_of_int depth)
-    | N (l, r) -> walk (depth + 1) (walk (depth + 1) acc l) r
-  in
-  walk 0 0. t.tree
-
 (* Figure 12: HUFFMAN_CONSTRUCT.  Items are ordered by increasing ap; the
    two smallest are combined under a fresh mux; the combined item's ap is
    (sum of probabilities) × (sum of the subtree's mux activities), per the
@@ -118,7 +109,3 @@ let rec equal_shape a b =
   | L i, L j -> i = j
   | N (l1, r1), N (l2, r2) -> equal_shape l1 l2 && equal_shape r1 r2
   | L _, N _ | N _, L _ -> false
-
-let rec pp_shape ppf = function
-  | L i -> Format.fprintf ppf "%d" i
-  | N (l, r) -> Format.fprintf ppf "(%a,%a)" pp_shape l pp_shape r

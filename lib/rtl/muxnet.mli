@@ -43,9 +43,5 @@ val restructure : t -> ap:(int -> float * float) -> unit
     combines greedily, Huffman style, so high-[ap] signals end near the
     output.  [ap i] returns [(a_i, p_i)]. *)
 
-val weighted_depth : t -> ap:(int -> float * float) -> float
-(** [Σ a_i·p_i·l_i] — the quantity the Huffman algorithm minimises. *)
-
 val copy : t -> t
 val equal_shape : shape -> shape -> bool
-val pp_shape : Format.formatter -> shape -> unit

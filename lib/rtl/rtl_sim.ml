@@ -26,68 +26,58 @@ type result = {
 
 exception Deadlock of string
 
-(* Where an edge's value comes from, resolved once per design: [src_arg]
-   holds a constant's bits, an input register or the producing node. *)
-let src_const = 0
-let src_input = 1
-let src_node = 2
-
 type machine = {
   nodes : Ir.node array;
   in_width : int array;  (* per node: its first operand's width *)
-  node_reg : int array;  (* per node *)
   operands : int array array;  (* per node: the operand bits of its last firing *)
-  src_tag : int array;  (* per edge *)
-  src_arg : int array;
-  regs : int array;  (* bits by register id; zero before any write *)
+  node_reg : int array;
+  producer : int array;  (* per edge: the producing node, or -1 *)
+  edge_reg : int array;  (* per edge: the register it is read from *)
+  regs : int array;  (* bits by register id, then one slot per constant edge *)
   reg_width : int array;  (* width of the value last written; 0 before any write *)
   fresh : int array;  (* by node: the value produced in cycle [stamp] *)
   stamp : int array;
   mutable cycle : int;
 }
 
+(* Each edge is read from a register resolved once per design: its
+   producer's, its input's, or a slot past the register file that holds
+   its constant. *)
 let create g b =
-  let nn = Graph.node_count g and ne = Graph.edge_count g in
-  let nodes = Array.init nn (Graph.node g) in
-  let src_tag = Array.make ne src_node and src_arg = Array.make ne 0 in
-  for eid = 0 to ne - 1 do
-    match (Graph.edge g eid).Ir.source with
-    | Ir.Const v ->
-      src_tag.(eid) <- src_const;
-      src_arg.(eid) <- Bitvec.bits v
-    | Ir.Primary_input name ->
-      src_tag.(eid) <- src_input;
-      src_arg.(eid) <- Binding.reg_of_input b name
-    | Ir.From_node nid -> src_arg.(eid) <- nid
-  done;
+  let nodes = Array.init (Graph.node_count g) (Graph.node g) in
+  let ne = Graph.edge_count g in
   let n_regs = 1 + List.fold_left max (-1) (Binding.reg_ids b) in
+  let regs = Array.make (n_regs + ne) 0 and producer = Array.make ne (-1) in
+  let edge_reg =
+    Array.init ne (fun eid ->
+        match (Graph.edge g eid).Ir.source with
+        | Ir.Const v ->
+          regs.(n_regs + eid) <- Bitvec.bits v;
+          n_regs + eid
+        | Ir.Primary_input name -> Binding.reg_of_input b name
+        | Ir.From_node nid ->
+          producer.(eid) <- nid;
+          Binding.reg_of b nid)
+  in
   {
     nodes;
-    in_width =
-      Array.map
-        (fun n ->
-          if Array.length n.Ir.inputs = 0 then 0 else (Graph.edge g n.Ir.inputs.(0)).Ir.e_width)
-        nodes;
-    node_reg = Array.init nn (Binding.reg_of b);
+    in_width = Array.map (fun n -> (Graph.edge g n.Ir.inputs.(0)).Ir.e_width) nodes;
     operands = Array.map (fun n -> Array.make (Array.length n.Ir.inputs) 0) nodes;
-    src_tag;
-    src_arg;
-    regs = Array.make n_regs 0;
+    node_reg = Array.map (fun n -> Binding.reg_of b n.Ir.n_id) nodes;
+    producer;
+    edge_reg;
+    regs;
     reg_width = Array.make n_regs 0;
-    fresh = Array.make nn 0;
-    stamp = Array.make nn (-1);
+    fresh = Array.make (Array.length nodes) 0;
+    stamp = Array.make (Array.length nodes) (-1);
     cycle = 0;
   }
 
 (* Electrically a wire always carries something; before first write we model
    it as zero (same convention as the behavioral simulator). *)
 let read_edge m eid =
-  let arg = m.src_arg.(eid) in
-  let tag = m.src_tag.(eid) in
-  if tag = src_const then arg
-  else if tag = src_input then m.regs.(arg)
-  else if m.stamp.(arg) = m.cycle then m.fresh.(arg)
-  else m.regs.(m.node_reg.(arg))
+  let nid = m.producer.(eid) in
+  if nid >= 0 && m.stamp.(nid) = m.cycle then m.fresh.(nid) else m.regs.(m.edge_reg.(eid))
 
 let rec guard_holds m = function
   | [] -> true

@@ -2,12 +2,13 @@ module Graph = Impact_cdfg.Graph
 module Ir = Impact_cdfg.Ir
 module Stg = Impact_sched.Stg
 module Vec = Impact_util.Vec
+module Bitvec = Impact_util.Bitvec
 
 type signal = { sig_id : string; sig_name : string; sig_width : int }
 
 type t = {
-  signals : signal list;  (* state first, then registers *)
-  changes : (int * string * string) Vec.t;  (* time, vcd id, value bits *)
+  signals : signal array;  (* state first, then registers *)
+  changes : (int * int * int) Vec.t;  (* time, signal index, value bits *)
   mutable total_cycles : int;
 }
 
@@ -31,10 +32,11 @@ let capture (program : Graph.program) stg binding ~workload =
       (int_of_float
          (ceil (log (float_of_int (max 2 (Array.length stg.Stg.states))) /. log 2.)))
   in
-  let regs = Binding.reg_ids binding in
+  let regs = Array.of_list (Binding.reg_ids binding) in
   let signals =
-    { sig_id = vcd_id 0; sig_name = "state"; sig_width = state_bits }
-    :: List.mapi
+    Array.append
+      [| { sig_id = vcd_id 0; sig_name = "state"; sig_width = state_bits } |]
+      (Array.mapi
          (fun i reg ->
            let holders =
              List.map (fun nid -> (Graph.node g nid).Ir.n_name) (Binding.reg_values binding reg)
@@ -56,34 +58,30 @@ let capture (program : Graph.program) stg binding ~workload =
              sig_name = Printf.sprintf "r%d_%s" reg pretty;
              sig_width = Binding.reg_width binding reg;
            })
-         regs
+         regs)
   in
-  let reg_sig = Hashtbl.create 16 in
-  List.iteri (fun i reg -> Hashtbl.replace reg_sig reg (List.nth signals (i + 1))) regs;
-  let state_sig = List.hd signals in
+  let sig_of_reg = Array.make (Array.fold_left max (-1) regs + 1) (-1) in
+  Array.iteri (fun i reg -> sig_of_reg.(reg) <- i + 1) regs;
   let changes = Vec.create () in
-  let last : (string, string) Hashtbl.t = Hashtbl.create 32 in
+  let last = Array.make (Array.length signals) (-1) in
   let time = ref (-1) in
-  let record sg bits =
-    match Hashtbl.find_opt last sg.sig_id with
-    | Some prev when prev = bits -> ()
-    | _ ->
-      Hashtbl.replace last sg.sig_id bits;
-      ignore (Vec.push changes (!time, sg.sig_id, bits))
+  let record i v =
+    let bits = v land Bitvec.mask signals.(i).sig_width in
+    if last.(i) <> bits then begin
+      last.(i) <- bits;
+      ignore (Vec.push changes (!time, i, bits))
+    end
   in
   let observer =
     {
       Rtl_sim.on_cycle =
         (fun ~pass:_ ~state ->
           incr time;
-          record state_sig (bits_string ~width:state_bits state));
+          record 0 state);
       on_firing =
         (fun ~pass:_ ~state:_ ~firing ~inputs:_ ~output ->
-          let reg = Binding.reg_of binding firing.Stg.f_node in
-          match Hashtbl.find_opt reg_sig reg with
-          | Some sg ->
-            record sg (bits_string ~width:sg.sig_width output)
-          | None -> ());
+          let i = sig_of_reg.(Binding.reg_of binding firing.Stg.f_node) in
+          if i > 0 then record i output);
     }
   in
   let result = Rtl_sim.simulate ~observer program stg binding ~workload in
@@ -95,18 +93,19 @@ let render t =
   Buffer.add_string buf "$version IMPACT reproduction $end\n";
   Buffer.add_string buf "$timescale 1ns $end\n";
   Buffer.add_string buf "$scope module dut $end\n";
-  List.iter
+  Array.iter
     (fun sg ->
       Buffer.add_string buf
         (Printf.sprintf "$var wire %d %s %s $end\n" sg.sig_width sg.sig_id sg.sig_name))
     t.signals;
   Buffer.add_string buf "$upscope $end\n$enddefinitions $end\n";
   let current = ref (-1) in
-  Vec.iteri t.changes ~f:(fun _ (time, id, bits) ->
+  Vec.iteri t.changes ~f:(fun _ (time, i, v) ->
       if time <> !current then begin
         current := time;
         Buffer.add_string buf (Printf.sprintf "#%d\n" time)
       end;
+      let id = t.signals.(i).sig_id and bits = bits_string ~width:t.signals.(i).sig_width v in
       if String.length bits = 1 then Buffer.add_string buf (bits ^ id ^ "\n")
       else Buffer.add_string buf ("b" ^ bits ^ " " ^ id ^ "\n"));
   Buffer.add_string buf (Printf.sprintf "#%d\n" t.total_cycles);

@@ -197,7 +197,6 @@ let frag_entry f = f.fentry
 let frag_exits f = f.fexits
 let frag_set_exits f exits = f.fexits <- exits
 let frag_state f id = Vec.get f.fstates id
-let frag_set_state f id state = Vec.set f.fstates id state
 let frag_state_count f = Vec.length f.fstates
 let frag_succs f id = Vec.get f.ftrans id
 
@@ -283,10 +282,6 @@ let seq f1 f2 =
     f1.fexits;
   f1.fexits <- List.map (fun (s, g) -> (s + offset, g)) f2.fexits;
   f1
-
-let seq_list = function
-  | [] -> invalid_arg "Stg.seq_list: empty"
-  | f :: rest -> List.fold_left seq f rest
 
 let fork prefix ~cond_edge ~then_f ~else_f =
   let then_off = absorb prefix then_f in

@@ -92,7 +92,6 @@ val frag_entry : frag -> int
 val frag_exits : frag -> (int * Guard.t) list
 val frag_set_exits : frag -> (int * Guard.t) list -> unit
 val frag_state : frag -> int -> state
-val frag_set_state : frag -> int -> state -> unit
 val frag_state_count : frag -> int
 val frag_succs : frag -> int -> transition list
 
@@ -110,9 +109,6 @@ val graft : frag -> frag -> int
 
 val seq : frag -> frag -> frag
 (** Connects every exit of the first fragment to the entry of the second. *)
-
-val seq_list : frag list -> frag
-(** @raise Invalid_argument on the empty list. *)
 
 val fork :
   frag -> cond_edge:Ir.edge_id -> then_f:frag -> else_f:frag -> frag

@@ -40,28 +40,24 @@ exception Stuck of string
 
 (* --- The operator kernel ---------------------------------------------------- *)
 
-let width_mismatch a b = invalid_arg (Printf.sprintf "Bitvec: width mismatch %d vs %d" a b)
-
 (* The width [kind] produces from operands of widths [ws] (a [width]-bit
    node's for [Op_resize]).
    @raise Invalid_argument where the Bitvec operation refuses the operands. *)
 let result_width kind ~width ws =
-  let same i j = if ws.(i) <> ws.(j) then width_mismatch ws.(i) ws.(j) in
+  let agree i j =
+    if ws.(i) <> ws.(j) then
+      invalid_arg (Printf.sprintf "Bitvec: width mismatch %d vs %d" ws.(i) ws.(j));
+    ws.(i)
+  in
   match kind with
-  | Ir.Op_add | Ir.Op_sub | Ir.Op_mul | Ir.Op_and | Ir.Op_or | Ir.Op_xor ->
-    same 0 1;
-    ws.(0)
+  | Ir.Op_add | Ir.Op_sub | Ir.Op_mul | Ir.Op_and | Ir.Op_or | Ir.Op_xor | Ir.Op_loop_merge ->
+    agree 0 1
   | Ir.Op_lt | Ir.Op_le | Ir.Op_gt | Ir.Op_ge | Ir.Op_eq | Ir.Op_ne ->
-    same 0 1;
+    ignore (agree 0 1);
     1
   | Ir.Op_not | Ir.Op_shl | Ir.Op_shr | Ir.Op_copy | Ir.Op_end_loop | Ir.Op_output _ -> ws.(0)
   | Ir.Op_resize -> width
-  | Ir.Op_select ->
-    same 1 2;
-    ws.(1)
-  | Ir.Op_loop_merge ->
-    same 0 1;
-    ws.(0)
+  | Ir.Op_select -> agree 1 2
 
 let shift_amount b = if b > Bitvec.max_width then Bitvec.max_width else b
 
@@ -101,30 +97,21 @@ let compute kind inputs =
 
 (* --- The simulator ----------------------------------------------------------- *)
 
-(* An edge's value source, resolved once per simulation: [src_arg] holds a
-   constant's bits, an input's slot or the producing node. *)
-let src_const = 0
-let src_input = 1
-let src_node = 2
-
 type state = {
   g : Graph.t;
   nodes : Ir.node array;
   in_width : int array;  (* per node: its first operand's width *)
-  src_tag : int array;  (* per edge *)
-  src_arg : int array;  (* per edge *)
-  input_names : string array;  (* per input slot *)
-  input_widths : int array;
-  in_bits : int array;  (* per input slot, this pass *)
+  producer : int array;  (* per edge: the producing node, or -1 *)
+  in_bits : int array;  (* per edge: a constant's bits, an input's this pass *)
   in_set : bool array;
   value : int array;  (* per node: the last output's bits *)
   fired : bool array;
-  origin : int array;  (* per node: the last output's identity, see [shared_value] *)
+  origin : int array;  (* per node: the last output's identity, see [origin] *)
   shared : (int, Bitvec.t) Hashtbl.t;
   logs : log array;
   cond_true : int array;  (* per edge *)
   cond_false : int array;
-  mutable cond_order : Ir.edge_id list;  (* first evaluation first, reversed *)
+  mutable cond_order : Ir.edge_id list;  (* in first evaluation order, reversed *)
   profile : Profile.t;
   mutable pass : int;
   mutable seq : int;
@@ -137,13 +124,14 @@ type state = {
    read is zero: a mux's unselected input is electrically present but
    semantically inert.  Any other such read is an error. *)
 let read st eid ~stale ~who =
-  let arg = st.src_arg.(eid) in
-  let tag = st.src_tag.(eid) in
-  if tag = src_const then arg
-  else if tag = src_input then
-    if st.in_set.(arg) then st.in_bits.(arg)
-    else invalid_arg (Printf.sprintf "Sim: missing input %s" st.input_names.(arg))
-  else if st.fired.(arg) then st.value.(arg)
+  let nid = st.producer.(eid) in
+  if nid < 0 then
+    if st.in_set.(eid) then st.in_bits.(eid)
+    else
+      match (Graph.edge st.g eid).Ir.source with
+      | Ir.Primary_input name -> invalid_arg (Printf.sprintf "Sim: missing input %s" name)
+      | Ir.Const _ | Ir.From_node _ -> assert false
+  else if st.fired.(nid) then st.value.(nid)
   else if stale then 0
   else
     failwith (Printf.sprintf "Sim: node %s reads edge e%d before any producer fired" who eid)
@@ -155,38 +143,65 @@ let read st eid ~stale ~who =
    identity is a constant edge's [-eid - 1] or the firing count at which
    the vector was made. *)
 let origin st eid =
-  let arg = st.src_arg.(eid) in
-  let tag = st.src_tag.(eid) in
-  if tag = src_const then -eid - 1
-  else if tag = src_node && st.fired.(arg) then st.origin.(arg)
-  else st.firings
+  let nid = st.producer.(eid) in
+  if nid >= 0 && st.fired.(nid) then st.origin.(nid)
+  else
+    match (Graph.edge st.g eid).Ir.source with
+    | Ir.Const _ -> -eid - 1
+    | Ir.Primary_input _ | Ir.From_node _ -> st.firings
 
 let shared_value st id ~width bits =
-  if id < 0 then
-    match (Graph.edge st.g (-id - 1)).Ir.source with
-    | Ir.Const v -> v
-    | Ir.Primary_input _ | Ir.From_node _ -> assert false
-  else
-    match Hashtbl.find_opt st.shared id with
-    | Some v -> v
-    | None ->
-      let v = Bitvec.make ~width bits in
-      Hashtbl.add st.shared id v;
-      v
+  match Hashtbl.find_opt st.shared id with
+  | Some v -> v
+  | None ->
+    let v =
+      if id >= 0 then Bitvec.make ~width bits
+      else
+        match (Graph.edge st.g (-id - 1)).Ir.source with
+        | Ir.Const v -> v
+        | Ir.Primary_input _ | Ir.From_node _ -> assert false
+    in
+    Hashtbl.add st.shared id v;
+    v
 
 let tag_index = function Tag_normal -> 0 | Tag_merge_init -> 1 | Tag_merge_back -> 2
 
-(* The row of a node's next firing in its last chunk, allocating a chunk
-   every [chunk_events] firings. *)
-let next_row l =
+(* One firing, tagged by [tag_index]: a merge passes on its init value
+   (port 0) on loop entry and its loop-back value (port 1) after each
+   iteration.  The operands are read straight into the node's next log
+   row, which is in the last chunk, allocated every [chunk_events]
+   firings. *)
+let fire st tag nid =
+  let n = st.nodes.(nid) in
+  let ins = n.Ir.inputs and who = n.Ir.n_name and kind = n.Ir.kind in
+  let l = st.logs.(nid) in
   let j = l.count land (chunk_events - 1) in
   if j = 0 then l.chunks <- Array.append l.chunks [| Array.make (chunk_events * l.stride) 0 |];
-  j * l.stride
-
-(* Completes a firing whose operand bits are already in its row. *)
-let record st nid tag ~chunk ~row ~output ~id =
-  let l = st.logs.(nid) in
-  let ports = l.stride - 4 in
+  let chunk = l.chunks.(l.count lsr chunk_bits) and row = j * l.stride in
+  let ports = Array.length ins in
+  (* A merge's inputs and a Sel's branch inputs may legitimately be stale. *)
+  let sel = match kind with Ir.Op_select -> true | _ -> false in
+  for p = 0 to ports - 1 do
+    chunk.(row + 1 + p) <- read st ins.(p) ~stale:(tag > 0 || (sel && p > 0)) ~who
+  done;
+  let a = chunk.(row + 1) in
+  let output =
+    if tag > 0 then read st ins.(tag - 1) ~stale:false ~who
+    else
+      eval kind ~width:n.Ir.n_width ~in_width:st.in_width.(nid) a
+        (if ports > 1 then chunk.(row + 2) else 0)
+        (if ports > 2 then chunk.(row + 3) else 0)
+  in
+  (* The port whose value the firing passes on, if any. *)
+  let forwarded =
+    if tag > 0 then tag - 1
+    else
+      match kind with
+      | Ir.Op_copy | Ir.Op_end_loop | Ir.Op_output _ -> 0
+      | Ir.Op_select -> if a <> 0 then 1 else 2
+      | _ -> -1
+  in
+  let id = if forwarded < 0 then st.firings else origin st ins.(forwarded) in
   chunk.(row) <- output;
   chunk.(row + ports + 1) <- st.pass;
   chunk.(row + ports + 2) <- st.seq;
@@ -196,51 +211,12 @@ let record st nid tag ~chunk ~row ~output ~id =
   st.fired.(nid) <- true;
   st.origin.(nid) <- id;
   st.seq <- st.seq + 1;
-  st.firings <- st.firings + 1
-
-let fire_normal st nid =
-  let n = st.nodes.(nid) in
-  let ins = n.Ir.inputs and who = n.Ir.n_name and kind = n.Ir.kind in
-  let l = st.logs.(nid) in
-  let row = next_row l in
-  let chunk = l.chunks.(l.count lsr chunk_bits) in
-  (* A Sel's unselected branch input may legitimately be stale. *)
-  let sel = match kind with Ir.Op_select -> true | _ -> false in
-  let ports = Array.length ins in
-  for p = 0 to ports - 1 do
-    chunk.(row + 1 + p) <- read st ins.(p) ~stale:(sel && p > 0) ~who
-  done;
-  let a = chunk.(row + 1) in
-  let b = if ports > 1 then chunk.(row + 2) else 0 in
-  let c = if ports > 2 then chunk.(row + 3) else 0 in
-  let output = eval kind ~width:n.Ir.n_width ~in_width:st.in_width.(nid) a b c in
-  let id =
-    match kind with
-    | Ir.Op_copy | Ir.Op_end_loop | Ir.Op_output _ -> origin st ins.(0)
-    | Ir.Op_select -> origin st ins.(if a <> 0 then 1 else 2)
-    | _ -> st.firings
-  in
-  record st nid 0 ~chunk ~row ~output ~id;
+  st.firings <- st.firings + 1;
   match kind with
   | Ir.Op_output name ->
     let v = shared_value st id ~width:n.Ir.n_width output in
     st.outputs <- (name, v) :: List.remove_assoc name st.outputs
   | _ -> ()
-
-(* A merge fires with its init value on loop entry ([Tag_merge_init],
-   port 0) and its loop-back value after each iteration ([Tag_merge_back],
-   port 1); both inputs are recorded. *)
-let fire_merge st ~back nid =
-  let n = st.nodes.(nid) in
-  let ins = n.Ir.inputs and who = n.Ir.n_name in
-  let l = st.logs.(nid) in
-  let row = next_row l in
-  let chunk = l.chunks.(l.count lsr chunk_bits) in
-  chunk.(row + 1) <- read st ins.(0) ~stale:true ~who;
-  chunk.(row + 2) <- read st ins.(1) ~stale:true ~who;
-  let port = Bool.to_int back in
-  let output = read st ins.(port) ~stale:false ~who in
-  record st nid (1 + port) ~chunk ~row ~output ~id:(origin st ins.(port))
 
 let record_cond st eid c =
   if st.cond_true.(eid) + st.cond_false.(eid) = 0 then st.cond_order <- eid :: st.cond_order;
@@ -249,29 +225,23 @@ let record_cond st eid c =
 
 (* The region walk recurses over lists directly: no closure per region or
    loop iteration. *)
-let rec fire_nodes st = function
+let rec fire_all st tag = function
   | [] -> ()
   | nid :: rest ->
-    fire_normal st nid;
-    fire_nodes st rest
-
-let rec fire_merges st ~back = function
-  | [] -> ()
-  | nid :: rest ->
-    fire_merge st ~back nid;
-    fire_merges st ~back rest
+    fire st tag nid;
+    fire_all st tag rest
 
 let rec exec_region st region =
   match region with
-  | Ir.R_ops ids -> fire_nodes st ids
+  | Ir.R_ops ids -> fire_all st 0 ids
   | Ir.R_seq rs -> exec_regions st rs
   | Ir.R_if { cond_edge; then_r; else_r; sels } ->
     let c = read st cond_edge ~stale:false ~who:"if" <> 0 in
     record_cond st cond_edge c;
     exec_region st (if c then then_r else else_r);
-    fire_nodes st sels
+    fire_all st 0 sels
   | Ir.R_loop { loop; merges; cond_r; cond_edge; body; elps } ->
-    fire_merges st ~back:false merges;
+    fire_all st 1 merges;
     iterate st ~loop ~merges ~cond_r ~cond_edge ~body ~elps 0
 
 and exec_regions st = function
@@ -288,12 +258,12 @@ and iterate st ~loop ~merges ~cond_r ~cond_edge ~body ~elps count =
     if count >= st.max_loop_iters then
       raise (Stuck (Printf.sprintf "loop %d exceeded %d iterations" loop st.max_loop_iters));
     exec_region st body;
-    fire_merges st ~back:true merges;
+    fire_all st 2 merges;
     iterate st ~loop ~merges ~cond_r ~cond_edge ~body ~elps (count + 1)
   end
   else begin
     Profile.record_loop_exit st.profile loop ~iterations:count;
-    fire_nodes st elps
+    fire_all st 0 elps
   end
 
 (* First consumer of every edge, in canonical order: nodes in graph order,
@@ -410,52 +380,33 @@ let simulate ?(max_loop_iters = 100_000) (program : Graph.program) ~workload =
   let nn = Graph.node_count g and ne = Graph.edge_count g in
   let nodes = Array.init nn (Graph.node g) in
   check_widths g nodes;
-  let input_slots = Hashtbl.create 8 and input_names = ref [] in
-  let src_tag = Array.make ne src_node and src_arg = Array.make ne 0 in
-  for eid = 0 to ne - 1 do
-    let e = Graph.edge g eid in
-    match e.Ir.source with
+  let producer = Array.make ne (-1) and in_bits = Array.make ne 0 in
+  let in_set = Array.make ne false and inputs = ref [] in
+  for eid = ne - 1 downto 0 do
+    match (Graph.edge g eid).Ir.source with
     | Ir.Const v ->
-      src_tag.(eid) <- src_const;
-      src_arg.(eid) <- Bitvec.bits v
+      in_bits.(eid) <- Bitvec.bits v;
+      in_set.(eid) <- true
     | Ir.Primary_input name ->
-      let key = (name, e.Ir.e_width) in
-      let slot =
-        match Hashtbl.find_opt input_slots key with
-        | Some slot -> slot
-        | None ->
-          let slot = Hashtbl.length input_slots in
-          Hashtbl.add input_slots key slot;
-          input_names := key :: !input_names;
-          slot
-      in
-      src_tag.(eid) <- src_input;
-      src_arg.(eid) <- slot
-    | Ir.From_node nid -> src_arg.(eid) <- nid
+      inputs := (eid, name, Bitvec.mask (Graph.edge g eid).Ir.e_width) :: !inputs
+    | Ir.From_node nid -> producer.(eid) <- nid
   done;
-  let inputs = Array.of_list (List.rev !input_names) in
-  let slots = Array.length inputs in
   let st =
     {
       g;
       nodes;
-      in_width =
-        Array.map
-          (fun n -> if Array.length n.Ir.inputs = 0 then 0 else (Graph.edge g n.Ir.inputs.(0)).Ir.e_width)
-          nodes;
-      src_tag;
-      src_arg;
-      input_names = Array.map fst inputs;
-      input_widths = Array.map snd inputs;
-      in_bits = Array.make slots 0;
-      in_set = Array.make slots false;
+      in_width = Array.map (fun n -> (Graph.edge g n.Ir.inputs.(0)).Ir.e_width) nodes;
+      producer;
+      in_bits;
+      in_set;
       value = Array.make nn 0;
       fired = Array.make nn false;
       origin = Array.make nn 0;
       shared = Hashtbl.create 64;
       logs =
-        Array.init nn (fun nid ->
-            { stride = Array.length nodes.(nid).Ir.inputs + 4; count = 0; chunks = [||] });
+        Array.map
+          (fun n -> { stride = Array.length n.Ir.inputs + 4; count = 0; chunks = [||] })
+          nodes;
       cond_true = Array.make ne 0;
       cond_false = Array.make ne 0;
       cond_order = [];
@@ -473,13 +424,12 @@ let simulate ?(max_loop_iters = 100_000) (program : Graph.program) ~workload =
     (fun pass bindings ->
       st.pass <- pass;
       st.seq <- 0;
-      for slot = 0 to slots - 1 do
-        match List.assoc_opt st.input_names.(slot) bindings with
-        | Some v ->
-          st.in_bits.(slot) <- v land Bitvec.mask st.input_widths.(slot);
-          st.in_set.(slot) <- true
-        | None -> st.in_set.(slot) <- false
-      done;
+      List.iter
+        (fun (eid, name, mask) ->
+          let v = List.assoc_opt name bindings in
+          st.in_set.(eid) <- Option.is_some v;
+          st.in_bits.(eid) <- Option.value v ~default:0 land mask)
+        !inputs;
       st.outputs <- [];
       exec_region st program.Graph.top;
       pass_outputs.(pass) <- List.rev st.outputs)

@@ -32,7 +32,6 @@ let int_in t lo hi =
 
 let bool t = next t land 1 = 1
 let float t = float_of_int (next t land ((1 lsl 53) - 1)) /. float_of_int (1 lsl 53)
-let bernoulli t p = float t < p
 let choose t arr =
   if Array.length arr = 0 then invalid_arg "Rng.choose: empty array";
   arr.(int t (Array.length arr))

@@ -26,9 +26,6 @@ val bool : t -> bool
 val float : t -> float
 (** Uniform in [0, 1). *)
 
-val bernoulli : t -> float -> bool
-(** [bernoulli t p] is [true] with probability [p]. *)
-
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 

@@ -4,9 +4,10 @@ module Bitvec = Impact_util.Bitvec
 module Rng = Impact_util.Rng
 module Stats = Impact_util.Stats
 module Linsolve = Impact_util.Linsolve
-module Pqueue = Impact_util.Pqueue
 module Table = Impact_util.Table
 module Keybuf = Impact_util.Keybuf
+module Ir = Impact_cdfg.Ir
+module Sim = Impact_sim.Sim
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -76,6 +77,93 @@ let bitvec_props =
         and c = Bitvec.make ~width:w (v * 2 - 5) in
         Bitvec.hamming a c <= Bitvec.hamming a b + Bitvec.hamming b c);
   ]
+
+(* --- The simulators' operator kernel ----------------------------------- *)
+
+(* [Sim.eval] on raw bits against Bitvec's own operations, for every kind
+   but the phase-driven loop merge.  Operand values lean on the edges of
+   their width (zero, one, all ones, the sign bit and the largest positive
+   value), so signed comparisons meet negative operands often; a shift's
+   amount has a width of its own and is 0, the width, just above it, or
+   above 62 about as often as it is random; a resize goes to a random width,
+   narrower or wider. *)
+let kernel_kinds =
+  [|
+    Ir.Op_add; Ir.Op_sub; Ir.Op_mul; Ir.Op_lt; Ir.Op_le; Ir.Op_gt; Ir.Op_ge; Ir.Op_eq;
+    Ir.Op_ne; Ir.Op_and; Ir.Op_or; Ir.Op_xor; Ir.Op_not; Ir.Op_shl; Ir.Op_shr;
+    Ir.Op_copy; Ir.Op_resize; Ir.Op_select; Ir.Op_end_loop; Ir.Op_output "o";
+  |]
+
+let kernel_reference kind ~width (ops : Bitvec.t array) =
+  let a = ops.(0) and b () = ops.(1) in
+  let amount () = min (Bitvec.to_unsigned (b ())) Bitvec.max_width in
+  match kind with
+  | Ir.Op_add -> Bitvec.add a (b ())
+  | Ir.Op_sub -> Bitvec.sub a (b ())
+  | Ir.Op_mul -> Bitvec.mul a (b ())
+  | Ir.Op_lt -> Bitvec.of_bool (Bitvec.lt a (b ()))
+  | Ir.Op_le -> Bitvec.of_bool (Bitvec.le a (b ()))
+  | Ir.Op_gt -> Bitvec.of_bool (Bitvec.gt a (b ()))
+  | Ir.Op_ge -> Bitvec.of_bool (Bitvec.ge a (b ()))
+  | Ir.Op_eq -> Bitvec.of_bool (Bitvec.equal a (b ()))
+  | Ir.Op_ne -> Bitvec.of_bool (not (Bitvec.equal a (b ())))
+  | Ir.Op_and -> Bitvec.logand a (b ())
+  | Ir.Op_or -> Bitvec.logor a (b ())
+  | Ir.Op_xor -> Bitvec.logxor a (b ())
+  | Ir.Op_not -> Bitvec.lognot a
+  | Ir.Op_shl -> Bitvec.shift_left a (amount ())
+  | Ir.Op_shr -> Bitvec.shift_right_arith a (amount ())
+  | Ir.Op_copy | Ir.Op_end_loop | Ir.Op_output _ -> a
+  | Ir.Op_resize -> Bitvec.resize ~width a
+  | Ir.Op_select -> if Bitvec.to_bool a then b () else ops.(2)
+  | Ir.Op_loop_merge -> assert false
+
+let kernel_case =
+  let open QCheck.Gen in
+  let value w =
+    map
+      (fun v -> Bitvec.make ~width:w v)
+      (oneof
+         [
+           int; int; return 0; return 1; return (-1); return (1 lsl (w - 1));
+           return ((1 lsl (w - 1)) - 1);
+         ])
+  in
+  let amount w =
+    int_range 1 Bitvec.max_width >>= fun bw ->
+    map
+      (fun v -> Bitvec.make ~width:bw v)
+      (oneof
+         [ int; return 0; return w; return (w + 1); int_range 63 (1 lsl 20); return max_int ])
+  in
+  int_bound (Array.length kernel_kinds - 1) >>= fun k ->
+  int_range 1 Bitvec.max_width >>= fun w ->
+  int_range 1 Bitvec.max_width >>= fun width ->
+  let kind = kernel_kinds.(k) in
+  let ops =
+    match kind with
+    | Ir.Op_shl | Ir.Op_shr -> array_size (return 1) (value w) >>= fun a ->
+      map (fun b -> [| a.(0); b |]) (amount w)
+    | Ir.Op_select -> map2 (fun c bs -> Array.append [| c |] bs) (value 1) (array_size (return 2) (value w))
+    | _ -> array_size (return (Ir.op_arity kind)) (value w)
+  in
+  map (fun ops -> (kind, width, ops)) ops
+
+let kernel_prop =
+  let print (kind, width, ops) =
+    Printf.sprintf "%s width=%d operands=%s" (Ir.op_name kind) width
+      (String.concat " " (Array.to_list (Array.map Bitvec.to_string ops)))
+  in
+  QCheck.Test.make ~name:"int kernel matches Bitvec on every kind" ~count:5000
+    (QCheck.make kernel_case ~print)
+    (fun (kind, width, ops) ->
+      let expected = kernel_reference kind ~width ops in
+      let ws = Array.map Bitvec.width ops in
+      let out = Sim.result_width kind ~width ws in
+      let bits i = if i < Array.length ops then Bitvec.bits ops.(i) else 0 in
+      out = Bitvec.width expected
+      && Sim.eval kind ~width:out ~in_width:ws.(0) (bits 0) (bits 1) (bits 2)
+         = Bitvec.bits expected)
 
 (* --- Rng --------------------------------------------------------------- *)
 
@@ -162,27 +250,6 @@ let test_hitting_times_geometric () =
   let t = Linsolve.hitting_times q in
   check_bool "close to 10" true (abs_float (t.(0) -. 10.) < 1e-9)
 
-(* --- Pqueue ------------------------------------------------------------ *)
-
-let test_pqueue_order () =
-  let q = Pqueue.create () in
-  List.iter (fun (p, v) -> Pqueue.push q p v) [ (3., "c"); (1., "a"); (2., "b") ];
-  let order = List.map snd (Pqueue.to_sorted_list q) in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] order;
-  check_int "non destructive" 3 (Pqueue.length q)
-
-let pqueue_prop =
-  QCheck.Test.make ~name:"pqueue drains sorted" ~count:200
-    QCheck.(list (float_range 0. 100.))
-    (fun floats ->
-      let q = Pqueue.create () in
-      List.iter (fun f -> Pqueue.push q f ()) floats;
-      let rec drain acc =
-        match Pqueue.pop q with None -> List.rev acc | Some (p, ()) -> drain (p :: acc)
-      in
-      let order = drain [] in
-      order = List.sort Float.compare floats)
-
 (* --- Table ------------------------------------------------------------- *)
 
 let test_table_render () =
@@ -260,6 +327,7 @@ let () =
           Alcotest.test_case "resize" `Quick test_bitvec_resize;
         ] );
       ("bitvec-props", qsuite bitvec_props);
+      ("kernel", qsuite [ kernel_prop ]);
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
@@ -288,9 +356,6 @@ let () =
           Alcotest.test_case "floats" `Quick test_keybuf_floats;
         ]
         @ qsuite [ keybuf_int_prop ] );
-      ( "pqueue",
-        Alcotest.test_case "order" `Quick test_pqueue_order
-        :: qsuite [ pqueue_prop ] );
       ( "table",
         [
           Alcotest.test_case "render" `Quick test_table_render;
