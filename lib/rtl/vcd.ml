@@ -1,8 +1,8 @@
 module Graph = Impact_cdfg.Graph
 module Ir = Impact_cdfg.Ir
 module Stg = Impact_sched.Stg
-module Vec = Impact_util.Vec
 module Bitvec = Impact_util.Bitvec
+module Vec = Impact_util.Vec
 
 type signal = { sig_id : string; sig_name : string; sig_width : int }
 

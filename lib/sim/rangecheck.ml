@@ -15,18 +15,16 @@ let check analysis run =
   let g = run.Sim.program.Graph.graph in
   Graph.iter_nodes g ~f:(fun n ->
       let nid = n.Ir.n_id in
-      let av = Ranges.node_fact analysis nid in
-      Array.iter
-        (fun ev ->
-          let v = ev.Sim.ev_output in
-          if not (Ranges.mem av v) then
-            raise
-              (Violation
-                 (Printf.sprintf
-                    "%s: node n%d (%s) produced %s outside its inferred fact %s \
-                     (pass %d)"
-                    run.Sim.program.Graph.prog_name nid n.Ir.n_name
-                    (Bitvec.to_string v) (describe_av av) ev.Sim.ev_pass)))
-        (Sim.node_events run nid))
+      let av = Ranges.node_fact analysis nid and width = Sim.output_width run nid in
+      for i = 0 to Sim.count run nid - 1 do
+        let v = Bitvec.make ~width (Sim.output run nid i) in
+        if not (Ranges.mem av v) then
+          raise
+            (Violation
+               (Printf.sprintf
+                  "%s: node n%d (%s) produced %s outside its inferred fact %s (pass %d)"
+                  run.Sim.program.Graph.prog_name nid n.Ir.n_name (Bitvec.to_string v)
+                  (describe_av av) (Sim.pass run nid i)))
+      done)
 
 let check_run run = check (Ranges.analyze run.Sim.program) run

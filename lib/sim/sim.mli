@@ -134,8 +134,7 @@ val event : run -> Ir.node_id -> int -> event
 (** The [i]th firing as a record. *)
 
 val node_events : run -> Ir.node_id -> event array
-(** Every firing of the node as records: a materialised view for tests,
-    the bench and check-only paths. *)
+(** Every firing of the node as records: a materialised view for tests. *)
 
 val edge_values : run -> Ir.edge_id -> Impact_util.Bitvec.t array
 (** The chronological trace of values carried by an edge across all passes

@@ -142,9 +142,8 @@ let kernel_case =
   let kind = kernel_kinds.(k) in
   let ops =
     match kind with
-    | Ir.Op_shl | Ir.Op_shr -> array_size (return 1) (value w) >>= fun a ->
-      map (fun b -> [| a.(0); b |]) (amount w)
-    | Ir.Op_select -> map2 (fun c bs -> Array.append [| c |] bs) (value 1) (array_size (return 2) (value w))
+    | Ir.Op_shl | Ir.Op_shr -> map2 (fun a b -> [| a; b |]) (value w) (amount w)
+    | Ir.Op_select -> map3 (fun c a b -> [| c; a; b |]) (value 1) (value w) (value w)
     | _ -> array_size (return (Ir.op_arity kind)) (value w)
   in
   map (fun ops -> (kind, width, ops)) ops
