@@ -4,6 +4,7 @@
 
 module Ir = Impact_cdfg.Ir
 module Graph = Impact_cdfg.Graph
+module Builder = Impact_cdfg.Builder
 module Guard = Impact_cdfg.Guard
 module Lexer = Impact_lang.Lexer
 module Parser = Impact_lang.Parser
@@ -165,6 +166,20 @@ let test_workload_missing_input () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected missing-input rejection"
 
+(* The simulator keeps bits only, so a program whose node would carry a
+   value of another width than the graph says is refused before the run:
+   here a 16-bit copy of an 8-bit input, refused even with no pass to
+   fire it. *)
+let test_sim_wrong_width () =
+  let b = Builder.create ~name:"wide" () in
+  let x = Builder.input b "x" ~width:8 in
+  let g = Builder.graph b in
+  let nid = Graph.add_node g ~kind:Ir.Op_copy ~inputs:[ x ] ~width:16 () in
+  let prog = Builder.finish b ~top:(Ir.R_ops [ nid ]) in
+  Alcotest.check_raises "refused before the run"
+    (Invalid_argument "Sim: node copy#0 carries a 8-bit value where the graph says 16")
+    (fun () -> ignore (Sim.simulate prog ~workload:[]))
+
 (* --- Stress: a large random design through the whole flow ------------------- *)
 
 let big_program () =
@@ -261,6 +276,7 @@ let () =
           Alcotest.test_case "rtl ambiguous" `Quick test_rtl_deadlock_ambiguous;
           Alcotest.test_case "rtl cycle budget" `Quick test_rtl_cycle_budget;
           Alcotest.test_case "missing input" `Quick test_workload_missing_input;
+          Alcotest.test_case "sim wrong width" `Quick test_sim_wrong_width;
         ] );
       ("stress", [ Alcotest.test_case "full flow on a large design" `Slow test_stress_full_flow ]);
     ]
