@@ -129,9 +129,9 @@ let measure_cases =
    not only the ones it ends on.  Per benchmark, a seeded walk of random
    applicable moves from the initial power design (10-pass seed-1 workload,
    laxity 2.0) that only takes moves leading to feasible designs; each
-   design on it is measured on a 200-pass seed-1
-   workload at the Binary, Gray and One_hot encodings.  One MD5 per
-   benchmark over the same rendering as the measurement golden. *)
+   design on it is measured on a 200-pass seed-1 workload at the Binary,
+   Gray and One_hot encodings.  One MD5 per benchmark over the same
+   rendering as the measurement golden. *)
 let walk_golden name expected () =
   let bench = Suite.find name in
   let prog = Suite.program bench in
