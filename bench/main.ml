@@ -9,6 +9,7 @@
      dune exec bench/main.exe -- --quick      -- smaller sweeps
      dune exec bench/main.exe -- --jobs 4     -- sections + sweeps on 4 domains
      dune exec bench/main.exe -- fig13-gcd mux-example ...   -- selection
+     dune exec bench/main.exe -- search-default   -- minutes; only when named
 
    Every section renders into its own buffer, so with [--jobs N] whole
    sections (and the sweep points inside them) fan out over one worker
@@ -896,6 +897,101 @@ let gate_glitch buf =
     (Netlist.gate_count nl) (Netlist.net_count nl)
 
 (* ------------------------------------------------------------------ *)
+(* The search default: flat search against the speculative engine        *)
+(* ------------------------------------------------------------------ *)
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+
+let geomean xs =
+  exp (List.fold_left (fun acc x -> acc +. log x) 0. xs /. float_of_int (List.length xs))
+
+(* Default-option sweeps (the CLI's: 60 passes, laxities 1-3) of every
+   benchmark at seeds 1-5 and 1, 2 and 4 probes, one at a time.  [--seed]
+   sets the workload and the search seed together.  I-Power is absolute
+   (the measured power of each point's power design), so runs with
+   different base designs compare.  It takes minutes, so it runs only when
+   named; peak RSS needs a process per configuration and comes from
+   [impact_cli sweep] (DESIGN.md). *)
+let search_default buf =
+  let probe_counts = [ 1; 2; 4 ] and seeds = [ 1; 2; 3; 4; 5 ] in
+  let run bench ~probes ~seed =
+    let options = { Driver.default_options with seed; probes } in
+    let workload = bench.Suite.workload ~seed ~passes:60 in
+    Gc.compact ();
+    let t0 = Unix.gettimeofday () in
+    let sw =
+      Driver.figure13 ~options (Suite.program bench) ~workload
+        ~laxities:[ 1.0; 1.5; 2.0; 2.5; 3.0 ]
+    in
+    let wall = Unix.gettimeofday () -. t0 in
+    let points = sw.Driver.sw_points in
+    let cost d = d.Driver.d_solution.Solution.cost in
+    ( wall,
+      geomean (List.map (fun p -> p.Driver.sp_i_power *. sw.Driver.sw_base_power) points),
+      List.fold_left (fun m p -> Float.max m p.Driver.sp_i_area) 0. points,
+      geomean
+        (List.concat_map
+           (fun p -> [ cost p.Driver.sp_area_design; cost p.Driver.sp_power_design ])
+           points) )
+  in
+  let t =
+    Table.create
+      ~title:"Search default: flat search (1 probe) against 2 and 4 speculative probes"
+      [
+        ("benchmark", Table.Left);
+        ("probes", Table.Right);
+        ("wall s", Table.Right);
+        ("I-Power", Table.Right);
+        ("I-Power range", Table.Right);
+        ("vs 1 probe", Table.Right);
+        ("lower", Table.Right);
+        ("max I-Area", Table.Right);
+        ("cost", Table.Right);
+      ]
+  in
+  List.iter
+    (fun bench ->
+      let flat = ref [] in
+      List.iter
+        (fun probes ->
+          let runs = List.map (fun seed -> run bench ~probes ~seed) seeds in
+          let ipower = List.map (fun (_, p, _, _) -> p) runs in
+          if probes = 1 then flat := ipower;
+          let change = List.map2 (fun p p1 -> 100. *. ((p /. p1) -. 1.)) ipower !flat in
+          let lo xs = List.fold_left Float.min infinity xs
+          and hi xs = List.fold_left Float.max neg_infinity xs in
+          Table.add_row t
+            [
+              bench.Suite.bench_name;
+              string_of_int probes;
+              Printf.sprintf "%.2f" (median (List.map (fun (w, _, _, _) -> w) runs));
+              Printf.sprintf "%.5g" (median ipower);
+              Printf.sprintf "%.5g-%.5g" (lo ipower) (hi ipower);
+              (if probes = 1 then "-"
+               else Printf.sprintf "%+.1f..%+.1f%%" (lo change) (hi change));
+              (if probes = 1 then "-"
+               else
+                 Printf.sprintf "%d/%d"
+                   (List.length (List.filter (fun c -> c < 0.) change))
+                   (List.length seeds));
+              Printf.sprintf "%.3f" (hi (List.map (fun (_, _, a, _) -> a) runs));
+              Printf.sprintf "%.4g" (geomean (List.map (fun (_, _, _, c) -> c) runs));
+            ])
+        probe_counts)
+    Suite.all_extended;
+  ptable buf t;
+  ps buf
+    "(wall: median over seeds 1-5 at --jobs 1; I-Power: geomean over the\n\
+     laxities of the measured power of the power design, median and range\n\
+     over the seeds; vs 1 probe: per-seed I-Power change against the flat\n\
+     search, and the seeds where it is lower; max I-Area over laxities and\n\
+     seeds; cost: geomean over every design of every seed)\n\n"
+
+(* ------------------------------------------------------------------ *)
 
 let sections : (string * (Buffer.t -> unit)) list =
   List.map (fun b -> ("fig13-" ^ b.Suite.bench_name, fig13_section b)) Suite.all
@@ -914,6 +1010,10 @@ let sections : (string * (Buffer.t -> unit)) list =
       ("force-directed", force_directed);
       ("gate-glitch", gate_glitch);
     ]
+
+(* Sections that take minutes: left out of the full report, run only when
+   named. *)
+let on_demand = [ ("search-default", search_default) ]
 
 (* The benchmarks whose Figure-13 sweep a selection will need — prefetched
    through the pool before the sections run, so concurrent sections never
@@ -972,11 +1072,12 @@ let () =
     else
       List.filter_map
         (fun name ->
-          match List.assoc_opt name sections with
+          let named = sections @ on_demand in
+          match List.assoc_opt name named with
           | Some f -> Some (name, f)
           | None ->
             Printf.eprintf "unknown section %s (available: %s)\n" name
-              (String.concat " " (List.map fst sections));
+              (String.concat " " (List.map fst named));
             exit 1)
         args
   in

@@ -81,10 +81,10 @@ let probes_arg =
     & opt int Impact_core.Search.default_num_probes
     & info [ "probes" ]
         ~doc:
-          "Speculative depth probes per search iteration (>= 2 explores \
-           several accepted-prefix pivots concurrently).  Part of the search \
-           definition: changing it changes the trajectory — identically at \
-           any --jobs value.")
+          "Speculative depth probes per search iteration: 1 is the flat \
+           single-trajectory search; >= 2 explores several accepted-prefix \
+           pivots concurrently.  Part of the search definition: changing it \
+           changes the trajectory — identically at any --jobs value.")
 
 let cache_dir_arg =
   Arg.(

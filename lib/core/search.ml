@@ -23,7 +23,7 @@ type stats = {
   frags_scheduled : int;  (* STG fragments computed and filed this run *)
 }
 
-let default_num_probes = 4
+let default_num_probes = 1
 
 let atomic_addf slot x =
   let rec go () =

@@ -57,7 +57,9 @@ type stats = {
 }
 
 val default_num_probes : int
-(** The probe count {!Driver.default_options} uses (4). *)
+(** The probe count {!Driver.default_options} and the CLI use (1, the flat
+    search: DESIGN.md, "Speculative parallel search", gives the
+    quality-vs-time table behind it). *)
 
 val optimize :
   Solution.env ->

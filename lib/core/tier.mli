@@ -28,10 +28,11 @@ module Types : sig
             [IMPACT_JOBS] environment variable) *)
     probes : int;
         (** speculative depth probes per search iteration
-            ({!Search.default_num_probes} by default; [1] selects the flat
-            single-trajectory search).  Part of the search definition — it
-            changes the trajectory — and deliberately independent of [jobs]:
-            any probe count gives bit-identical results at any job count *)
+            ({!Search.default_num_probes}, the flat single-trajectory
+            search, by default; [2] and up select the speculative engine).
+            Part of the search definition — it changes the trajectory — and
+            deliberately independent of [jobs]: any probe count gives
+            bit-identical results at any job count *)
     delta_reprice : bool;
         (** let schedule-keeping moves re-price only their resource footprint
             against the predecessor's energy ledger (bit-identical totals;

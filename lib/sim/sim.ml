@@ -86,15 +86,6 @@ let eval kind ~width ~in_width a b c =
   | Ir.Op_select -> if a <> 0 then b else c
   | Ir.Op_loop_merge -> invalid_arg "Sim.eval: a loop merge fires through its phase"
 
-let compute kind inputs =
-  match kind with
-  | Ir.Op_select -> if Bitvec.to_bool inputs.(0) then inputs.(1) else inputs.(2)
-  | _ ->
-    let ws = Array.map Bitvec.width inputs in
-    let width = result_width kind ~width:ws.(0) ws in
-    let bits i = if i < Array.length inputs then Bitvec.bits inputs.(i) else 0 in
-    Bitvec.make ~width (eval kind ~width ~in_width:ws.(0) (bits 0) (bits 1) (bits 2))
-
 (* --- The simulator ----------------------------------------------------------- *)
 
 type state = {

@@ -82,10 +82,6 @@ val result_width : Ir.op_kind -> width:int -> int array -> int
     @raise Invalid_argument where the operands' widths must agree and do
     not. *)
 
-val compute : Ir.op_kind -> Impact_util.Bitvec.t array -> Impact_util.Bitvec.t
-(** {!eval} on vectors.  [Op_resize] keeps its operand (callers resize to
-    the node width); [Op_select] returns the chosen operand itself. *)
-
 (** {2 Portable runs}
 
     A {!run} minus its program: plain data (the columnar logs, profile,

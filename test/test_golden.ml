@@ -3,15 +3,14 @@
    One MD5 per benchmark over the %h-rendered sweep (base power and area,
    every point's normalised A-Power/I-Power/I-Area and supplies) and, for
    each of its designs, the cost, area, ENC, Vdd, STG signature and the
-   accepted-move list.  A change that moves any of these must say so, and
-   why, with the new digest.  Quick options (test_core's), laxities 1.0 and
-   2.0, 10 workload passes at seed 1. *)
+   accepted-move list (Golden_render).  A change that moves any of these
+   must say so, and why, with the new digest.  Quick options (test_core's),
+   laxities 1.0 and 2.0, 10 workload passes at seed 1.  The default-option
+   sweeps are pinned by figure13_default.ml, outside [dune runtest]. *)
 
 module Suite = Impact_benchmarks.Suite
-module Stg = Impact_sched.Stg
 module Solution = Impact_core.Solution
 module Moves = Impact_core.Moves
-module Search = Impact_core.Search
 module Driver = Impact_core.Driver
 module Measure = Impact_power.Measure
 module Breakdown = Impact_power.Breakdown
@@ -25,27 +24,6 @@ module Rng = Impact_util.Rng
 
 let quick_options =
   { Driver.default_options with depth = 3; max_candidates = 20; max_iterations = 10 }
-
-let render_design buf (d : Driver.design) =
-  let s = d.Driver.d_solution in
-  Printf.bprintf buf "design cost=%h area=%h enc=%h vdd=%h\nsig=%s\n" s.Solution.cost
-    s.Solution.area s.Solution.enc s.Solution.vdd (Stg.signature s.Solution.stg);
-  List.iter
-    (fun m -> Printf.bprintf buf "move %s\n" (Moves.describe m))
-    d.Driver.d_search.Search.moves_applied
-
-let render (sw : Driver.sweep) =
-  let buf = Buffer.create 4096 in
-  Printf.bprintf buf "base power=%h area=%h\n" sw.Driver.sw_base_power sw.Driver.sw_base_area;
-  List.iter
-    (fun p ->
-      Printf.bprintf buf "point %h a_power=%h i_power=%h i_area=%h a_vdd=%h i_vdd=%h\n"
-        p.Driver.sp_laxity p.Driver.sp_a_power p.Driver.sp_i_power p.Driver.sp_i_area
-        p.Driver.sp_a_vdd p.Driver.sp_i_vdd;
-      render_design buf p.Driver.sp_area_design;
-      render_design buf p.Driver.sp_power_design)
-    sw.Driver.sw_points;
-  Buffer.contents buf
 
 (* Each benchmark's sweep is computed once and shared by both goldens. *)
 let sweeps = Hashtbl.create 8
@@ -65,7 +43,7 @@ let sweep_of name =
 
 let golden name expected () =
   Alcotest.(check string) (name ^ " sweep digest") expected
-    (Digest.to_hex (Digest.string (render (sweep_of name))))
+    (Golden_render.sweep_digest (sweep_of name))
 
 (* Measurement golden: the detailed power model pinned bit for bit.
 
@@ -115,14 +93,14 @@ let measure_golden name expected () =
 
 let measure_cases =
   [
-    ("loops", "8de223a51077293255b98945eacb5e9e");
-    ("gcd", "e878991d89475c3ec15cbef15bdf1085");
-    ("send", "cb7322423597e1d519c5d3d204874158");
-    ("dealer", "e73aa096c723b594fae4cb86cc6d20e2");
-    ("cordic", "e3ab129a47053a7f6b08c1563febe84f");
-    ("paulin", "8a7903227ddbf5d2e5b2eab5e1e3f555");
-    ("atm", "f38cc04df0ba1df1e78f3ef9a103a075");
-    ("bresenham", "afcd88a46c405a0f349528c96380fa98");
+    ("loops", "d1e896df21b533f02042de3f00527fae");
+    ("gcd", "52773c848141c8eae9afb3aaeff1db38");
+    ("send", "d90506907a70156fc6710cddb58d24c6");
+    ("dealer", "8b632aaf9dec08a1d48cef10ede94834");
+    ("cordic", "c8a9b50bf5e3127562ec28ad3b26ad7b");
+    ("paulin", "02b3c2e536371098dd71b01adf3b9599");
+    ("atm", "30775c42386795be49156f9de90f8556");
+    ("bresenham", "a92efb0208b63ed3eb8148d0d0514b89");
   ]
 
 (* Random-walk measurement golden: the designs a search passes through,
@@ -243,14 +221,14 @@ let sim_cases =
 
 let cases =
   [
-    ("loops", "9b7e6ec945b1cc66262f55483556f16d");
-    ("gcd", "77037d4aadcff886e5ea9ca3762bfefa");
-    ("send", "da0d54c2046ebeef47721204bcd9ce5c");
-    ("dealer", "c3470839f8882d90f7a6a5f6b77dca37");
-    ("cordic", "af24db875dc4a90ac6c7025c27424645");
-    ("paulin", "9db164cae0568f37ad25d280cd752ca2");
-    ("atm", "f739f10685a4561735b056371777d1df");
-    ("bresenham", "d6829b5be87056099f01308aa5546f8a");
+    ("loops", "91f9f853a214972747ba01fd133146f0");
+    ("gcd", "91246d0840bad0f6edbc42436c50ca2d");
+    ("send", "6fa1a29f63a3e557275c64c16df85820");
+    ("dealer", "e679d0ee2c1221013db68e863ae127c8");
+    ("cordic", "454cf562d3d8b7480ec981fbbfa5f0fb");
+    ("paulin", "b2007ee1fd0163af4b6d7af05540525f");
+    ("atm", "dd1f15d15a4373718e892a0a678a3128");
+    ("bresenham", "3e4a9d423531853abde497ca0a694d68");
   ]
 
 let () =

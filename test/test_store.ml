@@ -1004,10 +1004,10 @@ let test_golden_keys () =
   let pin name expected actual = check_string name expected actual in
   pin "sim_key" "ec911fa95550f4f12c322d6c98ffff1b" (Driver.sim_key prog ~workload);
   pin "traces_key" "3f40b0ddeb3fd818043b3780b1889082" (Driver.traces_key prog ~workload);
-  pin "design_key" "35e06016b35465b068bc9187e0f8e9a8"
+  pin "design_key" "503c91d35ca6140f49dc7101b093de0e"
     (Driver.design_key ~options prog ~workload ~objective:Solution.Minimize_power
        ~laxity:2.0);
-  pin "sweep_key" "1a7973ec7d6e41f3fa6c5dd9eb97f9b0" (Driver.sweep_key ~options prog ~workload ~laxities:[ 1.0; 2.0 ]);
+  pin "sweep_key" "8a4d69971f357d3feda9b774f97ba6d3" (Driver.sweep_key ~options prog ~workload ~laxities:[ 1.0; 2.0 ]);
   pin "frag context" "impact-store|3|frag|a3b02b52b1e93c18ecc61171fbdeaec5" (Tier.frag_context prog);
   with_dir (fun d ->
       let store = Store.open_store ~dir:d () in
