@@ -161,6 +161,9 @@ let design_fingerprint d =
     moves_of d,
     d.Driver.d_search.Search.candidates_evaluated )
 
+(* The pool only does work under the speculative probe engine ([probes = 4]);
+   the default flat search ignores it (test_parallel_sweep's "flat" group), so
+   these runs name the engine they compare. *)
 let synth bench ~jobs ~objective ~seed =
   let prog = Suite.program bench in
   let workload = bench.Suite.workload ~seed:17 ~passes:25 in
@@ -170,6 +173,7 @@ let synth bench ~jobs ~objective ~seed =
       depth = 3;
       max_candidates = 16;
       max_iterations = 8;
+      probes = 4;
       seed;
       jobs;
     }
@@ -267,13 +271,19 @@ let test_speculative_seed_property =
    empty cache and must match a fresh-cache run exactly; later calls reuse
    its entries (every cached build is a genuinely evaluated solution, but
    the trajectory may visit relabeled-isomorphic bindings, so only the
-   first call is compared bit-for-bit). *)
-let test_shared_cache_consistent () =
+   first call is compared bit-for-bit).  Run under both search engines. *)
+let test_shared_cache_consistent ~probes () =
   let bench = Suite.gcd in
   let prog = Suite.program bench in
   let workload = bench.Suite.workload ~seed:17 ~passes:25 in
   let options =
-    { Driver.default_options with depth = 3; max_candidates = 16; max_iterations = 8 }
+    {
+      Driver.default_options with
+      depth = 3;
+      max_candidates = 16;
+      max_iterations = 8;
+      probes;
+    }
   in
   let fresh objective =
     Driver.synthesize ~options prog ~workload ~objective ~laxity:2.0 ()
@@ -326,7 +336,9 @@ let () =
             test_search_deterministic_dealer;
           QCheck_alcotest.to_alcotest test_search_seed_property;
           Alcotest.test_case "shared cache consistent" `Quick
-            test_shared_cache_consistent;
+            (test_shared_cache_consistent ~probes:4);
+          Alcotest.test_case "shared cache consistent (flat)" `Quick
+            (test_shared_cache_consistent ~probes:1);
         ] );
       ( "speculative",
         List.map

@@ -25,8 +25,17 @@ let check_int = Alcotest.(check int)
 
 (* --- figure13 over the pool = sequential figure13 -------------------------- *)
 
+(* [probes = 4]: the speculative engine nests its probe batches inside the
+   pooled sweep; the flat search would leave the pool to the coarse fan-out
+   alone, which a one-core host skips. *)
 let sweep_options =
-  { Driver.default_options with depth = 2; max_candidates = 10; max_iterations = 4 }
+  {
+    Driver.default_options with
+    depth = 2;
+    max_candidates = 10;
+    max_iterations = 4;
+    probes = 4;
+  }
 
 let sweep bench opts =
   let prog = Suite.program bench in
