@@ -116,10 +116,14 @@ let synthesize_env ~options ?pool ?cache env ~enc_min ~objective ~laxity =
   }
 
 (* Create the pool and signature cache unless the caller supplied shared
-   ones, and always shut a created pool down.  [frags] seeds a created
-   cache's fragment memo; a caller-supplied cache keeps its own. *)
-let with_engine ~options ?pool ?cache ~frags f =
-  let cache = match cache with Some _ -> cache | None -> Some (Solution.create_cache ~frags ()) in
+   ones, and always shut a created pool down.  A created cache gets a fresh
+   fragment memo; a caller-supplied cache keeps its own. *)
+let with_engine ~options ?pool ?cache f =
+  let cache =
+    match cache with
+    | Some _ -> cache
+    | None -> Some (Solution.create_cache ~frags:(Impact_sched.Fragcache.create ()) ())
+  in
   match pool with
   | Some _ -> f ?pool ?cache ()
   | None ->
@@ -145,8 +149,7 @@ let synthesize ?(options = default_options) ?pool ?cache ?store ?workload_id pro
   let we = workload_env ~options ?store program ~workload_id ~workload in
   Tier.find_or_synthesize ?store ~options program ~workload:workload_id ~objective ~laxity we
     (fun env ->
-      with_engine ~options ?pool ?cache ~frags:(Tier.frags ?store program)
-        (fun ?pool ?cache () ->
+      with_engine ~options ?pool ?cache (fun ?pool ?cache () ->
           synthesize_env ~options ?pool ?cache env ~enc_min:(Tier.enc_min we) ~objective
             ~laxity))
 
@@ -188,8 +191,7 @@ let figure13 ?(options = default_options) ?pool ?cache ?store ?workload_id progr
   let workload_id = Tier.workload_id ?id:workload_id workload in
   let we = workload_env ~options ?store program ~workload_id ~workload in
   let cold () =
-    let frags = Tier.frags ?store program in
-    with_engine ~options ?pool ?cache ~frags (fun ?pool ?cache () ->
+    with_engine ~options ?pool ?cache (fun ?pool ?cache () ->
         let synth ~objective ~laxity =
           synthesize_env ~options ?pool ?cache (Tier.env_at we ~objective ~laxity)
             ~enc_min:(Tier.enc_min we) ~objective ~laxity

@@ -1,6 +1,5 @@
 module Graph = Impact_cdfg.Graph
 module Scheduler = Impact_sched.Scheduler
-module Fragcache = Impact_sched.Fragcache
 module Stg = Impact_sched.Stg
 module Sim = Impact_sim.Sim
 module Module_library = Impact_modlib.Module_library
@@ -143,10 +142,6 @@ let sim_key program ~workload =
 let traces_key program ~workload =
   Store.key (canonical [ "traces"; program_digest program; workload_digest workload ])
 
-(* The per-region digest covers the config fingerprint and every per-node
-   model value, so fragments need only the program identity as context. *)
-let frag_context program = canonical [ "frag"; program_digest program ]
-
 (* Only trajectory-defining knobs participate: [jobs] and [delta_reprice]
    are bit-identity-neutral by construction, so results computed at any
    engine configuration serve every other one. *)
@@ -199,8 +194,8 @@ let decode tier payload =
 let find tier st k = Option.bind (Store.find ~ns:tier.ns st k) (decode tier)
 
 (* The store is a cache: a lost write only costs a later recompute. *)
-let put_raw ~ns ~cost_ns st k payload = try Store.put ~ns ~cost_ns st k payload with _ -> ()
-let put tier ~cost_ns st k v = put_raw ~ns:tier.ns ~cost_ns st k (encode tier v)
+let put tier ~cost_ns st k v =
+  try Store.put ~ns:tier.ns ~cost_ns st k (encode tier v) with _ -> ()
 
 let check_enabled () =
   match Sys.getenv_opt "IMPACT_STORE_CHECK" with
@@ -291,17 +286,6 @@ let sync_traces st program ~workload est_ctx =
     if merged <> existing then
       put traces_tier ~cost_ns:(Estimate.memo_cost_ns est_ctx) st k merged
   with _ -> ()
-
-(* --- frag: the fragment cache's backing ------------------------------------ *)
-
-let frags ?store program =
-  let backing st =
-    {
-      Fragcache.bk_find = (fun full -> try Store.find ~ns:"frag" st (Store.key full) with _ -> None);
-      bk_put = (fun full ~cost_ns payload -> put_raw ~ns:"frag" ~cost_ns st (Store.key full) payload);
-    }
-  in
-  Fragcache.create ~context:(frag_context program) ?backing:(Option.map backing store) ()
 
 (* --- design and sweep: find-or-compute ---------------------------------------
 

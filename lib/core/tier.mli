@@ -3,7 +3,7 @@
     restores it and the policy that fills it.  {!Driver} calls in here and
     never touches {!Impact_store.Store} itself.
 
-    Five tiers share one contract — a content {b key} digesting exactly the
+    Four tiers share one contract — a content {b key} digesting exactly the
     artifact's inputs, a {b tag codec} ([Marshal (tag, value)], a foreign
     tag reads as a miss), a {b restore/validate} step that turns a decoded
     entry back into a live value or rejects it as a miss, a {b fingerprint}
@@ -112,9 +112,6 @@ val options_fingerprint : options -> string
 val sim_key : Impact_cdfg.Graph.program -> workload:workload_id -> string
 val traces_key : Impact_cdfg.Graph.program -> workload:workload_id -> string
 
-val frag_context : Impact_cdfg.Graph.program -> string
-(** The prefix of every ["frag"]-tier fragment key of the program. *)
-
 val design_key :
   options:options ->
   Impact_cdfg.Graph.program ->
@@ -161,11 +158,14 @@ val find_or_compute :
     [IMPACT_STORE_CHECK=1] a hit also runs [cold] and fails unless both
     fingerprints agree.  Without a store it is [cold ()]. *)
 
-(** {1 The five tiers}
+(** {1 The four tiers}
 
     [sim], [design] and [sweep] are find-or-compute; [traces] seeds a fresh
-    estimation context and accumulates after each request; [frag] backs the
-    scheduler's fragment cache. *)
+    estimation context and accumulates after each request.  [design] and
+    [sweep] share the ["design"] namespace under different tags.  The
+    scheduler's fragment cache is not a tier: it lives in memory for one
+    request or sweep, because filing each fragment on disk cost more than
+    re-scheduling it. *)
 
 val sim_tier : Impact_sim.Sim.portable_run t
 (** The ["sim"] namespace, tagged with the columnar log's layout. *)
@@ -204,10 +204,6 @@ type design_entry = {
 
 val design_tier : design_entry t
 (** The tier of single stored designs, in the ["design"] namespace. *)
-
-val frags : ?store:Impact_store.Store.t -> Impact_cdfg.Graph.program -> Impact_sched.Fragcache.t
-(** A fragment cache for the program, backed by the ["frag"] tier when a
-    store is given. *)
 
 (** {1 The per-handle workload environment}
 

@@ -249,26 +249,3 @@ let schedule analysis ~delay ~clock_ns ?latency nodes =
       compute_frames ops latency
   done;
   to_result ops latency
-
-let to_states ~delay ~clock_ns result =
-  let n_states = max 1 result.latency in
-  let per_state = Array.make n_states [] in
-  List.iter
-    (fun p ->
-      let lat = delay.Models.op_latency_ns p.fd_node in
-      let finish =
-        if p.fd_duration <= 1 then lat
-        else lat -. (float_of_int (p.fd_duration - 1) *. clock_ns)
-      in
-      per_state.(p.fd_step) <-
-        {
-          Stg.f_node = p.fd_node;
-          f_phase = Stg.Normal;
-          f_guard = Impact_cdfg.Guard.always;
-          f_start_ns = 0.;
-          f_finish_ns = Float.max 0. finish;
-          f_chain_pos = 0;
-        }
-        :: per_state.(p.fd_step))
-    result.placements;
-  Array.to_list (Array.map (fun firings -> { Stg.firings = List.rev firings }) per_state)

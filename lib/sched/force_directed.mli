@@ -45,9 +45,3 @@ val asap :
   Ir.node_id list ->
   result
 (** The as-soon-as-possible placement (no balancing), for comparison. *)
-
-val to_states :
-  delay:Models.delay_model -> clock_ns:float -> result -> Stg.state list
-(** Renders placements as STG states (one per control step, firings
-    unguarded and unchained), so a force-directed leaf drops into the same
-    fragment machinery as the chained list scheduler. *)

@@ -12,8 +12,8 @@
 
     A cache must only be shared between schedules of one program (region
     structure and guard context are program-wide inputs the per-region
-    digest assumes fixed); callers bind the program identity into
-    [context].
+    digest assumes fixed).  It lives in memory only, for one request or
+    one sweep.
 
     The table is {!Impact_util.Shardtbl}-sharded and safe to share across
     domains.  {!fork}/{!commit} mirror the estimator-ledger replica
@@ -27,48 +27,29 @@
 
 type t
 
-type backing = {
-  bk_find : string -> string option;
-  bk_put : string -> cost_ns:int -> string -> unit;
-}
-(** Persistence callbacks (the driver wires these to the store's ["frag"]
-    namespace; the scheduler layer has no store dependency).  Keys are
-    [context ^ "\000" ^ key], built only at this boundary (the in-memory
-    tables hold the key alone); payloads are opaque.  [cost_ns] is the
-    measured recompute cost of the fragment, for the store's cost-per-byte
-    eviction. *)
-
-val create : ?context:string -> ?backing:backing -> unit -> t
-(** [context] is prepended to every key — bind the program digest (and any
-    other schedule-wide identity) here.  With [backing], misses fall
-    through to persistent lookup and new fragments are written back. *)
-
-val context : t -> string
+val create : ?context:string -> unit -> t
+(** An empty cache.  [context] is unused: nothing outside the process
+    shares a cache, so nothing needs a program name in its keys.  It is
+    accepted because the benchmark harness ([perfbench/]) passes it. *)
 
 val fork : t -> t
-(** A probe-private view over the same shared table, counters and backing:
-    reads fall through a fresh overlay, writes land in the overlay only.
-    Forking a fork shares the same underlying table with a fresh overlay. *)
+(** A probe-private view over the same shared table and counters: reads
+    fall through a fresh overlay, writes land in the overlay only.  Forking
+    a fork shares the same underlying table with a fresh overlay. *)
 
 val commit : t -> unit
-(** Publishes a forked view's overlay into the shared table and the
-    backing, then empties the overlay.  Entries are pure functions of
-    their keys, so publication order never changes a value.  Only entries
-    that win their shared-table insert are written to the backing: a key
-    another probe already published is persisted once, and entries that
-    came from the backing are never written back.  No-op on an unforked
-    cache. *)
+(** Publishes a forked view's overlay into the shared table, then empties
+    the overlay.  Entries are pure functions of their keys, so publication
+    order never changes a value: a key already filed keeps its entry.
+    No-op on an unforked cache. *)
 
 val find : t -> string -> Stg.frag option
-(** A fresh mutable materialisation of the fragment cached under
-    (context, key), or [None].  Disk-sourced snapshots are bounds-validated
-    ({!Stg.portable_frag_wf}); corrupt payloads read as misses. *)
+(** A fresh mutable materialisation of the fragment cached under the key,
+    or [None]. *)
 
-val add : t -> string -> cost_ns:int -> Stg.frag -> unit
+val add : t -> string -> Stg.frag -> unit
 (** Snapshots [frag] (safe against later in-place composition) and files it
-    under (context, key) with its measured recompute cost.  On an unforked
-    cache it writes through to the backing unless the key was already
-    filed. *)
+    under the key, unless the key is already filed. *)
 
 val counters : t -> int * int
 (** [(reused, scheduled)]: fragments served from the cache vs computed and

@@ -12,7 +12,6 @@ type config = {
   fold_loop_cond : bool;
   parallel_regions : bool;
   max_product_states : int;
-  fds_leaves : bool;
 }
 
 let config_of_style style ~clock_ns =
@@ -24,7 +23,6 @@ let config_of_style style ~clock_ns =
       fold_loop_cond = true;
       parallel_regions = true;
       max_product_states = 20_000;
-      fds_leaves = false;
     }
   | Baseline ->
     {
@@ -33,7 +31,6 @@ let config_of_style style ~clock_ns =
       fold_loop_cond = false;
       parallel_regions = false;
       max_product_states = 20_000;
-      fds_leaves = false;
     }
 
 (* [IMPACT_SCHED_CHECK=1]: every spliced schedule is recomputed cold (no
@@ -128,33 +125,27 @@ let seq_groups cfg g children =
    the mux delay on each input port, the mux delay into its destination
    register, its functional-unit binding and whether that unit pipelines.
    (Graph-wide inputs — edges, guards, mutual exclusion — are constant for
-   one program and bound into the cache's context by the caller.)  Those are
-   exactly the inputs {!Leaf.schedule}/{!Force_directed.schedule} and the
-   composition rules read, so two regions with equal keys schedule to
-   bit-identical fragments: fragment reuse is sound by construction, not by
-   invalidation bookkeeping.  Moves perturb the models only for operations
-   on the units/registers they touch, so untouched regions keep their keys
-   and splice their previous fragments verbatim.
+   one program, and a cache serves one program.)  Those are exactly the
+   inputs {!Leaf.schedule} and the composition rules read, so two regions
+   with equal keys schedule to bit-identical fragments: fragment reuse is
+   sound by construction, not by invalidation bookkeeping.  Moves perturb
+   the models only for operations on the units/registers they touch, so
+   untouched regions keep their keys and splice their previous fragments
+   verbatim.
 
-   A key is a prefix fixed by the program and config (format byte, config
-   fingerprint, tag, structure), built once in the plan, followed by each
-   contained node's model bytes in {!Ir.region_nodes} order.  A region's
+   A key is a prefix fixed by the program and config (config fingerprint,
+   tag, structure), built once in the plan, followed by each contained
+   node's model bytes in {!Ir.region_nodes} order.  A region's
    nodes are a contiguous run of the top region's node order, so one
    reschedule encodes every node's model bytes once and each key is its
    prefix plus one slice of that encoding. *)
 
-(* The first byte of every region key.  A store may hold fragments filed
-   by a build with another key format; a distinct leading byte makes those
-   read as misses instead of aliasing a key of this format. *)
-let key_format = '\002'
-
 let config_fingerprint cfg =
-  Printf.sprintf "%h|%b|%b|%b|%d|%b|" cfg.clock_ns cfg.flatten_ifs
-    cfg.fold_loop_cond cfg.parallel_regions cfg.max_product_states cfg.fds_leaves
+  Printf.sprintf "%h|%b|%b|%b|%d|" cfg.clock_ns cfg.flatten_ifs
+    cfg.fold_loop_cond cfg.parallel_regions cfg.max_product_states
 
 let key_prefix ~cfg_fp ~tag region =
   let kb = Keybuf.create 256 in
-  Keybuf.tag kb key_format;
   Keybuf.string kb cfg_fp;
   Keybuf.tag kb tag;
   let rec structure r =
@@ -202,10 +193,6 @@ let add_models kb g ~delay ~res nid =
    those — every node's effective guard.  A plan is immutable once built,
    so one plan serves every reschedule of a search on any domain. *)
 
-(* A leaf of plain operations, with the ids the force-directed balancer
-   reads. *)
-type ops = { o_ids : Ir.node_id list; o_leaf : Leaf.plan }
-
 type pnode = {
   p_first : int;
   p_count : int;  (* the region's nodes: a run of the top region's node order *)
@@ -215,7 +202,7 @@ type pnode = {
 
 and kind =
   | K_empty
-  | K_ops of ops
+  | K_ops of Leaf.plan
   | K_seq of { children : pnode list; groups : group list }
       (* [children] in sequence order, for {!region_report} *)
   | K_if of branch
@@ -224,7 +211,7 @@ and kind =
       cond_p : pnode;  (* for {!region_report}; scheduling reads [steps] *)
       body : pnode;
       steps : Leaf.plan loop_steps;
-      elps : ops option;
+      elps : Leaf.plan option;
     }
 
 and group = G_fork of branch | G_one of pnode | G_par of pnode list
@@ -233,7 +220,7 @@ and branch = {
   b_cond_edge : Ir.edge_id;
   b_then : pnode;
   b_else : pnode;
-  b_sels : ops option;
+  b_sels : Leaf.plan option;
   b_key_p : string option;  (* key prefix under 'P', for parallel products *)
 }
 
@@ -248,7 +235,6 @@ type plan = {
   pl_top_region : Ir.region;  (* unflattened: the plan's identity *)
   pl_cfg : config;
   pl_cfg_fp : string;  (* {!config_fingerprint}: the plan's config identity *)
-  pl_analysis : Analysis.t;  (* every guard computed: read-only from here on *)
   pl_nodes : Ir.node_id array;  (* the flattened top region's node order *)
   pl_top : pnode;
 }
@@ -264,7 +250,7 @@ let make_plan cfg g top_region =
   done;
   let top = if cfg.flatten_ifs then flatten top_region else top_region in
   let cfg_fp = config_fingerprint cfg in
-  let ops ids = { o_ids = ids; o_leaf = Leaf.prepare analysis (List.map Leaf.normal ids) } in
+  let ops ids = Leaf.prepare analysis (List.map Leaf.normal ids) in
   let ops_opt ids = if ids = [] then None else Some (ops ids) in
   (* [first] is the region's position in the top region's node order;
      children are planned in {!Ir.region_nodes} order so each one's first
@@ -325,7 +311,6 @@ let make_plan cfg g top_region =
     pl_top_region = top_region;
     pl_cfg = cfg;
     pl_cfg_fp = cfg_fp;
-    pl_analysis = analysis;
     pl_nodes = Array.of_list (Ir.region_nodes top);
     pl_top = plan_region 0 top;
   }
@@ -446,10 +431,8 @@ let cached_frag ctx prefix p compute =
       end;
       frag
     | None ->
-      let t0 = Impact_util.Parallel.now_s () in
       let frag = compute () in
-      let cost_ns = int_of_float ((Impact_util.Parallel.now_s () -. t0) *. 1e9) in
-      Fragcache.add fc key ~cost_ns frag;
+      Fragcache.add fc key frag;
       frag)
 
 (* --- Fragment composition ----------------------------------------------- *)
@@ -544,22 +527,12 @@ let leaf_frag ctx leaf =
   Stg.frag_of_chain
     (Leaf.run leaf ~delay:ctx.delay ~res:ctx.res ~clock_ns:ctx.plan.pl_cfg.clock_ns)
 
-(* Pure dataflow leaves can alternatively be scheduled by the
-   force-directed balancer (no chaining, resource-levelled). *)
-let ops_frag ctx { o_ids; o_leaf } =
-  let clock_ns = ctx.plan.pl_cfg.clock_ns in
-  if ctx.plan.pl_cfg.fds_leaves && o_ids <> [] then
-    Stg.frag_of_chain
-      (Force_directed.to_states ~delay:ctx.delay ~clock_ns
-         (Force_directed.schedule ctx.plan.pl_analysis ~delay:ctx.delay ~clock_ns o_ids))
-  else leaf_frag ctx o_leaf
-
 let rec region_frag ctx p = cached_frag ctx p.p_key_r p (fun () -> region_frag_raw ctx p)
 
 and region_frag_raw ctx p =
   match p.p_kind with
   | K_empty -> Stg.frag_empty ()
-  | K_ops ops -> ops_frag ctx ops
+  | K_ops ops -> leaf_frag ctx ops
   | K_seq { groups; _ } -> seq_frag ctx groups
   | K_if b -> branch_frag ctx (Stg.frag_empty ()) b
   | K_loop { cond_edge; body; steps; elps; _ } ->
@@ -575,7 +548,7 @@ and region_frag_raw ctx p =
         Headed { pre; cond; latch = leaf_frag ctx latch }
     in
     let f = loop_wire ~cond_edge body_f steps in
-    (match elps with None -> f | Some elps -> Stg.seq f (ops_frag ctx elps))
+    (match elps with None -> f | Some elps -> Stg.seq f (leaf_frag ctx elps))
 
 (* A conditional forked directly off [prefix] (no dispatch state), then its
    Sel muxes. *)
@@ -583,7 +556,7 @@ and branch_frag ctx prefix b =
   let then_f = region_frag ctx b.b_then in
   let else_f = region_frag ctx b.b_else in
   let forked = Stg.fork prefix ~cond_edge:b.b_cond_edge ~then_f ~else_f in
-  match b.b_sels with None -> forked | Some sels -> Stg.seq forked (ops_frag ctx sels)
+  match b.b_sels with None -> forked | Some sels -> Stg.seq forked (leaf_frag ctx sels)
 
 (* Sequential children, with parallel grouping of independent siblings and
    conditional forks folded onto the running fragment. *)
@@ -640,13 +613,7 @@ let ref_leaf rc specs =
     (Leaf.schedule rc.r_analysis ~delay:rc.r_delay ~res:rc.r_res
        ~clock_ns:rc.r_cfg.clock_ns specs)
 
-let ref_ops rc ids =
-  if rc.r_cfg.fds_leaves && ids <> [] then
-    Stg.frag_of_chain
-      (Force_directed.to_states ~delay:rc.r_delay ~clock_ns:rc.r_cfg.clock_ns
-         (Force_directed.schedule rc.r_analysis ~delay:rc.r_delay
-            ~clock_ns:rc.r_cfg.clock_ns ids))
-  else ref_leaf rc (List.map Leaf.normal ids)
+let ref_ops rc ids = ref_leaf rc (List.map Leaf.normal ids)
 
 let rec ref_region rc region =
   match region with

@@ -32,13 +32,6 @@ type config = {
   fold_loop_cond : bool;
   parallel_regions : bool;
   max_product_states : int;
-  fds_leaves : bool;
-      (** schedule pure dataflow leaves with force-directed scheduling [23]
-          instead of the chained list scheduler (no chaining; balances
-          same-class concurrency).  Like the original algorithm this is a
-          pre-binding scheduler: it ignores functional-unit sharing, so use
-          it with the parallel architecture (its peak-usage output is what
-          tells the binder how few units suffice). *)
 }
 
 val config_of_style : style -> clock_ns:float -> config
@@ -53,7 +46,7 @@ val schedule :
 (** Reads the {e schedule plan} of [(program, config)]: everything the
     scheduler needs that depends on the program alone — the flattened
     region tree and its node order, each cacheable region's key prefix
-    (format byte, config fingerprint, tag and structure bytes), each
+    (config fingerprint, tag and structure bytes), each
     sequence's sibling dependence groups, each leaf's specification array
     with its in-leaf predecessor/successor arrays and extern-guard flags,
     and every node's effective guard.  The plan is built on first use,
@@ -73,7 +66,7 @@ val schedule :
     recomputed every call, and the key covers every input leaf
     scheduling reads, so the result is bit-identical to a cache-less
     schedule.  The cache must only be reused across calls that agree on the
-    program (bind its identity into the cache's context).
+    program.
 
     With the [IMPACT_SCHED_CHECK] environment variable set (to anything but
     [0] or the empty string), every spliced schedule is recomputed cold by

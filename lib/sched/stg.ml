@@ -200,7 +200,7 @@ let frag_state f id = Vec.get f.fstates id
 let frag_state_count f = Vec.length f.fstates
 let frag_succs f id = Vec.get f.ftrans id
 
-(* A frozen, Marshal-safe copy of a fragment.  Fragments are mutable (the
+(* A frozen copy of a fragment.  Fragments are mutable (the
    composition operators splice states into their left argument in place),
    so a cached fragment must be snapshotted on the way in and materialised
    as a fresh copy on the way out — sharing the live value would let a
@@ -227,21 +227,6 @@ let frag_of_portable p =
     fentry = p.pf_entry;
     fexits = p.pf_exits;
   }
-
-(* Bounds-validation for snapshots of untrusted provenance (the on-disk
-   fragment tier): every state id mentioned anywhere must refer to a state
-   of the snapshot itself.  A corrupt snapshot reads as a cache miss rather
-   than an out-of-bounds access deep inside a later composition. *)
-let portable_frag_wf p =
-  let n = Array.length p.pf_states in
-  n > 0
-  && Array.length p.pf_succs = n
-  && p.pf_entry >= 0
-  && p.pf_entry < n
-  && Array.for_all
-       (List.for_all (fun { t_dst; _ } -> t_dst >= 0 && t_dst < n))
-       p.pf_succs
-  && List.for_all (fun (s, _) -> s >= 0 && s < n) p.pf_exits
 
 let frag_of_chain states =
   match states with

@@ -156,7 +156,3 @@ val frag_of_portable : portable_frag -> frag
 (** A fresh mutable fragment; the snapshot is never aliased, so the result
     can be composed (and thereby mutated) freely. *)
 
-val portable_frag_wf : portable_frag -> bool
-(** Bounds-validation for snapshots of untrusted provenance (the on-disk
-    fragment tier): entry, every transition destination and every exit
-    source must name a state of the snapshot itself. *)

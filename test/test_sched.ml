@@ -344,50 +344,6 @@ let test_fd_rejects_tight_latency () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected latency rejection"
 
-let test_fds_leaves_end_to_end () =
-  (* Whole-flow equivalence with force-directed leaves: schedule, simulate
-     at the RTL and compare against the interpreter. *)
-  List.iter
-    (fun bench ->
-      let prog = Elaborate.from_source bench.Impact_benchmarks.Suite.source in
-      let typed =
-        Impact_lang.Typecheck.check
-          (Impact_lang.Parser.parse bench.Impact_benchmarks.Suite.source)
-      in
-      let binding =
-        Impact_rtl.Binding.parallel prog.Graph.graph Module_library.default
-      in
-      let dp = Impact_rtl.Datapath.build binding in
-      let cfg =
-        {
-          (Scheduler.config_of_style Scheduler.Wavesched ~clock_ns:15.) with
-          Scheduler.fds_leaves = true;
-        }
-      in
-      let stg =
-        Scheduler.schedule cfg prog
-          ~delay:(Impact_rtl.Datapath.delay_model dp)
-          ~res:(Impact_rtl.Datapath.resource_model dp)
-      in
-      check_int "no schedule issues" 0 (List.length (Check.check prog stg));
-      let workload = bench.Impact_benchmarks.Suite.workload ~seed:19 ~passes:10 in
-      let rtl = Impact_rtl.Rtl_sim.simulate prog stg binding ~workload in
-      List.iteri
-        (fun pass inputs ->
-          let expected = (Impact_lang.Interp.run typed ~inputs).Impact_lang.Interp.results in
-          List.iter
-            (fun (name, v) ->
-              Alcotest.(check int)
-                (Printf.sprintf "%s pass %d %s" bench.Impact_benchmarks.Suite.bench_name
-                   pass name)
-                (Impact_util.Bitvec.to_signed v)
-                (Impact_util.Bitvec.to_signed
-                   (List.assoc name rtl.Impact_rtl.Rtl_sim.pass_outputs.(pass))))
-            expected)
-        workload)
-    [ Impact_benchmarks.Suite.gcd; Impact_benchmarks.Suite.cordic;
-      Impact_benchmarks.Suite.paulin ]
-
 let test_fd_paulin_body () =
   (* The classic demonstration target: Paulin's six multiplications. *)
   let bench = Impact_benchmarks.Suite.paulin in
@@ -444,6 +400,5 @@ let () =
           Alcotest.test_case "latency bound" `Quick test_fd_latency_bound_respected;
           Alcotest.test_case "tight latency" `Quick test_fd_rejects_tight_latency;
           Alcotest.test_case "paulin body" `Quick test_fd_paulin_body;
-          Alcotest.test_case "fds leaves end-to-end" `Quick test_fds_leaves_end_to_end;
         ] );
     ]

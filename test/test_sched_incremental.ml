@@ -3,10 +3,10 @@
    evaluation bit for bit (STG signature, ENC, cost fingerprints); a move's
    schedule perturbation must stay inside its declared resource footprint;
    spliced fragments must pass the structural splice checks; the
-   fragment cache must honour its snapshot, fork/commit and persistence
-   contracts; the binary binding key must partition solutions exactly as
-   the text it replaced, and the schedule key exactly as the signature of
-   the schedule with its firing times erased. *)
+   fragment cache must honour its snapshot and fork/commit contracts; the
+   binary binding key must partition solutions exactly as the text it
+   replaced, and the schedule key exactly as the signature of the schedule
+   with its firing times erased. *)
 
 module Graph = Impact_cdfg.Graph
 module Guard = Impact_cdfg.Guard
@@ -25,8 +25,6 @@ module Rng = Impact_util.Rng
 module Suite = Impact_benchmarks.Suite
 module Solution = Impact_core.Solution
 module Moves = Impact_core.Moves
-module Driver = Impact_core.Driver
-module Store = Impact_store.Store
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -78,7 +76,7 @@ let fingerprint sol =
    are exercised on real fragments too. *)
 let walk_identical bench ~seed ~steps =
   let env = make_env bench 2.5 in
-  let frags = Fragcache.create ~context:bench.Suite.bench_name () in
+  let frags = Fragcache.create () in
   let cache = Solution.create_cache ~frags () in
   let rng = Rng.create ~seed in
   let sol = ref (Solution.initial env) in
@@ -233,7 +231,7 @@ let test_heavy_resched_splices () =
         Moves.candidates env sol ~rng ~max:1000
         |> List.filter (fun m -> not (Moves.reprices env sol m))
       in
-      let frags = Fragcache.create ~context:name () in
+      let frags = Fragcache.create () in
       let cache = Solution.create_cache ~frags () in
       let models =
         List.filter_map (Moves.apply ~cache env sol) heavy
@@ -275,9 +273,8 @@ let test_splice_checks () =
   let sol = Solution.initial env in
   check_int "instantiated STG has no splice errors" 0
     (List.length (Diagnostic.errors (Check.splice_issues sol.Solution.stg)));
-  (* Corrupt snapshots: dangling transition, entry out of range.  Both must
-     fail the portable well-formedness gate (what the disk tier uses), and
-     the materialised dangling fragment must fail the splice check. *)
+  (* A materialised fragment with a dangling transition fails the splice
+     check. *)
   let dangling =
     {
       Stg.pf_states = [| mk_state |];
@@ -286,16 +283,9 @@ let test_splice_checks () =
       pf_exits = [];
     }
   in
-  check_bool "dangling transition rejected by wf" false
-    (Stg.portable_frag_wf dangling);
   check_bool "dangling transition caught by splice check" true
     (Diagnostic.errors (Check.splice_frag_issues (Stg.frag_of_portable dangling))
-    <> []);
-  let bad_entry = { dangling with pf_succs = [| [] |]; pf_entry = 3 } in
-  check_bool "entry out of range rejected by wf" false
-    (Stg.portable_frag_wf bad_entry);
-  let bad_exit = { bad_entry with pf_entry = 0; pf_exits = [ (9, Guard.always) ] } in
-  check_bool "exit out of range rejected by wf" false (Stg.portable_frag_wf bad_exit)
+    <> [])
 
 (* --- Fragment cache contracts ---------------------------------------------- *)
 
@@ -303,10 +293,10 @@ let frag_shape f =
   (Stg.frag_state_count f, Stg.frag_entry f, List.map fst (Stg.frag_exits f))
 
 let test_fragcache_roundtrip () =
-  let fc = Fragcache.create ~context:"ctx" () in
+  let fc = Fragcache.create () in
   let f = Stg.frag_of_chain [ mk_state; mk_state ] in
   check_bool "miss before add" true (Fragcache.find fc "k" = None);
-  Fragcache.add fc "k" ~cost_ns:10 f;
+  Fragcache.add fc "k" f;
   (match Fragcache.find fc "k" with
   | None -> Alcotest.fail "added fragment not found"
   | Some g ->
@@ -326,117 +316,31 @@ let test_fragcache_fork_commit () =
   let fc = Fragcache.create () in
   let probe = Fragcache.fork fc in
   let f = Stg.frag_of_chain [ mk_state ] in
-  Fragcache.add probe "a" ~cost_ns:1 f;
+  Fragcache.add probe "a" f;
   check_bool "probe sees its own entry" true (Fragcache.find probe "a" <> None);
   check_bool "parent isolated before commit" true (Fragcache.find fc "a" = None);
   Fragcache.commit probe;
   check_bool "commit publishes to the shared table" true
     (Fragcache.find fc "a" <> None)
 
-let test_fragcache_backing () =
-  let disk = Hashtbl.create 8 in
-  let backing =
-    {
-      Fragcache.bk_find = Hashtbl.find_opt disk;
-      bk_put = (fun k ~cost_ns:_ v -> Hashtbl.replace disk k v);
-    }
-  in
-  let fc = Fragcache.create ~context:"c" ~backing () in
-  Fragcache.add fc "k" ~cost_ns:5 (Stg.frag_of_chain [ mk_state; mk_state ]);
-  check_int "add writes through to the backing" 1 (Hashtbl.length disk);
-  (* A fresh cache over the same backing serves the persisted fragment. *)
-  let fc2 = Fragcache.create ~context:"c" ~backing () in
-  check_bool "warm cache hits the backing" true (Fragcache.find fc2 "k" <> None);
-  (* A different context is a different key space. *)
-  let fc3 = Fragcache.create ~context:"other" ~backing () in
-  check_bool "context partitions the backing" true (Fragcache.find fc3 "k" = None);
-  (* Corrupt payloads read as misses, never crashes. *)
-  Hashtbl.iter (fun k _ -> Hashtbl.replace disk k "garbage") disk;
-  let fc4 = Fragcache.create ~context:"c" ~backing () in
-  check_bool "corrupt backing payload is a miss" true (Fragcache.find fc4 "k" = None)
-
 (* Two probes that schedule the same region both file it in their overlays;
-   only the entry that wins the shared-table insert at commit reaches the
-   backing, and fragments read from the backing are never written back. *)
+   the shared table keeps one entry, and an unforked re-add of a filed key
+   changes nothing. *)
 let test_fragcache_write_once () =
-  let disk = Hashtbl.create 8 and puts = ref 0 in
-  let backing =
-    {
-      Fragcache.bk_find = Hashtbl.find_opt disk;
-      bk_put =
-        (fun k ~cost_ns:_ v ->
-          incr puts;
-          Hashtbl.replace disk k v);
-    }
-  in
-  let frag () = Stg.frag_of_chain [ mk_state; mk_state ] in
-  let fc = Fragcache.create ~context:"c" ~backing () in
+  let one = Stg.frag_of_chain [ mk_state ] and two = Stg.frag_of_chain [ mk_state; mk_state ] in
+  let fc = Fragcache.create () in
   let p1 = Fragcache.fork fc and p2 = Fragcache.fork fc in
-  Fragcache.add p1 "k" ~cost_ns:3 (frag ());
-  Fragcache.add p2 "k" ~cost_ns:4 (frag ());
-  check_int "overlays write nothing" 0 !puts;
+  Fragcache.add p1 "k" two;
+  Fragcache.add p2 "k" one;
+  check_int "overlays publish nothing" 0 (Fragcache.entries fc);
   Fragcache.commit p1;
   Fragcache.commit p2;
-  check_int "one backing write for a key both probes filed" 1 !puts;
-  Fragcache.add fc "k" ~cost_ns:5 (frag ());
-  check_int "an unforked re-add of a filed key writes nothing" 1 !puts;
-  let warm = Fragcache.create ~context:"c" ~backing () in
-  let probe = Fragcache.fork warm in
-  check_bool "probe hits the backing" true (Fragcache.find probe "k" <> None);
-  Fragcache.commit probe;
-  let warm2 = Fragcache.create ~context:"c" ~backing () in
-  check_bool "unforked cache hits the backing" true (Fragcache.find warm2 "k" <> None);
-  check_int "backing hits are never written back" 1 !puts
-
-(* The backing sees [context ^ "\000" ^ region key] and nothing else: a
-   real schedule's fragments are put under exactly that, a second cache with
-   the same context hits them by region key, and fragments a forked probe
-   read from the backing are not put again when it commits. *)
-let test_fragcache_backing_keys () =
-  let disk = Hashtbl.create 64 and puts = ref [] in
-  let backing =
-    {
-      Fragcache.bk_find = Hashtbl.find_opt disk;
-      bk_put =
-        (fun k ~cost_ns:_ v ->
-          puts := k :: !puts;
-          Hashtbl.replace disk k v);
-    }
-  in
-  let env = make_env Suite.gcd 2.5 in
-  let cfg = env.Solution.sched_config and prog = env.Solution.program in
-  let sol = Solution.initial env in
-  let delay = Datapath.delay_model sol.Solution.dp
-  and res = Datapath.resource_model sol.Solution.dp in
-  let context = "gcd" in
-  let fc = Fragcache.create ~context ~backing () in
-  ignore (Scheduler.schedule ~frags:fc cfg prog ~delay ~res);
-  let prefix = context ^ "\000" in
-  let region_keys =
-    List.map
-      (fun k ->
-        check_bool "put key starts with context ^ NUL" true
-          (String.starts_with ~prefix k);
-        String.sub k (String.length prefix) (String.length k - String.length prefix))
-      !puts
-  in
-  check_int "one put per filed fragment" (Fragcache.entries fc) (List.length region_keys);
-  List.iter
-    (fun k -> check_bool "the rest is the in-memory key" true (Fragcache.find fc k <> None))
-    region_keys;
-  (match Scheduler.region_report cfg prog ~delay ~res with
-  | (_, top) :: _ ->
-    check_bool "the outermost region's digest was put" true (List.mem top region_keys)
-  | [] -> Alcotest.fail "gcd has no cacheable region");
-  let n = List.length !puts in
-  let fc2 = Fragcache.create ~context ~backing () in
-  List.iter
-    (fun k -> check_bool "same context hits the backing" true (Fragcache.find fc2 k <> None))
-    region_keys;
-  let probe = Fragcache.fork (Fragcache.create ~context ~backing ()) in
-  List.iter (fun k -> ignore (Fragcache.find probe k)) region_keys;
-  Fragcache.commit probe;
-  check_int "store-sourced entries are never put again" n (List.length !puts)
+  check_int "one entry for a key both probes filed" 1 (Fragcache.entries fc);
+  let shape () = Option.map frag_shape (Fragcache.find fc "k") in
+  check_bool "the first commit wins" true (shape () = Some (frag_shape two));
+  Fragcache.add fc "k" one;
+  check_int "an unforked re-add of a filed key adds nothing" 1 (Fragcache.entries fc);
+  check_bool "and keeps the filed entry" true (shape () = Some (frag_shape two))
 
 (* --- Binary memo keys partition exactly like the text they replaced ------- *)
 
@@ -561,8 +465,8 @@ let test_key_partition =
 
    The reference below is the region-key encoder the scheduler used before
    it built a per-program plan: each key written in one pass from the
-   region tree and the model closures.  Keys filed in stores by that
-   encoder must keep hitting, so plan-built keys must equal its bytes. *)
+   region tree and the model closures, which it visibly covers.  Plan-built
+   keys must equal its bytes. *)
 
 module Ir = Impact_cdfg.Ir
 module Keybuf = Impact_util.Keybuf
@@ -592,14 +496,13 @@ let rec flatten region =
   | Ir.R_loop l -> Ir.R_loop { l with cond_r = flatten l.cond_r; body = flatten l.body }
 
 let reference_config_fp (cfg : Scheduler.config) =
-  Printf.sprintf "%h|%b|%b|%b|%d|%b|" cfg.Scheduler.clock_ns cfg.Scheduler.flatten_ifs
+  Printf.sprintf "%h|%b|%b|%b|%d|" cfg.Scheduler.clock_ns cfg.Scheduler.flatten_ifs
     cfg.Scheduler.fold_loop_cond cfg.Scheduler.parallel_regions
-    cfg.Scheduler.max_product_states cfg.Scheduler.fds_leaves
+    cfg.Scheduler.max_product_states
 
 let reference_digest ~g ~cfg_fp ~(delay : Impact_sched.Models.delay_model)
     ~(res : Impact_sched.Models.resource_model) ~tag region =
   let kb = Keybuf.create 512 in
-  Keybuf.tag kb '\002';
   Keybuf.string kb cfg_fp;
   Keybuf.tag kb tag;
   let rec structure r =
@@ -662,6 +565,11 @@ let reference_keys cfg (prog : Graph.program) ~delay ~res =
   let report, standalone = walk ([], []) top in
   (List.rev report, standalone)
 
+(* The reference keys a fragment cache holds after a schedule.  When their
+   number equals the cache's entries, every filed key is a reference key. *)
+let filed_reference_keys fc keys =
+  List.filter (fun k -> Fragcache.find fc k <> None) (List.sort_uniq String.compare keys)
+
 (* Along random binding walks on all eight benchmarks: the plan-based
    schedule, with and without a fragment cache, equals the plan-free
    reference; the reported region keys equal the reference encoder's bytes;
@@ -679,22 +587,15 @@ let test_plan_walks =
             (fun (s : Solution.t) ->
               let delay = Datapath.delay_model s.Solution.dp
               and res = Datapath.resource_model s.Solution.dp in
-              let filed = ref [] in
-              let backing =
-                {
-                  Fragcache.bk_find = (fun _ -> None);
-                  bk_put = (fun full ~cost_ns:_ _ -> filed := full :: !filed);
-                }
-              in
-              let fc = Fragcache.create ~context:"ctx" ~backing () in
+              let fc = Fragcache.create () in
               let reference = Stg.signature (Scheduler.schedule_reference cfg prog ~delay ~res) in
               let report, standalone = reference_keys cfg prog ~delay ~res in
-              let known = List.map (fun k -> "ctx\000" ^ k) (List.map snd report @ standalone) in
               Stg.signature (Scheduler.schedule cfg prog ~delay ~res) = reference
               && Stg.signature (Scheduler.schedule ~frags:fc cfg prog ~delay ~res) = reference
               && Scheduler.region_report cfg prog ~delay ~res = report
-              && !filed <> []
-              && List.for_all (fun k -> List.mem k known) !filed)
+              &&
+              let filed = filed_reference_keys fc (List.map snd report @ standalone) in
+              filed <> [] && List.length filed = Fragcache.entries fc)
             sols)
         Suite.all_extended)
 
@@ -725,19 +626,16 @@ let test_par_cond_frag () =
   let cfg = Scheduler.config_of_style Scheduler.Wavesched ~clock_ns:15. in
   let dp = Datapath.build (Binding.parallel prog.Graph.graph Module_library.default) in
   let delay = Datapath.delay_model dp and res = Datapath.resource_model dp in
-  let filed = ref [] in
-  let backing =
-    { Fragcache.bk_find = (fun _ -> None); bk_put = (fun full ~cost_ns:_ _ -> filed := full :: !filed) }
-  in
-  let fc = Fragcache.create ~context:"ctx" ~backing () in
+  let fc = Fragcache.create () in
   let reference = Stg.signature (Scheduler.schedule_reference cfg prog ~delay ~res) in
-  let _, standalone = reference_keys cfg prog ~delay ~res in
+  let report, standalone = reference_keys cfg prog ~delay ~res in
   let sched () = Stg.signature (Scheduler.schedule ~frags:fc cfg prog ~delay ~res) in
   check_bool "plan = reference" true
     (Stg.signature (Scheduler.schedule cfg prog ~delay ~res) = reference);
   check_bool "cold spliced = reference" true (sched () = reference);
-  check_bool "a 'P' key is filed" true
-    (standalone <> [] && List.exists (fun k -> List.mem ("ctx\000" ^ k) !filed) standalone);
+  check_int "every filed key is a reference key" (Fragcache.entries fc)
+    (List.length (filed_reference_keys fc (List.map snd report @ standalone)));
+  check_bool "a 'P' key is filed" true (filed_reference_keys fc standalone <> []);
   with_sched_check "1" (fun () ->
       check_bool "cache-served = reference" true (sched () = reference))
 
@@ -842,59 +740,6 @@ let test_signature_port_order () =
     (List.length (List.sort_uniq String.compare (List.map key orders)));
   check_bool "a different port set differs" true (key (List.tl ports) <> key ports)
 
-(* --- The persistent frag tier through the driver --------------------------- *)
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | exception Unix.Unix_error _ -> ()
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter
-      (fun name -> rm_rf (Filename.concat path name))
-      (try Sys.readdir path with Sys_error _ -> [||]);
-    (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | _ -> ( try Sys.remove path with Sys_error _ -> ())
-
-let test_frag_store_tier () =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "impact-test-frags.%d" (Unix.getpid ()))
-  in
-  rm_rf dir;
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let bench = Suite.gcd in
-  let prog = Suite.program bench in
-  let workload = bench.Suite.workload ~seed:41 ~passes:8 in
-  let frag_tier st =
-    match List.assoc_opt "frag" (Store.stats st).Store.st_tiers with
-    | Some t -> t
-    | None -> Alcotest.fail "no frag tier in store stats"
-  in
-  let store = Store.open_store ~dir () in
-  let d1 =
-    Driver.synthesize ~store prog ~workload ~objective:Solution.Minimize_power
-      ~laxity:2.0 ()
-  in
-  let t1 = frag_tier store in
-  check_bool "cold synthesis persists fragments" true (t1.Store.ts_writes > 0);
-  check_bool "fragments are on disk" true (t1.Store.ts_entries > 0);
-  ignore d1;
-  (* A fresh handle at a shifted laxity: a genuinely new search, served by
-     the persisted fragments — and bit-identical to a storeless run. *)
-  let store2 = Store.open_store ~dir () in
-  let d2 =
-    Driver.synthesize ~store:store2 prog ~workload
-      ~objective:Solution.Minimize_power ~laxity:2.6 ()
-  in
-  let t2 = frag_tier store2 in
-  check_bool "shifted-laxity rerun hits the frag tier" true (t2.Store.ts_hits > 0);
-  let d_ref =
-    Driver.synthesize prog ~workload ~objective:Solution.Minimize_power
-      ~laxity:2.6 ()
-  in
-  check_bool "store-served rerun is bit-identical to storeless" true
-    (fingerprint d2.Driver.d_solution = fingerprint d_ref.Driver.d_solution)
-
 let () =
   Alcotest.run "impact_sched_incremental"
     [
@@ -917,11 +762,7 @@ let () =
           Alcotest.test_case "roundtrip and isolation" `Quick
             test_fragcache_roundtrip;
           Alcotest.test_case "fork/commit" `Quick test_fragcache_fork_commit;
-          Alcotest.test_case "persistent backing" `Quick test_fragcache_backing;
-          Alcotest.test_case "each fragment persisted once" `Quick
-            test_fragcache_write_once;
-          Alcotest.test_case "backing key is context ^ NUL ^ region key" `Quick
-            test_fragcache_backing_keys;
+          Alcotest.test_case "each fragment filed once" `Quick test_fragcache_write_once;
           Alcotest.test_case "Heavy reschedules splice every region" `Quick
             test_heavy_resched_splices;
         ] );
@@ -936,6 +777,4 @@ let () =
           Alcotest.test_case "restructured ports in any order, one signature" `Quick
             test_signature_port_order;
         ] );
-      ( "store",
-        [ Alcotest.test_case "frag tier via driver" `Quick test_frag_store_tier ] );
     ]
