@@ -18,10 +18,10 @@
 
    The daemon's one store handle also keeps each program's workload
    environment ({!Impact_core.Tier.workload_env}): the first request for a
-   program simulates it (or reads the run from the sim tier) and seeds the
-   estimator; every later request for that program and workload copies it
-   with its own budget and objective, so a design-tier hit only replays
-   the stored decision.  Concurrent requests share its estimation context,
+   program simulates it and seeds the estimator from the traces tier;
+   every later request for that program and workload copies it with its
+   own budget and objective, so a design-tier hit only replays the stored
+   decision.  Concurrent requests share its estimation context,
    whose memo tables are sharded and whose values are pure. *)
 
 module Wire = Impact_store.Wire
@@ -223,7 +223,7 @@ let run_lint oc req =
 let run_cache_stats sv oc =
   let s = Store.stats sv.sv_store in
   let fl = Flight.stats sv.sv_flight in
-  let dg = Tier.digest_stats () in
+  let dg = Tier.digest_stats () and em = Tier.env_memo_stats () in
   let num n = Wire.Num (float_of_int n) in
   send oc
     (Wire.Obj
@@ -260,6 +260,10 @@ let run_cache_stats sv oc =
          ( "digests",
            Wire.Obj
              [ ("programs", num dg.Tier.dg_programs); ("workloads", num dg.Tier.dg_workloads) ] );
+         (* Workload environments built for the handle's memo (one per
+            program and workload) and requests served from it. *)
+         ( "env",
+           Wire.Obj [ ("builds", num em.Tier.em_builds); ("hits", num em.Tier.em_hits) ] );
        ])
 
 let dispatch sv oc req =

@@ -829,7 +829,4 @@ let dump_json t =
   Buffer.add_string b "]}";
   Buffer.contents b
 
-let check_enabled () =
-  match Sys.getenv_opt "IMPACT_RANGE_CHECK" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
+let check_enabled () = Impact_util.Env_flag.enabled "IMPACT_RANGE_CHECK"

@@ -37,17 +37,14 @@ let design_key ?workload_id ~options program ~workload =
 let sweep_key ?workload_id ~options program ~workload =
   Tier.sweep_key ~options program ~workload:(Tier.workload_id ?id:workload_id workload)
 
-let sim_key program ~workload = Tier.sim_key program ~workload:(Tier.workload_id workload)
 let traces_key program ~workload = Tier.traces_key program ~workload:(Tier.workload_id workload)
 
 (* Step 1: behavioral simulation, the parallel reference architecture and
    the minimum-ENC schedule that the laxity scales into a budget.  With a
-   store, the run comes from the sim tier and the estimator starts with the
-   traces tier's switching memos. *)
+   store, the estimator starts with the traces tier's switching memos. *)
 let build_env ?(options = default_options) ?store ?workload_id program ~workload ~objective
     ~laxity =
-  let workload_id = Tier.workload_id ?id:workload_id workload in
-  let run = Tier.find_or_simulate ?store program ~workload:workload_id in
+  let run = Sim.simulate program ~workload in
   let min_stg =
     Scheduler.min_enc_schedule options.style ~clock_ns:options.clock_ns program
       Module_library.default
@@ -72,7 +69,7 @@ let build_env ?(options = default_options) ?store ?workload_id program ~workload
     end
     else Estimate.create_ctx run
   in
-  Tier.seed_traces ?store program ~workload:workload_id est_ctx;
+  Tier.seed_traces ?store program ~workload:(Tier.workload_id ?id:workload_id workload) est_ctx;
   let env =
     {
       Solution.program;

@@ -11,13 +11,13 @@
     power-optimized design (I-Power, I-Area), normalized to the laxity-1.0
     area-optimized design at 5 V.
 
-    With a [store], the simulation, the design and the sweep are each
-    find-or-compute against a {!Tier}: warm answers are bit-identical to
-    cold ones, and [IMPACT_STORE_CHECK=1] recomputes each one cold and
-    asserts it.  [synthesize] and [figure13] then take the workload
-    environment (run, minimum ENC, reference area, estimation context)
-    from the store handle's memo ({!Tier.workload_env}), so requests after
-    the first on one handle neither simulate nor read the run back. *)
+    With a [store], the design and the sweep are each find-or-compute
+    against a {!Tier}: warm answers are bit-identical to cold ones, and
+    [IMPACT_STORE_CHECK=1] recomputes each one cold and asserts it.
+    [synthesize] and [figure13] then take the workload environment (run,
+    minimum ENC, reference area, estimation context) from the store
+    handle's memo ({!Tier.workload_env}), so requests after the first on
+    one handle do not simulate again. *)
 
 include module type of struct
   include Tier.Types
@@ -47,9 +47,9 @@ val build_env :
     ENC budget; returns the environment and the minimum ENC.  [synthesize]
     is [build_env] plus the search — exposing the environment alone lets
     tools (the CLI's [lint]) evaluate and verify solutions without
-    searching.  With a [store], the run comes from the ["sim"] tier and the
-    estimation context is seeded from the ["traces"] tier; it always builds
-    afresh, never from the handle's memo. *)
+    searching.  It always simulates, and builds afresh, never from the
+    handle's memo; with a [store], the estimation context is seeded from
+    the ["traces"] tier. *)
 
 val restructure_all : design -> design
 (** Applies the Huffman restructuring move to every restructurable network
@@ -59,8 +59,8 @@ val restructure_all : design -> design
 (** {1 Store keys}
 
     The content keys the store-backed calls consult, re-exported from
-    {!Tier}.  The sim and traces keys digest only the (program, workload)
-    pair, so any objective, laxity or options reuse them.
+    {!Tier}.  The traces key digests only the (program, workload) pair,
+    so any objective, laxity or options reuse it.
 
     A [?workload_id] here and on {!build_env}, {!synthesize} and
     {!figure13} names the workload by a {!Tier.workload_id} the caller
@@ -85,7 +85,6 @@ val sweep_key :
   laxities:float list ->
   string
 
-val sim_key : Impact_cdfg.Graph.program -> workload:(string * int) list list -> string
 val traces_key : Impact_cdfg.Graph.program -> workload:(string * int) list list -> string
 
 val synthesize :

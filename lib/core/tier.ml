@@ -136,9 +136,6 @@ let library_digest =
   fun () -> Lazy.force d
 
 let canonical parts = String.concat "|" ("impact-store" :: string_of_int store_version :: parts)
-let sim_key program ~workload =
-  Store.key (canonical [ "sim"; program_digest program; workload_digest workload ])
-
 let traces_key program ~workload =
   Store.key (canonical [ "traces"; program_digest program; workload_digest workload ])
 
@@ -197,10 +194,7 @@ let find tier st k = Option.bind (Store.find ~ns:tier.ns st k) (decode tier)
 let put tier ~cost_ns st k v =
   try Store.put ~ns:tier.ns ~cost_ns st k (encode tier v) with _ -> ()
 
-let check_enabled () =
-  match Sys.getenv_opt "IMPACT_STORE_CHECK" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
+let check_enabled () = Impact_util.Env_flag.enabled "IMPACT_STORE_CHECK"
 
 let timed f =
   let t0 = Unix.gettimeofday () in
@@ -223,28 +217,6 @@ let find_or_compute ?store tier ~key ~restore ~persist ~fingerprint cold =
       let v, cost_ns = timed cold in
       put tier ~cost_ns st k (persist v);
       v)
-
-(* --- sim: find-or-compute ------------------------------------------------- *)
-
-(* The tag names the payload's layout: runs persisted before the columnar
-   log carry "sim" and read as misses instead of mistyped values. *)
-let sim_tier : Sim.portable_run t = make ~ns:"sim" ~tag:"sim-columnar"
-
-let restore_sim program ~workload portable =
-  let run = Sim.of_portable program portable in
-  if
-    run.Sim.passes = List.length workload
-    && Array.length run.Sim.pass_outputs = max run.Sim.passes 1
-  then Some run
-  else None
-
-let find_or_simulate ?store program ~workload =
-  find_or_compute ?store sim_tier
-    ~key:(fun () -> sim_key program ~workload)
-    ~restore:(restore_sim program ~workload:workload.wi_passes)
-    ~persist:Sim.to_portable
-    ~fingerprint:(fun run -> digest (Sim.to_portable run))
-    (fun () -> Sim.simulate program ~workload:workload.wi_passes)
 
 (* --- traces: seed, then accumulate ---------------------------------------- *)
 
@@ -548,9 +520,13 @@ let env_inputs ~options ~workload =
     options.range_power
 
 (* Under IMPACT_STORE_CHECK a memo hit is rebuilt cold, with no store, and
-   must agree on the run and on the bits of both reference figures. *)
+   must agree on the run's own fields (logs, passes, profile, pass outputs)
+   and on the bits of both reference figures. *)
 let check_env we (env, enc_min) =
-  let run_digest e = digest (Sim.to_portable (Estimate.run e.Solution.est_ctx)) in
+  let run_digest e =
+    let run = Estimate.run e.Solution.est_ctx in
+    digest (run.Sim.logs, run.Sim.passes, run.Sim.profile, run.Sim.pass_outputs)
+  in
   let bits = Int64.bits_of_float in
   if
     run_digest we.we_env <> run_digest env

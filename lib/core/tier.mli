@@ -3,7 +3,7 @@
     restores it and the policy that fills it.  {!Driver} calls in here and
     never touches {!Impact_store.Store} itself.
 
-    Four tiers share one contract — a content {b key} digesting exactly the
+    Three tiers share one contract — a content {b key} digesting exactly the
     artifact's inputs, a {b tag codec} ([Marshal (tag, value)], a foreign
     tag reads as a miss), a {b restore/validate} step that turns a decoded
     entry back into a live value or rejects it as a miss, a {b fingerprint}
@@ -109,7 +109,6 @@ val options_fingerprint : options -> string
     are off by default add themselves only when enabled, so default keys
     stay byte-identical across versions. *)
 
-val sim_key : Impact_cdfg.Graph.program -> workload:workload_id -> string
 val traces_key : Impact_cdfg.Graph.program -> workload:workload_id -> string
 
 val design_key :
@@ -158,25 +157,16 @@ val find_or_compute :
     [IMPACT_STORE_CHECK=1] a hit also runs [cold] and fails unless both
     fingerprints agree.  Without a store it is [cold ()]. *)
 
-(** {1 The four tiers}
+(** {1 The three tiers}
 
-    [sim], [design] and [sweep] are find-or-compute; [traces] seeds a fresh
+    [design] and [sweep] are find-or-compute; [traces] seeds a fresh
     estimation context and accumulates after each request.  [design] and
     [sweep] share the ["design"] namespace under different tags.  The
-    scheduler's fragment cache is not a tier: it lives in memory for one
-    request or sweep, because filing each fragment on disk cost more than
-    re-scheduling it. *)
-
-val sim_tier : Impact_sim.Sim.portable_run t
-(** The ["sim"] namespace, tagged with the columnar log's layout. *)
-
-val find_or_simulate :
-  ?store:Impact_store.Store.t ->
-  Impact_cdfg.Graph.program ->
-  workload:workload_id ->
-  Impact_sim.Sim.run
-(** The behavioral simulation run.  A persisted run is re-attached to the
-    program and rejected when its shape does not match the workload. *)
+    behavioural run and the scheduler's fragment cache are not tiers: a
+    request simulates its workload (once per handle and program, see
+    {!workload_env}) and keeps fragments in memory for one request or sweep,
+    because reading either back from disk cost as much as recomputing it
+    or more. *)
 
 val seed_traces :
   ?store:Impact_store.Store.t ->
@@ -237,8 +227,9 @@ val workload_env :
     environment for the program when it was built for this workload and
     these options, and otherwise runs [build (Some st)] and keeps the
     result in the program's slot.  Under [IMPACT_STORE_CHECK=1] a hit also
-    runs [build None] and fails unless the run digest and the bits of the
-    minimum ENC and the reference area agree. *)
+    runs [build None] and fails unless the digest of the run's logs, pass
+    count, profile and pass outputs and the bits of the minimum ENC and the
+    reference area agree. *)
 
 type env_memo_stats = {
   em_builds : int;  (** environments built for a handle's memo *)

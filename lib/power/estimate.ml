@@ -95,10 +95,7 @@ let create_ctx ?eff run =
     last_lifetime = Atomic.make None;
     consumer_count = Graph.data_fanout g;
     memo_cost = Atomic.make 0;
-    check_ledger =
-      (match Sys.getenv_opt "IMPACT_CHECK_LEDGER" with
-      | Some ("" | "0") | None -> false
-      | Some _ -> true);
+    check_ledger = Impact_util.Env_flag.enabled "IMPACT_CHECK_LEDGER";
     c_eff = eff;
     c_parent = None;
   }

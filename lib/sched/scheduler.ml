@@ -37,10 +37,7 @@ let config_of_style style ~clock_ns =
    fragment cache) and the two STGs must agree on {!Stg.signature}; every
    cache-served fragment is structurally validated ({!Check}).  Mirrors the
    IMPACT_STORE_CHECK / IMPACT_CHECK_LEDGER conventions. *)
-let check_enabled () =
-  match Sys.getenv_opt "IMPACT_SCHED_CHECK" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
+let check_enabled () = Impact_util.Env_flag.enabled "IMPACT_SCHED_CHECK"
 
 (* --- Region normalisation: flatten loop-free conditionals --------------- *)
 

@@ -97,9 +97,8 @@ type state = {
   in_set : bool array;
   value : int array;  (* per node: the last output's bits *)
   fired : bool array;
-  origin : int array;  (* per node: the last output's identity, see [origin] *)
-  shared : (int, Bitvec.t) Hashtbl.t;
   logs : log array;
+  tag_counts : int array;  (* [3 * node + tag index] -> firings with that tag *)
   cond_true : int array;  (* per edge *)
   cond_false : int array;
   mutable cond_order : Ir.edge_id list;  (* in first evaluation order, reversed *)
@@ -126,34 +125,6 @@ let read st eid ~stale ~who =
   else if stale then 0
   else
     failwith (Printf.sprintf "Sim: node %s reads edge e%d before any producer fired" who eid)
-
-(* Pass outputs keep the object sharing of a Bitvec-valued run, so a
-   marshalled run keeps its bytes: a constant is its graph edge's vector, a
-   value forwarded through copies, Sels and merges is the vector made where
-   it was computed, and an input or stale read makes a new one.  An
-   identity is a constant edge's [-eid - 1] or the firing count at which
-   the vector was made. *)
-let origin st eid =
-  let nid = st.producer.(eid) in
-  if nid >= 0 && st.fired.(nid) then st.origin.(nid)
-  else
-    match (Graph.edge st.g eid).Ir.source with
-    | Ir.Const _ -> -eid - 1
-    | Ir.Primary_input _ | Ir.From_node _ -> st.firings
-
-let shared_value st id ~width bits =
-  match Hashtbl.find_opt st.shared id with
-  | Some v -> v
-  | None ->
-    let v =
-      if id >= 0 then Bitvec.make ~width bits
-      else
-        match (Graph.edge st.g (-id - 1)).Ir.source with
-        | Ir.Const v -> v
-        | Ir.Primary_input _ | Ir.From_node _ -> assert false
-    in
-    Hashtbl.add st.shared id v;
-    v
 
 let tag_index = function Tag_normal -> 0 | Tag_merge_init -> 1 | Tag_merge_back -> 2
 
@@ -183,29 +154,19 @@ let fire st tag nid =
         (if ports > 1 then chunk.(row + 2) else 0)
         (if ports > 2 then chunk.(row + 3) else 0)
   in
-  (* The port whose value the firing passes on, if any. *)
-  let forwarded =
-    if tag > 0 then tag - 1
-    else
-      match kind with
-      | Ir.Op_copy | Ir.Op_end_loop | Ir.Op_output _ -> 0
-      | Ir.Op_select -> if a <> 0 then 1 else 2
-      | _ -> -1
-  in
-  let id = if forwarded < 0 then st.firings else origin st ins.(forwarded) in
   chunk.(row) <- output;
   chunk.(row + ports + 1) <- st.pass;
   chunk.(row + ports + 2) <- st.seq;
   chunk.(row + ports + 3) <- tag;
   l.count <- l.count + 1;
+  st.tag_counts.((3 * nid) + tag) <- st.tag_counts.((3 * nid) + tag) + 1;
   st.value.(nid) <- output;
   st.fired.(nid) <- true;
-  st.origin.(nid) <- id;
   st.seq <- st.seq + 1;
   st.firings <- st.firings + 1;
   match kind with
   | Ir.Op_output name ->
-    let v = shared_value st id ~width:n.Ir.n_width output in
+    let v = Bitvec.make ~width:n.Ir.n_width output in
     st.outputs <- (name, v) :: List.remove_assoc name st.outputs
   | _ -> ()
 
@@ -274,69 +235,6 @@ let static_widths g =
       Array.append [| n.Ir.n_width |]
         (Array.map (fun eid -> (Graph.edge g eid).Ir.e_width) n.Ir.inputs))
 
-(* Portable form: everything the simulation produced, minus the program it
-   was produced from.  Persisting the program would marshal the whole graph
-   (and pin warm loads to physical-identity pitfalls); instead the caller
-   re-attaches its own program, which the store key already guarantees is
-   the one simulated. *)
-type portable_run = {
-  p_logs : log array;
-  p_passes : int;
-  p_profile : Profile.t;
-  p_pass_outputs : (string * Impact_util.Bitvec.t) list array;
-  p_firings_total : int;
-}
-
-let to_portable (run : run) =
-  {
-    p_logs = run.logs;
-    p_passes = run.passes;
-    p_profile = run.profile;
-    p_pass_outputs = run.pass_outputs;
-    p_firings_total = run.firings_total;
-  }
-
-(* Structural sanity only — cross-run value identity is the store layer's
-   checksum plus IMPACT_STORE_CHECK's recompute-and-compare.  The check
-   covers everything an index accessor or a per-pass table relies on, and
-   its scan of the tag column counts the tags.  [simulate] builds its run
-   here too, so fresh and warm-loaded runs are made the same way. *)
-let of_portable (program : Graph.program) p =
-  let g = program.Graph.graph in
-  let nn = Graph.node_count g in
-  let bad what = invalid_arg ("Sim.of_portable: " ^ what ^ " does not match the program") in
-  if Array.length p.p_logs <> nn then bad "event log";
-  let tag_counts = Array.make (3 * nn) 0 and total = ref 0 in
-  Array.iteri
-    (fun nid l ->
-      if l.stride <> Array.length (Graph.node g nid).Ir.inputs + 4 then bad "log stride";
-      if l.count < 0 || Array.length l.chunks <> (l.count + chunk_events - 1) / chunk_events
-      then bad "chunk count";
-      Array.iteri
-        (fun c chunk ->
-          let events = min chunk_events (l.count - (c * chunk_events)) in
-          if Array.length chunk <> events * l.stride then bad "chunk size";
-          for j = 1 to events do
-            let pass = chunk.((j * l.stride) - 3) and t = chunk.((j * l.stride) - 1) in
-            if t < 0 || t > 2 || pass < 0 || pass >= p.p_passes then bad "firing record";
-            tag_counts.((3 * nid) + t) <- tag_counts.((3 * nid) + t) + 1
-          done)
-        l.chunks;
-      total := !total + l.count)
-    p.p_logs;
-  if !total <> p.p_firings_total then bad "firing total";
-  {
-    program;
-    logs = p.p_logs;
-    widths = static_widths g;
-    tag_counts;
-    passes = p.p_passes;
-    profile = p.p_profile;
-    pass_outputs = p.p_pass_outputs;
-    firings_total = p.p_firings_total;
-    edge_consumer = edge_consumers g;
-  }
-
 (* Widths are static per node and port ([Validate.width_issues]), so the log
    keeps bits only.  A program whose values would break this is refused
    before the run, not re-widthed during it. *)
@@ -392,12 +290,11 @@ let simulate ?(max_loop_iters = 100_000) (program : Graph.program) ~workload =
       in_set;
       value = Array.make nn 0;
       fired = Array.make nn false;
-      origin = Array.make nn 0;
-      shared = Hashtbl.create 64;
       logs =
         Array.map
           (fun n -> { stride = Array.length n.Ir.inputs + 4; count = 0; chunks = [||] })
           nodes;
+      tag_counts = Array.make (3 * nn) 0;
       cond_true = Array.make ne 0;
       cond_false = Array.make ne 0;
       cond_order = [];
@@ -435,14 +332,17 @@ let simulate ?(max_loop_iters = 100_000) (program : Graph.program) ~workload =
       let j = l.count land (chunk_events - 1) and last = Array.length l.chunks - 1 in
       if j > 0 then l.chunks.(last) <- Array.sub l.chunks.(last) 0 (j * l.stride))
     st.logs;
-  of_portable program
-    {
-      p_logs = st.logs;
-      p_passes = passes;
-      p_profile = st.profile;
-      p_pass_outputs = pass_outputs;
-      p_firings_total = st.firings;
-    }
+  {
+    program;
+    logs = st.logs;
+    widths = static_widths g;
+    tag_counts = st.tag_counts;
+    passes;
+    profile = st.profile;
+    pass_outputs;
+    firings_total = st.firings;
+    edge_consumer = edge_consumers g;
+  }
 
 (* --- Index accessors ------------------------------------------------------- *)
 

@@ -82,31 +82,6 @@ val result_width : Ir.op_kind -> width:int -> int array -> int
     @raise Invalid_argument where the operands' widths must agree and do
     not. *)
 
-(** {2 Portable runs}
-
-    A {!run} minus its program: plain data (the columnar logs, profile,
-    pass outputs) safe to [Marshal] into a persistent store.  Reconstruction
-    re-attaches the caller's program and rebuilds the derived widths, tag
-    counts and edge-consumer index, so a warm-loaded run is structurally
-    identical to a fresh simulation of the same (program, workload). *)
-
-type portable_run = {
-  p_logs : log array;
-  p_passes : int;
-  p_profile : Profile.t;
-  p_pass_outputs : (string * Impact_util.Bitvec.t) list array;
-  p_firings_total : int;
-}
-
-val to_portable : run -> portable_run
-
-val of_portable : Impact_cdfg.Graph.program -> portable_run -> run
-(** @raise Invalid_argument when the log's shape does not match the
-    program: node count, a stride other than the node's port count plus 4,
-    chunk sizes inconsistent with the count, a tag outside 0..2, a pass
-    outside the run, or a firing total other than the logs' sum (the store
-    key should make all of these impossible). *)
-
 (** {2 Index accessors}
 
     [i] ranges over [0 .. count run nid - 1] in firing order; [output] and

@@ -3,11 +3,11 @@
     Maps a content key (the hex digest of a canonical key string) to an
     opaque payload on disk, with a write-through in-memory layer shared by
     every client of one handle.  Objects live in {e namespaces} (one per
-    artifact kind — solved designs, simulation runs, trace statistics,
-    library characterisations), which share the envelope, eviction and
-    memory-layer machinery but are counted separately by {!stats}.  The
-    layer above (Driver) decides what a key canonically contains and what
-    the payload encodes; this module owns durability only:
+    artifact kind — solved designs and sweeps, trace statistics), which
+    share the envelope, eviction and memory-layer machinery but are
+    counted separately by {!stats}.  The layer above (Driver) decides what
+    a key canonically contains and what the payload encodes; this module
+    owns durability only:
 
     - {b integrity}: every object is wrapped in an envelope carrying a
       format magic/version, a logical clock, its measured recompute cost

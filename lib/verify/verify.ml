@@ -139,7 +139,4 @@ let run_all i =
   List.concat_map (fun pass -> run_pass pass i) all_passes
   |> List.stable_sort Diagnostic.compare
 
-let verify_each_enabled () =
-  match Sys.getenv_opt "IMPACT_VERIFY_EACH" with
-  | Some "" | Some "0" | None -> false
-  | Some _ -> true
+let verify_each_enabled () = Impact_util.Env_flag.enabled "IMPACT_VERIFY_EACH"

@@ -65,6 +65,5 @@ val run_all : input -> Diagnostic.t list
 
 val verify_each_enabled : unit -> bool
 (** Whether the [IMPACT_VERIFY_EACH] environment variable requests
-    re-verification after every accepted search move (set to anything but
-    [0] or the empty string — the same convention as
-    [IMPACT_CHECK_LEDGER]). *)
+    re-verification after every accepted search move
+    ({!Impact_util.Env_flag.enabled}). *)
