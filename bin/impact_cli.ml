@@ -70,21 +70,10 @@ let jobs_arg =
     value & opt int 1
     & info [ "jobs"; "j" ]
         ~doc:
-          "Evaluation concurrency (OCaml domains): sweep points and \
-           speculative probes fan out when the machine has more than one \
-           core.  0 auto-detects (honouring IMPACT_JOBS); results are \
-           identical for any value.")
-
-let probes_arg =
-  Arg.(
-    value
-    & opt int Impact_core.Search.default_num_probes
-    & info [ "probes" ]
-        ~doc:
-          "Speculative depth probes per search iteration: 1 is the flat \
-           single-trajectory search; >= 2 explores several accepted-prefix \
-           pivots concurrently.  Part of the search definition: changing it \
-           changes the trajectory — identically at any --jobs value.")
+          "Evaluation concurrency (OCaml domains): sweep points fan out \
+           when the machine has more than one core; a single synthesis \
+           runs on one.  0 auto-detects (honouring IMPACT_JOBS); results \
+           are identical for any value.")
 
 let cache_dir_arg =
   Arg.(
@@ -212,11 +201,11 @@ let print_design target design workload =
   Format.printf "  breakdown: %a@." Breakdown.pp m.Measure.m_breakdown
 
 let synth_cmd =
-  let run target objective laxity clock passes seed jobs probes cache_dir dot_cdfg dot_stg dot_dp verilog opt unroll vcd tb =
+  let run target objective laxity clock passes seed jobs cache_dir dot_cdfg dot_stg dot_dp verilog opt unroll vcd tb =
     let program = prepared_program target opt unroll in
     let workload = target.tg_workload ~seed ~passes in
     let options =
-      { Driver.default_options with clock_ns = clock; seed; jobs; probes = max 1 probes }
+      { Driver.default_options with clock_ns = clock; seed; jobs }
     in
     let store = store_of ?cache_dir () in
     let design = Driver.synthesize ~options ?store program ~workload ~objective ~laxity () in
@@ -284,7 +273,7 @@ let synth_cmd =
     (Cmd.info "synth" ~doc:"Synthesize a design with the IMPACT algorithm.")
     Term.(
       const run $ target_arg $ objective_arg $ laxity_arg $ clock_arg $ passes_arg
-      $ seed_arg $ jobs_arg $ probes_arg $ cache_dir_arg $ dot_cdfg_arg $ dot_stg_arg
+      $ seed_arg $ jobs_arg $ cache_dir_arg $ dot_cdfg_arg $ dot_stg_arg
       $ dot_datapath_arg $ verilog_arg $ optimize_arg $ unroll_arg $ vcd_arg
       $ testbench_arg)
 
@@ -300,10 +289,10 @@ let csv_arg =
   Arg.(value & opt (some string) None & info [ "csv" ] ~doc:"Also write the sweep as CSV.")
 
 let sweep_cmd =
-  let run target laxities clock passes seed jobs probes cache_dir csv =
+  let run target laxities clock passes seed jobs cache_dir csv =
     let workload = target.tg_workload ~seed ~passes in
     let options =
-      { Driver.default_options with clock_ns = clock; seed; jobs; probes = max 1 probes }
+      { Driver.default_options with clock_ns = clock; seed; jobs }
     in
     let store = store_of ?cache_dir () in
     let sweep = Driver.figure13 ~options ?store target.tg_program ~workload ~laxities in
@@ -345,7 +334,7 @@ let sweep_cmd =
     (Cmd.info "sweep" ~doc:"Reproduce the paper's laxity sweep for one design.")
     Term.(
       const run $ target_arg $ laxities_arg $ clock_arg $ passes_arg $ seed_arg
-      $ jobs_arg $ probes_arg $ cache_dir_arg $ csv_arg)
+      $ jobs_arg $ cache_dir_arg $ csv_arg)
 
 (* --- dump ------------------------------------------------------------------------ *)
 

@@ -9,11 +9,11 @@
 
    Concurrency model: one thread per client connection; heavy work goes
    through a {!Impact_store.Flight} scheduler keyed by the request's store
-   content key.  Distinct requests execute concurrently on the shared
-   domain pool, bounded by the machine's physical core count; identical
-   in-flight requests coalesce onto one computation (one search, one store
-   write) and every waiter receives the leader's result — followers' ones
-   marked ["coalesced"].  The store handle's own lock makes the cache safe
+   content key.  Distinct requests execute concurrently, bounded by the
+   machine's physical core count, and a sweep's points fan out over the
+   shared domain pool; identical in-flight requests coalesce onto one
+   computation (one search, one store write) and every waiter receives the
+   leader's result — followers' ones marked ["coalesced"].  The store handle's own lock makes the cache safe
    for the light operations that bypass the scheduler.
 
    The daemon's one store handle also keeps each program's workload
@@ -70,7 +70,6 @@ let options_of_request req =
     Driver.default_options with
     clock_ns = num_field "clock" ~default:15.0 req;
     seed = int_field "seed" ~default:1 req;
-    probes = max 1 (int_field "probes" ~default:Search.default_num_probes req);
   }
 
 let with_target ~op oc req f =
@@ -142,7 +141,7 @@ let run_synthesize sv oc req =
       in
       heavy sv oc ~op:"synthesize" ~key (fun () ->
           let design =
-            Driver.synthesize ~options ?pool:sv.sv_pool ~store:sv.sv_store ~workload_id
+            Driver.synthesize ~options ~store:sv.sv_store ~workload_id
               target.Cli_common.tg_program ~workload ~objective ~laxity ()
           in
           let sol = design.Driver.d_solution in

@@ -22,7 +22,7 @@ let default_options =
     enable_restructure = true;
     max_iterations = 30;
     jobs = 1;
-    probes = Search.default_num_probes;
+    probes = 1;  (* read by nothing: kept for the benchmark harness *)
     delta_reprice = true;
     range_power = false;
   }
@@ -86,10 +86,10 @@ let build_env ?(options = default_options) ?store ?workload_id program ~workload
 (* Steps 2 and 3: the parallel initial architecture, then iterative
    improvement under the ENC budget; Vdd scaling (step 4) prices every
    candidate.  Running inside an already-built environment lets a sweep
-   share one simulation, estimation context, signature cache and worker
-   pool across all of its synthesis points. *)
-let synthesize_env ~options ?pool ?cache env ~enc_min ~objective ~laxity =
-  let initial = Solution.initial ?cache env in
+   share one simulation, estimation context and signature cache across all
+   of its synthesis points. *)
+let synthesize_env ~options ~cache env ~enc_min ~objective ~laxity =
+  let initial = Solution.initial ~cache env in
   let rng = Rng.create ~seed:options.seed in
   (* Ablation A1: optionally strip the restructuring move from the set. *)
   let filter move =
@@ -99,8 +99,7 @@ let synthesize_env ~options ?pool ?cache env ~enc_min ~objective ~laxity =
   let solution, stats =
     Search.optimize env initial ~rng ~depth:options.depth
       ~max_candidates:options.max_candidates ~max_iterations:options.max_iterations
-      ~filter ?pool ?cache ~delta:options.delta_reprice ~num_probes:options.probes
-      ()
+      ~filter ~cache ~delta:options.delta_reprice ()
   in
   {
     d_solution = solution;
@@ -112,21 +111,20 @@ let synthesize_env ~options ?pool ?cache env ~enc_min ~objective ~laxity =
     d_env = env;
   }
 
-(* Create the pool and signature cache unless the caller supplied shared
-   ones, and always shut a created pool down.  A created cache gets a fresh
-   fragment memo; a caller-supplied cache keeps its own. *)
-let with_engine ~options ?pool ?cache f =
-  let cache =
-    match cache with
-    | Some _ -> cache
-    | None -> Some (Solution.create_cache ~frags:(Impact_sched.Fragcache.create ()) ())
-  in
+(* The caller's shared signature cache, or a fresh one with its own
+   fragment memo. *)
+let cache_or_fresh = function
+  | Some cache -> cache
+  | None -> Solution.create_cache ~frags:(Impact_sched.Fragcache.create ()) ()
+
+(* The caller's pool, or one created for [options.jobs] (none at one job)
+   and always shut down. *)
+let with_pool ~options ?pool f =
   match pool with
-  | Some _ -> f ?pool ?cache ()
+  | Some _ -> f pool
   | None ->
     let jobs = resolved_jobs options in
-    if jobs <= 1 then f ?pool:None ?cache ()
-    else Parallel.with_pool ~jobs (fun pool -> f ?pool:(Some pool) ?cache ())
+    if jobs <= 1 then f None else Parallel.with_pool ~jobs (fun pool -> f (Some pool))
 
 (* With a store, the environment comes from the handle's memo
    ({!Tier.workload_env}), built once per program and workload; without
@@ -140,15 +138,14 @@ let workload_env ~options ?store program ~workload_id ~workload =
   | None -> Tier.unshared_env (build None)
   | Some st -> Tier.workload_env st ~options program ~workload:workload_id build
 
-let synthesize ?(options = default_options) ?pool ?cache ?store ?workload_id program ~workload
+let synthesize ?(options = default_options) ?cache ?store ?workload_id program ~workload
     ~objective ~laxity () =
   let workload_id = Tier.workload_id ?id:workload_id workload in
   let we = workload_env ~options ?store program ~workload_id ~workload in
   Tier.find_or_synthesize ?store ~options program ~workload:workload_id ~objective ~laxity we
     (fun env ->
-      with_engine ~options ?pool ?cache (fun ?pool ?cache () ->
-          synthesize_env ~options ?pool ?cache env ~enc_min:(Tier.enc_min we) ~objective
-            ~laxity))
+      synthesize_env ~options ~cache:(cache_or_fresh cache) env ~enc_min:(Tier.enc_min we)
+        ~objective ~laxity)
 
 let restructure_all design =
   let sol = design.d_solution in
@@ -188,9 +185,10 @@ let figure13 ?(options = default_options) ?pool ?cache ?store ?workload_id progr
   let workload_id = Tier.workload_id ?id:workload_id workload in
   let we = workload_env ~options ?store program ~workload_id ~workload in
   let cold () =
-    with_engine ~options ?pool ?cache (fun ?pool ?cache () ->
+    let cache = cache_or_fresh cache in
+    with_pool ~options ?pool (fun pool ->
         let synth ~objective ~laxity =
-          synthesize_env ~options ?pool ?cache (Tier.env_at we ~objective ~laxity)
+          synthesize_env ~options ~cache (Tier.env_at we ~objective ~laxity)
             ~enc_min:(Tier.enc_min we) ~objective ~laxity
         in
         let point_map : 'a 'b. ('a -> 'b) -> 'a list -> 'b list =

@@ -89,7 +89,6 @@ val traces_key : Impact_cdfg.Graph.program -> workload:(string * int) list list 
 
 val synthesize :
   ?options:options ->
-  ?pool:Impact_util.Parallel.pool ->
   ?cache:Solution.cache ->
   ?store:Impact_store.Store.t ->
   ?workload_id:Tier.workload_id ->
@@ -99,10 +98,10 @@ val synthesize :
   laxity:float ->
   unit ->
   design
-(** [build_env] plus the search.  A supplied [pool] or [cache] replaces the
-    one [options.jobs] would create and the signature cache (with its
-    fragment cache) that is otherwise always created; sharing them across
-    calls is only sound when the program, workload, clock and style agree.
+(** [build_env] plus the search, which runs on the calling domain.  A
+    supplied [cache] replaces the signature cache (with its fragment
+    cache) that is otherwise always created; sharing one across calls is
+    only sound when the program, workload, clock and style agree.
     With a [store], the environment comes from the handle's memo, and a
     ["design"]-tier hit replays the persisted decision instead of
     searching. *)
@@ -129,6 +128,8 @@ val figure13 :
   sweep
 (** The whole sweep shares one behavioral simulation, estimation context,
     signature cache and worker pool: each point re-prices cached candidate
-    builds against its own ENC budget and objective.  A warm [store] hit
+    builds against its own ENC budget and objective.  A supplied [pool]
+    replaces the one [options.jobs] would create; the points fan out over
+    it only when the machine has more than one core.  A warm [store] hit
     skips both the searches and the power measurements: the persisted
     designs are rebuilt and cross-checked, the measured ratios restored. *)

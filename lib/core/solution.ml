@@ -279,14 +279,8 @@ let price ?metrics ?delta env bt =
 
 (* --- Signature cache ------------------------------------------------------- *)
 
-(* The shared table is what synthesize calls hand around; a forked cache
-   adds a private overlay so a speculative probe can cache its own builds
-   without sibling probes observing them mid-iteration (visibility order
-   is part of the determinism contract).  [commit_cache] publishes the
-   overlay at the coordinator's chosen merge point. *)
 type cache = {
   cs_shared : (string, built) Shardtbl.t;
-  cs_overlay : (string, built) Shardtbl.t option;  (* one shard *)
   cs_frags : Fragcache.t option;
       (* region-fragment memo threaded into every cached-path schedule; a
          signature-cache miss on a Heavy move then only re-schedules the
@@ -294,36 +288,16 @@ type cache = {
 }
 
 let create_cache ?frags () =
-  { cs_shared = Shardtbl.create ~equal:String.equal 256; cs_overlay = None; cs_frags = frags }
+  { cs_shared = Shardtbl.create ~equal:String.equal 256; cs_frags = frags }
 
 let frag_cache c = c.cs_frags
 
-let cache_entries c =
-  Shardtbl.length c.cs_shared
-  + (match c.cs_overlay with None -> 0 | Some o -> Shardtbl.length o)
+let cache_entries c = Shardtbl.length c.cs_shared
 
 let cache_priced c =
-  let count tbl =
-    let n = ref 0 in
-    Shardtbl.iter (fun _ bt -> if Option.is_some (Atomic.get bt.bt_nominal) then incr n) tbl;
-    !n
-  in
-  count c.cs_shared + (match c.cs_overlay with None -> 0 | Some o -> count o)
-
-let fork_cache c =
-  {
-    cs_shared = c.cs_shared;
-    cs_overlay = Some (Shardtbl.create ~shards:1 ~equal:String.equal 64);
-    cs_frags = Option.map Fragcache.fork c.cs_frags;
-  }
-
-let commit_cache c =
-  (match c.cs_overlay with
-  | None -> ()
-  | Some o ->
-    Shardtbl.iter (fun k v -> ignore (Shardtbl.add_if_absent c.cs_shared k v)) o;
-    Shardtbl.clear o);
-  Option.iter Fragcache.commit c.cs_frags
+  let n = ref 0 in
+  Shardtbl.iter (fun _ bt -> if Option.is_some (Atomic.get bt.bt_nominal) then incr n) c.cs_shared;
+  !n
 
 let compare_anchor (t1, ids1, n1) (t2, ids2, n2) =
   match Char.compare t1 t2 with
@@ -376,22 +350,15 @@ let rebuild ?cache ?metrics ?delta env ~binding ~restructured ~reuse_stg =
     | Some c, None -> (
       let key = signature ~binding ~restructured in
       let hash = Shardtbl.hash key in
-      let hit =
-        match Option.bind c.cs_overlay (fun o -> Shardtbl.find_opt ~hash o key) with
-        | Some _ as h -> h
-        | None -> Shardtbl.find_opt ~hash c.cs_shared key
-      in
-      match hit with
+      match Shardtbl.find_opt ~hash c.cs_shared key with
       | Some bt ->
         bump metrics (fun m -> m.m_cache_hits);
         bt
       | None ->
-        (* A probe publishes only to its overlay, so sibling probes never
-           observe this build before the merge point.  Otherwise
-           insert-or-get: when two domains built the same signature
+        (* Insert-or-get: when two domains built the same signature
            concurrently, everyone settles on the entry that won the race
            so later pricing is shared. *)
-        Shardtbl.add_if_absent ~hash (Option.value c.cs_overlay ~default:c.cs_shared) key (fresh ()))
+        Shardtbl.add_if_absent ~hash c.cs_shared key (fresh ()))
   in
   price ?metrics ?delta env bt
 

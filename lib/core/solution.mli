@@ -97,8 +97,7 @@ val create_cache : ?frags:Impact_sched.Fragcache.t -> unit -> cache
     per-region STG fragments there ({!Impact_sched.Scheduler.schedule}):
     a signature miss on a Heavy move then re-runs leaf scheduling only for
     the regions the move perturbed.  The fragment cache inherits the
-    signature cache's sharing contract (one program / sched_config) and
-    its fork/commit discipline. *)
+    signature cache's sharing contract (one program / sched_config). *)
 
 val frag_cache : cache -> Impact_sched.Fragcache.t option
 
@@ -108,20 +107,6 @@ val cache_priced : cache -> int
 (** Entries whose nominal estimate has been computed, by pricing or by a
     read of {!est} or {!ledger}.  Zero after an area-objective search
     whose designs nothing has read. *)
-
-val fork_cache : cache -> cache
-(** A probe-private view: reads fall through its fresh overlay to the
-    shared table, but new builds land in the overlay only, so sibling
-    probes sharing the parent cache cannot observe them mid-iteration.
-    Forking a fork shares the same underlying table with a fresh
-    overlay. *)
-
-val commit_cache : cache -> unit
-(** Publishes a forked cache's overlay into the shared table (entries are
-    environment-independent and pure, so publishing never changes a
-    value) and empties the overlay.  The coordinator calls this at the
-    deterministic merge point, in canonical probe order.  No-op on an
-    unforked cache. *)
 
 val signature :
   binding:Impact_rtl.Binding.t -> restructured:Impact_rtl.Datapath.port list -> string

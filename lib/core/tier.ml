@@ -144,10 +144,12 @@ let traces_key program ~workload =
    engine configuration serve every other one. *)
 let style_tag = function Scheduler.Wavesched -> "wavesched" | Scheduler.Baseline -> "baseline"
 
+(* [probes=1] is a literal: the field it rendered now always reads 1, and
+   keeping it keeps every existing key byte-identical. *)
 let options_fingerprint o =
-  Printf.sprintf "clock=%h,style=%s,depth=%d,cand=%d,seed=%d,restructure=%b,iter=%d,probes=%d%s"
+  Printf.sprintf "clock=%h,style=%s,depth=%d,cand=%d,seed=%d,restructure=%b,iter=%d,probes=1%s"
     o.clock_ns (style_tag o.style)
-    o.depth o.max_candidates o.seed o.enable_restructure o.max_iterations o.probes
+    o.depth o.max_candidates o.seed o.enable_restructure o.max_iterations
     (* Appended only when on so every pre-existing key stays byte-identical
        with range pricing off. *)
     (if o.range_power then ",range_power=true" else "")

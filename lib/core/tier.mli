@@ -23,16 +23,16 @@ module Types : sig
     enable_restructure : bool;  (** ablation A1 *)
     max_iterations : int;
     jobs : int;
-        (** evaluation concurrency; [1] is fully sequential, [0] auto-detects
-            via {!Impact_util.Parallel.num_domains} (which honours the
+        (** the concurrency of a Figure-13 sweep's points ({!Driver.figure13};
+            a single synthesis always runs on the calling domain); [1] is
+            fully sequential, [0] auto-detects via
+            {!Impact_util.Parallel.num_domains} (which honours the
             [IMPACT_JOBS] environment variable) *)
     probes : int;
-        (** speculative depth probes per search iteration
-            ({!Search.default_num_probes}, the flat single-trajectory
-            search, by default; [2] and up select the speculative engine).
-            Part of the search definition — it changes the trajectory — and
-            deliberately independent of [jobs]: any probe count gives
-            bit-identical results at any job count *)
+        (** always 1, and read by nothing: the probe count of a deleted
+            speculative search engine, kept because the benchmark harness
+            ([perfbench/]) sets it.  The store fingerprint writes the
+            literal [probes=1] where it rendered this field *)
     delta_reprice : bool;
         (** let schedule-keeping moves re-price only their resource footprint
             against the predecessor's energy ledger (bit-identical totals;

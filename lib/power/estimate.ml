@@ -61,19 +61,13 @@ type ctx = {
       (* accumulated wall time (ns) spent computing trace-memo entries on
          the miss path — the measured recompute cost of the memo contents,
          recorded into the persistent store's envelopes so eviction can
-         rank artifacts by cost per byte.  Shared by every fork of this
-         context (the Atomic itself is copied by reference). *)
+         rank artifacts by cost per byte. *)
   check_ledger : bool;  (* IMPACT_CHECK_LEDGER: cross-check every reprice *)
   c_eff : int array option;
       (* per-node effective (active) output widths from the range analysis;
          when present, width-scaled switching terms clamp to them.  Fixed at
-         context creation so every fork, memo entry and ledger reprice of
-         this run prices with the same widths. *)
-  (* A forked replica reads through to its parent's memo tables but writes
-     only to its own, so speculative probes never publish into shared
-     state mid-iteration; [merge] folds a replica's entries back in at a
-     deterministic point chosen by the coordinator. *)
-  c_parent : ctx option;
+         context creation so every memo entry and ledger reprice of this
+         run prices with the same widths. *)
 }
 
 let create_ctx ?eff run =
@@ -97,7 +91,6 @@ let create_ctx ?eff run =
     memo_cost = Atomic.make 0;
     check_ledger = Impact_util.Env_flag.enabled "IMPACT_CHECK_LEDGER";
     c_eff = eff;
-    c_parent = None;
   }
 
 (* Effective switching width of one node's output, never above the declared
@@ -162,60 +155,18 @@ let eff_fu_port ctx ~decl ops ~port =
     in
     min decl w
 
-(* Replica fork/merge.  Memo values are pure functions of their keys, so a
-   replica sharing reads with its parent is value-transparent: hits only
-   skip recomputation, they never change a result.  The fresh one-slot
-   caches matter — they are keyed by physical identity and must not leak
-   pointers between domains racing on [Atomic.set]. *)
-let fork parent =
-  {
-    parent with
-    unit_sw = Shardtbl.create ~shards:1 ~equal:(List.equal Int.equal) 32;
-    value_sw = Shardtbl.create ~shards:1 ~equal:Datapath.key_equal 32;
-    enc_tbl = Shardtbl.create ~shards:1 ~equal:String.equal 32;
-    stg_tbl = Shardtbl.create ~shards:1 ~equal:String.equal 32;
-    lifetime_tbl = Shardtbl.create ~shards:1 ~equal:String.equal 32;
-    last_key = Atomic.make None;
-    last_enc = Atomic.make None;
-    last_terms = Atomic.make None;
-    last_lifetime = Atomic.make None;
-    c_parent = Some parent;
-  }
-
-let merge ~into child =
-  if child.c_run != into.c_run then
-    invalid_arg "Estimate.merge: replica of a different run";
-  let publish tbl src =
-    Shardtbl.iter (fun k v -> ignore (Shardtbl.add_if_absent tbl k v)) src
-  in
-  publish into.unit_sw child.unit_sw;
-  publish into.value_sw child.value_sw;
-  publish into.enc_tbl child.enc_tbl;
-  publish into.stg_tbl child.stg_tbl;
-  publish into.lifetime_tbl child.lifetime_tbl
-
 let run ctx = ctx.c_run
 
 (* Unit memo keys are canonicalised (sorted) so permuted-but-equal operation
    groups hit the same entry; the merged trace only depends on the set. *)
 let canonical_ops ops = List.sort Int.compare ops
 
-(* Memo lookups read through the replica chain (own table first, then
-   ancestors) and publish to the local table only; the key is hashed once
-   for the whole chain. *)
-let rec find_through get ctx ~hash key =
-  match Shardtbl.find_opt ~hash (get ctx) key with
-  | Some v -> Some v
-  | None -> (
-    match ctx.c_parent with
-    | None -> None
-    | Some p -> find_through get p ~hash key)
-
-let shard_memo get ctx key compute =
+(* The key is hashed once for the lookup and the publish. *)
+let shard_memo tbl key compute =
   let hash = Shardtbl.hash key in
-  match find_through get ctx ~hash key with
+  match Shardtbl.find_opt ~hash tbl key with
   | Some v -> v
-  | None -> Shardtbl.add_if_absent ~hash (get ctx) key (compute ())
+  | None -> Shardtbl.add_if_absent ~hash tbl key (compute ())
 
 (* Miss-path computations are timed into [memo_cost]; the timer only runs
    when a k-way trace merge is about to, so the hot (hit) path is
@@ -229,16 +180,14 @@ let timed_memo ctx f () =
 
 let unit_sw ctx ops =
   let ops = canonical_ops ops in
-  shard_memo (fun c -> c.unit_sw) ctx ops
+  shard_memo ctx.unit_sw ops
     (timed_memo ctx (fun () -> Traces.unit_switching_stats ctx.c_run ops))
 
 let unit_input_sw ctx ops = (unit_sw ctx ops).Traces.us_input_sw
 let unit_output_sw ctx ops = (unit_sw ctx ops).Traces.us_output_sw
 
 let value_sw ctx key =
-  shard_memo
-    (fun c -> c.value_sw)
-    ctx key
+  shard_memo ctx.value_sw key
     (timed_memo ctx (fun () -> Traces.value_switching ctx.c_run ~key))
 
 let unit_input_switching = unit_input_sw
@@ -297,11 +246,11 @@ let key_of ctx (stg : Stg.t) =
     Atomic.set ctx.last_key (Some (stg, k));
     k
 
-let cached_by_stg ctx slot get (stg : Stg.t) compute =
+let cached_by_stg ctx slot tbl (stg : Stg.t) compute =
   match Atomic.get slot with
   | Some (s, v) when s == stg -> v
   | _ ->
-    let v = shard_memo get ctx (key_of ctx stg) compute in
+    let v = shard_memo tbl (key_of ctx stg) compute in
     Atomic.set slot (Some (stg, v));
     v
 
@@ -313,7 +262,7 @@ let floor_sw sw = Float.max 0.02 sw
 (* --- Schedule-level term computation ---------------------------------------- *)
 
 let stg_enc ctx stg =
-  cached_by_stg ctx ctx.last_enc (fun c -> c.enc_tbl) stg (fun () ->
+  cached_by_stg ctx ctx.last_enc ctx.enc_tbl stg (fun () ->
       Enc.analytic stg ctx.c_run.Sim.profile)
 
 let compute_stg_terms ctx stg =
@@ -379,10 +328,10 @@ let compute_stg_terms ctx stg =
   }
 
 let stg_terms ctx stg =
-  cached_by_stg ctx ctx.last_terms (fun c -> c.stg_tbl) stg (fun () -> compute_stg_terms ctx stg)
+  cached_by_stg ctx ctx.last_terms ctx.stg_tbl stg (fun () -> compute_stg_terms ctx stg)
 
 let lifetime ctx stg =
-  cached_by_stg ctx ctx.last_lifetime (fun c -> c.lifetime_tbl) stg (fun () ->
+  cached_by_stg ctx ctx.last_lifetime ctx.lifetime_tbl stg (fun () ->
       Lifetime.analyse ctx.c_run.Sim.program stg)
 
 (* --- Per-resource terms ------------------------------------------------------ *)

@@ -24,8 +24,8 @@ val create_ctx : ?eff:int array -> Impact_sim.Sim.run -> ctx
     register writes, wiring) price at the clamped width instead of the
     declared one.  Register clock terms keep the declared width: the clock
     tree toggles every flop regardless of data activity.  The array is
-    fixed at creation, so forks, memo entries and ledger repricing all
-    price consistently.
+    fixed at creation, so memo entries and ledger repricing all price
+    consistently.
 
     Setting the environment variable [IMPACT_CHECK_LEDGER] (to anything but
     [0] or the empty string) makes every {!reprice} cross-check itself
@@ -33,32 +33,11 @@ val create_ctx : ?eff:int array -> Impact_sim.Sim.run -> ctx
 
 val run : ctx -> Impact_sim.Sim.run
 
-(** {2 Replica fork/merge}
-
-    Speculative probes run on private estimator replicas so nothing they
-    memoise becomes visible to sibling probes mid-iteration — visibility
-    of shared state is part of the determinism contract, not just a data
-    race concern.  Memo values are pure functions of their keys, so
-    sharing them is value-transparent: a hit only skips recomputation. *)
-
-val fork : ctx -> ctx
-(** [fork parent] is a replica that reads through to [parent]'s memo
-    tables (and transitively its ancestors') but writes only to its own
-    fresh tables.  Cheap: the trace data and workload run are shared. *)
-
-val merge : into:ctx -> ctx -> unit
-(** [merge ~into replica] publishes the replica's private memo entries
-    into [into]'s tables ([into] is normally the replica's fork parent).
-    Call at a deterministic point — after all sibling probes of an
-    iteration have finished, in canonical probe order.  Raises
-    [Invalid_argument] if the two contexts belong to different workload
-    runs. *)
-
 (** {2 Memoised trace statistics}
 
     The memo tables behind these are sharded by key hash, so a context can
-    be shared by the worker domains of a {!Impact_util.Parallel.pool}
-    without serialising on one mutex.  Unit keys are canonicalised (sorted)
+    be shared by the worker domains of a {!Impact_util.Parallel.pool} (a
+    Figure-13 sweep's points) without serialising on one mutex.  Unit keys are canonicalised (sorted)
     before lookup: permuted-but-equal operation groupings hit the same
     entry. *)
 
@@ -71,9 +50,9 @@ val memo_entries : ctx -> int
 
 val memo_cost_ns : ctx -> int
 (** Accumulated wall time (ns) spent computing trace-memo entries — the
-    measured recompute cost of the memo contents, shared across forks.
-    The persistent store records it so eviction can rank the traces
-    artifact by cost per byte. *)
+    measured recompute cost of the memo contents.  The persistent store
+    records it so eviction can rank the traces artifact by cost per
+    byte. *)
 
 (** {2 Persistable memo snapshots}
 
@@ -90,8 +69,7 @@ type memo_snapshot = {
 }
 
 val export_memos : ctx -> memo_snapshot
-(** The context's own unit/value switching memo entries (call on the root
-    context after any probe replicas were merged back). *)
+(** The context's unit/value switching memo entries, canonically sorted. *)
 
 val seed_memos : ?check:bool -> ctx -> memo_snapshot -> unit
 (** Publishes the snapshot's entries into the context (existing entries

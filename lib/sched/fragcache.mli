@@ -16,10 +16,7 @@
     one sweep.
 
     The table is {!Impact_util.Shardtbl}-sharded and safe to share across
-    domains.  {!fork}/{!commit} mirror the estimator-ledger replica
-    pattern: a forked view reads through a private overlay, new fragments
-    land in the overlay only, and the coordinator publishes them at its
-    deterministic merge point.
+    domains (the points of a pooled Figure-13 sweep).
 
     Fragments are mutable values; the cache stores frozen
     {!Stg.portable_frag} snapshots and {!find} materialises a fresh copy
@@ -32,17 +29,6 @@ val create : ?context:string -> unit -> t
     shares a cache, so nothing needs a program name in its keys.  It is
     accepted because the benchmark harness ([perfbench/]) passes it. *)
 
-val fork : t -> t
-(** A probe-private view over the same shared table and counters: reads
-    fall through a fresh overlay, writes land in the overlay only.  Forking
-    a fork shares the same underlying table with a fresh overlay. *)
-
-val commit : t -> unit
-(** Publishes a forked view's overlay into the shared table, then empties
-    the overlay.  Entries are pure functions of their keys, so publication
-    order never changes a value: a key already filed keeps its entry.
-    No-op on an unforked cache. *)
-
 val find : t -> string -> Stg.frag option
 (** A fresh mutable materialisation of the fragment cached under the key,
     or [None]. *)
@@ -53,9 +39,8 @@ val add : t -> string -> Stg.frag -> unit
 
 val counters : t -> int * int
 (** [(reused, scheduled)]: fragments served from the cache vs computed and
-    filed, cumulative over the cache's lifetime and shared across forks.
-    With concurrent schedulers the split between the two is
-    timing-dependent (like the signature cache's hit counter); values
-    never are. *)
+    filed, cumulative over the cache's lifetime.  With concurrent
+    schedulers the split between the two is timing-dependent (like the
+    signature cache's hit counter); values never are. *)
 
 val entries : t -> int

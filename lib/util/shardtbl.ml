@@ -1,19 +1,19 @@
 (* Each shard chains entries in the standard library's layout (head
-   insertion, doubling past two entries per bucket, order-keeping resizes),
-   so a one-shard table enumerates as a [Hashtbl] would.  Entries keep
-   their hash: keys are compared only on a hash match. *)
+   insertion, doubling past two entries per bucket).  Entries keep their
+   hash: keys are compared only on a hash match. *)
 type ('a, 'b) bucket = Empty | Cons of { key : 'a; hash : int; data : 'b; next : ('a, 'b) bucket }
 
 type ('a, 'b) shard = { lock : Mutex.t; mutable buckets : ('a, 'b) bucket array; mutable size : int }
-type ('a, 'b) t = { shards : ('a, 'b) shard array; initial : int; equal : 'a -> 'a -> bool }
+type ('a, 'b) t = { shards : ('a, 'b) shard array; equal : 'a -> 'a -> bool }
 
 let rec pow2 n k = if k >= n then k else pow2 n (k * 2)
 
-let create ?(shards = 16) ~equal size_hint =
-  let n = pow2 (max 1 shards) 1 in
-  let initial = pow2 (max 8 (size_hint / n)) 16 in
+let n_shards = 16
+
+let create ~equal size_hint =
+  let initial = pow2 (max 8 (size_hint / n_shards)) 16 in
   let shard _ = { lock = Mutex.create (); buckets = Array.make initial Empty; size = 0 } in
-  { shards = Array.init n shard; initial; equal }
+  { shards = Array.init n_shards shard; equal }
 
 let hash = Hashtbl.hash
 
@@ -58,25 +58,7 @@ let add_if_absent ?hash:h t key v =
         if s.size > 2 * Array.length s.buckets then resize t s;
         v)
 
-let find_or_add t key compute =
-  let h = hash key in
-  match find_opt ~hash:h t key with
-  | Some v -> v
-  | None ->
-    (* Compute outside the lock: memoised computations are pure but slow,
-       and holding the shard lock through one would serialise every other
-       key that hashes to this shard. *)
-    add_if_absent ~hash:h t key (compute ())
-
 let length t = Array.fold_left (fun n s -> n + Mutex.protect s.lock (fun () -> s.size)) 0 t.shards
-
-let clear t =
-  Array.iter
-    (fun s ->
-      Mutex.protect s.lock (fun () ->
-          s.buckets <- Array.make t.initial Empty;
-          s.size <- 0))
-    t.shards
 
 let iter f t =
   let rec chain acc = function Empty -> acc | Cons c -> chain ((c.key, c.data) :: acc) c.next in

@@ -322,17 +322,20 @@ let test_power_after_area_cache () =
 (* --- Sharded memo tables under contention ---------------------------------- *)
 
 let test_shardtbl_stress () =
-  let tbl = Shardtbl.create ~shards:8 ~equal:Int.equal 64 in
+  let tbl = Shardtbl.create ~equal:Int.equal 64 in
   let n_keys = 500 and n_domains = 4 in
   let value_of k = (k * 2654435761) land 0xFFFF in
   let worker d =
     Domain.spawn (fun () ->
         let winners = Array.make n_keys 0 in
         (* Each domain visits the keys in a different order and races
-           find_or_add against the other domains. *)
+           its lookup and publish against the other domains. *)
         for i = 0 to n_keys - 1 do
           let k = (i + (d * 137)) mod n_keys in
-          winners.(k) <- Shardtbl.find_or_add tbl k (fun () -> value_of k)
+          winners.(k) <-
+            (match Shardtbl.find_opt tbl k with
+            | Some v -> v
+            | None -> Shardtbl.add_if_absent tbl k (value_of k))
         done;
         winners)
   in
@@ -367,28 +370,17 @@ let test_shardtbl_stress () =
 
 (* Two node lists that agree on their first ten elements share a
    [Hashtbl.hash], which reads only ten meaningful values.  The tables must
-   keep them apart by their typed equality, also down a replica chain. *)
+   keep them apart by their typed equality. *)
 let test_shardtbl_hash_collision () =
   let k1 = List.init 11 Fun.id and k2 = List.init 10 Fun.id @ [ 11 ] in
   check_bool "keys share a hash" true (Shardtbl.hash k1 = Shardtbl.hash k2);
-  let tbl = Shardtbl.create ~shards:1 ~equal:(List.equal Int.equal) 16 in
+  let tbl = Shardtbl.create ~equal:(List.equal Int.equal) 16 in
   ignore (Shardtbl.add_if_absent tbl k1 "one");
   check_bool "colliding key absent" true (Shardtbl.find_opt tbl k2 = None);
   ignore (Shardtbl.add_if_absent tbl k2 "two");
   check_int "two entries" 2 (Shardtbl.length tbl);
   check_bool "each key finds its own" true
-    (Shardtbl.find_opt tbl k1 = Some "one" && Shardtbl.find_opt tbl k2 = Some "two");
-  (* The grandparent holds a sentinel no trace merge produces: a grandchild
-     must be served it for [k1], and must compute [k2] itself. *)
-  let prog = Suite.program Suite.paulin in
-  let root = Estimate.create_ctx (Sim.simulate prog ~workload:(Suite.paulin.Suite.workload ~seed:41 ~passes:5)) in
-  let sentinel = { Traces.us_input_sw = -1.; us_output_sw = -2. } in
-  Estimate.seed_memos root { Estimate.ms_units = [ (k1, sentinel) ]; ms_values = [] };
-  let child = Estimate.fork (Estimate.fork root) in
-  check_bool "grandparent entry found" true (Estimate.unit_input_switching child k1 = -1.);
-  check_int "a hit publishes nothing" 0 (Estimate.memo_entries child);
-  check_bool "colliding key computed" true (Estimate.unit_input_switching child k2 >= 0.);
-  check_int "a miss publishes locally" 1 (Estimate.memo_entries child)
+    (Shardtbl.find_opt tbl k1 = Some "one" && Shardtbl.find_opt tbl k2 = Some "two")
 
 let test_stg_memo_shared_across_domains () =
   (* The estimator's per-schedule memo: hammer one context from several

@@ -1,10 +1,8 @@
 (* Coarse-grained sweep orchestration: [Driver.figure13] over the worker
    pool must reproduce the sequential sweep bit-for-bit on every benchmark;
-   the flat search ignores the pool; [Moves.reprices]; and the precomputed
-   edge-consumer index behind [Sim.edge_values]. *)
+   [Moves.reprices]; and the precomputed edge-consumer index behind
+   [Sim.edge_values]. *)
 
-module Parallel = Impact_util.Parallel
-module Rng = Impact_util.Rng
 module Ir = Impact_cdfg.Ir
 module Graph = Impact_cdfg.Graph
 module Sim = Impact_sim.Sim
@@ -25,17 +23,8 @@ let check_int = Alcotest.(check int)
 
 (* --- figure13 over the pool = sequential figure13 -------------------------- *)
 
-(* [probes = 4]: the speculative engine nests its probe batches inside the
-   pooled sweep; the flat search would leave the pool to the coarse fan-out
-   alone, which a one-core host skips. *)
 let sweep_options =
-  {
-    Driver.default_options with
-    depth = 2;
-    max_candidates = 10;
-    max_iterations = 4;
-    probes = 4;
-  }
+  { Driver.default_options with depth = 2; max_candidates = 10; max_iterations = 4 }
 
 let sweep bench opts =
   let prog = Suite.program bench in
@@ -70,7 +59,7 @@ let test_sweep_parallel_identical bench () =
   check_bool "pooled sweep = sequential sweep (power, area, Vdd, ENC, moves)" true
     (sweep_fingerprint seq = sweep_fingerprint coarse)
 
-(* --- the flat search ignores the pool --------------------------------------- *)
+(* --- Moves.reprices -------------------------------------------------------- *)
 
 let make_env bench =
   let prog = Suite.program bench in
@@ -96,50 +85,6 @@ let make_env bench =
     objective = Solution.Minimize_power;
     area_ref;
   }
-
-let run_search ?pool bench =
-  let env = make_env bench in
-  let cache = Solution.create_cache () in
-  let initial = Solution.initial ~cache env in
-  let rng = Rng.create ~seed:1 in
-  Search.optimize env initial ~rng ~depth:2 ~max_candidates:12 ~max_iterations:4
-    ?pool ~cache ()
-
-(* The flat path (one probe) evaluates each candidate batch in order on the
-   caller, so a 4-job pool changes nothing: cost, area, moves and every
-   reproducible counter equal the search with no pool, and nothing is
-   dispatched. *)
-let test_flat_pool_identical () =
-  List.iter
-    (fun bench ->
-      let name = bench.Suite.bench_name in
-      let sol, st = run_search bench in
-      let psol, pst = Parallel.with_pool ~jobs:4 (fun pool -> run_search ~pool bench) in
-      check_bool (name ^ " cost") true (psol.Solution.cost = sol.Solution.cost);
-      check_bool (name ^ " area") true (psol.Solution.area = sol.Solution.area);
-      Alcotest.(check (list string))
-        (name ^ " moves")
-        (List.map Moves.describe st.Search.moves_applied)
-        (List.map Moves.describe pst.Search.moves_applied);
-      let counters s =
-        [
-          s.Search.iterations;
-          s.Search.sequences_applied;
-          s.Search.candidates_evaluated;
-          s.Search.cache_hits;
-          s.Search.pruned_infeasible;
-          s.Search.delta_repriced;
-          s.Search.probes_launched;
-          s.Search.probes_won;
-          s.Search.verified_accepts;
-        ]
-      in
-      Alcotest.(check (list int)) (name ^ " counters") (counters st) (counters pst);
-      check_bool (name ^ " some candidates evaluated") true (st.Search.candidates_evaluated > 0);
-      check_int (name ^ " nothing dispatched") 0 pst.Search.steals)
-    [ Suite.gcd; Suite.dealer ]
-
-(* --- Moves.reprices -------------------------------------------------------- *)
 
 let test_reprices () =
   let env = make_env Suite.gcd in
@@ -234,8 +179,6 @@ let () =
               `Quick
               (test_sweep_parallel_identical b))
           Suite.all );
-      ( "flat",
-        [ Alcotest.test_case "4-job pool = no pool" `Quick test_flat_pool_identical ] );
       ("reprices", [ Alcotest.test_case "classification" `Quick test_reprices ]);
       ( "sim",
         [

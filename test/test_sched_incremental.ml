@@ -3,7 +3,7 @@
    evaluation bit for bit (STG signature, ENC, cost fingerprints); a move's
    schedule perturbation must stay inside its declared resource footprint;
    spliced fragments must pass the structural splice checks; the
-   fragment cache must honour its snapshot and fork/commit contracts; the
+   fragment cache must honour its snapshot and write-once contracts; the
    binary binding key must partition solutions exactly as the text it
    replaced, and the schedule key exactly as the signature of the schedule
    with its firing times erased. *)
@@ -310,37 +310,12 @@ let test_fragcache_roundtrip () =
   let reused, scheduled = Fragcache.counters fc in
   check_int "reused counter" 2 reused;
   check_int "scheduled counter" 1 scheduled;
-  check_int "entries" 1 (Fragcache.entries fc)
-
-let test_fragcache_fork_commit () =
-  let fc = Fragcache.create () in
-  let probe = Fragcache.fork fc in
-  let f = Stg.frag_of_chain [ mk_state ] in
-  Fragcache.add probe "a" f;
-  check_bool "probe sees its own entry" true (Fragcache.find probe "a" <> None);
-  check_bool "parent isolated before commit" true (Fragcache.find fc "a" = None);
-  Fragcache.commit probe;
-  check_bool "commit publishes to the shared table" true
-    (Fragcache.find fc "a" <> None)
-
-(* Two probes that schedule the same region both file it in their overlays;
-   the shared table keeps one entry, and an unforked re-add of a filed key
-   changes nothing. *)
-let test_fragcache_write_once () =
-  let one = Stg.frag_of_chain [ mk_state ] and two = Stg.frag_of_chain [ mk_state; mk_state ] in
-  let fc = Fragcache.create () in
-  let p1 = Fragcache.fork fc and p2 = Fragcache.fork fc in
-  Fragcache.add p1 "k" two;
-  Fragcache.add p2 "k" one;
-  check_int "overlays publish nothing" 0 (Fragcache.entries fc);
-  Fragcache.commit p1;
-  Fragcache.commit p2;
-  check_int "one entry for a key both probes filed" 1 (Fragcache.entries fc);
-  let shape () = Option.map frag_shape (Fragcache.find fc "k") in
-  check_bool "the first commit wins" true (shape () = Some (frag_shape two));
-  Fragcache.add fc "k" one;
-  check_int "an unforked re-add of a filed key adds nothing" 1 (Fragcache.entries fc);
-  check_bool "and keeps the filed entry" true (shape () = Some (frag_shape two))
+  check_int "entries" 1 (Fragcache.entries fc);
+  (* A re-add of a filed key adds nothing and keeps the filed entry. *)
+  Fragcache.add fc "k" (Stg.frag_of_chain [ mk_state ]);
+  check_int "a re-add of a filed key adds nothing" 1 (Fragcache.entries fc);
+  check_bool "and keeps the filed entry" true
+    (Option.map frag_shape (Fragcache.find fc "k") = Some (frag_shape f))
 
 (* --- Binary memo keys partition exactly like the text they replaced ------- *)
 
@@ -761,8 +736,6 @@ let () =
         [
           Alcotest.test_case "roundtrip and isolation" `Quick
             test_fragcache_roundtrip;
-          Alcotest.test_case "fork/commit" `Quick test_fragcache_fork_commit;
-          Alcotest.test_case "each fragment filed once" `Quick test_fragcache_write_once;
           Alcotest.test_case "Heavy reschedules splice every region" `Quick
             test_heavy_resched_splices;
         ] );

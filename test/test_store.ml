@@ -428,7 +428,6 @@ let small_options =
     depth = 2;
     max_candidates = 6;
     max_iterations = 3;
-    probes = 2;
   }
 
 let ledger_terms d =

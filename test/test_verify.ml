@@ -58,12 +58,10 @@ let test_clean bench () =
 
 (* --- verify-each gating over a full search ------------------------------- *)
 
-let synthesize ~probes bench =
+let synthesize bench =
   let prog = Suite.program bench in
   let workload = bench.Suite.workload ~seed:1 ~passes in
-  let options =
-    { Driver.default_options with clock_ns = bench.Suite.clock_ns; probes }
-  in
+  let options = { Driver.default_options with clock_ns = bench.Suite.clock_ns } in
   Driver.synthesize ~options prog ~workload ~objective:Solution.Minimize_power
     ~laxity:2.0 ()
 
@@ -71,27 +69,21 @@ let with_verify_each f =
   Unix.putenv "IMPACT_VERIFY_EACH" "1";
   Fun.protect ~finally:(fun () -> Unix.putenv "IMPACT_VERIFY_EACH" "0") f
 
-(* The gate re-verifies the start point and every solution the search
-   commits to; an error raises, so mere completion means every accepted move
-   left the design sound at every layer.  The trajectory must not change:
-   the gated run's moves and final figures are bit-identical.  These cases
-   run the speculative probe engine ([probes = 4]). *)
+(* The gate re-verifies the start point and every feasible solution of
+   each accepted move sequence; an error raises, so mere completion means
+   every accepted move left the design sound at every layer.  The
+   trajectory must not change: the gated run's moves and final figures are
+   bit-identical.  Replaying the applied moves from the start in the
+   design's own environment recounts the verified solutions. *)
 let test_verify_each bench () =
   Unix.putenv "IMPACT_VERIFY_EACH" "0";
-  let off = synthesize ~probes:4 bench in
-  let on_ = with_verify_each (fun () -> synthesize ~probes:4 bench) in
+  let off = synthesize bench in
+  let on_ = with_verify_each (fun () -> synthesize bench) in
   let moves d =
     List.map Moves.describe d.Driver.d_search.Search.moves_applied
   in
   check_bool "ungated run verifies nothing" true
     (off.Driver.d_search.Search.verified_accepts = 0);
-  (* Under speculative search the gated run verifies the start solution and
-     the merged accepted solution of each improving iteration — not every
-     prefix step and never a losing probe — so the count is exactly
-     1 + sequences_applied. *)
-  check_int "gated run verified the start and each merged accept"
-    (1 + on_.Driver.d_search.Search.sequences_applied)
-    on_.Driver.d_search.Search.verified_accepts;
   Alcotest.(check (list string)) "same moves" (moves off) (moves on_);
   Alcotest.(check (float 0.)) "same cost" off.Driver.d_solution.Solution.cost
     on_.Driver.d_solution.Solution.cost;
@@ -100,7 +92,23 @@ let test_verify_each bench () =
   Alcotest.(check (float 0.)) "same vdd" off.Driver.d_solution.Solution.vdd
     on_.Driver.d_solution.Solution.vdd;
   Alcotest.(check (float 0.)) "same area" off.Driver.d_solution.Solution.area
-    on_.Driver.d_solution.Solution.area
+    on_.Driver.d_solution.Solution.area;
+  let env = on_.Driver.d_env in
+  let feasible s = if s.Solution.cost < infinity then 1 else 0 in
+  let final, expected =
+    List.fold_left
+      (fun (sol, n) move ->
+        match Moves.apply env sol move with
+        | Some next -> (next, n + feasible next)
+        | None -> Alcotest.failf "replayed move %s was rejected" (Moves.describe move))
+      (let start = Solution.initial env in
+       (start, feasible start))
+      on_.Driver.d_search.Search.moves_applied
+  in
+  check_int "gated run verified the start and every accepted step" expected
+    on_.Driver.d_search.Search.verified_accepts;
+  Alcotest.(check (float 0.)) "the replay ends at the same design"
+    on_.Driver.d_solution.Solution.cost final.Solution.cost
 
 (* --- mutation tests: each corruption trips its intended rule ------------- *)
 
@@ -279,29 +287,6 @@ let test_verify_each_enabled () =
   check_bool "1 enables" true (Verify.verify_each_enabled ());
   Unix.putenv "IMPACT_VERIFY_EACH" "0"
 
-(* The flat search ([probes = 1], the default) stands behind every step of
-   each accepted prefix, so its gated run verifies the start plus every
-   feasible solution on the accepted trajectory.  Replaying the applied
-   moves from the start in the design's own environment recounts them. *)
-let test_verify_each_flat bench () =
-  let d = with_verify_each (fun () -> synthesize ~probes:1 bench) in
-  let env = d.Driver.d_env in
-  let feasible s = if s.Solution.cost < infinity then 1 else 0 in
-  let final, expected =
-    List.fold_left
-      (fun (sol, n) move ->
-        match Moves.apply env sol move with
-        | Some next -> (next, n + feasible next)
-        | None -> Alcotest.failf "replayed move %s was rejected" (Moves.describe move))
-      (let start = Solution.initial env in
-       (start, feasible start))
-      d.Driver.d_search.Search.moves_applied
-  in
-  check_int "gated run verified the start and every accepted step" expected
-    d.Driver.d_search.Search.verified_accepts;
-  Alcotest.(check (float 0.)) "the replay ends at the same design"
-    d.Driver.d_solution.Solution.cost final.Solution.cost
-
 let per_bench f =
   List.map
     (fun b -> Alcotest.test_case b.Suite.bench_name `Quick (f b))
@@ -312,7 +297,6 @@ let () =
     [
       ("clean", per_bench test_clean);
       ("verify-each", per_bench test_verify_each);
-      ("verify-each flat", per_bench test_verify_each_flat);
       ( "mutation",
         [
           Alcotest.test_case "reg lifetime" `Quick test_mutation_reg_lifetime;
