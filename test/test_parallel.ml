@@ -102,19 +102,15 @@ let design_fingerprint d =
    empty cache and must match a fresh-cache run exactly; later calls reuse
    its entries (every cached build is a genuinely evaluated solution, but
    the trajectory may visit relabeled-isomorphic bindings, so only the
-   first call is compared bit-for-bit). *)
-let test_shared_cache_consistent () =
+   first call is compared bit-for-bit).  Run on a trimmed search and on the
+   flat variable-depth search exactly as the default options set it. *)
+let trimmed_options =
+  { Driver.default_options with depth = 3; max_candidates = 16; max_iterations = 8 }
+
+let test_shared_cache_consistent ~options () =
   let bench = Suite.gcd in
   let prog = Suite.program bench in
   let workload = bench.Suite.workload ~seed:17 ~passes:25 in
-  let options =
-    {
-      Driver.default_options with
-      depth = 3;
-      max_candidates = 16;
-      max_iterations = 8;
-    }
-  in
   let fresh objective =
     Driver.synthesize ~options prog ~workload ~objective ~laxity:2.0 ()
   in
@@ -151,5 +147,10 @@ let () =
           QCheck_alcotest.to_alcotest test_map_qcheck;
         ] );
       ( "determinism",
-        [ Alcotest.test_case "shared cache consistent" `Quick test_shared_cache_consistent ] );
+        [
+          Alcotest.test_case "shared cache consistent" `Quick
+            (test_shared_cache_consistent ~options:trimmed_options);
+          Alcotest.test_case "shared cache consistent (flat)" `Quick
+            (test_shared_cache_consistent ~options:Driver.default_options);
+        ] );
     ]

@@ -310,12 +310,32 @@ let test_fragcache_roundtrip () =
   let reused, scheduled = Fragcache.counters fc in
   check_int "reused counter" 2 reused;
   check_int "scheduled counter" 1 scheduled;
-  check_int "entries" 1 (Fragcache.entries fc);
-  (* A re-add of a filed key adds nothing and keeps the filed entry. *)
-  Fragcache.add fc "k" (Stg.frag_of_chain [ mk_state ]);
+  check_int "entries" 1 (Fragcache.entries fc)
+
+(* A key is filed once: a re-add keeps the first fragment, and rescheduling
+   a program whose models did not change serves every region from the cache
+   and files nothing new. *)
+let test_fragcache_write_once () =
+  let one = Stg.frag_of_chain [ mk_state ] and two = Stg.frag_of_chain [ mk_state; mk_state ] in
+  let fc = Fragcache.create () in
+  Fragcache.add fc "k" two;
+  Fragcache.add fc "k" one;
   check_int "a re-add of a filed key adds nothing" 1 (Fragcache.entries fc);
   check_bool "and keeps the filed entry" true
-    (Option.map frag_shape (Fragcache.find fc "k") = Some (frag_shape f))
+    (Option.map frag_shape (Fragcache.find fc "k") = Some (frag_shape two));
+  let env = make_env Suite.gcd 2.5 in
+  let cfg = env.Solution.sched_config and prog = env.Solution.program in
+  let sol = Solution.initial env in
+  let delay = Datapath.delay_model sol.Solution.dp
+  and res = Datapath.resource_model sol.Solution.dp in
+  let fc = Fragcache.create () in
+  let cold = Stg.signature (Scheduler.schedule ~frags:fc cfg prog ~delay ~res) in
+  let filed = Fragcache.entries fc and _, scheduled = Fragcache.counters fc in
+  check_bool "a cold schedule files fragments" true (filed > 0);
+  let warm = Stg.signature (Scheduler.schedule ~frags:fc cfg prog ~delay ~res) in
+  check_bool "the rescheduled STG is the same" true (warm = cold);
+  check_int "a reschedule files no new entry" filed (Fragcache.entries fc);
+  check_int "a reschedule computes no fragment" scheduled (snd (Fragcache.counters fc))
 
 (* --- Binary memo keys partition exactly like the text they replaced ------- *)
 
@@ -736,6 +756,7 @@ let () =
         [
           Alcotest.test_case "roundtrip and isolation" `Quick
             test_fragcache_roundtrip;
+          Alcotest.test_case "each fragment filed once" `Quick test_fragcache_write_once;
           Alcotest.test_case "Heavy reschedules splice every region" `Quick
             test_heavy_resched_splices;
         ] );

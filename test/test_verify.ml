@@ -73,8 +73,7 @@ let with_verify_each f =
    each accepted move sequence; an error raises, so mere completion means
    every accepted move left the design sound at every layer.  The
    trajectory must not change: the gated run's moves and final figures are
-   bit-identical.  Replaying the applied moves from the start in the
-   design's own environment recounts the verified solutions. *)
+   bit-identical. *)
 let test_verify_each bench () =
   Unix.putenv "IMPACT_VERIFY_EACH" "0";
   let off = synthesize bench in
@@ -92,8 +91,15 @@ let test_verify_each bench () =
   Alcotest.(check (float 0.)) "same vdd" off.Driver.d_solution.Solution.vdd
     on_.Driver.d_solution.Solution.vdd;
   Alcotest.(check (float 0.)) "same area" off.Driver.d_solution.Solution.area
-    on_.Driver.d_solution.Solution.area;
-  let env = on_.Driver.d_env in
+    on_.Driver.d_solution.Solution.area
+
+(* The flat variable-depth search stands behind every step of each accepted
+   prefix, so its gated run verifies the start plus every feasible solution
+   on the accepted trajectory.  Replaying the applied moves from the start
+   in the design's own environment recounts them. *)
+let test_verify_each_flat bench () =
+  let d = with_verify_each (fun () -> synthesize bench) in
+  let env = d.Driver.d_env in
   let feasible s = if s.Solution.cost < infinity then 1 else 0 in
   let final, expected =
     List.fold_left
@@ -103,12 +109,12 @@ let test_verify_each bench () =
         | None -> Alcotest.failf "replayed move %s was rejected" (Moves.describe move))
       (let start = Solution.initial env in
        (start, feasible start))
-      on_.Driver.d_search.Search.moves_applied
+      d.Driver.d_search.Search.moves_applied
   in
   check_int "gated run verified the start and every accepted step" expected
-    on_.Driver.d_search.Search.verified_accepts;
+    d.Driver.d_search.Search.verified_accepts;
   Alcotest.(check (float 0.)) "the replay ends at the same design"
-    on_.Driver.d_solution.Solution.cost final.Solution.cost
+    d.Driver.d_solution.Solution.cost final.Solution.cost
 
 (* --- mutation tests: each corruption trips its intended rule ------------- *)
 
@@ -297,6 +303,7 @@ let () =
     [
       ("clean", per_bench test_clean);
       ("verify-each", per_bench test_verify_each);
+      ("verify-each flat", per_bench test_verify_each_flat);
       ( "mutation",
         [
           Alcotest.test_case "reg lifetime" `Quick test_mutation_reg_lifetime;
