@@ -71,9 +71,8 @@ let jobs_arg =
     & info [ "jobs"; "j" ]
         ~doc:
           "Evaluation concurrency (OCaml domains): sweep points fan out \
-           when the machine has more than one core; a single synthesis \
-           runs on one.  0 auto-detects (honouring IMPACT_JOBS); results \
-           are identical for any value.")
+           when the machine has more than one core.  0 auto-detects \
+           (honouring IMPACT_JOBS); results are identical for any value.")
 
 let cache_dir_arg =
   Arg.(
@@ -201,12 +200,10 @@ let print_design target design workload =
   Format.printf "  breakdown: %a@." Breakdown.pp m.Measure.m_breakdown
 
 let synth_cmd =
-  let run target objective laxity clock passes seed jobs cache_dir dot_cdfg dot_stg dot_dp verilog opt unroll vcd tb =
+  let run target objective laxity clock passes seed cache_dir dot_cdfg dot_stg dot_dp verilog opt unroll vcd tb =
     let program = prepared_program target opt unroll in
     let workload = target.tg_workload ~seed ~passes in
-    let options =
-      { Driver.default_options with clock_ns = clock; seed; jobs }
-    in
+    let options = { Driver.default_options with clock_ns = clock; seed } in
     let store = store_of ?cache_dir () in
     let design = Driver.synthesize ~options ?store program ~workload ~objective ~laxity () in
     print_design { target with tg_program = program } design workload;
@@ -273,7 +270,7 @@ let synth_cmd =
     (Cmd.info "synth" ~doc:"Synthesize a design with the IMPACT algorithm.")
     Term.(
       const run $ target_arg $ objective_arg $ laxity_arg $ clock_arg $ passes_arg
-      $ seed_arg $ jobs_arg $ cache_dir_arg $ dot_cdfg_arg $ dot_stg_arg
+      $ seed_arg $ cache_dir_arg $ dot_cdfg_arg $ dot_stg_arg
       $ dot_datapath_arg $ verilog_arg $ optimize_arg $ unroll_arg $ vcd_arg
       $ testbench_arg)
 
@@ -526,8 +523,8 @@ let cache_cmd =
        ~doc:
          "Inspect or maintain the persistent result store: stats (objects, \
           bytes, cap, per-tier breakdown), clear (remove everything), gc \
-          (evict objects ranked by recompute cost per byte, cheapest first, \
-          down to the byte cap).  Exits 0 on success, 2 on usage errors.")
+          (evict objects in write order, oldest first, down to the byte \
+          cap).  Exits 0 on success, 2 on usage errors.")
     Term.(const run $ action_arg $ cache_dir_arg $ max_bytes_arg)
 
 (* --- serve / request -------------------------------------------------------- *)

@@ -49,36 +49,21 @@ type t = {
 
 (* --- Evaluation metrics ---------------------------------------------------- *)
 
-(* Independent atomic counters: candidate evaluation happens on every worker
-   domain, and a shared mutex around simple increments is measurable
-   contention at that rate. *)
+(* Plain counters: one [Search.optimize] creates each value and updates it
+   on its own domain only. *)
 type metrics = {
-  m_cache_hits : int Atomic.t;
-  m_pruned : int Atomic.t;
-  m_rebuilt : int Atomic.t;
-  m_delta : int Atomic.t;
-  m_estimated : int Atomic.t;
+  mutable m_cache_hits : int;
+  mutable m_pruned : int;
+  mutable m_rebuilt : int;
+  mutable m_delta : int;
+  mutable m_estimated : int;
 }
 
 let create_metrics () =
-  {
-    m_cache_hits = Atomic.make 0;
-    m_pruned = Atomic.make 0;
-    m_rebuilt = Atomic.make 0;
-    m_delta = Atomic.make 0;
-    m_estimated = Atomic.make 0;
-  }
+  { m_cache_hits = 0; m_pruned = 0; m_rebuilt = 0; m_delta = 0; m_estimated = 0 }
 
-let bump metrics counter =
-  match metrics with None -> () | Some m -> Atomic.incr (counter m)
-
-let metrics_counts m =
-  ( Atomic.get m.m_cache_hits,
-    Atomic.get m.m_pruned,
-    Atomic.get m.m_rebuilt,
-    Atomic.get m.m_delta )
-
-let metrics_estimated m = Atomic.get m.m_estimated
+let metrics_counts m = (m.m_cache_hits, m.m_pruned, m.m_rebuilt, m.m_delta)
+let metrics_estimated m = m.m_estimated
 
 (* --- Legality -------------------------------------------------------------- *)
 
@@ -179,11 +164,11 @@ let nominal ?metrics ?delta ctx slot ~stg ~dp =
   match Atomic.get slot with
   | Some pair -> pair
   | None ->
-    bump metrics (fun m -> m.m_estimated);
+    Option.iter (fun m -> m.m_estimated <- m.m_estimated + 1) metrics;
     let pair =
       match delta with
       | Some (prev, footprint) when Estimate.can_reprice ctx prev ~stg ->
-        bump metrics (fun m -> m.m_delta);
+        Option.iter (fun m -> m.m_delta <- m.m_delta + 1) metrics;
         Estimate.reprice ctx ~prev ~footprint ~stg ~dp ()
       | _ -> Estimate.estimate_ledger ctx ~stg ~dp ()
     in
@@ -244,7 +229,7 @@ let price ?metrics ?delta env bt =
   let pricing, cost =
     if not feasible then begin
       (* Feasibility pre-check failed: skip the full estimate entirely. *)
-      bump metrics (fun m -> m.m_pruned);
+      Option.iter (fun m -> m.m_pruned <- m.m_pruned + 1) metrics;
       (Pruned bt.bt_critical, infinity)
     end
     else
@@ -338,7 +323,7 @@ let signature ~binding ~restructured =
 let rebuild ?cache ?metrics ?delta env ~binding ~restructured ~reuse_stg =
   let frags = Option.bind cache (fun c -> c.cs_frags) in
   let fresh () =
-    bump metrics (fun m -> m.m_rebuilt);
+    Option.iter (fun m -> m.m_rebuilt <- m.m_rebuilt + 1) metrics;
     build ?frags env ~binding ~restructured ~reuse_stg
   in
   let bt =
@@ -352,7 +337,7 @@ let rebuild ?cache ?metrics ?delta env ~binding ~restructured ~reuse_stg =
       let hash = Shardtbl.hash key in
       match Shardtbl.find_opt ~hash c.cs_shared key with
       | Some bt ->
-        bump metrics (fun m -> m.m_cache_hits);
+        Option.iter (fun m -> m.m_cache_hits <- m.m_cache_hits + 1) metrics;
         bt
       | None ->
         (* Insert-or-get: when two domains built the same signature

@@ -62,8 +62,9 @@ val priced_ledger : t -> Impact_power.Estimate.ledger option
 
 (** {1 Evaluation metrics}
 
-    Independent atomic counters for one synthesis run; safe to update from
-    several domains without a shared lock. *)
+    Plain mutable counters for one synthesis run: {!Search.optimize}
+    creates one value per call and updates it only on that call's domain,
+    so no counter is atomic.  A value must not be shared across domains. *)
 
 type metrics
 

@@ -193,15 +193,9 @@ let decode tier payload =
 let find tier st k = Option.bind (Store.find ~ns:tier.ns st k) (decode tier)
 
 (* The store is a cache: a lost write only costs a later recompute. *)
-let put tier ~cost_ns st k v =
-  try Store.put ~ns:tier.ns ~cost_ns st k (encode tier v) with _ -> ()
+let put tier st k v = try Store.put ~ns:tier.ns st k (encode tier v) with _ -> ()
 
 let check_enabled () = Impact_util.Env_flag.enabled "IMPACT_STORE_CHECK"
-
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (v, int_of_float ((Unix.gettimeofday () -. t0) *. 1e9))
 
 let find_or_compute ?store tier ~key ~restore ~persist ~fingerprint cold =
   match store with
@@ -216,8 +210,8 @@ let find_or_compute ?store tier ~key ~restore ~persist ~fingerprint cold =
              tier.tag);
       v
     | None ->
-      let v, cost_ns = timed cold in
-      put tier ~cost_ns st k (persist v);
+      let v = cold () in
+      put tier st k (persist v);
       v)
 
 (* --- traces: seed, then accumulate ---------------------------------------- *)
@@ -237,7 +231,7 @@ let seed_traces ?store program ~workload est_ctx =
 
 (* The tier accumulates across objectives and laxities: merge this
    context's memos into the persisted snapshot, and skip the write when
-   nothing is new.  The cost is the context's measured memo-miss time. *)
+   nothing is new. *)
 let sync_traces st program ~workload est_ctx =
   try
     let k = traces_key program ~workload in
@@ -257,8 +251,7 @@ let sync_traces st program ~workload est_ctx =
         ms_values = merge existing.Estimate.ms_values fresh.Estimate.ms_values;
       }
     in
-    if merged <> existing then
-      put traces_tier ~cost_ns:(Estimate.memo_cost_ns est_ctx) st k merged
+    if merged <> existing then put traces_tier st k merged
   with _ -> ()
 
 (* --- design and sweep: find-or-compute ---------------------------------------

@@ -6,9 +6,9 @@
     Three tiers share one contract — a content {b key} digesting exactly the
     artifact's inputs, a {b tag codec} ([Marshal (tag, value)], a foreign
     tag reads as a miss), a {b restore/validate} step that turns a decoded
-    entry back into a live value or rejects it as a miss, a {b fingerprint}
-    that [IMPACT_STORE_CHECK=1] compares against a cold recomputation, and
-    the measured recompute {b cost} recorded for cost-per-byte eviction.
+    entry back into a live value or rejects it as a miss, and a
+    {b fingerprint} that [IMPACT_STORE_CHECK=1] compares against a cold
+    recomputation.
 
     The request and result records live here because their fields are what
     the keys digest and the entries persist; {!Driver} re-exports them. *)
@@ -152,10 +152,10 @@ val find_or_compute :
 (** [find_or_compute ?store tier ~key ~restore ~persist ~fingerprint cold]
     serves the value stored under [key ()] when it decodes and [restore]
     accepts it (an exception in [restore] also reads as a miss).  Otherwise
-    it runs [cold], records [persist v] with the measured time as its cost,
-    and returns [v]; write errors are swallowed.  Under
-    [IMPACT_STORE_CHECK=1] a hit also runs [cold] and fails unless both
-    fingerprints agree.  Without a store it is [cold ()]. *)
+    it runs [cold], records [persist v] and returns [v]; write errors are
+    swallowed.  Under [IMPACT_STORE_CHECK=1] a hit also runs [cold] and
+    fails unless both fingerprints agree.  Without a store it is
+    [cold ()]. *)
 
 (** {1 The three tiers}
 

@@ -60,8 +60,7 @@ type ctx = {
   memo_cost : int Atomic.t;
       (* accumulated wall time (ns) spent computing trace-memo entries on
          the miss path — the measured recompute cost of the memo contents,
-         recorded into the persistent store's envelopes so eviction can
-         rank artifacts by cost per byte. *)
+         read by the benchmark harness. *)
   check_ledger : bool;  (* IMPACT_CHECK_LEDGER: cross-check every reprice *)
   c_eff : int array option;
       (* per-node effective (active) output widths from the range analysis;

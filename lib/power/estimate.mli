@@ -50,9 +50,8 @@ val memo_entries : ctx -> int
 
 val memo_cost_ns : ctx -> int
 (** Accumulated wall time (ns) spent computing trace-memo entries — the
-    measured recompute cost of the memo contents.  The persistent store
-    records it so eviction can rank the traces artifact by cost per
-    byte. *)
+    measured recompute cost of the memo contents.  Only the benchmark
+    harness reads it, as its [power.memo_cost_s] metric. *)
 
 (** {2 Persistable memo snapshots}
 

@@ -1,29 +1,15 @@
 (* Envelope layout: MAGIC (12 bytes, version baked into the last byte) ^
-   logical clock (8 bytes, big-endian) ^ recompute cost in ns (8 bytes,
-   big-endian) ^ MD5(payload) (16 bytes) ^ payload.  Bumping the format
-   version changes MAGIC, so objects written by any other version fail
-   validation and read as misses — version skew is indistinguishable from
-   absence, which is the behaviour a cache wants.
+   MD5(payload) (16 bytes) ^ payload.  Bumping the format version changes
+   MAGIC, so objects written by any other version fail validation and read
+   as misses — version skew is indistinguishable from absence, which is the
+   behaviour a cache wants.  An object is written once, by an atomic
+   rename, and never modified: a hit only reads it. *)
 
-   The payload digest deliberately excludes the clock and cost words: a hit
-   refreshes the clock by rewriting its 8 bytes in place without touching
-   (or re-checksumming) the payload.  The clock is a store-wide monotonic
-   counter persisted in a [clock] file at the root, so recency ordering
-   survives process restarts at full resolution — unlike the 1-second
-   mtime granularity it replaces, under which hits within the same second
-   tied arbitrarily.  The file holds a leased upper bound, not the last
-   tick: a handle persists [clock_lease] ticks ahead at once, so only one
-   tick in [clock_lease] writes the file, and a handle opened later starts
-   above every tick any earlier handle issued from its lease. *)
-
-let magic = "IMPACTSTORE\002"
-let clock_off = String.length magic
-let cost_off = clock_off + 8
-let digest_off = cost_off + 8
+let magic = "IMPACTSTORE\003"
+let digest_off = String.length magic
 let header_len = digest_off + 16
 let default_max_bytes = 256 * 1024 * 1024
 let default_ns = "design"
-let clock_lease = 1024
 
 type tier_stats = {
   ts_entries : int;
@@ -62,8 +48,6 @@ type t = {
   mem_order : string Queue.t;  (* FIFO of memory-layer keys *)
   lock : Mutex.t;
   tiers : (string, counters) Hashtbl.t;
-  mutable clock : int;
-  mutable clock_bound : int;  (* the lease persisted in the clock file *)
   (* The on-disk bytes this handle knows of: seeded by its first full scan,
      then moved by its own writes, evictions and corrupt-object removals.
      Other processes' writes show up at the next scan, which runs only once
@@ -101,18 +85,12 @@ let mkdir_p path =
 
 let objects_dir t = Filename.concat t.root "objects"
 let tmp_dir t = Filename.concat t.root "tmp"
-let clock_path t = Filename.concat t.root "clock"
 
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
-
-let load_clock t =
-  match read_file (clock_path t) with
-  | exception Sys_error _ -> 0
-  | s -> ( match int_of_string_opt (String.trim s) with Some c when c >= 0 -> c | _ -> 0)
 
 let open_store ?dir ?max_bytes ?(mem_capacity = 128) () =
   let root = match dir with Some d -> d | None -> default_dir () in
@@ -133,8 +111,6 @@ let open_store ?dir ?max_bytes ?(mem_capacity = 128) () =
       mem_order = Queue.create ();
       lock = Mutex.create ();
       tiers = Hashtbl.create 8;
-      clock = 0;
-      clock_bound = 0;
       known_bytes = None;
       hits = 0;
       misses = 0;
@@ -145,8 +121,6 @@ let open_store ?dir ?max_bytes ?(mem_capacity = 128) () =
   in
   mkdir_p (objects_dir t);
   mkdir_p (tmp_dir t);
-  t.clock <- load_clock t;
-  t.clock_bound <- t.clock;
   t
 
 let dir t = t.root
@@ -177,39 +151,7 @@ let counters_for t ns =
     Hashtbl.replace t.tiers ns c;
     c
 
-(* Allocate the next logical-clock tick.  A tick past the lease first
-   persists a new bound [clock_lease] ticks ahead (atomic rename, so a torn
-   write can never leave garbage).  Persistence is best-effort: losing the
-   file only costs eviction-order fidelity. *)
-let bump_clock t =
-  t.clock <- t.clock + 1;
-  if t.clock > t.clock_bound then begin
-    t.clock_bound <- t.clock + clock_lease - 1;
-    t.tmp_counter <- t.tmp_counter + 1;
-    let tmp =
-      Filename.concat (tmp_dir t)
-        (Printf.sprintf "clock.%d.%d" (Unix.getpid ()) t.tmp_counter)
-    in
-    try
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (string_of_int t.clock_bound));
-      Sys.rename tmp (clock_path t)
-    with Sys_error _ | Unix.Unix_error _ -> ( try Sys.remove tmp with Sys_error _ -> ())
-  end;
-  t.clock
-
-let put_int64_be b off v =
-  Bytes.set_int64_be b off v
-
-let header ~clock ~cost_ns payload =
-  let b = Bytes.create header_len in
-  Bytes.blit_string magic 0 b 0 (String.length magic);
-  put_int64_be b clock_off (Int64.of_int clock);
-  put_int64_be b cost_off (Int64.of_int (max 0 cost_ns));
-  Bytes.blit_string (Digest.string payload) 0 b digest_off 16;
-  Bytes.unsafe_to_string b
+let header payload = magic ^ Digest.string payload
 
 (* Validate an envelope; [None] for any structural problem. *)
 let unwrap data =
@@ -221,40 +163,6 @@ let unwrap data =
     let payload = String.sub data header_len (n - header_len) in
     if Digest.string payload = digest then Some payload else None
   end
-
-(* The clock and cost words of an on-disk envelope, without validating the
-   payload: this is all eviction ranking needs, and reading 28 bytes per
-   object keeps the scan cheap. *)
-let read_header path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        match really_input_string ic header_len with
-        | exception End_of_file -> None
-        | h ->
-          if String.sub h 0 (String.length magic) <> magic then None
-          else
-            Some
-              ( Int64.to_int (String.get_int64_be h clock_off),
-                Int64.to_int (String.get_int64_be h cost_off) ))
-
-(* Refresh an object's recency in place: 8 bytes at a fixed offset, outside
-   the checksummed region, so a concurrent reader sees either clock. *)
-let refresh_clock t path =
-  let clock = bump_clock t in
-  match Unix.openfile path [ Unix.O_WRONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        let b = Bytes.create 8 in
-        put_int64_be b 0 (Int64.of_int clock);
-        ignore (Unix.lseek fd clock_off Unix.SEEK_SET);
-        ignore (Unix.write fd b 0 8))
 
 let mem_key ns k = ns ^ ":" ^ k
 
@@ -279,7 +187,6 @@ let find ?(ns = default_ns) t k =
       | Some payload ->
         t.hits <- t.hits + 1;
         c.c_hits <- c.c_hits + 1;
-        refresh_clock t (object_path t ns k);
         Some payload
       | None -> (
         let path = object_path t ns k in
@@ -293,7 +200,6 @@ let find ?(ns = default_ns) t k =
           | Some payload ->
             t.hits <- t.hits + 1;
             c.c_hits <- c.c_hits + 1;
-            refresh_clock t path;
             remember t (mem_key ns k) payload;
             Some payload
           | None ->
@@ -343,51 +249,40 @@ let disk_usage t =
         Hashtbl.replace per_ns ns (e + 1, b + st.Unix.st_size));
   (!entries, !bytes, per_ns)
 
-(* Cost-aware eviction: rank objects by recompute cost per byte, ascending —
-   the cheapest-to-recompute byte goes first, so an expensive sweep outlives
-   a cheap synth of the same size — with the logical clock as tiebreak
-   (least recently touched first; objects whose header cannot be read rank
-   cheapest of all).  The scan re-reads the true total (every process's
-   objects) and resets the handle's tally to what is left; headers are
-   read only when the total is over the cap. *)
-let evict_locked t cap =
+(* Write-order eviction: the oldest mtime goes first, key order on ties.
+   Objects are never rewritten in place, so the mtime is the object's write
+   time; [fresh], the object a [put] just wrote, always ranks newest, so a
+   clock skewed against another writer's cannot evict it first.  The scan
+   re-reads the true total (every process's objects) and resets the
+   handle's tally to what is left. *)
+let evict_locked ?fresh t cap =
   let objs = ref [] and total = ref 0 in
   iter_objects t (fun path ns name ->
       match Unix.stat path with
       | exception Unix.Unix_error _ -> ()
       | st ->
         total := !total + st.Unix.st_size;
-        objs := (st.Unix.st_size, path, ns, name) :: !objs);
+        objs :=
+          (Some path = fresh, st.Unix.st_mtime, name, ns, st.Unix.st_size, path) :: !objs);
   let total = !total in
   if total <= cap then begin
     t.known_bytes <- Some total;
     (0, [])
   end
   else begin
-    let by_worth =
-      List.rev_map
-        (fun (size, path, ns, name) ->
-          let clock, cost_ns =
-            match read_header path with Some (c, n) -> (c, n) | None -> (0, 0)
-          in
-          let cost_per_byte = float_of_int cost_ns /. float_of_int (max 1 size) in
-          (cost_per_byte, clock, size, path, ns, mem_key ns name))
-        !objs
-      |> List.sort compare
-    in
     let removed = ref 0 and remaining = ref total in
     let per_ns : (string, int * int) Hashtbl.t = Hashtbl.create 8 in
     List.iter
-      (fun (_, _, size, path, ns, mk) ->
+      (fun (_, _, name, ns, size, path) ->
         if !remaining > cap then begin
           (try Sys.remove path with Sys_error _ -> ());
-          Hashtbl.remove t.mem mk;
+          Hashtbl.remove t.mem (mem_key ns name);
           remaining := !remaining - size;
           incr removed;
           let e, b = Option.value (Hashtbl.find_opt per_ns ns) ~default:(0, 0) in
           Hashtbl.replace per_ns ns (e + 1, b + size)
         end)
-      by_worth;
+      (List.sort compare !objs);
     t.known_bytes <- Some !remaining;
     t.evicted <- t.evicted + !removed;
     let tiers =
@@ -399,7 +294,7 @@ let evict_locked t cap =
     (!removed, tiers)
   end
 
-let put ?(ns = default_ns) ?(cost_ns = 0) t k payload =
+let put ?(ns = default_ns) t k payload =
   check_args "put" ns k;
   Mutex.protect t.lock (fun () ->
       remember t (mem_key ns k) payload;
@@ -410,7 +305,6 @@ let put ?(ns = default_ns) ?(cost_ns = 0) t k payload =
         Filename.concat (tmp_dir t)
           (Printf.sprintf "%s.%d.%d" k (Unix.getpid ()) t.tmp_counter)
       in
-      let clock = bump_clock t in
       (* An overwrite counts net of the object it replaces. *)
       let replaced = try (Unix.stat final).Unix.st_size with Unix.Unix_error _ -> 0 in
       match
@@ -418,7 +312,7 @@ let put ?(ns = default_ns) ?(cost_ns = 0) t k payload =
         Fun.protect
           ~finally:(fun () -> close_out_noerr oc)
           (fun () ->
-            output_string oc (header ~clock ~cost_ns payload);
+            output_string oc (header payload);
             output_string oc payload);
         Sys.rename tmp final
       with
@@ -429,7 +323,7 @@ let put ?(ns = default_ns) ?(cost_ns = 0) t k payload =
         let grown = header_len + String.length payload - replaced in
         match t.known_bytes with
         | Some b when b + grown <= t.cap -> t.known_bytes <- Some (b + grown)
-        | Some _ | None -> ignore (evict_locked t t.cap))
+        | Some _ | None -> ignore (evict_locked ~fresh:final t t.cap))
       | exception (Sys_error _ | Unix.Unix_error _) ->
         (* A cache write that fails only costs a future recompute. *)
         (try Sys.remove tmp with Sys_error _ -> ()))

@@ -10,23 +10,18 @@
     owns durability only:
 
     - {b integrity}: every object is wrapped in an envelope carrying a
-      format magic/version, a logical clock, its measured recompute cost
-      and a payload checksum; a short read, a flipped bit or a version skew
-      makes {!find} return [None] (a miss), never a crash, and the damaged
-      file is removed;
+      format magic/version and a payload checksum; a short read, a flipped
+      bit or a version skew makes {!find} return [None] (a miss), never a
+      crash, and the damaged file is removed;
     - {b crash safety}: objects are written to a temp file and atomically
       renamed into place, so an interrupted writer can never leave a
-      half-written object visible;
+      half-written object visible; an object is never modified after
+      that, and a hit only reads it;
     - {b bounded size}: once the store exceeds its byte cap, writes evict
-      the objects cheapest to recompute per byte first (by the recorded
-      [cost_ns] / size ratio), breaking ties by a monotonic logical clock
-      (least recently touched first) that hits refresh in place.  A
-      handle tracks the on-disk bytes it knows of in a running tally and
-      scans the store only when the tally passes the cap (see {!put}).
-      The clock persists in a [clock] file at the store root as a leased
-      upper bound, rewritten once per 1024 ticks; a handle opened later
-      starts at that bound, so recency ordering survives restarts at full
-      resolution — no 1-second mtime ties.
+      objects in write order (oldest file mtime first, key order on ties;
+      the object just written always ranks newest).  A handle tracks the
+      on-disk bytes it knows of in a running tally and scans the store
+      only when the tally passes the cap (see {!put}).
 
     Concurrent processes may share a directory: rename is atomic and every
     object is self-validating.  A handle sees other processes' writes in
@@ -62,15 +57,12 @@ val key : string -> string
 val find : ?ns:string -> t -> string -> string option
 (** The payload stored under a key in the namespace, or [None] — unknown
     key, or an object that failed validation (truncated, checksum mismatch,
-    foreign version) and was discarded.  Hits refresh the object's logical
-    clock (in place, outside the checksummed region) and promote it into
-    the memory layer. *)
+    foreign version) and was discarded.  A disk hit promotes the payload
+    into the memory layer; no hit writes anything to disk. *)
 
-val put : ?ns:string -> ?cost_ns:int -> t -> string -> string -> unit
-(** Persists (atomic rename) and caches in memory; then evicts objects
-    while the store exceeds its cap.  [cost_ns] records what the payload
-    cost to compute — the eviction policy keeps expensive-per-byte objects
-    longest.  Write errors (permissions, full disk) are swallowed: the
+val put : ?ns:string -> t -> string -> string -> unit
+(** Persists (atomic rename) and caches in memory; then evicts objects,
+    oldest write first, while the store exceeds its cap.  Write errors (permissions, full disk) are swallowed: the
     store is a cache, losing a write only costs the next run a recompute.
 
     The cap is checked against the handle's byte tally, not a scan: the
@@ -86,8 +78,7 @@ val clear : t -> int
     returns the count.  The next write re-seeds the byte tally. *)
 
 val gc : ?max_bytes:int -> t -> int
-(** Evicts objects (cheapest recompute-per-byte first, clock tiebreak)
-    until the store fits the cap (default: the handle's); returns the
+(** Evicts objects (oldest write first, key order on ties) until the store fits the cap (default: the handle's); returns the
     eviction count.  A full scan, whatever the byte tally says. *)
 
 type gc_tier = {

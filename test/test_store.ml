@@ -1,5 +1,5 @@
-(* The persistent content-addressed store: envelope round-trips, cost-aware
-   eviction under the logical clock, corruption resilience (truncation, bit
+(* The persistent content-addressed store: envelope round-trips, pure-read
+   hits, write-order eviction, corruption resilience (truncation, bit
    flips, version skew all read as misses, never crashes), the single-flight
    scheduler under thread races, and — the contract the layer above depends
    on — warm Driver answers bit-identical to the cold searches that
@@ -67,6 +67,17 @@ let tier_reads name st =
   let t = tier name st in
   t.Store.ts_hits + t.Store.ts_misses
 
+(* Eviction ranks objects by file mtime.  A test that expects a particular
+   object to go first gives every object an explicit write time with
+   [age], [n] seconds into a fixed epoch, so coarse filesystem timestamps
+   cannot tie two writes. *)
+let age d name n =
+  let t = 1e9 +. float_of_int n in
+  Unix.utimes (object_path d name) t t
+
+let mtime d name = (Unix.stat (object_path d name)).Unix.st_mtime
+let exists d name = Sys.file_exists (object_path d name)
+
 (* --- store primitives ----------------------------------------------------- *)
 
 (* [find]/[put] take content keys (hex digests); [k] is the canonical-key
@@ -107,14 +118,14 @@ let test_clear_gc () =
       check_int "empty" 0 (Store.stats s).Store.st_entries;
       check_bool "cleared key misses" true (Store.find s (k "k8") = None))
 
-let test_clock_eviction () =
+let test_write_order_eviction () =
   with_dir (fun d ->
-      (* Cap fits roughly two objects; equal (default) recompute costs, so
-         eviction order is purely the logical clock — insertion order here,
-         with no dependence on filesystem mtime granularity. *)
+      (* Cap fits roughly two objects; eviction order is write order. *)
       let s = Store.open_store ~dir:d ~max_bytes:2500 () in
       Store.put s (k "a") (String.make 1000 'a');
+      age d "a" 1;
       Store.put s (k "b") (String.make 1000 'b');
+      age d "b" 2;
       Store.put s (k "c") (String.make 1000 'c');
       let st = Store.stats s in
       check_bool "evicted down to cap" true (st.Store.st_bytes <= 2500);
@@ -122,32 +133,56 @@ let test_clock_eviction () =
         (not (Sys.file_exists (object_path d "a")));
       check_bool "newest object kept" true (Sys.file_exists (object_path d "c")))
 
-let test_hit_refreshes_clock () =
+let test_hit_is_pure_read () =
   with_dir (fun d ->
-      (* A hit rewrites the envelope's clock word in place, so the
-         recently-read [a] outlives the never-read [b] — and the refresh
-         survives a handle boundary because the clock is persisted. *)
-      let s = Store.open_store ~dir:d ~max_bytes:2500 () in
-      Store.put s (k "a") (String.make 1000 'a');
-      Store.put s (k "b") (String.make 1000 'b');
-      let s2 = Store.open_store ~dir:d ~max_bytes:2500 () in
-      check_bool "reread hits" true (Store.find s2 (k "a") = Some (String.make 1000 'a'));
-      Store.put s2 (k "c") (String.make 1000 'c');
-      check_bool "recently hit object kept" true (Sys.file_exists (object_path d "a"));
-      check_bool "stale object evicted" true (not (Sys.file_exists (object_path d "b"))))
+      (* A hit, from disk or from the memory layer, leaves the object's
+         bytes and mtime as they were and writes no other file. *)
+      let payload = String.make 1000 'a' in
+      Store.put (Store.open_store ~dir:d ()) (k "a") payload;
+      age d "a" 1;
+      let path = object_path d "a" in
+      let bytes () = In_channel.with_open_bin path In_channel.input_all in
+      let before = bytes () and written = mtime d "a" in
+      let s = Store.open_store ~dir:d () in
+      check_bool "disk hit" true (Store.find s (k "a") = Some payload);
+      check_bool "memory hit" true (Store.find s (k "a") = Some payload);
+      check_int "both were hits" 2 (Store.stats s).Store.st_hits;
+      check_bool "bytes unchanged" true (bytes () = before);
+      check_bool "mtime unchanged" true (mtime d "a" = written);
+      check_bool "no clock file" false (Sys.file_exists (Filename.concat d "clock")))
 
-let test_cost_aware_eviction () =
+let test_eviction_across_handles () =
   with_dir (fun d ->
-      (* [a] is the oldest but was expensive to recompute; ranking by
-         recompute cost per byte evicts the cheap [b] instead, even though
-         mtime/clock LRU would have chosen [a]. *)
-      let s = Store.open_store ~dir:d ~max_bytes:2500 () in
-      Store.put s ~cost_ns:1_000_000_000 (k "a") (String.make 1000 'a');
-      Store.put s (k "b") (String.make 1000 'b');
-      Store.put s (k "c") (String.make 1000 'c');
-      check_bool "expensive old object kept" true (Sys.file_exists (object_path d "a"));
-      check_bool "cheap object evicted" true (not (Sys.file_exists (object_path d "b")));
-      check_bool "fits cap" true ((Store.stats s).Store.st_bytes <= 2500))
+      (* Two handles interleave writes; a third evicts in write order,
+         whichever handle wrote an object and whether it was hit since.
+         Equal write times fall back to key order. *)
+      let h1 = Store.open_store ~dir:d () and h2 = Store.open_store ~dir:d () in
+      let put h name n =
+        Store.put h (k name) (String.make 100 'x');
+        age d name n
+      in
+      put h1 "a" 1;
+      put h2 "b" 2;
+      put h1 "c" 3;
+      put h2 "d" 4;
+      put h1 "e" 4;
+      check_bool "the oldest object hits" true (Store.find h2 (k "a") <> None);
+      let h3 = Store.open_store ~dir:d () in
+      check_int "gc evicts the two oldest" 2 (Store.gc ~max_bytes:(3 * 128) h3);
+      check_bool "oldest evicted though hit" false (exists d "a");
+      check_bool "second oldest evicted" false (exists d "b");
+      check_bool "newer kept" true (exists d "c" && exists d "d" && exists d "e");
+      let lower, higher = if k "d" < k "e" then ("d", "e") else ("e", "d") in
+      check_int "down to one object" 2 (Store.gc ~max_bytes:128 h3);
+      check_bool "older than the tie evicted" false (exists d "c");
+      check_bool "a write-time tie evicts the lower key" false (exists d lower);
+      check_bool "the higher key kept" true (exists d higher);
+      (* The object a write just made ranks newest, even beside an object
+         whose writer's clock ran ahead of this one's. *)
+      age d higher 2_000_000_000;
+      Store.put (Store.open_store ~dir:d ~max_bytes:128 ()) (k "f") (String.make 100 'x');
+      check_bool "the future-dated object evicted" false (exists d higher);
+      check_bool "the fresh write kept" true (exists d "f"))
 
 let test_tiers () =
   with_dir (fun d ->
@@ -236,8 +271,8 @@ let test_corruption () =
           b );
       ( "flipped checksum bit",
         fun b ->
-          (* Byte 30 is inside the 16-byte payload digest (offset 28). *)
-          Bytes.set b 30 (Char.chr (Char.code (Bytes.get b 30) lxor 0x80));
+          (* Byte 14 is inside the 16-byte payload digest (offsets 12-27). *)
+          Bytes.set b 14 (Char.chr (Char.code (Bytes.get b 14) lxor 0x80));
           b );
       ( "version skew",
         fun b ->
@@ -247,19 +282,6 @@ let test_corruption () =
       ("garbage", fun _ -> Bytes.of_string "not an impact store object");
     ]
   in
-  (* The clock and cost words are deliberately outside the checksummed
-     region (a hit refreshes the clock in place without re-checksumming),
-     so damaging them must NOT read as corruption. *)
-  with_dir (fun d ->
-      let s = Store.open_store ~dir:d () in
-      Store.put s (k "victim") "precious payload";
-      corrupt (object_path d "victim") (fun b ->
-          Bytes.set b 14 '\x7f';
-          Bytes.set b 22 '\x7f';
-          b);
-      let s2 = Store.open_store ~dir:d () in
-      check_bool "clock/cost damage still hits" true
-        (Store.find s2 (k "victim") = Some "precious payload"));
   List.iter
     (fun (name, f) ->
       with_dir (fun d ->
@@ -277,21 +299,21 @@ let test_corruption () =
             (Store.find s2 (k "victim") = Some "precious payload")))
     damage
 
-(* --- the byte tally and the clock lease ---------------------------------- *)
+(* --- the byte tally -------------------------------------------------------- *)
 
 (* A handle scans the store only when its running byte tally passes the
    cap.  An over-count costs one extra scan; an under-count would leave the
    store over its cap, so these cases pin every path that moves the tally.
-   Objects here are 44-byte envelopes around the payload. *)
-
-let exists d name = Sys.file_exists (object_path d name)
+   Objects here are 28-byte envelopes around the payload. *)
 
 let test_tally_overwrite_grows () =
   with_dir (fun d ->
       let s = Store.open_store ~dir:d ~max_bytes:2500 () in
       Store.put s (k "a") (String.make 1000 'a');
+      age d "a" 1;
       Store.put s (k "b") (String.make 1000 'b');
       Store.put s (k "b") (String.make 1000 'B');
+      age d "b" 2;
       check_int "a same-size overwrite stays under the cap" 0
         (Store.stats s).Store.st_evicted;
       Store.put s (k "b") (String.make 1500 'b');
@@ -305,14 +327,19 @@ let test_tally_overwrite_grows () =
 let test_tally_corrupt_removal () =
   with_dir (fun d ->
       (* No memory layer, so [find] reads the damaged object from disk. *)
-      let s = Store.open_store ~dir:d ~max_bytes:3132 ~mem_capacity:0 () in
-      List.iter (fun n -> Store.put s (k n) (String.make 1000 'x')) [ "a"; "b"; "c" ];
+      let s = Store.open_store ~dir:d ~max_bytes:3084 ~mem_capacity:0 () in
+      List.iteri
+        (fun i n ->
+          Store.put s (k n) (String.make 1000 'x');
+          age d n i)
+        [ "a"; "b"; "c" ];
       corrupt (object_path d "b") (fun b ->
           let i = Bytes.length b - 1 in
           Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
           b);
       check_bool "corrupt object misses" true (Store.find s (k "b") = None);
       Store.put s (k "d") (String.make 1000 'x');
+      age d "d" 3;
       check_int "the removed object's bytes are free again" 0
         (Store.stats s).Store.st_evicted;
       check_bool "a c d kept" true (exists d "a" && exists d "c" && exists d "d");
@@ -320,20 +347,25 @@ let test_tally_corrupt_removal () =
       let st = Store.stats s in
       check_int "the next object over the cap evicts one" 1 st.Store.st_evicted;
       check_bool "oldest evicted" false (exists d "a");
-      check_bool "fits cap" true (st.Store.st_bytes <= 3132))
+      check_bool "fits cap" true (st.Store.st_bytes <= 3084))
 
 let test_tally_cross_process () =
   with_dir (fun d ->
       (* [b] seeds its tally before [a] writes, so only the over-cap rescan
-         can learn of [a]'s objects.  [a]'s objects are free to recompute,
-         [b]'s are not, so the rescan evicts [a]'s first. *)
+         can learn of [a]'s objects.  [b0] was written before [a]'s objects
+         and [b1]..[b6] after, so the rescan evicts [b0] and all of [a]'s.
+         Objects are 144 bytes, so [b]'s seventh passes its cap. *)
+      let written = ref 0 in
+      let put h n c =
+        Store.put h (k n) (String.make 116 c);
+        incr written;
+        age d n !written
+      in
       let b = Store.open_store ~dir:d ~max_bytes:1000 () in
-      let put_b n = Store.put b ~cost_ns:1_000_000 (k n) (String.make 100 'b') in
+      let put_b n = put b n 'b' in
       put_b "b0";
       let a = Store.open_store ~dir:d ~max_bytes:1000 () in
-      List.iter
-        (fun n -> Store.put a (k n) (String.make 100 'a'))
-        [ "a1"; "a2"; "a3"; "a4"; "a5" ];
+      List.iter (fun n -> put a n 'a') [ "a1"; "a2"; "a3"; "a4"; "a5" ];
       check_int "a stays under the cap" 0 (Store.stats a).Store.st_evicted;
       List.iter put_b [ "b1"; "b2"; "b3"; "b4"; "b5"; "b6" ];
       let st = Store.stats b in
@@ -358,7 +390,9 @@ let test_tally_after_clear () =
       Store.put s (k "b") (String.make 1000 'b');
       check_int "clear" 2 (Store.clear s);
       Store.put s (k "c") (String.make 1000 'c');
+      age d "c" 1;
       Store.put s (k "d") (String.make 1000 'd');
+      age d "d" 2;
       check_int "two objects fit after clear" 0 (Store.stats s).Store.st_evicted;
       Store.put s (k "e") (String.make 1000 'e');
       let st = Store.stats s in
@@ -366,26 +400,6 @@ let test_tally_after_clear () =
       check_bool "fits cap" true (st.Store.st_bytes <= 2500);
       check_bool "oldest evicted" false (exists d "c");
       check_bool "newer kept" true (exists d "d" && exists d "e"))
-
-let test_clock_lease () =
-  with_dir (fun d ->
-      let s = Store.open_store ~dir:d () in
-      let clock_file () =
-        In_channel.with_open_bin (Filename.concat d "clock") In_channel.input_all
-      in
-      let after_second = ref "" in
-      for i = 1 to 10 do
-        Store.put s (k (Printf.sprintf "k%d" i)) (String.make 100 'x');
-        if i = 2 then after_second := clock_file ()
-      done;
-      check_string "one clock-file write per lease" !after_second (clock_file ());
-      (* A reopened handle starts above the old lease, so its hit on the
-         oldest object outranks everything the old handle wrote: a gc down
-         to one object keeps it. *)
-      let s2 = Store.open_store ~dir:d () in
-      check_bool "reopened handle hits" true (Store.find s2 (k "k1") <> None);
-      check_int "gc to one object" 9 (Store.gc ~max_bytes:144 s2);
-      check_bool "the hit object outranks the old handle's writes" true (exists d "k1"))
 
 (* --- wire JSON ------------------------------------------------------------ *)
 
@@ -722,7 +736,7 @@ let test_leftover_frag_objects () =
       let leave_leftovers () =
         List.iter
           (fun (ns, tag) ->
-            Store.put ~ns ~cost_ns:1_000 (Store.open_store ~dir:d ()) (k ("leftover " ^ ns))
+            Store.put ~ns (Store.open_store ~dir:d ()) (k ("leftover " ^ ns))
               (Marshal.to_string (tag, String.make 64 'f', 1_000) []))
           leftovers
       in
@@ -1166,9 +1180,10 @@ let () =
         [
           Alcotest.test_case "roundtrip + stats" `Quick test_roundtrip;
           Alcotest.test_case "clear and gc" `Quick test_clear_gc;
-          Alcotest.test_case "logical-clock eviction" `Quick test_clock_eviction;
-          Alcotest.test_case "hit refreshes clock" `Quick test_hit_refreshes_clock;
-          Alcotest.test_case "cost-aware eviction" `Quick test_cost_aware_eviction;
+          Alcotest.test_case "write-order eviction" `Quick test_write_order_eviction;
+          Alcotest.test_case "a hit is a pure read" `Quick test_hit_is_pure_read;
+          Alcotest.test_case "eviction follows write order across handles" `Quick
+            test_eviction_across_handles;
           Alcotest.test_case "tier namespaces" `Quick test_tiers;
           Alcotest.test_case "per-namespace hits" `Quick test_hits_per_ns;
           Alcotest.test_case "put overwrites the memory layer" `Quick
@@ -1181,7 +1196,6 @@ let () =
           Alcotest.test_case "tally: rescan sees other handles" `Quick
             test_tally_cross_process;
           Alcotest.test_case "tally: eviction after clear" `Quick test_tally_after_clear;
-          Alcotest.test_case "leased clock" `Quick test_clock_lease;
           Alcotest.test_case "corruption reads as miss" `Quick test_corruption;
         ] );
       ("wire", [ Alcotest.test_case "json + frames" `Quick test_wire_json ]);
