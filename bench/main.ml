@@ -980,20 +980,17 @@ let () =
             exit 1)
         args
   in
-  let jobs = if !bench_jobs = 0 then Parallel.num_domains () else max 1 !bench_jobs in
-  if jobs > 1 then
-    Printf.eprintf "bench: fanning sections and sweep points over %d jobs\n%!" jobs;
-  match jobs with
-  | 1 -> List.iter (fun s -> emit (run_section s)) selected
-  | _ ->
-    Parallel.with_pool ~jobs (fun pool ->
-        bench_pool := Some pool;
-        Fun.protect
-          ~finally:(fun () -> bench_pool := None)
-          (fun () ->
-            ignore
-              (Parallel.map pool (fun b -> ignore (sweep_of b)) (sweeps_needed selected));
-            (* Buffers are printed in selection order, so stdout is
-               byte-identical to the jobs=1 run (modulo the timing numbers
-               inside). *)
-            List.iter emit (Parallel.map pool run_section selected)))
+  Parallel.with_jobs !bench_jobs (function
+    | None -> List.iter (fun s -> emit (run_section s)) selected
+    | Some pool ->
+      Printf.eprintf "bench: fanning sections and sweep points over %d jobs\n%!"
+        (Parallel.jobs pool);
+      bench_pool := Some pool;
+      Fun.protect
+        ~finally:(fun () -> bench_pool := None)
+        (fun () ->
+          ignore (Parallel.map pool (fun b -> ignore (sweep_of b)) (sweeps_needed selected));
+          (* Buffers are printed in selection order, so stdout is
+             byte-identical to the jobs=1 run (modulo the timing numbers
+             inside). *)
+          List.iter emit (Parallel.map pool run_section selected)))

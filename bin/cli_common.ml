@@ -49,43 +49,54 @@ let read_design_file spec =
     | source -> Ok source
     | exception Sys_error msg -> Error (Printf.sprintf "cannot read %s: %s" spec msg)
 
-let load_target spec =
-  if String.length spec > 6 && String.sub spec 0 6 = "bench:" then begin
-    let name = String.sub spec 6 (String.length spec - 6) in
+(* The NAME of a "bench:NAME" spec, which names a built-in benchmark; any
+   other spec is a design file. *)
+let bench_name spec =
+  if String.length spec > 6 && String.sub spec 0 6 = "bench:" then
+    Some (String.sub spec 6 (String.length spec - 6))
+  else None
+
+let find_spec spec =
+  match bench_name spec with
+  | Some name -> (
     match Suite.find name with
-    | bench ->
-      Ok
-        {
-          tg_name = name;
-          tg_source = bench.Suite.source;
-          tg_program = Suite.program bench;
-          tg_workload = bench.Suite.workload;
-        }
+    | bench -> Ok (`Bench (name, bench))
     | exception Not_found ->
       Error
         (Printf.sprintf "unknown benchmark %s (try: %s)" name
-           (String.concat ", " (List.map (fun b -> b.Suite.bench_name) Suite.all_extended)))
-  end
-  else
-    match read_design_file spec with
-    | Error msg -> Error msg
-    | Ok source -> (
-      match Elaborate.from_source source with
-      | program ->
-        Ok
-          {
-            tg_name = Filename.remove_extension (Filename.basename spec);
-            tg_source = source;
-            tg_program = program;
-            tg_workload = (fun ~seed ~passes -> random_workload program ~seed ~passes);
-          }
-      | exception Impact_lang.Lexer.Error (msg, pos) ->
-        Error (Format.asprintf "lexical error at %a: %s" Impact_lang.Ast.pp_pos pos msg)
-      | exception Impact_lang.Parser.Error (msg, pos) ->
-        Error (Format.asprintf "syntax error at %a: %s" Impact_lang.Ast.pp_pos pos msg)
-      | exception Impact_lang.Typecheck.Error (msg, pos) ->
-        Error (Format.asprintf "type error at %a: %s" Impact_lang.Ast.pp_pos pos msg)
-      | exception Failure msg -> Error msg)
+           (String.concat ", " (List.map (fun b -> b.Suite.bench_name) Suite.all_extended))))
+  | None -> Result.map (fun source -> `File source) (read_design_file spec)
+
+let file_name spec = Filename.remove_extension (Filename.basename spec)
+
+let load_target spec =
+  match find_spec spec with
+  | Error msg -> Error msg
+  | Ok (`Bench (name, bench)) ->
+    Ok
+      {
+        tg_name = name;
+        tg_source = bench.Suite.source;
+        tg_program = Suite.program bench;
+        tg_workload = bench.Suite.workload;
+      }
+  | Ok (`File source) -> (
+    match Elaborate.from_source source with
+    | program ->
+      Ok
+        {
+          tg_name = file_name spec;
+          tg_source = source;
+          tg_program = program;
+          tg_workload = (fun ~seed ~passes -> random_workload program ~seed ~passes);
+        }
+    | exception Impact_lang.Lexer.Error (msg, pos) ->
+      Error (Format.asprintf "lexical error at %a: %s" Impact_lang.Ast.pp_pos pos msg)
+    | exception Impact_lang.Parser.Error (msg, pos) ->
+      Error (Format.asprintf "syntax error at %a: %s" Impact_lang.Ast.pp_pos pos msg)
+    | exception Impact_lang.Typecheck.Error (msg, pos) ->
+      Error (Format.asprintf "type error at %a: %s" Impact_lang.Ast.pp_pos pos msg)
+    | exception Failure msg -> Error msg)
 
 (* --- Persistent store activation ------------------------------------------ *)
 
@@ -113,27 +124,15 @@ let lint_target spec ~clock ~passes ~seed =
       ~path:(Printf.sprintf "%s/lang/line %d" name pos.Impact_lang.Ast.line)
       "%s" msg
   in
-  let load () =
-    if String.length spec > 6 && String.sub spec 0 6 = "bench:" then begin
-      let n = String.sub spec 6 (String.length spec - 6) in
-      match Suite.find n with
-      | bench -> Ok (n, bench.Suite.source, fun _ -> bench.Suite.workload ~seed ~passes)
-      | exception Not_found ->
-        Error
-          (Printf.sprintf "unknown benchmark %s (try: %s)" n
-             (String.concat ", "
-                (List.map (fun b -> b.Suite.bench_name) Suite.all_extended)))
-    end
-    else
-      match read_design_file spec with
-      | Error msg -> Error msg
-      | Ok source ->
-        Ok
-          ( Filename.remove_extension (Filename.basename spec),
-            source,
-            fun program -> random_workload program ~seed ~passes )
+  let load =
+    match find_spec spec with
+    | Error msg -> Error msg
+    | Ok (`Bench (n, bench)) ->
+      Ok (n, bench.Suite.source, fun _ -> bench.Suite.workload ~seed ~passes)
+    | Ok (`File source) ->
+      Ok (file_name spec, source, fun program -> random_workload program ~seed ~passes)
   in
-  match load () with
+  match load with
   | Error msg -> Error msg
   | Ok (name, source, workload_of) ->
     let diags =

@@ -33,6 +33,7 @@ module Vdd = Impact_power.Vdd
 module Rng = Impact_util.Rng
 module Bitvec = Impact_util.Bitvec
 module Table = Impact_util.Table
+module Parallel = Impact_util.Parallel
 module Suite = Impact_benchmarks.Suite
 module Diagnostic = Impact_util.Diagnostic
 module Verify = Impact_verify.Verify
@@ -62,7 +63,17 @@ let laxity_arg =
   Arg.(value & opt float 2.0 & info [ "laxity" ] ~doc:"ENC laxity factor (>= 1).")
 
 let clock_arg = Arg.(value & opt float 15.0 & info [ "clock" ] ~doc:"Clock period in ns.")
-let passes_arg = Arg.(value & opt int 60 & info [ "passes" ] ~doc:"Workload passes.")
+(* A workload needs a pass: a count below one is a usage error. *)
+let passes_arg =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg ("expected a pass count of at least 1, got " ^ s))
+  in
+  Arg.(
+    value
+    & opt (conv (parse, Format.pp_print_int)) 60
+    & info [ "passes" ] ~doc:"Workload passes (>= 1).")
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Workload seed.")
 
 let jobs_arg =
@@ -288,11 +299,12 @@ let csv_arg =
 let sweep_cmd =
   let run target laxities clock passes seed jobs cache_dir csv =
     let workload = target.tg_workload ~seed ~passes in
-    let options =
-      { Driver.default_options with clock_ns = clock; seed; jobs }
-    in
+    let options = { Driver.default_options with clock_ns = clock; seed } in
     let store = store_of ?cache_dir () in
-    let sweep = Driver.figure13 ~options ?store target.tg_program ~workload ~laxities in
+    let sweep =
+      Parallel.with_jobs jobs (fun pool ->
+          Driver.figure13 ~options ?pool ?store target.tg_program ~workload ~laxities)
+    in
     let t =
       Table.create
         ~title:(Printf.sprintf "%s: normalized power and area vs laxity" target.tg_name)

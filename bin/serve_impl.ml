@@ -8,13 +8,18 @@
    actually executes streams ["running"] when it starts.
 
    Concurrency model: one thread per client connection; heavy work goes
-   through a {!Impact_store.Flight} scheduler keyed by the request's store
-   content key.  Distinct requests execute concurrently, bounded by the
-   machine's physical core count, and a sweep's points fan out over the
-   shared domain pool; identical in-flight requests coalesce onto one
-   computation (one search, one store write) and every waiter receives the
-   leader's result — followers' ones marked ["coalesced"].  The store handle's own lock makes the cache safe
-   for the light operations that bypass the scheduler.
+   through a {!Impact_store.Flight} scheduler keyed by the request's own
+   parsed fields (op, target, options fingerprint, passes, objective and
+   laxity or the laxity list; a design file by the MD5 of its text); the
+   store keys are rendered once, inside the driver.  Distinct
+   requests execute concurrently, bounded by the machine's physical core
+   count, and a sweep's points fan out over the shared domain pool;
+   identical in-flight requests coalesce onto one computation (one
+   search, one store write) and every waiter receives the leader's result
+   — followers' ones marked ["coalesced"].  The store handle's own lock
+   makes the cache safe for the light operations that bypass the
+   scheduler.  An exception that escapes an op still answers its request
+   with an error result, and the connection stays open.
 
    The daemon's one store handle also keeps each program's workload
    environment ({!Impact_core.Tier.workload_env}): the first request for a
@@ -72,17 +77,40 @@ let options_of_request req =
     seed = int_field "seed" ~default:1 req;
   }
 
+(* A workload needs a pass: a count below one is answered with an error. *)
+let with_passes ~op oc req f =
+  let passes = int_field "passes" ~default:60 req in
+  if passes < 1 then send oc (error_result ~op "passes must be at least 1") else f passes
+
+(* Loads a synthesize or sweep request's target and workload, and gives
+   [f] its flight key maker: [key fields] names the request by the op, the
+   target, its options fingerprint, passes and the op's own [fields].  A
+   built-in is named by its spec and a design file by the MD5 of its text,
+   so a file edited between requests never shares a flight. *)
 let with_target ~op oc req f =
+  with_passes ~op oc req @@ fun passes ->
   match str_field "target" req with
   | None -> send oc (error_result ~op "missing target")
   | Some spec -> (
     match Cli_common.load_target spec with
     | Error msg -> send oc (error_result ~op msg)
-    | Ok target -> f target)
+    | Ok target ->
+      let options = options_of_request req in
+      let workload = target.Cli_common.tg_workload ~seed:options.Driver.seed ~passes in
+      let name =
+        if Cli_common.bench_name spec = None then
+          Digest.to_hex (Digest.string target.Cli_common.tg_source)
+        else spec
+      in
+      let key fields =
+        String.concat "|"
+          (op :: name :: Driver.options_fingerprint options :: string_of_int passes :: fields)
+      in
+      f target ~options ~workload ~key)
 
 (* Progress bracket: [queued] on arrival, [running] (on the leader's
    connection) once the scheduler admits the flight, then the terminal
-   frame.  [key] is the request's store content key: identical in-flight
+   frame.  [key] is the request's flight key: identical in-flight
    requests join one computation and share its rendered fields — followers'
    results additionally carry ["coalesced": true].  The warm flag comes
    from the design tier's hit delta around the leader's computation; with
@@ -120,34 +148,20 @@ let objective_of_request req =
   | Some "area" -> Solution.Minimize_area
   | _ -> Solution.Minimize_power
 
-let objective_name = function
-  | Solution.Minimize_area -> "area"
-  | Solution.Minimize_power -> "power"
-
 let run_synthesize sv oc req =
-  with_target ~op:"synthesize" oc req (fun target ->
+  with_target ~op:"synthesize" oc req (fun target ~options ~workload ~key ->
       let objective = objective_of_request req in
       let laxity = num_field "laxity" ~default:2.0 req in
-      let options = options_of_request req in
-      let seed = options.Driver.seed and passes = int_field "passes" ~default:60 req in
-      let workload = target.Cli_common.tg_workload ~seed ~passes in
-      (* The flight key and the synthesis below name the workload by one
-         id, so its environment slot and design key reuse the flight key's
-         digest. *)
-      let workload_id = Tier.workload_id workload in
-      let key =
-        Driver.design_key ~workload_id ~options target.Cli_common.tg_program ~workload
-          ~objective ~laxity
-      in
+      let key = key [ Solution.objective_name objective; Printf.sprintf "%h" laxity ] in
       heavy sv oc ~op:"synthesize" ~key (fun () ->
           let design =
-            Driver.synthesize ~options ~store:sv.sv_store ~workload_id
-              target.Cli_common.tg_program ~workload ~objective ~laxity ()
+            Driver.synthesize ~options ~store:sv.sv_store target.Cli_common.tg_program ~workload
+              ~objective ~laxity ()
           in
           let sol = design.Driver.d_solution in
           [
             ("target", Wire.Str target.Cli_common.tg_name);
-            ("objective", Wire.Str (objective_name objective));
+            ("objective", Wire.Str (Solution.objective_name objective));
             ("laxity", Wire.Num laxity);
             ("cost", Wire.Num sol.Solution.cost);
             ("area", Wire.Num sol.Solution.area);
@@ -160,7 +174,7 @@ let run_synthesize sv oc req =
           ]))
 
 let run_sweep sv oc req =
-  with_target ~op:"sweep" oc req (fun target ->
+  with_target ~op:"sweep" oc req (fun target ~options ~workload ~key ->
       let laxities =
         match field "laxities" req with
         | Some (Wire.Arr xs) ->
@@ -168,16 +182,10 @@ let run_sweep sv oc req =
           if ls = [] then [ 1.0; 1.5; 2.0; 2.5; 3.0 ] else ls
         | _ -> [ 1.0; 1.5; 2.0; 2.5; 3.0 ]
       in
-      let options = options_of_request req in
-      let seed = options.Driver.seed and passes = int_field "passes" ~default:60 req in
-      let workload = target.Cli_common.tg_workload ~seed ~passes in
-      let workload_id = Tier.workload_id workload in
-      let key =
-        Driver.sweep_key ~workload_id ~options target.Cli_common.tg_program ~workload ~laxities
-      in
+      let key = key (List.map (Printf.sprintf "%h") laxities) in
       heavy sv oc ~op:"sweep" ~key (fun () ->
           let sweep =
-            Driver.figure13 ~options ?pool:sv.sv_pool ~store:sv.sv_store ~workload_id
+            Driver.figure13 ~options ?pool:sv.sv_pool ~store:sv.sv_store
               target.Cli_common.tg_program ~workload ~laxities
           in
           [
@@ -197,11 +205,11 @@ let run_sweep sv oc req =
           ]))
 
 let run_lint oc req =
+  with_passes ~op:"lint" oc req @@ fun passes ->
   match str_field "target" req with
   | None -> send oc (error_result ~op:"lint" "missing target")
   | Some spec -> (
     let clock = num_field "clock" ~default:15.0 req in
-    let passes = int_field "passes" ~default:60 req in
     let seed = int_field "seed" ~default:1 req in
     match Cli_common.lint_target spec ~clock ~passes ~seed with
     | Error msg -> send oc (error_result ~op:"lint" msg)
@@ -255,7 +263,7 @@ let run_cache_stats sv oc =
          ("coalesced", num fl.Flight.fl_coalesced);
          ("concurrency", num (Flight.limit sv.sv_flight));
          (* Content digests computed by the daemon: one per program served,
-            one per heavy request's workload. *)
+            one per led flight (a coalesced follower digests nothing). *)
          ( "digests",
            Wire.Obj
              [ ("programs", num dg.Tier.dg_programs); ("workloads", num dg.Tier.dg_workloads) ] );
@@ -298,7 +306,13 @@ let handle_client sv fd =
       | Ok (Some payload) ->
         (match Wire.parse payload with
         | Error msg -> send oc (error_result ~op:"?" ("bad request: " ^ msg))
-        | Ok req -> dispatch sv oc req);
+        | Ok req -> (
+          (* Whatever escapes an op still answers its request, and the
+             connection stays open for the next one. *)
+          try dispatch sv oc req
+          with e ->
+            let op = Option.value (str_field "op" req) ~default:"?" in
+            send oc (error_result ~op (Printexc.to_string e))));
         loop ()
   in
   (try loop () with Sys_error _ | Unix.Unix_error _ -> ());
@@ -315,37 +329,35 @@ let serve ~socket_path ?cache_dir ~jobs () =
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX socket_path);
   Unix.listen listen_fd 16;
-  let jobs = if jobs = 0 then Parallel.num_domains () else max 1 jobs in
-  let pool = if jobs > 1 then Some (Parallel.create ~jobs ()) else None in
   (* Admission bound: distinct heavy requests overlap up to the physical
      core count (a single-core box degrades to serialised execution with
      dedup, matching the skipped concurrency gate in the bench). *)
   let limit = max 1 (Parallel.detected_domains ()) in
-  let sv =
-    {
-      sv_store = store;
-      sv_pool = pool;
-      sv_flight = Flight.create ~limit ();
-      sv_stop = Atomic.make false;
-      sv_listen = listen_fd;
-      sv_next_id = Atomic.make 1;
-    }
-  in
-  Printf.printf "impact serve: listening on %s (store %s, %d concurrent)\n%!" socket_path
-    (Store.dir store) limit;
-  let threads = ref [] in
-  let rec accept_loop () =
-    match Unix.accept listen_fd with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-      if not (Atomic.get sv.sv_stop) then accept_loop ()
-    | exception Unix.Unix_error _ -> ()  (* listening socket was shut down *)
-    | fd, _ ->
-      threads := Thread.create (handle_client sv) fd :: !threads;
-      if not (Atomic.get sv.sv_stop) then accept_loop ()
-  in
-  accept_loop ();
-  List.iter Thread.join !threads;
-  Option.iter Parallel.shutdown pool;
+  Parallel.with_jobs jobs (fun pool ->
+      let sv =
+        {
+          sv_store = store;
+          sv_pool = pool;
+          sv_flight = Flight.create ~limit ();
+          sv_stop = Atomic.make false;
+          sv_listen = listen_fd;
+          sv_next_id = Atomic.make 1;
+        }
+      in
+      Printf.printf "impact serve: listening on %s (store %s, %d concurrent)\n%!" socket_path
+        (Store.dir store) limit;
+      let threads = ref [] in
+      let rec accept_loop () =
+        match Unix.accept listen_fd with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+          if not (Atomic.get sv.sv_stop) then accept_loop ()
+        | exception Unix.Unix_error _ -> ()  (* listening socket was shut down *)
+        | fd, _ ->
+          threads := Thread.create (handle_client sv) fd :: !threads;
+          if not (Atomic.get sv.sv_stop) then accept_loop ()
+      in
+      accept_loop ();
+      List.iter Thread.join !threads);
   (try Unix.close listen_fd with Unix.Unix_error _ -> ());
   (try Unix.unlink socket_path with Unix.Unix_error _ -> ())
 

@@ -21,30 +21,26 @@ let default_options =
     seed = 1;
     enable_restructure = true;
     max_iterations = 30;
-    jobs = 1;
     probes = 1;  (* read by nothing: kept for the benchmark harness *)
     delta_reprice = true;
     range_power = false;
   }
 
-let resolved_jobs options =
-  if options.jobs = 0 then Parallel.num_domains () else max 1 options.jobs
-
 let options_fingerprint = Tier.options_fingerprint
-let design_key ?workload_id ~options program ~workload =
-  Tier.design_key ~options program ~workload:(Tier.workload_id ?id:workload_id workload)
+let design_key ~options program ~workload =
+  Tier.design_key (Tier.request ~options program ~workload)
 
-let sweep_key ?workload_id ~options program ~workload =
-  Tier.sweep_key ~options program ~workload:(Tier.workload_id ?id:workload_id workload)
+let sweep_key ~options program ~workload = Tier.sweep_key (Tier.request ~options program ~workload)
 
-let traces_key program ~workload = Tier.traces_key program ~workload:(Tier.workload_id workload)
+let traces_key program ~workload =
+  Tier.traces_key (Tier.request ~options:default_options program ~workload)
 
 (* Step 1: behavioral simulation, the parallel reference architecture and
    the minimum-ENC schedule that the laxity scales into a budget.  With a
    store, the estimator starts with the traces tier's switching memos. *)
-let build_env ?(options = default_options) ?store ?workload_id program ~workload ~objective
-    ~laxity =
-  let run = Sim.simulate program ~workload in
+let request_env ?store (r : Tier.request) ~objective ~laxity =
+  let options = r.Tier.rq_options and program = r.Tier.rq_program in
+  let run = Sim.simulate program ~workload:r.Tier.rq_workload in
   let min_stg =
     Scheduler.min_enc_schedule options.style ~clock_ns:options.clock_ns program
       Module_library.default
@@ -69,7 +65,7 @@ let build_env ?(options = default_options) ?store ?workload_id program ~workload
     end
     else Estimate.create_ctx run
   in
-  Tier.seed_traces ?store program ~workload:(Tier.workload_id ?id:workload_id workload) est_ctx;
+  Tier.seed_traces ?store r est_ctx;
   let env =
     {
       Solution.program;
@@ -82,6 +78,9 @@ let build_env ?(options = default_options) ?store ?workload_id program ~workload
     }
   in
   (env, enc_min)
+
+let build_env ?(options = default_options) ?store program ~workload =
+  request_env ?store (Tier.request ~options program ~workload)
 
 (* Steps 2 and 3: the parallel initial architecture, then iterative
    improvement under the ENC budget; Vdd scaling (step 4) prices every
@@ -117,33 +116,18 @@ let cache_or_fresh = function
   | Some cache -> cache
   | None -> Solution.create_cache ~frags:(Impact_sched.Fragcache.create ()) ()
 
-(* The caller's pool, or one created for [options.jobs] (none at one job)
-   and always shut down. *)
-let with_pool ~options ?pool f =
-  match pool with
-  | Some _ -> f pool
-  | None ->
-    let jobs = resolved_jobs options in
-    if jobs <= 1 then f None else Parallel.with_pool ~jobs (fun pool -> f (Some pool))
-
 (* With a store, the environment comes from the handle's memo
    ({!Tier.workload_env}), built once per program and workload; without
    one, each call builds its own. *)
-let workload_env ~options ?store program ~workload_id ~workload =
-  let build store =
-    build_env ~options ?store ~workload_id program ~workload ~objective:Solution.Minimize_area
-      ~laxity:1.0
-  in
-  match store with
-  | None -> Tier.unshared_env (build None)
-  | Some st -> Tier.workload_env st ~options program ~workload:workload_id build
+let workload_env ?store r =
+  Tier.workload_env ?store r (fun store ->
+      request_env ?store r ~objective:Solution.Minimize_area ~laxity:1.0)
 
-let synthesize ?(options = default_options) ?cache ?store ?workload_id program ~workload
-    ~objective ~laxity () =
-  let workload_id = Tier.workload_id ?id:workload_id workload in
-  let we = workload_env ~options ?store program ~workload_id ~workload in
-  Tier.find_or_synthesize ?store ~options program ~workload:workload_id ~objective ~laxity we
-    (fun env ->
+let synthesize ?(options = default_options) ?cache ?store program ~workload ~objective ~laxity
+    () =
+  let r = Tier.request ~options program ~workload in
+  let we = workload_env ?store r in
+  Tier.find_or_synthesize ?store r ~objective ~laxity we (fun env ->
       synthesize_env ~options ~cache:(cache_or_fresh cache) env ~enc_min:(Tier.enc_min we)
         ~objective ~laxity)
 
@@ -180,71 +164,68 @@ let measure design program ~workload ?vdd () =
    are deterministic functions of their keys — so the coarse fan-out below
    is bit-identical to the sequential sweep regardless of which domain
    computes which point (asserted by test_parallel_sweep). *)
-let figure13 ?(options = default_options) ?pool ?cache ?store ?workload_id program ~workload
-    ~laxities =
-  let workload_id = Tier.workload_id ?id:workload_id workload in
-  let we = workload_env ~options ?store program ~workload_id ~workload in
+let figure13 ?(options = default_options) ?pool ?cache ?store program ~workload ~laxities =
+  let r = Tier.request ~options program ~workload in
+  let we = workload_env ?store r in
   let cold () =
     let cache = cache_or_fresh cache in
-    with_pool ~options ?pool (fun pool ->
-        let synth ~objective ~laxity =
-          synthesize_env ~options ~cache (Tier.env_at we ~objective ~laxity)
-            ~enc_min:(Tier.enc_min we) ~objective ~laxity
-        in
-        let point_map : 'a 'b. ('a -> 'b) -> 'a list -> 'b list =
-          fun f xs ->
-           (* Coarse fan-out needs real cores: time-slicing sweep points over
-              one core only adds dispatch and per-domain GC overhead. *)
-           match pool with
-           | Some p when Parallel.physical_parallelism p > 1 -> Parallel.map p f xs
-           | Some _ | None -> List.map f xs
-        in
-        (* Phase 1 — synthesis, one run per sweep unit. *)
-        let units = Tier.sweep_units laxities in
-        let designs =
-          List.combine units
-            (point_map (fun (objective, laxity) -> synth ~objective ~laxity) units)
-        in
-        let design_for key = List.assoc key designs in
-        let base_design = design_for (Solution.Minimize_area, 1.0) in
-        (* Phase 2 — measurement: the base at nominal supply plus both designs
-           of every point at their own scaled supplies, all independent. *)
-        let measure_units =
-          (base_design, Some Impact_power.Vdd.nominal)
-          :: List.concat_map
-               (fun laxity ->
-                 [
-                   (design_for (Solution.Minimize_area, laxity), None);
-                   (design_for (Solution.Minimize_power, laxity), None);
-                 ])
-               laxities
-        in
-        let measured =
-          point_map (fun (design, vdd) -> measure design program ~workload ?vdd ()) measure_units
-        in
-        let base_power = (List.hd measured).Measure.m_power in
-        let base_area = base_design.d_solution.Solution.area in
-        let rec assemble laxities measured =
-          match (laxities, measured) with
-          | [], _ -> []
-          | laxity :: rest, a_measured :: i_measured :: measured_rest ->
-            let area_design = design_for (Solution.Minimize_area, laxity) in
-            let power_design = design_for (Solution.Minimize_power, laxity) in
-            {
-              sp_laxity = laxity;
-              sp_a_power = a_measured.Measure.m_power /. base_power;
-              sp_i_power = i_measured.Measure.m_power /. base_power;
-              sp_i_area = power_design.d_solution.Solution.area /. base_area;
-              sp_a_vdd = area_design.d_solution.Solution.vdd;
-              sp_i_vdd = power_design.d_solution.Solution.vdd;
-              sp_area_design = area_design;
-              sp_power_design = power_design;
-            }
-            :: assemble rest measured_rest
-          | _ :: _, _ -> invalid_arg "figure13: measurement/laxity mismatch"
-        in
-        let points = assemble laxities (List.tl measured) in
-        ( { sw_base_power = base_power; sw_base_area = base_area; sw_points = points },
-          designs ))
+    let synth ~objective ~laxity =
+      synthesize_env ~options ~cache (Tier.env_at we ~objective ~laxity)
+        ~enc_min:(Tier.enc_min we) ~objective ~laxity
+    in
+    let point_map f xs =
+      (* Coarse fan-out needs real cores: time-slicing sweep points over
+         one core only adds dispatch and per-domain GC overhead. *)
+      match pool with
+      | Some p when Parallel.physical_parallelism p > 1 -> Parallel.map p f xs
+      | Some _ | None -> List.map f xs
+    in
+    (* Phase 1 — synthesis, one run per sweep unit. *)
+    let units = Tier.sweep_units laxities in
+    let designs =
+      List.combine units
+        (point_map (fun (objective, laxity) -> synth ~objective ~laxity) units)
+    in
+    let design_for key = List.assoc key designs in
+    let base_design = design_for (Solution.Minimize_area, 1.0) in
+    (* Phase 2 — measurement: the base at nominal supply plus both designs
+       of every point at their own scaled supplies, all independent. *)
+    let measure_units =
+      (base_design, Some Impact_power.Vdd.nominal)
+      :: List.concat_map
+           (fun laxity ->
+             [
+               (design_for (Solution.Minimize_area, laxity), None);
+               (design_for (Solution.Minimize_power, laxity), None);
+             ])
+           laxities
+    in
+    let measured =
+      point_map (fun (design, vdd) -> measure design program ~workload ?vdd ()) measure_units
+    in
+    let base_power = (List.hd measured).Measure.m_power in
+    let base_area = base_design.d_solution.Solution.area in
+    let rec assemble laxities measured =
+      match (laxities, measured) with
+      | [], _ -> []
+      | laxity :: rest, a_measured :: i_measured :: measured_rest ->
+        let area_design = design_for (Solution.Minimize_area, laxity) in
+        let power_design = design_for (Solution.Minimize_power, laxity) in
+        {
+          sp_laxity = laxity;
+          sp_a_power = a_measured.Measure.m_power /. base_power;
+          sp_i_power = i_measured.Measure.m_power /. base_power;
+          sp_i_area = power_design.d_solution.Solution.area /. base_area;
+          sp_a_vdd = area_design.d_solution.Solution.vdd;
+          sp_i_vdd = power_design.d_solution.Solution.vdd;
+          sp_area_design = area_design;
+          sp_power_design = power_design;
+        }
+        :: assemble rest measured_rest
+      | _ :: _, _ -> invalid_arg "figure13: measurement/laxity mismatch"
+    in
+    let points = assemble laxities (List.tl measured) in
+    ( { sw_base_power = base_power; sw_base_area = base_area; sw_points = points },
+      designs )
   in
-  Tier.find_or_sweep ?store ~options program ~workload:workload_id ~laxities we cold
+  Tier.find_or_sweep ?store r ~laxities we cold

@@ -11,6 +11,11 @@
     power-optimized design (I-Power, I-Area), normalized to the laxity-1.0
     area-optimized design at 5 V.
 
+    [synthesize] and [figure13] each build one {!Tier.request} (program,
+    workload, options) per call and hand it to every key, environment slot
+    and tier they consult, so a call digests its workload at most once and
+    renders its design or sweep key once.
+
     With a [store], the design and the sweep are each find-or-compute
     against a {!Tier}: warm answers are bit-identical to cold ones, and
     [IMPACT_STORE_CHECK=1] recomputes each one cold and asserts it.
@@ -30,14 +35,9 @@ val default_options : options
 val options_fingerprint : options -> string
 (** {!Tier.options_fingerprint}: the option fields the store keys digest. *)
 
-val resolved_jobs : options -> int
-(** The effective concurrency ([jobs], or the auto-detected count when
-    [jobs = 0]). *)
-
 val build_env :
   ?options:options ->
   ?store:Impact_store.Store.t ->
-  ?workload_id:Tier.workload_id ->
   Impact_cdfg.Graph.program ->
   workload:(string * int) list list ->
   objective:Solution.objective ->
@@ -60,16 +60,9 @@ val restructure_all : design -> design
 
     The content keys the store-backed calls consult, re-exported from
     {!Tier}.  The traces key digests only the (program, workload) pair,
-    so any objective, laxity or options reuse it.
-
-    A [?workload_id] here and on {!build_env}, {!synthesize} and
-    {!figure13} names the workload by a {!Tier.workload_id} the caller
-    already holds for this very list, so a request that builds its own key
-    (serve's flight key) and then synthesizes digests its workload once.
-    An id naming another list is ignored. *)
+    so any objective, laxity or options reuse it. *)
 
 val design_key :
-  ?workload_id:Tier.workload_id ->
   options:options ->
   Impact_cdfg.Graph.program ->
   workload:(string * int) list list ->
@@ -78,7 +71,6 @@ val design_key :
   string
 
 val sweep_key :
-  ?workload_id:Tier.workload_id ->
   options:options ->
   Impact_cdfg.Graph.program ->
   workload:(string * int) list list ->
@@ -91,7 +83,6 @@ val synthesize :
   ?options:options ->
   ?cache:Solution.cache ->
   ?store:Impact_store.Store.t ->
-  ?workload_id:Tier.workload_id ->
   Impact_cdfg.Graph.program ->
   workload:(string * int) list list ->
   objective:Solution.objective ->
@@ -121,15 +112,14 @@ val figure13 :
   ?pool:Impact_util.Parallel.pool ->
   ?cache:Solution.cache ->
   ?store:Impact_store.Store.t ->
-  ?workload_id:Tier.workload_id ->
   Impact_cdfg.Graph.program ->
   workload:(string * int) list list ->
   laxities:float list ->
   sweep
 (** The whole sweep shares one behavioral simulation, estimation context,
     signature cache and worker pool: each point re-prices cached candidate
-    builds against its own ENC budget and objective.  A supplied [pool]
-    replaces the one [options.jobs] would create; the points fan out over
-    it only when the machine has more than one core.  A warm [store] hit
+    builds against its own ENC budget and objective.  The points fan out
+    over a supplied [pool] when the machine has more than one core, and
+    otherwise run on the calling domain.  A warm [store] hit
     skips both the searches and the power measurements: the persisted
     designs are rebuilt and cross-checked, the measured ratios restored. *)

@@ -16,6 +16,8 @@ module Keybuf = Impact_util.Keybuf
 
 type objective = Minimize_area | Minimize_power
 
+let objective_name = function Minimize_area -> "area" | Minimize_power -> "power"
+
 type env = {
   program : Graph.program;
   library : Impact_modlib.Module_library.t;

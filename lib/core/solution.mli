@@ -10,6 +10,9 @@ module Ir := Impact_cdfg.Ir
 
 type objective = Minimize_area | Minimize_power
 
+val objective_name : objective -> string
+(** ["area"] or ["power"], as the store keys and the serve replies spell it. *)
+
 type env = {
   program : Impact_cdfg.Graph.program;
   library : Impact_modlib.Module_library.t;

@@ -16,7 +16,6 @@ module Types = struct
     seed : int;
     enable_restructure : bool;
     max_iterations : int;
-    jobs : int;
     probes : int;
     delta_reprice : bool;
     range_power : bool;
@@ -57,13 +56,14 @@ include Types
 let store_version = 3
 let digest v = Digest.to_hex (Digest.string (Marshal.to_string v []))
 
-(* A request names its program and workload by content, and every key,
-   the daemon's flight key and the workload environment's slot derive from
-   those two digests.  A program (whose graph is never changed once built,
-   as [Scheduler.plan_for] also assumes) is digested once for its life: its
-   digest hangs off the graph in an ephemeron table, and goes with it.  A
-   workload is digested once per request: the request names its list by a
-   [workload_id] and hands that on to every key it builds, so nothing is
+(* A request names its program and workload by content, and every key
+   and the workload environment's slot derive from those two digests.  A
+   program (whose graph is never changed once built, as
+   [Scheduler.plan_for] also assumes) is digested once for its life: its
+   digest hangs off the graph in an ephemeron table, and goes with it.
+   The lock guards that table against the serve daemon's client threads,
+   which digest the one shared built-in program at once.  A workload is
+   digested at most once per request, by the request itself, so nothing is
    kept between requests. *)
 module Programs = Ephemeron.K1.Make (struct
   type t = Graph.t
@@ -82,53 +82,50 @@ type digest_stats = { dg_programs : int; dg_workloads : int }
 let digest_stats () =
   { dg_programs = Atomic.get program_digests; dg_workloads = Atomic.get workload_digests }
 
-(* The digest is computed outside the lock; two threads racing on one
-   program compute the same string, and only the first published is kept
-   and counted. *)
+(* A program's first digest is taken under the lock, so threads racing
+   on a new program wait for the one digest instead of each taking it. *)
 let program_digest (p : Graph.program) =
   let g = p.Graph.graph in
-  let known () = Option.value (Programs.find_opt programs g) ~default:[] in
-  match List.assq_opt p (Mutex.protect programs_lock known) with
-  | Some d -> d
-  | None ->
-    let d =
-      digest
-        ( Graph.nodes g,
-          Graph.edges g,
-          p.Graph.top,
-          p.Graph.prog_inputs,
-          p.Graph.prog_outputs,
-          p.Graph.prog_name )
-    in
-    Mutex.protect programs_lock (fun () ->
-        let ds = known () in
-        match List.assq_opt p ds with
-        | Some first -> first
-        | None ->
-          Atomic.incr program_digests;
-          Programs.replace programs g ((p, d) :: ds);
-          d)
+  Mutex.protect programs_lock (fun () ->
+      let known = Option.value (Programs.find_opt programs g) ~default:[] in
+      match List.assq_opt p known with
+      | Some d -> d
+      | None ->
+        let d =
+          digest
+            ( Graph.nodes g,
+              Graph.edges g,
+              p.Graph.top,
+              p.Graph.prog_inputs,
+              p.Graph.prog_outputs,
+              p.Graph.prog_name )
+        in
+        Atomic.incr program_digests;
+        Programs.replace programs g ((p, d) :: known);
+        d)
 
-type workload_id = { wi_passes : (string * int) list list; wi_digest : string option Atomic.t }
+type request = {
+  rq_options : options;
+  rq_program : Graph.program;
+  rq_workload : (string * int) list list;
+  rq_program_digest : string Lazy.t;
+  rq_workload_digest : string Lazy.t;
+}
 
-let workload_id ?id workload =
-  match id with
-  | Some id when id.wi_passes == workload -> id
-  | Some _ | None -> { wi_passes = workload; wi_digest = Atomic.make None }
-
-(* Digested on first use, so a storeless request, which names no key,
-   digests nothing.  Domains racing on one id compute the same string, and
-   only the one published is counted. *)
-let workload_digest id =
-  match Atomic.get id.wi_digest with
-  | Some d -> d
-  | None ->
-    let d = digest id.wi_passes in
-    if Atomic.compare_and_set id.wi_digest None (Some d) then begin
-      Atomic.incr workload_digests;
-      d
-    end
-    else Option.get (Atomic.get id.wi_digest)
+(* Both digests are taken on first use, so a storeless request, which
+   names no key, digests nothing.  A request is used only by the thread
+   that built it, which is what makes a plain [Lazy.t] enough. *)
+let request ~options program ~workload =
+  {
+    rq_options = options;
+    rq_program = program;
+    rq_workload = workload;
+    rq_program_digest = lazy (program_digest program);
+    rq_workload_digest =
+      lazy
+        (Atomic.incr workload_digests;
+         digest workload);
+  }
 
 (* The characterisation is a static value: digest it once, not per key. *)
 let library_digest =
@@ -136,11 +133,12 @@ let library_digest =
   fun () -> Lazy.force d
 
 let canonical parts = String.concat "|" ("impact-store" :: string_of_int store_version :: parts)
-let traces_key program ~workload =
-  Store.key (canonical [ "traces"; program_digest program; workload_digest workload ])
+let traces_key r =
+  Store.key
+    (canonical [ "traces"; Lazy.force r.rq_program_digest; Lazy.force r.rq_workload_digest ])
 
-(* Only trajectory-defining knobs participate: [jobs] and [delta_reprice]
-   are bit-identity-neutral by construction, so results computed at any
+(* Only trajectory-defining knobs participate: [delta_reprice] is
+   bit-identity-neutral by construction, so results computed at any
    engine configuration serve every other one. *)
 let style_tag = function Scheduler.Wavesched -> "wavesched" | Scheduler.Baseline -> "baseline"
 
@@ -154,25 +152,23 @@ let options_fingerprint o =
        with range pricing off. *)
     (if o.range_power then ",range_power=true" else "")
 
-let request_key ~options program ~workload request =
+let request_key r request =
   Store.key
     (canonical
        [
-         program_digest program;
-         workload_digest workload;
+         Lazy.force r.rq_program_digest;
+         Lazy.force r.rq_workload_digest;
          library_digest ();
-         options_fingerprint options;
+         options_fingerprint r.rq_options;
          request;
        ])
 
-let objective_tag = function Solution.Minimize_area -> "area" | Solution.Minimize_power -> "power"
+let design_key r ~objective ~laxity =
+  request_key r
+    (Printf.sprintf "design:%s:%h" (Solution.objective_name objective) laxity)
 
-let design_key ~options program ~workload ~objective ~laxity =
-  request_key ~options program ~workload
-    (Printf.sprintf "design:%s:%h" (objective_tag objective) laxity)
-
-let sweep_key ~options program ~workload ~laxities =
-  request_key ~options program ~workload
+let sweep_key r ~laxities =
+  request_key r
     (Printf.sprintf "sweep:%s" (String.concat "," (List.map (Printf.sprintf "%h") laxities)))
 
 (* --- The tier contract ------------------------------------------------------ *)
@@ -221,8 +217,8 @@ let traces_tier : Estimate.memo_snapshot t = make ~ns:"traces" ~tag:"traces"
 (* Under IMPACT_STORE_CHECK every seeded entry is recomputed from the traces
    and must agree bit-for-bit; a [Failure] there is a real divergence, any
    other decoding problem is an ordinary miss. *)
-let seed_traces ?store program ~workload est_ctx =
-  match Option.bind store (fun st -> find traces_tier st (traces_key program ~workload)) with
+let seed_traces ?store r est_ctx =
+  match Option.bind store (fun st -> find traces_tier st (traces_key r)) with
   | None -> ()
   | Some snapshot -> (
     try Estimate.seed_memos ~check:(check_enabled ()) est_ctx snapshot with
@@ -232,9 +228,9 @@ let seed_traces ?store program ~workload est_ctx =
 (* The tier accumulates across objectives and laxities: merge this
    context's memos into the persisted snapshot, and skip the write when
    nothing is new. *)
-let sync_traces st program ~workload est_ctx =
+let sync_traces st r est_ctx =
   try
-    let k = traces_key program ~workload in
+    let k = traces_key r in
     let fresh = Estimate.export_memos est_ctx in
     let existing =
       find traces_tier st k |> Option.value ~default:{ Estimate.ms_units = []; ms_values = [] }
@@ -447,14 +443,17 @@ let sweep_fingerprint (sw, _) =
    has one slot, holding the environment of the last workload and
    environment options (style, clock, range pricing) requested for it; a
    request with others replaces it, so the entries are bounded by the
-   programs served.  The slot's mutex makes concurrent requests for one
-   program build it once. *)
+   programs served.  The serve daemon's client threads are the concurrent
+   callers here: the table lock guards the handle's slots against them,
+   and the slot's mutex makes their concurrent requests for one program
+   build its environment once. *)
 
 type workload_env = {
   we_env : Solution.env;
   we_enc_min : float;
   we_published : int Atomic.t;
-      (* the context's memo entries when it was seeded or last published *)
+      (* the context's memo entries when it was seeded or last published;
+         atomic because the daemon's client threads share the environment *)
 }
 
 let env_at we ~objective ~laxity =
@@ -491,8 +490,8 @@ let env_builds = Atomic.make 0
 let env_hits = Atomic.make 0
 let env_memo_stats () = { em_builds = Atomic.get env_builds; em_hits = Atomic.get env_hits }
 
-let env_slot st program =
-  let pd = program_digest program in
+let env_slot st r =
+  let pd = Lazy.force r.rq_program_digest in
   Mutex.protect env_slots_lock (fun () ->
       let slots =
         match Handles.find_opt env_slots st with
@@ -509,10 +508,10 @@ let env_slot st program =
         Hashtbl.replace slots pd slot;
         slot)
 
-let env_inputs ~options ~workload =
-  Printf.sprintf "%s|%s|%h|%b" (workload_digest workload) (style_tag options.style)
-    options.clock_ns
-    options.range_power
+let env_inputs r =
+  let o = r.rq_options in
+  Printf.sprintf "%s|%s|%h|%b" (Lazy.force r.rq_workload_digest) (style_tag o.style) o.clock_ns
+    o.range_power
 
 (* Under IMPACT_STORE_CHECK a memo hit is rebuilt cold, with no store, and
    must agree on the run's own fields (logs, passes, profile, pass outputs)
@@ -529,50 +528,53 @@ let check_env we (env, enc_min) =
     || bits we.we_env.Solution.area_ref <> bits env.Solution.area_ref
   then failwith "impact store: memoised workload environment diverges from a cold rebuild"
 
-let workload_env st ~options program ~workload build =
-  let inputs = env_inputs ~options ~workload in
-  let slot = env_slot st program in
-  Mutex.protect slot.es_lock (fun () ->
-      match slot.es_env with
-      | Some we when String.equal slot.es_inputs inputs ->
-        Atomic.incr env_hits;
-        if check_enabled () then check_env we (build None);
-        we
-      | Some _ | None ->
-        let we = unshared_env (build (Some st)) in
-        Atomic.incr env_builds;
-        slot.es_inputs <- inputs;
-        slot.es_env <- Some we;
-        we)
+let workload_env ?store r build =
+  match store with
+  | None -> unshared_env (build None)
+  | Some st ->
+    let inputs = env_inputs r in
+    let slot = env_slot st r in
+    Mutex.protect slot.es_lock (fun () ->
+        match slot.es_env with
+        | Some we when String.equal slot.es_inputs inputs ->
+          Atomic.incr env_hits;
+          if check_enabled () then check_env we (build None);
+          we
+        | Some _ | None ->
+          let we = unshared_env (build (Some st)) in
+          Atomic.incr env_builds;
+          slot.es_inputs <- inputs;
+          slot.es_env <- Some we;
+          we)
 
 (* A request against the design tier publishes the run's switching memos to
    the traces tier after, hit or miss, when they grew since the context was
    seeded or last published: a hit that prices nothing new reads nothing. *)
-let around_request ?store program ~workload we compute =
+let around_request ?store r we compute =
   let v = compute () in
   Option.iter
     (fun st ->
       let ctx = we.we_env.Solution.est_ctx in
       let last = Atomic.get we.we_published and now = Estimate.memo_entries ctx in
       if now > last && Atomic.compare_and_set we.we_published last now then
-        sync_traces st program ~workload ctx)
+        sync_traces st r ctx)
     store;
   v
 
-let find_or_synthesize ?store ~options program ~workload ~objective ~laxity we cold =
+let find_or_synthesize ?store r ~objective ~laxity we cold =
   let env = env_at we ~objective ~laxity in
-  around_request ?store program ~workload we (fun () ->
+  around_request ?store r we (fun () ->
       find_or_compute ?store design_tier
-        ~key:(fun () -> design_key ~options program ~workload ~objective ~laxity)
+        ~key:(fun () -> design_key r ~objective ~laxity)
         ~restore:(restore_design env ~enc_min:we.we_enc_min ~objective ~laxity)
         ~persist:persist_design ~fingerprint:design_fingerprint
         (fun () -> cold env))
 
-let find_or_sweep ?store ~options program ~workload ~laxities we cold =
+let find_or_sweep ?store r ~laxities we cold =
   let env0 = env_at we ~objective:Solution.Minimize_area ~laxity:1.0 in
-  around_request ?store program ~workload we (fun () ->
+  around_request ?store r we (fun () ->
       fst
         (find_or_compute ?store sweep_tier
-           ~key:(fun () -> sweep_key ~options program ~workload ~laxities)
+           ~key:(fun () -> sweep_key r ~laxities)
            ~restore:(restore_sweep env0 ~enc_min:we.we_enc_min ~laxities)
            ~persist:persist_sweep ~fingerprint:sweep_fingerprint cold))

@@ -10,8 +10,19 @@
     {b fingerprint} that [IMPACT_STORE_CHECK=1] compares against a cold
     recomputation.
 
-    The request and result records live here because their fields are what
-    the keys digest and the entries persist; {!Driver} re-exports them. *)
+    The options and result records live here because their fields are what
+    the keys digest and the entries persist; {!Driver} re-exports them.  A
+    {!request} (program, workload, options) is the one value every key,
+    environment slot and tier call takes; {!Driver} builds one per call.
+
+    Concurrency.  The only concurrent callers are the serve daemon's client
+    threads; a sweep's pool domains call only the pure {!env_at} and
+    {!enc_min}.  For those threads, one lock guards the program-digest
+    table, one the store handles' environment slots, and one per slot makes
+    concurrent requests for a program build its environment once.  The
+    digest and environment counters are atomics, and so is an environment's
+    published-memo count, which lets just one of the requests sharing it
+    publish the traces tier. *)
 
 module Types : sig
   type options = {
@@ -22,12 +33,6 @@ module Types : sig
     seed : int;
     enable_restructure : bool;  (** ablation A1 *)
     max_iterations : int;
-    jobs : int;
-        (** the concurrency of a Figure-13 sweep's points ({!Driver.figure13};
-            a single synthesis always runs on the calling domain); [1] is
-            fully sequential, [0] auto-detects via
-            {!Impact_util.Parallel.num_domains} (which honours the
-            [IMPACT_JOBS] environment variable) *)
     probes : int;
         (** always 1, and read by nothing: the probe count of a deleted
             speculative search engine, kept because the benchmark harness
@@ -82,15 +87,22 @@ end
     Every key starts with one prefix naming the store format and its
     version; bumping the version renames every object. *)
 
-type workload_id
-(** A workload list named by content.  A request builds one and hands it to
-    every key, flight key and environment slot it names, so the list is
-    digested at most once per request (on first use: a storeless request
-    names no key); nothing is kept between requests. *)
+type request = private {
+  rq_options : options;
+  rq_program : Impact_cdfg.Graph.program;
+  rq_workload : (string * int) list list;
+  rq_program_digest : string Lazy.t;
+  rq_workload_digest : string Lazy.t;
+}
+(** One synthesis request's identity: the program, its workload and the
+    options.  Every key and environment slot below takes it.  Each digest
+    is taken the first time a key needs it, so a request digests its
+    workload at most once, and a storeless one not at all.  A request is
+    built per call and used by the thread that built it; nothing is kept
+    between requests. *)
 
-val workload_id : ?id:workload_id -> (string * int) list list -> workload_id
-(** [workload_id ?id workload] is [id] when [id] names this very list
-    (physically), and otherwise a fresh name for [workload]. *)
+val request :
+  options:options -> Impact_cdfg.Graph.program -> workload:(string * int) list list -> request
 
 type digest_stats = {
   dg_programs : int;  (** program digests computed *)
@@ -98,33 +110,19 @@ type digest_stats = {
 }
 
 val digest_stats : unit -> digest_stats
-(** Process-wide counts since start-up: one per {!workload_id} whose
+(** Process-wide counts since start-up: one per {!request} whose workload
     digest is used, and one per program, whose digest is memoised on its
-    physical identity for its life.  Values raced on are counted once, for
-    the digest that is kept. *)
+    physical identity for its life. *)
 
 val options_fingerprint : options -> string
-(** The trajectory-defining fields ([jobs] and [delta_reprice] are
+(** The trajectory-defining fields ([delta_reprice] is
     bit-identity-neutral and excluded).  Fields that
     are off by default add themselves only when enabled, so default keys
     stay byte-identical across versions. *)
 
-val traces_key : Impact_cdfg.Graph.program -> workload:workload_id -> string
-
-val design_key :
-  options:options ->
-  Impact_cdfg.Graph.program ->
-  workload:workload_id ->
-  objective:Solution.objective ->
-  laxity:float ->
-  string
-
-val sweep_key :
-  options:options ->
-  Impact_cdfg.Graph.program ->
-  workload:workload_id ->
-  laxities:float list ->
-  string
+val traces_key : request -> string
+val design_key : request -> objective:Solution.objective -> laxity:float -> string
+val sweep_key : request -> laxities:float list -> string
 
 (** {1 The tier contract} *)
 
@@ -168,12 +166,7 @@ val find_or_compute :
     because reading either back from disk cost as much as recomputing it
     or more. *)
 
-val seed_traces :
-  ?store:Impact_store.Store.t ->
-  Impact_cdfg.Graph.program ->
-  workload:workload_id ->
-  Impact_power.Estimate.ctx ->
-  unit
+val seed_traces : ?store:Impact_store.Store.t -> request -> Impact_power.Estimate.ctx -> unit
 (** Seeds a fresh estimation context from the ["traces"] tier.  Under
     [IMPACT_STORE_CHECK] every seeded entry is recomputed and asserted. *)
 
@@ -213,20 +206,16 @@ val env_at : workload_env -> objective:Solution.objective -> laxity:float -> Sol
 
 val enc_min : workload_env -> float
 
-val unshared_env : Solution.env * float -> workload_env
-(** A workload environment built for one call (no store). *)
-
 val workload_env :
-  Impact_store.Store.t ->
-  options:options ->
-  Impact_cdfg.Graph.program ->
-  workload:workload_id ->
+  ?store:Impact_store.Store.t ->
+  request ->
   (Impact_store.Store.t option -> Solution.env * float) ->
   workload_env
-(** [workload_env st ~options program ~workload build] serves the handle's
-    environment for the program when it was built for this workload and
-    these options, and otherwise runs [build (Some st)] and keeps the
-    result in the program's slot.  Under [IMPACT_STORE_CHECK=1] a hit also
+(** [workload_env ~store:st r build] serves the handle's environment for
+    the request's program when it was built for this workload and these
+    options, and otherwise runs [build (Some st)] and keeps the result in
+    the program's slot.  Without a store it is [build None], kept by no
+    one.  Under [IMPACT_STORE_CHECK=1] a hit also
     runs [build None] and fails unless the digest of the run's logs, pass
     count, profile and pass outputs and the bits of the minimum ENC and the
     reference area agree. *)
@@ -241,9 +230,7 @@ val env_memo_stats : unit -> env_memo_stats
 
 val find_or_synthesize :
   ?store:Impact_store.Store.t ->
-  options:options ->
-  Impact_cdfg.Graph.program ->
-  workload:workload_id ->
+  request ->
   objective:Solution.objective ->
   laxity:float ->
   workload_env ->
@@ -259,9 +246,7 @@ val find_or_synthesize :
 
 val find_or_sweep :
   ?store:Impact_store.Store.t ->
-  options:options ->
-  Impact_cdfg.Graph.program ->
-  workload:workload_id ->
+  request ->
   laxities:float list ->
   workload_env ->
   (unit -> sweep * ((Solution.objective * float) * design) list) ->

@@ -147,3 +147,7 @@ let shutdown pool =
 let with_pool ?jobs f =
   let pool = create ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
+
+let with_jobs n f =
+  let jobs = if n = 0 then num_domains () else max 1 n in
+  if jobs = 1 then f None else with_pool ~jobs (fun pool -> f (Some pool))

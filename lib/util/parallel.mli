@@ -49,3 +49,8 @@ val shutdown : pool -> unit
 val with_pool : ?jobs:int -> (pool -> 'a) -> 'a
 (** [with_pool f] creates a pool, runs [f], and always shuts the pool
     down. *)
+
+val with_jobs : int -> (pool option -> 'a) -> 'a
+(** [with_jobs n f] reads [n] as a [--jobs] flag does: [0] means
+    {!num_domains}, anything else [max 1 n].  [f] gets a pool of that many
+    jobs, always shut down after, or [None] when that comes to one. *)

@@ -26,10 +26,10 @@ let check_int = Alcotest.(check int)
 let sweep_options =
   { Driver.default_options with depth = 2; max_candidates = 10; max_iterations = 4 }
 
-let sweep bench opts =
+let sweep ?pool bench =
   let prog = Suite.program bench in
   let workload = bench.Suite.workload ~seed:11 ~passes:15 in
-  Driver.figure13 ~options:opts prog ~workload ~laxities:[ 1.0; 2.0 ]
+  Driver.figure13 ~options:sweep_options ?pool prog ~workload ~laxities:[ 1.0; 2.0 ]
 
 let design_fingerprint d =
   ( d.Driver.d_solution.Solution.cost,
@@ -54,8 +54,8 @@ let sweep_fingerprint sw =
     List.map point_fingerprint sw.Driver.sw_points )
 
 let test_sweep_parallel_identical bench () =
-  let seq = sweep bench { sweep_options with Driver.jobs = 1 } in
-  let coarse = sweep bench { sweep_options with Driver.jobs = 4 } in
+  let seq = sweep bench in
+  let coarse = Impact_util.Parallel.with_pool ~jobs:4 (fun pool -> sweep ~pool bench) in
   check_bool "pooled sweep = sequential sweep (power, area, Vdd, ENC, moves)" true
     (sweep_fingerprint seq = sweep_fingerprint coarse)
 

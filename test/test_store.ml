@@ -875,37 +875,23 @@ let test_env_memo_slot () =
       check_int "another program builds its own" (m'.Tier.em_builds + 1) m''.Tier.em_builds;
       check_int "and leaves the first one's" (m'.Tier.em_hits + 1) m''.Tier.em_hits)
 
-(* One content identity per request.  Each request builds its own workload
-   list and names it by a flight key before synthesizing, as the daemon
-   does; on one handle a cold request, two warm repeats and a
-   shifted-laxity request each digest their workload once, and the program
-   (freshly elaborated, so no earlier test digested it) is digested once
-   in all.  More requests than a few interleave before each synthesizes,
-   so no digest can be kept for them between requests; a request that
-   brings no id, or one naming another list, still digests once, and a
-   storeless one not at all. *)
+(* One content identity per request.  Each call builds its request from
+   its own workload list; on one handle a cold request, two warm repeats
+   and a shifted-laxity request each digest their workload once, and the
+   program (freshly elaborated, so no earlier test digested it) is digested
+   once in all.  Twenty requests whose lists are all built before any of
+   them synthesizes digest twenty times, so no digest is kept between
+   requests; a storeless request digests none, and a store-backed sweep,
+   cold or warm, digests once. *)
 let test_digest_counts () =
   with_dir (fun d ->
       let store = Store.open_store ~dir:d () in
       let prog = Impact_lang.Elaborate.from_source Suite.gcd.Suite.source in
       let objective = Solution.Minimize_power in
       let workload () = Suite.gcd.Suite.workload ~seed:7 ~passes:10 in
-      let flight_key laxity =
-        let workload = workload () in
-        let workload_id = Tier.workload_id workload in
+      let synthesize ?store laxity workload =
         ignore
-          (Driver.design_key ~workload_id ~options:small_options prog ~workload ~objective
-             ~laxity);
-        (workload, workload_id)
-      in
-      let synthesize ?workload_id ?store laxity workload =
-        ignore
-          (Driver.synthesize ~options:small_options ?store ?workload_id prog ~workload ~objective
-             ~laxity ())
-      in
-      let request laxity =
-        let workload, workload_id = flight_key laxity in
-        synthesize ~workload_id ~store laxity workload
+          (Driver.synthesize ~options:small_options ?store prog ~workload ~objective ~laxity ())
       in
       let workloads_since before =
         (Tier.digest_stats ()).Tier.dg_workloads - before.Tier.dg_workloads
@@ -919,26 +905,28 @@ let test_digest_counts () =
       List.iter
         (fun (name, laxity) ->
           let before = Tier.digest_stats () and hits = design_hits () in
-          request laxity;
-          let after = Tier.digest_stats () in
-          check_int (name ^ ": one workload digest") 1
-            (after.Tier.dg_workloads - before.Tier.dg_workloads);
+          synthesize ~store laxity (workload ());
+          check_int (name ^ ": one workload digest") 1 (workloads_since before);
           check_bool (name ^ ": design tier answers only the repeats") (name = "warm")
             (design_hits () > hits))
         [ ("cold", 2.0); ("warm", 2.0); ("warm", 2.0); ("shifted", 3.0) ];
       let before = Tier.digest_stats () in
-      let queued = List.init 20 (fun _ -> flight_key 2.0) in
-      List.iter (fun (workload, workload_id) -> synthesize ~workload_id ~store 2.0 workload) queued;
+      let queued = List.init 20 (fun _ -> workload ()) in
+      List.iter (synthesize ~store 2.0) queued;
       check_int "twenty interleaved requests: twenty digests" 20 (workloads_since before);
-      let before = Tier.digest_stats () in
-      synthesize ~store 2.0 (workload ());
-      check_int "no id: one digest" 1 (workloads_since before);
-      let before = Tier.digest_stats () in
-      synthesize ~workload_id:(snd (flight_key 2.0)) ~store 2.0 (workload ());
-      check_int "another list's id: one digest each" 2 (workloads_since before);
       let before = Tier.digest_stats () in
       synthesize 2.0 (workload ());
       check_int "storeless: no digest" 0 (workloads_since before);
+      List.iter
+        (fun name ->
+          let before = Tier.digest_stats () and hits = design_hits () in
+          ignore
+            (Driver.figure13 ~options:small_options ~store prog ~workload:(workload ())
+               ~laxities:[ 1.0; 2.0 ]);
+          check_int (name ^ " sweep: one workload digest") 1 (workloads_since before);
+          check_bool (name ^ " sweep: answered by the store only warm") (name = "warm")
+            (design_hits () > hits))
+        [ "cold"; "warm" ];
       check_int "one program digest" 1
         ((Tier.digest_stats ()).Tier.dg_programs - start.Tier.dg_programs))
 
@@ -981,8 +969,9 @@ let test_env_memo_check () =
           check_bool (name ^ ": divergence fails") true
             (match
                with_store_check (fun () ->
-                   Tier.workload_env store ~options:small_options prog
-                     ~workload:(Tier.workload_id workload) (diverging perturb))
+                   Tier.workload_env ~store
+                     (Tier.request ~options:small_options prog ~workload)
+                     (diverging perturb))
              with
             | _ -> false
             | exception Failure _ -> true))
