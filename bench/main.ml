@@ -212,6 +212,25 @@ let trace_manip buf =
            && Impact_util.Bitvec.equal e1.Traces.tr_output e2.Traces.tr_output)
          merged merged2
   in
+  (* The same move as the estimator prices it: the unit's input and output
+     switching, folded over the merge without materialising it, from the
+     recorded traces and then from a fresh simulation.  Each is the median
+     of five calls, so one collector slice does not decide it. *)
+  let median_of_5 f =
+    let times =
+      List.init 5 (fun _ ->
+          let t = Unix.gettimeofday () in
+          ignore (f ());
+          Unix.gettimeofday () -. t)
+    in
+    List.nth (List.sort Float.compare times) 2
+  in
+  let stats = Traces.unit_switching_stats run adds in
+  let stats2 = Traces.unit_switching_stats (Sim.simulate prog ~workload) adds in
+  let stats_manip = median_of_5 (fun () -> Traces.unit_switching_stats run adds) in
+  let stats_resim =
+    median_of_5 (fun () -> Traces.unit_switching_stats (Sim.simulate prog ~workload) adds)
+  in
   let manip = t3 -. t2 and resim = t4 -. t3 in
   let t =
     Table.create ~title:"Trace manipulation vs re-simulation (3-addition example)"
@@ -226,6 +245,16 @@ let trace_manip buf =
   Table.add_row t
     [ "speedup per move"; Printf.sprintf "%.1fx" (resim /. Float.max 1e-6 manip) ];
   Table.add_row t [ "merged trace equals re-simulated trace"; string_of_bool equal ];
+  Table.add_row t
+    [ "switching-stats time"; Printf.sprintf "%.2f ms" (1000. *. stats_manip) ];
+  Table.add_row t
+    [ "re-simulation + switching stats"; Printf.sprintf "%.2f ms" (1000. *. stats_resim) ];
+  Table.add_row t
+    [
+      "speedup per priced move";
+      Printf.sprintf "%.1fx" (stats_resim /. Float.max 1e-6 stats_manip);
+    ];
+  Table.add_row t [ "switching stats equal re-simulated"; string_of_bool (stats = stats2) ];
   ptable buf t;
   Buffer.add_char buf '\n'
 

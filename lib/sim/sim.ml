@@ -350,7 +350,6 @@ let cell l i col = l.chunks.(i lsr chunk_bits).(((i land (chunk_events - 1)) * l
 let count (run : run) nid = run.logs.(nid).count
 let ports (run : run) nid = run.logs.(nid).stride - 4
 let output (run : run) nid i = cell run.logs.(nid) i 0
-let input (run : run) nid i port = cell run.logs.(nid) i (port + 1)
 let pass (run : run) nid i = cell run.logs.(nid) i (ports run nid + 1)
 let seq (run : run) nid i = cell run.logs.(nid) i (ports run nid + 2)
 let tags = [| Tag_normal; Tag_merge_init; Tag_merge_back |]

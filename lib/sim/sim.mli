@@ -84,16 +84,14 @@ val result_width : Ir.op_kind -> width:int -> int array -> int
 
 (** {2 Index accessors}
 
-    [i] ranges over [0 .. count run nid - 1] in firing order; [output] and
-    [input run nid i port] are raw bits. *)
+    [i] ranges over [0 .. count run nid - 1] in firing order; [output] is
+    raw bits.  A scan of a whole log is cheaper over the [chunks] of
+    [logs] directly. *)
 
 val count : run -> Ir.node_id -> int
-val ports : run -> Ir.node_id -> int
 val output : run -> Ir.node_id -> int -> int
-val input : run -> Ir.node_id -> int -> int -> int
 val pass : run -> Ir.node_id -> int -> int
 val seq : run -> Ir.node_id -> int -> int
-val tag : run -> Ir.node_id -> int -> firing_tag
 
 val tag_count : run -> Ir.node_id -> firing_tag -> int
 (** Firings of the node with the tag, counted once per run. *)

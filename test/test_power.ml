@@ -257,6 +257,121 @@ let test_chunk_boundaries () =
         workload)
     [ 1023; 1024; 1025; 2049 ]
 
+(* An independent reference for the merge: the union of the nodes'
+   materialised events, sorted by (pass, seq).  [unit_trace] must equal it
+   row for row, and [unit_switching_stats] must equal the statistics folded
+   from it, bit for bit. *)
+let reference_trace run nodes =
+  List.concat_map
+    (fun nid -> Array.to_list (Array.map (fun ev -> (nid, ev)) (Sim.node_events run nid)))
+    nodes
+  |> List.stable_sort (fun (_, a) (_, b) ->
+         match Int.compare a.Sim.ev_pass b.Sim.ev_pass with
+         | 0 -> Int.compare a.Sim.ev_seq b.Sim.ev_seq
+         | c -> c)
+  |> List.map (fun (nid, ev) ->
+         {
+           Traces.tr_node = nid;
+           tr_inputs = ev.Sim.ev_inputs;
+           tr_output = ev.Sim.ev_output;
+           tr_pass = ev.Sim.ev_pass;
+           tr_seq = ev.Sim.ev_seq;
+         })
+  |> Array.of_list
+
+let same_row (a : Traces.entry) (b : Traces.entry) =
+  a.Traces.tr_node = b.Traces.tr_node
+  && a.Traces.tr_pass = b.Traces.tr_pass
+  && a.Traces.tr_seq = b.Traces.tr_seq
+  && Bitvec.equal a.Traces.tr_output b.Traces.tr_output
+  && Array.length a.Traces.tr_inputs = Array.length b.Traces.tr_inputs
+  && Array.for_all2 Bitvec.equal a.Traces.tr_inputs b.Traces.tr_inputs
+
+let matches_reference run nodes =
+  let reference = reference_trace run nodes in
+  let merged = Traces.unit_trace run nodes in
+  let st = Traces.unit_switching_stats run nodes in
+  let fin, fout = folded_stats reference in
+  Array.length merged = Array.length reference
+  && Array.for_all2 same_row merged reference
+  && Int64.bits_of_float st.Traces.us_input_sw = Int64.bits_of_float fin
+  && Int64.bits_of_float st.Traces.us_output_sw = Int64.bits_of_float fout
+
+let all_nodes run = List.init (Graph.node_count run.Sim.program.Graph.graph) Fun.id
+
+(* The chunk-boundary program's runs, each crossing one or two chunks. *)
+let chunk_runs =
+  lazy
+    (let prog = Elaborate.from_source chunk_source in
+     List.map
+       (fun iters ->
+         let workload = [ [ ("n", iters); ("k", 5) ]; [ ("n", iters); ("k", 700) ] ] in
+         (iters, Sim.simulate prog ~workload))
+       [ 1023; 1024; 1025; 2049 ])
+
+let test_reference_single_nodes () =
+  Array.iteri
+    (fun b run ->
+      check_bool (Printf.sprintf "run %d: empty" b) true (matches_reference run []);
+      List.iter
+        (fun nid ->
+          check_bool (Printf.sprintf "run %d: node %d" b nid) true (matches_reference run [ nid ]))
+        (all_nodes run))
+    (Lazy.force benchmark_runs)
+
+let prop_reference_merge =
+  QCheck.Test.make ~name:"unit_trace and stats = sorted node events, 2-4 nodes" ~count:200
+    QCheck.(pair (int_range 0 7) (list_of_size Gen.(int_range 2 4) small_nat))
+    (fun (b, picks) ->
+      let run = (Lazy.force benchmark_runs).(b) in
+      let nn = Graph.node_count run.Sim.program.Graph.graph in
+      matches_reference run (List.sort_uniq Int.compare (List.map (fun i -> i mod nn) picks)))
+
+let test_reference_across_chunks () =
+  List.iter
+    (fun (iters, run) ->
+      check_bool (Printf.sprintf "%d iterations: whole program" iters) true
+        (matches_reference run (all_nodes run));
+      List.iter
+        (fun nid ->
+          check_bool (Printf.sprintf "%d iterations: node %d" iters nid) true
+            (matches_reference run [ nid ]))
+        (all_nodes run))
+    (Lazy.force chunk_runs)
+
+(* [value_switching] on every node and input key a run's edges carry
+   equals [switching_per_access] over the key's first edge's values. *)
+let test_value_switching_edge_values () =
+  let check_run what run =
+    let g = run.Sim.program.Graph.graph in
+    let seen = Hashtbl.create 64 in
+    Graph.iter_edges g ~f:(fun e ->
+        let key =
+          match e.Ir.source with
+          | Ir.From_node nid -> Some (Datapath.K_node nid)
+          | Ir.Primary_input name -> Some (Datapath.K_input name)
+          | Ir.Const _ -> None
+        in
+        match key with
+        | Some key when not (Hashtbl.mem seen key) ->
+          Hashtbl.add seen key ();
+          let want =
+            Traces.switching_per_access ~width:e.Ir.e_width (Sim.edge_values run e.Ir.e_id)
+          in
+          let got = Traces.value_switching run ~key in
+          if Int64.bits_of_float got <> Int64.bits_of_float want then
+            Alcotest.failf "%s: edge e%d: value_switching %h, edge values %h" what e.Ir.e_id got
+              want
+        | _ -> ());
+    check_bool (what ^ ": some input key") true
+      (Hashtbl.fold (fun k () acc -> acc || match k with Datapath.K_input _ -> true | _ -> false)
+         seen false)
+  in
+  Array.iteri (fun b run -> check_run (Printf.sprintf "run %d" b) run) (Lazy.force benchmark_runs);
+  List.iter
+    (fun (iters, run) -> check_run (Printf.sprintf "%d iterations" iters) run)
+    (Lazy.force chunk_runs)
+
 let naive_popcount x =
   let c = ref 0 in
   for i = 0 to 62 do
@@ -590,6 +705,13 @@ let () =
           Alcotest.test_case "columnar log across chunk boundaries" `Quick
             test_chunk_boundaries;
           QCheck_alcotest.to_alcotest prop_popcount;
+          Alcotest.test_case "merge = sorted node events, single nodes" `Quick
+            test_reference_single_nodes;
+          QCheck_alcotest.to_alcotest prop_reference_merge;
+          Alcotest.test_case "merge = sorted node events across chunks" `Quick
+            test_reference_across_chunks;
+          Alcotest.test_case "value switching = edge values" `Quick
+            test_value_switching_edge_values;
         ] );
       ( "netstats",
         [
