@@ -1,8 +1,8 @@
 (* The experiment report: one section per paper table/figure (see
    DESIGN.md's per-experiment index), plus ablations and extension studies.
    Wall-time measurement belongs to perfbench/; the engine's properties
-   (warm store answers, fragment reuse, pool independence) are counter
-   checks in test/.
+   (warm store answers, pool independence) are counter checks in
+   test/.
 
    Usage:
      dune exec bench/main.exe                 -- run everything
@@ -42,10 +42,10 @@ module Parallel = Impact_util.Parallel
 
 let quick = ref false
 
-(* Section-level concurrency: [--jobs N] (0 = auto-detect, which honours
-   IMPACT_JOBS).  The pool, when present, is shared by the section fan-out
-   and by the Figure-13 sweeps inside the sections (nested
-   [Parallel.map] calls are safe: a caller drains its own batch). *)
+(* Section-level concurrency: [--jobs N] (0 = auto-detect).  The pool,
+   when present, is shared by the section fan-out and by the Figure-13
+   sweeps inside the sections (nested [Parallel.map] calls are safe: a
+   caller drains its own batch). *)
 let bench_jobs = ref 1
 let bench_pool : Parallel.pool option ref = ref None
 

@@ -82,8 +82,8 @@ let jobs_arg =
     & info [ "jobs"; "j" ]
         ~doc:
           "Evaluation concurrency (OCaml domains): sweep points fan out \
-           when the machine has more than one core.  0 auto-detects \
-           (honouring IMPACT_JOBS); results are identical for any value.")
+           when the machine has more than one core.  0 auto-detects; \
+           results are identical for any value.")
 
 let cache_dir_arg =
   Arg.(

@@ -110,11 +110,8 @@ let synthesize_env ~options ~cache env ~enc_min ~objective ~laxity =
     d_env = env;
   }
 
-(* The caller's shared signature cache, or a fresh one with its own
-   fragment memo. *)
-let cache_or_fresh = function
-  | Some cache -> cache
-  | None -> Solution.create_cache ~frags:(Impact_sched.Fragcache.create ()) ()
+(* The caller's shared signature cache, or a fresh one. *)
+let cache_or_fresh = function Some cache -> cache | None -> Solution.create_cache ()
 
 (* With a store, the environment comes from the handle's memo
    ({!Tier.workload_env}), built once per program and workload; without

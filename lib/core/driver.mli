@@ -90,9 +90,9 @@ val synthesize :
   unit ->
   design
 (** [build_env] plus the search, which runs on the calling domain.  A
-    supplied [cache] replaces the signature cache (with its fragment
-    cache) that is otherwise always created; sharing one across calls is
-    only sound when the program, workload, clock and style agree.
+    supplied [cache] replaces the signature cache that is otherwise always
+    created; sharing one across calls is only sound when the program,
+    workload, clock and style agree.
     With a [store], the environment comes from the handle's memo, and a
     ["design"]-tier hit replays the persisted decision instead of
     searching. *)

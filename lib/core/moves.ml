@@ -150,15 +150,12 @@ let reprices env (sol : Solution.t) move =
 
 (* The resources a move touches, named against the *pre-move* binding (a
    split's fresh ids do not exist yet; its source unit/register covers
-   every operation the split redistributes).  For a Heavy move this bounds
-   its scheduling footprint: only operations bound to these units — or
-   reading values held in these registers, whose multiplexer networks the
-   move rewires — can see different delay/resource model values, so only
-   regions containing such operations can change fragment digest under the
-   incremental scheduler.  The classification tests pin that bound against
-   {!Impact_sched.Scheduler.region_report}.  It is also every move's pricing
-   footprint: the ledger terms of units and registers outside it read
-   nothing the move changed but the schedule's shape. *)
+   every operation the split redistributes).  Only operations bound to these
+   units — or reading values held in these registers, whose multiplexer
+   networks the move rewires — can see different delay/resource model
+   values.  It is every move's pricing footprint: the ledger terms of units
+   and registers outside it read nothing the move changed but the
+   schedule's shape. *)
 let sched_footprint (_sol : Solution.t) move =
   match move with
   | Share_fu (keep, absorb) -> { Estimate.fp_fus = [ keep; absorb ]; fp_regs = [] }

@@ -30,13 +30,10 @@ val reprices : Solution.env -> Solution.t -> move -> bool
 val sched_footprint : Solution.t -> move -> Impact_power.Estimate.footprint
 (** The functional units and registers a move touches, named against the
     solution's (pre-move) binding — a split names its source resource,
-    which covers every operation the split redistributes.  For a Heavy
-    move this bounds the scheduling work the incremental fragment cache
-    leaves behind: only operations bound to the listed units, or fed by
-    multiplexer networks of the listed registers, can change delay or
-    resource model values, so only regions containing such operations can
-    change fragment digest across the move.  It is also the move's pricing
-    footprint in {!apply}. *)
+    which covers every operation the split redistributes.  It is the
+    move's pricing footprint in {!apply}: only operations bound to the
+    listed units, or fed by multiplexer networks of the listed registers,
+    can change delay or resource model values. *)
 
 val apply :
   ?cache:Solution.cache ->

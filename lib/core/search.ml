@@ -1,4 +1,3 @@
-module Fragcache = Impact_sched.Fragcache
 module Diagnostic = Impact_util.Diagnostic
 module Verify = Impact_verify.Verify
 
@@ -10,27 +9,21 @@ type stats = {
   cache_hits : int;
   pruned_infeasible : int;
   delta_repriced : int;
-  (* The next four are constants the benchmark harness still reads. *)
+  (* The next four and the last two are constants the benchmark harness
+     still reads. *)
   probes_launched : int;
   probes_won : int;
   steals : int;
   domain_busy_fraction : float;
   verified_accepts : int;  (* solutions re-verified under IMPACT_VERIFY_EACH *)
-  frags_reused : int;  (* STG fragments spliced from the fragment cache *)
-  frags_scheduled : int;  (* STG fragments computed and filed this run *)
+  frags_reused : int;
+  frags_scheduled : int;
 }
 
 let optimize env start ~rng ~depth ~max_candidates ?(max_iterations = 50)
     ?(filter = fun _ -> true) ?cache ?(delta = true) ?(num_probes = 1) () =
   if num_probes <> 1 then invalid_arg "Search.optimize: num_probes must be 1";
   let metrics = Solution.create_metrics () in
-  (* Fragment-cache counters are cumulative over the cache's lifetime (it
-     outlives runs: a sweep shares one); the stats report this run's delta. *)
-  let frag0 =
-    match Option.bind cache Solution.frag_cache with
-    | None -> None
-    | Some fc -> Some (fc, Fragcache.counters fc)
-  in
   (* Verify-each gating: with IMPACT_VERIFY_EACH set, every solution the
      search commits to (the start point and each step of an accepted
      prefix) is re-verified by the full cross-layer pass stack; an error
@@ -125,13 +118,6 @@ let optimize env start ~rng ~depth ~max_candidates ?(max_iterations = 50)
     end
   done;
   let cache_hits, pruned, _rebuilt, delta_repriced = Solution.metrics_counts metrics in
-  let frags_reused, frags_scheduled =
-    match frag0 with
-    | None -> (0, 0)
-    | Some (fc, (r0, s0)) ->
-      let r1, s1 = Fragcache.counters fc in
-      (r1 - r0, s1 - s0)
-  in
   ( !current,
     {
       iterations = !iterations;
@@ -146,6 +132,6 @@ let optimize env start ~rng ~depth ~max_candidates ?(max_iterations = 50)
       steals = 0;
       domain_busy_fraction = 1.;
       verified_accepts = !verified;
-      frags_reused;
-      frags_scheduled;
+      frags_reused = 0;
+      frags_scheduled = 0;
     } )

@@ -31,12 +31,11 @@ type stats = {
   verified_accepts : int;
       (** solutions re-verified by the cross-layer pass stack under
           [IMPACT_VERIFY_EACH] (0 when the mode is off) *)
-  frags_reused : int;
-      (** STG fragments served from the region-fragment cache during this
-          run's reschedules (0 without a fragment cache) *)
+  frags_reused : int;  (** always 0 *)
   frags_scheduled : int;
-      (** STG fragments computed by leaf scheduling and filed in the
-          fragment cache during this run *)
+      (** always 0.  These two are the counters of the deleted
+          schedule-fragment cache, read only by the benchmark harness
+          ([perfbench/]) *)
 }
 
 val optimize :

@@ -10,7 +10,6 @@ module Netstats = Impact_power.Netstats
 module Breakdown = Impact_power.Breakdown
 module Vdd = Impact_power.Vdd
 module Sim = Impact_sim.Sim
-module Fragcache = Impact_sched.Fragcache
 module Shardtbl = Impact_util.Shardtbl
 module Keybuf = Impact_util.Keybuf
 
@@ -124,14 +123,14 @@ type built = {
          it *)
 }
 
-let build ?frags env ~binding ~restructured ~reuse_stg =
+let build env ~binding ~restructured ~reuse_stg =
   let dp = Datapath.build binding in
   let restructured = apply_restructuring env dp restructured in
   let stg =
     match reuse_stg with
     | Some stg -> stg
     | None ->
-      Scheduler.schedule ?frags env.sched_config env.program
+      Scheduler.schedule env.sched_config env.program
         ~delay:(Datapath.delay_model dp) ~res:(Datapath.resource_model dp)
   in
   let enc = Estimate.stg_enc env.est_ctx stg in
@@ -266,19 +265,9 @@ let price ?metrics ?delta env bt =
 
 (* --- Signature cache ------------------------------------------------------- *)
 
-type cache = {
-  cs_shared : (string, built) Shardtbl.t;
-  cs_frags : Fragcache.t option;
-      (* region-fragment memo threaded into every cached-path schedule; a
-         signature-cache miss on a Heavy move then only re-schedules the
-         regions the move actually perturbed *)
-}
+type cache = { cs_shared : (string, built) Shardtbl.t }
 
-let create_cache ?frags () =
-  { cs_shared = Shardtbl.create ~equal:String.equal 256; cs_frags = frags }
-
-let frag_cache c = c.cs_frags
-
+let create_cache ?frags:_ () = { cs_shared = Shardtbl.create ~equal:String.equal 256 }
 let cache_entries c = Shardtbl.length c.cs_shared
 
 let cache_priced c =
@@ -323,10 +312,9 @@ let signature ~binding ~restructured =
 (* --- Rebuild --------------------------------------------------------------- *)
 
 let rebuild ?cache ?metrics ?delta env ~binding ~restructured ~reuse_stg =
-  let frags = Option.bind cache (fun c -> c.cs_frags) in
   let fresh () =
     Option.iter (fun m -> m.m_rebuilt <- m.m_rebuilt + 1) metrics;
-    build ?frags env ~binding ~restructured ~reuse_stg
+    build env ~binding ~restructured ~reuse_stg
   in
   let bt =
     match (cache, reuse_stg) with

@@ -160,9 +160,9 @@ val find_or_compute :
     [design] and [sweep] are find-or-compute; [traces] seeds a fresh
     estimation context and accumulates after each request.  [design] and
     [sweep] share the ["design"] namespace under different tags.  The
-    behavioural run and the scheduler's fragment cache are not tiers: a
-    request simulates its workload (once per handle and program, see
-    {!workload_env}) and keeps fragments in memory for one request or sweep,
+    behavioural run and schedule fragments are not tiers: a request
+    simulates its workload (once per handle and program, see
+    {!workload_env}) and schedules from the program's schedule plan,
     because reading either back from disk cost as much as recomputing it
     or more. *)
 

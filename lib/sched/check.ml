@@ -246,74 +246,10 @@ let exit_issues (stg : Stg.t) =
   else []
 
 (* --- Spliced-STG validation ----------------------------------------------
-   The incremental scheduler reuses memoised fragments verbatim; a stale or
-   corrupt snapshot would smuggle state ids from a replaced fragment into
-   the composition.  These checks pin the structural half of the splice
-   contract (value identity is pinned separately: IMPACT_SCHED_CHECK
-   recomputes the schedule cold and compares signatures). *)
-
-let splice_frag_issues frag =
-  let n = Stg.frag_state_count frag in
-  if n = 0 then
-    [ issue ~rule:"stg/splice-empty" "fragment" "fragment has no states" ]
-  else begin
-    let issues = ref [] in
-    let entry = Stg.frag_entry frag in
-    if entry < 0 || entry >= n then
-      issues :=
-        issue ~rule:"stg/splice-entry-range" "fragment"
-          "entry %d is not a state of the %d-state fragment" entry n
-        :: !issues;
-    for s = 0 to n - 1 do
-      List.iter
-        (fun { Stg.t_dst; _ } ->
-          if t_dst < 0 || t_dst >= n then
-            issues :=
-              issue ~rule:"stg/splice-dangling-transition"
-                (Printf.sprintf "state %d" s)
-                "transition dangles to %d outside the %d-state fragment" t_dst n
-              :: !issues)
-        (Stg.frag_succs frag s)
-    done;
-    List.iter
-      (fun (s, _) ->
-        if s < 0 || s >= n then
-          issues :=
-            issue ~rule:"stg/splice-exit-range" "fragment"
-              "exit from %d is not a state of the %d-state fragment" s n
-            :: !issues)
-      (Stg.frag_exits frag);
-    (* Freshly scheduled fragments reach every state from their entry;
-       unreachable states in a cached materialisation point at a stale
-       snapshot.  [Stg.instantiate] prunes them, so this is a warning, not
-       an error. *)
-    if entry >= 0 && entry < n then begin
-      let reach = Array.make n false in
-      let rec visit s =
-        (* Dangling destinations were already reported above; the walk must
-           not follow them. *)
-        if s >= 0 && s < n && not reach.(s) then begin
-          reach.(s) <- true;
-          List.iter (fun { Stg.t_dst; _ } -> visit t_dst) (Stg.frag_succs frag s)
-        end
-      in
-      visit entry;
-      for s = 0 to n - 1 do
-        if not reach.(s) then
-          issues :=
-            Diagnostic.warning ~rule:"stg/splice-unreachable-state"
-              ~path:(Printf.sprintf "state %d" s)
-              "state is unreachable from the fragment entry"
-            :: !issues
-      done
-    end;
-    !issues
-  end
-
-(* The instantiated-STG half: every transition destination, the entry and
-   the exit must name states of the array.  [Stg.instantiate]'s renumbering
-   guarantees this for any fragment, so a finding here means a splice
-   corrupted the composition itself. *)
+   Every transition destination, the entry and the exit must name states of
+   the array.  [Stg.instantiate]'s renumbering guarantees this for any
+   fragment, so a finding here means the composition of fragments
+   corrupted the STG itself. *)
 let splice_issues (stg : Stg.t) =
   let n = Array.length stg.Stg.states in
   let issues = ref [] in

@@ -27,22 +27,9 @@ val check : ?profile:Impact_sim.Profile.t -> Impact_cdfg.Graph.program -> Stg.t 
       [stg/exit-successors]);
     - the splice invariants of {!splice_issues}. *)
 
-val splice_frag_issues : Stg.frag -> issue list
-(** Structural validation of one STG fragment, applied to every fragment
-    the incremental scheduler serves from its memo cache under
-    [IMPACT_SCHED_CHECK]: the fragment is non-empty ([stg/splice-empty]),
-    its entry and exits name states of the fragment
-    ([stg/splice-entry-range], [stg/splice-exit-range]) and no transition
-    dangles outside it ([stg/splice-dangling-transition]) — state-id
-    freshness after a splice reduces to exactly these bounds, since a
-    stale id from a replaced fragment either escapes the range or silently
-    aliases, and aliasing is what the cold-recompute signature comparison
-    pins.  States unreachable from the entry are reported as a warning
-    ([stg/splice-unreachable-state]). *)
-
 val splice_issues : Stg.t -> issue list
-(** The instantiated-STG half of the splice contract: entry, exit and
-    every transition destination name states of the array
+(** The splice contract of a composed STG: entry, exit and every
+    transition destination name states of the array
     ([stg/splice-entry-range], [stg/splice-exit-range],
     [stg/splice-dangling-transition]).  Included in {!check}. *)
 

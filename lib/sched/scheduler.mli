@@ -45,35 +45,24 @@ val schedule :
   Stg.t
 (** Reads the {e schedule plan} of [(program, config)]: everything the
     scheduler needs that depends on the program alone — the flattened
-    region tree and its node order, each cacheable region's key prefix
-    (config fingerprint, tag and structure bytes), each
-    sequence's sibling dependence groups, each leaf's specification array
-    with its in-leaf predecessor/successor arrays and extern-guard flags,
-    and every node's effective guard.  The plan is built on first use,
-    never changes, and lives as long as the program: it is kept in an
-    ephemeron table keyed by the physical identity of the program's graph,
-    so no number of interleaved programs evicts it and it is collected
-    with its program.  A reschedule then only tabulates the
-    models, appends each region's model bytes to its key prefix, and runs
-    list scheduling.
+    region tree, each sequence's sibling dependence groups, each leaf's
+    specification array with its in-leaf predecessor/successor arrays and
+    extern-guard flags, and every node's effective guard.  The plan is
+    built on first use, never changes, and lives as long as the program:
+    it is kept in an ephemeron table keyed by the physical identity of the
+    program's graph, so no number of interleaved programs evicts it and it
+    is collected with its program.  A reschedule then only runs list
+    scheduling over the plan's leaves, reading the caller's model
+    closures, and composes the fragments.
 
-    With [frags], per-region fragments are memoised by content key
-    ({!Fragcache}): a region whose structure and per-operation model values
-    are unchanged since an earlier schedule splices its prior fragment
-    verbatim instead of re-running leaf scheduling, so rescheduling after a
-    move costs work proportional to the regions the move perturbs.  The
-    composition (sequencing, forks, loop wiring, parallel products) is
-    recomputed every call, and the key covers every input leaf
-    scheduling reads, so the result is bit-identical to a cache-less
-    schedule.  The cache must only be reused across calls that agree on the
-    program.
+    [frags] is accepted and ignored: it is read only by the benchmark
+    harness ([perfbench/]), which still passes a {!Fragcache.t}.
 
     With the [IMPACT_SCHED_CHECK] environment variable set (to anything but
-    [0] or the empty string), every spliced schedule is recomputed cold by
-    {!schedule_reference} and compared by {!Stg.signature}, every
-    cache-served fragment is
-    structurally validated, and the spliced STG passes the
-    [stg/splice-*] checks of {!Check} — a divergence raises [Failure]. *)
+    [0] or the empty string), every schedule is recomputed by
+    {!schedule_reference} and compared by {!Stg.signature}, and the planned
+    STG passes the [stg/splice-*] checks of {!Check} — a divergence raises
+    [Failure]. *)
 
 val schedule_reference :
   config ->
@@ -82,23 +71,11 @@ val schedule_reference :
   res:Models.resource_model ->
   Stg.t
 (** The cold reference: the schedule computed straight from the region
-    tree, without the plan and without a fragment cache — a fresh
-    {!Impact_cdfg.Analysis.t}, sibling dependence levels and leaf arrays
-    recomputed per call, the models read through the caller's closures.
-    Only the composition of finished fragments is shared with {!schedule},
-    so comparing the two checks everything the plan precomputes. *)
-
-val region_report :
-  config ->
-  Impact_cdfg.Graph.program ->
-  delay:Models.delay_model ->
-  res:Models.resource_model ->
-  (Impact_cdfg.Ir.node_id list * string) list
-(** The cacheable regions of the (flattened) region tree with their current
-    fragment keys, outermost first.  Two reports over the same program
-    differ exactly at the regions whose fragments a reschedule would
-    recompute; the footprint-classification tests assert those regions all
-    intersect the operations served by the move's resource footprint. *)
+    tree, without the plan — a fresh {!Impact_cdfg.Analysis.t}, sibling
+    dependence levels and leaf arrays recomputed per call, the models read
+    through the caller's closures.  Only the composition of finished
+    fragments is shared with {!schedule}, so comparing the two checks
+    everything the plan precomputes. *)
 
 val min_enc_schedule :
   style ->

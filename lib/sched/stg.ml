@@ -200,34 +200,6 @@ let frag_state f id = Vec.get f.fstates id
 let frag_state_count f = Vec.length f.fstates
 let frag_succs f id = Vec.get f.ftrans id
 
-(* A frozen copy of a fragment.  Fragments are mutable (the
-   composition operators splice states into their left argument in place),
-   so a cached fragment must be snapshotted on the way in and materialised
-   as a fresh copy on the way out — sharing the live value would let a
-   later [seq]/[fork]/[graft] mutate the cache entry. *)
-type portable_frag = {
-  pf_states : state array;
-  pf_succs : transition list array;  (* parallel to [pf_states] *)
-  pf_entry : int;
-  pf_exits : (int * Guard.t) list;
-}
-
-let frag_to_portable f =
-  {
-    pf_states = Vec.to_array f.fstates;
-    pf_succs = Vec.to_array f.ftrans;
-    pf_entry = f.fentry;
-    pf_exits = f.fexits;
-  }
-
-let frag_of_portable p =
-  {
-    fstates = Vec.of_array p.pf_states;
-    ftrans = Vec.of_array p.pf_succs;
-    fentry = p.pf_entry;
-    fexits = p.pf_exits;
-  }
-
 let frag_of_chain states =
   match states with
   | [] -> invalid_arg "Stg.frag_of_chain: empty"

@@ -83,17 +83,13 @@ val to_dot : t -> string
 
 type frag
 
-val frag_create : unit -> frag
-val frag_add_state : frag -> state -> int
 val frag_add_transition : frag -> src:int -> Guard.t -> dst:int -> unit
-val frag_set_entry : frag -> int -> unit
 val frag_add_exit : frag -> src:int -> Guard.t -> unit
 val frag_entry : frag -> int
 val frag_exits : frag -> (int * Guard.t) list
 val frag_set_exits : frag -> (int * Guard.t) list -> unit
 val frag_state : frag -> int -> state
 val frag_state_count : frag -> int
-val frag_succs : frag -> int -> transition list
 
 val frag_of_chain : state list -> frag
 (** A straight-line fragment: states in order, unconditional transitions,
@@ -134,25 +130,3 @@ val par : ?max_states:int -> frag -> frag -> frag
 val instantiate : frag -> clock_ns:float -> t
 (** Closes the fragment into an STG: adds the absorbing exit state and
     connects every fragment exit to it.  Unreachable states are removed. *)
-
-(** {1 Portable fragments}
-
-    Fragments are mutable: the composition operators splice states into
-    their left argument in place, so a memoised fragment must be frozen on
-    the way into a cache and materialised as a fresh copy on the way out. *)
-
-type portable_frag = {
-  pf_states : state array;
-  pf_succs : transition list array;  (** parallel to [pf_states] *)
-  pf_entry : int;
-  pf_exits : (int * Guard.t) list;
-}
-
-val frag_to_portable : frag -> portable_frag
-(** A frozen deep-enough copy: the arrays are fresh, the states and
-    transition lists they hold are immutable and shared. *)
-
-val frag_of_portable : portable_frag -> frag
-(** A fresh mutable fragment; the snapshot is never aliased, so the result
-    can be composed (and thereby mutated) freely. *)
-

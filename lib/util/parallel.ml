@@ -14,29 +14,7 @@ type pool = {
   mutable closed : bool;
 }
 
-let env_jobs () =
-  match Sys.getenv_opt "IMPACT_JOBS" with
-  | None -> None
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> Some n
-    | Some _ | None -> None)
-
 let detected_domains () = max 1 (Domain.recommended_domain_count ())
-
-(* Log the override once per distinct value: a benchmark that reports
-   "detected N" while an env var silently forced M is unreproducible. *)
-let logged_override = Atomic.make (-1)
-
-let num_domains () =
-  match env_jobs () with
-  | Some n ->
-    let detected = detected_domains () in
-    if n <> detected && Atomic.exchange logged_override n <> n then
-      Printf.eprintf "[parallel] IMPACT_JOBS=%d overrides detected parallelism %d\n%!" n
-        detected;
-    n
-  | None -> detected_domains ()
 
 let rec worker_loop pool =
   Mutex.lock pool.lock;
@@ -52,7 +30,7 @@ let rec worker_loop pool =
     worker_loop pool
 
 let create ?jobs () =
-  let n_jobs = max 1 (match jobs with Some n -> n | None -> num_domains ()) in
+  let n_jobs = max 1 (match jobs with Some n -> n | None -> detected_domains ()) in
   let pool =
     {
       n_jobs;
@@ -149,5 +127,5 @@ let with_pool ?jobs f =
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
 
 let with_jobs n f =
-  let jobs = if n = 0 then num_domains () else max 1 n in
+  let jobs = if n = 0 then detected_domains () else max 1 n in
   if jobs = 1 then f None else with_pool ~jobs (fun pool -> f (Some pool))

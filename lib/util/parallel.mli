@@ -13,19 +13,12 @@
 type pool
 
 val detected_domains : unit -> int
-(** [Domain.recommended_domain_count ()] clamped to at least 1 — hardware
-    detection only, never the [IMPACT_JOBS] override. *)
-
-val num_domains : unit -> int
-(** Effective parallelism: the [IMPACT_JOBS] environment variable when set
-    to a positive integer, otherwise {!detected_domains}.  When the
-    override differs from detection, a diagnostic is printed to stderr once
-    per distinct value. *)
+(** [Domain.recommended_domain_count ()] clamped to at least 1. *)
 
 val create : ?jobs:int -> unit -> pool
 (** [create ~jobs ()] spawns [jobs - 1] worker domains ([jobs] defaults to
-    [num_domains ()]; values below 1 are clamped to 1, meaning a pool that
-    runs everything on the calling domain). *)
+    [detected_domains ()]; values below 1 are clamped to 1, meaning a pool
+    that runs everything on the calling domain). *)
 
 val jobs : pool -> int
 (** The pool's total concurrency (workers + caller). *)
@@ -52,5 +45,5 @@ val with_pool : ?jobs:int -> (pool -> 'a) -> 'a
 
 val with_jobs : int -> (pool option -> 'a) -> 'a
 (** [with_jobs n f] reads [n] as a [--jobs] flag does: [0] means
-    {!num_domains}, anything else [max 1 n].  [f] gets a pool of that many
-    jobs, always shut down after, or [None] when that comes to one. *)
+    {!detected_domains}, anything else [max 1 n].  [f] gets a pool of that
+    many jobs, always shut down after, or [None] when that comes to one. *)

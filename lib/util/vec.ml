@@ -32,8 +32,6 @@ let iteri t ~f =
     f i t.data.(i)
   done
 
-let of_array a = { data = Array.copy a; size = Array.length a }
-
 let of_list xs =
   let t = create () in
   List.iter (fun x -> ignore (push t x)) xs;

@@ -12,6 +12,3 @@ val set : 'a t -> int -> 'a -> unit
 val to_array : 'a t -> 'a array
 val iteri : 'a t -> f:(int -> 'a -> unit) -> unit
 val of_list : 'a list -> 'a t
-val of_array : 'a array -> 'a t
-(** A vector holding a copy of the array (one [Array.copy], no per-element
-    pushes — this sits on the fragment-cache materialisation hot path). *)

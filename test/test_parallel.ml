@@ -71,15 +71,6 @@ let test_jobs_clamp () =
         (Parallel.physical_parallelism pool >= 1
         && Parallel.physical_parallelism pool <= 2))
 
-let test_env_override () =
-  Unix.putenv "IMPACT_JOBS" "7";
-  let n = Parallel.num_domains () in
-  Unix.putenv "IMPACT_JOBS" "not-a-number";
-  let fallback = Parallel.num_domains () in
-  Unix.putenv "IMPACT_JOBS" "";
-  check_int "IMPACT_JOBS honoured" 7 n;
-  check_bool "garbage ignored" true (fallback >= 1)
-
 let test_map_qcheck =
   QCheck.Test.make ~count:50 ~name:"Parallel.map = List.map"
     QCheck.(pair (list small_int) (int_range 1 6))
@@ -143,7 +134,6 @@ let () =
           Alcotest.test_case "pool reuse" `Quick test_map_reuse;
           Alcotest.test_case "shutdown degrades" `Quick test_map_after_shutdown;
           Alcotest.test_case "jobs clamp" `Quick test_jobs_clamp;
-          Alcotest.test_case "IMPACT_JOBS" `Quick test_env_override;
           QCheck_alcotest.to_alcotest test_map_qcheck;
         ] );
       ( "determinism",

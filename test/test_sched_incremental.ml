@@ -1,12 +1,10 @@
-(* Incremental region-level rescheduling: along random accepted-move walks
-   the fragment-spliced evaluation must reproduce the full-reschedule
-   evaluation bit for bit (STG signature, ENC, cost fingerprints); a move's
-   schedule perturbation must stay inside its declared resource footprint;
-   spliced fragments must pass the structural splice checks; the
-   fragment cache must honour its snapshot and write-once contracts; the
-   binary binding key must partition solutions exactly as the text it
-   replaced, and the schedule key exactly as the signature of the schedule
-   with its firing times erased. *)
+(* Rescheduling along move walks: the signature-cached evaluation must
+   reproduce the fresh evaluation bit for bit (STG signature, ENC, cost
+   fingerprints); the plan-based schedule must equal the plan-free
+   reference, and IMPACT_SCHED_CHECK must pass on every schedule; composed
+   STGs must pass the structural splice checks; the binary binding key must
+   partition solutions exactly as the text it replaced, and the schedule key
+   exactly as the signature of the schedule with its firing times erased. *)
 
 module Graph = Impact_cdfg.Graph
 module Guard = Impact_cdfg.Guard
@@ -14,7 +12,6 @@ module Sim = Impact_sim.Sim
 module Scheduler = Impact_sched.Scheduler
 module Stg = Impact_sched.Stg
 module Check = Impact_sched.Check
-module Fragcache = Impact_sched.Fragcache
 module Enc = Impact_sched.Enc
 module Binding = Impact_rtl.Binding
 module Datapath = Impact_rtl.Datapath
@@ -66,18 +63,17 @@ let fingerprint sol =
     sol.Solution.enc sol.Solution.vdd
     (Stg.signature sol.Solution.stg)
 
-(* --- Incremental == full along random accepted-move walks ----------------- *)
+(* --- Cached == fresh along random accepted-move walks ---------------------- *)
 
 (* One walk: at every step the first applicable candidate is applied twice —
-   once without any cache (full reschedule) and once against a persistent
-   fragment cache (spliced) — and the two solutions must be
-   fingerprint-identical.  The first two steps run under IMPACT_SCHED_CHECK=1
-   so the scheduler's own cold-recompute assertion and the splice validation
-   are exercised on real fragments too. *)
+   once without any cache (fresh) and once against a persistent signature
+   cache — and the two solutions must be fingerprint-identical.  The first
+   two steps run under IMPACT_SCHED_CHECK=1, so the scheduler's comparison
+   with the plan-free reference and its splice validation run on real
+   reschedules too. *)
 let walk_identical bench ~seed ~steps =
   let env = make_env bench 2.5 in
-  let frags = Fragcache.create () in
-  let cache = Solution.create_cache ~frags () in
+  let cache = Solution.create_cache () in
   let rng = Rng.create ~seed in
   let sol = ref (Solution.initial env) in
   let compared = ref 0 in
@@ -100,9 +96,9 @@ let walk_identical bench ~seed ~steps =
          | None ->
            Alcotest.failf "%s step %d: incremental apply rejected %s"
              bench.Suite.bench_name step (Moves.describe mv)
-         | Some spliced ->
-           if fingerprint full <> fingerprint spliced then
-             Alcotest.failf "%s step %d: %s diverged under fragment splicing"
+         | Some cached ->
+           if fingerprint full <> fingerprint cached then
+             Alcotest.failf "%s step %d: %s diverged through the cache"
                bench.Suite.bench_name step (Moves.describe mv);
            incr compared);
          sol := full
@@ -123,15 +119,7 @@ let test_walk_property =
     QCheck.(int_range 1 1000)
     (fun seed -> walk_identical Suite.gcd ~seed ~steps:3 >= 0)
 
-(* --- Footprint classification --------------------------------------------- *)
-
-let kind = function
-  | Moves.Share_fu _ -> "share_fu"
-  | Moves.Split_fu _ -> "split_fu"
-  | Moves.Substitute _ -> "substitute"
-  | Moves.Share_reg _ -> "share_reg"
-  | Moves.Split_reg _ -> "split_reg"
-  | Moves.Restructure _ -> "restructure"
+(* --- Footprint mapping ------------------------------------------------------ *)
 
 (* The pure constructor → footprint mapping. *)
 let test_footprint_mapping () =
@@ -151,191 +139,29 @@ let test_footprint_mapping () =
   check_fp "restructure_fu" (Moves.Restructure (Datapath.P_fu_input (8, 0))) [ 8 ] [];
   check_fp "restructure_reg" (Moves.Restructure (Datapath.P_reg_write 5)) [] [ 5 ]
 
-(* Semantic half: applying a Heavy move may only change the digests of
-   regions containing operations served by the footprint's units/registers
-   (that is what makes fragment reuse after a move sound and profitable). *)
-let footprint_contains_changes env sol ~seen =
-  let cfg = env.Solution.sched_config and prog = env.Solution.program in
-  let report s =
-    Scheduler.region_report cfg prog
-      ~delay:(Datapath.delay_model s.Solution.dp)
-      ~res:(Datapath.resource_model s.Solution.dp)
-  in
-  let r0 = report sol in
-  let rng = Rng.create ~seed:17 in
-  let heavy =
-    Moves.candidates env sol ~rng ~max:1000
-    |> List.filter (fun m -> not (Moves.reprices env sol m))
-  in
-  List.iter
-    (fun mv ->
-      match Moves.apply env sol mv with
-      | None -> ()
-      | Some succ ->
-        let f = Moves.sched_footprint sol mv in
-        let fp_ops =
-          List.concat_map (Binding.fu_ops sol.Solution.binding) f.Estimate.fp_fus
-          @ List.concat_map (Binding.reg_values sol.Solution.binding)
-              f.Estimate.fp_regs
-        in
-        let r1 = report succ in
-        check_int "region walk is structurally stable" (List.length r0)
-          (List.length r1);
-        List.iter2
-          (fun (nodes0, d0) (nodes1, d1) ->
-            Alcotest.(check (list int)) "region node lists stable" nodes0 nodes1;
-            if d0 <> d1 && not (List.exists (fun n -> List.mem n fp_ops) nodes0)
-            then
-              Alcotest.failf "%s changed a region outside its footprint"
-                (Moves.describe mv))
-          r0 r1;
-        Hashtbl.replace seen (kind mv) ())
-    heavy
-
-let test_footprint_classification () =
-  let env = make_env Suite.dealer 2.5 in
-  let seen = Hashtbl.create 8 in
-  let sol = ref (Solution.initial env) in
-  footprint_contains_changes env !sol ~seen;
-  (* Walk a few accepted moves so sharing exists, which surfaces the split
-     and restructure constructors too. *)
-  let rng = Rng.create ~seed:23 in
-  for _ = 1 to 5 do
-    let cands = Moves.candidates env !sol ~rng ~max:10 in
-    match List.find_map (fun mv -> Moves.apply env !sol mv) cands with
-    | Some s -> sol := s
-    | None -> ()
-  done;
-  footprint_contains_changes env !sol ~seen;
-  List.iter
-    (fun k -> check_bool (k ^ " constructor exercised") true (Hashtbl.mem seen k))
-    [ "share_fu"; "substitute"; "share_reg" ];
-  check_bool "several Heavy constructors exercised" true (Hashtbl.length seen >= 3)
-
-(* --- Heavy-move rescheduling against a warmed cache ------------------------ *)
-
-(* Apply every Heavy candidate of the start solution once with a fragment
-   cache, then reschedule each successor's delay and resource models
-   against the warmed cache: no fragment is scheduled again, and every
-   reschedule reuses the same number of fragments, so each is spliced
-   whole from the cache (on gcd and dealer the outermost region hits and
-   nothing below it is visited). *)
-let test_heavy_resched_splices () =
-  List.iter
-    (fun bench ->
-      let name = bench.Suite.bench_name in
-      let env = make_env bench 2.5 in
-      let sol = Solution.initial env in
-      let rng = Rng.create ~seed:7 in
-      let heavy =
-        Moves.candidates env sol ~rng ~max:1000
-        |> List.filter (fun m -> not (Moves.reprices env sol m))
-      in
-      let frags = Fragcache.create () in
-      let cache = Solution.create_cache ~frags () in
-      let models =
-        List.filter_map (Moves.apply ~cache env sol) heavy
-        |> List.map (fun s ->
-               (Datapath.delay_model s.Solution.dp, Datapath.resource_model s.Solution.dp))
-      in
-      check_bool (name ^ " several Heavy successors") true (List.length models >= 2);
-      let counts =
-        List.map
-          (fun (delay, res) ->
-            let r0, s0 = Fragcache.counters frags in
-            ignore
-              (Scheduler.schedule ~frags env.Solution.sched_config env.Solution.program
-                 ~delay ~res);
-            let r1, s1 = Fragcache.counters frags in
-            (r1 - r0, s1 - s0))
-          models
-      in
-      let reused = fst (List.hd counts) in
-      check_bool (name ^ " fragments reused") true (reused > 0);
-      List.iter
-        (fun (r, s) ->
-          check_int (name ^ " nothing scheduled") 0 s;
-          check_int (name ^ " every region reused") reused r)
-        counts)
-    [ Suite.gcd; Suite.dealer ]
-
 (* --- Splice validation ----------------------------------------------------- *)
 
-let mk_state = { Stg.firings = [] }
-
 let test_splice_checks () =
-  (* A well-formed chain fragment validates cleanly. *)
-  let ok = Stg.frag_of_chain [ mk_state; mk_state; mk_state ] in
-  check_int "valid fragment has no splice errors" 0
-    (List.length (Diagnostic.errors (Check.splice_frag_issues ok)));
-  (* A real spliced schedule validates cleanly too. *)
+  (* A real schedule validates cleanly. *)
   let env = make_env Suite.gcd 2.5 in
   let sol = Solution.initial env in
+  let stg = sol.Solution.stg in
   check_int "instantiated STG has no splice errors" 0
-    (List.length (Diagnostic.errors (Check.splice_issues sol.Solution.stg)));
-  (* A materialised fragment with a dangling transition fails the splice
-     check. *)
-  let dangling =
-    {
-      Stg.pf_states = [| mk_state |];
-      pf_succs = [| [ { Stg.t_guard = Guard.always; t_dst = 5 } ] |];
-      pf_entry = 0;
-      pf_exits = [];
-    }
-  in
-  check_bool "dangling transition caught by splice check" true
-    (Diagnostic.errors (Check.splice_frag_issues (Stg.frag_of_portable dangling))
-    <> [])
-
-(* --- Fragment cache contracts ---------------------------------------------- *)
-
-let frag_shape f =
-  (Stg.frag_state_count f, Stg.frag_entry f, List.map fst (Stg.frag_exits f))
-
-let test_fragcache_roundtrip () =
-  let fc = Fragcache.create () in
-  let f = Stg.frag_of_chain [ mk_state; mk_state ] in
-  check_bool "miss before add" true (Fragcache.find fc "k" = None);
-  Fragcache.add fc "k" f;
-  (match Fragcache.find fc "k" with
-  | None -> Alcotest.fail "added fragment not found"
-  | Some g ->
-    check_bool "roundtrip preserves shape" true (frag_shape g = frag_shape f);
-    (* Mutating a served copy must not corrupt the cache entry. *)
-    ignore (Stg.frag_add_state g mk_state);
-    (match Fragcache.find fc "k" with
-    | Some h -> check_bool "cache entry isolated from served copies" true
-                  (frag_shape h = frag_shape f)
-    | None -> Alcotest.fail "entry vanished"));
-  let reused, scheduled = Fragcache.counters fc in
-  check_int "reused counter" 2 reused;
-  check_int "scheduled counter" 1 scheduled;
-  check_int "entries" 1 (Fragcache.entries fc)
-
-(* A key is filed once: a re-add keeps the first fragment, and rescheduling
-   a program whose models did not change serves every region from the cache
-   and files nothing new. *)
-let test_fragcache_write_once () =
-  let one = Stg.frag_of_chain [ mk_state ] and two = Stg.frag_of_chain [ mk_state; mk_state ] in
-  let fc = Fragcache.create () in
-  Fragcache.add fc "k" two;
-  Fragcache.add fc "k" one;
-  check_int "a re-add of a filed key adds nothing" 1 (Fragcache.entries fc);
-  check_bool "and keeps the filed entry" true
-    (Option.map frag_shape (Fragcache.find fc "k") = Some (frag_shape two));
-  let env = make_env Suite.gcd 2.5 in
-  let cfg = env.Solution.sched_config and prog = env.Solution.program in
-  let sol = Solution.initial env in
-  let delay = Datapath.delay_model sol.Solution.dp
-  and res = Datapath.resource_model sol.Solution.dp in
-  let fc = Fragcache.create () in
-  let cold = Stg.signature (Scheduler.schedule ~frags:fc cfg prog ~delay ~res) in
-  let filed = Fragcache.entries fc and _, scheduled = Fragcache.counters fc in
-  check_bool "a cold schedule files fragments" true (filed > 0);
-  let warm = Stg.signature (Scheduler.schedule ~frags:fc cfg prog ~delay ~res) in
-  check_bool "the rescheduled STG is the same" true (warm = cold);
-  check_int "a reschedule files no new entry" filed (Fragcache.entries fc);
-  check_int "a reschedule computes no fragment" scheduled (snd (Fragcache.counters fc))
+    (List.length (Diagnostic.errors (Check.splice_issues stg)));
+  (* A transition, an entry or an exit outside the state array fails. *)
+  let n = Array.length stg.Stg.states in
+  let dangling = Array.copy stg.Stg.succs in
+  let e = stg.Stg.entry in
+  dangling.(e) <- { Stg.t_guard = Guard.always; t_dst = n + 5 } :: dangling.(e);
+  List.iter
+    (fun (what, bad) ->
+      check_bool (what ^ " caught by splice check") true
+        (Diagnostic.errors (Check.splice_issues bad) <> []))
+    [
+      ("dangling transition", { stg with Stg.succs = dangling });
+      ("entry out of range", { stg with Stg.entry = n });
+      ("exit out of range", { stg with Stg.exit_id = -1 });
+    ]
 
 (* --- Binary memo keys partition exactly like the text they replaced ------- *)
 
@@ -456,121 +282,12 @@ let test_key_partition =
           && same_partition stg_key stg_reference sols)
         Suite.all_extended)
 
-(* --- The schedule plan -------------------------------------------------------
-
-   The reference below is the region-key encoder the scheduler used before
-   it built a per-program plan: each key written in one pass from the
-   region tree and the model closures, which it visibly covers.  Plan-built
-   keys must equal its bytes. *)
-
-module Ir = Impact_cdfg.Ir
-module Keybuf = Impact_util.Keybuf
-
-let rec has_loop = function
-  | Ir.R_ops _ -> false
-  | Ir.R_seq rs -> List.exists has_loop rs
-  | Ir.R_if { then_r; else_r; _ } -> has_loop then_r || has_loop else_r
-  | Ir.R_loop _ -> true
-
-let rec merge_ops_children acc = function
-  | [] -> List.rev acc
-  | Ir.R_ops [] :: rest -> merge_ops_children acc rest
-  | Ir.R_ops a :: Ir.R_ops b :: rest -> merge_ops_children acc (Ir.R_ops (a @ b) :: rest)
-  | r :: rest -> merge_ops_children (r :: acc) rest
-
-let rec flatten region =
-  match region with
-  | Ir.R_ops _ -> region
-  | Ir.R_seq rs -> (
-    match merge_ops_children [] (List.map flatten rs) with
-    | [] -> Ir.R_ops []
-    | [ r ] -> r
-    | rs -> Ir.R_seq rs)
-  | Ir.R_if _ when not (has_loop region) -> Ir.R_ops (Ir.region_nodes region)
-  | Ir.R_if i -> Ir.R_if { i with then_r = flatten i.then_r; else_r = flatten i.else_r }
-  | Ir.R_loop l -> Ir.R_loop { l with cond_r = flatten l.cond_r; body = flatten l.body }
-
-let reference_config_fp (cfg : Scheduler.config) =
-  Printf.sprintf "%h|%b|%b|%b|%d|" cfg.Scheduler.clock_ns cfg.Scheduler.flatten_ifs
-    cfg.Scheduler.fold_loop_cond cfg.Scheduler.parallel_regions
-    cfg.Scheduler.max_product_states
-
-let reference_digest ~g ~cfg_fp ~(delay : Impact_sched.Models.delay_model)
-    ~(res : Impact_sched.Models.resource_model) ~tag region =
-  let kb = Keybuf.create 512 in
-  Keybuf.string kb cfg_fp;
-  Keybuf.tag kb tag;
-  let rec structure r =
-    match r with
-    | Ir.R_ops ids ->
-      Keybuf.tag kb 'O';
-      Keybuf.ints kb ids
-    | Ir.R_seq rs ->
-      Keybuf.tag kb 'S';
-      Keybuf.list kb (fun _ r -> structure r) rs
-    | Ir.R_if { cond_edge; then_r; else_r; sels } ->
-      Keybuf.tag kb 'I';
-      Keybuf.int kb cond_edge;
-      structure then_r;
-      structure else_r;
-      Keybuf.ints kb sels
-    | Ir.R_loop { loop; merges; cond_r; cond_edge; body; elps } ->
-      Keybuf.tag kb 'L';
-      Keybuf.int kb loop;
-      Keybuf.ints kb merges;
-      structure cond_r;
-      Keybuf.int kb cond_edge;
-      structure body;
-      Keybuf.ints kb elps
-  in
-  structure region;
-  List.iter
-    (fun nid ->
-      Keybuf.int kb nid;
-      Keybuf.float kb (delay.op_latency_ns nid);
-      Array.iteri
-        (fun port _ -> Keybuf.float kb (delay.input_extra_ns nid ~port))
-        (Graph.node g nid).Ir.inputs;
-      Keybuf.float kb (delay.output_extra_ns nid);
-      Keybuf.int kb (match res.fu_of nid with Some fu -> fu | None -> -1);
-      Keybuf.tag kb (if res.pipelined nid then 'P' else 'p'))
-    (Ir.region_nodes region);
-  Keybuf.contents kb
-
-(* Every cacheable region in the pre-plan report order, with its 'R' key,
-   and the 'P' keys of its cacheable conditionals. *)
-let reference_keys cfg (prog : Graph.program) ~delay ~res =
-  let g = prog.Graph.graph and cfg_fp = reference_config_fp cfg in
-  let top = if cfg.Scheduler.flatten_ifs then flatten prog.Graph.top else prog.Graph.top in
-  let cacheable r = List.length (Ir.region_nodes r) >= 2 in
-  let digest tag r = reference_digest ~g ~cfg_fp ~delay ~res ~tag r in
-  let rec walk (report, standalone) region =
-    let acc =
-      if cacheable region then
-        ( (Ir.region_nodes region, digest 'R' region) :: report,
-          match region with Ir.R_if _ -> digest 'P' region :: standalone | _ -> standalone )
-      else (report, standalone)
-    in
-    match region with
-    | Ir.R_ops _ -> acc
-    | Ir.R_seq rs -> List.fold_left walk acc rs
-    | Ir.R_if { then_r; else_r; _ } -> walk (walk acc then_r) else_r
-    | Ir.R_loop { cond_r; body; _ } -> walk (walk acc body) cond_r
-  in
-  let report, standalone = walk ([], []) top in
-  (List.rev report, standalone)
-
-(* The reference keys a fragment cache holds after a schedule.  When their
-   number equals the cache's entries, every filed key is a reference key. *)
-let filed_reference_keys fc keys =
-  List.filter (fun k -> Fragcache.find fc k <> None) (List.sort_uniq String.compare keys)
+(* --- The schedule plan ------------------------------------------------------- *)
 
 (* Along random binding walks on all eight benchmarks: the plan-based
-   schedule, with and without a fragment cache, equals the plan-free
-   reference; the reported region keys equal the reference encoder's bytes;
-   and every key the scheduler files in a fragment cache is one of them. *)
+   schedule equals the plan-free reference. *)
 let test_plan_walks =
-  QCheck.Test.make ~count:2 ~name:"plan = plan-free reference, keys unchanged (8 benchmarks)"
+  QCheck.Test.make ~count:2 ~name:"plan = plan-free reference (8 benchmarks)"
     QCheck.(int_range 1 1000)
     (fun seed ->
       List.for_all
@@ -582,23 +299,16 @@ let test_plan_walks =
             (fun (s : Solution.t) ->
               let delay = Datapath.delay_model s.Solution.dp
               and res = Datapath.resource_model s.Solution.dp in
-              let fc = Fragcache.create () in
-              let reference = Stg.signature (Scheduler.schedule_reference cfg prog ~delay ~res) in
-              let report, standalone = reference_keys cfg prog ~delay ~res in
-              Stg.signature (Scheduler.schedule cfg prog ~delay ~res) = reference
-              && Stg.signature (Scheduler.schedule ~frags:fc cfg prog ~delay ~res) = reference
-              && Scheduler.region_report cfg prog ~delay ~res = report
-              &&
-              let filed = filed_reference_keys fc (List.map snd report @ standalone) in
-              filed <> [] && List.length filed = Fragcache.entries fc)
+              Stg.signature (Scheduler.schedule cfg prog ~delay ~res)
+              = Stg.signature (Scheduler.schedule_reference cfg prog ~delay ~res))
             sols)
         Suite.all_extended)
 
-(* A cacheable conditional inside a parallel product: the conditional
-   (kept whole by the speculative flattening, since it holds a loop) and
-   the loop after it both read only the first block's results, so they
-   share one dependence level and the conditional is scheduled standalone
-   and filed under its 'P' key.  No benchmark has this shape. *)
+(* A conditional inside a parallel product: the conditional (kept whole by
+   the speculative flattening, since it holds a loop) and the loop after it
+   both read only the first block's results, so they share one dependence
+   level and the conditional is scheduled standalone, with its own dispatch
+   state.  No benchmark has this shape. *)
 let par_cond_source =
   {|
 process parcond(a : int16, b : int16, c : int16) -> (r : int16, s : int16) {
@@ -621,18 +331,30 @@ let test_par_cond_frag () =
   let cfg = Scheduler.config_of_style Scheduler.Wavesched ~clock_ns:15. in
   let dp = Datapath.build (Binding.parallel prog.Graph.graph Module_library.default) in
   let delay = Datapath.delay_model dp and res = Datapath.resource_model dp in
-  let fc = Fragcache.create () in
   let reference = Stg.signature (Scheduler.schedule_reference cfg prog ~delay ~res) in
-  let report, standalone = reference_keys cfg prog ~delay ~res in
-  let sched () = Stg.signature (Scheduler.schedule ~frags:fc cfg prog ~delay ~res) in
-  check_bool "plan = reference" true
-    (Stg.signature (Scheduler.schedule cfg prog ~delay ~res) = reference);
-  check_bool "cold spliced = reference" true (sched () = reference);
-  check_int "every filed key is a reference key" (Fragcache.entries fc)
-    (List.length (filed_reference_keys fc (List.map snd report @ standalone)));
-  check_bool "a 'P' key is filed" true (filed_reference_keys fc standalone <> []);
+  let sched () = Stg.signature (Scheduler.schedule cfg prog ~delay ~res) in
+  check_bool "plan = reference" true (sched () = reference);
   with_sched_check "1" (fun () ->
-      check_bool "cache-served = reference" true (sched () = reference))
+      check_bool "plan = reference under the check" true (sched () = reference))
+
+(* IMPACT_SCHED_CHECK covers every schedule, the minimum-ENC schedules that
+   define the laxity factor included: it compares each with the plan-free
+   reference and raises on a divergence. *)
+let test_min_enc_checked () =
+  with_sched_check "1" (fun () ->
+      List.iter
+        (fun bench ->
+          List.iter
+            (fun style ->
+              let prog = Suite.program bench in
+              let stg =
+                Scheduler.min_enc_schedule style ~clock_ns:bench.Suite.clock_ns prog
+                  Module_library.default
+              in
+              check_bool (bench.Suite.bench_name ^ " min-ENC schedule has states") true
+                (Stg.state_count stg > 1))
+            [ Scheduler.Wavesched; Scheduler.Baseline ])
+        Suite.all_extended)
 
 (* Walk schedules never differ in a field their firings already determine
    (chain positions, transitions), so every field is also perturbed by
@@ -743,23 +465,11 @@ let () =
           Alcotest.test_case "incremental = full on six-benchmark walks" `Quick
             test_walks_identical;
           QCheck_alcotest.to_alcotest test_walk_property;
+          Alcotest.test_case "min-ENC schedules pass the schedule check" `Quick
+            test_min_enc_checked;
         ] );
-      ( "footprint",
-        [
-          Alcotest.test_case "constructor mapping" `Quick test_footprint_mapping;
-          Alcotest.test_case "changed regions stay inside the footprint" `Quick
-            test_footprint_classification;
-        ] );
-      ( "splice",
-        [ Alcotest.test_case "splice checks" `Quick test_splice_checks ] );
-      ( "fragcache",
-        [
-          Alcotest.test_case "roundtrip and isolation" `Quick
-            test_fragcache_roundtrip;
-          Alcotest.test_case "each fragment filed once" `Quick test_fragcache_write_once;
-          Alcotest.test_case "Heavy reschedules splice every region" `Quick
-            test_heavy_resched_splices;
-        ] );
+      ("footprint", [ Alcotest.test_case "constructor mapping" `Quick test_footprint_mapping ]);
+      ("splice", [ Alcotest.test_case "splice checks" `Quick test_splice_checks ]);
       ( "keys",
         [
           QCheck_alcotest.to_alcotest test_key_partition;
