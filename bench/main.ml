@@ -195,15 +195,24 @@ let trace_manip buf =
         if n.Ir.kind = Ir.Op_add then n.Ir.n_id :: acc else acc)
     |> List.rev
   in
+  (* Every timed row is the median of five calls, so one collector slice
+     does not decide it. *)
+  let median_of_5 f =
+    let times =
+      List.init 5 (fun _ ->
+          let t = Unix.gettimeofday () in
+          ignore (f ());
+          Unix.gettimeofday () -. t)
+    in
+    List.nth (List.sort Float.compare times) 2
+  in
   (* Trace manipulation: merge the recorded traces (a resource-sharing move
-     mapping +1,+2,+3 onto one adder). *)
-  let t2 = Unix.gettimeofday () in
+     mapping +1,+2,+3 onto one adder), against re-simulation: run the
+     behavioral simulation again and merge. *)
   let merged = Traces.unit_trace run adds in
-  let t3 = Unix.gettimeofday () in
-  (* Re-simulation: run the behavioral simulation again and merge. *)
-  let run2 = Sim.simulate prog ~workload in
-  let merged2 = Traces.unit_trace run2 adds in
-  let t4 = Unix.gettimeofday () in
+  let merged2 = Traces.unit_trace (Sim.simulate prog ~workload) adds in
+  let manip = median_of_5 (fun () -> Traces.unit_trace run adds) in
+  let resim = median_of_5 (fun () -> Traces.unit_trace (Sim.simulate prog ~workload) adds) in
   let equal =
     Array.length merged = Array.length merged2
     && Array.for_all2
@@ -214,24 +223,13 @@ let trace_manip buf =
   in
   (* The same move as the estimator prices it: the unit's input and output
      switching, folded over the merge without materialising it, from the
-     recorded traces and then from a fresh simulation.  Each is the median
-     of five calls, so one collector slice does not decide it. *)
-  let median_of_5 f =
-    let times =
-      List.init 5 (fun _ ->
-          let t = Unix.gettimeofday () in
-          ignore (f ());
-          Unix.gettimeofday () -. t)
-    in
-    List.nth (List.sort Float.compare times) 2
-  in
+     recorded traces and then from a fresh simulation. *)
   let stats = Traces.unit_switching_stats run adds in
   let stats2 = Traces.unit_switching_stats (Sim.simulate prog ~workload) adds in
   let stats_manip = median_of_5 (fun () -> Traces.unit_switching_stats run adds) in
   let stats_resim =
     median_of_5 (fun () -> Traces.unit_switching_stats (Sim.simulate prog ~workload) adds)
   in
-  let manip = t3 -. t2 and resim = t4 -. t3 in
   let t =
     Table.create ~title:"Trace manipulation vs re-simulation (3-addition example)"
       [ ("quantity", Table.Left); ("value", Table.Right) ]

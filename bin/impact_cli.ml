@@ -57,6 +57,22 @@ let target_arg =
     & pos 0 (some target_conv) None
     & info [] ~docv:"DESIGN" ~doc:"A behavioral source file or bench:NAME.")
 
+(* Every output file goes through here: [contents] is written to [path] and
+   reported as "wrote PATH" followed by [detail].  An unwritable path is an
+   ordinary error (exit 1), not a crash. *)
+let write_output ?(detail = "") path contents =
+  match Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc contents) with
+  | () -> Printf.printf "wrote %s%s\n" path detail
+  | exception Sys_error msg ->
+    let prefix = path ^ ": " in
+    let reason =
+      if String.starts_with ~prefix msg then
+        String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+      else msg
+    in
+    Printf.eprintf "cannot write %s: %s\n" path reason;
+    exit 1
+
 (* --- Common options --------------------------------------------------------- *)
 
 let laxity_arg =
@@ -218,44 +234,22 @@ let synth_cmd =
     let store = store_of ?cache_dir () in
     let design = Driver.synthesize ~options ?store program ~workload ~objective ~laxity () in
     print_design { target with tg_program = program } design workload;
+    let sol = design.Driver.d_solution in
+    Option.iter (fun path -> write_output path (Pretty.to_dot program)) dot_cdfg;
+    Option.iter (fun path -> write_output path (Stg.to_dot sol.Solution.stg)) dot_stg;
+    Option.iter (fun path -> write_output path (Datapath.to_dot sol.Solution.dp)) dot_dp;
     Option.iter
       (fun path ->
-        Pretty.dump_dot program path;
-        Printf.printf "wrote %s\n" path)
-      dot_cdfg;
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc (Stg.to_dot design.Driver.d_solution.Solution.stg));
-        Printf.printf "wrote %s\n" path)
-      dot_stg;
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            output_string oc
-              (Impact_rtl.Datapath.to_dot design.Driver.d_solution.Solution.dp));
-        Printf.printf "wrote %s\n" path)
-      dot_dp;
-    Option.iter
-      (fun path ->
-        Impact_rtl.Verilog.write_file program design.Driver.d_solution.Solution.stg
-          design.Driver.d_solution.Solution.binding path;
-        Printf.printf "wrote %s\n" path)
+        write_output path
+          (Impact_rtl.Verilog.emit program sol.Solution.stg sol.Solution.binding))
       verilog;
     Option.iter
       (fun path ->
         let recording, _ =
-          Impact_rtl.Vcd.capture program design.Driver.d_solution.Solution.stg
-            design.Driver.d_solution.Solution.binding ~workload
+          Impact_rtl.Vcd.capture program sol.Solution.stg sol.Solution.binding ~workload
         in
-        Impact_rtl.Vcd.write_file recording path;
-        Printf.printf "wrote %s (%d value changes)\n" path
-          (Impact_rtl.Vcd.change_count recording))
+        write_output path (Impact_rtl.Vcd.render recording)
+          ~detail:(Printf.sprintf " (%d value changes)" (Impact_rtl.Vcd.change_count recording)))
       vcd;
     Option.iter
       (fun path ->
@@ -269,12 +263,7 @@ let synth_cmd =
                      (fun (n, v) -> (n, Bitvec.to_signed v))
                      out.Interp.results ))
         in
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            output_string oc (Impact_rtl.Verilog.emit_testbench program ~vectors));
-        Printf.printf "wrote %s\n" path)
+        write_output path (Impact_rtl.Verilog.emit_testbench program ~vectors))
       tb
   in
   Cmd.v
@@ -324,19 +313,15 @@ let sweep_cmd =
     Table.print t;
     Option.iter
       (fun path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            output_string oc "laxity,a_power,i_power,i_area,a_vdd,i_vdd\n";
-            List.iter
-              (fun p ->
-                output_string oc
-                  (Printf.sprintf "%.2f,%.6f,%.6f,%.6f,%.3f,%.3f\n" p.Driver.sp_laxity
-                     p.Driver.sp_a_power p.Driver.sp_i_power p.Driver.sp_i_area
-                     p.Driver.sp_a_vdd p.Driver.sp_i_vdd))
-              sweep.Driver.sw_points);
-        Printf.printf "wrote %s\n" path)
+        write_output path
+          (String.concat ""
+             ("laxity,a_power,i_power,i_area,a_vdd,i_vdd\n"
+             :: List.map
+                  (fun p ->
+                    Printf.sprintf "%.2f,%.6f,%.6f,%.6f,%.3f,%.3f\n" p.Driver.sp_laxity
+                      p.Driver.sp_a_power p.Driver.sp_i_power p.Driver.sp_i_area
+                      p.Driver.sp_a_vdd p.Driver.sp_i_vdd)
+                  sweep.Driver.sw_points)))
       csv
   in
   Cmd.v
@@ -355,11 +340,7 @@ let dump_cmd =
       (String.concat ", " (List.map fst target.tg_program.Graph.prog_inputs))
       (String.concat ", " (List.map fst target.tg_program.Graph.prog_outputs));
     Format.printf "%a@." (Pretty.pp_region g) target.tg_program.Graph.top;
-    Option.iter
-      (fun path ->
-        Pretty.dump_dot target.tg_program path;
-        Printf.printf "wrote %s\n" path)
-      dot_cdfg
+    Option.iter (fun path -> write_output path (Pretty.to_dot target.tg_program)) dot_cdfg
   in
   Cmd.v
     (Cmd.info "dump" ~doc:"Print CDFG statistics and optionally a dot rendering.")

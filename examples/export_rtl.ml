@@ -13,6 +13,9 @@ module Vcd = Impact_rtl.Vcd
 module Interp = Impact_lang.Interp
 module Bitvec = Impact_util.Bitvec
 
+let write path contents =
+  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc contents)
+
 let () =
   let bench = Suite.gcd in
   let program = Suite.program bench in
@@ -24,7 +27,7 @@ let () =
   let sol = design.Driver.d_solution in
   (try Unix.mkdir "impact_out" 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   (* 1. The synthesized FSMD as Verilog. *)
-  Verilog.write_file program sol.Solution.stg sol.Solution.binding "impact_out/gcd.v";
+  write "impact_out/gcd.v" (Verilog.emit program sol.Solution.stg sol.Solution.binding);
   (* 2. A self-checking testbench: expectations come from the interpreter. *)
   let typed =
     Impact_lang.Typecheck.check (Impact_lang.Parser.parse bench.Suite.source)
@@ -35,12 +38,10 @@ let () =
            let out = Interp.run typed ~inputs in
            (inputs, List.map (fun (n, v) -> (n, Bitvec.to_signed v)) out.Interp.results))
   in
-  let oc = open_out "impact_out/gcd_tb.v" in
-  output_string oc (Verilog.emit_testbench program ~vectors);
-  close_out oc;
+  write "impact_out/gcd_tb.v" (Verilog.emit_testbench program ~vectors);
   (* 3. A waveform of the whole workload from the RTL simulator. *)
   let recording, result = Vcd.capture program sol.Solution.stg sol.Solution.binding ~workload in
-  Vcd.write_file recording "impact_out/gcd.vcd";
+  write "impact_out/gcd.vcd" (Vcd.render recording);
   Printf.printf
     "wrote impact_out/gcd.v, gcd_tb.v (%d vectors) and gcd.vcd (%d cycles, %d changes)\n"
     (List.length vectors) result.Impact_rtl.Rtl_sim.total_cycles

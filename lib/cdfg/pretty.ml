@@ -61,9 +61,3 @@ let to_dot (p : Graph.program) =
         Dot.edge dot ~style:"dashed" (source_dot_id ctrl_edge e) (node_dot_id n.Ir.n_id)
       | None -> ());
   Dot.render dot
-
-let dump_dot p path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_dot p))

@@ -828,5 +828,3 @@ let dump_json t =
   done;
   Buffer.add_string b "]}";
   Buffer.contents b
-
-let check_enabled () = Impact_util.Env_flag.enabled "IMPACT_RANGE_CHECK"

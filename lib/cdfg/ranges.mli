@@ -10,8 +10,8 @@
     with threshold widening at the merge back-edges for termination.
 
     Facts are accumulators over {e every} firing of a node, so they are
-    sound against the simulator's event log: [IMPACT_RANGE_CHECK=1]
-    (checked by {!Impact_sim.Rangecheck}) asserts that every simulated
+    sound against the simulator's event log: under [IMPACT_CHECK=1] the
+    range oracle ({!Impact_sim.Rangecheck}) asserts that every simulated
     value lies inside its inferred interval.
 
     Consumers:
@@ -98,8 +98,3 @@ val diagnostics : t -> Impact_util.Diagnostic.t list
 val dump_json : t -> string
 (** Deterministic per-edge fact dump (ascending edge id) for
     [impact_cli analyze --json]. *)
-
-val check_enabled : unit -> bool
-(** [IMPACT_RANGE_CHECK] is set (to anything but [""] or ["0"]):
-    simulation results must be asserted against the inferred facts
-    (see {!Impact_sim.Rangecheck}). *)

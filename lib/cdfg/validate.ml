@@ -162,10 +162,6 @@ let check (p : Graph.program) =
   per_node @ region_issues p @ output_issues p @ cycle_issues g
 
 let check_exn p =
-  match Diagnostic.errors (check p) with
-  | [] -> ()
-  | issues ->
-    failwith
-      (Diagnostic.report
-         ~header:(Printf.sprintf "CDFG validation failed for %s:" p.Graph.prog_name)
-         issues)
+  Diagnostic.fail_on_errors
+    ~header:(Printf.sprintf "CDFG validation failed for %s:" p.Graph.prog_name)
+    (check p)

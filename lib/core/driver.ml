@@ -7,6 +7,7 @@ module Sim = Impact_sim.Sim
 module Module_library = Impact_modlib.Module_library
 module Estimate = Impact_power.Estimate
 module Measure = Impact_power.Measure
+module Oracle = Impact_util.Oracle
 module Rng = Impact_util.Rng
 module Parallel = Impact_util.Parallel
 
@@ -53,12 +54,13 @@ let request_env ?store (r : Tier.request) ~objective ~laxity =
     +. Impact_rtl.Datapath.mux_area dp
   in
   let est_ctx =
-    (* One analysis serves both consumers: the IMPACT_RANGE_CHECK soundness
-       gate (assert every simulated value sits inside its inferred fact)
-       and, under [range_power], effective-width pricing. *)
-    if options.range_power || Ranges.check_enabled () then begin
+    (* One analysis serves both consumers: the range oracle (assert every
+       simulated value sits inside its inferred fact) and, under
+       [range_power], effective-width pricing. *)
+    let checking = Oracle.enabled () in
+    if options.range_power || checking then begin
       let analysis = Ranges.analyze program in
-      if Ranges.check_enabled () then Rangecheck.check analysis run;
+      if checking then Rangecheck.check analysis run;
       if options.range_power then
         Estimate.create_ctx ~eff:(Ranges.effective_widths analysis) run
       else Estimate.create_ctx run

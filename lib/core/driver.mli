@@ -18,7 +18,8 @@
 
     With a [store], the design and the sweep are each find-or-compute
     against a {!Tier}: warm answers are bit-identical to cold ones, and
-    [IMPACT_STORE_CHECK=1] recomputes each one cold and asserts it.
+    the store oracle ([IMPACT_CHECK=1]) recomputes each one cold and
+    asserts it.
     [synthesize] and [figure13] then take the workload environment (run,
     minimum ENC, reference area, estimation context) from the store
     handle's memo ({!Tier.workload_env}), so requests after the first on

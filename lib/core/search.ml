@@ -1,5 +1,4 @@
 module Diagnostic = Impact_util.Diagnostic
-module Verify = Impact_verify.Verify
 
 type stats = {
   iterations : int;
@@ -15,7 +14,7 @@ type stats = {
   probes_won : int;
   steals : int;
   domain_busy_fraction : float;
-  verified_accepts : int;  (* solutions re-verified under IMPACT_VERIFY_EACH *)
+  verified_accepts : int;  (* solutions re-verified by the verify oracle *)
   frags_reused : int;
   frags_scheduled : int;
 }
@@ -24,13 +23,11 @@ let optimize env start ~rng ~depth ~max_candidates ?(max_iterations = 50)
     ?(filter = fun _ -> true) ?cache ?(delta = true) ?(num_probes = 1) () =
   if num_probes <> 1 then invalid_arg "Search.optimize: num_probes must be 1";
   let metrics = Solution.create_metrics () in
-  (* Verify-each gating: with IMPACT_VERIFY_EACH set, every solution the
-     search commits to (the start point and each step of an accepted
-     prefix) is re-verified by the full cross-layer pass stack; an error
-     fails the run loudly instead of letting a miscompiling move corrupt the
-     numbers.  Mirrors the IMPACT_CHECK_LEDGER convention of the
-     estimator. *)
-  let verify_each = Verify.verify_each_enabled () in
+  (* The verify oracle: under IMPACT_CHECK every solution the search
+     commits to (the start point and each step of an accepted prefix) is
+     re-verified by the full cross-layer pass stack; an error fails the run
+     loudly instead of letting a miscompiling move corrupt the numbers. *)
+  let verify_each = Impact_util.Oracle.enabled () in
   let verified = ref 0 in
   (* Infeasible intermediates (cost = infinity) are exempt: the search
      traverses them deliberately — they already failed a legality check and
@@ -38,16 +35,12 @@ let optimize env start ~rng ~depth ~max_candidates ?(max_iterations = 50)
   let verify_accepted sol =
     if verify_each && sol.Solution.cost < infinity then begin
       incr verified;
-      let diags = Solution.diagnostics env sol in
-      if Diagnostic.has_errors diags then
-        failwith
-          (Diagnostic.report
-             ~header:
-               (Printf.sprintf
-                  "IMPACT_VERIFY_EACH: accepted solution fails verification \
-                   (after %d verified accepts):"
-                  (!verified - 1))
-             (Diagnostic.errors diags))
+      Diagnostic.fail_on_errors
+        ~header:
+          (Impact_util.Oracle.message "verify"
+             (Printf.sprintf "accepted solution fails verification (after %d verified accepts):"
+                (!verified - 1)))
+        (Solution.diagnostics env sol)
     end
   in
   verify_accepted start;

@@ -30,7 +30,7 @@ type stats = {
           ([perfbench/]) reads them *)
   verified_accepts : int;
       (** solutions re-verified by the cross-layer pass stack under
-          [IMPACT_VERIFY_EACH] (0 when the mode is off) *)
+          the verify oracle, [IMPACT_CHECK] (0 when it is off) *)
   frags_reused : int;  (** always 0 *)
   frags_scheduled : int;
       (** always 0.  These two are the counters of the deleted
@@ -64,9 +64,8 @@ val optimize :
     otherwise; it is accepted only because the benchmark harness passes
     it.
 
-    With the [IMPACT_VERIFY_EACH] environment variable set (to anything but
-    [0] or the empty string), the start solution and every feasible
-    solution of each accepted move sequence are re-verified by
-    {!Solution.diagnostics}; error-severity findings raise [Failure].
-    Verification never changes the search trajectory, so results are
-    bit-identical with the mode on or off. *)
+    Under [IMPACT_CHECK] (the verify oracle, {!Impact_util.Oracle}), the
+    start solution and every feasible solution of each accepted move
+    sequence are re-verified by {!Solution.diagnostics}; error-severity
+    findings raise [Failure].  Verification never changes the search
+    trajectory, so results are bit-identical with the oracle on or off. *)

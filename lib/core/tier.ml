@@ -6,6 +6,7 @@ module Module_library = Impact_modlib.Module_library
 module Binding = Impact_rtl.Binding
 module Estimate = Impact_power.Estimate
 module Store = Impact_store.Store
+module Oracle = Impact_util.Oracle
 
 module Types = struct
   type options = {
@@ -191,8 +192,6 @@ let find tier st k = Option.bind (Store.find ~ns:tier.ns st k) (decode tier)
 (* The store is a cache: a lost write only costs a later recompute. *)
 let put tier st k v = try Store.put ~ns:tier.ns st k (encode tier v) with _ -> ()
 
-let check_enabled () = Impact_util.Env_flag.enabled "IMPACT_STORE_CHECK"
-
 let find_or_compute ?store tier ~key ~restore ~persist ~fingerprint cold =
   match store with
   | None -> cold ()
@@ -200,10 +199,9 @@ let find_or_compute ?store tier ~key ~restore ~persist ~fingerprint cold =
     let k = key () in
     match Option.bind (find tier st k) (fun e -> try restore e with _ -> None) with
     | Some v ->
-      if check_enabled () && fingerprint v <> fingerprint (cold ()) then
-        failwith
-          (Printf.sprintf "impact store: warm %s entry diverges from a cold recomputation"
-             tier.tag);
+      if Oracle.enabled () && fingerprint v <> fingerprint (cold ()) then
+        Oracle.fail "store"
+          (Printf.sprintf "warm %s entry diverges from a cold recomputation" tier.tag);
       v
     | None ->
       let v = cold () in
@@ -214,14 +212,14 @@ let find_or_compute ?store tier ~key ~restore ~persist ~fingerprint cold =
 
 let traces_tier : Estimate.memo_snapshot t = make ~ns:"traces" ~tag:"traces"
 
-(* Under IMPACT_STORE_CHECK every seeded entry is recomputed from the traces
+(* Under the store oracle every seeded entry is recomputed from the traces
    and must agree bit-for-bit; a [Failure] there is a real divergence, any
    other decoding problem is an ordinary miss. *)
 let seed_traces ?store r est_ctx =
   match Option.bind store (fun st -> find traces_tier st (traces_key r)) with
   | None -> ()
   | Some snapshot -> (
-    try Estimate.seed_memos ~check:(check_enabled ()) est_ctx snapshot with
+    try Estimate.seed_memos ~check:(Oracle.enabled ()) est_ctx snapshot with
     | Failure _ as e -> raise e
     | _ -> ())
 
@@ -376,7 +374,7 @@ let persist_sweep (sweep, designs) =
    designs; the recorded points must agree with the rebuilt designs wherever
    that needs no re-measuring (areas, supplies).  The power ratios come from
    Measure — skipping it is most of the warm speedup — so they rest on the
-   checksummed envelope plus IMPACT_STORE_CHECK. *)
+   checksummed envelope plus the store oracle. *)
 let restore_sweep env0 ~enc_min ~laxities entry =
   let load acc ((objective, laxity), de) =
     let env = { env0 with Solution.enc_budget = laxity *. enc_min; objective } in
@@ -513,7 +511,7 @@ let env_inputs r =
   Printf.sprintf "%s|%s|%h|%b" (Lazy.force r.rq_workload_digest) (style_tag o.style) o.clock_ns
     o.range_power
 
-(* Under IMPACT_STORE_CHECK a memo hit is rebuilt cold, with no store, and
+(* Under the store oracle a memo hit is rebuilt cold, with no store, and
    must agree on the run's own fields (logs, passes, profile, pass outputs)
    and on the bits of both reference figures. *)
 let check_env we (env, enc_min) =
@@ -526,7 +524,7 @@ let check_env we (env, enc_min) =
     run_digest we.we_env <> run_digest env
     || bits we.we_enc_min <> bits enc_min
     || bits we.we_env.Solution.area_ref <> bits env.Solution.area_ref
-  then failwith "impact store: memoised workload environment diverges from a cold rebuild"
+  then Oracle.fail "store" "memoised workload environment diverges from a cold rebuild"
 
 let workload_env ?store r build =
   match store with
@@ -538,7 +536,7 @@ let workload_env ?store r build =
         match slot.es_env with
         | Some we when String.equal slot.es_inputs inputs ->
           Atomic.incr env_hits;
-          if check_enabled () then check_env we (build None);
+          if Oracle.enabled () then check_env we (build None);
           we
         | Some _ | None ->
           let we = unshared_env (build (Some st)) in

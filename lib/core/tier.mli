@@ -7,8 +7,8 @@
     artifact's inputs, a {b tag codec} ([Marshal (tag, value)], a foreign
     tag reads as a miss), a {b restore/validate} step that turns a decoded
     entry back into a live value or rejects it as a miss, and a
-    {b fingerprint} that [IMPACT_STORE_CHECK=1] compares against a cold
-    recomputation.
+    {b fingerprint} that the store oracle ([IMPACT_CHECK=1],
+    {!Impact_util.Oracle}) compares against a cold recomputation.
 
     The options and result records live here because their fields are what
     the keys digest and the entries persist; {!Driver} re-exports them.  A
@@ -151,8 +151,8 @@ val find_or_compute :
     serves the value stored under [key ()] when it decodes and [restore]
     accepts it (an exception in [restore] also reads as a miss).  Otherwise
     it runs [cold], records [persist v] and returns [v]; write errors are
-    swallowed.  Under [IMPACT_STORE_CHECK=1] a hit also runs [cold] and
-    fails unless both fingerprints agree.  Without a store it is
+    swallowed.  Under [IMPACT_CHECK=1] a hit also runs [cold] and fails
+    unless both fingerprints agree.  Without a store it is
     [cold ()]. *)
 
 (** {1 The three tiers}
@@ -168,7 +168,7 @@ val find_or_compute :
 
 val seed_traces : ?store:Impact_store.Store.t -> request -> Impact_power.Estimate.ctx -> unit
 (** Seeds a fresh estimation context from the ["traces"] tier.  Under
-    [IMPACT_STORE_CHECK] every seeded entry is recomputed and asserted. *)
+    [IMPACT_CHECK] every seeded entry is recomputed and asserted. *)
 
 type design_entry = {
   de_binding : Impact_rtl.Binding.portable;
@@ -215,7 +215,7 @@ val workload_env :
     the request's program when it was built for this workload and these
     options, and otherwise runs [build (Some st)] and keeps the result in
     the program's slot.  Without a store it is [build None], kept by no
-    one.  Under [IMPACT_STORE_CHECK=1] a hit also
+    one.  Under [IMPACT_CHECK=1] a hit also
     runs [build None] and fails unless the digest of the run's logs, pass
     count, profile and pass outputs and the bits of the minimum ENC and the
     reference area agree. *)

@@ -167,12 +167,3 @@ let check (p : Ast.program) =
              "result %s is never assigned (always 0)" r))
     results;
   List.rev !issues
-
-let check_exn p =
-  match Diagnostic.errors (check p) with
-  | [] -> ()
-  | issues ->
-    failwith
-      (Diagnostic.report
-         ~header:(Printf.sprintf "lint failed for %s:" p.Ast.p_name)
-         issues)

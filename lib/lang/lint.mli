@@ -21,7 +21,3 @@
       entered. *)
 
 val check : Ast.program -> Impact_util.Diagnostic.t list
-
-val check_exn : Ast.program -> unit
-(** @raise Failure on error-severity findings (currently none are emitted,
-    so this only guards future stricter rules). *)

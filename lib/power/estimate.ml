@@ -10,6 +10,7 @@ module Lifetime = Impact_rtl.Lifetime
 module Controller = Impact_rtl.Controller
 module Module_library = Impact_modlib.Module_library
 module Shardtbl = Impact_util.Shardtbl
+module Oracle = Impact_util.Oracle
 
 (* --- Schedule-level terms --------------------------------------------------
 
@@ -61,7 +62,7 @@ type ctx = {
       (* accumulated wall time (ns) spent computing trace-memo entries on
          the miss path — the measured recompute cost of the memo contents,
          read by the benchmark harness. *)
-  check_ledger : bool;  (* IMPACT_CHECK_LEDGER: cross-check every reprice *)
+  check_ledger : bool;  (* the ledger oracle: cross-check every reprice *)
   c_eff : int array option;
       (* per-node effective (active) output widths from the range analysis;
          when present, width-scaled switching terms clamp to them.  Fixed at
@@ -88,7 +89,7 @@ let create_ctx ?eff run =
     last_lifetime = Atomic.make None;
     consumer_count = Graph.data_fanout g;
     memo_cost = Atomic.make 0;
-    check_ledger = Impact_util.Env_flag.enabled "IMPACT_CHECK_LEDGER";
+    check_ledger = Impact_util.Oracle.enabled ();
     c_eff = eff;
   }
 
@@ -217,7 +218,7 @@ let export_memos ctx =
   { ms_units = List.sort compare !units; ms_values = List.sort compare !values }
 
 (* [check] recomputes every seeded entry from the traces and requires exact
-   (bit-level) agreement — the seeding analogue of IMPACT_STORE_CHECK.
+   (bit-level) agreement — the store oracle's seeding check.
    Without it, trust is the store envelope's checksum plus the key's
    store-version: memo values are pure, so a valid entry can only disagree
    if the estimator's own code changed under an unbumped version. *)
@@ -225,13 +226,13 @@ let seed_memos ?(check = false) ctx snapshot =
   List.iter
     (fun (ops, stats) ->
       if check && Traces.unit_switching_stats ctx.c_run ops <> stats then
-        failwith "impact store: seeded unit-switching memo diverges from the traces";
+        Oracle.fail "store" "seeded unit-switching memo diverges from the traces";
       ignore (Shardtbl.add_if_absent ctx.unit_sw ops stats))
     snapshot.ms_units;
   List.iter
     (fun (key, sw) ->
       if check && Traces.value_switching ctx.c_run ~key <> sw then
-        failwith "impact store: seeded value-switching memo diverges from the traces";
+        Oracle.fail "store" "seeded value-switching memo diverges from the traces";
       ignore (Shardtbl.add_if_absent ctx.value_sw key sw))
     snapshot.ms_values
 
@@ -551,9 +552,8 @@ let check_against_full ctx ~stg ~dp ~vdd est =
       && close bd.Breakdown.p_clock fbd.Breakdown.p_clock
       && close bd.Breakdown.p_wire fbd.Breakdown.p_wire)
   then
-    failwith
-      (Printf.sprintf
-         "Estimate.reprice diverged from full estimate: delta %.17g vs full %.17g"
+    Oracle.fail "ledger"
+      (Printf.sprintf "Estimate.reprice diverged from full estimate: delta %.17g vs full %.17g"
          est.est_power full.est_power)
 
 (* Ports in build order: every unit port, by unit then port, before every

@@ -13,7 +13,17 @@
     cheaply.  Estimation is structured as an energy {e ledger} of
     per-resource terms; a move that touches a few resources re-prices only
     its footprint ({!reprice}), turning the search inner loop from
-    O(datapath) to O(move footprint). *)
+    O(datapath) to O(move footprint).
+
+    Concurrency.  A context has two concurrent callers: the pool domains
+    of [Driver.figure13]'s [--jobs] point fan-out, which price every point
+    of a sweep in the sweep's one context, and the serve daemon's client
+    threads, whose requests for one program share its memoised workload
+    environment ([Tier.workload_env]) and so its context.  For them the
+    trace and schedule-level memo tables are {!Impact_util.Shardtbl}s,
+    and the four one-slot last-STG caches and the memo-cost counter are
+    atomics.  Racing callers compute equal values, so whichever publishes
+    first wins. *)
 
 type ctx
 
@@ -27,9 +37,9 @@ val create_ctx : ?eff:int array -> Impact_sim.Sim.run -> ctx
     fixed at creation, so memo entries and ledger repricing all price
     consistently.
 
-    Setting the environment variable [IMPACT_CHECK_LEDGER] (to anything but
-    [0] or the empty string) makes every {!reprice} cross-check itself
-    against a from-scratch estimate and fail on divergence. *)
+    Under [IMPACT_CHECK] (the ledger oracle, {!Impact_util.Oracle}) every
+    {!reprice} of the context cross-checks itself against a from-scratch
+    estimate and fails on divergence.  The switch is read once, here. *)
 
 val run : ctx -> Impact_sim.Sim.run
 
@@ -74,7 +84,7 @@ val seed_memos : ?check:bool -> ctx -> memo_snapshot -> unit
 (** Publishes the snapshot's entries into the context (existing entries
     win).  [check] recomputes each entry from the traces and requires
     bit-level agreement, raising [Failure] on divergence — the seeding
-    analogue of [IMPACT_STORE_CHECK]. *)
+    check of the store oracle ([IMPACT_CHECK]). *)
 
 (** {2 Schedule-level memoisation}
 

@@ -58,9 +58,3 @@ let check_run (run : Sim.run) =
 let check ?ledger run =
   check_run run
   @ match ledger with Some lg -> check_ledger lg | None -> []
-
-let check_exn ?ledger run =
-  match Diagnostic.errors (check ?ledger run) with
-  | [] -> ()
-  | issues ->
-    failwith (Diagnostic.report ~header:"power verification failed:" issues)

@@ -16,6 +16,3 @@ val check_run : Impact_sim.Sim.run -> Impact_util.Diagnostic.t list
 val check :
   ?ledger:Estimate.ledger -> Impact_sim.Sim.run -> Impact_util.Diagnostic.t list
 (** [check_run] plus [check_ledger] when a ledger is given. *)
-
-val check_exn : ?ledger:Estimate.ledger -> Impact_sim.Sim.run -> unit
-(** @raise Failure with a readable report on error-severity findings. *)

@@ -150,9 +150,3 @@ let check program stg b =
   @ fu_state_conflict_issues g b stg
   @ reg_width_issues program g b
   @ reg_lifetime_issues g b lt
-
-let check_exn program stg b =
-  match Diagnostic.errors (check program stg b) with
-  | [] -> ()
-  | issues ->
-    failwith (Diagnostic.report ~header:"binding verification failed:" issues)

@@ -18,7 +18,3 @@ val check :
   Impact_sched.Stg.t ->
   Binding.t ->
   Impact_util.Diagnostic.t list
-
-val check_exn :
-  Impact_cdfg.Graph.program -> Impact_sched.Stg.t -> Binding.t -> unit
-(** @raise Failure with a readable report on error-severity findings. *)

@@ -184,9 +184,3 @@ let controller_issues (stg : Stg.t) =
   !issues
 
 let check stg dp = network_issues dp @ controller_issues stg
-
-let check_exn stg dp =
-  match Diagnostic.errors (check stg dp) with
-  | [] -> ()
-  | issues ->
-    failwith (Diagnostic.report ~header:"RTL verification failed:" issues)

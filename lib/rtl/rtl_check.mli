@@ -18,6 +18,3 @@
 
 val check :
   Impact_sched.Stg.t -> Datapath.t -> Impact_util.Diagnostic.t list
-
-val check_exn : Impact_sched.Stg.t -> Datapath.t -> unit
-(** @raise Failure with a readable report on error-severity findings. *)

@@ -111,10 +111,4 @@ let render t =
   Buffer.add_string buf (Printf.sprintf "#%d\n" t.total_cycles);
   Buffer.contents buf
 
-let write_file t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (render t))
-
 let change_count t = Vec.length t.changes

@@ -15,6 +15,5 @@ val capture :
 (** Runs the RTL simulation with a recording observer. *)
 
 val render : t -> string
-val write_file : t -> string -> unit
 val change_count : t -> int
 (** Total number of recorded value changes (diagnostics). *)

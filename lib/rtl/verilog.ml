@@ -274,9 +274,3 @@ let emit_testbench (program : Graph.program) ~vectors =
   line "  end";
   line "endmodule";
   Buffer.contents buf
-
-let write_file program stg binding path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (emit program stg binding))

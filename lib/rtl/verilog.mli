@@ -17,9 +17,6 @@ val emit :
   Binding.t ->
   string
 
-val write_file :
-  Impact_cdfg.Graph.program -> Impact_sched.Stg.t -> Binding.t -> string -> unit
-
 val module_name : Impact_cdfg.Graph.program -> string
 (** The sanitized Verilog identifier used for the module. *)
 

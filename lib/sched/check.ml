@@ -281,9 +281,3 @@ let check ?profile program stg =
   firing_site_issues program stg
   @ guard_issues ?profile stg
   @ timing_issues stg @ exit_issues stg @ splice_issues stg
-
-let check_exn ?profile program stg =
-  match Diagnostic.errors (check ?profile program stg) with
-  | [] -> ()
-  | issues ->
-    failwith (Diagnostic.report ~header:"schedule validation failed:" issues)

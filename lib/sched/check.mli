@@ -32,7 +32,3 @@ val splice_issues : Stg.t -> issue list
     transition destination name states of the array
     ([stg/splice-entry-range], [stg/splice-exit-range],
     [stg/splice-dangling-transition]).  Included in {!check}. *)
-
-val check_exn : ?profile:Impact_sim.Profile.t -> Impact_cdfg.Graph.program -> Stg.t -> unit
-(** @raise Failure with a readable report when error-severity issues are
-    found (warnings do not raise). *)

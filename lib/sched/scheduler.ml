@@ -32,12 +32,6 @@ let config_of_style style ~clock_ns =
       max_product_states = 20_000;
     }
 
-(* [IMPACT_SCHED_CHECK=1]: every schedule is recomputed by the plan-free
-   reference and the two STGs must agree on {!Stg.signature}; the planned
-   STG is structurally validated ({!Check}).  Mirrors the
-   IMPACT_STORE_CHECK / IMPACT_CHECK_LEDGER conventions. *)
-let check_enabled () = Impact_util.Env_flag.enabled "IMPACT_SCHED_CHECK"
-
 (* --- Region normalisation: flatten loop-free conditionals --------------- *)
 
 let rec has_loop = function
@@ -398,7 +392,7 @@ and standalone_frag ctx p =
    The same schedule computed straight from the region tree, carrying
    nothing over from an earlier call: a fresh {!Analysis.t}, each
    sequence's dependence levels and each leaf's arrays recomputed on the
-   way down ({!Leaf.schedule}).  [IMPACT_SCHED_CHECK] compares every
+   way down ({!Leaf.schedule}).  The schedule oracle compares every
    planned schedule with it, so a fault in what the plan precomputes shows as a
    divergence.  Only the composition of finished fragments
    ({!par_fold}, {!loop_wire}) is shared with the planned path. *)
@@ -495,19 +489,17 @@ let schedule_reference cfg (program : Graph.program) ~delay ~res =
 let schedule ?frags:_ cfg (program : Graph.program) ~delay ~res =
   let plan = plan_for cfg program in
   let stg = Stg.instantiate (region_frag { cfg; delay; res } plan.pl_top) ~clock_ns:cfg.clock_ns in
-  if check_enabled () then begin
+  if Impact_util.Oracle.enabled () then begin
     (* The plan is an implementation detail, never a semantic one: the
        plan-free reference, read through the caller's own model closures,
        must be bit-identical. *)
     let cold = schedule_reference cfg program ~delay ~res in
     if Stg.signature cold <> Stg.signature stg then
-      failwith "IMPACT_SCHED_CHECK: planned schedule diverges from the plan-free reference";
-    match Impact_util.Diagnostic.errors (Check.splice_issues stg) with
-    | [] -> ()
-    | issues ->
-      failwith
-        (Impact_util.Diagnostic.report
-           ~header:"IMPACT_SCHED_CHECK: planned STG fails structural validation:" issues)
+      Impact_util.Oracle.fail "schedule" "planned schedule diverges from the plan-free reference";
+    Impact_util.Diagnostic.fail_on_errors
+      ~header:
+        (Impact_util.Oracle.message "schedule" "planned STG fails structural validation:")
+      (Check.splice_issues stg)
   end;
   stg
 

@@ -58,11 +58,10 @@ val schedule :
     [frags] is accepted and ignored: it is read only by the benchmark
     harness ([perfbench/]), which still passes a {!Fragcache.t}.
 
-    With the [IMPACT_SCHED_CHECK] environment variable set (to anything but
-    [0] or the empty string), every schedule is recomputed by
-    {!schedule_reference} and compared by {!Stg.signature}, and the planned
-    STG passes the [stg/splice-*] checks of {!Check} — a divergence raises
-    [Failure]. *)
+    Under [IMPACT_CHECK] (the schedule oracle, {!Impact_util.Oracle}),
+    every schedule is recomputed by {!schedule_reference} and compared by
+    {!Stg.signature}, and the planned STG passes the [stg/splice-*] checks
+    of {!Check} — a divergence raises [Failure]. *)
 
 val schedule_reference :
   config ->

@@ -3,8 +3,6 @@ module Graph = Impact_cdfg.Graph
 module Ranges = Impact_cdfg.Ranges
 module Bitvec = Impact_util.Bitvec
 
-exception Violation of string
-
 let describe_av = function
   | Ranges.Bot -> "unreachable"
   | Ranges.Fact f ->
@@ -19,12 +17,10 @@ let check analysis run =
       for i = 0 to Sim.count run nid - 1 do
         let v = Bitvec.make ~width (Sim.output run nid i) in
         if not (Ranges.mem av v) then
-          raise
-            (Violation
-               (Printf.sprintf
-                  "%s: node n%d (%s) produced %s outside its inferred fact %s (pass %d)"
-                  run.Sim.program.Graph.prog_name nid n.Ir.n_name (Bitvec.to_string v)
-                  (describe_av av) (Sim.pass run nid i)))
+          Impact_util.Oracle.fail "range"
+            (Printf.sprintf "%s: node n%d (%s) produced %s outside its inferred fact %s (pass %d)"
+               run.Sim.program.Graph.prog_name nid n.Ir.n_name (Bitvec.to_string v)
+               (describe_av av) (Sim.pass run nid i))
       done)
 
 let check_run run = check (Ranges.analyze run.Sim.program) run

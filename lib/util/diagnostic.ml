@@ -67,8 +67,11 @@ let render_json ds =
   | [] -> "[]"
   | ds -> Printf.sprintf "[\n%s\n]" (String.concat ",\n" (List.map one ds))
 
-let report ~header ds =
-  let lines =
-    List.sort compare ds |> List.map (fun d -> "  " ^ to_string d) |> String.concat "\n"
-  in
-  Printf.sprintf "%s\n%s" header lines
+let fail_on_errors ~header ds =
+  match errors ds with
+  | [] -> ()
+  | es ->
+    let lines =
+      List.sort compare es |> List.map (fun d -> "  " ^ to_string d) |> String.concat "\n"
+    in
+    failwith (Printf.sprintf "%s\n%s" header lines)

@@ -3,7 +3,7 @@
     Every checker in the pipeline — the language lint, the CDFG validator,
     the schedule checker, the binding/RTL/power analyzers — reports findings
     as values of this one type, so the [Verify] orchestrator, the
-    [impact_cli lint] front end and the search's [IMPACT_VERIFY_EACH] gate
+    [impact_cli lint] front end and the verify oracle ([IMPACT_CHECK])
     can render, filter and gate on them uniformly.
 
     A diagnostic names the {e rule} that fired (a stable kebab-case id such
@@ -53,5 +53,6 @@ val render_json : t list -> string
     "message": ...}] objects, sorted like {!render_text}.  Self-contained
     (no JSON library dependency); strings are escaped per RFC 8259. *)
 
-val report : header:string -> t list -> string
-(** Multi-line failure report used by the [check_exn] wrappers. *)
+val fail_on_errors : header:string -> t list -> unit
+(** Raises [Failure] with [header] followed by one sorted line per
+    [Error]-severity diagnostic, when there is any; otherwise returns. *)

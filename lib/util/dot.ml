@@ -48,9 +48,3 @@ let render t =
      :: List.rev t.nodes
     @ List.rev t.edges
     @ [ "}"; "" ])
-
-let write_file t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (render t))

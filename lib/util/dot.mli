@@ -11,5 +11,3 @@ val node : t -> id:string -> ?shape:string -> ?style:string -> string -> unit
 val edge : t -> ?style:string -> ?label:string -> string -> string -> unit
 
 val render : t -> string
-
-val write_file : t -> string -> unit

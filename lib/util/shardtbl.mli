@@ -8,7 +8,15 @@
     looks a key up with [find_opt], computes a miss {e outside} any lock
     and publishes it with [add_if_absent], so two domains may race on the
     same key and both compute — they must produce equal values, and only
-    the first published one is kept (and returned to both). *)
+    the first published one is kept (and returned to both).
+
+    Callers.  The tables are the estimator's trace and schedule-level
+    memos ([Estimate.ctx]) and the search's signature cache
+    ([Solution.cache]).  Two callers share them concurrently:
+    [Driver.figure13]'s [--jobs] point fan-out, whose pool domains share
+    the sweep's one estimation context and one signature cache, and the
+    serve daemon's client threads, which share one workload environment's
+    estimation context. *)
 
 type ('a, 'b) t
 

@@ -138,5 +138,3 @@ let run_pass pass i =
 let run_all i =
   List.concat_map (fun pass -> run_pass pass i) all_passes
   |> List.stable_sort Diagnostic.compare
-
-let verify_each_enabled () = Impact_util.Env_flag.enabled "IMPACT_VERIFY_EACH"

@@ -62,8 +62,3 @@ val run_pass : pass -> input -> Diagnostic.t list
 
 val run_all : input -> Diagnostic.t list
 (** Every pass of {!all_passes}, concatenated in pipeline order. *)
-
-val verify_each_enabled : unit -> bool
-(** Whether the [IMPACT_VERIFY_EACH] environment variable requests
-    re-verification after every accepted search move
-    ({!Impact_util.Env_flag.enabled}). *)

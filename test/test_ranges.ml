@@ -6,7 +6,7 @@
    - widening terminates on every benchmark, including data-dependent
      loops;
    - the QCheck soundness property: every simulated value lies inside its
-     inferred fact (the same gate IMPACT_RANGE_CHECK runs in CI);
+     inferred fact (the range oracle CI runs under IMPACT_CHECK);
    - with [range_power] off nothing changes: store fingerprints are
      byte-identical and effective widths equal to the declared ones price
      to the bit-identical estimate. *)
@@ -18,6 +18,7 @@ module Ir = Impact_cdfg.Ir
 module Ranges = Impact_cdfg.Ranges
 module Sim = Impact_sim.Sim
 module Rangecheck = Impact_sim.Rangecheck
+module Oracle = Impact_util.Oracle
 module Suite = Impact_benchmarks.Suite
 module Elaborate = Impact_lang.Elaborate
 module Diagnostic = Impact_util.Diagnostic
@@ -340,16 +341,16 @@ let test_rangecheck_detects () =
   Rangecheck.check analysis run;
   match Rangecheck.check bogus run with
   | () -> Alcotest.fail "mismatched analysis must not verify"
-  | exception Rangecheck.Violation _ -> ()
-  | exception _ -> () (* any loud failure is acceptable *)
+  | exception Failure m ->
+    check_bool "the range oracle fired" true (String.starts_with ~prefix:"IMPACT_CHECK (range):" m)
 
 let test_driver_gate () =
-  (* IMPACT_RANGE_CHECK=1 through the driver's environment funnel. *)
-  Unix.putenv "IMPACT_RANGE_CHECK" "1";
+  (* IMPACT_CHECK=1 through the driver's environment funnel. *)
+  Unix.putenv "IMPACT_CHECK" "1";
   Fun.protect
-    ~finally:(fun () -> Unix.putenv "IMPACT_RANGE_CHECK" "")
+    ~finally:(fun () -> Unix.putenv "IMPACT_CHECK" "")
     (fun () ->
-      check_bool "gate enabled" true (Ranges.check_enabled ());
+      check_bool "gate enabled" true (Oracle.enabled ());
       List.iter
         (fun bench ->
           let program = Suite.program bench in
@@ -361,7 +362,7 @@ let test_driver_gate () =
           in
           ignore (Solution.initial env))
         Suite.all);
-  check_bool "gate disabled again" false (Ranges.check_enabled ())
+  check_bool "gate disabled again" false (Oracle.enabled ())
 
 (* --- bit-identity with range_power off ----------------------------------- *)
 
@@ -460,7 +461,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest soundness_prop;
           Alcotest.test_case "gate detects violations" `Quick test_rangecheck_detects;
-          Alcotest.test_case "driver IMPACT_RANGE_CHECK" `Slow test_driver_gate;
+          Alcotest.test_case "driver IMPACT_CHECK" `Slow test_driver_gate;
         ] );
       ( "bit-identity",
         [

@@ -315,7 +315,8 @@ let equivalence_check ?(style = Scheduler.Wavesched) src workload =
     Scheduler.schedule cfg prog ~delay:(Datapath.delay_model dp)
       ~res:(Datapath.resource_model dp)
   in
-  Impact_sched.Check.check_exn prog stg;
+  Impact_util.Diagnostic.fail_on_errors ~header:"schedule validation failed:"
+    (Impact_sched.Check.check prog stg);
   let rtl = Rtl_sim.simulate prog stg binding ~workload in
   List.iteri
     (fun pass inputs ->

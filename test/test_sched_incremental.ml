@@ -1,7 +1,7 @@
 (* Rescheduling along move walks: the signature-cached evaluation must
    reproduce the fresh evaluation bit for bit (STG signature, ENC, cost
    fingerprints); the plan-based schedule must equal the plan-free
-   reference, and IMPACT_SCHED_CHECK must pass on every schedule; composed
+   reference, and the schedule oracle must pass on every schedule; composed
    STGs must pass the structural splice checks; the binary binding key must
    partition solutions exactly as the text it replaced, and the schedule key
    exactly as the signature of the schedule with its firing times erased. *)
@@ -26,12 +26,11 @@ module Moves = Impact_core.Moves
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let with_sched_check v f =
-  let saved = Sys.getenv_opt "IMPACT_SCHED_CHECK" in
-  Unix.putenv "IMPACT_SCHED_CHECK" v;
+let with_check f =
+  let saved = Sys.getenv_opt "IMPACT_CHECK" in
+  Unix.putenv "IMPACT_CHECK" "1";
   Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "IMPACT_SCHED_CHECK" (Option.value saved ~default:""))
+    ~finally:(fun () -> Unix.putenv "IMPACT_CHECK" (Option.value saved ~default:""))
     f
 
 let make_env bench laxity =
@@ -68,7 +67,7 @@ let fingerprint sol =
 (* One walk: at every step the first applicable candidate is applied twice —
    once without any cache (fresh) and once against a persistent signature
    cache — and the two solutions must be fingerprint-identical.  The first
-   two steps run under IMPACT_SCHED_CHECK=1, so the scheduler's comparison
+   two steps run under IMPACT_CHECK=1, so the scheduler's comparison
    with the plan-free reference and its splice validation run on real
    reschedules too. *)
 let walk_identical bench ~seed ~steps =
@@ -91,7 +90,7 @@ let walk_identical bench ~seed ~steps =
        match next with
        | None -> raise Exit
        | Some (mv, full) ->
-         let run f = if step <= 2 then with_sched_check "1" f else f () in
+         let run f = if step <= 2 then with_check f else f () in
          (match run (fun () -> Moves.apply ~cache env !sol mv) with
          | None ->
            Alcotest.failf "%s step %d: incremental apply rejected %s"
@@ -334,14 +333,14 @@ let test_par_cond_frag () =
   let reference = Stg.signature (Scheduler.schedule_reference cfg prog ~delay ~res) in
   let sched () = Stg.signature (Scheduler.schedule cfg prog ~delay ~res) in
   check_bool "plan = reference" true (sched () = reference);
-  with_sched_check "1" (fun () ->
+  with_check (fun () ->
       check_bool "plan = reference under the check" true (sched () = reference))
 
-(* IMPACT_SCHED_CHECK covers every schedule, the minimum-ENC schedules that
+(* The schedule oracle covers every schedule, the minimum-ENC schedules that
    define the laxity factor included: it compares each with the plan-free
    reference and raises on a divergence. *)
 let test_min_enc_checked () =
-  with_sched_check "1" (fun () ->
+  with_check (fun () ->
       List.iter
         (fun bench ->
           List.iter

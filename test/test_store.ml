@@ -49,6 +49,11 @@ let with_dir f =
   let d = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf d) (fun () -> f d)
 
+(* Runs [f] with every runtime oracle on. *)
+let with_check f =
+  Unix.putenv "IMPACT_CHECK" "1";
+  Fun.protect ~finally:(fun () -> Unix.putenv "IMPACT_CHECK" "0") f
+
 (* The on-disk path of a content key's object, mirroring the store layout
    (namespace directory, then two-char fan-out under objects/) — used to
    corrupt objects behind the API's back.  [object_path] hashes a raw name
@@ -771,7 +776,7 @@ let test_leftover_frag_objects () =
 (* The tiered warm miss: same program and workload at a different laxity
    misses the design tier (a genuinely new search) but reuses the front-end
    tier — the switching-statistics memos — and the result is bit-identical
-   to a storeless cold run.  Runs under IMPACT_STORE_CHECK=1 so every
+   to a storeless cold run.  Runs under IMPACT_CHECK=1 so every
    seeded memo entry is recomputed and asserted against its cold twin. *)
 let test_warm_miss_reuses_front_tiers () =
   List.iter
@@ -789,12 +794,7 @@ let test_warm_miss_reuses_front_tiers () =
           (* A reopened handle, as a new process: the traces tier is read
              from disk, not from the first handle's workload environment. *)
           let store = Store.open_store ~dir:d () in
-          Unix.putenv "IMPACT_STORE_CHECK" "1";
-          let warm_miss =
-            Fun.protect
-              ~finally:(fun () -> Unix.putenv "IMPACT_STORE_CHECK" "0")
-              (fun () -> synth ~store 3.0)
-          in
+          let warm_miss = with_check (fun () -> synth ~store 3.0) in
           let st' = Store.stats store in
           check_int (name ^ " design tier misses again") 1 (tier "design" st').Store.ts_writes;
           check_bool (name ^ " traces tier hit") true ((tier "traces" st').Store.ts_hits > 0);
@@ -930,13 +930,9 @@ let test_digest_counts () =
       check_int "one program digest" 1
         ((Tier.digest_stats ()).Tier.dg_programs - start.Tier.dg_programs))
 
-let with_store_check f =
-  Unix.putenv "IMPACT_STORE_CHECK" "1";
-  Fun.protect ~finally:(fun () -> Unix.putenv "IMPACT_STORE_CHECK" "0") f
-
-(* Under IMPACT_STORE_CHECK a memo hit is rebuilt cold and compared: real
-   requests pass, and a rebuild that disagrees on the run, the minimum ENC
-   or the reference area fails. *)
+(* Under IMPACT_CHECK the store oracle rebuilds a memo hit cold and
+   compares: real requests pass, and a rebuild that disagrees on the run,
+   the minimum ENC or the reference area fails. *)
 let test_env_memo_check () =
   with_dir (fun d ->
       let store = Store.open_store ~dir:d () in
@@ -948,7 +944,7 @@ let test_env_memo_check () =
       in
       let cold = synth 2.0 in
       let m = Tier.env_memo_stats () in
-      let warm, shifted = with_store_check (fun () -> (synth 2.0, synth 3.0)) in
+      let warm, shifted = with_check (fun () -> (synth 2.0, synth 3.0)) in
       check_int "checked hits" (m.Tier.em_hits + 2) (Tier.env_memo_stats ()).Tier.em_hits;
       check_bool "checked hit identical" true (design_fingerprint warm = design_fingerprint cold);
       check_bool "checked shifted identical" true
@@ -966,15 +962,15 @@ let test_env_memo_check () =
       in
       List.iter
         (fun (name, perturb) ->
-          check_bool (name ^ ": divergence fails") true
+          check_bool (name ^ ": the store oracle fails") true
             (match
-               with_store_check (fun () ->
+               with_check (fun () ->
                    Tier.workload_env ~store
                      (Tier.request ~options:small_options prog ~workload)
                      (diverging perturb))
              with
             | _ -> false
-            | exception Failure _ -> true))
+            | exception Failure m -> String.starts_with ~prefix:"IMPACT_CHECK (store):" m))
         [
           ("enc_min", fun (env, enc_min) -> (env, Float.succ enc_min));
           ( "area_ref",
@@ -991,7 +987,7 @@ let test_env_memo_check () =
    warm/cold identity test would notice it.  These literals pin the content
    keys of every tier for bench:gcd under default options.  Payloads are
    not pinned here: their bytes follow the search, which test_golden pins,
-   and the restore checks and IMPACT_STORE_CHECK guard their decoding. *)
+   and the restore checks and the store oracle guard their decoding. *)
 
 let test_golden_keys () =
   let prog = Suite.program Suite.gcd in

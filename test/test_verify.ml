@@ -1,9 +1,9 @@
 (* The cross-layer verification framework:
    - every paper benchmark is clean at every stage (lang lint through the
      power checks on the initial solution);
-   - a full search under IMPACT_VERIFY_EACH verifies every accepted move,
-     raises on nothing, and leaves the trajectory bit-identical to the
-     ungated run;
+   - a full search under IMPACT_CHECK (every runtime oracle, the verify
+     oracle among them) verifies every accepted move, raises on nothing,
+     and leaves the trajectory bit-identical to the unchecked run;
    - hand-corrupted bindings, mux trees and netlists each trip the intended
      rule. *)
 
@@ -18,6 +18,7 @@ module Rtl_check = Impact_rtl.Rtl_check
 module Muxnet = Impact_rtl.Muxnet
 module Suite = Impact_benchmarks.Suite
 module Diagnostic = Impact_util.Diagnostic
+module Oracle = Impact_util.Oracle
 module Verify = Impact_verify.Verify
 module Solution = Impact_core.Solution
 module Search = Impact_core.Search
@@ -65,23 +66,26 @@ let synthesize bench =
   Driver.synthesize ~options prog ~workload ~objective:Solution.Minimize_power
     ~laxity:2.0 ()
 
-let with_verify_each f =
-  Unix.putenv "IMPACT_VERIFY_EACH" "1";
-  Fun.protect ~finally:(fun () -> Unix.putenv "IMPACT_VERIFY_EACH" "0") f
+let with_check f =
+  Unix.putenv "IMPACT_CHECK" "1";
+  Fun.protect ~finally:(fun () -> Unix.putenv "IMPACT_CHECK" "0") f
 
-(* The gate re-verifies the start point and every feasible solution of
-   each accepted move sequence; an error raises, so mere completion means
-   every accepted move left the design sound at every layer.  The
-   trajectory must not change: the gated run's moves and final figures are
-   bit-identical. *)
+(* All oracles never change a result.  Under IMPACT_CHECK the ledger,
+   schedule, range and verify oracles run on every synthesis (the store
+   oracle needs a store; test_store runs it): the verify oracle
+   re-verifies the start point and every feasible solution of each
+   accepted move sequence, and any oracle's disagreement raises, so mere
+   completion means every figure re-derived another way agreed.  The
+   trajectory must not change: the checked run's moves and final figures
+   are bit-identical. *)
 let test_verify_each bench () =
-  Unix.putenv "IMPACT_VERIFY_EACH" "0";
+  Unix.putenv "IMPACT_CHECK" "0";
   let off = synthesize bench in
-  let on_ = with_verify_each (fun () -> synthesize bench) in
+  let on_ = with_check (fun () -> synthesize bench) in
   let moves d =
     List.map Moves.describe d.Driver.d_search.Search.moves_applied
   in
-  check_bool "ungated run verifies nothing" true
+  check_bool "unchecked run verifies nothing" true
     (off.Driver.d_search.Search.verified_accepts = 0);
   Alcotest.(check (list string)) "same moves" (moves off) (moves on_);
   Alcotest.(check (float 0.)) "same cost" off.Driver.d_solution.Solution.cost
@@ -98,7 +102,7 @@ let test_verify_each bench () =
    on the accepted trajectory.  Replaying the applied moves from the start
    in the design's own environment recounts them. *)
 let test_verify_each_flat bench () =
-  let d = with_verify_each (fun () -> synthesize bench) in
+  let d = with_check (fun () -> synthesize bench) in
   let env = d.Driver.d_env in
   let feasible s = if s.Solution.cost < infinity then 1 else 0 in
   let final, expected =
@@ -286,12 +290,20 @@ let test_render_json () =
      find 0);
   Alcotest.(check string) "empty list is []" "[]" (Diagnostic.render_json [])
 
-let test_verify_each_enabled () =
-  Unix.putenv "IMPACT_VERIFY_EACH" "0";
-  check_bool "0 disables" false (Verify.verify_each_enabled ());
-  Unix.putenv "IMPACT_VERIFY_EACH" "1";
-  check_bool "1 enables" true (Verify.verify_each_enabled ());
-  Unix.putenv "IMPACT_VERIFY_EACH" "0"
+(* The switch as this process found it, read before any test sets it: the
+   environment cannot be unset again, so the unset case is checked only
+   when the suite itself was started without IMPACT_CHECK. *)
+let unset_reading =
+  match Sys.getenv_opt "IMPACT_CHECK" with None -> Some (Oracle.enabled ()) | Some _ -> None
+
+let test_oracle_enabled () =
+  Option.iter (check_bool "unset disables" false) unset_reading;
+  List.iter
+    (fun (v, on) ->
+      Unix.putenv "IMPACT_CHECK" v;
+      check_bool (Printf.sprintf "%S" v) on (Oracle.enabled ()))
+    [ ("", false); ("0", false); ("1", true); ("yes", true) ];
+  Unix.putenv "IMPACT_CHECK" "0"
 
 let per_bench f =
   List.map
@@ -329,6 +341,6 @@ let () =
       ( "diagnostic",
         [
           Alcotest.test_case "json rendering" `Quick test_render_json;
-          Alcotest.test_case "env gate" `Quick test_verify_each_enabled;
+          Alcotest.test_case "env gate" `Quick test_oracle_enabled;
         ] );
     ]
