@@ -11,11 +11,13 @@ module Diagnostic = Impact_util.Diagnostic
 module Verify = Impact_verify.Verify
 module Solution = Impact_core.Solution
 module Driver = Impact_core.Driver
+module Request = Impact_core.Request
 module Store = Impact_store.Store
 
 (* --- Loading a design: file path or "bench:NAME" -------------------------- *)
 
 type target = {
+  tg_spec : string;  (** the file path or bench:NAME it was loaded from *)
   tg_name : string;
   tg_source : string;
   tg_program : Graph.program;
@@ -75,6 +77,7 @@ let load_target spec =
   | Ok (`Bench (name, bench)) ->
     Ok
       {
+        tg_spec = spec;
         tg_name = name;
         tg_source = bench.Suite.source;
         tg_program = Suite.program bench;
@@ -85,6 +88,7 @@ let load_target spec =
     | program ->
       Ok
         {
+          tg_spec = spec;
           tg_name = file_name spec;
           tg_source = source;
           tg_program = program;
@@ -97,6 +101,10 @@ let load_target spec =
     | exception Impact_lang.Typecheck.Error (msg, pos) ->
       Error (Format.asprintf "type error at %a: %s" Impact_lang.Ast.pp_pos pos msg)
     | exception Failure msg -> Error msg)
+
+(* The request's workload for its target. *)
+let workload target (r : Request.t) =
+  target.tg_workload ~seed:r.options.Driver.seed ~passes:r.passes
 
 (* --- Persistent store activation ------------------------------------------ *)
 
@@ -115,10 +123,12 @@ let store_of ?cache_dir () =
 (* --- Lint ------------------------------------------------------------------ *)
 
 (* The full cross-layer verification pipeline behind [impact_cli lint] and
-   the serve daemon's lint op.  [Error] is a usage-level failure (unknown
-   benchmark, missing file); front-end failures surface as ordinary
-   diagnostics in [Ok]. *)
-let lint_target spec ~clock ~passes ~seed =
+   the serve daemon's lint op, for the request's target, options, passes,
+   objective and laxity.  [Error] is a usage-level failure (unknown
+   benchmark, missing file); front-end failures and a design that does not
+   terminate under its workload surface as ordinary diagnostics in [Ok]. *)
+let lint_target (r : Request.t) =
+  let spec = r.target and seed = r.options.Driver.seed and passes = r.passes in
   let front_error name rule pos msg =
     Diagnostic.error ~rule
       ~path:(Printf.sprintf "%s/lang/line %d" name pos.Impact_lang.Ast.line)
@@ -161,19 +171,21 @@ let lint_target spec ~clock ~passes ~seed =
                too. *)
             match
               let env, _enc_min =
-                Driver.build_env
-                  ~options:{ Driver.default_options with clock_ns = clock; seed }
-                  program ~workload:(workload_of program)
-                  ~objective:Solution.Minimize_power ~laxity:2.0
+                Driver.build_env ~options:r.options program ~workload:(workload_of program)
+                  ~objective:r.objective ~laxity:r.laxity
               in
               (env, Solution.initial env)
             with
-            | exception Failure msg ->
+            | exception e ->
+              let rule, msg =
+                match (Request.failure e, e) with
+                | Some failure, _ -> failure
+                | None, Failure msg -> ("core/synthesis-error", msg)
+                | None, _ -> raise e
+              in
+              let layer = List.hd (String.split_on_char '/' rule) in
               lang_diags
-              @ [
-                  Diagnostic.error ~rule:"core/synthesis-error" ~path:(name ^ "/core")
-                    "%s" msg;
-                ]
+              @ [ Diagnostic.error ~rule ~path:(Printf.sprintf "%s/%s" name layer) "%s" msg ]
             | env, sol -> lang_diags @ Solution.diagnostics env sol)))
     in
     Ok (name, diags)

@@ -1,21 +1,7 @@
-(* The IMPACT command-line front end.
-
-   impact_cli simulate <file|bench:NAME> --input a=3 --input b=4
-   impact_cli synth    <file|bench:NAME> [--objective power|area]
-                       [--laxity 2.0] [--clock 15] [--passes 60] [--seed 1]
-                       [--optimize] [--unroll]
-                       [--dot-cdfg out.dot] [--dot-stg out.dot]
-                       [--dot-datapath out.dot] [--verilog out.v]
-                       [--testbench tb.v] [--vcd out.vcd]
-   impact_cli sweep    <file|bench:NAME> [--laxities 1,1.5,2,2.5,3] [--csv out.csv]
-   impact_cli report   <file|bench:NAME> [synth options]
-   impact_cli dump     <file|bench:NAME> [--dot-cdfg out.dot]
-   impact_cli lint     <file|bench:NAME> [--json] [--clock 15] [--passes 60]
-                       [--seed 1]
-   impact_cli bench-list
-   impact_cli cache    stats|clear|gc [--cache-dir DIR] [--max-bytes N]
-   impact_cli serve    --socket PATH [--cache-dir DIR] [--jobs N]
-   impact_cli request  --socket PATH JSON... *)
+(* The IMPACT command-line front end: simulate, synth, sweep, report, dump,
+   lint, analyze, bench-list, cache, serve and request.  [impact_cli
+   COMMAND --help] lists a command's options; the request options (objective,
+   laxity, laxities, clock, passes, seed) are {!Request}'s fields. *)
 
 module Graph = Impact_cdfg.Graph
 module Pretty = Impact_cdfg.Pretty
@@ -25,20 +11,17 @@ module Typecheck = Impact_lang.Typecheck
 module Interp = Impact_lang.Interp
 module Sim = Impact_sim.Sim
 module Stg = Impact_sched.Stg
-module Binding = Impact_rtl.Binding
 module Datapath = Impact_rtl.Datapath
 module Measure = Impact_power.Measure
 module Breakdown = Impact_power.Breakdown
-module Vdd = Impact_power.Vdd
-module Rng = Impact_util.Rng
 module Bitvec = Impact_util.Bitvec
 module Table = Impact_util.Table
 module Parallel = Impact_util.Parallel
 module Suite = Impact_benchmarks.Suite
 module Diagnostic = Impact_util.Diagnostic
-module Verify = Impact_verify.Verify
 module Solution = Impact_core.Solution
 module Driver = Impact_core.Driver
+module Request = Impact_core.Request
 module Moves = Impact_core.Moves
 module Search = Impact_core.Search
 module Store = Impact_store.Store
@@ -51,11 +34,17 @@ let target_conv =
   let parse spec = match load_target spec with Ok t -> Ok t | Error e -> Error (`Msg e) in
   Arg.conv (parse, fun ppf t -> Format.pp_print_string ppf t.tg_name)
 
-let target_arg =
+let design_arg of_spec =
   Arg.(
     required
-    & pos 0 (some target_conv) None
+    & pos 0 (some of_spec) None
     & info [] ~docv:"DESIGN" ~doc:"A behavioral source file or bench:NAME.")
+
+let target_arg = design_arg target_conv
+
+(* The DESIGN of the commands that load it themselves (lint, analyze), so a
+   bad one is a diagnostic or a usage message, not a cmdliner error. *)
+let spec_arg = design_arg Arg.string
 
 (* Every output file goes through here: [contents] is written to [path] and
    reported as "wrote PATH" followed by [detail].  An unwritable path is an
@@ -73,24 +62,62 @@ let write_output ?(detail = "") path contents =
     Printf.eprintf "cannot write %s: %s\n" path reason;
     exit 1
 
+(* A design that does not terminate under its workload is a one-line
+   diagnostic and exit 1, not an uncaught exception. *)
+let guarded target f =
+  match f () with
+  | v -> v
+  | exception e -> (
+    match Request.failure e with
+    | Some (_, msg) ->
+      Printf.eprintf "%s: %s\n" target.tg_name msg;
+      exit 1
+    | None -> raise e)
+
 (* --- Common options --------------------------------------------------------- *)
 
-let laxity_arg =
-  Arg.(value & opt float 2.0 & info [ "laxity" ] ~doc:"ENC laxity factor (>= 1).")
-
-let clock_arg = Arg.(value & opt float 15.0 & info [ "clock" ] ~doc:"Clock period in ns.")
-(* A workload needs a pass: a count below one is a usage error. *)
-let passes_arg =
+(* A request option is a thin conv over its {!Request} field: the conv
+   checks the value's domain, so a bad value is a usage error naming the
+   option, and passes the raw value on.  [request_term] hands the command's
+   design and the options given to {!Request.validate}, which fills in the
+   defaults and builds the one request value every command reads. *)
+let field_arg field ~doc =
   let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg ("expected a pass count of at least 1, got " ^ s))
+    let raw = Request.of_arg field s in
+    match Request.check field raw with
+    | Ok _ -> Ok (Request.name field, raw)
+    | Error e -> Error (`Msg (Request.message e))
   in
   Arg.(
     value
-    & opt (conv (parse, Format.pp_print_int)) 60
-    & info [ "passes" ] ~doc:"Workload passes (>= 1).")
-let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Workload seed.")
+    & opt (some (conv (parse, fun ppf (_, raw) -> Request.pp_raw ppf raw))) None
+    & info [ Request.name field ] ~doc:(Printf.sprintf "%s: %s." doc (Request.doc field)))
+
+let request_term design ~spec options =
+  let given =
+    List.fold_right
+      (fun arg rest -> Term.(const (fun f fs -> Option.to_list f @ fs) $ arg $ rest))
+      options (Term.const [])
+  in
+  let validate d given =
+    match Request.validate ((Request.name Request.target, Request.Text (spec d)) :: given) with
+    | Ok r -> `Ok (d, r)
+    | Error e -> `Error (false, Request.message e)
+  in
+  Term.(ret (const validate $ design $ given))
+
+let objective_arg = field_arg Request.objective ~doc:"Optimization objective"
+
+let laxity_arg =
+  field_arg Request.laxity
+    ~doc:"ENC laxity factor, the multiple of the minimum ENC the search may spend"
+
+let laxities_arg = field_arg Request.laxities ~doc:"Comma-separated laxity factors"
+let clock_arg = field_arg Request.clock ~doc:"Designer clock period in ns"
+let passes_arg = field_arg Request.passes ~doc:"Workload passes"
+let seed_arg = field_arg Request.seed ~doc:"Workload and search seed"
+
+let design_request options = request_term target_arg ~spec:(fun t -> t.tg_spec) options
 
 let jobs_arg =
   Arg.(
@@ -112,38 +139,19 @@ let cache_dir_arg =
            cold run).  Defaults to IMPACT_CACHE_DIR when that is set; unset \
            means no persistence.")
 
-let objective_conv =
-  Arg.enum [ ("power", Solution.Minimize_power); ("area", Solution.Minimize_area) ]
-
-let objective_arg =
-  Arg.(
-    value
-    & opt objective_conv Solution.Minimize_power
-    & info [ "objective" ] ~doc:"power or area.")
-
 let inputs_arg =
   Arg.(
     value
     & opt_all (pair ~sep:'=' string int) []
     & info [ "input"; "i" ] ~docv:"NAME=VALUE" ~doc:"Input binding (repeatable).")
 
-let dot_cdfg_arg =
-  Arg.(value & opt (some string) None & info [ "dot-cdfg" ] ~doc:"Write CDFG dot file.")
+(* An output file, written by [write_output]. *)
+let output_arg name ~doc = Arg.(value & opt (some string) None & info [ name ] ~doc)
 
-let dot_stg_arg =
-  Arg.(value & opt (some string) None & info [ "dot-stg" ] ~doc:"Write STG dot file.")
-
-let dot_datapath_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "dot-datapath" ] ~doc:"Write the synthesized datapath as a dot file.")
-
-let verilog_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "verilog" ] ~doc:"Write the synthesized design as Verilog.")
+let dot_cdfg_arg = output_arg "dot-cdfg" ~doc:"Write CDFG dot file."
+let dot_stg_arg = output_arg "dot-stg" ~doc:"Write STG dot file."
+let dot_datapath_arg = output_arg "dot-datapath" ~doc:"Write the synthesized datapath as a dot file."
+let verilog_arg = output_arg "verilog" ~doc:"Write the synthesized design as Verilog."
 
 let optimize_arg =
   Arg.(value & flag & info [ "optimize"; "O" ] ~doc:"Run the frontend optimizer first.")
@@ -152,17 +160,11 @@ let unroll_arg =
   Arg.(value & flag & info [ "unroll" ] ~doc:"Fully unroll small counted loops first.")
 
 let vcd_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "vcd" ] ~doc:"Dump an RTL-simulation waveform (VCD) over the workload.")
+  output_arg "vcd" ~doc:"Dump an RTL-simulation waveform (VCD) over the workload."
 
 let testbench_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "testbench" ]
-        ~doc:"Write a self-checking Verilog testbench (expected values from the interpreter).")
+  output_arg "testbench"
+    ~doc:"Write a self-checking Verilog testbench (expected values from the interpreter)."
 
 let prepared_program target opt unroll =
   if not (opt || unroll) then target.tg_program
@@ -177,6 +179,7 @@ let prepared_program target opt unroll =
 
 let simulate_cmd =
   let run target inputs =
+    guarded target @@ fun () ->
     let typed = Typecheck.check (Parser.parse target.tg_source) in
     let missing =
       List.filter
@@ -188,8 +191,10 @@ let simulate_cmd =
         (String.concat ", " (List.map fst missing));
       exit 1
     end;
-    let out = Interp.run typed ~inputs in
+    (* The CDFG simulation runs first: its bound is per loop, so a loop that
+       never exits is named. *)
     let sim = Sim.simulate target.tg_program ~workload:[ inputs ] in
+    let out = Interp.run typed ~inputs in
     let t = Table.create ~title:(target.tg_name ^ " outputs")
         [ ("output", Table.Left); ("interpreter", Table.Right); ("cdfg-sim", Table.Right) ]
     in
@@ -227,12 +232,15 @@ let print_design target design workload =
   Format.printf "  breakdown: %a@." Breakdown.pp m.Measure.m_breakdown
 
 let synth_cmd =
-  let run target objective laxity clock passes seed cache_dir dot_cdfg dot_stg dot_dp verilog opt unroll vcd tb =
+  let run (target, (r : Request.t)) cache_dir dot_cdfg dot_stg dot_dp verilog opt unroll vcd tb =
+    guarded target @@ fun () ->
     let program = prepared_program target opt unroll in
-    let workload = target.tg_workload ~seed ~passes in
-    let options = { Driver.default_options with clock_ns = clock; seed } in
+    let workload = workload target r in
     let store = store_of ?cache_dir () in
-    let design = Driver.synthesize ~options ?store program ~workload ~objective ~laxity () in
+    let design =
+      Driver.synthesize ~options:r.options ?store program ~workload ~objective:r.objective
+        ~laxity:r.laxity ()
+    in
     print_design { target with tg_program = program } design workload;
     let sol = design.Driver.d_solution in
     Option.iter (fun path -> write_output path (Pretty.to_dot program)) dot_cdfg;
@@ -269,30 +277,25 @@ let synth_cmd =
   Cmd.v
     (Cmd.info "synth" ~doc:"Synthesize a design with the IMPACT algorithm.")
     Term.(
-      const run $ target_arg $ objective_arg $ laxity_arg $ clock_arg $ passes_arg
-      $ seed_arg $ cache_dir_arg $ dot_cdfg_arg $ dot_stg_arg
+      const run
+      $ design_request [ objective_arg; laxity_arg; clock_arg; passes_arg; seed_arg ]
+      $ cache_dir_arg $ dot_cdfg_arg $ dot_stg_arg
       $ dot_datapath_arg $ verilog_arg $ optimize_arg $ unroll_arg $ vcd_arg
       $ testbench_arg)
 
 (* --- sweep ---------------------------------------------------------------------- *)
 
-let laxities_arg =
-  Arg.(
-    value
-    & opt (list float) [ 1.0; 1.5; 2.0; 2.5; 3.0 ]
-    & info [ "laxities" ] ~doc:"Comma-separated laxity factors.")
-
-let csv_arg =
-  Arg.(value & opt (some string) None & info [ "csv" ] ~doc:"Also write the sweep as CSV.")
+let csv_arg = output_arg "csv" ~doc:"Also write the sweep as CSV."
 
 let sweep_cmd =
-  let run target laxities clock passes seed jobs cache_dir csv =
-    let workload = target.tg_workload ~seed ~passes in
-    let options = { Driver.default_options with clock_ns = clock; seed } in
+  let run (target, (r : Request.t)) jobs cache_dir csv =
+    guarded target @@ fun () ->
+    let workload = workload target r in
     let store = store_of ?cache_dir () in
     let sweep =
       Parallel.with_jobs jobs (fun pool ->
-          Driver.figure13 ~options ?pool ?store target.tg_program ~workload ~laxities)
+          Driver.figure13 ~options:r.options ?pool ?store target.tg_program ~workload
+            ~laxities:r.laxities)
     in
     let t =
       Table.create
@@ -327,7 +330,8 @@ let sweep_cmd =
   Cmd.v
     (Cmd.info "sweep" ~doc:"Reproduce the paper's laxity sweep for one design.")
     Term.(
-      const run $ target_arg $ laxities_arg $ clock_arg $ passes_arg $ seed_arg
+      const run
+      $ design_request [ laxities_arg; clock_arg; passes_arg; seed_arg ]
       $ jobs_arg $ cache_dir_arg $ csv_arg)
 
 (* --- dump ------------------------------------------------------------------------ *)
@@ -347,18 +351,22 @@ let dump_cmd =
     Term.(const run $ target_arg $ dot_cdfg_arg)
 
 let report_cmd =
-  let run target objective laxity clock passes seed opt unroll =
+  let run (target, (r : Request.t)) opt unroll =
+    guarded target @@ fun () ->
     let program = prepared_program target opt unroll in
-    let workload = target.tg_workload ~seed ~passes in
-    let options = { Driver.default_options with clock_ns = clock; seed } in
-    let design = Driver.synthesize ~options program ~workload ~objective ~laxity () in
+    let workload = workload target r in
+    let design =
+      Driver.synthesize ~options:r.options program ~workload ~objective:r.objective
+        ~laxity:r.laxity ()
+    in
     Impact_core.Report.print design program ~workload
   in
   Cmd.v
     (Cmd.info "report" ~doc:"Synthesize and print a full design report.")
     Term.(
-      const run $ target_arg $ objective_arg $ laxity_arg $ clock_arg $ passes_arg
-      $ seed_arg $ optimize_arg $ unroll_arg)
+      const run
+      $ design_request [ objective_arg; laxity_arg; clock_arg; passes_arg; seed_arg ]
+      $ optimize_arg $ unroll_arg)
 
 (* --- lint ------------------------------------------------------------------------ *)
 
@@ -369,18 +377,12 @@ let lint_cmd =
       & info [ "json" ]
           ~doc:"Emit diagnostics as a JSON array instead of one line each.")
   in
-  let spec_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"DESIGN" ~doc:"A behavioral source file or bench:NAME.")
-  in
   (* lint owns its loading (instead of [target_conv]) so front-end failures
      surface as ordinary diagnostics with the documented exit code 1, not as
      a cmdliner argument-parse error.  The pipeline itself lives in
      {!Cli_common.lint_target}, shared with the serve daemon. *)
-  let run spec json clock passes seed =
-    match lint_target spec ~clock ~passes ~seed with
+  let run (_, r) json =
+    match lint_target r with
     | Error msg ->
       Printf.eprintf "%s\n" msg;
       exit 2
@@ -401,7 +403,10 @@ let lint_cmd =
           CDFG validation, schedule, binding, interconnect and power checks \
           on the initial solution.  Exits 0 when no error-severity \
           diagnostics are found (warnings are allowed), 1 otherwise.")
-    Term.(const run $ spec_arg $ json_arg $ clock_arg $ passes_arg $ seed_arg)
+    Term.(
+      const run
+      $ request_term spec_arg ~spec:Fun.id [ clock_arg; passes_arg; seed_arg ]
+      $ json_arg)
 
 (* --- analyze --------------------------------------------------------------- *)
 
@@ -411,12 +416,6 @@ let analyze_cmd =
       value & flag
       & info [ "json" ]
           ~doc:"Emit the per-edge facts as one JSON object instead of a table.")
-  in
-  let spec_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"DESIGN" ~doc:"A behavioral source file or bench:NAME.")
   in
   (* Like lint, analyze owns its loading so a bad target exits 2 with a
      usage-style message instead of a cmdliner parse error. *)

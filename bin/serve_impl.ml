@@ -8,9 +8,9 @@
    actually executes streams ["running"] when it starts.
 
    Concurrency model: one thread per client connection; heavy work goes
-   through a {!Impact_store.Flight} scheduler keyed by the request's own
-   parsed fields (op, target, options fingerprint, passes, objective and
-   laxity or the laxity list; a design file by the MD5 of its text); the
+   through a {!Impact_store.Flight} scheduler keyed by the validated
+   {!Impact_core.Request} (op, target, options fingerprint, passes, objective
+   and laxity or the laxity list; a design file by the MD5 of its text); the
    store keys are rendered once, inside the driver.  Distinct
    requests execute concurrently, bounded by the machine's physical core
    count, and a sweep's points fan out over the shared domain pool;
@@ -38,6 +38,7 @@ module Solution = Impact_core.Solution
 module Driver = Impact_core.Driver
 module Search = Impact_core.Search
 module Tier = Impact_core.Tier
+module Request = Impact_core.Request
 
 type server = {
   sv_store : Store.t;
@@ -52,6 +53,11 @@ type server = {
 
 let send oc json = Wire.write_frame oc (Wire.to_string json)
 
+(* A design that does not terminate under its workload answers with the
+   schema's one-line message; any other escaped exception with its name. *)
+let exn_message e =
+  match Request.failure e with Some (_, msg) -> msg | None -> Printexc.to_string e
+
 let error_result ~op msg =
   Wire.Obj
     [
@@ -61,26 +67,23 @@ let error_result ~op msg =
       ("error", Wire.Str msg);
     ]
 
-let field name req = Wire.member name req
-let str_field name req = Option.bind (field name req) Wire.str
+let op_of req = Option.bind (Wire.member "op" req) Wire.str
 
-let num_field name ~default req =
-  match Option.bind (field name req) Wire.num with Some f -> f | None -> default
+(* A frame's members as the schema's raw values: the daemon reads no field
+   itself, {!Request.validate} does. *)
+let rec raw_of_json = function
+  | Wire.Num x -> Request.Float x
+  | Wire.Str s -> Request.Text s
+  | Wire.Arr xs -> Request.Items (List.map raw_of_json xs)
+  | (Wire.Null | Wire.Bool _ | Wire.Obj _) as j -> Request.Text (Wire.to_string j)
 
-let int_field name ~default req =
-  int_of_float (num_field name ~default:(float_of_int default) req)
-
-let options_of_request req =
-  {
-    Driver.default_options with
-    clock_ns = num_field "clock" ~default:15.0 req;
-    seed = int_field "seed" ~default:1 req;
-  }
-
-(* A workload needs a pass: a count below one is answered with an error. *)
-let with_passes ~op oc req f =
-  let passes = int_field "passes" ~default:60 req in
-  if passes < 1 then send oc (error_result ~op "passes must be at least 1") else f passes
+(* Runs [f] on the frame's validated request, or answers the first field out
+   of its domain with an error. *)
+let with_request ~op oc req f =
+  let members = match req with Wire.Obj kvs -> kvs | _ -> [] in
+  match Request.validate (List.map (fun (k, v) -> (k, raw_of_json v)) members) with
+  | Error e -> send oc (error_result ~op (Request.message e))
+  | Ok r -> f r
 
 (* Loads a synthesize or sweep request's target and workload, and gives
    [f] its flight key maker: [key fields] names the request by the op, the
@@ -88,25 +91,21 @@ let with_passes ~op oc req f =
    built-in is named by its spec and a design file by the MD5 of its text,
    so a file edited between requests never shares a flight. *)
 let with_target ~op oc req f =
-  with_passes ~op oc req @@ fun passes ->
-  match str_field "target" req with
-  | None -> send oc (error_result ~op "missing target")
-  | Some spec -> (
-    match Cli_common.load_target spec with
-    | Error msg -> send oc (error_result ~op msg)
-    | Ok target ->
-      let options = options_of_request req in
-      let workload = target.Cli_common.tg_workload ~seed:options.Driver.seed ~passes in
-      let name =
-        if Cli_common.bench_name spec = None then
-          Digest.to_hex (Digest.string target.Cli_common.tg_source)
-        else spec
-      in
-      let key fields =
-        String.concat "|"
-          (op :: name :: Driver.options_fingerprint options :: string_of_int passes :: fields)
-      in
-      f target ~options ~workload ~key)
+  with_request ~op oc req @@ fun r ->
+  match Cli_common.load_target r.Request.target with
+  | Error msg -> send oc (error_result ~op msg)
+  | Ok target ->
+    let name =
+      if Cli_common.bench_name r.Request.target = None then
+        Digest.to_hex (Digest.string target.Cli_common.tg_source)
+      else r.Request.target
+    in
+    let key fields =
+      String.concat "|"
+        (op :: name :: Driver.options_fingerprint r.Request.options
+        :: string_of_int r.Request.passes :: fields)
+    in
+    f target r ~workload:(Cli_common.workload target r) ~key
 
 (* Progress bracket: [queued] on arrival, [running] (on the leader's
    connection) once the scheduler admits the flight, then the terminal
@@ -129,7 +128,7 @@ let heavy sv oc ~op ~key f =
           let fields = f () in
           (fields, design_hits () > hits_before))
     with
-    | exception e -> error_result ~op (Printexc.to_string e)
+    | exception e -> error_result ~op (exn_message e)
     | (fields, warm), coalesced ->
       Wire.Obj
         ([
@@ -143,20 +142,14 @@ let heavy sv oc ~op ~key f =
   in
   send oc result
 
-let objective_of_request req =
-  match str_field "objective" req with
-  | Some "area" -> Solution.Minimize_area
-  | _ -> Solution.Minimize_power
-
 let run_synthesize sv oc req =
-  with_target ~op:"synthesize" oc req (fun target ~options ~workload ~key ->
-      let objective = objective_of_request req in
-      let laxity = num_field "laxity" ~default:2.0 req in
+  with_target ~op:"synthesize" oc req (fun target r ~workload ~key ->
+      let objective = r.Request.objective and laxity = r.Request.laxity in
       let key = key [ Solution.objective_name objective; Printf.sprintf "%h" laxity ] in
       heavy sv oc ~op:"synthesize" ~key (fun () ->
           let design =
-            Driver.synthesize ~options ~store:sv.sv_store target.Cli_common.tg_program ~workload
-              ~objective ~laxity ()
+            Driver.synthesize ~options:r.Request.options ~store:sv.sv_store
+              target.Cli_common.tg_program ~workload ~objective ~laxity ()
           in
           let sol = design.Driver.d_solution in
           [
@@ -174,18 +167,12 @@ let run_synthesize sv oc req =
           ]))
 
 let run_sweep sv oc req =
-  with_target ~op:"sweep" oc req (fun target ~options ~workload ~key ->
-      let laxities =
-        match field "laxities" req with
-        | Some (Wire.Arr xs) ->
-          List.filter_map Wire.num xs |> fun ls ->
-          if ls = [] then [ 1.0; 1.5; 2.0; 2.5; 3.0 ] else ls
-        | _ -> [ 1.0; 1.5; 2.0; 2.5; 3.0 ]
-      in
+  with_target ~op:"sweep" oc req (fun target r ~workload ~key ->
+      let laxities = r.Request.laxities in
       let key = key (List.map (Printf.sprintf "%h") laxities) in
       heavy sv oc ~op:"sweep" ~key (fun () ->
           let sweep =
-            Driver.figure13 ~options ?pool:sv.sv_pool ~store:sv.sv_store
+            Driver.figure13 ~options:r.Request.options ?pool:sv.sv_pool ~store:sv.sv_store
               target.Cli_common.tg_program ~workload ~laxities
           in
           [
@@ -205,27 +192,22 @@ let run_sweep sv oc req =
           ]))
 
 let run_lint oc req =
-  with_passes ~op:"lint" oc req @@ fun passes ->
-  match str_field "target" req with
-  | None -> send oc (error_result ~op:"lint" "missing target")
-  | Some spec -> (
-    let clock = num_field "clock" ~default:15.0 req in
-    let seed = int_field "seed" ~default:1 req in
-    match Cli_common.lint_target spec ~clock ~passes ~seed with
-    | Error msg -> send oc (error_result ~op:"lint" msg)
-    | Ok (name, diags) ->
-      let errors = Diagnostic.count Diagnostic.Error diags in
-      let warnings = Diagnostic.count Diagnostic.Warning diags in
-      send oc
-        (Wire.Obj
-           [
-             ("event", Wire.Str "result");
-             ("op", Wire.Str "lint");
-             ("ok", Wire.Bool (errors = 0));
-             ("target", Wire.Str name);
-             ("errors", Wire.Num (float_of_int errors));
-             ("warnings", Wire.Num (float_of_int warnings));
-           ]))
+  with_request ~op:"lint" oc req @@ fun r ->
+  match Cli_common.lint_target r with
+  | Error msg -> send oc (error_result ~op:"lint" msg)
+  | Ok (name, diags) ->
+    let errors = Diagnostic.count Diagnostic.Error diags in
+    let warnings = Diagnostic.count Diagnostic.Warning diags in
+    send oc
+      (Wire.Obj
+         [
+           ("event", Wire.Str "result");
+           ("op", Wire.Str "lint");
+           ("ok", Wire.Bool (errors = 0));
+           ("target", Wire.Str name);
+           ("errors", Wire.Num (float_of_int errors));
+           ("warnings", Wire.Num (float_of_int warnings));
+         ])
 
 let run_cache_stats sv oc =
   let s = Store.stats sv.sv_store in
@@ -274,7 +256,7 @@ let run_cache_stats sv oc =
        ])
 
 let dispatch sv oc req =
-  match str_field "op" req with
+  match op_of req with
   | Some "ping" ->
     send oc
       (Wire.Obj
@@ -311,8 +293,8 @@ let handle_client sv fd =
              connection stays open for the next one. *)
           try dispatch sv oc req
           with e ->
-            let op = Option.value (str_field "op" req) ~default:"?" in
-            send oc (error_result ~op (Printexc.to_string e))));
+            let op = Option.value (op_of req) ~default:"?" in
+            send oc (error_result ~op (exn_message e))));
         loop ()
   in
   (try loop () with Sys_error _ | Unix.Unix_error _ -> ());

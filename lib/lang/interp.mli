@@ -6,7 +6,10 @@
     cross-checked against it in the test suite. *)
 
 exception Nonterminating of string
-(** Raised when the step budget is exhausted. *)
+(** Raised when the step budget is exhausted.  [Impact_core.Request.failure]
+    turns it into the front ends' diagnostic (rule [lang/nonterminating]);
+    the CLI's [simulate] runs the CDFG simulation first, whose
+    [Impact_sim.Sim.Stuck] names the loop. *)
 
 exception Runtime_error of string
 

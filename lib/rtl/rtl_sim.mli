@@ -40,7 +40,8 @@ type result = {
 
 exception Deadlock of string
 (** No (or multiple) matching transition, or a pass exceeded the cycle
-    budget. *)
+    budget.  [Impact_core.Request.failure] turns it into the front ends'
+    diagnostic (rule [rtl/deadlock]). *)
 
 val simulate :
   ?observer:observer ->

@@ -52,7 +52,10 @@ type run = private {
 }
 
 exception Stuck of string
-(** Raised when a loop exceeds the iteration budget. *)
+(** Raised when a loop exceeds the iteration budget; the message names the
+    loop and the bound.  [Impact_core.Request.failure] turns it into the
+    front ends' diagnostic: a one-line exit 1 from the CLI, a
+    [sim/nonterminating] finding from lint and an error reply from serve. *)
 
 val simulate :
   ?max_loop_iters:int ->

@@ -20,6 +20,7 @@ module Rng = Impact_util.Rng
 module Suite = Impact_benchmarks.Suite
 module Solution = Impact_core.Solution
 module Driver = Impact_core.Driver
+module Request = Impact_core.Request
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -260,6 +261,118 @@ let test_stress_full_flow () =
         expected)
     workload
 
+(* --- The request schema ------------------------------------------------------ *)
+
+(* Raw values for each field, in its domain and out of it: the boundaries,
+   the values the front ends accepted before the schema checked them (NaN,
+   infinities, laxities below 1, a zero clock, fractional counts, an empty
+   list) and values of the wrong kind.  Accepted pass counts stay small so a
+   synthesis is quick. *)
+let raw_pool =
+  let open Request in
+  let below x = Float (Float.pred x) in
+  [
+    ("target", [ Text "bench:gcd" ], [ Text ""; Int 3 ]);
+    ("objective", [ Text "power"; Text "area" ], [ Text "foo"; Float 1. ]);
+    ( "laxity",
+      [ Int 1; Float 1.5; Int 3; Float 1e6 ],
+      [ below 1.; Float 0.5; Int 0; Int (-1); Float nan; Float infinity; Text "2" ] );
+    ( "laxities",
+      [ Items [ Int 1; Float 2.5 ]; Items [ Float 1.5 ] ],
+      [ Items []; Items [ Float nan ]; Items [ Int 1; Text "x" ]; Float 2. ] );
+    ( "clock",
+      [ Float min_clock_ns; Int 15; Float 40.; Float 1e6 ],
+      [ below min_clock_ns; Float 0.; Float (-1.); Float nan; Float infinity; Float 1e-9;
+        Text "fast" ] );
+    ("passes", [ Int 1; Int 2; Float 2. ], [ Float 1.5; Int 0; Int (-1); Float nan; Float 1e30; Text "x" ]);
+    ("seed", [ Int 1; Int 7; Int (-3); Float 2.; Int max_int ], [ Float 1.5; Float nan; Float 1e30 ]);
+  ]
+
+(* Each field is absent, in its domain or out of it, weighted so that about
+   a third of the requests are valid. *)
+let gen_request =
+  QCheck.Gen.(
+    List.fold_right
+      (fun (name, valid, invalid) rest ->
+        map2
+          (fun raw rest -> Option.fold ~none:rest ~some:(fun raw -> (name, raw) :: rest) raw)
+          (frequency
+             [ (1, return None); (6, map Option.some (oneofl valid));
+               (1, map Option.some (oneofl invalid)) ])
+          rest)
+      raw_pool (return []))
+
+let print_request fields =
+  String.concat ", "
+    (List.map (fun (k, raw) -> Format.asprintf "%s=%a" k Request.pp_raw raw) fields)
+
+let gcd = Suite.find "gcd"
+
+(* An accepted request synthesises gcd without an exception; a rejected one
+   names a field it carries (or the missing target), and that field alone,
+   beside a valid target, is rejected too. *)
+let request_holds fields =
+  match Request.validate fields with
+  | Ok r ->
+    let workload = gcd.Suite.workload ~seed:r.Request.options.Driver.seed ~passes:r.Request.passes in
+    let design =
+      Driver.synthesize ~options:r.Request.options (Suite.program gcd) ~workload
+        ~objective:r.Request.objective ~laxity:r.Request.laxity ()
+    in
+    design.Driver.d_laxity = r.Request.laxity
+  | Error e -> (
+    String.starts_with ~prefix:(e.Request.field ^ " ") (Request.message e)
+    &&
+    match List.assoc_opt e.Request.field fields with
+    | None -> e.Request.field = "target"
+    | Some raw -> (
+      match Request.validate [ (e.Request.field, raw); ("target", Request.Text "bench:gcd") ] with
+      | Error e' -> e'.Request.field = e.Request.field
+      | Ok _ -> false))
+
+let prop_request_schema =
+  QCheck.Test.make ~name:"validated requests synthesise, rejected ones name their field"
+    ~count:40
+    (QCheck.make ~print:print_request gen_request)
+    request_holds
+
+(* The boundaries, one field at a time beside a valid target.  The rejected
+   values are ones the front ends used to accept. *)
+let test_request_boundaries () =
+  let accepts field raw =
+    Result.is_ok (Request.validate [ ("target", Request.Text "bench:gcd"); (field, raw) ])
+  in
+  let open Request in
+  List.iter
+    (fun (field, raw, expected) ->
+      check_bool (Format.asprintf "%s=%a" field pp_raw raw) expected (accepts field raw))
+    [
+      ("laxity", Int 1, true);
+      ("laxity", Float (Float.pred 1.), false);
+      ("laxity", Float nan, false);
+      ("laxity", Float infinity, false);
+      ("laxities", Items [ Float 1. ], true);
+      ("laxities", Items [], false);
+      ("laxities", Items [ Float 1.; Float 0.5 ], false);
+      ("clock", Float min_clock_ns, true);
+      ("clock", Float (Float.pred min_clock_ns), false);
+      ("clock", Int 0, false);
+      ("passes", Int 1, true);
+      ("passes", Float 1., true);
+      ("passes", Int 0, false);
+      ("passes", Float 1.5, false);
+      ("seed", Int (-1), true);
+      ("seed", Float 1.5, false);
+      ("objective", Text "area", true);
+      ("objective", Text "foo", false);
+    ];
+  check_bool "a request without a target" true (Result.is_error (Request.validate []));
+  match Request.validate [ ("target", Text "bench:gcd") ] with
+  | Error _ -> Alcotest.fail "defaults rejected"
+  | Ok r ->
+    check_bool "default options" true (r.options = Driver.default_options);
+    check_int "default passes" 60 r.passes
+
 let () =
   Alcotest.run "impact_robustness"
     [
@@ -277,6 +390,11 @@ let () =
           Alcotest.test_case "rtl cycle budget" `Quick test_rtl_cycle_budget;
           Alcotest.test_case "missing input" `Quick test_workload_missing_input;
           Alcotest.test_case "sim wrong width" `Quick test_sim_wrong_width;
+        ] );
+      ( "request",
+        [
+          QCheck_alcotest.to_alcotest prop_request_schema;
+          Alcotest.test_case "domain boundaries" `Quick test_request_boundaries;
         ] );
       ("stress", [ Alcotest.test_case "full flow on a large design" `Slow test_stress_full_flow ]);
     ]
